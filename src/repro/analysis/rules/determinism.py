@@ -1,9 +1,9 @@
-"""determinism: the static complement to the parallel byte-identity suite.
+"""determinism: the static complement to the byte-identity suite.
 
-Parallel execution must stay byte-identical to the serial reference
-(``tests/property/test_prop_parallel.py``), so the execution-core
-modules — ``topk/``, ``storage/sharded.py``, ``storage/delta.py``,
-``storage/procpool.py`` — must not let nondeterminism leak into result
+Batched execution must stay byte-identical to the serial per-item
+reference (``tests/property/test_prop_parallel.py``), so the
+execution-core modules — ``topk/``, ``storage/sharded.py``,
+``storage/delta.py`` — must not let nondeterminism leak into result
 construction:
 
 - **set-iteration**: iterating a bare ``set`` (a set display, set
@@ -30,7 +30,6 @@ from repro.analysis.framework import FileContext, Finding, Rule, register
 _SCOPED_SUFFIXES = (
     "storage/sharded.py",
     "storage/delta.py",
-    "storage/procpool.py",
 )
 _SCOPED_DIRS = ("topk/",)
 

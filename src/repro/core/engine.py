@@ -28,11 +28,7 @@ import itertools
 import os
 import threading
 import weakref
-from concurrent.futures import (
-    CancelledError,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -53,7 +49,6 @@ from repro.relax.rules import RelaxationRule, RuleSet
 from repro.relax.structural import inversion_rules
 from repro.scoring.language_model import PatternScorer, ScoringConfig
 from repro.storage.compaction import compact_store
-from repro.storage.procpool import process_context
 from repro.storage.statistics import StoreStatistics
 from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatcher
@@ -78,27 +73,18 @@ class EngineConfig:
         store was built with; a concrete name converts the store at engine
         construction if it differs.
     parallelism:
-        Worker count of the engine-owned executors that are shared by
-        everything concurrent in one engine: ``ask_many`` query fan-out,
-        per-segment posting prefetch inside one query (the sharded
-        backend's merged pulls), and posting-cursor priming.  ``None``
-        (default) sizes them to the machine (``os.cpu_count()``); ``0`` or
-        ``1`` disables the executors entirely — every pull happens serially
-        on the consuming thread, the byte-identical reference mode.  The
-        executors are shut down by :meth:`TriniT.close`.
+        Worker count of the one engine-owned thread pool, used only for
+        ``ask_many`` query fan-out and background compaction — a single
+        query always executes in-line on its calling thread.  ``None``
+        (default) sizes the pool to the machine (``os.cpu_count()``);
+        ``0`` or ``1`` means no pool at all: ``ask_many`` evaluates
+        sequentially and compaction runs inline.  The pool is shut down by
+        :meth:`TriniT.close`.
     executor_kind:
-        Where per-segment batch preparation runs: ``"thread"`` (default —
-        the shared thread pool, prefetch overlaps the consumer but stays
-        GIL-bound), ``"process"`` (a ProcessPoolExecutor whose workers
-        re-open the store's **directory snapshot** and serve posting heads
-        from their own copy-on-write mappings — true multi-core), or
-        ``"serial"`` (no executors at all, the reference mode).  The
-        default honours the ``TRINIT_EXECUTOR_KIND`` environment variable
-        so whole test suites can be re-run under another kind.
-        ``"process"`` falls back to threads — gracefully, see
-        :attr:`TriniT.executor_kind` — when the store was not loaded from
-        a directory snapshot or the platform cannot start worker
-        processes.  Answers are byte-identical across all three kinds.
+        ``"thread"`` (default — the pool above exists) or ``"serial"`` (no
+        pool, identical to ``parallelism<=1``).  Any other value raises
+        :class:`TrinitError`; :attr:`TriniT.executor_kind` reports the
+        effective kind.
     merge_batch:
         Posting heads pulled per segment per batch by the sharded
         backend's k-way merge (and the granularity of the id-space
@@ -107,7 +93,7 @@ class EngineConfig:
         doubles its pull as the consumer keeps draining, so probe-only
         lookups stay cheap and deep drains amortise (bounded by
         ``ADAPTIVE_MAX_BATCH``).  ``1`` degenerates to item-at-a-time
-        pulls — the serial reference the property suite pins parallel
+        pulls — the serial reference the property suite pins batched
         execution against.
     block_size:
         Posting-block granularity of the id-space execution kernels: how
@@ -124,9 +110,9 @@ class EngineConfig:
         the engine folds it into frozen storage — a new snapshot
         *generation* for directory-backed stores (hardlinked segments, an
         atomically swapped ``CURRENT`` pointer), an in-memory rebuild
-        otherwise.  Folding runs in the background on the shared executor
-        when one exists (queries keep answering from the delta meanwhile)
-        and inline under ``parallelism<=1``/``"serial"``.  ``None``
+        otherwise.  Folding runs in the background on the engine's thread
+        pool when it has one (queries keep answering from the delta
+        meanwhile) and inline under ``parallelism<=1``/``"serial"``.  ``None``
         (default) never compacts automatically; :meth:`TriniT.compact`
         stays available explicitly.
     mine_arg_overlap, mine_chains, mine_inversions:
@@ -144,9 +130,7 @@ class EngineConfig:
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
     storage_backend: str | None = None
     parallelism: int | None = None
-    executor_kind: str = field(
-        default_factory=lambda: os.environ.get("TRINIT_EXECUTOR_KIND", "thread")
-    )
+    executor_kind: str = "thread"
     merge_batch: int | None = None
     block_size: int | None = None
     compaction_threshold: int | None = None
@@ -211,20 +195,14 @@ class TriniT:
             store.freeze()
         self.store = store
         kind = self.config.executor_kind
-        if kind not in ("thread", "process", "serial"):
+        if kind not in ("thread", "serial"):
             raise TrinitError(
-                f"Unknown executor_kind {kind!r} — expected 'thread', "
-                "'process' or 'serial'"
+                f"Unknown executor_kind {kind!r} — expected 'thread' or "
+                "'serial'"
             )
-        # Engine-owned worker pools.  The thread pool is shared by ask_many
-        # fan-out, cursor priming and (kind="thread") segment posting
-        # prefetch; threads spawn on first use, so unqueried engines never
-        # start one.  kind="process" adds a process pool whose workers
-        # re-open the store's directory snapshot and prepare posting heads
-        # off the GIL — only possible when the store knows its source
-        # directory and the platform can start workers; otherwise the
-        # thread pool serves prefetch too (self.executor_kind reports what
-        # actually happened).  close() shuts both down.
+        # The one engine-owned pool: ask_many fan-out and background
+        # compaction only.  Threads spawn on first use, so unqueried
+        # engines never start one; close() shuts it down.
         workers = self.config.parallelism
         if workers is None:
             workers = os.cpu_count() or 4
@@ -235,39 +213,12 @@ class TriniT:
             if workers
             else None
         )
-        self._process_executor = None
-        if kind == "process" and workers:
-            source_dir = getattr(store.backend, "source_dir", None)
-            context = process_context() if source_dir is not None else None
-            if context is not None:
-                try:
-                    self._process_executor = ProcessPoolExecutor(
-                        max_workers=workers, mp_context=context
-                    )
-                except (OSError, ValueError, NotImplementedError):
-                    self._process_executor = None
-        if not workers:
-            self.executor_kind = "serial"
-        elif self._process_executor is not None:
-            self.executor_kind = "process"
-        else:
-            self.executor_kind = "thread"
-        configure = getattr(store.backend, "configure_prefetch", None)
-        if configure is not None:  # optional protocol surface (see close())
-            configure(
-                self._process_executor
-                if self._process_executor is not None
-                else self._executor,
-                self.config.merge_batch,
-            )
-        store.configure_blocks(self.config.block_size)
+        self.executor_kind = "thread" if workers else "serial"
         # One bounded hot-block cache per engine, shared across queries and
         # snapshot generations (keys carry the snapshot identity, so stale
         # generations simply stop being hit; swaps clear it outright).
         self._block_cache = HotBlockCache()
-        configure_cache = getattr(store.backend, "configure_block_cache", None)
-        if configure_cache is not None:
-            configure_cache(self._block_cache)
+        self._configure_storage(store)
         self.statistics = StoreStatistics(store)
         self.matcher = TokenMatcher(store)
         self.scorer = PatternScorer(store, self.config.scoring)
@@ -282,7 +233,6 @@ class TriniT:
             scorer=self.scorer,
             matcher=self.matcher,
             config=self.config.processor,
-            executor=self._executor,
         )
         self.suggester = QuerySuggester(
             self.statistics,
@@ -346,6 +296,18 @@ class TriniT:
                 confidence=confidence,
             )
         return cls(store.freeze(), **kwargs)
+
+    def _configure_storage(self, store: TripleStore) -> None:
+        """Hand the engine's batching knobs and block cache to ``store``."""
+        backend = store.backend
+        # Both hooks exist on the segmented backend only.
+        configure = getattr(backend, "configure_prefetch", None)
+        if configure is not None:
+            configure(self.config.merge_batch)
+        store.configure_blocks(self.config.block_size)
+        configure_cache = getattr(backend, "configure_block_cache", None)
+        if configure_cache is not None:
+            configure_cache(self._block_cache)
 
     def _register_default_operators(self) -> None:
         cfg = self.config
@@ -516,25 +478,13 @@ class TriniT:
             scorer=scorer,
             matcher=matcher,
             config=self.config.processor,
-            executor=self._executor,
         )
         suggester = QuerySuggester(
             statistics,
             matcher,
             min_overlap=self.config.suggestion_min_overlap,
         )
-        configure = getattr(store.backend, "configure_prefetch", None)
-        if configure is not None:
-            configure(
-                self._process_executor
-                if self._process_executor is not None
-                else self._executor,
-                self.config.merge_batch,
-            )
-        store.configure_blocks(self.config.block_size)
-        configure_cache = getattr(store.backend, "configure_block_cache", None)
-        if configure_cache is not None:
-            configure_cache(self._block_cache)
+        self._configure_storage(store)
         epoch = self._epoch
         with epoch.cond:
             while epoch.active:
@@ -616,10 +566,10 @@ class TriniT:
     def close(self) -> None:
         """Release the engine's resources (worker pool, mmap buffers, columns).
 
-        The shared executor drains first (queued prefetch batches and
-        queued ``ask_many`` queries are cancelled — an in-flight
-        ``ask_many`` call surfaces that as :class:`TrinitError` — while
-        running tasks finish against the still-open store), then
+        The thread pool drains first (queued ``ask_many`` queries are
+        cancelled — an in-flight ``ask_many`` call surfaces that as
+        :class:`TrinitError` — while running tasks finish against the
+        still-open store), then
         the store's backing storage is released.  Streams obtained from
         :meth:`stream` become unusable (their ``next_k`` raises
         :class:`~repro.errors.StorageError`); answers already materialised
@@ -629,8 +579,6 @@ class TriniT:
             self._closed = True
             if self._executor is not None:
                 self._executor.shutdown(wait=True, cancel_futures=True)
-            if self._process_executor is not None:
-                self._process_executor.shutdown(wait=True, cancel_futures=True)
             with self._epoch.cond:
                 pinned = [entry[0] for entry in self._pins.values()]
                 self._pins.clear()
@@ -717,14 +665,12 @@ class TriniT:
         every query is evaluated in isolation — results are bit-identical
         to sequential ``ask`` calls.  Note the evaluation itself is pure
         Python, so on GIL-bound interpreters the pool bounds *latency
-        interleaving*, not aggregate throughput; the API seam is what a
-        free-threaded build or a per-segment process executor (see
-        ROADMAP) will exploit.
+        interleaving*, not aggregate throughput.
 
-        Queries run on the *engine-owned* executor (``EngineConfig.
-        parallelism``) — the same pool that prefetches segment posting
-        batches — so repeated batch calls reuse warm threads instead of
-        paying pool startup per call.  ``max_workers=1`` forces sequential
+        Queries run on the *engine-owned* thread pool (``EngineConfig.
+        parallelism``, shared only with background compaction), so
+        repeated batch calls reuse warm threads instead of paying pool
+        startup per call.  ``max_workers=1`` forces sequential
         evaluation; other explicit values bound how many of the batch are
         in flight at once (sliced submission to the shared pool); an
         engine configured with ``parallelism<=1`` has no pool and always
@@ -817,7 +763,6 @@ class TriniT:
         clone.rules = self.rules
         clone.registry = self.registry
         clone._executor = self._executor
-        clone._process_executor = self._process_executor
         clone.executor_kind = self.executor_kind
         clone._block_cache = self._block_cache
         # Live-ingestion state is shared with the parent: a compaction in
@@ -837,7 +782,6 @@ class TriniT:
             scorer=self.scorer,
             matcher=self.matcher,
             config=clone.config.processor,
-            executor=self._executor,
         )
         clone.suggester = self.suggester
         clone._closed = self._closed

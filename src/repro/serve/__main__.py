@@ -6,8 +6,8 @@ snapshot, or JSONL — format-sniffed like ``TriniT.open``), wraps it in a
 Engine flags mirror :class:`~repro.core.engine.EngineConfig`; service
 flags mirror :class:`~repro.serve.http.ServeConfig`::
 
-    python -m repro.serve xkg.snapd --port 8399 --executor-kind process \\
-        --compaction-threshold 1000 --cache-size 512 --max-concurrency 8
+    python -m repro.serve xkg.snapd --port 8399 --compaction-threshold 1000 \\
+        --cache-size 512 --max-concurrency 8
 """
 
 from __future__ import annotations
@@ -33,12 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine = parser.add_argument_group("engine (EngineConfig)")
     engine.add_argument(
-        "--executor-kind", choices=("thread", "process", "serial"), default=None,
-        help="segment batch preparation: thread pool, process pool, or none",
-    )
-    engine.add_argument(
         "--parallelism", type=int, default=None,
-        help="engine worker count (default: machine-sized)",
+        help="engine pool size for ask_many + background compaction "
+             "(default: machine-sized; 1 = no pool)",
     )
     engine.add_argument(
         "--merge-batch", type=int, default=None,
@@ -79,7 +76,6 @@ def main(argv: list[str] | None = None) -> int:
         **{
             key: value
             for key, value in {
-                "executor_kind": args.executor_kind,
                 "parallelism": args.parallelism,
                 "merge_batch": args.merge_batch,
                 "compaction_threshold": args.compaction_threshold,

@@ -36,8 +36,6 @@ from repro.errors import StorageError
 from repro.storage.index import PostingIndex
 
 if TYPE_CHECKING:
-    from concurrent.futures import Executor
-
     from repro.storage.delta import DeltaSegment
 
 
@@ -106,31 +104,6 @@ class StorageBackend(Protocol):
 
     def segment_count(self) -> int:
         """Physical partitions one lookup fans out over (1 for monoliths)."""
-        ...
-
-    def segment_postings(
-        self, bound_slots: Sequence[bool], key: tuple[int, ...]
-    ) -> list[Sequence[int]]:
-        """Per-segment score-sorted triple id handles for one lookup.
-
-        Monolithic backends return a one-element list holding the same
-        sequence :meth:`postings` would; segmented backends return one
-        handle per segment (global ids, each in score order) so callers can
-        partition work — or pull — segment by segment.
-        """
-        ...
-
-    def configure_prefetch(
-        self, executor: Executor | None, batch_size: int | None
-    ) -> None:
-        """Set the shared executor / pull batch used by merged postings.
-
-        A no-op for backends whose postings are already materialised;
-        segmented backends use it to prepare segment heads concurrently
-        (``batch_size=None`` selects adaptive per-merge sizing, and a
-        process-pool executor moves preparation off the GIL for stores
-        mapped from directory snapshots).
-        """
         ...
 
     def distinct_keys(self, bound_slots: Sequence[bool]) -> list[tuple[int, ...]]:
@@ -282,16 +255,6 @@ class DictBackend:
 
     def segment_count(self) -> int:
         return 1
-
-    def segment_postings(
-        self, bound_slots: Sequence[bool], key: tuple[int, ...]
-    ) -> list[Sequence[int]]:
-        return [self.postings(bound_slots, key)]
-
-    def configure_prefetch(
-        self, executor: Executor | None, batch_size: int | None = 1
-    ) -> None:
-        """Postings are fully materialised tuples; nothing to prefetch."""
 
     def distinct_keys(self, bound_slots: Sequence[bool]) -> list[tuple[int, ...]]:
         if self._closed:

@@ -287,14 +287,6 @@ class ColumnarBackend:
     def segment_count(self) -> int:
         return 1
 
-    def segment_postings(
-        self, bound_slots: Sequence[bool], key: tuple[int, ...]
-    ) -> list[Sequence[int]]:
-        return [self.postings(bound_slots, key)]
-
-    def configure_prefetch(self, executor, batch_size: int = 1) -> None:
-        """Postings are zero-copy range views; nothing to prefetch."""
-
     def distinct_keys(self, bound_slots: Sequence[bool]) -> list[tuple[int, ...]]:
         if self._closed:
             raise StorageError("Storage backend is closed")

@@ -16,10 +16,8 @@ Two folding strategies, chosen by where the store lives:
   a freshly written manifest and the new segment's container, and the
   root's ``CURRENT`` pointer is atomically swapped last.  A crash at any
   earlier point leaves the previous generation untouched and active.
-  Readers that opened the old generation keep it: their mmaps (and the
-  per-process segment caches of :mod:`repro.storage.procpool`, keyed by
-  generation directory path) reference the old files, which the swap
-  does not disturb.
+  Readers that opened the old generation keep it: their mmaps reference
+  the old files, which the swap does not disturb.
 
 * **In-memory rebuild** (the fallback) — for dict/columnar/sharded
   stores with no backing directory.  :meth:`TripleStore.convert` re-adds

@@ -9,19 +9,15 @@ the frozen segments keep serving reads untouched.  Delta triples get
 so the global sort key ``(-weight, gid)`` every backend freezes with
 extends naturally: merging the frozen posting lists with the delta's
 produces exactly the posting order a fresh freeze over the union would —
-the byte-identity invariant parallel execution is property-tested against.
+the byte-identity invariant live ingestion is property-tested against.
 
 Reads hand out **immutable snapshots**: :meth:`DeltaSegment.posting_part`
 returns a :class:`DeltaPart` whose posting order and weights are fixed at
 capture time (weights are snapshot per delta *version*), so a k-way merge
-or a prefetching thread can keep consuming a part while concurrent
-``add_all`` calls grow the delta — later additions simply aren't in that
-part.  Mutations are serialised by an internal lock; every mutation bumps
+can keep consuming a part while concurrent ``add_all`` calls grow the
+delta — later additions simply aren't in that part.  Mutations are serialised by an internal lock; every mutation bumps
 ``version``, invalidating the per-``(signature, key)`` part cache.
 
-The delta never crosses a process boundary: :class:`~repro.storage.
-sharded.MergedPostings` prepares delta heads inline (or on the thread
-pool) even when the frozen segments are served by worker processes.
 Deltas are folded into frozen columnar segments by background compaction
 (:mod:`repro.storage.compaction`).
 """
@@ -238,10 +234,8 @@ def overlay_postings(
 
     The single-segment backends (dict, columnar) reuse the sharded k-way
     merge with exactly two streams: the frozen list (identity id map over
-    ``range(frozen_n)``) and the delta part — no executor, no batching,
-    so the overlay stays the item-at-a-time serial reference.  When the
-    delta has no matches the frozen list is returned untouched (zero
-    overhead on the hot path).
+    ``range(frozen_n)``) and the delta part.  When the delta has no matches
+    the frozen list is returned untouched (zero overhead on the hot path).
     """
     part = delta.posting_part(bound_slots, key)
     if part is None:
@@ -257,7 +251,6 @@ def overlay_postings(
         parts,
         weights,
         len(base) + len(part.postings),
-        executor=None,
         batch=None,
         delta=part,
     )

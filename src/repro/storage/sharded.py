@@ -12,32 +12,22 @@ segment/local → global) plus the global weight and count columns.
 score-sorted lists: segment heads are compared by (weight desc, global id
 asc) — exactly the global sort key the single-segment backends freeze with —
 so the merged stream is element-identical to a columnar posting list, while
-only the consumed prefix is ever materialised.  The merge pulls each
-segment's heads as pre-keyed **blocks** — two parallel ``(-weight, global
-id)`` columns built by C-speed gathers (:func:`repro.topk.kernels.
-prepare_head_block`) instead of per-head tuple lists — and
-:meth:`configure_prefetch` can point it at a shared executor so the next
-block of every segment is prepared concurrently while the consumer drains
-the current one.  :meth:`configure_block_cache` additionally attaches the
+only the consumed prefix is ever materialised.  The merge runs in-line on
+the consuming thread and pulls each segment's heads as pre-keyed
+**blocks** — two parallel ``(-weight, global id)`` columns built by C-speed
+gathers (:func:`repro.topk.kernels.prepare_head_block`) instead of
+per-head tuple lists.  :meth:`configure_block_cache` attaches the
 engine-owned :class:`~repro.topk.kernels.HotBlockCache`, so the front
 blocks Zipfian traffic hammers are decoded once and served from memory
 (delta blocks are never cached — the mutable segment changes under live
-ingestion).  Batch sizing is
-either fixed or **adaptive** (``batch=None``): each merge starts small and
-doubles its per-segment pull as the consumer keeps draining, so one-head
-rewriting probes stay cheap while deep drains converge to amortised bulk
-pulls — the controller state is per merge instance, i.e. per query.  With
-``batch_size=1`` and no executor the merge degenerates to the item-at-a-time
-serial pull — the byte-identical reference that parallel execution is
-property-tested against.  The id-space execution core runs over a
-partitioned store unchanged.
-
-The executor can be a thread pool (prefetch overlaps I/O, still GIL-bound)
-or a :class:`~concurrent.futures.ProcessPoolExecutor` over a **directory
-snapshot** — then batch preparation runs in worker processes against their
-own copy-on-write mappings of the segment files (:mod:`repro.storage.
-procpool`), and only tiny ``(lo, hi)`` requests and prepared head lists
-cross the process boundary.  Emitted order is identical in every mode.
+ingestion).  Batch sizing (:meth:`configure_prefetch`) is either fixed or
+**adaptive** (``batch=None``): each merge starts small and doubles its
+per-segment pull as the consumer keeps draining, so one-head rewriting
+probes stay cheap while deep drains converge to amortised bulk pulls — the
+controller state is per merge instance, i.e. per query.  With
+``batch_size=1`` the merge degenerates to the item-at-a-time pull — the
+byte-identical reference batched execution is property-tested against.
+The id-space execution core runs over a partitioned store unchanged.
 
 Snapshot-restored backends (:mod:`repro.storage.snapshot` formats v2/v3)
 keep their segmentation: each segment's columns arrive as a lazy loader
@@ -50,13 +40,12 @@ from __future__ import annotations
 import heapq
 import threading
 from array import array
-from concurrent.futures import CancelledError, Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from typing import Callable, Sequence
 
 from repro.errors import StorageError
 from repro.storage.columnar import ID_TYPECODE, ColumnarBackend
 from repro.storage.index import signature_of
-from repro.storage.procpool import prepare_heads
 
 _EMPTY: tuple[int, ...] = ()
 
@@ -91,32 +80,20 @@ DEFAULT_MERGE_BATCH = 64
 ADAPTIVE_INITIAL_BATCH = 8
 ADAPTIVE_MAX_BATCH = 1024
 
-#: Smallest batch worth shipping to a *process* pool.  A remote preparation
-#: pays pickling plus a queue round trip (~hundreds of microseconds); below
-#: this many heads the consuming thread prepares the range inline faster
-#: than it could post the request.  With adaptive sizing this means a merge
-#: escapes to worker processes exactly when its drain depth has proven the
-#: demand — short probes never leave the process.
-REMOTE_MIN_BATCH = 64
-
 
 class _SegmentStream:
     """One segment's contribution to a merge: postings plus the id map.
 
     ``prepare_block`` translates the ``[lo, hi)`` local posting ids into a
     pre-keyed head block — parallel ``(-weight, global id)`` columns — in
-    one pass of C-speed gathers; that block is the unit of work an
-    executor runs ahead of the consumer, and the unit the hot-block cache
-    stores.  ``kw``/``kg`` hold the current block, ``index`` the consumed
-    prefix.  Ranges are *claimed* (``position`` advanced, the range parked
-    in ``inflight``) before the work is placed, on the consuming thread,
-    so at most one range per stream is ever outstanding and no lock is
-    needed; whoever delivers the claimed range — prefetch worker, cache,
-    or inline fallback — produces the same block.
+    one pass of C-speed gathers; that block is the unit the merge refills
+    by and the unit the hot-block cache stores.  ``kw``/``kg`` hold the
+    current block, ``index`` the consumed prefix of it, ``position`` the
+    end of the posting range already taken.
     """
 
     __slots__ = ("postings", "globals_", "segment_index", "position", "kw",
-                 "kg", "index", "future", "inflight", "weights", "is_delta")
+                 "kg", "index", "weights", "is_delta")
 
     def __init__(
         self,
@@ -133,20 +110,11 @@ class _SegmentStream:
         self.kw: Sequence[float] = ()
         self.kg: Sequence[int] = ()
         self.index = 0
-        self.future = None
-        self.inflight: tuple[int, int] | None = None
         # Per-stream weight override: the mutable delta segment carries its
         # own immutable weight snapshot (frozen weights columns don't cover
         # delta ids).  None means "use the merge-level weights".
         self.weights = weights
         self.is_delta = is_delta
-
-    def claim(self, batch: int) -> tuple[int, int]:
-        lo = self.position
-        hi = min(lo + batch, len(self.postings))
-        self.position = hi
-        self.inflight = (lo, hi)
-        return lo, hi
 
     def prepare_block(self, weights, lo: int, hi: int):
         if self.weights is not None:
@@ -154,43 +122,6 @@ class _SegmentStream:
         return _kernel_module().prepare_head_block(
             self.postings, self.globals_, weights, lo, hi
         )
-
-
-class _RemoteSpec:
-    """Address of one lookup for process-pool workers: which directory
-    snapshot, and which (bound-slot mask, key) lookup to re-run there.
-    Everything a :func:`repro.storage.procpool.prepare_heads` request needs
-    besides the segment index and posting range."""
-
-    __slots__ = ("directory", "bound_slots", "key")
-
-    def __init__(
-        self, directory: str, bound_slots: tuple[bool, ...], key: tuple[int, ...]
-    ):
-        self.directory = directory
-        self.bound_slots = bound_slots
-        self.key = key
-
-
-class _CachedBlock:
-    """Future-like wrapper around a cache-served head block.
-
-    Lets a cache hit flow through the same ``stream.future`` slot as an
-    executor submission: :meth:`cancel` refuses (the block is already
-    here), :meth:`result` hands it over.  ``_refill`` recognises the type
-    to count the hit.
-    """
-
-    __slots__ = ("_block",)
-
-    def __init__(self, block):
-        self._block = block
-
-    def cancel(self) -> bool:
-        return False
-
-    def result(self):
-        return self._block
 
 
 class MergedPostings:
@@ -202,34 +133,23 @@ class MergedPostings:
     :meth:`pull`.  Cursors that abandon a posting list after a few sorted
     accesses never pay for the full merge.
 
-    Segment heads are prepared in batches of ``batch`` pre-keyed entries;
-    ``batch=None`` selects **adaptive** sizing (slow start per merge, see
-    :data:`ADAPTIVE_INITIAL_BATCH`).  When ``executor`` is set, one batch
-    per segment is kept in flight while the merge drains (double
-    buffering), so concurrent posting pulls overlap the consumer's own
-    work; a thread executor additionally prefetches every segment's first
-    batch at construction.  With ``remote`` set (a :class:`_RemoteSpec`,
-    executor a process pool over a directory snapshot), batches are
-    prepared in worker processes against their own segment mappings —
-    construction then skips the eager first-batch round trip, and ranges
-    below :data:`REMOTE_MIN_BATCH` heads are prepared inline, so one-head
-    probes and shallow drains never pay IPC.  The emitted order is deterministic and
-    independent of executor timing and batch sizing: the heap compares
-    ``(-weight, global id)`` and global ids are unique.
+    Segment heads are prepared on the consuming thread in batches of
+    ``batch`` pre-keyed entries; ``batch=None`` selects **adaptive** sizing
+    (slow start per merge, see :data:`ADAPTIVE_INITIAL_BATCH`).  The
+    emitted order is deterministic and independent of batch sizing: the
+    heap compares ``(-weight, global id)`` and global ids are unique.
 
     ``delta`` adds the store's mutable delta segment as one more stream:
     a ``(postings, globals_, weights)`` snapshot (:class:`~repro.storage.
     delta.DeltaPart`) whose per-stream weight view covers the delta ids the
-    merge-level weights column doesn't.  Delta heads are always prepared
-    in-process (the delta lives in this process's memory, workers can't
-    map it), and :attr:`delta_emitted` counts how many merged items came
-    from it — the source of ``QueryStats.delta_hits``.
+    merge-level weights column doesn't.  :attr:`delta_emitted` counts how
+    many merged items came from it — the source of
+    ``QueryStats.delta_hits``.
     """
 
     __slots__ = ("_items", "_streams", "_weights", "_length", "_heap",
-                 "_executor", "_batch", "_adaptive", "_remote",
-                 "_has_delta", "_delta_emitted", "_cache", "_cache_base",
-                 "_cache_hits")
+                 "_batch", "_adaptive", "_has_delta", "_delta_emitted",
+                 "_cache", "_cache_base", "_cache_hits")
 
     def __init__(
         self,
@@ -237,9 +157,7 @@ class MergedPostings:
         weights,
         length: int,
         *,
-        executor: Executor | None = None,
         batch: int | None = DEFAULT_MERGE_BATCH,
-        remote: "_RemoteSpec | None" = None,
         segment_indices: Sequence[int] | None = None,
         delta=None,
         cache=None,
@@ -262,18 +180,13 @@ class MergedPostings:
         self._weights = weights
         self._length = length
         self._heap: list[tuple[float, int, int]] | None = None
-        self._executor = executor
         self._adaptive = batch is None
         self._batch = ADAPTIVE_INITIAL_BATCH if batch is None else max(1, batch)
-        self._remote = remote if executor is not None else None
         # Hot-block cache: engine-owned, shared across merges; keyed by the
         # lookup address (cache_base) plus segment index and block range.
         self._cache = cache if cache_base is not None else None
         self._cache_base = cache_base
         self._cache_hits = 0
-        if executor is not None and remote is None:
-            for stream in self._streams:
-                stream.future = self._submit(stream)
 
     def __len__(self) -> int:
         return self._length
@@ -309,142 +222,42 @@ class MergedPostings:
 
     # -- merge machinery ---------------------------------------------------
 
-    def _cache_key(self, stream: _SegmentStream, lo: int, hi: int) -> tuple:
-        return (self._cache_base, stream.segment_index, lo, hi)
-
-    def _cacheable(self, stream: _SegmentStream) -> bool:
-        # Frozen segment blocks only: the mutable delta changes under live
-        # ingestion, and its streams are rebuilt per lookup anyway.
-        return self._cache is not None and not stream.is_delta
-
-    def _submit(self, stream: _SegmentStream):
-        """Claim the stream's next batch and queue it on the executor.
-
-        The range is claimed *here*, on the consuming thread, so the
-        worker-side preparation is a pure function of ``(lo, hi)`` — for a
-        process pool that means the request pickles as a handful of
-        scalars.  If the executor refuses (shut down under us — engine
-        closed mid-stream), the claim stays parked in ``stream.inflight``
-        and the consumer prepares it inline from here on.
-        """
-        executor = self._executor
-        if executor is None:
-            # A sibling _submit in the same loop already saw the shutdown.
-            return None
-        if self._cacheable(stream):
-            lo = stream.position
-            hi = min(lo + self._batch, len(stream.postings))
-            if lo < hi:
-                block = self._cache.get(self._cache_key(stream, lo, hi))
-                if block is not None:
-                    # Already decoded once — claim the range and park the
-                    # block where the executor's future would have gone.
-                    stream.claim(self._batch)
-                    return _CachedBlock(block)
-        remote = self._remote
-        if remote is not None and stream.is_delta:
-            # The delta lives in this process's memory — workers can't map
-            # it; the consumer prepares delta ranges inline on demand.
-            return None
-        if remote is not None:
-            remaining = len(stream.postings) - stream.position
-            if min(self._batch, remaining) < REMOTE_MIN_BATCH:
-                # Too small to amortise the IPC round trip — leave the range
-                # unclaimed; the consumer prepares it inline on demand.
-                return None
-        lo, hi = stream.claim(self._batch)
-        if lo >= hi:
-            stream.inflight = None
-            return None
-        try:
-            if remote is not None:
-                return executor.submit(
-                    prepare_heads,
-                    remote.directory,
-                    stream.segment_index,
-                    remote.bound_slots,
-                    remote.key,
-                    lo,
-                    hi,
-                )
-            return executor.submit(stream.prepare_block, self._weights, lo, hi)
-        except RuntimeError:
-            self._executor = None
-            return None
-
     def _refill(self, stream: _SegmentStream, limit: int | None = None) -> None:
-        """Swap in the stream's next prepared batch (prefetched or inline).
+        """Swap in the next head block of a stream that still has postings.
 
-        Never *waits* on a batch still sitting in the executor queue: a
-        thread pool is shared with whole-query tasks (``engine.ask_many``),
-        so a queued prefetch may be stuck behind the very query that needs
-        it — blocking would deadlock the pool.  A pending future cancels
-        (we prepare its claimed range inline instead); a running or
-        finished one completes on its own worker and is safe to collect.
-        A worker-side failure (e.g. a broken process pool) downgrades to
-        inline preparation — the heads are identical either way.
+        ``limit`` caps the block below the configured batch — used on heap
+        initialisation so a consumer that reads one head (rewriting
+        enumeration probing ``ids[0]``) doesn't pay for a full batch per
+        segment.
 
-        ``limit`` caps an *inline* prepare below the configured batch —
-        used on heap initialisation so a consumer that reads one head
-        (rewriting enumeration probing ``ids[0]``) doesn't pay for a full
-        batch per segment.
-
-        Every delivery path converges here, so this is also where the
-        hot-block cache is consulted (inline path) and fed: a block
-        decoded by a worker or inline is stored under its ``(lookup,
-        segment, range)`` key, and a :class:`_CachedBlock` collected from
-        the future slot counts as a hit.
+        Frozen segment blocks go through the hot-block cache under their
+        ``(lookup, segment, range)`` key; the mutable delta changes under
+        live ingestion, so its blocks are always prepared afresh.
         """
-        future, stream.future = stream.future, None
+        lo = stream.position
+        hi = min(lo + (limit or self._batch), len(stream.postings))
+        stream.position = hi
+        cache = None if stream.is_delta else self._cache
         block = None
-        if future is not None and not future.cancel():
-            try:
-                block = future.result()
-            except CancelledError:
-                block = None
-            except Exception:
-                self._executor = None
-                block = None
-            if block is not None and type(future) is _CachedBlock:
+        if cache is not None:
+            key = (self._cache_base, stream.segment_index, lo, hi)
+            block = cache.get(key)
+            if block is not None:
                 self._cache_hits += 1
         if block is None:
-            if stream.inflight is None:
-                stream.claim(limit or self._batch)
-            lo, hi = stream.inflight
-            cacheable = self._cacheable(stream)
-            if cacheable:
-                block = self._cache.get(self._cache_key(stream, lo, hi))
-                if block is not None:
-                    self._cache_hits += 1
-            if block is None:
-                block = stream.prepare_block(self._weights, lo, hi)
-                if cacheable:
-                    self._cache.put(self._cache_key(stream, lo, hi), block)
-        elif self._cacheable(stream) and type(future) is not _CachedBlock:
-            lo, hi = stream.inflight
-            self._cache.put(self._cache_key(stream, lo, hi), block)
-        stream.inflight = None
+            block = stream.prepare_block(self._weights, lo, hi)
+            if cache is not None:
+                cache.put(key, block)
         stream.kw, stream.kg = block
         stream.index = 0
-        if (
-            self._executor is not None
-            and stream.position < len(stream.postings)
-        ):
-            stream.future = self._submit(stream)
 
     def _push(self, heap, stream_id: int, limit: int | None = None) -> None:
         """Push the stream's next head, refilling its block when drained."""
         stream = self._streams[stream_id]
         if stream.index >= len(stream.kw):
-            if (
-                stream.future is None
-                and stream.inflight is None
-                and stream.position >= len(stream.postings)
-            ):
+            if stream.position >= len(stream.postings):
                 return
             self._refill(stream, limit)
-            if not len(stream.kw):
-                return
         index = stream.index
         stream.index = index + 1
         heapq.heappush(heap, (stream.kw[index], stream.kg[index], stream_id))
@@ -453,8 +266,8 @@ class MergedPostings:
         """Materialise up to ``n`` further items; return how many were added.
 
         This is the batched sorted-access entry point: one call amortises
-        the heap walk (and any executor hand-off) over ``n`` items instead
-        of paying the per-item Python overhead at every ``[index]``.
+        the heap walk over ``n`` items instead of paying the per-item
+        Python overhead at every ``[index]``.
         """
         if n <= 0:
             return 0
@@ -559,9 +372,7 @@ class ShardedBackend:
         self._closed = False
         self._buffer = None
         self._load_lock = threading.Lock()
-        self._executor: Executor | None = None
         self._merge_batch: int | None = DEFAULT_MERGE_BATCH
-        self._remote = False
         self._source_dir: str | None = None
         self._snapshot_root: str | None = None
         self._generation = 0
@@ -603,9 +414,7 @@ class ShardedBackend:
         backend._closed = False
         backend._buffer = buffer
         backend._load_lock = threading.Lock()
-        backend._executor = None
         backend._merge_batch = DEFAULT_MERGE_BATCH
-        backend._remote = False
         backend._source_dir = source_dir
         backend._snapshot_root = snapshot_root if snapshot_root else source_dir
         backend._generation = generation
@@ -616,10 +425,9 @@ class ShardedBackend:
     @property
     def source_dir(self) -> str | None:
         """Directory this backend was mapped from, when it came from a v3
-        directory snapshot — the address worker processes re-open segments
-        by (:mod:`repro.storage.procpool`).  ``None`` for in-memory stores
-        and single-file snapshots, which therefore cannot run under the
-        process executor."""
+        directory snapshot — where compaction finds the segment files to
+        hardlink.  ``None`` for in-memory stores and single-file
+        snapshots."""
         return self._source_dir
 
     @property
@@ -746,42 +554,21 @@ class ShardedBackend:
         else:
             list(executor.map(self._segment, indices))
 
-    def configure_prefetch(
-        self,
-        executor: Executor | None,
-        batch_size: int | None = DEFAULT_MERGE_BATCH,
-    ) -> None:
-        """Set the shared executor and pull granularity for merged postings.
+    def configure_prefetch(self, batch_size: int | None) -> None:
+        """Set the pull granularity for merged postings.
 
-        ``executor=None`` keeps the merge on the consumer thread;
         ``batch_size=1`` restores item-at-a-time pulls (the serial
         reference) and ``batch_size=None`` selects per-merge adaptive
-        sizing.  The engine wires its own pool through here
-        (``EngineConfig.parallelism`` / ``merge_batch`` /
-        ``executor_kind``).
+        sizing.  The engine wires ``EngineConfig.merge_batch`` through
+        here.
 
-        Both settings are engine-lifetime defaults copied into each
+        The setting is an engine-lifetime default copied into each
         :class:`MergedPostings` at lookup time — nothing here mutates
         mid-query, so concurrent queries with different adaptive batch
         trajectories cannot clobber each other through the shared backend.
-
-        A :class:`~concurrent.futures.ProcessPoolExecutor` switches batch
-        preparation to worker processes — valid only for a backend mapped
-        from a **directory snapshot** (:attr:`source_dir` set), since
-        workers re-open segments by path; otherwise the process pool is
-        ignored and the merge stays on the consumer thread (graceful
-        fallback, the engine reports the effective kind).
         """
         if batch_size is not None and batch_size < 1:
             raise StorageError(f"batch_size must be >= 1, got {batch_size}")
-        remote = False
-        if executor is not None and isinstance(executor, ProcessPoolExecutor):
-            if self._source_dir is None:
-                executor = None
-            else:
-                remote = True
-        self._executor = executor
-        self._remote = remote
         self._merge_batch = batch_size
 
     def configure_block_cache(self, cache) -> None:
@@ -904,11 +691,6 @@ class ShardedBackend:
             total += len(delta_part.postings)
         if not total:
             return _EMPTY
-        remote = None
-        if self._remote and self._executor is not None:
-            remote = _RemoteSpec(
-                self._source_dir, tuple(bound_slots), tuple(key)
-            )
         cache = self._block_cache
         cache_base = None
         if cache is not None:
@@ -921,43 +703,12 @@ class ShardedBackend:
             parts,
             self._weights,
             total,
-            executor=self._executor,
             batch=self._merge_batch,
-            remote=remote,
             segment_indices=indices,
             delta=delta_part,
             cache=cache,
             cache_base=cache_base,
         )
-
-    def segment_postings(
-        self, bound_slots: Sequence[bool], key: tuple[int, ...]
-    ) -> list[Sequence[int]]:
-        """Per-segment score-sorted *global* triple ids for one lookup.
-
-        The unmerged view of :meth:`postings` — one handle per segment, each
-        already in global id terms and (weight desc, id asc) order.  Callers
-        that partition work by segment (benchmarks, distributed drivers)
-        consume these directly and skip the k-way merge.
-        """
-        self._check_lookup(bound_slots, key)
-        handles: list[Sequence[int]] = []
-        for segment_index in range(len(self._globals)):
-            postings = self._segment(segment_index).postings(bound_slots, key)
-            globals_ = self._globals[segment_index]
-            handles.append(
-                array(ID_TYPECODE, map(globals_.__getitem__, postings))
-            )
-        if self._delta is not None:
-            part = self._delta.posting_part(bound_slots, key)
-            if part is not None:
-                handles.append(
-                    array(
-                        ID_TYPECODE,
-                        map(part.globals_.__getitem__, part.postings),
-                    )
-                )
-        return handles
 
     def distinct_keys(self, bound_slots: Sequence[bool]) -> list[tuple[int, ...]]:
         if self._closed:

@@ -29,12 +29,10 @@ and the header:
 * **v3** — a **directory**: one self-contained section file per segment
   (``segment-0000.xkgsnap`` …) plus ``manifest.xkgsnap`` carrying the
   global id maps, weights, terms and record metadata.  Every segment is a
-  complete snapshot container on its own, so a worker *process* can mmap
-  exactly the segment files it owns — copy-on-write shared reads with zero
-  pickling of posting data (see :mod:`repro.storage.procpool`).  The
-  loaded backend remembers its :attr:`~repro.storage.sharded.
-  ShardedBackend.source_dir` so executors can hand workers the path
-  instead of the data.
+  complete snapshot container on its own, mapped only when a lookup first
+  touches it.  The loaded backend remembers its :attr:`~repro.storage.
+  sharded.ShardedBackend.source_dir` so compaction can hardlink the
+  segment files into the next generation.
 
 A v3 directory may additionally be **generational**: after background
 compaction (:mod:`repro.storage.compaction`) the root holds
@@ -466,8 +464,7 @@ class _Container:
                 self.header = _read_header(self.base)
             except PersistenceError as exc:
                 # Name the damaged file: directory snapshots open containers
-                # lazily (possibly in worker processes), long after the user
-                # pointed anything at this path.
+                # lazily, long after the user pointed anything at this path.
                 raise PersistenceError(f"{exc}: {self.path}") from exc
         except Exception:
             self.discard()
@@ -919,10 +916,9 @@ def open_segment_container(
 ) -> _Container:
     """Map and validate one segment container of a directory snapshot.
 
-    The entry point worker processes use to re-open exactly the segment
-    files they own (:mod:`repro.storage.procpool`); the in-process lazy
-    loaders go through it too.  A missing or mismatched file raises
-    :class:`PersistenceError` (a :class:`~repro.errors.StorageError`).
+    The lazy segment loaders of a directory snapshot go through here.  A
+    missing or mismatched file raises :class:`PersistenceError` (a
+    :class:`~repro.errors.StorageError`).
     """
     directory = Path(directory)
     if filename is None:

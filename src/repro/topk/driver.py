@@ -182,30 +182,6 @@ class TopKDriver:
                     continue
             return
 
-    def _prime(self, cursor_lists: list[list]) -> None:
-        """Fan the rewriting's posting cursors onto the shared executor.
-
-        ``prime`` warms each cursor's posting list and scoring caches off
-        the consuming thread — for a segmented backend that also kicks off
-        every segment's first batch prefetch, so one query's sorted-access
-        streams open concurrently.  Fire-and-forget: the consumer's
-        ``_open`` adopts a finished prime or does the work itself, so a
-        prime that never ran (pool busy, engine closing) costs nothing and
-        changes nothing — answers and stats are identical either way.
-        """
-        executor = self.processor.executor
-        if executor is None:
-            return
-        for cursors in cursor_lists:
-            for cursor in cursors:
-                prime = getattr(cursor, "prime", None)
-                if prime is None:
-                    continue
-                try:
-                    executor.submit(prime)
-                except RuntimeError:  # pool shut down under us (close())
-                    return
-
     def _build_join(self, rewriting):
         """Lower one rewriting into a (resumable) rank join over its streams."""
         processor = self.processor
@@ -216,13 +192,11 @@ class TopKDriver:
         ]
         if self._id_space:
             ctx = IdExecutionContext(processor.store, processor.scorer, stats)
-            cursor_lists = [
-                [processor._id_cursor(spec, ctx) for spec in specs]
-                for specs in spec_lists
-            ]
-            self._prime(cursor_lists)
             streams = [
-                processor._merge(cursors, stats) for cursors in cursor_lists
+                processor._merge(
+                    [processor._id_cursor(spec, ctx) for spec in specs], stats
+                )
+                for specs in spec_lists
             ]
             return IdRankJoin(
                 rewriting.query,

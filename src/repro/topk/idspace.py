@@ -304,7 +304,6 @@ class IdPostingCursor:
         "_weights",
         "_slot_ids",
         "_template",
-        "_primed",
         "_merged",
         "_delta_seen",
         "_cache_seen",
@@ -334,7 +333,6 @@ class IdPostingCursor:
         self._position = 0
         self._head_score: float | None = None
         self._template: list[int] | None = None
-        self._primed: Sequence[int] | None = None
         self._merged = None
         self._delta_seen = 0
         self._cache_seen = 0
@@ -344,31 +342,10 @@ class IdPostingCursor:
         self._block_scores: Sequence[float] = ()
         self._block_pos = 0
 
-    def prime(self) -> None:
-        """Warm the posting list and scoring caches ahead of consumption.
-
-        Safe to call from a worker thread: it touches only idempotent
-        shared caches (pattern mass, emission constants) and stashes the
-        fetched posting sequence for :meth:`_open` to adopt — stats
-        counters stay untouched, so the consuming thread's accounting is
-        identical to a serial run.  The driver fans one ``prime`` per
-        posting cursor onto the engine executor, which for a segmented
-        backend also kicks off each posting list's first batch prefetch —
-        the concurrent posting pulls of one query.
-        """
-        if self._ids is None and self._primed is None:
-            store = self.ctx.store
-            self.ctx.scorer.emission_model(self.pattern)
-            self._primed = store.sorted_ids(self.pattern)
-
     def _open(self) -> None:
         if self._ids is None:
             store = self.ctx.store
-            ids = self._primed
-            if ids is None:
-                ids = store.sorted_ids(self.pattern)
-            self._ids = ids
-            self._primed = None
+            ids = self._ids = store.sorted_ids(self.pattern)
             # Lazily-merged segment postings support batched pulls; plain
             # posting views are fully materialised already.
             self._merged = ids if hasattr(ids, "pull") else None
@@ -409,8 +386,7 @@ class IdPostingCursor:
             if merged is not None and self._position >= merged.materialized:
                 # Batched sorted access: pull a whole batch of merged heads
                 # at once instead of paying the per-item merge hand-off on
-                # every index — the amortisation the parallel prefetch
-                # relies on.
+                # every index.
                 pulled = merged.pull(merged.batch_size)
                 if self.ctx.stats is not None:
                     self.ctx.stats.postings_materialized += pulled

@@ -14,8 +14,7 @@ instead of once per posting:
 * :func:`prepare_head_block` — a posting range translated to pre-keyed
   merge heads as two parallel columns (``-weight`` merge keys + global
   ids, gathered by one ``itemgetter`` call per column), the unit the
-  sharded k-way merge and the process-pool workers ship around instead of
-  lists of per-head tuples;
+  sharded k-way merge refills by instead of lists of per-head tuples;
 * :func:`filter_consistent_block` / :func:`bind_block` — the block
   variants of :meth:`PatternPlan.consistent` / ``bind_into`` (repeated
   variable filtering over columns);

@@ -161,7 +161,6 @@ class TopKProcessor:
         matcher: TokenMatcher | None = None,
         config: ProcessorConfig | None = None,
         scoring: ScoringConfig | None = None,
-        executor=None,
     ):
         if not store.is_frozen:
             raise TopKError("TopKProcessor requires a frozen store")
@@ -170,10 +169,6 @@ class TopKProcessor:
         self.scorer = scorer if scorer is not None else PatternScorer(store, scoring)
         self.matcher = matcher if matcher is not None else TokenMatcher(store)
         self.config = config if config is not None else ProcessorConfig()
-        #: Optional shared thread pool (engine-owned): the driver uses it to
-        #: prime one rewriting's posting cursors concurrently.  ``None``
-        #: keeps every pull on the consuming thread.
-        self.executor = executor
         self._rules_by_predicate: dict | None = None
 
     # -- rule management ------------------------------------------------------
@@ -475,5 +470,4 @@ class TopKProcessor:
             scorer=self.scorer,
             matcher=self.matcher,
             config=replace(self.config, **overrides),
-            executor=self.executor,
         )

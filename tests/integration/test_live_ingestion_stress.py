@@ -3,8 +3,7 @@
 Several threads pour new statements through :meth:`TriniT.ingest` while
 query threads hammer ``ask`` and ``stream`` on the same engine — with a
 compaction threshold low enough that the engine compacts (and swaps
-stores) repeatedly mid-flight.  The CI smoke runs this file under both
-``TRINIT_EXECUTOR_KIND=thread`` and ``=process``.
+stores) repeatedly mid-flight.
 
 Invariants under fire:
 
@@ -56,8 +55,6 @@ def _seed_engine(tmp_path):
     path = tmp_path / "stress.snapd"
     save_snapshot(store, path)
     store.close()
-    # executor_kind defaults from TRINIT_EXECUTOR_KIND — the CI smoke runs
-    # this test under both "thread" and "process".
     return TriniT.open(
         path,
         config=EngineConfig(

@@ -1,26 +1,19 @@
-"""Property: parallel segment execution is byte-identical to serial.
+"""Property: batched execution is byte-identical to the per-item reference.
 
-The whole parallel refactor (batched merged pulls, executor prefetch,
-cursor priming, adaptive batch sizing, the process-pool segment executor)
-is only allowed to change *when* and *where* posting heads materialise,
-never *what* a query answers.  The property pins that: for random stores
-and random queries, an engine with 4 workers under any ``executor_kind``
-(serial / thread / process), any storage backend (dict / columnar /
-sharded) and any merge batch policy (fixed sizes or adaptive ``None``)
-and any posting-block policy (fixed block sizes or adaptive ``None``)
-produces bindings, scores and order bit-identical to the degenerate serial
+Batched merged pulls, adaptive batch sizing, the block kernels and the
+hot-block cache are only allowed to change *when* posting heads
+materialise, never *what* a query answers.  The property pins that: for
+random stores and random queries, a default-shaped engine (thread pool of
+4 for ``ask_many``) over any storage backend (dict / columnar / sharded),
+any merge batch policy (fixed sizes or adaptive ``None``) and any
+posting-block policy (fixed block sizes or adaptive ``None``) produces
+bindings, scores and order bit-identical to the degenerate serial
 reference (``executor_kind="serial"``, ``merge_batch=1``, ``block_size=1``
-— item-at-a-time pulls *and* per-item scoring on the consuming thread),
-across eager ``ask``, random stream splits and ``ask_many`` batches.  The
-block dimension pins the execution kernels (:mod:`repro.topk.kernels`):
-block decode, batched scoring and the hot-block cache may only change how
-many heads are staged per step, never a single emitted bit.
-
-In-memory stores have no snapshot directory, so ``executor_kind="process"``
-exercises the documented graceful fallback to threads here; the
-deterministic test at the bottom pins the same identity for a *real*
-process pool over a directory snapshot (workers serving posting heads from
-their own mappings).
+— item-at-a-time pulls *and* per-item scoring, no pool), across eager
+``ask``, random stream splits and ``ask_many`` batches.  The block
+dimension pins the execution kernels (:mod:`repro.topk.kernels`): block
+decode, batched scoring and the hot-block cache may only change how many
+heads are staged per step, never a single emitted bit.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -83,13 +76,12 @@ def signature(answers):
     texts=queries,
     k=st.integers(min_value=1, max_value=12),
     backend=st.sampled_from(["dict", "columnar", "sharded"]),
-    kind=st.sampled_from(["serial", "thread", "process"]),
     batch=st.sampled_from([None, 1, 2, 7]),
     block=st.sampled_from([None, 1, 3, 16]),
     split=st.integers(min_value=1, max_value=6),
 )
-def test_parallel_byte_identical_to_serial(
-    rows, texts, k, backend, kind, batch, block, split
+def test_batched_byte_identical_to_serial(
+    rows, texts, k, backend, batch, block, split
 ):
     serial = _build(
         rows,
@@ -99,10 +91,9 @@ def test_parallel_byte_identical_to_serial(
         merge_batch=1,
         block_size=1,
     )
-    parallel = _build(
+    batched = _build(
         rows,
         backend,
-        executor_kind=kind,
         parallelism=4,
         merge_batch=batch,
         block_size=block,
@@ -110,10 +101,10 @@ def test_parallel_byte_identical_to_serial(
     try:
         for text in texts:
             reference = signature(serial.ask(text, k=k))
-            # Eager ask under the parallel configuration.
-            assert signature(parallel.ask(text, k=k)) == reference
+            # Eager ask under the batched configuration.
+            assert signature(batched.ask(text, k=k)) == reference
             # Stream pagination: batches concatenate to the eager prefix.
-            stream = parallel.stream(text)
+            stream = batched.stream(text)
             collected = list(stream.next_k(min(split, k)))
             while len(collected) < k:
                 got = stream.next_k(min(split, k - len(collected)))
@@ -121,14 +112,14 @@ def test_parallel_byte_identical_to_serial(
                     break
                 collected.extend(got)
             assert signature(collected) == reference[: len(collected)]
-        # Batch fan-out over the shared pool.
-        batch_results = parallel.ask_many(texts, k=k)
+        # Batch fan-out over the engine pool.
+        batch_results = batched.ask_many(texts, k=k)
         assert [signature(r) for r in batch_results] == [
             signature(serial.ask(text, k=k)) for text in texts
         ]
     finally:
         serial.close()
-        parallel.close()
+        batched.close()
 
 
 @settings(max_examples=20, deadline=None)
@@ -137,13 +128,12 @@ def test_parallel_byte_identical_to_serial(
     texts=queries,
     k=st.integers(min_value=1, max_value=12),
     backend=st.sampled_from(["dict", "columnar", "sharded"]),
-    kind=st.sampled_from(["serial", "thread", "process"]),
     batch=st.sampled_from([None, 1, 2, 7]),
     block=st.sampled_from([None, 1, 3, 16]),
     cut=st.integers(min_value=0, max_value=40),
 )
 def test_live_ingestion_byte_identical_to_fresh_build(
-    rows, texts, k, backend, kind, batch, block, cut
+    rows, texts, k, backend, batch, block, cut
 ):
     """(frozen + delta) == fresh build, and still after compaction.
 
@@ -177,7 +167,6 @@ def test_live_ingestion_byte_identical_to_fresh_build(
     live = _build(
         prefix,
         backend,
-        executor_kind=kind,
         parallelism=4,
         merge_batch=batch,
         block_size=block,
@@ -206,42 +195,3 @@ def test_live_ingestion_byte_identical_to_fresh_build(
     finally:
         reference.close()
         live.close()
-
-
-def test_process_pool_engine_byte_identical(tmp_path):
-    """A real process executor over a directory snapshot, not the fallback.
-
-    Deterministic rather than property-driven: worker processes are too
-    slow to spin up per hypothesis example.  Covers the full surface once —
-    eager ask, stream resumption and ask_many — against the serial
-    reference, and asserts the engine really did run in process mode.
-    """
-    from repro.storage.snapshot import save_snapshot
-
-    rows = [
-        (f"E{i % 17}", PREDICATES[i % 4], f"E{(i * 7) % 17}", 0.05 + (i % 19) / 20, 1)
-        for i in range(300)
-    ]
-    builder = _build(rows, "sharded", executor_kind="serial", parallelism=1)
-    path = tmp_path / "store.snapd"
-    save_snapshot(builder.store, path)
-    builder.close()
-
-    texts = ["?x bornIn ?y", "?x ?p ?y", "?x bornIn ?y ; ?y type ?z", "E1 ?p ?y"]
-    with TriniT.open(
-        path, config=EngineConfig(executor_kind="serial", merge_batch=1)
-    ) as serial, TriniT.open(
-        path, config=EngineConfig(executor_kind="process", parallelism=4)
-    ) as parallel:
-        assert parallel.executor_kind == "process"
-        assert parallel._process_executor is not None
-        for text in texts:
-            reference = signature(serial.ask(text, k=20))
-            assert signature(parallel.ask(text, k=20)) == reference
-            stream = parallel.stream(text)
-            collected = list(stream.next_k(7))
-            collected.extend(stream.next_k(13))
-            assert signature(collected) == reference[: len(collected)]
-        assert [signature(r) for r in parallel.ask_many(texts, k=9)] == [
-            signature(serial.ask(text, k=9)) for text in texts
-        ]

@@ -1,10 +1,8 @@
 """Fixtures for the query-service suite.
 
 Every service test runs against a real engine over a **directory
-snapshot** (the layout the process executor needs), honoring
-``TRINIT_EXECUTOR_KIND`` like the rest of the suite — CI runs this
-directory under both ``thread`` and ``process``.  Rule mining is off:
-these tests exercise the network surface, not relaxation.
+snapshot** (the layout ``python -m repro.serve`` is deployed on).  Rule
+mining is off: these tests exercise the network surface, not relaxation.
 """
 
 from __future__ import annotations
