@@ -1,24 +1,17 @@
-"""tab-persistence — binary snapshot + sharded backend vs JSONL re-ingestion.
+"""tab-persistence — snapshot directory open vs JSONL re-ingestion.
 
-The paper served its XKG from a sharded ElasticSearch index; the persistence
-PR gives the reproduction the same two properties behind the
-StorageBackend seam:
+The paper served its XKG from a sharded ElasticSearch index; the
+reproduction's store is hash-partitioned columnar segments, persisted as a
+snapshot directory: the frozen segment arrays written one container file
+per segment plus a manifest and mmap-loaded back — no JSON parsing, no
+re-ingestion, no freeze-time re-sort, byte-identical postings and
+bit-exact weights.
 
-* **snapshot**: the frozen columnar arrays written as one binary file and
-  mmap-loaded back — no JSON parsing, no re-ingestion, no freeze-time
-  re-sort, byte-identical postings and bit-exact weights; and
-* **sharded**: triples hash-partitioned across columnar segments whose
-  score-sorted postings are lazily k-way merged, with the id-space
-  execution core unchanged.
-
-This bench measures both on the scale-bench (medium-profile) KG:
-
-1. store-load wall clock: JSONL reload vs snapshot mmap-load (the
-   acceptance bar is a measurable speedup, SNAPSHOT_SPEEDUP_FLOOR, relaxed
-   on noisy CI runners), verifying byte-identical postings and identical
-   top-k answers after either load; and
-2. top-k query latency over the same data on a single-segment (columnar)
-   vs a partitioned (sharded) store, verifying identical answer sets.
+This bench measures, on the scale-bench (medium-profile) KG, store-load
+wall clock: JSONL reload vs snapshot-directory open (the acceptance bar is
+a measurable speedup, SNAPSHOT_SPEEDUP_FLOOR, relaxed on noisy CI
+runners), verifying byte-identical postings and identical top-k answers
+after either load.
 """
 
 import os
@@ -68,24 +61,25 @@ def _best_of(action, reps=3):
 
 def test_persistence_table(medium_harness, tmp_path):
     store = medium_harness.xkg_store
-    assert store.backend_name == "columnar"
     jsonl_path = tmp_path / "xkg.jsonl"
-    snap_path = tmp_path / "xkg.snap"
+    snap_path = tmp_path / "xkg.snapd"
 
     t_save_jsonl = _best_of(lambda: save_store(store, jsonl_path), reps=1)
     t_save_snap = _best_of(lambda: save_snapshot(store, snap_path), reps=1)
     t_load_jsonl = _best_of(lambda: load_store(jsonl_path))
-    t_load_snap = _best_of(lambda: load_snapshot(snap_path))
+    # Segments map lazily; touch them all so the open pays for every
+    # offset table, not just the manifest.
+    t_load_snap = _best_of(lambda: load_snapshot(snap_path).backend.load_segments())
 
     # Fidelity: the mmap-loaded snapshot store must be byte-identical on
     # postings and bit-exact on weights; the JSONL reload (now persisting
     # exact confidences) must agree on weights too.
     reloaded = load_store(jsonl_path)
-    snapshotted = load_store(snap_path)  # format-sniffed -> mmap load
+    snapshotted = load_store(snap_path)  # directory -> mmap load
     assert list(reloaded.weights()) == list(store.weights())
     assert list(snapshotted.weights()) == list(store.weights())
     probe = parse_query("?x affiliation ?y").patterns[0]
-    assert bytes(snapshotted.sorted_ids(probe)) == bytes(store.sorted_ids(probe))
+    assert list(snapshotted.sorted_ids(probe)) == list(store.sorted_ids(probe))
 
     queries = _workload(medium_harness)
     rules = medium_harness.engine.rules
@@ -93,7 +87,6 @@ def test_persistence_table(medium_harness, tmp_path):
         "original": TopKProcessor(store, rules=rules),
         "jsonl-reload": TopKProcessor(reloaded, rules=rules),
         "snapshot-load": TopKProcessor(snapshotted, rules=rules),
-        "sharded": TopKProcessor(store.convert("sharded"), rules=rules),
     }
     for query in queries:
         reference = _fingerprint(processors["original"].query(query, 10))
@@ -103,17 +96,9 @@ def test_persistence_table(medium_harness, tmp_path):
                 query,
             )
 
-    def latency(processor, k=10):
-        return _best_of(
-            lambda: [processor.query(query, k) for query in queries]
-        )
-
-    t_columnar = latency(processors["original"])
-    t_sharded = latency(processors["sharded"])
-
     load_speedup = t_load_jsonl / t_load_snap if t_load_snap > 0 else float("inf")
     size_jsonl = jsonl_path.stat().st_size
-    size_snap = snap_path.stat().st_size
+    size_snap = sum(f.stat().st_size for f in snap_path.iterdir())
     rows = [
         f"store: {len(store)} triples (medium scale-bench profile)",
         "",
@@ -125,17 +110,11 @@ def test_persistence_table(medium_harness, tmp_path):
         "",
         f"snapshot load speedup vs JSONL reload: {load_speedup:.1f}x",
         "",
-        "query latency (k=10, workload of "
-        f"{len(queries)} queries): columnar {t_columnar * 1000:.1f} ms, "
-        f"sharded ({processors['sharded'].store.backend.num_segments} segments) "
-        f"{t_sharded * 1000:.1f} ms "
-        f"({t_sharded / t_columnar:.2f}x columnar)",
-        "",
-        "identical answer sets verified across original, jsonl-reload,",
-        "snapshot-load and sharded configurations",
+        f"identical answer sets ({len(queries)} queries, k=10) verified across",
+        "original, jsonl-reload and snapshot-load stores",
     ]
     print_artifact(
-        "Table (tab-persistence): snapshot mmap-load + sharded backend",
+        "Table (tab-persistence): snapshot directory open vs JSONL reload",
         "\n".join(rows),
     )
 

@@ -18,7 +18,7 @@ Quickstart::
 
 Session lifecycle, streaming and batch querying::
 
-    with TriniT.open("xkg.snap") as engine:
+    with TriniT.open("xkg.snapd") as engine:
         stream = engine.stream("?x 'works at' ?y")
         first = stream.next_k(10)     # anytime: resumes, never recomputes
         more = stream.next_k(10)

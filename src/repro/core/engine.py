@@ -14,7 +14,7 @@ operator registry), scoring, top-k processing, explanation and suggestion::
 
 Session lifecycle and streaming — the interactive surface::
 
-    with TriniT.open("xkg.snap") as engine:            # mmap-loaded snapshot
+    with TriniT.open("xkg.snapd") as engine:           # mmap-loaded snapshot
         stream = engine.stream("?x 'works at' ?y")
         first = stream.next_k(10)                       # time-to-first-answer
         more = stream.next_k(10)                        # resumes, no recompute
@@ -67,11 +67,6 @@ class EngineConfig:
         ``execution`` ("idspace" hot path vs "termspace" reference).
     scoring:
         Language-model smoothing.
-    storage_backend:
-        Storage backend the engine's store should use ("columnar", "dict",
-        or any registered name).  ``None`` keeps whatever backend the given
-        store was built with; a concrete name converts the store at engine
-        construction if it differs.
     parallelism:
         Worker count of the one engine-owned thread pool, used only for
         ``ask_many`` query fan-out and background compaction — a single
@@ -86,9 +81,9 @@ class EngineConfig:
         :class:`TrinitError`; :attr:`TriniT.executor_kind` reports the
         effective kind.
     merge_batch:
-        Posting heads pulled per segment per batch by the sharded
-        backend's k-way merge (and the granularity of the id-space
-        cursors' batched sorted access).  ``None`` (default) sizes batches
+        Posting heads pulled per segment per batch by the store's k-way
+        segment merge (and the granularity of the id-space cursors'
+        batched sorted access).  ``None`` (default) sizes batches
         **adaptively** per query: each posting merge starts small and
         doubles its pull as the consumer keeps draining, so probe-only
         lookups stay cheap and deep drains amortise (bounded by
@@ -99,9 +94,8 @@ class EngineConfig:
         Posting-block granularity of the id-space execution kernels: how
         many posting heads the cursors decode, filter and score per
         :func:`repro.topk.kernels.score_block` call.  ``None`` (default)
-        adapts — cursors over merged segment postings score exactly what
-        each batched pull materialised (so ``merge_batch`` governs both),
-        monolithic posting views use the kernels' default block.  ``1``
+        adapts — cursors score exactly what each batched pull of the
+        segment merge materialised (so ``merge_batch`` governs both).  ``1``
         selects the original per-item scoring path, the byte-identical
         reference the property suite pins the block kernels against.
     compaction_threshold:
@@ -128,7 +122,6 @@ class EngineConfig:
 
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    storage_backend: str | None = None
     parallelism: int | None = None
     executor_kind: str = "thread"
     merge_batch: int | None = None
@@ -186,11 +179,6 @@ class TriniT:
         registry: OperatorRegistry | None = None,
     ):
         self.config = config if config is not None else EngineConfig()
-        if (
-            self.config.storage_backend is not None
-            and store.backend_name != self.config.storage_backend
-        ):
-            store = store.convert(self.config.storage_backend)
         if not store.is_frozen:
             store.freeze()
         self.store = store
@@ -247,21 +235,21 @@ class TriniT:
         self._pins: dict[int, list] = {}
         self._compact_scheduled = False
         self._swap_listeners: list = []
-        self.generation = getattr(store.backend, "generation", 0) or 0
+        self.generation = store.backend.generation
         self._closed = False
 
     # -- construction helpers -----------------------------------------------------
 
     @classmethod
     def open(cls, path: "str | Path", **kwargs) -> "TriniT":
-        """Open an engine over a persisted store (binary snapshot or JSONL).
+        """Open an engine over a persisted store (snapshot directory or JSONL).
 
-        The format is sniffed from the file's magic bytes; snapshots are
-        ``mmap``-loaded (zero-copy posting views over the mapped pages).
+        Snapshot directories are ``mmap``-loaded (zero-copy posting views
+        over the mapped pages); a file is read as JSONL.
         The engine *owns* the loaded resources — use it as a context
         manager, or call :meth:`close`, to release them::
 
-            with TriniT.open("xkg.snap") as engine:
+            with TriniT.open("xkg.snapd") as engine:
                 print(engine.ask("?x bornIn Germany").render_table())
 
         Keyword arguments are forwarded to the constructor (``config``,
@@ -299,15 +287,9 @@ class TriniT:
 
     def _configure_storage(self, store: TripleStore) -> None:
         """Hand the engine's batching knobs and block cache to ``store``."""
-        backend = store.backend
-        # Both hooks exist on the segmented backend only.
-        configure = getattr(backend, "configure_prefetch", None)
-        if configure is not None:
-            configure(self.config.merge_batch)
+        store.backend.configure_prefetch(self.config.merge_batch)
         store.configure_blocks(self.config.block_size)
-        configure_cache = getattr(backend, "configure_block_cache", None)
-        if configure_cache is not None:
-            configure_cache(self._block_cache)
+        store.backend.configure_block_cache(self._block_cache)
 
     def _register_default_operators(self) -> None:
         cfg = self.config
@@ -397,7 +379,7 @@ class TriniT:
         Directory-backed stores get a new snapshot **generation** (old
         segment files hardlinked, the delta frozen as one new segment, the
         root's ``CURRENT`` pointer swapped atomically); in-memory stores
-        rebuild onto a fresh backend of the same class.  The engine then
+        rebuild onto a fresh backend with the same segment count.  The engine then
         swaps onto the compacted store once in-flight queries drain; open
         :class:`~repro.core.results.AnswerStream`\\ s keep the store they
         started on (it closes when the last of them is collected), so
@@ -496,7 +478,7 @@ class TriniT:
             self.scorer = scorer
             self.processor = processor
             self.suggester = suggester
-            backend_generation = getattr(store.backend, "generation", 0) or 0
+            backend_generation = store.backend.generation
             self.generation = (
                 backend_generation
                 if backend_generation > self.generation
@@ -606,10 +588,7 @@ class TriniT:
         compute (no store traversal).
         """
         store = self.store
-        backend = store.backend
-        root = getattr(backend, "snapshot_root", None) or getattr(
-            backend, "source_dir", None
-        )
+        root = store.backend.snapshot_root
         base = str(root) if root else f"mem:{id(store):x}"
         return f"{base}@gen{self.generation}+delta{store.delta_version}"
 

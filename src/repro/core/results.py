@@ -140,8 +140,7 @@ class QueryStats:
     the query's posting cursors fanned out over, how many merged posting
     heads the batched pulls actually materialised, and how many batched
     ``pull`` calls did that materialising (fed from
-    ``MergedPostings.materialized`` — only segmented backends report them;
-    monolithic posting lists are zero-copy views with nothing to pull).
+    ``MergedPostings.materialized``).
     The ratio ``postings_materialized / posting_pulls`` is the observed
     per-query posting-drain depth the adaptive merge batching responds to.
 

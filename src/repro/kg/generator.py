@@ -23,6 +23,7 @@ from repro.core.terms import Literal, Resource
 from repro.core.triples import KG_PROVENANCE, Provenance, Triple
 from repro.kg.taxonomy import Taxonomy
 from repro.kg.world import World, WorldFact
+from repro.storage.backend import StorageBackend
 from repro.storage.store import TripleStore
 from repro.util.rand import SeededRng
 
@@ -110,12 +111,12 @@ class GeneratedKg:
         self,
         name: str | None = None,
         freeze: bool = True,
-        backend: str | None = None,
+        backend: str | StorageBackend | None = None,
     ) -> TripleStore:
         """Load the KG into a fresh triple store.
 
-        ``backend`` picks the storage backend directly (``"sharded"`` for
-        benchmark-scale KGs skips the build-then-convert copy).
+        ``backend`` is handed to :class:`TripleStore` (``None``,
+        ``"sharded"`` or a fresh ``ShardedBackend(n)``).
         """
         store = TripleStore(name or self.config.kg_name, backend=backend)
         for triple in self.triples:

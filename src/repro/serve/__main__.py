@@ -1,7 +1,7 @@
 """``python -m repro.serve`` — boot the query service from the shell.
 
-Opens an engine over a persisted store (directory snapshot, single-file
-snapshot, or JSONL — format-sniffed like ``TriniT.open``), wraps it in a
+Opens an engine over a persisted store (snapshot directory or JSONL, like
+``TriniT.open``), wraps it in a
 :class:`~repro.serve.http.QueryService`, and serves until interrupted.
 Engine flags mirror :class:`~repro.core.engine.EngineConfig`; service
 flags mirror :class:`~repro.serve.http.ServeConfig`::
@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.serve",
         description="Serve exploratory top-k querying over HTTP/SSE.",
     )
-    parser.add_argument("snapshot", help="store to serve (snapshot dir/file or JSONL)")
+    parser.add_argument("snapshot", help="store to serve (snapshot directory or JSONL)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8399, help="0 = ephemeral")
     parser.add_argument(
@@ -44,10 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument(
         "--compaction-threshold", type=int, default=None,
         help="fold the live delta into a new generation past this many statements",
-    )
-    engine.add_argument(
-        "--storage-backend", default=None,
-        help="convert the store to this backend at open (e.g. sharded)",
     )
     service = parser.add_argument_group("service (ServeConfig)")
     service.add_argument("--max-concurrency", type=int, default=8)
@@ -79,7 +75,6 @@ def main(argv: list[str] | None = None) -> int:
                 "parallelism": args.parallelism,
                 "merge_batch": args.merge_batch,
                 "compaction_threshold": args.compaction_threshold,
-                "storage_backend": args.storage_backend,
             }.items()
             if value is not None
         }

@@ -1,4 +1,4 @@
-"""Columnar array storage backend.
+"""Columnar segment: the frozen unit of the sharded store layout.
 
 Triples live in parallel columns — ``array('i')`` for the s/p/o term ids,
 ``array('d')`` for sort weights, ``array('i')`` for observation counts —
@@ -8,11 +8,10 @@ that ids sharing a key are contiguous and each key group is sorted by
 (weight desc, triple id asc).  A posting list is then just an index range
 ``perm[start:stop]``, returned as a zero-copy read-only memoryview.
 
-Compared to the hash-bucketed :class:`~repro.storage.backend.DictBackend`
-this halves per-posting overhead (no per-bucket list headers), keeps posting
-traversal on contiguous machine integers, and is the layout a mmap'd or
-sharded persistent backend would use — which is why the backend protocol was
-cut exactly here.
+A :class:`ColumnarBackend` is never a store's backend on its own:
+:class:`~repro.storage.sharded.ShardedBackend` owns N of them (ids here are
+segment-*local*), merges their postings with the mutable delta, and
+:mod:`repro.storage.snapshot` maps each one from its own container file.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from array import array
 from typing import Sequence
 
 from repro.errors import StorageError
-from repro.storage.delta import overlay_postings
+from repro.storage.backend import _CLOSED
 from repro.storage.index import SIGNATURES, signature_of
 
 #: Typecode for id columns.  'q' (64-bit) would also work; 'i' (>= 32-bit)
@@ -34,8 +33,6 @@ _EMPTY: tuple[int, ...] = ()
 
 class ColumnarBackend:
     """Dictionary-encoded triples as parallel arrays + range posting lists."""
-
-    name = "columnar"
 
     def __init__(self):
         self._s = array(ID_TYPECODE)
@@ -50,7 +47,6 @@ class ColumnarBackend:
         self._scan_view: memoryview | None = None
         self._frozen = False
         self._closed = False
-        self._delta = None
         # Set by _restore: keeps a snapshot's mmap (or bytes) buffer alive
         # for as long as the views over it exist.
         self._buffer = None
@@ -87,22 +83,8 @@ class ColumnarBackend:
         backend._scan_view = scan_view
         backend._frozen = True
         backend._closed = False
-        backend._delta = None
         backend._buffer = buffer
         return backend
-
-    @property
-    def delta(self):
-        """The attached mutable delta segment, or ``None``."""
-        return self._delta
-
-    def attach_delta(self, delta) -> None:
-        """Overlay a mutable delta on the frozen columns (live ingestion)."""
-        if not self._frozen:
-            raise StorageError("Only a frozen backend can carry a delta")
-        if self._closed:
-            raise StorageError("Storage backend is closed")
-        self._delta = delta
 
     @property
     def is_frozen(self) -> bool:
@@ -126,7 +108,6 @@ class ColumnarBackend:
         if self._closed:
             return
         self._closed = True
-        self._delta = None
         views = [
             view
             for view in (
@@ -157,10 +138,7 @@ class ColumnarBackend:
                 pass
 
     def __len__(self) -> int:
-        n = len(self._s)
-        if self._delta is not None:
-            n += len(self._delta)
-        return n
+        return len(self._s)
 
     # -- build phase ------------------------------------------------------------
 
@@ -231,19 +209,12 @@ class ColumnarBackend:
                 f"Key arity {len(key)} does not match signature {sig}"
             )
         if not sig:
-            base: Sequence[int] = self._scan_view  # type: ignore[assignment]
-        else:
-            span = self._offsets[sig].get(key)
-            if span is None:
-                base = _EMPTY
-            else:
-                start, stop = span
-                base = self._perm_views[sig][start:stop]
-        if self._delta is None or not len(self._delta):
-            return base
-        return overlay_postings(
-            base, len(self._s), self._weights, self._delta, bound_slots, key
-        )
+            return self._scan_view  # type: ignore[return-value]
+        span = self._offsets[sig].get(key)
+        if span is None:
+            return _EMPTY
+        start, stop = span
+        return self._perm_views[sig][start:stop]
 
     def posting_block(
         self,
@@ -252,77 +223,13 @@ class ColumnarBackend:
         lo: int,
         hi: int,
     ) -> Sequence[int]:
-        """Zero-copy block ``[lo, hi)`` of one *frozen* posting list.
-
-        The block-decode entry point of the execution kernels
-        (:mod:`repro.topk.kernels`): a memoryview slice straight off the
-        permutation array — for an mmap-restored backend that is a window
-        onto the mapped snapshot pages, no intermediate tuples or copies.
-        Serves the frozen columns only; a live delta overlay is merged by
-        :meth:`postings`, never block-decoded here (delta heads are always
-        prepared thread-side from the mutable segment).  Raises
-        :class:`StorageError` once the backend is closed — a cached
-        consumer holding a stale handle gets a clean error, not a crash
-        against released views.
-        """
-        if self._closed:
-            raise StorageError("Storage backend is closed")
-        if not self._frozen:
-            raise StorageError("Backend must be frozen before lookup")
-        sig = signature_of(bound_slots)
-        if sig and len(key) != len(sig):
-            raise StorageError(
-                f"Key arity {len(key)} does not match signature {sig}"
-            )
-        if not sig:
-            base: Sequence[int] = self._scan_view  # type: ignore[assignment]
-        else:
-            span = self._offsets[sig].get(key)
-            if span is None:
-                return _EMPTY
-            start, stop = span
-            base = self._perm_views[sig][start:stop]
-        return base[lo:hi]
-
-    def segment_count(self) -> int:
-        return 1
-
-    def distinct_keys(self, bound_slots: Sequence[bool]) -> list[tuple[int, ...]]:
-        if self._closed:
-            raise StorageError("Storage backend is closed")
-        if not self._frozen:
-            raise StorageError("Backend must be frozen before lookup")
-        sig = signature_of(bound_slots)
-        if not sig:
-            raise StorageError("The scan signature has no keys")
-        keys = list(self._offsets[sig].keys())
-        if self._delta is not None and len(self._delta):
-            known = set(keys)
-            keys.extend(
-                key
-                for key in self._delta.distinct_keys(bound_slots)
-                if key not in known
-            )
-        return keys
+        """Zero-copy block ``[lo, hi)`` of one posting list: a memoryview
+        slice straight off the permutation array (for an mmap-restored
+        segment, a window onto the mapped snapshot pages)."""
+        return self.postings(bound_slots, key)[lo:hi]
 
     def slot_ids(self, triple_id: int) -> tuple[int, int, int]:
-        if self._delta is not None and triple_id >= len(self._s):
-            return self._delta.slot_ids(triple_id)
         return (self._s[triple_id], self._p[triple_id], self._o[triple_id])
-
-    def weight(self, triple_id: int) -> float:
-        if self._delta is not None and triple_id >= len(self._weights):
-            return self._delta.weight(triple_id)
-        return self._weights[triple_id]
-
-    def count(self, triple_id: int) -> int:
-        if self._delta is not None and triple_id >= len(self._s):
-            return self._delta.count(triple_id)
-        if not 0 <= triple_id < len(self._s):
-            raise StorageError(f"Unknown triple id: {triple_id}")
-        if len(self._counts) != len(self._s):
-            raise StorageError("Backend was frozen without a counts column")
-        return self._counts[triple_id]
 
     # -- introspection ------------------------------------------------------------
 
@@ -338,9 +245,3 @@ class ColumnarBackend:
             total += self._scan_view.nbytes
         return total
 
-
-# Register under "columnar" without importing repro.storage.backend at module
-# top level (backend.py imports this module at its bottom).
-from repro.storage.backend import _CLOSED, register_backend  # noqa: E402
-
-register_backend(ColumnarBackend)

@@ -10,7 +10,7 @@ folded back into frozen, immutable storage here.
 Two folding strategies, chosen by where the store lives:
 
 * **Generation write** (:func:`write_generation`) — for stores loaded
-  from a v3 *directory* snapshot.  The delta becomes one new frozen
+  from a snapshot directory.  The delta becomes one new frozen
   columnar segment; the existing segment files are **hardlinked** (never
   copied, never rewritten) into a new ``generation-K`` directory next to
   a freshly written manifest and the new segment's container, and the
@@ -19,11 +19,10 @@ Two folding strategies, chosen by where the store lives:
   Readers that opened the old generation keep it: their mmaps reference
   the old files, which the swap does not disturb.
 
-* **In-memory rebuild** (the fallback) — for dict/columnar/sharded
-  stores with no backing directory.  :meth:`TripleStore.convert` re-adds
-  every record in id order onto a fresh backend of the same class, which
-  freezes into exactly the store a fresh build over the same statements
-  would produce.
+* **In-memory rebuild** (the fallback) — for stores with no backing
+  directory.  :meth:`TripleStore.convert` re-adds every record in id order
+  onto a fresh backend with the same segment count, which freezes into
+  exactly the store a fresh build over the same statements would produce.
 
 Both strategies preserve the byte-identity contract: within-segment
 posting order is (weight desc, id asc) over densely assigned global ids,
@@ -40,7 +39,6 @@ rebuild, which re-sorts anyway, folds those weight changes in.
 
 from __future__ import annotations
 
-import json
 import shutil
 from array import array
 from pathlib import Path
@@ -49,19 +47,16 @@ from repro.errors import StorageError
 from repro.storage.columnar import ID_TYPECODE, ColumnarBackend
 from repro.storage.sharded import ShardedBackend
 from repro.storage.snapshot import (
-    MANIFEST_NAME,
-    WEIGHT_TYPECODE,
     _column_bytes,
-    _columnar_sections,
-    _write_container,
     generation_dirname,
     load_snapshot,
     parse_generation_dirname,
     segment_filename,
     swap_current,
+    write_manifest,
+    write_segment,
 )
 from repro.storage.store import TripleStore
-from repro.storage.termcodec import encode_provenance, encode_term
 
 
 def compact_store(store: TripleStore) -> TripleStore:
@@ -78,20 +73,10 @@ def compact_store(store: TripleStore) -> TripleStore:
     if not store.has_delta:
         return store
     backend = store.backend
-    if isinstance(backend, ShardedBackend) and backend.snapshot_root is not None:
+    if backend.snapshot_root is not None:
         write_generation(store)
         return load_snapshot(backend.snapshot_root)
-    return _rebuild(store)
-
-
-def _rebuild(store: TripleStore) -> TripleStore:
-    """Fold the delta by re-adding all records onto a fresh backend."""
-    backend = store.backend
-    if isinstance(backend, ShardedBackend):
-        fresh: object = ShardedBackend(backend.num_segments)
-    else:
-        fresh = type(backend)()
-    return store.convert(fresh)
+    return store.convert(ShardedBackend(backend.num_segments))
 
 
 def _link_or_copy(src: Path, dst: Path) -> None:
@@ -139,7 +124,7 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
     previous generation (crash-safety tests exercise exactly this).
     """
     backend = store.backend
-    if not isinstance(backend, ShardedBackend) or backend.snapshot_root is None:
+    if backend.snapshot_root is None:
         raise StorageError(
             "Generation writes need a store loaded from a directory "
             "snapshot — use compact_store() for in-memory stores"
@@ -157,37 +142,12 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
     frozen_n = len(backend._seg_of)
     segment = _delta_segment_backend(store)
 
-    segment_files: list[str] = []
     for index in range(new_index):
         filename = segment_filename(index)
         _link_or_copy(source_dir / filename, gen_dir / filename)
-        segment_files.append(filename)
-    new_filename = segment_filename(new_index)
-    _write_container(
-        gen_dir / new_filename,
-        _columnar_sections(segment),
-        {
-            "version": 3,
-            "kind": "segment",
-            "name": store.name,
-            "segment": new_index,
-            "triples": delta_len,
-        },
-    )
-    segment_files.append(new_filename)
+    write_segment(gen_dir, store.name, new_index, segment)
 
-    records = list(store.records())
     sections: dict[str, bytes] = {}
-    sections["terms"] = json.dumps(
-        [encode_term(term) for term in store.dictionary], ensure_ascii=False
-    ).encode("utf-8")
-    sections["prov"] = json.dumps(
-        [[encode_provenance(p) for p in record.provenances] for record in records],
-        ensure_ascii=False,
-    ).encode("utf-8")
-    sections["confidence"] = array(
-        WEIGHT_TYPECODE, [record.confidence for record in records]
-    ).tobytes()
     sections["seg_of"] = (
         _column_bytes(backend._seg_of)
         + array(ID_TYPECODE, [new_index] * delta_len).tobytes()
@@ -202,7 +162,7 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
     # Counts come from the records, not the old column: duplicate evidence
     # for frozen statements bumps record counts that the old column predates.
     sections["counts"] = array(
-        ID_TYPECODE, [record.count for record in records]
+        ID_TYPECODE, [record.count for record in store.records()]
     ).tobytes()
     for index in range(new_index):
         sections[f"seg{index}:globals"] = _column_bytes(backend._globals[index])
@@ -210,21 +170,8 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
         ID_TYPECODE, range(frozen_n, frozen_n + delta_len)
     ).tobytes()
 
-    sizes = backend.segment_sizes() + [delta_len]
-    _write_container(
-        gen_dir / MANIFEST_NAME,
-        sections,
-        {
-            "version": 3,
-            "kind": "manifest",
-            "name": store.name,
-            "triples": len(store),
-            "terms": len(store.dictionary),
-            "backend": "sharded",
-            "segments": new_index + 1,
-            "segment_sizes": sizes,
-            "segment_files": segment_files,
-        },
+    write_manifest(
+        gen_dir, store, sections, backend.segment_sizes() + [delta_len]
     )
     if swap:
         swap_current(root, generation)

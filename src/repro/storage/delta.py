@@ -6,7 +6,7 @@ time.  This module breaks that assumption the LSM way: a *delta segment*
 is a small, mutable, in-memory segment that absorbs live additions while
 the frozen segments keep serving reads untouched.  Delta triples get
 **global ids densely above the frozen id space** (``gid = base + local``),
-so the global sort key ``(-weight, gid)`` every backend freezes with
+so the global sort key ``(-weight, gid)`` every segment freezes with
 extends naturally: merging the frozen posting lists with the delta's
 produces exactly the posting order a fresh freeze over the union would —
 the byte-identity invariant live ingestion is property-tested against.
@@ -209,48 +209,3 @@ class DeltaSegment:
                 self._part_cache.clear()
             self._part_cache[cache_key] = (self._version, part)
             return part
-
-    def distinct_keys(self, bound_slots: Sequence[bool]) -> list[tuple[int, ...]]:
-        """Distinct keys under the signature, first-occurrence order."""
-        sig = signature_of(bound_slots)
-        if not sig:
-            raise StorageError("The scan signature has no keys")
-        with self._lock:
-            seen: dict[tuple[int, ...], None] = {}
-            for spo in self._slots:
-                seen[tuple(spo[slot] for slot in sig)] = None
-            return list(seen)
-
-
-def overlay_postings(
-    base: Sequence[int],
-    frozen_n: int,
-    weights,
-    delta: DeltaSegment,
-    bound_slots: Sequence[bool],
-    key: tuple[int, ...],
-) -> Sequence[int]:
-    """Merge a monolithic backend's frozen posting list with the delta's.
-
-    The single-segment backends (dict, columnar) reuse the sharded k-way
-    merge with exactly two streams: the frozen list (identity id map over
-    ``range(frozen_n)``) and the delta part.  When the delta has no matches
-    the frozen list is returned untouched (zero overhead on the hot path).
-    """
-    part = delta.posting_part(bound_slots, key)
-    if part is None:
-        return base
-    # Imported here: sharded.py imports columnar.py which imports this
-    # module — a top-level import would cycle.
-    from repro.storage.sharded import MergedPostings
-
-    parts: list[tuple[Sequence[int], Sequence[int]]] = []
-    if len(base):
-        parts.append((base, range(frozen_n)))
-    return MergedPostings(
-        parts,
-        weights,
-        len(base) + len(part.postings),
-        batch=None,
-        delta=part,
-    )

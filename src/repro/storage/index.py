@@ -1,18 +1,17 @@
-"""Posting-list indexes over encoded triples.
+"""Bound-slot signatures of triple patterns.
 
 For every *bound-slot signature* of a triple pattern (P bound; S and P bound;
-S, P and O bound; ...) there is one hash index mapping the tuple of bound term
-ids to a posting list of triple ids.  Posting lists are sorted once at freeze
-time by descending observation weight (observation count × confidence), which
-is the quantity all pattern scores are monotone in — so *sorted access in
-score order*, the primitive of top-k processing, is a plain array walk.
+S, P and O bound; ...) a frozen segment keeps one permutation of its triple
+ids, grouped by the bound term ids and sorted within each group by descending
+observation weight (observation count × confidence) — the quantity all
+pattern scores are monotone in — so *sorted access in score order*, the
+primitive of top-k processing, is a plain array walk
+(:mod:`repro.storage.columnar`).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-from repro.errors import StorageError
 
 #: The seven non-scan signatures, each a tuple of bound slot positions
 #: (0 = subject, 1 = predicate, 2 = object).
@@ -34,87 +33,3 @@ def signature_of(bound_slots: Sequence[bool]) -> tuple[int, ...]:
     (0, 1)
     """
     return tuple(i for i, bound in enumerate(bound_slots) if bound)
-
-
-class PostingIndex:
-    """Holds one posting-list dictionary per signature plus a global scan list.
-
-    Build phase: :meth:`insert` each triple id with its slot ids, then call
-    :meth:`freeze` with the per-triple sort weights.  Lookup before freezing
-    raises, guaranteeing callers never observe unsorted lists.
-    """
-
-    def __init__(self):
-        # Buckets are mutable lists during the build phase; freeze() replaces
-        # them (and the scan list) with tuples.
-        self._lists: dict[tuple[int, ...], dict[tuple[int, ...], Sequence[int]]] = {
-            sig: {} for sig in SIGNATURES
-        }
-        self._scan: Sequence[int] = []
-        self._frozen = False
-
-    @property
-    def is_frozen(self) -> bool:
-        return self._frozen
-
-    def insert(self, triple_id: int, slot_ids: tuple[int, int, int]) -> None:
-        """Register a triple under every signature key it matches."""
-        if self._frozen:
-            raise StorageError("Cannot insert into a frozen index")
-        self._scan.append(triple_id)
-        for sig in SIGNATURES:
-            key = tuple(slot_ids[slot] for slot in sig)
-            bucket = self._lists[sig].setdefault(key, [])
-            bucket.append(triple_id)
-
-    def freeze(self, weights: Sequence[float]) -> None:
-        """Sort every posting list by (weight desc, triple id asc).
-
-        ``weights[i]`` is the sort weight of triple id ``i``.  Ascending id as
-        tie-break keeps ordering deterministic.  Posting lists are converted
-        to tuples here so no caller can ever mutate the index through a
-        returned list.
-        """
-        if self._frozen:
-            raise StorageError("Index already frozen")
-
-        def order(tid: int) -> tuple[float, int]:
-            return (-weights[tid], tid)
-
-        self._scan = tuple(sorted(self._scan, key=order))
-        for sig, sig_lists in self._lists.items():
-            self._lists[sig] = {
-                key: tuple(sorted(posting, key=order))
-                for key, posting in sig_lists.items()
-            }
-        self._frozen = True
-
-    def postings(
-        self, bound_slots: Sequence[bool], key: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        """Return the posting list (score-sorted triple ids) for a lookup.
-
-        ``bound_slots`` marks which of S/P/O are constants; ``key`` carries
-        the term ids of the bound slots in S, P, O order.  An all-variables
-        lookup returns the global scan list.  Postings are immutable tuples.
-        """
-        if not self._frozen:
-            raise StorageError("Index must be frozen before lookup")
-        sig = signature_of(bound_slots)
-        if not sig:
-            return self._scan
-        if len(key) != len(sig):
-            raise StorageError(
-                f"Key arity {len(key)} does not match signature {sig}"
-            )
-        return self._lists[sig].get(key, _EMPTY)
-
-    def distinct_keys(self, bound_slots: Sequence[bool]) -> list[tuple[int, ...]]:
-        """All keys present for a signature (used by statistics and mining)."""
-        sig = signature_of(bound_slots)
-        if not sig:
-            raise StorageError("The scan signature has no keys")
-        return list(self._lists[sig].keys())
-
-
-_EMPTY: tuple[int, ...] = ()

@@ -17,10 +17,10 @@ Two formats share :func:`load_store`:
   precision (``repr`` round-trip), so a reloaded store's weights — and
   therefore its answer rankings — are bit-identical to the saved one.
 
-* **Binary snapshot** (written by :func:`repro.storage.snapshot.
-  save_snapshot`): the frozen columnar arrays, mapped back without
-  re-ingestion.  :func:`load_store` sniffs the leading magic bytes and
-  dispatches automatically.
+* **Binary snapshot directory** (written by :func:`repro.storage.snapshot.
+  save_snapshot`): the frozen segment arrays, mapped back without
+  re-ingestion.  :func:`load_store` hands every directory to
+  :func:`~repro.storage.snapshot.load_snapshot`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from pathlib import Path
 
 from repro.core.triples import Triple
 from repro.errors import PersistenceError
+from repro.storage.backend import StorageBackend, make_backend
 from repro.storage.store import TripleStore
 from repro.storage.termcodec import (
     decode_provenance,
@@ -75,37 +76,37 @@ def save_store(store: TripleStore, path: str | Path) -> int:
 
 
 def load_store(
-    path: str | Path, freeze: bool = True, backend: str | None = None
+    path: str | Path,
+    freeze: bool = True,
+    backend: str | StorageBackend | None = None,
 ) -> TripleStore:
     """Load a store previously written by :func:`save_store` or
     :func:`repro.storage.snapshot.save_snapshot`.
 
-    The format is sniffed from the file's first bytes.  ``backend`` selects
-    the storage backend of the loaded store (registry name, e.g. "columnar",
-    "dict" or "sharded"); ``None`` keeps the default (for snapshots: the
-    mapped columnar backend, zero-copy).  Snapshot files are inherently
-    frozen, so ``freeze=False`` is rejected for them.
+    A directory is a snapshot and is returned as mapped (zero-copy,
+    segmentation as saved); snapshots are inherently frozen, so
+    ``freeze=False`` is rejected for them.  A file is JSONL — or a
+    pre-directory single-file snapshot, which
+    :func:`~repro.storage.snapshot.load_snapshot` rejects by version.
+    ``backend`` accepts what ``TripleStore(backend=...)`` does (``None``,
+    ``"sharded"`` or a fresh ``ShardedBackend(n)``; any other name raises
+    :class:`~repro.errors.StorageError`) and only shapes a JSONL load,
+    which is re-ingested.
     """
     path = Path(path)
     if not path.exists():
         raise PersistenceError(f"No such file: {path}")
+    fresh = make_backend(backend)  # rejects unknown names on every path
 
     from repro.storage.snapshot import is_snapshot, load_snapshot
 
-    if path.is_dir() and not is_snapshot(path):
-        raise PersistenceError(
-            f"Not a snapshot directory (no manifest.xkgsnap): {path}"
-        )
-    if is_snapshot(path):
+    if path.is_dir() or is_snapshot(path):
         if not freeze:
             raise PersistenceError(
                 "Snapshot stores are always frozen; freeze=False is not "
-                "supported for snapshot files"
+                "supported for snapshots"
             )
-        store = load_snapshot(path)
-        if backend is not None and backend != store.backend_name:
-            store = store.convert(backend)
-        return store
+        return load_snapshot(path)
 
     with path.open("r", encoding="utf-8") as handle:
         header_line = handle.readline()
@@ -119,7 +120,7 @@ def load_store(
             raise PersistenceError(
                 f"Not a {FORMAT_NAME} file: format={header.get('format')!r}"
             )
-        store = TripleStore(name=header.get("name", "XKG"), backend=backend)
+        store = TripleStore(name=header.get("name", "XKG"), backend=fresh)
         for line_number, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:

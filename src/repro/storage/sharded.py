@@ -1,7 +1,7 @@
-"""Segmented composite backend: hash-partitioned columnar shards.
+"""The store layout: hash-partitioned columnar segments behind one merge.
 
 The paper's system served its XKG from a sharded ElasticSearch index; this
-backend reproduces the shape behind the same :class:`~repro.storage.backend.
+backend reproduces the shape behind the :class:`~repro.storage.backend.
 StorageBackend` protocol.  Triples are hash-partitioned by their (s, p, o)
 term ids across N inner :class:`~repro.storage.columnar.ColumnarBackend`
 segments; each segment freezes its own permutation arrays over *local* ids,
@@ -10,9 +10,9 @@ segment/local → global) plus the global weight and count columns.
 
 ``postings()`` answers with a **lazy k-way merge** of the segments'
 score-sorted lists: segment heads are compared by (weight desc, global id
-asc) — exactly the global sort key the single-segment backends freeze with —
-so the merged stream is element-identical to a columnar posting list, while
-only the consumed prefix is ever materialised.  The merge runs in-line on
+asc) — exactly the sort key each segment freezes with — so the merged stream
+is element-identical to one segment holding everything, while only the
+consumed prefix is ever materialised.  The merge runs in-line on
 the consuming thread and pulls each segment's heads as pre-keyed
 **blocks** — two parallel ``(-weight, global id)`` columns built by C-speed
 gathers (:func:`repro.topk.kernels.prepare_head_block`) instead of
@@ -29,10 +29,10 @@ controller state is per merge instance, i.e. per query.  With
 byte-identical reference batched execution is property-tested against.
 The id-space execution core runs over a partitioned store unchanged.
 
-Snapshot-restored backends (:mod:`repro.storage.snapshot` formats v2/v3)
-keep their segmentation: each segment's columns arrive as a lazy loader
-over the mapped file(s), materialised on first touch — or all at once, in
-parallel, via :meth:`load_segments`.
+Snapshot-restored backends (:mod:`repro.storage.snapshot`) keep their
+segmentation: each segment's columns arrive as a lazy loader over its own
+mapped file, materialised on first touch — or all at once, in parallel,
+via :meth:`load_segments`.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from concurrent.futures import Executor
 from typing import Callable, Sequence
 
 from repro.errors import StorageError
+from repro.storage.backend import _CLOSED
 from repro.storage.columnar import ID_TYPECODE, ColumnarBackend
 from repro.storage.index import signature_of
 
@@ -63,7 +64,7 @@ def _kernel_module():
         _kernels = kernels
     return _kernels
 
-#: Segment count used when the backend is built by registry name.
+#: Segment count of ``ShardedBackend()`` — what ``TripleStore()`` builds.
 DEFAULT_SEGMENTS = 4
 
 #: Heads pulled per segment per batch when no explicit prefetch
@@ -424,10 +425,9 @@ class ShardedBackend:
 
     @property
     def source_dir(self) -> str | None:
-        """Directory this backend was mapped from, when it came from a v3
-        directory snapshot — where compaction finds the segment files to
-        hardlink.  ``None`` for in-memory stores and single-file
-        snapshots."""
+        """Directory this backend was mapped from, when it came from a
+        snapshot — where compaction finds the segment files to hardlink.
+        ``None`` for in-memory stores."""
         return self._source_dir
 
     @property
@@ -718,10 +718,10 @@ class ShardedBackend:
         sig = signature_of(bound_slots)
         if not sig:
             raise StorageError("The scan signature has no keys")
-        # Walk global ids so keys come out in first-occurrence order — the
-        # same order the single-segment backends produce.  Delta ids sit
-        # densely above the frozen ids, so delta-only keys land last in
-        # delta insertion order — the fresh-build order too.
+        # Walk global ids so keys come out in first-occurrence order
+        # whatever the segment count.  Delta ids sit densely above the
+        # frozen ids, so delta-only keys land last in delta insertion
+        # order — the fresh-build order too.
         seen: dict[tuple[int, ...], None] = {}
         for triple_id in range(len(self)):
             spo = self.slot_ids(triple_id)
@@ -770,9 +770,3 @@ class ShardedBackend:
         )
         return total
 
-
-# Register under "sharded" without importing repro.storage.backend at module
-# top level (backend.py imports this module at its bottom).
-from repro.storage.backend import _CLOSED, register_backend  # noqa: E402
-
-register_backend(ShardedBackend)

@@ -18,44 +18,32 @@ the snapshot was written from.  Confidences and weights travel as binary
 IEEE doubles, so reloaded scores are bit-exact, not round-tripped through
 decimal text.
 
-Three format versions are readable; the version is sniffed from the magic
-and the header:
+A snapshot is a **directory**: one self-contained container file per
+segment (``segment-0000.xkgsnap`` …) plus ``manifest.xkgsnap`` carrying the
+global id maps, weights, terms and record metadata.  Every segment is
+mapped only when a lookup first touches it.  The loaded backend remembers
+its :attr:`~repro.storage.sharded.ShardedBackend.source_dir` so compaction
+can hardlink the segment files into the next generation.
 
-* **v1** — single file, one eager columnar section set (legacy).
-* **v2** — single file, segment-aware and lazy: a sharded store's segments
-  are written as ``seg<i>:…`` section groups plus the global id maps, and
-  restore as lazy loaders over the one mapping; the term dictionary and the
-  per-triple :class:`StoredTriple` records materialise lazily too.
-* **v3** — a **directory**: one self-contained section file per segment
-  (``segment-0000.xkgsnap`` …) plus ``manifest.xkgsnap`` carrying the
-  global id maps, weights, terms and record metadata.  Every segment is a
-  complete snapshot container on its own, mapped only when a lookup first
-  touches it.  The loaded backend remembers its :attr:`~repro.storage.
-  sharded.ShardedBackend.source_dir` so compaction can hardlink the
-  segment files into the next generation.
-
-A v3 directory may additionally be **generational**: after background
+A directory may additionally be **generational**: after background
 compaction (:mod:`repro.storage.compaction`) the root holds
-``generation-K`` subdirectories — each a complete flat v3 layout — plus a
+``generation-K`` subdirectories — each a complete flat layout — plus a
 ``CURRENT`` pointer file naming the live one, swapped atomically by
 write-new-then-rename.  A root without ``CURRENT`` *is* its own
-generation 0, so pre-generation snapshots load unchanged.
+generation 0.
 
-:func:`save_snapshot` writes v3 for sharded stores by default and can
-still write v1/v2 (``version=``) for migration; :func:`load_snapshot`
-dispatches on file-vs-directory and the header.
-
-Single-file layout (all integers little/big per the writing platform,
-recorded in the header)::
+Container layout, shared by the manifest and every segment file (``kind``
+in the header tells them apart; all integers little/big per the writing
+platform, recorded in the header)::
 
     [ magic "XKGSNAP\\x01" ][ uint64 header offset ][ sections ... ][ header JSON ]
 
-The header JSON carries the format name/version, store name, byte order,
-item sizes, backend kind, segmentation, and a section table
+The header JSON carries the format name/version (3), store name, byte
+order, item sizes, segmentation, and a section table
 ``{name: [offset, length]}``.  Placing the header *after* the sections
-keeps section offsets stable while the header is being composed.  A v3
-directory uses the same container layout for the manifest and for each
-segment file (``kind`` in the header tells them apart).
+keeps section offsets stable while the header is being composed.  The
+single-file containers of format versions 1 and 2 are no longer readable:
+:func:`load_snapshot` rejects them by version — re-save from JSONL.
 """
 
 from __future__ import annotations
@@ -67,6 +55,7 @@ import struct
 import sys
 import threading
 from array import array
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -88,11 +77,10 @@ from repro.storage.termcodec import (
 #: persistence.load_store` sniffs it to dispatch between formats.
 MAGIC = b"XKGSNAP\x01"
 FORMAT_NAME = "trinit-xkg-snapshot"
+#: The one container version written and read.
 FORMAT_VERSION = 3
-#: Versions this build can load.
-SUPPORTED_VERSIONS = (1, 2, 3)
 
-#: File names inside a v3 directory snapshot.
+#: File names inside a snapshot directory.
 MANIFEST_NAME = "manifest.xkgsnap"
 
 #: Pointer file naming the active generation of a multi-generation
@@ -130,8 +118,7 @@ def resolve_generation(path: Path) -> tuple[Path, Path, int]:
     A directory snapshot that has been compacted at least once holds its
     container files in ``generation-K`` subdirectories, with a ``CURRENT``
     pointer file naming the live one.  A flat layout (as written by
-    :func:`save_snapshot`) has no pointer and *is* its own generation 0 —
-    the pre-generation v3 format loads unchanged.
+    :func:`save_snapshot`) has no pointer and *is* its own generation 0.
     """
     path = Path(path)
     current = path / CURRENT_NAME
@@ -182,25 +169,45 @@ def _column_bytes(column) -> bytes:
     return column.tobytes()
 
 
-def _columnar_sections(backend: ColumnarBackend, prefix: str = "") -> dict[str, bytes]:
-    """The posting-structure sections of one frozen columnar (segment) backend."""
+def _columnar_sections(backend: ColumnarBackend) -> dict[str, bytes]:
+    """The posting-structure sections of one frozen columnar segment."""
     sections: dict[str, bytes] = {}
-    sections[f"{prefix}counts"] = _column_bytes(backend._counts)
-    sections[f"{prefix}col:s"] = _column_bytes(backend._s)
-    sections[f"{prefix}col:p"] = _column_bytes(backend._p)
-    sections[f"{prefix}col:o"] = _column_bytes(backend._o)
-    sections[f"{prefix}weights"] = _column_bytes(backend._weights)
-    sections[f"{prefix}scan"] = bytes(backend._scan_view)
+    sections["counts"] = _column_bytes(backend._counts)
+    sections["col:s"] = _column_bytes(backend._s)
+    sections["col:p"] = _column_bytes(backend._p)
+    sections["col:o"] = _column_bytes(backend._o)
+    sections["weights"] = _column_bytes(backend._weights)
+    sections["scan"] = bytes(backend._scan_view)
     for sig in SIGNATURES:
         key = _sig_key(sig)
-        sections[f"{prefix}perm:{key}"] = bytes(backend._perm_views[sig])
+        sections[f"perm:{key}"] = bytes(backend._perm_views[sig])
         flat = array(ID_TYPECODE)
         for group_key, (start, stop) in backend._offsets[sig].items():
             flat.extend(group_key)
             flat.append(start)
             flat.append(stop)
-        sections[f"{prefix}offsets:{key}"] = flat.tobytes()
+        sections[f"offsets:{key}"] = flat.tobytes()
     return sections
+
+
+def _metadata_sections(store: TripleStore) -> dict[str, bytes]:
+    """The manifest's term dictionary and per-record metadata sections."""
+    records = list(store.records())
+    return {
+        "terms": json.dumps(
+            [encode_term(term) for term in store.dictionary], ensure_ascii=False
+        ).encode("utf-8"),
+        "prov": json.dumps(
+            [
+                [encode_provenance(p) for p in record.provenances]
+                for record in records
+            ],
+            ensure_ascii=False,
+        ).encode("utf-8"),
+        "confidence": array(
+            WEIGHT_TYPECODE, [record.confidence for record in records]
+        ).tobytes(),
+    }
 
 
 # -- container writer ---------------------------------------------------------
@@ -214,9 +221,15 @@ def _write_container(
     ``header_fields`` supplies the variable part of the header (version,
     kind, store identity, segmentation); platform fields and the section
     table are appended here.  Returns bytes written.
+
+    The bytes land in ``<name>.tmp`` and are renamed into place: a reader
+    never sees a torn container, and overwriting a name never writes
+    through to other hard links of the old file (compaction links segment
+    files into generation directories).
     """
     table: dict[str, list[int]] = {}
-    with path.open("wb") as handle:
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("wb") as handle:
         handle.write(MAGIC)
         handle.write(_OFFSET_STRUCT.pack(0))  # header offset, patched below
         position = len(MAGIC) + _OFFSET_STRUCT.size
@@ -242,30 +255,66 @@ def _write_container(
         total = handle.tell()
         handle.seek(len(MAGIC))
         handle.write(_OFFSET_STRUCT.pack(header_offset))
+    os.replace(tmp, path)
     return total
 
 
-def save_snapshot(
-    store: TripleStore, path: str | Path, *, version: int = FORMAT_VERSION
+def write_segment(
+    directory: Path, store_name: str, index: int, segment: ColumnarBackend
 ) -> int:
-    """Write ``store``'s frozen state to ``path``; returns bytes written.
+    """Write segment ``index``'s container into ``directory``."""
+    return _write_container(
+        directory / segment_filename(index),
+        _columnar_sections(segment),
+        {
+            "version": FORMAT_VERSION,
+            "kind": "segment",
+            "name": store_name,
+            "segment": index,
+            "triples": len(segment),
+        },
+    )
 
-    The store must be frozen (snapshots capture posting structures, which
-    only exist after freeze) and on the "columnar" or "sharded" backend —
-    convert other backends first (``store.convert("columnar")``).  A
-    sharded store keeps its segmentation: segment count, per-segment
-    posting layout and the global id maps all round-trip.
 
-    ``version`` selects the layout:
+def write_manifest(
+    directory: Path,
+    store: TripleStore,
+    sections: dict[str, bytes],
+    segment_sizes: list[int],
+) -> int:
+    """Write the manifest of ``len(segment_sizes)`` segments into
+    ``directory``: ``sections`` are the global id maps, joined here by the
+    term dictionary and record metadata of ``store``."""
+    return _write_container(
+        directory / MANIFEST_NAME,
+        {**_metadata_sections(store), **sections},
+        {
+            "version": FORMAT_VERSION,
+            "kind": "manifest",
+            "name": store.name,
+            "triples": len(store),
+            "terms": len(store.dictionary),
+            "backend": "sharded",
+            "segments": len(segment_sizes),
+            "segment_sizes": segment_sizes,
+            "segment_files": [
+                segment_filename(index) for index in range(len(segment_sizes))
+            ],
+        },
+    )
 
-    * ``3`` (default) — a **directory snapshot**: ``path`` becomes a
-      directory holding one self-contained container per segment plus the
-      manifest.  Requires the sharded backend (segments are the unit of the
-      layout); columnar stores fall back to the single-file v2 layout
-      automatically.
-    * ``2`` — a single segment-aware file (sharded or columnar).
-    * ``1`` — the legacy single-backend layout (columnar only), kept
-      writable for migration testing.
+
+def save_snapshot(store: TripleStore, path: str | Path) -> int:
+    """Write ``store``'s frozen state as the snapshot directory ``path``.
+
+    Returns bytes written.  The store must be frozen (snapshots capture
+    posting structures, which only exist after freeze) and carry no
+    uncompacted delta.  Segmentation round-trips: segment count,
+    per-segment posting layout and the global id maps.  ``path`` becomes a
+    directory holding one self-contained container per segment plus the
+    manifest; a root that compaction has already turned generational
+    (``CURRENT`` pointer) is refused — its live generation would shadow
+    what is written here.
     """
     if not store.is_frozen:
         raise PersistenceError("Only frozen stores can be snapshotted")
@@ -275,126 +324,32 @@ def save_snapshot(
             "live statements in its delta segment — compact first "
             "(repro.storage.compaction.compact_store or engine.compact())"
         )
-    if version not in SUPPORTED_VERSIONS:
-        raise PersistenceError(f"Cannot write snapshot version {version!r}")
     backend = store.backend
     path = Path(path)
-
-    records = list(store.records())
-    meta_sections: dict[str, bytes] = {}
-    meta_sections["terms"] = json.dumps(
-        [encode_term(term) for term in store.dictionary], ensure_ascii=False
-    ).encode("utf-8")
-    meta_sections["prov"] = json.dumps(
-        [[encode_provenance(p) for p in record.provenances] for record in records],
-        ensure_ascii=False,
-    ).encode("utf-8")
-    meta_sections["confidence"] = array(
-        WEIGHT_TYPECODE, [record.confidence for record in records]
-    ).tobytes()
-
-    if version >= 3:
-        if isinstance(backend, ShardedBackend):
-            return _save_snapshot_dir(store, backend, path, meta_sections)
-        # Directory layouts partition by segment; a monolithic store has
-        # nothing to partition — write the equivalent single-file layout.
-        version = 2
-
-    sections = dict(meta_sections)
-    header_extra: dict = {}
-    if isinstance(backend, ColumnarBackend):
-        sections.update(_columnar_sections(backend))
-        if version >= 2:
-            header_extra["backend"] = "columnar"
-    elif isinstance(backend, ShardedBackend):
-        if version < 2:
-            raise PersistenceError(
-                "Snapshot version 1 cannot carry a sharded backend — "
-                'use version=2 or store.convert("columnar")'
-            )
-        sections["seg_of"] = _column_bytes(backend._seg_of)
-        sections["local_of"] = _column_bytes(backend._local_of)
-        sections["weights"] = _column_bytes(backend._weights)
-        sections["counts"] = _column_bytes(backend._counts)
-        for index in range(backend.num_segments):
-            segment = backend._segment(index)
-            prefix = f"seg{index}:"
-            sections.update(_columnar_sections(segment, prefix))
-            sections[f"{prefix}globals"] = _column_bytes(backend._globals[index])
-        header_extra["backend"] = "sharded"
-        header_extra["segments"] = backend.num_segments
-        header_extra["segment_sizes"] = backend.segment_sizes()
-    else:
-        raise PersistenceError(
-            f"Snapshots require the columnar or sharded backend, not "
-            f"{store.backend_name!r} — use store.convert(\"columnar\") first"
-        )
-
-    return _write_container(
-        path,
-        sections,
-        {
-            "version": version,
-            "name": store.name,
-            "triples": len(store),
-            "terms": len(store.dictionary),
-            **header_extra,
-        },
-    )
-
-
-def _save_snapshot_dir(
-    store: TripleStore,
-    backend: ShardedBackend,
-    path: Path,
-    meta_sections: dict[str, bytes],
-) -> int:
-    """Write the v3 directory layout: per-segment containers + manifest."""
     if path.exists() and not path.is_dir():
         raise PersistenceError(
             f"Directory snapshot target exists and is not a directory: {path}"
         )
-    path.mkdir(parents=True, exist_ok=True)
-    total = 0
-    segment_files: list[str] = []
-    for index in range(backend.num_segments):
-        filename = segment_filename(index)
-        segment = backend._segment(index)
-        total += _write_container(
-            path / filename,
-            _columnar_sections(segment),
-            {
-                "version": 3,
-                "kind": "segment",
-                "name": store.name,
-                "segment": index,
-                "triples": len(segment),
-            },
+    if (path / CURRENT_NAME).exists():
+        raise PersistenceError(
+            f"Snapshot directory {path} already holds a {CURRENT_NAME} "
+            "generation pointer (it has been compacted); save to a fresh "
+            "directory instead"
         )
-        segment_files.append(filename)
-    sections = dict(meta_sections)
-    sections["seg_of"] = _column_bytes(backend._seg_of)
-    sections["local_of"] = _column_bytes(backend._local_of)
-    sections["weights"] = _column_bytes(backend._weights)
-    sections["counts"] = _column_bytes(backend._counts)
+    path.mkdir(parents=True, exist_ok=True)
+    total = sum(
+        write_segment(path, store.name, index, backend._segment(index))
+        for index in range(backend.num_segments)
+    )
+    sections = {
+        "seg_of": _column_bytes(backend._seg_of),
+        "local_of": _column_bytes(backend._local_of),
+        "weights": _column_bytes(backend._weights),
+        "counts": _column_bytes(backend._counts),
+    }
     for index in range(backend.num_segments):
         sections[f"seg{index}:globals"] = _column_bytes(backend._globals[index])
-    total += _write_container(
-        path / MANIFEST_NAME,
-        sections,
-        {
-            "version": 3,
-            "kind": "manifest",
-            "name": store.name,
-            "triples": len(store),
-            "terms": len(store.dictionary),
-            "backend": "sharded",
-            "segments": backend.num_segments,
-            "segment_sizes": backend.segment_sizes(),
-            "segment_files": segment_files,
-        },
-    )
-    return total
+    return total + write_manifest(path, store, sections, backend.segment_sizes())
 
 
 # -- container reader ---------------------------------------------------------
@@ -416,9 +371,11 @@ def _read_header(base: memoryview) -> dict:
         raise PersistenceError(
             f"Not a {FORMAT_NAME} file: format={header.get('format')!r}"
         )
-    if header.get("version") not in SUPPORTED_VERSIONS:
+    if header.get("version") != FORMAT_VERSION:
         raise PersistenceError(
-            f"Unsupported snapshot version: {header.get('version')!r}"
+            f"Snapshot container version {header.get('version')!r} is not "
+            f"readable by this build (only version {FORMAT_VERSION} "
+            "directory snapshots are) — re-save from JSONL"
         )
     if header.get("byteorder") != sys.byteorder:
         raise PersistenceError(
@@ -471,9 +428,9 @@ class _Container:
             raise
 
     @property
-    def kind(self) -> str:
-        """Container role: "store" (v1/v2 file), "manifest" or "segment"."""
-        return self.header.get("kind", "store")
+    def kind(self) -> str | None:
+        """Container role: "manifest" or "segment"."""
+        return self.header.get("kind")
 
     def discard(self) -> None:
         """Release the mapping of a container that will not be adopted."""
@@ -523,39 +480,38 @@ class _Container:
     def doubles(self, name: str) -> memoryview:
         return self.cast(name, WEIGHT_TYPECODE)
 
-    def columnar_parts(self, prefix: str, length: int):
-        """Validated column/permutation views of one (segment) section set."""
-        col_s = self.ids(f"{prefix}col:s")
-        col_p = self.ids(f"{prefix}col:p")
-        col_o = self.ids(f"{prefix}col:o")
-        weights = self.doubles(f"{prefix}weights")
-        counts = self.ids(f"{prefix}counts")
+    def restore_columnar(self, length: int) -> ColumnarBackend:
+        """The :class:`ColumnarBackend` segment this container holds,
+        validated against the ``length`` the manifest declares; the
+        segment takes ownership of the mapping."""
+        col_s = self.ids("col:s")
+        col_p = self.ids("col:p")
+        col_o = self.ids("col:o")
+        weights = self.doubles("weights")
+        counts = self.ids("counts")
         if not (
             len(col_s) == len(col_p) == len(col_o) == len(weights)
             == len(counts) == length
         ):
             raise PersistenceError(
-                f"Header declares {length} triples for {prefix or 'store'!r} "
-                "but the columns disagree"
+                f"Header declares {length} triples but the columns disagree"
             )
         perm_views: dict[tuple[int, ...], memoryview] = {}
         offsets: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, int]]] = {}
         for sig in SIGNATURES:
             key = _sig_key(sig)
-            perm = self.ids(f"{prefix}perm:{key}")
+            perm = self.ids(f"perm:{key}")
             if len(perm) != length:
                 raise PersistenceError(
-                    f"Corrupt snapshot: permutation {prefix}{key} has "
+                    f"Corrupt snapshot: permutation {key} has "
                     f"{len(perm)} entries, expected {length}"
                 )
             perm_views[sig] = perm
-            flat = self.ids(f"{prefix}offsets:{key}")
+            flat = self.ids(f"offsets:{key}")
             arity = len(sig)
             stride = arity + 2
             if len(flat) % stride:
-                raise PersistenceError(
-                    f"Corrupt snapshot: offset table {prefix}{key}"
-                )
+                raise PersistenceError(f"Corrupt snapshot: offset table {key}")
             table: dict[tuple[int, ...], tuple[int, int]] = {}
             for i in range(0, len(flat), stride):
                 table[tuple(flat[i : i + arity])] = (
@@ -563,18 +519,9 @@ class _Container:
                     flat[i + arity + 1],
                 )
             offsets[sig] = table
-        scan = self.ids(f"{prefix}scan")
+        scan = self.ids("scan")
         if len(scan) != length:
-            raise PersistenceError(
-                f"Corrupt snapshot: scan permutation {prefix or 'store'!r} truncated"
-            )
-        return col_s, col_p, col_o, weights, counts, scan, perm_views, offsets
-
-    def restore_columnar(self, prefix: str, length: int, *, own_buffer: bool):
-        """A :class:`ColumnarBackend` over this container's section set."""
-        col_s, col_p, col_o, weights, counts, scan, perm_views, offsets = (
-            self.columnar_parts(prefix, length)
-        )
+            raise PersistenceError("Corrupt snapshot: scan permutation truncated")
         return ColumnarBackend._restore(
             s=col_s,
             p=col_p,
@@ -584,7 +531,7 @@ class _Container:
             scan_view=scan,
             perm_views=perm_views,
             offsets=offsets,
-            buffer=self.buffer if own_buffer else None,
+            buffer=self.buffer,
         )
 
 
@@ -688,8 +635,7 @@ class _SnapshotRecords(Sequence):
 
 
 def _global_id_maps(container: _Container, header: dict):
-    """Validated (seg_of, local_of, weights, counts, globals) of a sharded
-    container (the v2 single file, or the v3 manifest)."""
+    """Validated (seg_of, local_of, weights, counts, globals) of a manifest."""
     n = header["triples"]
     num_segments = header.get("segments")
     sizes = header.get("segment_sizes")
@@ -760,86 +706,42 @@ def _assemble_store(container: _Container, backend) -> TripleStore:
 
 
 def load_snapshot(path: str | Path, *, map_file: bool = True) -> TripleStore:
-    """Load a snapshot written by :func:`save_snapshot`.
+    """Load a snapshot directory written by :func:`save_snapshot`.
 
-    ``path`` may be a single-file snapshot (v1/v2) or a v3 snapshot
-    *directory* — the layout is sniffed.  With ``map_file=True`` (the
-    default) each file is ``mmap``-ed and every column and permutation
-    array is a read-only memoryview over the mapped pages — the OS pages
-    postings in on demand and shares them across processes.
-    ``map_file=False`` reads the files into memory once instead (same
-    views, private buffers); useful where mapping is unavailable.
+    ``path`` is the snapshot *root*: either a flat layout (containers
+    directly inside it) or a generation layout (``CURRENT`` pointer naming
+    the active ``generation-K`` subdirectory, written by compaction).
+    With ``map_file=True`` (the default) each file is ``mmap``-ed and every
+    column and permutation array is a read-only memoryview over the mapped
+    pages — the OS pages postings in on demand and shares them across
+    processes.  ``map_file=False`` reads the files into memory once instead
+    (same views, private buffers); useful where mapping is unavailable.
 
     The returned store is **lazy**: records and the term dictionary decode
-    on first use, and a segmented snapshot materialises each segment's
-    posting structures only when a lookup touches it (or all in parallel
-    via ``store.backend.load_segments(executor)``).  For a directory
-    snapshot, touching a segment maps that segment's own file — and a
-    missing or damaged segment file surfaces as :class:`~repro.errors.
-    StorageError` at that point, not at open time.
+    on first use, and each segment's own file is mapped only when a lookup
+    touches it (or all in parallel via
+    ``store.backend.load_segments(executor)``) — a missing or damaged
+    segment file surfaces as :class:`~repro.errors.StorageError` at that
+    point, not at open time.
 
     The mappings are owned by the returned store's backend: release them
     with ``store.close()`` (or the engine lifecycle — ``with
     TriniT.open(path)``), which releases every retained view and unmaps
     the files.
+
+    A single *file* is rejected with a :class:`PersistenceError`: either
+    a pre-directory (version 1/2) snapshot, named by its version, or one
+    container of a directory snapshot opened on its own.
     """
     path = Path(path)
-    if path.is_dir():
-        return _load_snapshot_dir(path, map_file)
-    container = _Container(path, map_file=map_file)
-    try:
+    if not path.is_dir():
+        container = _Container(path, map_file=map_file)  # raises on v1/v2
         kind = container.kind
-        if kind != "store":
-            raise PersistenceError(
-                f"{path} is the {kind} container of a directory snapshot — "
-                "load the directory instead"
-            )
-        header = container.header
-        n = header["triples"]
-        backend_kind = header.get("backend", "columnar")
-        if backend_kind == "columnar":
-            backend = container.restore_columnar("", n, own_buffer=True)
-        elif backend_kind == "sharded":
-            seg_of, local_of, weights, counts, globals_, sizes = _global_id_maps(
-                container, header
-            )
-
-            def make_loader(index: int, length: int):
-                def load() -> ColumnarBackend:
-                    # The sharded composite owns the one shared mapping.
-                    return container.restore_columnar(
-                        f"seg{index}:", length, own_buffer=False
-                    )
-
-                return load
-
-            backend = ShardedBackend._restore(
-                seg_of=seg_of,
-                local_of=local_of,
-                weights=weights,
-                counts=counts,
-                globals_=globals_,
-                segment_loaders=[
-                    make_loader(index, sizes[index])
-                    for index in range(len(sizes))
-                ],
-                buffer=container.buffer,
-            )
-        else:
-            raise PersistenceError(f"Unknown snapshot backend {backend_kind!r}")
-        return _assemble_store(container, backend)
-    except Exception:
         container.discard()
-        raise
-
-
-def _load_snapshot_dir(path: Path, map_file: bool) -> TripleStore:
-    """Load a v3 directory snapshot: manifest now, segment files on touch.
-
-    ``path`` is the snapshot *root*: either a flat layout (containers
-    directly inside it) or a generation layout (``CURRENT`` pointer naming
-    the active ``generation-K`` subdirectory, written by compaction).
-    """
+        raise PersistenceError(
+            f"{path} is the {kind} container of a directory snapshot — "
+            "load the directory instead"
+        )
     root, gen_dir, generation = resolve_generation(path)
     manifest_path = gen_dir / MANIFEST_NAME
     if not manifest_path.exists():
@@ -854,11 +756,6 @@ def _load_snapshot_dir(path: Path, map_file: bool) -> TripleStore:
                 f"Corrupt directory snapshot: {MANIFEST_NAME} has kind "
                 f"{manifest.kind!r}"
             )
-        if header.get("backend") != "sharded":
-            raise PersistenceError(
-                f"Corrupt directory snapshot: backend "
-                f"{header.get('backend')!r} is not sharded"
-            )
         seg_of, local_of, weights, counts, globals_, sizes = _global_id_maps(
             manifest, header
         )
@@ -872,19 +769,6 @@ def _load_snapshot_dir(path: Path, map_file: bool) -> TripleStore:
                 "Corrupt directory snapshot: bad segment file table"
             )
 
-        def make_loader(index: int, length: int, filename: str):
-            def load() -> ColumnarBackend:
-                segment = open_segment_container(
-                    gen_dir, index, length, filename, map_file=map_file
-                )
-                try:
-                    return segment.restore_columnar("", length, own_buffer=True)
-                except Exception:
-                    segment.discard()
-                    raise
-
-            return load
-
         backend = ShardedBackend._restore(
             seg_of=seg_of,
             local_of=local_of,
@@ -892,8 +776,8 @@ def _load_snapshot_dir(path: Path, map_file: bool) -> TripleStore:
             counts=counts,
             globals_=globals_,
             segment_loaders=[
-                make_loader(index, sizes[index], segment_files[index])
-                for index in range(len(sizes))
+                partial(_load_segment, gen_dir / filename, index, length, map_file)
+                for index, (filename, length) in enumerate(zip(segment_files, sizes))
             ],
             buffer=manifest.buffer,
             source_dir=str(gen_dir),
@@ -906,24 +790,15 @@ def _load_snapshot_dir(path: Path, map_file: bool) -> TripleStore:
         raise
 
 
-def open_segment_container(
-    directory: Path,
-    index: int,
-    length: int | None,
-    filename: str | None = None,
-    *,
-    map_file: bool = True,
-) -> _Container:
-    """Map and validate one segment container of a directory snapshot.
+def _load_segment(
+    segment_path: Path, index: int, length: int, map_file: bool
+) -> ColumnarBackend:
+    """Map, validate and restore segment ``index`` of a directory snapshot.
 
-    The lazy segment loaders of a directory snapshot go through here.  A
-    missing or mismatched file raises :class:`PersistenceError` (a
+    The lazy segment loaders go through here.  A missing or mismatched
+    file raises :class:`PersistenceError` (a
     :class:`~repro.errors.StorageError`).
     """
-    directory = Path(directory)
-    if filename is None:
-        filename = segment_filename(index)
-    segment_path = directory / filename
     if not segment_path.exists():
         raise PersistenceError(
             f"Directory snapshot is missing segment file {segment_path} "
@@ -941,22 +816,22 @@ def open_segment_container(
                 f"Corrupt directory snapshot: {segment_path} claims segment "
                 f"{container.header.get('segment')!r}, expected {index}"
             )
-        if length is not None and container.header.get("triples") != length:
+        if container.header.get("triples") != length:
             raise PersistenceError(
                 f"Corrupt directory snapshot: {segment_path} holds "
                 f"{container.header.get('triples')!r} triples, manifest "
                 f"declares {length} for segment {index}"
             )
+        return container.restore_columnar(length)
     except Exception:
         container.discard()
         raise
-    return container
 
 
 def is_snapshot(path: str | Path) -> bool:
-    """True if ``path`` is a snapshot: a container file starting with the
-    snapshot magic, or a v3 directory holding a ``manifest.xkgsnap``
-    (format sniffing)."""
+    """True if ``path`` is a snapshot directory holding a
+    ``manifest.xkgsnap`` — or a lone container file starting with the
+    snapshot magic, which :func:`load_snapshot` rejects (format sniffing)."""
     path = Path(path)
     if path.is_dir():
         try:

@@ -8,11 +8,11 @@ uses) and keep the best confidence plus a bounded sample of provenances.
 :meth:`~TripleStore.freeze` then builds the posting-list indexes; afterwards
 the store is immutable and supports sorted access.
 
-Physical index layout is delegated to a pluggable
-:class:`~repro.storage.backend.StorageBackend` ("columnar" by default,
-"dict" for the original hash-index layout); the store also exposes the
-id-level accessors (:meth:`spo_ids`, :meth:`weight`, :meth:`postings_ids`)
-the id-space execution core runs on.
+Physical index layout lives behind the
+:class:`~repro.storage.backend.StorageBackend` seam — one layout,
+:class:`~repro.storage.sharded.ShardedBackend` over columnar segments; the
+store also exposes the id-level accessors (:meth:`spo_ids`, :meth:`weight`,
+:meth:`postings_ids`) the id-space execution core runs on.
 
 **Live ingestion.**  Freezing is no longer the end of the write path: an
 :meth:`~TripleStore.add` against a frozen store routes the observation
@@ -86,9 +86,9 @@ class TripleStore:
     name:
         Label used in provenance descriptions and persistence headers.
     backend:
-        Storage backend: a registry name ("columnar", "dict") or a fresh
-        :class:`~repro.storage.backend.StorageBackend` instance.  ``None``
-        selects the default (columnar).
+        ``None`` or ``"sharded"`` for the default segment count, or a fresh
+        :class:`~repro.storage.sharded.ShardedBackend` ``(n)`` to pick it;
+        anything else raises :class:`StorageError`.
     """
 
     #: Preferred posting-block granularity for the id-space execution
@@ -239,14 +239,8 @@ class TripleStore:
             return existing
         delta = self._delta
         if delta is None:
-            attach = getattr(self._backend, "attach_delta", None)
-            if attach is None:
-                raise StorageError(
-                    f"Backend {self.backend_name!r} cannot absorb live "
-                    f"additions (no delta support)"
-                )
             delta = self._delta = DeltaSegment(base)
-            attach(delta)
+            self._backend.attach_delta(delta)
         triple_id = base + len(self._delta_records)
         record = StoredTriple(triple, count, confidence, [provenance])
         self._delta_records.append(record)
@@ -305,9 +299,7 @@ class TripleStore:
         release = getattr(self._triples, "release", None)
         if release is not None:
             release()
-        close = getattr(self._backend, "close", None)
-        if close is not None:
-            close()
+        self._backend.close()
 
     @property
     def closed(self) -> bool:
@@ -406,9 +398,8 @@ class TripleStore:
     def block_size(self) -> int | None:
         """Posting-block granularity for block-at-a-time execution.
 
-        ``None`` (the default) adapts: cursors over merged segment postings
-        score exactly what each batched pull materialised, monolithic
-        posting views use the kernels' default block.  ``1`` selects the
+        ``None`` (the default) adapts: cursors score exactly what each
+        batched pull of the segment merge materialised.  ``1`` selects the
         per-item reference path (the property suite's oracle).
         """
         return self._block_size
@@ -587,14 +578,15 @@ class TripleStore:
     # -- backend conversion ------------------------------------------------------------
 
     def convert(self, backend: str | StorageBackend) -> "TripleStore":
-        """A copy of this store on a different backend.
+        """An in-memory rebuild of this store on a fresh backend.
 
-        Records are re-added in id order (frozen records first, then any
-        live delta records), so triple ids, dictionary ids, and posting
-        orders are identical to a fresh build over the same statements —
-        the conversion is observationally transparent to query processing.
-        This is also the rebuild path compaction uses to fold a delta into
-        a fresh frozen store.
+        ``backend`` is what the constructor accepts — a fresh
+        ``ShardedBackend(n)`` re-segments.  Records are re-added in id
+        order (frozen records first, then any live delta records), so
+        triple ids, dictionary ids, and posting orders are identical to a
+        fresh build over the same statements — the rebuild is
+        observationally transparent to query processing.  This is also the
+        path compaction uses to fold a delta into a fresh frozen store.
         """
         clone = TripleStore(self.name, backend=backend)
         for record in self.records():

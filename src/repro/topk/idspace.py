@@ -279,10 +279,9 @@ class IdPostingCursor:
     call — ``peek`` then reads a precomputed score and ``pop``
     materialises an :class:`IdMatch` only for heads the rank join actually
     consumes.  Block granularity follows ``TripleStore.block_size``
-    (``EngineConfig.block_size``): ``None`` adapts — merged segment
-    postings score exactly what each batched pull materialised, monolithic
-    views use :data:`~repro.topk.kernels.DEFAULT_SCORE_BLOCK` — while
-    ``1`` selects the original per-item path, retained as the
+    (``EngineConfig.block_size``): ``None`` adapts — the cursor scores
+    exactly what each batched pull of the segment merge materialised —
+    while ``1`` selects the original per-item path, retained as the
     byte-identical reference the property suite pins the block path
     against.  Emitted matches and scores are identical in both modes; only
     the ``blocks_decoded`` counter differs.
@@ -346,8 +345,8 @@ class IdPostingCursor:
         if self._ids is None:
             store = self.ctx.store
             ids = self._ids = store.sorted_ids(self.pattern)
-            # Lazily-merged segment postings support batched pulls; plain
-            # posting views are fully materialised already.
+            # Lazily-merged segment postings support batched pulls; an
+            # empty lookup is a plain empty tuple.
             self._merged = ids if hasattr(ids, "pull") else None
             self._lam, self._mass, self._cmass = self.ctx.scorer.emission_model(
                 self.pattern
@@ -417,32 +416,27 @@ class IdPostingCursor:
         stats = self.ctx.stats
         needs_filter = plan.has_repeated_variable
         n = len(ids)
+        # A non-empty posting list is always a lazy segment merge.
         while self._position < n:
             position = self._position
-            if merged is not None:
-                if position >= merged.materialized:
-                    pulled = merged.pull(merged.batch_size)
-                    if stats is not None:
-                        stats.postings_materialized += pulled
-                        stats.posting_pulls += 1
-                        emitted = merged.delta_emitted
-                        if emitted != self._delta_seen:
-                            stats.delta_hits += emitted - self._delta_seen
-                            self._delta_seen = emitted
-                        hits = merged.cache_hits
-                        if hits != self._cache_seen:
-                            stats.block_cache_hits += hits - self._cache_seen
-                            self._cache_seen = hits
-                # Score only what is already merged: slicing past the
-                # materialized frontier would force an eager full fill.
-                stop = merged.materialized
-                if self._block_limit is not None:
-                    stop = min(stop, position + self._block_limit)
-            else:
-                limit = self._block_limit
-                if limit is None:
-                    limit = kernels.DEFAULT_SCORE_BLOCK
-                stop = min(n, position + limit)
+            if position >= merged.materialized:
+                pulled = merged.pull(merged.batch_size)
+                if stats is not None:
+                    stats.postings_materialized += pulled
+                    stats.posting_pulls += 1
+                    emitted = merged.delta_emitted
+                    if emitted != self._delta_seen:
+                        stats.delta_hits += emitted - self._delta_seen
+                        self._delta_seen = emitted
+                    hits = merged.cache_hits
+                    if hits != self._cache_seen:
+                        stats.block_cache_hits += hits - self._cache_seen
+                        self._cache_seen = hits
+            # Score only what is already merged: slicing past the
+            # materialized frontier would force an eager full fill.
+            stop = merged.materialized
+            if self._block_limit is not None:
+                stop = min(stop, position + self._block_limit)
             raw = ids[position:stop]
             self._position = stop
             tids = plan.consistent_block(raw, slot_ids) if needs_filter else raw

@@ -35,13 +35,6 @@ from collections import OrderedDict
 from operator import itemgetter, neg
 from typing import Callable, Sequence
 
-#: Postings scored per kernel call when ``EngineConfig.block_size`` is left
-#: adaptive (``None``) and the posting list is a monolithic zero-copy view
-#: (no merge to pace against).  Merged segment postings use the merge's own
-#: adaptive batch size instead, so the score granularity tracks the pull
-#: granularity.
-DEFAULT_SCORE_BLOCK = 256
-
 #: A prepared head block: parallel (-weight, global id) columns.
 HeadBlock = tuple[Sequence[float], Sequence[int]]
 

@@ -13,7 +13,27 @@ from repro.core.terms import Literal, Resource, TextToken, Variable
 from repro.core.triples import Provenance, Triple
 from repro.eval.harness import EvalHarness
 from repro.kg.paper_example import paper_engine, paper_rules, paper_store
+from repro.storage.sharded import DEFAULT_SEGMENTS
 from repro.storage.store import TripleStore
+
+#: The one storage axis: segment count of the sharded-over-columnar layout —
+#: a 1-segment store (the merge degenerates to one stream) and the default.
+SEGMENT_COUNTS = (1, DEFAULT_SEGMENTS)
+
+
+def pytest_generate_tests(metafunc):
+    """Any test taking a ``segments`` argument runs once per segment count;
+    build its store with ``TripleStore(backend=ShardedBackend(segments))``."""
+    if "segments" in metafunc.fixturenames:
+        metafunc.parametrize(
+            "segments", SEGMENT_COUNTS, ids=[f"{n}seg" for n in SEGMENT_COUNTS]
+        )
+
+
+@pytest.fixture(scope="session")
+def segment_counts() -> tuple[int, ...]:
+    """The whole axis, for tests that compare segment counts to each other."""
+    return SEGMENT_COUNTS
 
 
 @pytest.fixture(scope="session")

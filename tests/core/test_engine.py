@@ -31,6 +31,15 @@ class TestConstruction:
         assert "amie" in engine.registry.names()
         assert "esa" in engine.registry.names()
 
+    def test_no_storage_backend_knob(self, frozen_small_store):
+        """One store layout: the engine takes the store as built, and the
+        removed chooser is a typed construction error, not a silent no-op."""
+        with pytest.raises(TypeError, match="storage_backend"):
+            EngineConfig(storage_backend="sharded")
+        engine = TriniT(frozen_small_store)
+        assert engine.store is frozen_small_store
+        assert engine.store.backend_name == "sharded"
+
     def test_custom_registry_used(self, frozen_small_store):
         registry = OperatorRegistry()
         called = []

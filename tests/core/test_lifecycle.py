@@ -11,12 +11,8 @@ from repro.storage.snapshot import save_snapshot
 
 @pytest.fixture()
 def snapshot_path(tmp_path):
-    engine = paper_engine()
-    store = engine.store
-    if store.backend_name != "columnar":
-        store = store.convert("columnar")
-    path = tmp_path / "paper.snap"
-    save_snapshot(store, path)
+    path = tmp_path / "paper.snapd"
+    save_snapshot(paper_engine().store, path)
     return path
 
 

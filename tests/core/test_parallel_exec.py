@@ -7,8 +7,8 @@ owns one worker pool (``EngineConfig.parallelism``) used only for
 the ``"serial"`` ≡ ``parallelism=1`` no-pool mode, the accepted
 ``executor_kind`` domain, the segment stats counters, and — the
 concurrent-correctness stress — that interleaving ``stream().next_k`` with
-``ask_many`` on one shared engine yields exactly the serial answers on
-every backend.
+``ask_many`` on one shared engine yields exactly the serial answers at
+every segment count.
 """
 
 import threading
@@ -22,6 +22,7 @@ from repro.core.terms import Resource
 from repro.core.triples import Triple
 from repro.errors import TrinitError
 from repro.kg.paper_example import paper_store
+from repro.storage.sharded import DEFAULT_SEGMENTS, ShardedBackend
 from repro.topk.processor import ProcessorConfig
 
 QUERIES = [
@@ -38,11 +39,11 @@ LIVE = [
 ]
 
 
-def _engine(backend: str, parallelism: int | None = 4, **kwargs) -> TriniT:
-    config = EngineConfig(
-        storage_backend=backend, parallelism=parallelism, **kwargs
-    )
-    return TriniT(paper_store(), config=config)
+def _engine(
+    segments: int = DEFAULT_SEGMENTS, parallelism: int | None = 4, **kwargs
+) -> TriniT:
+    config = EngineConfig(parallelism=parallelism, **kwargs)
+    return TriniT(paper_store().convert(ShardedBackend(segments)), config=config)
 
 
 def signature(answer_set):
@@ -64,10 +65,9 @@ def count_submits(engine: TriniT) -> list:
     return submitted
 
 
-@pytest.mark.parametrize("backend", ["dict", "columnar", "sharded"])
 class TestWhatRunsOnThePool:
-    def test_single_queries_run_inline(self, backend):
-        engine = _engine(backend, merge_batch=2)
+    def test_single_queries_run_inline(self, segments):
+        engine = _engine(segments, merge_batch=2)
         submitted = count_submits(engine)
         for text in QUERIES:
             engine.ask(text, k=8)
@@ -76,14 +76,14 @@ class TestWhatRunsOnThePool:
             stream.next_k(5)
         assert submitted == []
 
-    def test_ask_many_fans_out(self, backend):
-        engine = _engine(backend)
+    def test_ask_many_fans_out(self, segments):
+        engine = _engine(segments)
         submitted = count_submits(engine)
         engine.ask_many(QUERIES, k=3)
         assert len(submitted) == len(QUERIES)
 
-    def test_threshold_compaction_runs_in_background(self, backend):
-        engine = _engine(backend, compaction_threshold=2)
+    def test_threshold_compaction_runs_in_background(self, segments):
+        engine = _engine(segments, compaction_threshold=2)
         submitted = count_submits(engine)
         engine.ingest(LIVE[:1])
         assert submitted == []  # below threshold
@@ -96,7 +96,7 @@ class TestWhatRunsOnThePool:
 
 class TestPoolLifecycle:
     def test_engine_owns_one_executor(self):
-        engine = _engine("sharded")
+        engine = _engine()
         before = engine._executor
         assert before is not None
         engine.ask_many(QUERIES, k=3)
@@ -104,7 +104,7 @@ class TestPoolLifecycle:
         assert engine._executor is before  # reused, not rebuilt per call
 
     def test_close_shuts_executor_down(self):
-        engine = _engine("sharded")
+        engine = _engine()
         pool = engine._executor
         engine.close()
         with pytest.raises(RuntimeError):
@@ -116,7 +116,7 @@ class TestPoolLifecycle:
         # Two workers, both held busy: the rest of the batch is still
         # queued when close() cancels it, and ask_many reports the
         # cancellation as TrinitError.
-        engine = _engine("sharded", parallelism=2)
+        engine = _engine(parallelism=2)
         running, release = threading.Event(), threading.Event()
         original_query = engine.processor.query
 
@@ -152,12 +152,12 @@ class TestPoolLifecycle:
         assert [str(exc) for exc in errors] == ["Engine is closed"]
 
     def test_variant_shares_executor(self):
-        engine = _engine("sharded")
+        engine = _engine()
         variant = engine.variant(use_relaxation=False)
         assert variant._executor is engine._executor
 
     def test_max_workers_one_forces_sequential(self):
-        engine = _engine("sharded")
+        engine = _engine()
         submitted = count_submits(engine)
         sequential = engine.ask_many(QUERIES, k=3, max_workers=1)
         assert submitted == []
@@ -167,7 +167,7 @@ class TestPoolLifecycle:
         ]
 
     def test_ask_many_bounded_max_workers(self):
-        engine = _engine("sharded")
+        engine = _engine()
         bounded = engine.ask_many(QUERIES, k=5, max_workers=2)
         unbounded = engine.ask_many(QUERIES, k=5)
         assert [signature(b) for b in bounded] == [
@@ -176,7 +176,7 @@ class TestPoolLifecycle:
 
     def test_queries_survive_pool_shutdown(self):
         # The store is still open: single queries never needed the pool.
-        engine = _engine("sharded", merge_batch=2)
+        engine = _engine(merge_batch=2)
         reference = signature(engine.ask(QUERIES[0], k=8))
         engine._executor.shutdown(wait=True, cancel_futures=True)
         assert signature(engine.ask(QUERIES[0], k=8)) == reference
@@ -188,7 +188,6 @@ class TestExecutorKind:
     )
     def test_serial_means_no_pool(self, kind, parallelism):
         engine = _engine(
-            "sharded",
             parallelism=parallelism,
             executor_kind=kind,
             compaction_threshold=2,
@@ -206,50 +205,43 @@ class TestExecutorKind:
         assert engine.generation == 1
 
     def test_thread_is_the_default(self):
-        engine = _engine("sharded")
+        engine = _engine()
         assert engine.config.executor_kind == "thread"
         assert engine.executor_kind == "thread"
 
     @pytest.mark.parametrize("kind", ["process", "fibers", ""])
     def test_other_kinds_rejected(self, kind):
         with pytest.raises(TrinitError, match="'thread' or 'serial'"):
-            _engine("sharded", executor_kind=kind)
+            _engine(executor_kind=kind)
 
     def test_environment_override_is_ignored(self, monkeypatch):
         monkeypatch.setenv("TRINIT_EXECUTOR_KIND", "serial")
         assert EngineConfig().executor_kind == "thread"
         monkeypatch.setenv("TRINIT_EXECUTOR_KIND", "process")
-        assert _engine("sharded").executor_kind == "thread"
+        assert _engine().executor_kind == "thread"
 
 
 class TestSegmentStats:
-    def test_sharded_counters_filled(self):
-        engine = _engine("sharded", merge_batch=4)
+    def test_segment_counters_filled(self):
+        engine = _engine(merge_batch=4)
         answers = engine.ask("?x bornIn ?y", k=5)
         assert answers.stats.segments_touched > 0
         assert answers.stats.postings_materialized > 0
 
-    def test_monolithic_counters_zero(self):
-        engine = _engine("columnar")
-        answers = engine.ask("?x bornIn ?y", k=5)
-        assert answers.stats.segments_touched == 0
-        assert answers.stats.postings_materialized == 0
-
     def test_stats_identical_with_and_without_pool(self):
         # A query never touches the pool, so every work counter agrees.
-        pooled = _engine("sharded", parallelism=4).ask("?x bornIn ?y", k=5)
-        serial = _engine("sharded", parallelism=1).ask("?x bornIn ?y", k=5)
+        pooled = _engine(parallelism=4).ask("?x bornIn ?y", k=5)
+        serial = _engine(parallelism=1).ask("?x bornIn ?y", k=5)
         assert replace(pooled.stats, elapsed_seconds=0.0) == replace(
             serial.stats, elapsed_seconds=0.0
         )
 
 
-@pytest.mark.parametrize("backend", ["dict", "columnar", "sharded"])
 class TestConcurrentStress:
     """Interleave stream pagination and batch queries on one shared engine."""
 
-    def test_interleaved_streams_and_ask_many(self, backend):
-        engine = _engine(backend, parallelism=4, merge_batch=3)
+    def test_interleaved_streams_and_ask_many(self, segments):
+        engine = _engine(segments, parallelism=4, merge_batch=3)
         reference = {
             text: signature(engine.ask(text, k=8)) for text in QUERIES
         }
@@ -278,8 +270,8 @@ class TestConcurrentStress:
             for future in batch_futures:
                 assert future.result() == [reference[t] for t in QUERIES]
 
-    def test_streams_resume_exactly_after_contention(self, backend):
-        engine = _engine(backend, parallelism=4, merge_batch=2)
+    def test_streams_resume_exactly_after_contention(self, segments):
+        engine = _engine(segments, parallelism=4, merge_batch=2)
         eager = signature(engine.ask(QUERIES[0], k=8))
         stream = engine.stream(QUERIES[0])
         first = stream.next_k(4)
@@ -291,10 +283,8 @@ class TestConcurrentStress:
 class TestExhaustive:
     def test_exhaustive_identical_to_per_item_reference(self):
         processor = ProcessorConfig(exhaustive=True)
-        batched = _engine("sharded", parallelism=4, processor=processor)
-        reference = _engine(
-            "sharded", parallelism=1, merge_batch=1, processor=processor
-        )
+        batched = _engine(parallelism=4, processor=processor)
+        reference = _engine(parallelism=1, merge_batch=1, processor=processor)
         for text in QUERIES:
             assert signature(batched.ask(text, k=10)) == signature(
                 reference.ask(text, k=10)

@@ -72,13 +72,13 @@ class TestStatsScreen:
         assert "segments touched" in screen
         assert "postings materialized" in screen
 
-    def test_segment_counters_filled_on_sharded_engine(self):
+    def test_segment_counters_filled(self):
         from repro.core.engine import EngineConfig, TriniT
         from repro.kg.paper_example import paper_store
 
         engine = TriniT(
             paper_store(),
-            config=EngineConfig(storage_backend="sharded", merge_batch=4),
+            config=EngineConfig(merge_batch=4),
         )
         sharded = DemoSession(engine)
         sharded.run("?x bornIn ?y")

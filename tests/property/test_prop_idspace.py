@@ -1,9 +1,9 @@
-"""Property-based equivalence: id-space × backends × termination modes.
+"""Property-based equivalence: id-space × segment counts × termination modes.
 
 Random worlds (triple soups with weighted observations and token phrases),
 random single-pattern relaxation rules, and random conjunctive queries —
-every combination of execution core ("idspace"/"termspace"), storage backend
-("columnar"/"dict"/"sharded") and termination (adaptive/exhaustive) must
+every combination of execution core ("idspace"/"termspace"), segment count
+(1 / the default) and termination (adaptive/exhaustive) must
 produce the *same* :class:`AnswerSet`: identical projection bindings,
 identical scores, and identical explanation provenance (derivation triples,
 rules applied, token expansions).  Equality is asserted within each
@@ -18,6 +18,7 @@ from repro.core.parser import parse_query, parse_rule
 from repro.core.terms import Resource, TextToken
 from repro.core.triples import Provenance, Triple
 from repro.relax.rules import RuleSet
+from repro.storage.sharded import ShardedBackend
 from repro.storage.store import TripleStore
 from repro.topk.processor import ProcessorConfig, TopKProcessor
 
@@ -56,8 +57,8 @@ queries = st.sampled_from(
 )
 
 
-def build(entries, rule_specs, backend):
-    store = TripleStore(backend=backend)
+def build(entries, rule_specs, segments):
+    store = TripleStore(backend=ShardedBackend(segments))
     provenance = Provenance("openie", "doc-prop", "", "reverb")
     for triple, confidence, count in entries:
         store.add(triple, provenance, confidence=confidence, count=count)
@@ -89,12 +90,18 @@ def fingerprint(answers):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(observations, min_size=1, max_size=35), rule_texts, queries)
-def test_idspace_equals_termspace_across_backends(entries, rule_specs, query_text):
+@given(
+    entries=st.lists(observations, min_size=1, max_size=35),
+    rule_specs=rule_texts,
+    query_text=queries,
+)
+def test_idspace_equals_termspace_across_segment_counts(
+    segment_counts, entries, rule_specs, query_text
+):
     query = parse_query(query_text)
     results = {}
-    for backend in ("columnar", "dict", "sharded"):
-        store, rules = build(entries, rule_specs, backend)
+    for segments in segment_counts:
+        store, rules = build(entries, rule_specs, segments)
         for execution in ("idspace", "termspace"):
             for exhaustive in (False, True):
                 processor = TopKProcessor(
@@ -104,7 +111,7 @@ def test_idspace_equals_termspace_across_backends(entries, rule_specs, query_tex
                         execution=execution, exhaustive=exhaustive
                     ),
                 )
-                results[(backend, execution, exhaustive)] = fingerprint(
+                results[(segments, execution, exhaustive)] = fingerprint(
                     processor.query(query, 5)
                 )
     # One reference per termination mode: adaptive termination may surface a
@@ -112,15 +119,21 @@ def test_idspace_equals_termspace_across_backends(entries, rule_specs, query_tex
     # boundary (see test_idspace_adaptive_is_valid_topk_of_exhaustive), so
     # only combinations sharing the termination mode must be identical.
     for exhaustive in (False, True):
-        reference = results[("dict", "termspace", exhaustive)]
+        reference = results[(segment_counts[0], "termspace", exhaustive)]
         for combination, observed in results.items():
             if combination[2] == exhaustive:
                 assert observed == reference, combination
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(observations, min_size=1, max_size=35), rule_texts, queries)
-def test_idspace_adaptive_is_valid_topk_of_exhaustive(entries, rule_specs, query_text):
+@given(
+    entries=st.lists(observations, min_size=1, max_size=35),
+    rule_specs=rule_texts,
+    query_text=queries,
+)
+def test_idspace_adaptive_is_valid_topk_of_exhaustive(
+    segments, entries, rule_specs, query_text
+):
     """Adaptive id-space does less work yet yields a valid top-k.
 
     Score ties at the k boundary allow adaptive termination to surface a
@@ -128,7 +141,7 @@ def test_idspace_adaptive_is_valid_topk_of_exhaustive(entries, rule_specs, query
     invariant is the seed's: identical score profile, every answer present
     in the exhaustive set — not binding-for-binding equality.
     """
-    store, rules = build(entries, rule_specs, "columnar")
+    store, rules = build(entries, rule_specs, segments)
     query = parse_query(query_text)
     adaptive = TopKProcessor(store, rules=rules).query(query, 3)
     exhaustive = TopKProcessor(

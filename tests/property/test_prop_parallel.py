@@ -4,9 +4,8 @@ Batched merged pulls, adaptive batch sizing, the block kernels and the
 hot-block cache are only allowed to change *when* posting heads
 materialise, never *what* a query answers.  The property pins that: for
 random stores and random queries, a default-shaped engine (thread pool of
-4 for ``ask_many``) over any storage backend (dict / columnar / sharded),
-any merge batch policy (fixed sizes or adaptive ``None``) and any
-posting-block policy (fixed block sizes or adaptive ``None``) produces
+4 for ``ask_many``) at either segment count (1 / the default), any merge
+batch policy (fixed sizes or adaptive ``None``) and any posting-block policy (fixed block sizes or adaptive ``None``) produces
 bindings, scores and order bit-identical to the degenerate serial
 reference (``executor_kind="serial"``, ``merge_batch=1``, ``block_size=1``
 — item-at-a-time pulls *and* per-item scoring, no pool), across eager
@@ -21,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import EngineConfig, TriniT
 from repro.core.terms import Resource, TextToken, Variable
 from repro.core.triples import Triple
+from repro.storage.sharded import ShardedBackend
+from repro.storage.store import TripleStore
 
 X, Y = Variable("x"), Variable("y")
 
@@ -54,16 +55,12 @@ queries = st.lists(
 )
 
 
-def _build(rows, backend, **config):
-    return TriniT.from_triples(
-        [],
-        [
-            (Triple(Resource(s), Resource(p), Resource(o)), None, conf)
-            for s, p, o, conf, count in rows
-            for _ in range(count)
-        ],
-        config=EngineConfig(storage_backend=backend, **config),
-    )
+def _build(rows, segments, **config):
+    store = TripleStore(backend=ShardedBackend(segments))
+    for s, p, o, conf, count in rows:
+        for _ in range(count):
+            store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
+    return TriniT(store, config=EngineConfig(**config))
 
 
 def signature(answers):
@@ -75,17 +72,16 @@ def signature(answers):
     rows=triples,
     texts=queries,
     k=st.integers(min_value=1, max_value=12),
-    backend=st.sampled_from(["dict", "columnar", "sharded"]),
     batch=st.sampled_from([None, 1, 2, 7]),
     block=st.sampled_from([None, 1, 3, 16]),
     split=st.integers(min_value=1, max_value=6),
 )
 def test_batched_byte_identical_to_serial(
-    rows, texts, k, backend, batch, block, split
+    segments, rows, texts, k, batch, block, split
 ):
     serial = _build(
         rows,
-        backend,
+        segments,
         executor_kind="serial",
         parallelism=1,
         merge_batch=1,
@@ -93,7 +89,7 @@ def test_batched_byte_identical_to_serial(
     )
     batched = _build(
         rows,
-        backend,
+        segments,
         parallelism=4,
         merge_batch=batch,
         block_size=block,
@@ -127,20 +123,19 @@ def test_batched_byte_identical_to_serial(
     rows=triples,
     texts=queries,
     k=st.integers(min_value=1, max_value=12),
-    backend=st.sampled_from(["dict", "columnar", "sharded"]),
     batch=st.sampled_from([None, 1, 2, 7]),
     block=st.sampled_from([None, 1, 3, 16]),
     cut=st.integers(min_value=0, max_value=40),
 )
 def test_live_ingestion_byte_identical_to_fresh_build(
-    rows, texts, k, backend, batch, block, cut
+    segments, rows, texts, k, batch, block, cut
 ):
     """(frozen + delta) == fresh build, and still after compaction.
 
     Freeze a prefix of the statements, live-ingest the rest through
     ``engine.ingest()``, and compare every answer bit for bit against a
     serial engine freshly built from the union — then compact (the
-    in-memory rebuild path for all three backends) and compare again.
+    in-memory rebuild path) and compare again.
     Rule miners are disabled: they run once at construction, so a
     prefix-built engine may legitimately mine different rules than a
     union-built one; the property pins the storage/merge contract.
@@ -157,7 +152,7 @@ def test_live_ingestion_byte_identical_to_fresh_build(
     suffix = [row for row in rows[cut:] if (row[0], row[1], row[2]) not in frozen_keys]
     reference = _build(
         prefix + suffix,
-        backend,
+        segments,
         executor_kind="serial",
         parallelism=1,
         merge_batch=1,
@@ -166,7 +161,7 @@ def test_live_ingestion_byte_identical_to_fresh_build(
     )
     live = _build(
         prefix,
-        backend,
+        segments,
         parallelism=4,
         merge_batch=batch,
         block_size=block,

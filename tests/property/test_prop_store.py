@@ -116,7 +116,7 @@ def test_snapshot_round_trip_byte_identical(tmp_path_factory, entries):
     from repro.storage.snapshot import load_snapshot, save_snapshot
 
     store = build_store(entries)
-    path = tmp_path_factory.mktemp("snap") / "store.snap"
+    path = tmp_path_factory.mktemp("snap") / "store.snapd"
     save_snapshot(store, path)
     loaded = load_snapshot(path)
     assert len(loaded) == len(store)
@@ -130,15 +130,22 @@ def test_snapshot_round_trip_byte_identical(tmp_path_factory, entries):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(observations, min_size=1, max_size=40))
-def test_sharded_postings_identical_to_columnar(entries):
+@given(entries=st.lists(observations, min_size=1, max_size=40))
+def test_postings_identical_at_every_segment_count(segment_counts, entries):
     """Hash-partitioned segments merge back to the exact global order."""
-    columnar = build_store(entries)
-    sharded = TripleStore(backend="sharded")
-    for triple, confidence, count in entries:
-        sharded.add(triple, confidence=confidence, count=count)
-    sharded.freeze()
-    for pattern in _probe_patterns(entries):
-        assert list(sharded.sorted_ids(pattern)) == list(
-            columnar.sorted_ids(pattern)
-        )
+    from repro.storage.sharded import ShardedBackend
+
+    single = build_store(entries).convert(ShardedBackend(1))
+    weights = single.weights()
+    assert list(single.sorted_ids(TriplePattern(X, P, Y))) == sorted(
+        range(len(single)), key=lambda tid: (-weights[tid], tid)
+    )
+    for segments in segment_counts + (7,):
+        sharded = TripleStore(backend=ShardedBackend(segments))
+        for triple, confidence, count in entries:
+            sharded.add(triple, confidence=confidence, count=count)
+        sharded.freeze()
+        for pattern in _probe_patterns(entries):
+            assert list(sharded.sorted_ids(pattern)) == list(
+                single.sorted_ids(pattern)
+            )

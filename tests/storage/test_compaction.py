@@ -21,6 +21,7 @@ from repro.storage.compaction import (
     write_generation,
 )
 from repro.storage.index import SIGNATURES
+from repro.storage.sharded import DEFAULT_SEGMENTS, ShardedBackend
 from repro.storage.snapshot import (
     CURRENT_NAME,
     MANIFEST_NAME,
@@ -69,8 +70,8 @@ def _postings_by_key(store):
     return out
 
 
-def _fresh_store(backend="sharded"):
-    fresh = TripleStore("XKG", backend=backend)
+def _fresh_store(segments=DEFAULT_SEGMENTS):
+    fresh = TripleStore("XKG", backend=ShardedBackend(segments))
     _add(fresh, ROWS)
     _add(fresh, LIVE_ROWS)
     fresh.freeze()
@@ -107,28 +108,25 @@ class TestCompactStore:
         store.freeze()
         assert compact_store(store) is store
 
-    @pytest.mark.parametrize("backend", ["dict", "columnar", "sharded"])
-    def test_in_memory_rebuild_matches_fresh_build(self, backend):
-        store = TripleStore("XKG", backend=backend)
+    def test_in_memory_rebuild_matches_fresh_build(self, segments):
+        store = TripleStore("XKG", backend=ShardedBackend(segments))
         _add(store, ROWS)
         store.freeze()
         _add(store, LIVE_ROWS)
         compacted = compact_store(store)
         assert compacted is not store
         assert not compacted.has_delta
-        assert compacted.backend_name == store.backend_name
-        fresh = _fresh_store(backend)
+        assert compacted.backend.num_segments == segments
+        fresh = _fresh_store(segments)
         assert _postings_by_key(compacted) == _postings_by_key(fresh)
         assert list(compacted.weights()) == list(fresh.weights())
 
     def test_rebuild_keeps_segment_count(self):
-        store = TripleStore("XKG", backend="sharded")
+        store = TripleStore("XKG", backend=ShardedBackend(7))
         _add(store, ROWS)
         store.freeze()
-        segments = store.backend.num_segments
         _add(store, LIVE_ROWS)
-        compacted = compact_store(store)
-        assert compacted.backend.num_segments == segments
+        assert compact_store(store).backend.num_segments == 7
 
 
 class TestGenerationWrite:

@@ -5,9 +5,9 @@ assignment above the frozen base, immutable merge-ready posting snapshots
 (a captured part never changes under concurrent growth), version-keyed
 cache invalidation.  The store-level byte-identity contract: a frozen
 store that absorbed live additions answers every posting lookup in
-*exactly* the order a store freshly built from the union would — across
-dict, columnar and sharded backends — because delta ids continue the
-frozen id space densely and every merge is keyed by ``(-weight, id)``.
+*exactly* the order a store freshly built from the union would — at
+every segment count — because delta ids continue the frozen id space
+densely and every merge is keyed by ``(-weight, id)``.
 """
 
 import pytest
@@ -17,9 +17,8 @@ from repro.core.triples import Triple
 from repro.errors import StorageError
 from repro.storage.delta import DeltaSegment
 from repro.storage.index import SIGNATURES
+from repro.storage.sharded import ShardedBackend
 from repro.storage.store import TripleStore
-
-BACKENDS = ["dict", "columnar", "sharded"]
 
 ROWS = [
     ("E0", "bornIn", "E3", 0.9, 1),
@@ -124,39 +123,29 @@ class TestDeltaSegmentUnit:
         with pytest.raises(StorageError, match="arity"):
             delta.posting_part([True, True, False], (1,))
 
-    def test_distinct_keys_first_occurrence_order(self):
-        delta = DeltaSegment(0)
-        delta.add(0, (1, 7, 2), 0.5, 1)
-        delta.add(1, (3, 8, 2), 0.9, 1)
-        delta.add(2, (4, 7, 2), 0.7, 1)
-        assert delta.distinct_keys([False, True, False]) == [(7,), (8,)]
-        with pytest.raises(StorageError):
-            delta.distinct_keys([False, False, False])
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestStoreByteIdentity:
     """(frozen + delta) lookups == a fresh build over the union, bit for bit."""
 
-    def _live_and_fresh(self, backend):
-        live = TripleStore("live", backend=backend)
+    def _live_and_fresh(self, segments):
+        live = TripleStore("live", backend=ShardedBackend(segments))
         _add(live, ROWS)
         live.freeze()
         _add(live, LIVE_ROWS)
 
-        fresh = TripleStore("fresh", backend=backend)
+        fresh = TripleStore("fresh", backend=ShardedBackend(segments))
         _add(fresh, ROWS)
         _add(fresh, LIVE_ROWS)
         fresh.freeze()
         return live, fresh
 
-    def test_posting_lists_identical(self, backend):
-        live, fresh = self._live_and_fresh(backend)
+    def test_posting_lists_identical(self, segments):
+        live, fresh = self._live_and_fresh(segments)
         assert live.delta_size == 3  # the duplicate folded into its delta twin
         assert _postings_by_key(live) == _postings_by_key(fresh)
 
-    def test_weights_and_records_identical(self, backend):
-        live, fresh = self._live_and_fresh(backend)
+    def test_weights_and_records_identical(self, segments):
+        live, fresh = self._live_and_fresh(segments)
         assert len(live) == len(fresh)
         for tid in range(len(fresh)):
             assert live.weight(tid) == fresh.weight(tid)
@@ -165,8 +154,8 @@ class TestStoreByteIdentity:
             assert live.record(tid).confidence == fresh.record(tid).confidence
         assert list(live.weights()) == list(fresh.weights())
 
-    def test_lookup_and_cardinality_see_delta(self, backend):
-        live, _ = self._live_and_fresh(backend)
+    def test_lookup_and_cardinality_see_delta(self, segments):
+        live, _ = self._live_and_fresh(segments)
         from repro.core.terms import Variable
         from repro.core.triples import TriplePattern
 
@@ -177,9 +166,9 @@ class TestStoreByteIdentity:
         pattern = TriplePattern(Variable("x"), Resource("bornIn"), Variable("y"))
         assert live.cardinality(pattern) == 3
 
-    def test_duplicate_of_frozen_updates_record_not_order(self, backend):
+    def test_duplicate_of_frozen_updates_record_not_order(self, segments):
         """Documented eventual consistency: frozen sort weights stay fixed."""
-        live = TripleStore("live", backend=backend)
+        live = TripleStore("live", backend=ShardedBackend(segments))
         _add(live, ROWS)
         live.freeze()
         frozen_weight = live.weight(0)

@@ -1,9 +1,10 @@
-"""Unit tests for the posting-list index."""
+"""Unit tests for the bound-slot signature helpers.
 
-import pytest
+Posting order per signature (by subject, by predicate, tie-break by id, …)
+is checked on the store layout in test_backends.py::TestPostingOrder.
+"""
 
-from repro.errors import StorageError
-from repro.storage.index import PostingIndex, SIGNATURES, signature_of
+from repro.storage.index import SIGNATURES, signature_of
 
 
 class TestSignatureOf:
@@ -18,69 +19,3 @@ class TestSignatureOf:
 
     def test_all_signatures_covered(self):
         assert len(SIGNATURES) == 7
-
-
-class TestPostingIndex:
-    def _build(self):
-        """Three triples over small id space; weights favour triple 2."""
-        index = PostingIndex()
-        index.insert(0, (10, 20, 30))
-        index.insert(1, (10, 20, 31))
-        index.insert(2, (11, 20, 30))
-        index.freeze(weights=[1.0, 5.0, 3.0])
-        return index
-
-    def test_lookup_requires_freeze(self):
-        index = PostingIndex()
-        index.insert(0, (1, 2, 3))
-        with pytest.raises(StorageError):
-            index.postings([True, False, False], (1,))
-
-    def test_insert_after_freeze_rejected(self):
-        index = self._build()
-        with pytest.raises(StorageError):
-            index.insert(3, (1, 2, 3))
-
-    def test_double_freeze_rejected(self):
-        index = self._build()
-        with pytest.raises(StorageError):
-            index.freeze([])
-
-    def test_postings_by_subject(self):
-        index = self._build()
-        assert list(index.postings([True, False, False], (10,))) == [1, 0]
-
-    def test_postings_by_predicate_sorted_by_weight(self):
-        index = self._build()
-        assert list(index.postings([False, True, False], (20,))) == [1, 2, 0]
-
-    def test_postings_full_triple(self):
-        index = self._build()
-        assert list(index.postings([True, True, True], (10, 20, 30))) == [0]
-
-    def test_missing_key_empty(self):
-        index = self._build()
-        assert list(index.postings([True, False, False], (99,))) == []
-
-    def test_scan_sorted(self):
-        index = self._build()
-        assert list(index.postings([False, False, False], ())) == [1, 2, 0]
-
-    def test_arity_mismatch_rejected(self):
-        index = self._build()
-        with pytest.raises(StorageError):
-            index.postings([True, True, False], (10,))
-
-    def test_tie_break_by_id(self):
-        index = PostingIndex()
-        index.insert(0, (1, 1, 1))
-        index.insert(1, (1, 1, 2))
-        index.freeze(weights=[2.0, 2.0])
-        assert list(index.postings([True, False, False], (1,))) == [0, 1]
-
-    def test_distinct_keys(self):
-        index = self._build()
-        keys = index.distinct_keys([False, True, False])
-        assert keys == [(20,)]
-        with pytest.raises(StorageError):
-            index.distinct_keys([False, False, False])

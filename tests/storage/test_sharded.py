@@ -1,9 +1,9 @@
 """ShardedBackend specifics: partitioning, lazy merged postings, id maps.
 
-Cross-backend observational equivalence lives in test_backends.py and the
-id-space equivalence/property suites; this module covers the parts unique
-to the segmented composite: the hash partitioning itself, the laziness of
-the k-way merge, and the global/local id translation.
+Conformance at every segment count lives in test_backends.py and the
+id-space equivalence/property suites; this module covers the hash
+partitioning itself, the laziness of the k-way merge, and the global/local
+id translation.
 """
 
 import pytest
@@ -57,24 +57,27 @@ class TestPartitioning:
         with pytest.raises(StorageError):
             ShardedBackend(0)
 
-    def test_single_segment_degenerates_to_columnar_order(self):
-        sharded = _store(backend=ShardedBackend(1))
-        columnar = _store(backend="columnar")
-        for pattern in (TriplePattern(X, Resource("affiliation"), Y),
-                        TriplePattern(X, P, Y)):
-            assert list(sharded.sorted_ids(pattern)) == list(
-                columnar.sorted_ids(pattern)
-            )
+    def test_segment_count_does_not_change_order(self):
+        single = _store(backend=ShardedBackend(1))
+        for count in (DEFAULT_SEGMENTS, 8):
+            sharded = _store(backend=ShardedBackend(count))
+            for pattern in (TriplePattern(X, Resource("affiliation"), Y),
+                            TriplePattern(X, P, Y)):
+                assert list(sharded.sorted_ids(pattern)) == list(
+                    single.sorted_ids(pattern)
+                )
 
 
 class TestIdTranslation:
     def test_slot_ids_and_weights_globally_indexed(self):
         sharded = _store()
-        columnar = _store(backend="columnar")
-        for tid in range(len(sharded)):
-            assert sharded.backend.slot_ids(tid) == columnar.backend.slot_ids(tid)
-            assert sharded.backend.weight(tid) == columnar.backend.weight(tid)
-            assert sharded.backend.count(tid) == columnar.backend.count(tid)
+        encode = sharded.dictionary.id_of
+        for tid, record in enumerate(sharded.records()):
+            assert sharded.backend.slot_ids(tid) == tuple(
+                encode(term) for term in record.triple.terms()
+            )
+            assert sharded.backend.weight(tid) == record.weight
+            assert sharded.backend.count(tid) == record.count
 
 
 class TestLazyMerge:
@@ -117,9 +120,10 @@ class TestLazyMerge:
 
     def test_scan_is_merged_across_segments(self):
         sharded = _store()
-        columnar = _store(backend="columnar")
-        scan = TriplePattern(X, P, Y)
-        assert list(sharded.sorted_ids(scan)) == list(columnar.sorted_ids(scan))
+        weights = sharded.weights()
+        assert list(sharded.sorted_ids(TriplePattern(X, P, Y))) == sorted(
+            range(len(sharded)), key=lambda tid: (-weights[tid], tid)
+        )
 
     def test_merged_postings_are_stable_across_lookups(self):
         store = _store()

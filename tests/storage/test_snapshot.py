@@ -3,7 +3,9 @@
 The snapshot format's whole contract is *fidelity without re-ingestion*: the
 loaded store must be observationally indistinguishable from the one written —
 posting bytes, weights, confidences, provenances, answers — while its
-permutation arrays are zero-copy views over the mapped file.
+permutation arrays are zero-copy views over the mapped files.  Layout and
+generation-pointer cases live in test_snapshot_dir.py, segmentation and
+laziness in test_snapshot_segments.py.
 """
 
 import json
@@ -13,14 +15,16 @@ import pytest
 
 from repro.core.terms import Resource, TextToken, Variable
 from repro.core.triples import Triple, TriplePattern
-from repro.errors import PersistenceError
+from repro.errors import PersistenceError, StorageError
 from repro.storage.index import SIGNATURES
 from repro.storage.persistence import load_store
 from repro.storage.snapshot import (
     MAGIC,
+    MANIFEST_NAME,
     is_snapshot,
     load_snapshot,
     save_snapshot,
+    segment_filename,
 )
 from repro.storage.store import TripleStore
 from repro.topk.processor import TopKProcessor
@@ -30,7 +34,7 @@ X, Y, P = Variable("x"), Variable("y"), Variable("p")
 
 @pytest.fixture()
 def snapshot_path(frozen_small_store, tmp_path):
-    path = tmp_path / "store.snap"
+    path = tmp_path / "store.snapd"
     save_snapshot(frozen_small_store, path)
     return path
 
@@ -105,7 +109,7 @@ class TestRoundtripFidelity:
             count=3,
         )
         store.freeze()
-        path = tmp_path / "exact.snap"
+        path = tmp_path / "exact.snapd"
         save_snapshot(store, path)
         loaded = load_snapshot(path)
         assert loaded.record(0).confidence == 0.1234567891
@@ -115,15 +119,26 @@ class TestRoundtripFidelity:
 class TestZeroCopy:
     def test_postings_view_over_mapped_file(self, snapshot_path):
         loaded = load_snapshot(snapshot_path)
-        postings = loaded.sorted_ids(TriplePattern(X, Resource("bornIn"), Y))
-        assert isinstance(postings, memoryview)
-        assert postings.readonly
-        assert isinstance(postings.obj, mmap.mmap)
+        born = (loaded.dictionary.id_of(Resource("bornIn")),)
+        merged = loaded.sorted_ids(TriplePattern(X, Resource("bornIn"), Y))
+        assert len(merged) == 2
+        # The merge's inputs are each segment's posting slice: read-only
+        # views straight over that segment file's mapping.
+        parts = [
+            loaded.backend._segment(index).postings([False, True, False], born)
+            for index in range(loaded.backend.num_segments)
+        ]
+        parts = [part for part in parts if len(part)]
+        assert sum(len(part) for part in parts) == 2
+        for postings in parts:
+            assert isinstance(postings, memoryview)
+            assert postings.readonly
+            assert isinstance(postings.obj, mmap.mmap)
 
     def test_loaded_store_is_frozen_but_absorbs_live_adds(self, snapshot_path):
         loaded = load_snapshot(snapshot_path)
         assert loaded.is_frozen
-        assert loaded.backend_name == "columnar"
+        assert loaded.backend_name == "sharded"
         assert loaded.backend.is_frozen
         # Live ingestion: additions land in the mutable delta segment, the
         # mapped frozen columns stay untouched.
@@ -140,16 +155,27 @@ class TestZeroCopy:
 
 
 class TestFormatSniffing:
-    def test_load_store_dispatches_on_magic(self, frozen_small_store, snapshot_path):
+    def test_load_store_dispatches_on_directory(
+        self, frozen_small_store, snapshot_path
+    ):
         loaded = load_store(snapshot_path)
         assert len(loaded) == len(frozen_small_store)
-        assert loaded.backend_name == "columnar"
-        assert loaded.is_frozen
-
-    def test_load_store_converts_backend_on_request(self, snapshot_path):
-        loaded = load_store(snapshot_path, backend="sharded")
         assert loaded.backend_name == "sharded"
         assert loaded.is_frozen
+
+    def test_load_store_with_backend_returns_the_mapped_store(self, snapshot_path):
+        """No convert-and-drop: ``backend="sharded"`` keeps the mapping (the
+        old convert branch rebuilt in memory and leaked the mmap until GC)."""
+        loaded = load_store(snapshot_path, backend="sharded")
+        assert loaded.backend.source_dir == str(snapshot_path)
+        assert isinstance(loaded.backend._buffer, mmap.mmap)
+        assert isinstance(loaded.backend._segment(0)._buffer, mmap.mmap)
+        loaded.close()
+
+    @pytest.mark.parametrize("name", ["dict", "columnar"])
+    def test_load_store_rejects_deleted_backends(self, snapshot_path, name):
+        with pytest.raises(StorageError, match="sharded"):
+            load_store(snapshot_path, backend=name)
 
     def test_snapshot_rejects_freeze_false(self, snapshot_path):
         with pytest.raises(PersistenceError):
@@ -166,24 +192,7 @@ class TestFormatSniffing:
 class TestErrors:
     def test_unfrozen_store_rejected(self, small_store, tmp_path):
         with pytest.raises(PersistenceError):
-            save_snapshot(small_store, tmp_path / "nope.snap")
-
-    def test_non_columnar_backend_rejected(self, tmp_path):
-        store = TripleStore("dictstore", backend="dict")
-        store.add(Triple(Resource("A"), Resource("p"), Resource("B")))
-        store.freeze()
-        with pytest.raises(PersistenceError):
-            save_snapshot(store, tmp_path / "nope.snap")
-
-    def test_sharded_store_snapshot_via_convert(self, tmp_path):
-        store = TripleStore("shardstore", backend="sharded")
-        store.add(Triple(Resource("A"), Resource("p"), Resource("B")), count=2)
-        store.freeze()
-        path = tmp_path / "converted.snap"
-        save_snapshot(store.convert("columnar"), path)
-        loaded = load_snapshot(path)
-        assert len(loaded) == 1
-        assert loaded.record(0).count == 2
+            save_snapshot(small_store, tmp_path / "nope.snapd")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(PersistenceError):
@@ -195,60 +204,64 @@ class TestErrors:
         with pytest.raises(PersistenceError):
             load_snapshot(path)
 
-    def test_truncated_file(self, snapshot_path, tmp_path):
-        data = snapshot_path.read_bytes()
-        truncated = tmp_path / "trunc.snap"
-        truncated.write_bytes(data[: len(data) // 2])
-        with pytest.raises(PersistenceError):
-            load_snapshot(truncated)
+    def test_truncated_segment_file(self, snapshot_path):
+        segment = snapshot_path / segment_filename(0)
+        data = segment.read_bytes()
+        segment.write_bytes(data[: len(data) // 2])
+        # Segment files map lazily: the damage surfaces on first touch.
+        with pytest.raises(PersistenceError) as excinfo:
+            load_snapshot(snapshot_path).backend.load_segments()
+        assert str(segment) in str(excinfo.value)
 
     def test_corrupt_header_json(self, snapshot_path):
-        data = bytearray(snapshot_path.read_bytes())
+        manifest = snapshot_path / MANIFEST_NAME
+        data = bytearray(manifest.read_bytes())
         # The header JSON sits at the end; mangle its last byte.
         data[-1] = ord("!")
-        snapshot_path.write_bytes(bytes(data))
+        manifest.write_bytes(bytes(data))
         with pytest.raises(PersistenceError):
             load_snapshot(snapshot_path)
 
-    def _rewrite_header(self, snapshot_path, mutate):
+    def _rewrite_header(self, container_path, mutate):
         import struct
 
-        data = bytearray(snapshot_path.read_bytes())
+        data = bytearray(container_path.read_bytes())
         (header_offset,) = struct.unpack_from("<Q", data, len(MAGIC))
         header = json.loads(bytes(data[header_offset:]).decode("utf-8"))
         mutate(header)
-        snapshot_path.write_bytes(
+        container_path.write_bytes(
             bytes(data[:header_offset])
             + json.dumps(header, ensure_ascii=False).encode("utf-8")
         )
 
     def test_negative_section_offset_rejected(self, snapshot_path):
         self._rewrite_header(
-            snapshot_path,
+            snapshot_path / segment_filename(0),
             lambda header: header["sections"].__setitem__("col:s", [-16, 8]),
         )
         with pytest.raises(PersistenceError):
-            load_snapshot(snapshot_path)
+            load_snapshot(snapshot_path).backend.load_segments()
 
     def test_misaligned_section_length_rejected(self, snapshot_path):
         def shrink(header):
             offset, length = header["sections"]["col:s"]
             header["sections"]["col:s"] = [offset, length - 1]
 
-        self._rewrite_header(snapshot_path, shrink)
+        self._rewrite_header(snapshot_path / segment_filename(0), shrink)
         with pytest.raises(PersistenceError):
-            load_snapshot(snapshot_path)
+            load_snapshot(snapshot_path).backend.load_segments()
 
     def test_foreign_weight_itemsize_rejected(self, snapshot_path):
         self._rewrite_header(
-            snapshot_path, lambda header: header.__setitem__("weight_itemsize", 4)
+            snapshot_path / MANIFEST_NAME,
+            lambda header: header.__setitem__("weight_itemsize", 4),
         )
         with pytest.raises(PersistenceError):
             load_snapshot(snapshot_path)
 
     def test_foreign_byteorder_rejected(self, snapshot_path):
         self._rewrite_header(
-            snapshot_path,
+            snapshot_path / MANIFEST_NAME,
             lambda header: header.__setitem__(
                 "byteorder", "big" if __import__("sys").byteorder == "little" else "little"
             ),
@@ -265,7 +278,7 @@ class TestSnapshotOfSnapshot:
         self, frozen_small_store, snapshot_path, tmp_path
     ):
         loaded = load_snapshot(snapshot_path)
-        second_path = tmp_path / "second.snap"
+        second_path = tmp_path / "second.snapd"
         save_snapshot(loaded, second_path)
         second = load_snapshot(second_path)
         assert _all_posting_bytes(second) == _all_posting_bytes(frozen_small_store)

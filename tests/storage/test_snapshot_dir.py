@@ -1,11 +1,14 @@
-"""Directory snapshots (format v3): per-segment files + manifest.
+"""Directory snapshots: per-segment files + manifest.
 
-The v3 layout's contract extends the single-file one: byte-identical
-postings and answers after a round trip, v2 files migrate losslessly, and —
-because segment files load lazily, possibly in *worker processes* — damage
-to the directory (missing or swapped segment files, corrupt manifest) must
-surface as :class:`StorageError`, never as a KeyError or a wrong answer.
+The layout's contract: byte-identical postings and answers after a round
+trip, and — because segment files load lazily — damage to the directory
+(missing or swapped segment files, corrupt manifest, a bad ``CURRENT``
+pointer) must surface as :class:`StorageError`, never as a KeyError or a
+wrong answer.  Writing is replace-by-rename, so re-saving never reaches
+through hard links into a compacted generation.
 """
+
+import os
 
 import pytest
 
@@ -13,6 +16,7 @@ from repro.core.engine import EngineConfig, TriniT
 from repro.core.terms import Resource
 from repro.core.triples import Triple
 from repro.errors import PersistenceError, StorageError
+from repro.storage.compaction import compact_store
 from repro.storage.index import SIGNATURES
 from repro.storage.persistence import load_store
 from repro.storage.snapshot import (
@@ -73,16 +77,8 @@ class TestDirectoryLayout:
         empty.mkdir()
         assert not is_snapshot(empty)
 
-    def test_columnar_store_falls_back_to_single_file(
-        self, frozen_small_store, tmp_path
-    ):
-        path = tmp_path / "columnar.snap"
-        save_snapshot(frozen_small_store, path, version=3)
-        assert path.is_file()
-        loaded = load_snapshot(path)
-        assert _all_posting_bytes(loaded) == _all_posting_bytes(
-            frozen_small_store
-        )
+    def test_no_temporary_files_left_behind(self, snapshot_dir):
+        assert not [p for p in snapshot_dir.iterdir() if p.suffix == ".tmp"]
 
     def test_target_collides_with_existing_file(self, sharded_store, tmp_path):
         path = tmp_path / "occupied"
@@ -113,7 +109,7 @@ class TestRoundtripFidelity:
     def test_source_dir_remembered(self, snapshot_dir):
         loaded = load_snapshot(snapshot_dir)
         assert loaded.backend.source_dir == str(snapshot_dir)
-        # Single-file and in-memory backends have no re-open address.
+        # In-memory backends have no re-open address.
         assert TripleStore("t").freeze().convert("sharded").backend.source_dir is None
 
     def test_segments_load_lazily_per_file(self, snapshot_dir):
@@ -148,26 +144,56 @@ class TestRoundtripFidelity:
             loaded.backend.postings([True, False, False], (0,))
 
 
-class TestMigration:
-    def test_v2_single_file_to_v3_directory(self, sharded_store, tmp_path):
-        v2_path = tmp_path / "store.v2.snap"
-        save_snapshot(sharded_store, v2_path, version=2)
-        via_v2 = load_snapshot(v2_path)
-        v3_path = tmp_path / "store.v3.snapd"
-        save_snapshot(via_v2, v3_path, version=3)
-        via_v3 = load_snapshot(v3_path)
-        assert v3_path.is_dir()
-        assert _all_posting_bytes(via_v3) == _all_posting_bytes(sharded_store)
-        assert list(via_v3.weights()) == list(sharded_store.weights())
-        for tid in range(len(sharded_store)):
-            assert via_v3.record(tid).triple == sharded_store.record(tid).triple
+class TestResave:
+    """Saving onto an existing directory replaces files, never rewrites them."""
 
-    def test_v2_files_still_load(self, sharded_store, tmp_path):
-        path = tmp_path / "store.v2.snap"
-        save_snapshot(sharded_store, path, version=2)
-        loaded = load_snapshot(path)
-        assert _all_posting_bytes(loaded) == _all_posting_bytes(sharded_store)
-        assert loaded.backend.source_dir is None
+    def _other_store(self) -> TripleStore:
+        other = TripleStore("other")
+        for i in range(12):
+            other.add(Triple(Resource(f"N{i}"), Resource("q"), Resource(f"M{i % 3}")))
+        return other.freeze()
+
+    def test_resave_does_not_write_through_hard_links(
+        self, sharded_store, snapshot_dir, tmp_path
+    ):
+        """``write_generation`` hard-links segment files; a writer opening
+        them with "wb" would truncate every link at once."""
+        segment = snapshot_dir / segment_filename(0)
+        link = tmp_path / "linked-segment"
+        os.link(segment, link)
+        before = link.read_bytes()
+        save_snapshot(self._other_store(), snapshot_dir)
+        assert link.read_bytes() == before
+        assert segment.read_bytes() != before
+        assert len(load_snapshot(snapshot_dir)) == 12
+
+    def test_save_onto_compacted_root_refused_and_root_intact(
+        self, sharded_store, snapshot_dir
+    ):
+        """save → load → ingest → compact → save another store onto the
+        same root: refused (CURRENT would shadow it), generation intact."""
+        live = load_snapshot(snapshot_dir)
+        live.add(Triple(Resource("AlbertEinstein"), Resource("bornIn"), Resource("Bern")))
+        compacted = compact_store(live)
+        assert compacted.backend.generation == 1
+        expected = _all_posting_bytes(compacted)
+        with TriniT(compacted, config=EngineConfig(parallelism=1)) as engine:
+            answers = [
+                (a.binding, a.score) for a in engine.ask("?x bornIn ?y", k=10)
+            ]
+        live.close()
+
+        with pytest.raises(PersistenceError, match="CURRENT"):
+            save_snapshot(self._other_store(), snapshot_dir)
+
+        reopened = load_snapshot(snapshot_dir)
+        reopened.backend.load_segments()  # every linked segment file intact
+        assert reopened.backend.generation == 1
+        assert _all_posting_bytes(reopened) == expected
+        with TriniT(reopened, config=EngineConfig(parallelism=1)) as engine:
+            assert [
+                (a.binding, a.score) for a in engine.ask("?x bornIn ?y", k=10)
+            ] == answers
 
 
 class TestDamage:
@@ -259,3 +285,14 @@ class TestGenerationPointerDamage:
         with pytest.raises(PersistenceError, match="missing generation") as excinfo:
             load_snapshot(snapshot_dir)
         assert str(snapshot_dir / "generation-0007") in str(excinfo.value)
+
+    @pytest.mark.parametrize("pointer", ["generation-0007\n", "not-a-generation\n"])
+    def test_load_store_and_open_name_the_pointer(self, snapshot_dir, pointer):
+        """The manifest is present; the damage is CURRENT — say so, rather
+        than "not a snapshot directory (no manifest.xkgsnap)"."""
+        (snapshot_dir / "CURRENT").write_text(pointer)
+        for load in (load_store, TriniT.open):
+            with pytest.raises(PersistenceError, match="CURRENT") as excinfo:
+                load(snapshot_dir)
+            assert "no manifest" not in str(excinfo.value)
+            assert pointer.strip() in str(excinfo.value)

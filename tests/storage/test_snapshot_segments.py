@@ -1,12 +1,15 @@
-"""Segment-aware snapshots (format v2): round-trip, laziness, migration.
+"""Segment-aware snapshots: round-trip, laziness, legacy-file rejection.
 
-PR 2's snapshot collapsed every store into one monolithic columnar section
-set; format v2 writes one section group per segment so a sharded store
+A snapshot directory holds one container per segment, so a store
 round-trips with its segmentation intact, segments mmap-load lazily (or in
 parallel), and records / the term dictionary materialise on first touch.
-This module covers the parts unique to v2 — general snapshot fidelity lives
-in test_snapshot.py and cross-backend equivalence in test_backends.py.
+The single-file containers of format versions 1 and 2 are rejected by
+version.  General snapshot fidelity lives in test_snapshot.py, conformance
+per segment count in test_backends.py.
 """
+
+import json
+import struct
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,14 +21,20 @@ from repro.errors import PersistenceError
 from repro.storage.index import SIGNATURES
 from repro.storage.persistence import load_store
 from repro.storage.sharded import ShardedBackend
-from repro.storage.snapshot import load_snapshot, save_snapshot
+from repro.storage.snapshot import (
+    FORMAT_NAME,
+    MAGIC,
+    is_snapshot,
+    load_snapshot,
+    save_snapshot,
+)
 from repro.storage.store import TripleStore
 from repro.topk.processor import TopKProcessor
 
 X, Y, P = Variable("x"), Variable("y"), Variable("p")
 
 
-def _build_store(backend="sharded", people: int = 30) -> TripleStore:
+def _build_store(backend=None, people: int = 30) -> TripleStore:
     store = TripleStore("seg-test", backend=backend)
     for i in range(people):
         person = Resource(f"Person{i}")
@@ -60,7 +69,7 @@ def sharded_store() -> TripleStore:
 
 @pytest.fixture()
 def sharded_snapshot(sharded_store, tmp_path):
-    path = tmp_path / "sharded.snap"
+    path = tmp_path / "sharded.snapd"
     save_snapshot(sharded_store, path)
     return path
 
@@ -78,7 +87,7 @@ class TestShardedRoundtrip:
 
     def test_custom_segment_count_survives(self, tmp_path):
         store = _build_store(backend=ShardedBackend(7))
-        path = tmp_path / "seven.snap"
+        path = tmp_path / "seven.snapd"
         save_snapshot(store, path)
         loaded = load_snapshot(path)
         assert loaded.backend.num_segments == 7
@@ -106,7 +115,7 @@ class TestShardedRoundtrip:
 
     def test_resave_is_faithful(self, sharded_snapshot, tmp_path):
         loaded = load_snapshot(sharded_snapshot)
-        again = tmp_path / "again.snap"
+        again = tmp_path / "again.snapd"
         save_snapshot(loaded, again)
         reloaded = load_snapshot(again)
         assert reloaded.backend.segment_sizes() == loaded.backend.segment_sizes()
@@ -149,47 +158,45 @@ class TestLazyMaterialization:
         assert record is loaded.record(3)  # cached, not re-decoded
         assert loaded._triples.materialized == 1
 
-    def test_columnar_v2_snapshot_is_lazy_too(self, tmp_path):
-        store = _build_store(backend="columnar")
-        path = tmp_path / "columnar.snap"
-        save_snapshot(store, path)
-        loaded = load_snapshot(path)
-        assert not loaded.dictionary.is_materialized
-        assert loaded._triples.materialized == 0
+
+def _legacy_file(path, version: int, **extra):
+    """A single-file container as the deleted v1/v2 writer laid it out:
+    magic, header offset, (no sections needed), trailing header JSON."""
+    header = {"format": FORMAT_NAME, "version": version, "name": "old", **extra}
+    offset = len(MAGIC) + 8
+    path.write_bytes(
+        MAGIC + struct.pack("<Q", offset) + json.dumps(header).encode("utf-8")
+    )
+    return path
 
 
-class TestLegacyFormat:
-    def test_version_1_still_loads(self, tmp_path):
-        store = _build_store(backend="columnar")
-        path = tmp_path / "legacy.snap"
-        save_snapshot(store, path, version=1)
-        loaded = load_store(path)  # magic-sniffed
-        assert len(loaded) == len(store)
-        assert _all_posting_bytes(loaded) == _all_posting_bytes(store)
+class TestLegacyFormatRejected:
+    """v1/v2 single files are recognised and refused, never half-read."""
 
-    def test_version_1_cannot_carry_sharded(self, sharded_store, tmp_path):
-        with pytest.raises(PersistenceError):
-            save_snapshot(sharded_store, tmp_path / "nope.snap", version=1)
+    @pytest.mark.parametrize(
+        ("version", "extra"),
+        [(1, {}), (2, {"backend": "columnar"}), (2, {"backend": "sharded"})],
+    )
+    def test_single_file_rejected_naming_its_version(
+        self, tmp_path, version, extra
+    ):
+        path = _legacy_file(tmp_path / "legacy.snap", version, **extra)
+        assert is_snapshot(path)  # still sniffed as a snapshot, not JSONL
+        for load in (load_snapshot, load_store):
+            with pytest.raises(PersistenceError) as excinfo:
+                load(path)
+            message = str(excinfo.value)
+            assert f"version {version}" in message
+            assert "re-save from JSONL" in message
+            assert str(path) in message
 
-    def test_unknown_version_rejected(self, sharded_store, tmp_path):
-        with pytest.raises(PersistenceError):
-            save_snapshot(sharded_store, tmp_path / "nope.snap", version=99)
+    def test_engine_open_surfaces_the_same_error(self, tmp_path):
+        from repro.core.engine import TriniT
 
-    def test_legacy_to_segmented_migration(self, tmp_path):
-        """v1 file → load → convert to sharded → v2 file → identical store."""
-        origin = _build_store(backend="columnar")
-        old_path, new_path = tmp_path / "old.snap", tmp_path / "new.snap"
-        save_snapshot(origin, old_path, version=1)
+        path = _legacy_file(tmp_path / "legacy.snap", 2, backend="sharded")
+        with pytest.raises(PersistenceError, match="re-save from JSONL"):
+            TriniT.open(path)
 
-        migrated = load_snapshot(old_path).convert("sharded")
-        save_snapshot(migrated, new_path)
-
-        loaded = load_snapshot(new_path)
-        assert isinstance(loaded.backend, ShardedBackend)
-        assert len(loaded) == len(origin)
-        assert list(loaded.weights()) == list(origin.weights())
-        # Same global (weight desc, id asc) posting order either way.
-        scan = TriplePattern(X, P, Y)
-        assert list(loaded.sorted_ids(scan)) == list(origin.sorted_ids(scan))
-        for tid in range(len(origin)):
-            assert loaded.record(tid).triple == origin.record(tid).triple
+    def test_save_snapshot_has_no_version_parameter(self, sharded_store, tmp_path):
+        with pytest.raises(TypeError):
+            save_snapshot(sharded_store, tmp_path / "nope.snapd", version=2)

@@ -14,20 +14,18 @@ from repro.core.engine import EngineConfig, TriniT
 from repro.core.terms import Resource
 from repro.core.triples import Triple
 from repro.errors import StorageError
+from repro.storage.sharded import DEFAULT_SEGMENTS, ShardedBackend
+from repro.storage.store import TripleStore
 from repro.topk.kernels import HotBlockCache
 
 
-def _engine(rows, **config):
+def _engine(rows, segments=DEFAULT_SEGMENTS, **config):
     config.setdefault("parallelism", 1)
     config.setdefault("executor_kind", "serial")
-    return TriniT.from_triples(
-        [],
-        [
-            (Triple(Resource(s), Resource(p), Resource(o)), None, conf)
-            for s, p, o, conf in rows
-        ],
-        config=EngineConfig(**config),
-    )
+    store = TripleStore(backend=ShardedBackend(segments))
+    for s, p, o, conf in rows:
+        store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
+    return TriniT(store, config=EngineConfig(**config))
 
 
 def signature(answers):
@@ -42,7 +40,7 @@ ROWS = [
 
 
 def test_empty_posting_list_scores_no_blocks():
-    engine = _engine(ROWS, storage_backend="columnar")
+    engine = _engine(ROWS)
     try:
         stream = engine.stream("?x hasNoSuchPredicate ?y")
         assert list(stream.next_k(5)) == []
@@ -51,17 +49,14 @@ def test_empty_posting_list_scores_no_blocks():
         engine.close()
 
 
-@pytest.mark.parametrize("backend", ["dict", "columnar", "sharded"])
-def test_tie_straddling_block_boundary_at_threshold(backend):
+def test_tie_straddling_block_boundary_at_threshold(segments):
     # Every statement carries the same confidence, so the whole posting
     # list is one score tie; with block_size=2 the k-threshold falls inside
     # a tie run that straddles block boundaries.  The block path must cut
     # the identical top-k the per-item reference does.
     rows = [(f"A{i}", "knows", f"B{i}", 0.5) for i in range(9)]
-    reference = _engine(
-        rows, storage_backend=backend, merge_batch=1, block_size=1
-    )
-    blocked = _engine(rows, storage_backend=backend, block_size=2)
+    reference = _engine(rows, segments, merge_batch=1, block_size=1)
+    blocked = _engine(rows, segments, block_size=2)
     try:
         for k in (1, 3, 4, 8, 9):
             assert signature(blocked.ask("?x knows ?y", k=k)) == signature(
@@ -73,7 +68,7 @@ def test_tie_straddling_block_boundary_at_threshold(backend):
 
 
 def test_delta_blocks_thread_side_and_never_cached():
-    engine = _engine(ROWS, storage_backend="sharded")
+    engine = _engine(ROWS)
     try:
         engine.ingest(
             [Triple(Resource("Fresh"), Resource("bornIn"), Resource("E1"))],
@@ -95,7 +90,7 @@ def test_delta_blocks_thread_side_and_never_cached():
 
 
 def test_repeat_query_hits_block_cache():
-    engine = _engine(ROWS, storage_backend="sharded")
+    engine = _engine(ROWS)
     try:
         first = engine.stream("?x bornIn ?y")
         reference = signature(first.next_k(30))
@@ -111,7 +106,7 @@ def test_repeat_query_hits_block_cache():
 
 
 def test_blocks_decoded_counter_observable():
-    engine = _engine(ROWS, storage_backend="columnar")
+    engine = _engine(ROWS)
     try:
         stream = engine.stream("?x bornIn ?y")
         stream.next_k(10)
@@ -121,7 +116,7 @@ def test_blocks_decoded_counter_observable():
 
 
 def test_per_item_path_decodes_no_blocks():
-    engine = _engine(ROWS, storage_backend="columnar", block_size=1)
+    engine = _engine(ROWS, block_size=1)
     try:
         stream = engine.stream("?x bornIn ?y")
         assert len(list(stream.next_k(10))) == 10
@@ -132,23 +127,21 @@ def test_per_item_path_decodes_no_blocks():
 
 
 def test_posting_block_after_close_raises_storage_error():
-    engine = _engine(ROWS, storage_backend="sharded")
+    engine = _engine(ROWS)
     backend = engine.store.backend
+    segment = backend._segment(0)
     engine.close()
     with pytest.raises(StorageError):
         backend.posting_block(0, (False, False, False), (), 0, 4)
-    segment_engine = _engine(ROWS, storage_backend="columnar")
-    columnar = segment_engine.store.backend
-    segment_engine.close()
     with pytest.raises(StorageError):
-        columnar.posting_block((False, False, False), (), 0, 4)
+        segment.posting_block((False, False, False), (), 0, 4)
 
 
 def test_cached_blocks_survive_backend_close():
     # Cached blocks are self-owned arrays, not views over the backend's
     # buffers: a consumer holding the cache may read them after the
     # producing backend is gone.
-    engine = _engine(ROWS, storage_backend="sharded")
+    engine = _engine(ROWS)
     cache: HotBlockCache = engine._block_cache
     engine.ask("?x bornIn ?y", k=30)
     entries = list(cache._entries.items())
@@ -160,7 +153,7 @@ def test_cached_blocks_survive_backend_close():
 
 
 def test_swap_quiet_point_clears_cache():
-    engine = _engine(ROWS, storage_backend="sharded")
+    engine = _engine(ROWS)
     try:
         engine.ask("?x bornIn ?y", k=30)
         assert len(engine._block_cache) > 0
@@ -174,7 +167,7 @@ def test_swap_quiet_point_clears_cache():
 
 
 def test_block_size_validation():
-    engine = _engine(ROWS[:5], storage_backend="columnar")
+    engine = _engine(ROWS[:5])
     try:
         with pytest.raises(StorageError):
             engine.store.configure_blocks(0)

@@ -4,7 +4,7 @@ The driver's contract is *split invariance*: however a top-k computation is
 chopped into ``advance`` calls, the settled prefix is byte-identical —
 bindings, scores, order, derivations — to the eager ``query()`` answer list
 (which is itself the driver drained in one go).  The property test hammers
-this across random worlds, rules, backends, execution cores and split
+this across random worlds, rules, segment counts, execution cores and split
 patterns, including the score-tie-at-the-boundary cases that make naive
 pagination diverge.
 """
@@ -17,6 +17,7 @@ from repro.core.terms import Resource, TextToken
 from repro.core.triples import Provenance, Triple
 from repro.errors import TopKError
 from repro.relax.rules import RuleSet
+from repro.storage.sharded import ShardedBackend
 from repro.storage.store import TripleStore
 from repro.topk.processor import ProcessorConfig, TopKProcessor
 
@@ -98,8 +99,8 @@ class TestTiedBoundaries:
     """Score ties straddling a batch boundary must not reorder the prefix."""
 
     @staticmethod
-    def _tied_store(backend):
-        store = TripleStore(backend=backend)
+    def _tied_store(segments):
+        store = TripleStore(backend=ShardedBackend(segments))
         p = Resource("p")
         # Ten subjects with identical weights -> ten answers at one score.
         for i in range(10):
@@ -109,10 +110,9 @@ class TestTiedBoundaries:
             store.add(Triple(Resource(name), p, Resource("T")), count=3)
         return store.freeze()
 
-    @pytest.mark.parametrize("backend", ["columnar", "dict", "sharded"])
     @pytest.mark.parametrize("execution", ["idspace", "termspace"])
-    def test_splits_through_tie_runs(self, backend, execution):
-        store = self._tied_store(backend)
+    def test_splits_through_tie_runs(self, segments, execution):
+        store = self._tied_store(segments)
         processor = TopKProcessor(
             store, config=ProcessorConfig(execution=execution)
         )
@@ -157,8 +157,8 @@ queries = st.sampled_from(
 splits = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4)
 
 
-def build(entries, rule_specs, backend):
-    store = TripleStore(backend=backend)
+def build(entries, rule_specs, segments):
+    store = TripleStore(backend=ShardedBackend(segments))
     provenance = Provenance("openie", "doc-prop", "", "reverb")
     for triple, confidence, count in entries:
         store.add(triple, provenance, confidence=confidence, count=count)
@@ -174,17 +174,16 @@ def build(entries, rule_specs, backend):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.lists(observations, min_size=1, max_size=30),
-    rule_texts,
-    queries,
-    splits,
-    st.sampled_from(["columnar", "dict", "sharded"]),
-    st.sampled_from(["idspace", "termspace"]),
+    entries=st.lists(observations, min_size=1, max_size=30),
+    rule_specs=rule_texts,
+    query_text=queries,
+    batch_sizes=splits,
+    execution=st.sampled_from(["idspace", "termspace"]),
 )
 def test_stream_batches_equal_eager_topk(
-    entries, rule_specs, query_text, batch_sizes, backend, execution
+    segments, entries, rule_specs, query_text, batch_sizes, execution
 ):
-    store, rules = build(entries, rule_specs, backend)
+    store, rules = build(entries, rule_specs, segments)
     processor = TopKProcessor(
         store, rules=rules, config=ProcessorConfig(execution=execution)
     )

@@ -6,7 +6,7 @@ projection bindings, same scores, same derivation provenance (triples, rules,
 token expansions), same ``num_derivations`` — across
 
 * execution cores:   idspace vs termspace,
-* storage backends:  columnar vs dict,
+* segment counts:    1 vs the default (the ``segments`` axis of conftest),
 * termination:       adaptive vs ``exhaustive=True``.
 
 Plus unit coverage of the id-space building blocks (slot tables, pattern
@@ -15,12 +15,13 @@ plans, posting cursors).
 
 import pytest
 
-from repro.core.engine import EngineConfig, TriniT
+from repro.core.engine import TriniT
 from repro.core.parser import parse_query
 from repro.core.terms import Resource, TextToken, Variable
 from repro.core.triples import Triple, TriplePattern
-from repro.kg.paper_example import paper_engine
+from repro.kg.paper_example import paper_rules, paper_store
 from repro.scoring.language_model import PatternScorer
+from repro.storage.sharded import ShardedBackend
 from repro.storage.store import TripleStore
 from repro.topk.idspace import (
     UNBOUND,
@@ -52,7 +53,7 @@ def fingerprint(answers):
 
 
 def assert_equivalent(engine, queries, ks=(1, 3, 10)):
-    """Drive all four (execution × exhaustive) variants over both backends."""
+    """Drive all four (execution × exhaustive) variants over one engine."""
     termspace = engine.variant(execution="termspace")
     for query in queries:
         for k in ks:
@@ -189,11 +190,11 @@ PAPER_QUERIES = [
 
 
 class TestPaperKgEquivalence:
-    def test_paper_queries_identical_across_everything(self):
-        for backend in ("columnar", "dict", "sharded"):
-            engine = paper_engine(storage_backend=backend)
-            assert engine.store.backend_name == backend
-            assert_equivalent(engine, [parse_query(q) for q in PAPER_QUERIES])
+    def test_paper_queries_identical_across_everything(self, segments):
+        store = paper_store().convert(ShardedBackend(segments))
+        engine = TriniT(store, rules=paper_rules())
+        assert engine.store.backend.num_segments == segments
+        assert_equivalent(engine, [parse_query(q) for q in PAPER_QUERIES])
 
 
 class TestGeneratedWorldEquivalence:
@@ -213,19 +214,10 @@ class TestGeneratedWorldEquivalence:
         ]
         assert_equivalent(tiny_harness.engine, queries, ks=(1, 10))
 
-    def test_dict_backend_engine_identical(self, tiny_harness):
-        config = EngineConfig(storage_backend="dict")
-        engine = TriniT(tiny_harness.xkg_store, config=config)
-        assert engine.store.backend_name == "dict"
-        queries = [bq.parse() for bq in tiny_harness.benchmark.queries[:6]]
-        assert_equivalent(engine, queries, ks=(3,))
-
-    def test_sharded_backend_engine_identical(self, tiny_harness):
-        """The partitioned store runs the unchanged execution core."""
-        config = EngineConfig(storage_backend="sharded")
-        engine = TriniT(tiny_harness.xkg_store, config=config)
-        assert engine.store.backend_name == "sharded"
-        assert engine.store.backend.num_segments >= 4
+    def test_resegmented_engine_identical(self, tiny_harness, segments):
+        """However the store is partitioned, the execution core is unchanged."""
+        engine = TriniT(tiny_harness.xkg_store.convert(ShardedBackend(segments)))
+        assert engine.store.backend.num_segments == segments
         queries = [bq.parse() for bq in tiny_harness.benchmark.queries[:6]]
         assert_equivalent(engine, queries, ks=(3,))
 
@@ -233,7 +225,7 @@ class TestGeneratedWorldEquivalence:
         """A mmap-loaded snapshot is observationally the original store."""
         from repro.storage.snapshot import load_snapshot, save_snapshot
 
-        path = tmp_path / "tiny.snap"
+        path = tmp_path / "tiny.snapd"
         save_snapshot(tiny_harness.xkg_store, path)
         engine = TriniT(load_snapshot(path))
         queries = [bq.parse() for bq in tiny_harness.benchmark.queries[:6]]

@@ -150,7 +150,3 @@ def test_cache_clear_drops_entries_keeps_counters():
 def test_cache_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
         HotBlockCache(capacity=0)
-
-
-def test_default_score_block_is_sane():
-    assert kernels.DEFAULT_SCORE_BLOCK >= 1
