@@ -209,7 +209,7 @@ def all_rules() -> dict[str, Rule]:
 
 
 def attr_chain(node: ast.AST) -> str | None:
-    """Dotted chain of a Name/Attribute expression (``self._epoch.cond``)."""
+    """Dotted chain of a Name/Attribute expression (``self._state.write_lock``)."""
     parts: list[str] = []
     current = node
     while isinstance(current, ast.Attribute):

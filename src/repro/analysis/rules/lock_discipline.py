@@ -9,11 +9,12 @@ recognised guards, or it is a potential race.
 Recognised guards (the ``with`` item's context expression):
 
 - a ``self`` attribute chain whose final name ends in ``lock`` or
-  ``cond`` (``self._lock``, ``self._ingest_lock``, ``self._epoch.cond``),
-- a local alias of such a chain (``epoch = self._epoch`` then
-  ``with epoch.cond:``),
+  ``cond`` (``self._lock``, ``self._build_lock``,
+  ``self._state.write_lock``),
+- a local alias of such a chain (``state = self._state`` then
+  ``with state.write_lock:``),
 - a call on a ``self`` method whose name contains ``guard`` or ``lock``
-  (``with self._query_guard():``) — contextmanager-wrapped locks.
+  (``with self._locked():``) — contextmanager-wrapped locks.
 
 ``async with`` counts the same way.  Constructor-phase methods
 (``__init__``, ``__new__``, ``__del__``, names starting ``_init``) and

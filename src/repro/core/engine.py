@@ -137,20 +137,184 @@ class EngineConfig:
     suggestion_min_overlap: float = 0.25
 
 
-class _EpochState:
-    """Swap synchronisation shared by an engine and its :meth:`variant`\\ s.
+class _View:
+    """Everything a query reads, derived from one (statements, rules) state.
 
-    ``active`` counts queries currently dispatching against the engine's
-    *current* store epoch; a compaction swap waits on the condition until
-    it drains before retiring the old store.  The condition's RLock also
-    serialises pin bookkeeping for streams that outlive a swap.
+    Built here and nowhere else, and never modified once published: an
+    ingest, a compaction or an added rule builds the next view instead, so
+    nothing derived from an older vocabulary, statement set or rule set
+    serves a query that starts after the change.  Statistics and matcher
+    build on first touch, so a view costs less than the first read of it.
+    ``version`` counts publishes, ``rules_version`` the rule-changing ones.
     """
 
-    __slots__ = ("cond", "active")
+    def __init__(
+        self,
+        shared: "_EngineState",
+        store: TripleStore,
+        rules: RuleSet,
+        previous: "_View | None" = None,
+    ):
+        config = shared.config
+        if previous is None or store is not previous.store:
+            store.backend.configure_prefetch(config.merge_batch)
+            store.configure_blocks(config.block_size)
+            store.backend.configure_block_cache(shared.block_cache)
+        self.store = store
+        self.rules = rules
+        self.statistics = StoreStatistics(store)
+        self.matcher = TokenMatcher(store)
+        self.scorer = PatternScorer(store, config.scoring)
+        self.suggester = QuerySuggester(
+            self.statistics,
+            self.matcher,
+            min_overlap=config.suggestion_min_overlap,
+        )
+        self.generation = store.backend.generation
+        self.version = self.rules_version = 0
+        if previous is not None:
+            self.version = previous.version + 1
+            self.rules_version = previous.rules_version + (
+                rules is not previous.rules
+            )
+            if store is previous.store:
+                self.generation = previous.generation
+            else:
+                self.generation = max(self.generation, previous.generation + 1)
+        self._processors: dict[ProcessorConfig, TopKProcessor] = {}
 
-    def __init__(self):
-        self.cond = threading.Condition(threading.RLock())
-        self.active = 0
+    def processor(self, config: ProcessorConfig) -> TopKProcessor:
+        """The processor under ``config``: an engine and its variants each
+        get theirs, and none outlives the view it was derived from."""
+        processor = self._processors.get(config)
+        if processor is None:
+            processor = self._processors.setdefault(
+                config,
+                TopKProcessor(
+                    self.store,
+                    rules=self.rules,
+                    scorer=self.scorer,
+                    matcher=self.matcher,
+                    config=config,
+                ),
+            )
+        return processor
+
+
+class _EngineState:
+    """What an engine and all its :meth:`TriniT.variant`\\ s share.
+
+    ``view`` is the current :class:`_View`, replaced by one reference
+    assignment in :meth:`publish`: readers never wait for a writer, nor
+    writers for readers.  ``_readers`` counts, per store, the in-flight
+    queries and open streams on it; a store that a publish superseded is
+    closed by whoever lets go of it last.  ``write_lock`` serialises
+    ingest, compaction and rule changes and guards ``compact_scheduled``.
+    """
+
+    def __init__(self, config: EngineConfig, store: TripleStore, rules: RuleSet):
+        kind = config.executor_kind
+        if kind not in ("thread", "serial"):
+            raise TrinitError(
+                f"Unknown executor_kind {kind!r} — expected 'thread' or "
+                "'serial'"
+            )
+        self.config = config
+        # The one engine-owned pool: ask_many fan-out and background
+        # compaction only.  Threads spawn on first use, so unqueried
+        # engines never start one; close() shuts it down.
+        workers = config.parallelism
+        if workers is None:
+            workers = os.cpu_count() or 4
+        if kind == "serial" or workers <= 1:
+            workers = 0
+        self.executor = (
+            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="trinit")
+            if workers
+            else None
+        )
+        # One bounded hot-block cache shared across queries and generations
+        # (keys carry the backend's identity and generation).
+        self.block_cache = HotBlockCache()
+        self.write_lock = threading.RLock()
+        self.compact_scheduled = False
+        self.listeners: list = []
+        self.closed = False
+        self._lock = threading.Lock()
+        self._readers: dict[TripleStore, int] = {}
+        self.view = _View(self, store, rules)
+
+    @contextmanager
+    def reading(self):
+        """The current view, its store kept open for the ``with`` block."""
+        view = self.acquire()
+        try:
+            yield view
+        finally:
+            self.release(view.store)
+
+    def acquire(self) -> _View:
+        """The current view; its store stays open until :meth:`release`."""
+        with self._lock:
+            view = self.view
+            self._readers[view.store] = self._readers.get(view.store, 0) + 1
+            return view
+
+    def release(self, store: TripleStore) -> None:
+        """Undo one :meth:`acquire`; a superseded store's last reader closes it."""
+        with self._lock:
+            self._readers[store] -= 1
+            if self._readers[store]:
+                return
+            del self._readers[store]
+            if store is self.view.store or self.closed:
+                return
+        store.close()
+
+    def publish(self, engine: "TriniT", store: TripleStore, rules: RuleSet) -> _View:
+        """Make the view over (``store``, ``rules``) current (caller holds
+        ``write_lock``).  Listeners fire, with the publishing facade, when
+        the generation or the rule set changed — what ``snapshot_identity``
+        does not get from the store's delta version."""
+        previous = self.view
+        view = _View(self, store, rules, previous)
+        with self._lock:
+            self.view = view
+            unread = (
+                view.store is not previous.store
+                and previous.store not in self._readers
+            )
+        if unread:
+            previous.store.close()
+        swapped = view.generation != previous.generation
+        if swapped:
+            # Only the superseded generation's remaining readers could
+            # ask for its cached blocks again; reclaim them now.
+            self.block_cache.clear()
+        if swapped or view.rules_version != previous.rules_version:
+            for callback in list(self.listeners):
+                callback(engine)
+        return view
+
+    def close(self) -> None:
+        with self._lock:
+            if self.closed:
+                return
+            self.closed = True
+        # Drain the pool first: a background compaction still running
+        # publishes before the stores are collected below.
+        if self.executor is not None:
+            self.executor.shutdown(wait=True, cancel_futures=True)
+        with self._lock:
+            stores = {self.view.store, *self._readers}
+        for store in stores:
+            store.close()
+        self.block_cache.clear()
+
+
+def _of_view(name: str) -> property:
+    """A read-only :class:`TriniT` attribute: the current view's ``name``."""
+    return property(lambda self: getattr(self._state.view, name))
 
 
 class TriniT:
@@ -181,62 +345,36 @@ class TriniT:
         self.config = config if config is not None else EngineConfig()
         if not store.is_frozen:
             store.freeze()
-        self.store = store
-        kind = self.config.executor_kind
-        if kind not in ("thread", "serial"):
-            raise TrinitError(
-                f"Unknown executor_kind {kind!r} — expected 'thread' or "
-                "'serial'"
-            )
-        # The one engine-owned pool: ask_many fan-out and background
-        # compaction only.  Threads spawn on first use, so unqueried
-        # engines never start one; close() shuts it down.
-        workers = self.config.parallelism
-        if workers is None:
-            workers = os.cpu_count() or 4
-        if kind == "serial" or workers <= 1:
-            workers = 0
-        self._executor = (
-            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="trinit")
-            if workers
-            else None
-        )
-        self.executor_kind = "thread" if workers else "serial"
-        # One bounded hot-block cache per engine, shared across queries and
-        # snapshot generations (keys carry the snapshot identity, so stale
-        # generations simply stop being hit; swaps clear it outright).
-        self._block_cache = HotBlockCache()
-        self._configure_storage(store)
-        self.statistics = StoreStatistics(store)
-        self.matcher = TokenMatcher(store)
-        self.scorer = PatternScorer(store, self.config.scoring)
-        self.rules = RuleSet(rules)
         self.registry = registry if registry is not None else OperatorRegistry()
         self._register_default_operators()
-        context = OperatorContext(self.store, self.statistics)
-        self.registry.run(context, into=self.rules)
-        self.processor = TopKProcessor(
-            store,
-            rules=self.rules,
-            scorer=self.scorer,
-            matcher=self.matcher,
-            config=self.config.processor,
+        self._state = _EngineState(self.config, store, RuleSet(rules))
+        # Mining fills the first view's rule set before anything reads it;
+        # every later rule change publishes a new view (add_rules).
+        view = self._state.view
+        self.registry.run(
+            OperatorContext(view.store, view.statistics), into=view.rules
         )
-        self.suggester = QuerySuggester(
-            self.statistics,
-            self.matcher,
-            min_overlap=self.config.suggestion_min_overlap,
-        )
-        # Live-ingestion state: ingest/compact serialisation, the query
-        # epoch (swap barrier), refcounted pins of retired stores that
-        # open streams still read from, and the visible generation number.
-        self._ingest_lock = threading.RLock()
-        self._epoch = _EpochState()
-        self._pins: dict[int, list] = {}
-        self._compact_scheduled = False
-        self._swap_listeners: list = []
-        self.generation = store.backend.generation
-        self._closed = False
+
+    store = _of_view("store")
+    statistics = _of_view("statistics")
+    matcher = _of_view("matcher")
+    scorer = _of_view("scorer")
+    suggester = _of_view("suggester")
+    rules = _of_view("rules")
+    generation = _of_view("generation")
+    closed = property(lambda self: self._state.closed)
+    _executor = property(lambda self: self._state.executor)
+    _block_cache = property(lambda self: self._state.block_cache)
+
+    @property
+    def processor(self) -> TopKProcessor:
+        """The current view's processor under this facade's knobs."""
+        return self._state.view.processor(self.config.processor)
+
+    @property
+    def executor_kind(self) -> str:
+        """The effective kind: ``"thread"`` exactly when the pool exists."""
+        return "thread" if self._state.executor is not None else "serial"
 
     # -- construction helpers -----------------------------------------------------
 
@@ -284,12 +422,6 @@ class TriniT:
                 confidence=confidence,
             )
         return cls(store.freeze(), **kwargs)
-
-    def _configure_storage(self, store: TripleStore) -> None:
-        """Hand the engine's batching knobs and block cache to ``store``."""
-        store.backend.configure_prefetch(self.config.merge_batch)
-        store.configure_blocks(self.config.block_size)
-        store.backend.configure_block_cache(self._block_cache)
 
     def _register_default_operators(self) -> None:
         cfg = self.config
@@ -352,24 +484,24 @@ class TriniT:
         segment** — the posting merge treats it as one more segment head,
         so they are immediately visible to ``ask``/``stream`` (and show up
         in :attr:`~repro.core.results.QueryStats.delta_hits`).  Duplicate
-        statements accumulate evidence on their existing records.  Derived
-        structures (statistics, the token matcher, the scorer's collection
-        mass) refresh so relaxation and suggestion see the grown store.
+        statements accumulate evidence on their existing records.  The
+        batch ends by publishing a new read view, so statistics, token
+        matcher, collection mass and rule index follow the grown store.
 
         Once the delta outgrows ``EngineConfig.compaction_threshold`` the
         engine folds it into frozen storage (see :meth:`compact`) — in the
         background when it has an executor, inline otherwise.  Returns the
         triple ids, in input order.
         """
-        if self._closed:
-            raise TrinitError("Engine is closed")
-        with self._ingest_lock:
-            ids = self.store.add_all(
+        state = self._state
+        with state.write_lock:
+            if state.closed:
+                raise TrinitError("Engine is closed")
+            view = state.view
+            ids = view.store.add_all(
                 triples, provenance, confidence=confidence, count=count
             )
-            self.statistics.invalidate()
-            self.matcher.invalidate()
-            self.scorer.refresh()
+            state.publish(self, view.store, view.rules)
             self._maybe_compact()
         return ids
 
@@ -379,169 +511,60 @@ class TriniT:
         Directory-backed stores get a new snapshot **generation** (old
         segment files hardlinked, the delta frozen as one new segment, the
         root's ``CURRENT`` pointer swapped atomically); in-memory stores
-        rebuild onto a fresh backend with the same segment count.  The engine then
-        swaps onto the compacted store once in-flight queries drain; open
-        :class:`~repro.core.results.AnswerStream`\\ s keep the store they
-        started on (it closes when the last of them is collected), so
-        their remaining ``next_k`` calls stay byte-identical.  Returns the
-        engine's generation number (unchanged when there was no delta).
+        rebuild onto a fresh backend with the same segment count.  The
+        compacted store is published as a new read view without waiting
+        for anyone: queries in flight and open
+        :class:`~repro.core.results.AnswerStream`\\ s finish on the store
+        they started on (remaining ``next_k`` calls stay byte-identical),
+        which closes when the last of them lets go.  Returns the engine's
+        generation number (unchanged when there was no delta).
         """
-        if self._closed:
-            raise TrinitError("Engine is closed")
-        with self._ingest_lock:
+        with self._state.write_lock:
+            if self._state.closed:
+                raise TrinitError("Engine is closed")
             return self._compact_locked()
 
     def _compact_locked(self) -> int:
-        store = self.store
-        if not store.has_delta:
-            return self.generation
-        self._adopt_store(compact_store(store))
-        return self.generation
+        view = self._state.view
+        if view.store.has_delta:
+            view = self._state.publish(
+                self, compact_store(view.store), view.rules
+            )
+        return view.generation
 
-    def _maybe_compact(self) -> None:
+    def _maybe_compact(self, inline: bool = False) -> None:
+        state = self._state
         threshold = self.config.compaction_threshold
-        if threshold is None or self.store.delta_size < threshold:
+        if threshold is None or state.view.store.delta_size < threshold:
             return
-        if self._executor is None:
+        if inline or state.executor is None:
             self._compact_locked()
-            return
-        with self._epoch.cond:
-            if self._compact_scheduled:
-                return
-            self._compact_scheduled = True
-        self._executor.submit(self._background_compact)
+        elif not state.compact_scheduled:
+            state.compact_scheduled = True
+            state.executor.submit(self._background_compact)
 
     def _background_compact(self) -> None:
-        try:
-            with self._ingest_lock:
-                if self._closed:
-                    return
-                threshold = self.config.compaction_threshold
-                if (
-                    threshold is not None
-                    and self.store.delta_size >= threshold
-                ):
-                    self._compact_locked()
-        finally:
-            with self._epoch.cond:
-                self._compact_scheduled = False
+        state = self._state
+        with state.write_lock:
+            # Cleared first: an ingest that finds the delta over the
+            # threshold again after this run schedules the next one.
+            state.compact_scheduled = False
+            if not state.closed:
+                self._maybe_compact(inline=True)
 
     def on_store_swap(self, callback) -> None:
-        """Register ``callback(engine)`` to run after each store adoption.
+        """Register ``callback(engine)`` to run after every compaction and
+        every :meth:`add_rules` that added a rule.
 
-        The quiet-point hook for everything that caches against a specific
-        store epoch (the query service's result cache, most prominently):
-        the callback fires right after :meth:`_adopt_store` finished
-        swapping — the new store, generation number and
-        :meth:`snapshot_identity` are already visible, the epoch barrier
-        has been released — so subscribers invalidate exactly once per
-        swap, never against a half-adopted engine.  Callbacks run on the
-        compacting thread outside the swap barrier (they may query the
-        engine); exceptions propagate to the compaction caller.  Listeners
-        are shared with :meth:`variant` clones.
+        The hook for whatever caches against one engine state (the query
+        service's result cache): it fires once the new view is current —
+        store, generation and :meth:`snapshot_identity` already name it —
+        on the publishing thread (callbacks may query the engine;
+        exceptions propagate to the publisher).  Plain ingests move the
+        token's delta version instead and do not fire it.  Listeners are
+        shared with :meth:`variant`\\ s.
         """
-        self._swap_listeners.append(callback)
-
-    def _adopt_store(self, store: TripleStore) -> None:
-        """Swap the engine onto ``store`` once in-flight queries drain.
-
-        The replacement read surfaces (statistics, matcher, scorer,
-        processor, suggester) are built *before* the swap barrier, so the
-        window with queries blocked covers only attribute assignment.
-        Mined rules carry over — compaction changes the statements'
-        storage, not the statements.
-        """
-        statistics = StoreStatistics(store)
-        matcher = TokenMatcher(store)
-        scorer = PatternScorer(store, self.config.scoring)
-        processor = TopKProcessor(
-            store,
-            rules=self.rules,
-            scorer=scorer,
-            matcher=matcher,
-            config=self.config.processor,
-        )
-        suggester = QuerySuggester(
-            statistics,
-            matcher,
-            min_overlap=self.config.suggestion_min_overlap,
-        )
-        self._configure_storage(store)
-        epoch = self._epoch
-        with epoch.cond:
-            while epoch.active:
-                epoch.cond.wait()
-            old = self.store
-            self.store = store
-            self.statistics = statistics
-            self.matcher = matcher
-            self.scorer = scorer
-            self.processor = processor
-            self.suggester = suggester
-            backend_generation = store.backend.generation
-            self.generation = (
-                backend_generation
-                if backend_generation > self.generation
-                else self.generation + 1
-            )
-            self._retire(old)
-        # Quiet point: in-flight queries drained at the barrier above, so
-        # no cursor is mid-consume against a cached block of the retired
-        # store — drop every cached block in one sweep.
-        self._block_cache.clear()
-        for callback in list(self._swap_listeners):
-            callback(self)
-
-    def _retire(self, old: TripleStore) -> None:
-        # Close the outgoing store now, or — when open streams still pin
-        # it — when the last pin is collected.  Callers already hold the
-        # epoch lock; it is an RLock, so re-taking it here costs nothing
-        # and keeps the pin table guarded even for future callers.
-        with self._epoch.cond:
-            entry = self._pins.get(id(old))
-            if entry is None or entry[1] <= 0:
-                self._pins.pop(id(old), None)
-                old.close()
-            else:
-                entry[2] = True
-
-    def _pin_store(self, store: TripleStore, owner: object) -> None:
-        with self._epoch.cond:
-            entry = self._pins.get(id(store))
-            if entry is None:
-                entry = self._pins[id(store)] = [store, 0, False]
-            entry[1] += 1
-        weakref.finalize(owner, self._unpin, id(store))
-
-    def _unpin(self, key: int) -> None:
-        with self._epoch.cond:
-            entry = self._pins.get(key)
-            if entry is None:
-                return
-            entry[1] -= 1
-            if entry[1] <= 0:
-                del self._pins[key]
-                if entry[2]:
-                    entry[0].close()
-
-    @contextmanager
-    def _query_guard(self):
-        """Hold the current store epoch across one query dispatch.
-
-        While any guard is held a compaction swap waits; conversely a
-        swap in progress (holding the epoch lock) delays entry, so a
-        dispatch never reads half-swapped engine attributes.
-        """
-        epoch = self._epoch
-        with epoch.cond:
-            epoch.active += 1
-        try:
-            yield
-        finally:
-            with epoch.cond:
-                epoch.active -= 1
-                if not epoch.active:
-                    epoch.cond.notify_all()
+        self._state.listeners.append(callback)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -551,46 +574,34 @@ class TriniT:
         The thread pool drains first (queued ``ask_many`` queries are
         cancelled — an in-flight ``ask_many`` call surfaces that as
         :class:`TrinitError` — while running tasks finish against the
-        still-open store), then
-        the store's backing storage is released.  Streams obtained from
-        :meth:`stream` become unusable (their ``next_k`` raises
+        still-open store), then every store still held — the current one
+        and any superseded one an open stream reads — is released.
+        Streams become unusable (their ``next_k`` raises
         :class:`~repro.errors.StorageError`); answers already materialised
-        stay valid.  Idempotent.
+        stay valid.  Idempotent, and shared with :meth:`variant`\\ s.
         """
-        if not self._closed:
-            self._closed = True
-            if self._executor is not None:
-                self._executor.shutdown(wait=True, cancel_futures=True)
-            with self._epoch.cond:
-                pinned = [entry[0] for entry in self._pins.values()]
-                self._pins.clear()
-            for store in pinned:
-                store.close()
-            self.store.close()
-            self._block_cache.clear()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+        self._state.close()
 
     def snapshot_identity(self) -> str:
-        """A token naming exactly the data this engine is serving.
+        """A token naming exactly the engine state queries are served from.
 
         Directory-backed stores yield ``<snapshot root>@gen<K>+delta<V>``
         — the persistent address plus the active generation plus the
         monotonic version of the live delta segment; purely in-memory
         stores get a process-local ``mem:`` token with the same
-        generation/delta structure.  Two engine states with equal tokens
-        serve byte-identical answers, and any visible data change (a
-        live ingest, a compaction, a generation swap) changes the token —
-        which is what makes it a sound result-cache key component and a
-        precise ``/healthz`` data fingerprint.  The token is cheap to
-        compute (no store traversal).
+        structure; ``+rules<N>`` follows once rules were added after
+        construction.  Two engine states with equal tokens serve
+        byte-identical answers, and any visible change (a live ingest, a
+        compaction, an added rule) changes the token — which is what
+        makes it a sound result-cache key component and a precise
+        ``/healthz`` fingerprint.  Cheap to compute (no store traversal).
         """
-        store = self.store
+        view = self._state.view
+        store = view.store
         root = store.backend.snapshot_root
         base = str(root) if root else f"mem:{id(store):x}"
-        return f"{base}@gen{self.generation}+delta{store.delta_version}"
+        rules = f"+rules{view.rules_version}" if view.rules_version else ""
+        return f"{base}@gen{view.generation}+delta{store.delta_version}{rules}"
 
     def __enter__(self) -> "TriniT":
         return self
@@ -608,8 +619,8 @@ class TriniT:
         """Answer a query (textual or parsed) with top-k processing."""
         if isinstance(query, str):
             query = parse_query(query)
-        with self._query_guard():
-            return self.processor.query(query, k)
+        with self._state.reading() as view:
+            return view.processor(self.config.processor).query(query, k)
 
     def stream(self, query: Query | str) -> AnswerStream:
         """An :class:`AnswerStream` over ``query`` — the anytime surface.
@@ -622,13 +633,19 @@ class TriniT:
         """
         if isinstance(query, str):
             query = parse_query(query)
-        with self._query_guard():
-            stream = AnswerStream(self.processor.driver(query))
-            # The stream keeps the store it opened on across compactions:
-            # the pin defers the retired store's close until the stream is
-            # collected, so later next_k calls resume byte-identically.
-            self._pin_store(self.store, stream)
-            return stream
+        state = self._state
+        view = state.acquire()
+        try:
+            stream = AnswerStream(
+                view.processor(self.config.processor).driver(query)
+            )
+        except BaseException:
+            state.release(view.store)
+            raise
+        # The stream keeps its count until it is collected, so later
+        # next_k calls resume byte-identically across any publish.
+        weakref.finalize(stream, state.release, view.store)
+        return stream
 
     def ask_many(
         self,
@@ -661,9 +678,9 @@ class TriniT:
         ]
         if not parsed:
             return []
-        pool = self._executor
-        with self._query_guard():
-            processor = self.processor
+        pool = self._state.executor
+        with self._state.reading() as view:
+            processor = view.processor(self.config.processor)
             if (
                 pool is None
                 or len(parsed) == 1
@@ -690,7 +707,7 @@ class TriniT:
                 )
             except (RuntimeError, CancelledError):
                 # CancelledError: close() cancelled our queued query futures.
-                if not self._closed:
+                if not self._state.closed:
                     raise
                 raise TrinitError("Engine is closed") from None
 
@@ -706,8 +723,8 @@ class TriniT:
         """Suggestions for better-aligned future queries."""
         if isinstance(query, str):
             query = parse_query(query)
-        with self._query_guard():
-            return self.suggester.suggest(query, answers)
+        with self._state.reading() as view:
+            return view.suggester.suggest(query, answers)
 
     # -- rule management ------------------------------------------------------------
 
@@ -715,53 +732,39 @@ class TriniT:
         """Add one relaxation rule (object or textual ``lhs => rhs @ w``)."""
         if isinstance(rule, str):
             rule = parse_rule(rule)
-        self.processor.add_rules([rule])
+        self.add_rules([rule])
         return rule
 
     def add_rules(self, rules: Iterable[RelaxationRule | str]) -> int:
+        """Add rules at run time; returns how many were new or improved.
+
+        Published as a new read view: this engine and every
+        :meth:`variant` apply them from their next query on.
+        """
         parsed = [parse_rule(r) if isinstance(r, str) else r for r in rules]
-        return self.processor.add_rules(parsed)
+        state = self._state
+        with state.write_lock:
+            grown = RuleSet(state.view.rules)
+            added = grown.extend(parsed)
+            if added:
+                state.publish(self, state.view.store, grown)
+        return added
 
     # -- ablation variants ------------------------------------------------------------
 
     def variant(self, **processor_overrides) -> "TriniT":
-        """A shallow engine sharing data/rules with different processor knobs.
+        """A facade over the same engine state with different processor knobs.
 
         Used by the evaluation harness for ablations, e.g.
-        ``engine.variant(use_relaxation=False)``.
+        ``engine.variant(use_relaxation=False)``.  Everything else is
+        shared, not copied: an ingest, a compaction, an added rule or a
+        ``close()`` through either facade is the same event for both.
         """
         clone = object.__new__(TriniT)
         clone.config = replace(
             self.config,
             processor=replace(self.config.processor, **processor_overrides),
         )
-        clone.store = self.store
-        clone.statistics = self.statistics
-        clone.matcher = self.matcher
-        clone.scorer = self.scorer
-        clone.rules = self.rules
         clone.registry = self.registry
-        clone._executor = self._executor
-        clone.executor_kind = self.executor_kind
-        clone._block_cache = self._block_cache
-        # Live-ingestion state is shared with the parent: a compaction in
-        # either must drain and retire the same epoch and pin set.  Copy
-        # the references under the epoch lock so the clone never observes
-        # a pin table from mid-swap.
-        with self._epoch.cond:
-            clone._ingest_lock = self._ingest_lock
-            clone._epoch = self._epoch
-            clone._pins = self._pins
-            clone._swap_listeners = self._swap_listeners
-        clone._compact_scheduled = False
-        clone.generation = self.generation
-        clone.processor = TopKProcessor(
-            self.store,
-            rules=self.rules,
-            scorer=self.scorer,
-            matcher=self.matcher,
-            config=clone.config.processor,
-        )
-        clone.suggester = self.suggester
-        clone._closed = self._closed
+        clone._state = self._state
         return clone

@@ -55,16 +55,6 @@ class PatternScorer:
         self.config = config if config is not None else ScoringConfig()
         self._collection_mass = store.total_observations()
 
-    def refresh(self) -> None:
-        """Re-read the collection mass after live ingestion grew the store.
-
-        The engine calls this at the end of every ``ingest`` batch so the
-        smoothing background stays consistent with the visible statements —
-        a scorer used without the engine simply keeps its construction-time
-        mass until asked.
-        """
-        self._collection_mass = self.store.total_observations()
-
     def pattern_mass(self, pattern: TriplePattern) -> float:
         """Total observation weight of the pattern's matches (cached)."""
         return self.store.observation_mass(pattern)

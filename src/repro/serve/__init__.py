@@ -15,7 +15,7 @@ way):
   ``GET /metrics``;
 * :mod:`repro.serve.cache` — :class:`ResultCache`: a bounded LRU+TTL
   result cache keyed on (normalized query, k, snapshot identity),
-  invalidated at the engine's store-swap quiet point;
+  flushed whenever the engine publishes a compaction or an added rule;
 * :mod:`repro.serve.admission` — :class:`AdmissionController`:
   semaphore-based admission with a bounded wait queue and per-request
   timeouts, shedding 429/503 instead of piling work onto the engine;

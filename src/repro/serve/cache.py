@@ -11,12 +11,13 @@ Zipfian mix).  Keys are ``(normalized query, k, snapshot identity)``:
   a smaller k's entry; prefix-stability would allow serving fewer, but
   never more);
 * *snapshot identity* — :meth:`repro.core.engine.TriniT.snapshot_identity`,
-  which changes on every visible data change (live ingest bumps the
-  delta version, compaction bumps the generation).  A stale entry
-  therefore can never be *returned* — its key no longer matches — but it
-  would still occupy space, which is why the service also subscribes to
-  the engine's store-swap quiet point and calls :meth:`ResultCache.flush`
-  the moment a compaction adopts a new store.
+  which changes on every visible change (live ingest bumps the delta
+  version, compaction the generation, an added rule the rules
+  component).  A stale entry therefore can never be *returned* — its key
+  no longer matches — but it would still occupy space, which is why the
+  service also subscribes to :meth:`~repro.core.engine.TriniT.on_store_swap`
+  and calls :meth:`ResultCache.flush` the moment a compaction or an added
+  rule publishes a new engine state.
 
 The cache is a plain ``OrderedDict`` LRU under a mutex (entries are
 touched from the event loop *and* from executor threads), with lazy TTL
@@ -113,11 +114,11 @@ class ResultCache:
         """Drop every entry (store-swap invalidation); returns the count.
 
         Wired to :meth:`repro.core.engine.TriniT.on_store_swap` so a
-        compaction that adopts a new store empties the cache at the same
-        quiet point — entries keyed on the retired snapshot identity
-        could never be served again anyway, this reclaims their memory
-        immediately and makes the invalidation observable in
-        ``/metrics`` (``flushes``/``flushed_entries``).
+        compaction or an added rule empties the cache as it is published
+        — entries keyed on the superseded snapshot identity could never
+        be served again anyway, this reclaims their memory immediately
+        and makes the invalidation observable in ``/metrics``
+        (``flushes``/``flushed_entries``).
         """
         with self._lock:
             dropped = len(self._entries)

@@ -216,9 +216,9 @@ class QueryService:
     Parameters
     ----------
     engine:
-        The engine to serve.  The service subscribes to its store-swap
-        quiet point (:meth:`TriniT.on_store_swap`) to flush the result
-        cache whenever compaction adopts a new store.
+        The engine to serve.  The service subscribes to
+        :meth:`TriniT.on_store_swap` to flush the result cache whenever a
+        compaction or an added rule publishes a new engine state.
     config:
         See :class:`ServeConfig`.
     owns_engine:
@@ -263,11 +263,11 @@ class QueryService:
         self.host = self.config.host
         self.port: int | None = None
 
-    # -- quiet-point hook ----------------------------------------------------
+    # -- publish hook --------------------------------------------------------
 
     def _store_swapped(self, engine: TriniT) -> None:
-        # Runs on whatever thread performed the compaction, right after
-        # the swap barrier released: entries keyed on the retired
+        # Runs on whatever thread compacted or added a rule, right after
+        # the new view became current: entries keyed on the superseded
         # snapshot identity can never match again, reclaim them now.
         self.cache.flush()
 

@@ -576,7 +576,7 @@ class ShardedBackend:
 
         The cache is engine-owned (one :class:`~repro.topk.kernels.
         HotBlockCache` per engine, shared by every lookup) and invalidated
-        by the engine at the store-swap quiet point — this backend only
+        by the engine when it publishes a new generation — this backend only
         consults it.  Cache keys carry the backend's persistent identity
         (snapshot root + generation; a process-local token for in-memory
         builds), the lookup's (bound-slot mask, key), the segment index and

@@ -33,16 +33,6 @@ class StoreStatistics(LazilyBuilt):
         if not store.is_frozen:
             raise StorageError("Statistics require a frozen store")
         self.store = store
-        # predicate id -> set of (subject id, object id)
-        self._args: dict[int, set[tuple[int, int]]] = defaultdict(set)
-        # predicate id -> total observation weight
-        self._pred_mass: dict[int, float] = defaultdict(float)
-        # slot -> term id -> set of context tuples (ids of the other 2 slots)
-        self._context: list[dict[int, set[tuple[int, int]]]] = [
-            defaultdict(set),
-            defaultdict(set),
-            defaultdict(set),
-        ]
         self._init_lazy()
 
     def _build(self) -> None:
@@ -50,15 +40,15 @@ class StoreStatistics(LazilyBuilt):
         # ``TriniT.open()`` with mining disabled from sweeping the whole
         # store; the build itself reads the backend's id columns and the
         # weight column directly, so no :class:`StoredTriple` records are
-        # materialised for it.  Built into fresh containers and assigned
-        # at the end: after ``invalidate()`` (live ingestion) a rebuild
-        # must not double-count into the old dicts, and concurrent readers
-        # keep a consistent pre-rebuild view until the swap.
+        # materialised for it.
         store = self.store
         slot_ids = store.backend.slot_ids
         weights = store.weights()
+        # predicate id -> set of (subject id, object id)
         args: dict[int, set[tuple[int, int]]] = defaultdict(set)
+        # predicate id -> total observation weight
         pred_mass: dict[int, float] = defaultdict(float)
+        # slot -> term id -> set of context tuples (ids of the other 2 slots)
         context: list[dict[int, set[tuple[int, int]]]] = [
             defaultdict(set),
             defaultdict(set),

@@ -65,20 +65,6 @@ class TokenMatcher(LazilyBuilt):
             raise StorageError("TokenMatcher requires a frozen store")
         self.store = store
         self.include_resources = include_resources
-        # slot -> exact norm -> term (the term that normalises to it)
-        self._by_norm: list[dict[str, Term]] = [{}, {}, {}]
-        # slot -> match key -> list of terms
-        self._by_key: list[dict[tuple[str, ...], list[Term]]] = [
-            defaultdict(list),
-            defaultdict(list),
-            defaultdict(list),
-        ]
-        # slot -> single stem -> set of match keys containing it
-        self._by_stem: list[dict[str, set[tuple[str, ...]]]] = [
-            defaultdict(set),
-            defaultdict(set),
-            defaultdict(set),
-        ]
         self._init_lazy()
 
     @staticmethod
@@ -95,18 +81,19 @@ class TokenMatcher(LazilyBuilt):
         # columns and decodes each distinct per-slot term exactly once —
         # no :class:`StoredTriple` records are materialised, so a lazily
         # loaded snapshot store pays for the text index only when a query
-        # actually expands tokens.  Built into fresh containers assigned
-        # at the end so an ``invalidate()`` rebuild (live ingestion) never
-        # double-appends and concurrent readers see a consistent index.
+        # actually expands tokens.
         store = self.store
         decode = store.dictionary.decode
         slot_ids = store.backend.slot_ids
+        # slot -> exact norm -> term (the term that normalises to it)
         by_norm: list[dict[str, Term]] = [{}, {}, {}]
+        # slot -> match key -> list of terms
         by_key: list[dict[tuple[str, ...], list[Term]]] = [
             defaultdict(list),
             defaultdict(list),
             defaultdict(list),
         ]
+        # slot -> single stem -> set of match keys containing it
         by_stem: list[dict[str, set[tuple[str, ...]]]] = [
             defaultdict(set),
             defaultdict(set),

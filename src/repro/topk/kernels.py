@@ -21,7 +21,7 @@ instead of once per posting:
 * :class:`HotBlockCache` — a small bounded LRU over prepared head blocks,
   keyed on ``(backend identity, segment, signature, block range)``, so
   Zipfian head queries stop re-decoding the same front blocks.  The engine
-  owns one instance and clears it at the ``on_store_swap`` quiet point.
+  owns one instance and clears it whenever it publishes a new generation.
 
 This module deliberately imports nothing from the storage or topk layers
 (both import *it*), and it sits inside the determinism rule's scope: no
@@ -180,9 +180,9 @@ class HotBlockCache:
     blocks (self-owned arrays — safe to serve even after the backend that
     produced them was closed or swapped away).  The cache is engine-owned:
     one instance per engine, handed to the sharded backend through
-    ``configure_block_cache`` and **cleared at the store-swap quiet point**
-    (compaction publishes a new generation, so cached front blocks of the
-    old generation must not outlive it) as well as on engine close.
+    ``configure_block_cache`` and **cleared when a compaction publishes a
+    new generation** (cached front blocks of the old generation must not
+    outlive it) as well as on engine close.
 
     Thread-safe: the engine's query fan-out shares one instance across
     worker threads.  Hit/miss totals are lifetime counters for

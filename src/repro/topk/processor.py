@@ -171,13 +171,7 @@ class TopKProcessor:
         self.config = config if config is not None else ProcessorConfig()
         self._rules_by_predicate: dict | None = None
 
-    # -- rule management ------------------------------------------------------
-
-    def add_rules(self, rules) -> int:
-        """Add rules at runtime (e.g. user-supplied); returns #new rules."""
-        added = self.rules.extend(rules)
-        self._rules_by_predicate = None
-        return added
+    # -- rule index ------------------------------------------------------------
 
     def _is_translation_rule(self, rule: RelaxationRule) -> bool:
         """True when the rule's original predicate has no store matches.

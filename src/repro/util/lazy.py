@@ -7,7 +7,10 @@ double-checked-locking pattern: call :meth:`_init_lazy` in ``__init__``,
 implement :meth:`_build`, and guard every public accessor with
 :meth:`_ensure`.  Concurrent first touches (``ask_many`` threads) observe
 either nothing or the completed build, never a prefix; a build that raises
-leaves the flag unset, so the next touch retries.
+leaves the flag unset, so the next touch retries (``_build`` assigns its
+containers at the end).  There is no way back to "unbuilt": a structure
+that went stale is replaced by a new instance in the engine's next read
+view, never rebuilt under its readers.
 """
 
 from __future__ import annotations
@@ -31,19 +34,6 @@ class LazilyBuilt:
     def is_built(self) -> bool:
         with self._build_lock:
             return self._built
-
-    def invalidate(self) -> None:
-        """Forget the built state; the next touch rebuilds from scratch.
-
-        Used by live ingestion: derived structures (statistics, text
-        index) go stale when the store grows, and rebuilding lazily on the
-        next query keeps ingest itself cheap.  Implementations of
-        :meth:`_build` must construct into fresh containers and assign
-        them at the end — a rebuild that mutated the containers in place
-        would double-count, and concurrent readers could observe a prefix.
-        """
-        with self._build_lock:
-            self._built = False
 
     def _ensure(self) -> None:
         # xkg: allow[lock-discipline] double-checked locking: the unlocked read only skips work after a completed build; the locked re-check decides

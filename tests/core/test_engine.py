@@ -121,6 +121,27 @@ class TestVariant:
         assert paper_engine_fixture.ask(query).answers
         assert strict.ask(query).is_empty
 
+    def test_rule_added_through_either_facade_reaches_both(
+        self, frozen_small_store
+    ):
+        engine = TriniT(frozen_small_store)
+        warm = engine.variant(max_rewrite_depth=2)
+        query = "?x affiliation ?y"
+
+        def bindings(facade):
+            return [(a.binding, a.score) for a in facade.ask(query)]
+
+        before = bindings(warm)  # the variant's rule index exists now
+        engine.add_rule("?x affiliation ?y => ?x bornIn ?y @ 0.5")
+        after = bindings(engine)
+        assert len(after) > len(before)
+        assert bindings(warm) == after
+        assert bindings(engine.variant(max_rewrite_depth=2)) == after
+        warm.add_rule("?x affiliation ?y => ?x locatedIn ?y @ 0.4")
+        assert len(bindings(engine)) > len(after)
+        assert bindings(engine) == bindings(warm)
+        assert warm.rules is engine.rules
+
     def test_variant_does_not_mutate_original(self, paper_engine_fixture):
         paper_engine_fixture.variant(use_relaxation=False)
         assert paper_engine_fixture.processor.config.use_relaxation

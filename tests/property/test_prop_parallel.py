@@ -15,7 +15,7 @@ decode, batched scoring and the hot-block cache may only change how many
 heads are staged per step, never a single emitted bit.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.engine import EngineConfig, TriniT
 from repro.core.terms import Resource, TextToken, Variable
@@ -126,9 +126,26 @@ def test_batched_byte_identical_to_serial(
     batch=st.sampled_from([None, 1, 2, 7]),
     block=st.sampled_from([None, 1, 3, 16]),
     cut=st.integers(min_value=0, max_value=40),
+    rule_target=st.one_of(st.none(), st.sampled_from(PREDICATES)),
+)
+@example(
+    # A rule added (and its index warmed) while its original predicate is
+    # still unknown must be re-classified once an ingest introduces it.
+    rows=[
+        ("A", "affiliation", "U1", 1.0, 1),
+        ("B", "affiliation", "U2", 1.0, 1),
+        ("A", "type", "person", 1.0, 1),
+        ("C", "worksFor", "U3", 1.0, 1),
+    ],
+    texts=["?x affiliation ?y"],
+    k=10,
+    batch=None,
+    block=None,
+    cut=3,
+    rule_target="affiliation",
 )
 def test_live_ingestion_byte_identical_to_fresh_build(
-    segments, rows, texts, k, batch, block, cut
+    segments, rows, texts, k, batch, block, cut, rule_target
 ):
     """(frozen + delta) == fresh build, and still after compaction.
 
@@ -139,6 +156,9 @@ def test_live_ingestion_byte_identical_to_fresh_build(
     Rule miners are disabled: they run once at construction, so a
     prefix-built engine may legitimately mine different rules than a
     union-built one; the property pins the storage/merge contract.
+    With ``rule_target``, both engines also get one rule rewriting a
+    predicate that only the ingested suffix introduces, and the live
+    engine answers through it once before ingesting.
     """
     no_mining = dict(
         mine_arg_overlap=False, mine_chains=False, mine_inversions=False
@@ -168,6 +188,15 @@ def test_live_ingestion_byte_identical_to_fresh_build(
         **no_mining,
     )
     try:
+        new_predicates = sorted(
+            {p for _, p, _, _, _ in suffix} - {p for _, p, _, _, _ in prefix}
+        )
+        if rule_target is not None and new_predicates:
+            rule = f"?x {new_predicates[0]} ?y => ?x {rule_target} ?y @ 0.8"
+            texts = texts + [f"?x {new_predicates[0]} ?y"]
+            reference.add_rule(rule)
+            live.add_rule(rule)
+            live.ask(texts[-1], k=k)
         for s, p, o, conf, count in suffix:
             for _ in range(count):
                 live.ingest(

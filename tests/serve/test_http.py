@@ -228,6 +228,29 @@ class TestIngestRoute:
             payload = client.query("?x bornIn E1", k=20)
             assert {"?x": "Fresh1"} in [a["binding"] for a in payload["answers"]]
 
+    def test_added_rule_flushes_the_cache_and_moves_the_identity(
+        self, client, engine
+    ):
+        query, rule = "?x worksFor ?y", "?x worksFor ?y => ?x bornIn ?y @ 0.8"
+        untouched = client.healthz()["snapshot"]
+        assert untouched.endswith("@gen0+delta0")  # the pre-existing format
+        before = client.query(query, k=5)
+        assert before["answers"] == [] and before["cached"] is False
+        assert client.query(query, k=5)["cached"] is True
+        engine.add_rule(rule)
+        after = client.query(query, k=5)
+        assert after["cached"] is False
+        assert after["answers"] == [
+            serialize_answer(answer, rank)
+            for rank, answer in enumerate(engine.ask(query, k=5), start=1)
+        ]
+        assert after["answers"]
+        assert after["snapshot"] == untouched + "+rules1"
+        assert client.metrics()["cache"]["flushes"] >= 1
+        # re-adding the same rule changes nothing a query can see
+        engine.add_rule(rule)
+        assert client.query(query, k=5)["cached"] is True
+
 
 class TestAdmissionOverHttp:
     def test_burst_sheds_429_without_deadlocking(self, snapshot_dir):

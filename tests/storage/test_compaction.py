@@ -9,12 +9,16 @@ build, and the engine must swap stores without disturbing streams pinned
 to the pre-compaction generation.
 """
 
+import gc
+import threading
+
 import pytest
 
 from repro.core.engine import EngineConfig, TriniT
 from repro.core.terms import Resource, Variable
 from repro.core.triples import Triple, TriplePattern
-from repro.errors import PersistenceError, StorageError
+from repro.errors import PersistenceError, StorageError, TrinitError
+from repro.scoring.language_model import PatternScorer
 from repro.storage.compaction import (
     compact_store,
     next_generation_number,
@@ -76,6 +80,28 @@ def _fresh_store(segments=DEFAULT_SEGMENTS):
     _add(fresh, LIVE_ROWS)
     fresh.freeze()
     return fresh
+
+
+def _signature(answers):
+    return [(a.binding, a.score) for a in answers]
+
+
+def _triples(rows):
+    return [Triple(Resource(s), Resource(p), Resource(o)) for s, p, o, _, _ in rows]
+
+
+def _record_store_closes(monkeypatch):
+    """Patch ``TripleStore.close`` to log each store it really closes."""
+    closed = []
+    original = TripleStore.close
+
+    def close(store):
+        if not store.closed:
+            closed.append(store)
+        original(store)
+
+    monkeypatch.setattr(TripleStore, "close", close)
+    return closed
 
 
 @pytest.fixture()
@@ -382,3 +408,120 @@ class TestEngineLifecycle:
             # New streams see the compacted store (the ingested E9 facts).
             fresh_stream = engine.stream("E9 ?p ?y")
             assert len(fresh_stream.next_k(10)) > 0
+
+    # -- one read view shared by an engine and its variants -----------------
+
+    @pytest.mark.parametrize("compactor", ["parent", "variant"])
+    def test_variant_and_parent_share_every_swap(self, snapshot_root, compactor):
+        """A compaction through either facade is the same event for both."""
+        config = EngineConfig(executor_kind="serial", merge_batch=1)
+        with TriniT.open(snapshot_root, config=config) as engine:
+            variant = engine.variant(use_relaxation=False)
+            facades = {"parent": engine, "variant": variant}
+            expected = _signature(variant.ask("?x ?p ?y", k=500))
+            stream = variant.stream("?x ?p ?y")
+            emitted = _signature(stream.next_k(5))
+            engine.ingest(_triples(LIVE_ROWS[:3]))
+            assert facades[compactor].compact() == 1
+            assert variant.store is engine.store
+            assert variant.generation == engine.generation == 1
+            for facade in facades.values():
+                assert facade.ask("E9 ?p ?y", k=10).answers
+            # The stream opened on the variant resumes on the store it
+            # started on, byte-identical to the pre-ingest eager answer.
+            while batch := stream.next_k(7):
+                emitted.extend(_signature(batch))
+            assert emitted == expected
+
+    @pytest.mark.parametrize("closer", ["parent", "variant"])
+    def test_close_through_either_facade_closes_the_shared_state_once(
+        self, snapshot_root, closer, monkeypatch
+    ):
+        closed = _record_store_closes(monkeypatch)
+        engine = TriniT.open(snapshot_root)
+        variant = engine.variant(use_relaxation=False)
+        facades = {"parent": engine, "variant": variant}
+        other = facades["variant" if closer == "parent" else "parent"]
+        store = engine.store
+        facades[closer].close()
+        assert other.closed
+        with pytest.raises(TrinitError, match="Engine is closed") as info:
+            other.ingest(_triples(LIVE_ROWS[:1]))
+        assert not isinstance(info.value, StorageError)
+        other.close()
+        assert closed == [store]
+
+    def test_swap_waits_for_nobody_and_leaks_nothing(
+        self, snapshot_root, monkeypatch
+    ):
+        """compact() returns while a query is mid-flight and a stream is open
+        on the view it supersedes; that store closes when both let go."""
+        closed = _record_store_closes(monkeypatch)
+        entered, proceed = threading.Event(), threading.Event()
+        emission_model = PatternScorer.emission_model
+
+        def blocking_emission_model(scorer, pattern):
+            if threading.current_thread().name == "reader-A":
+                entered.set()
+                assert proceed.wait(timeout=30)
+            return emission_model(scorer, pattern)
+
+        monkeypatch.setattr(
+            PatternScorer, "emission_model", blocking_emission_model
+        )
+        engine = TriniT.open(snapshot_root, config=EngineConfig(merge_batch=1))
+        try:
+            engine.ingest(_triples(LIVE_ROWS[:3]))
+            expected = _signature(engine.ask("?x ?p ?y", k=500))
+            stream = engine.stream("?x ?p ?y")
+            emitted = _signature(stream.next_k(5))
+            results = []
+            reader = threading.Thread(
+                name="reader-A",
+                target=lambda: results.append(engine.ask("?x ?p ?y", k=500)),
+            )
+            reader.start()
+            assert entered.wait(timeout=30)
+            old = engine.store
+            swapped = []
+            swapper = threading.Thread(
+                target=lambda: swapped.append(engine.compact())
+            )
+            swapper.start()
+            swapper.join(timeout=30)
+            # At the parent commit the swap drained in-flight queries first
+            # and this join timed out with reader A still blocked.
+            assert not swapper.is_alive() and swapped == [1]
+            assert reader.is_alive() and not old.closed
+            assert engine.store is not old and engine.generation == 1
+
+            proceed.set()
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+            assert _signature(results[0]) == expected  # pre-compaction bytes
+            assert not old.closed  # the stream still reads it
+            while batch := stream.next_k(7):
+                emitted.extend(_signature(batch))
+            assert emitted == expected
+            del stream, batch
+            gc.collect()
+            assert old.closed and closed == [old]
+
+            # close() with a superseded-but-held store outstanding: every
+            # store closes once, the held stream fails with StorageError.
+            held = engine.stream("?x ?p ?y")
+            held.next_k(2)
+            middle = engine.store
+            engine.ingest(_triples([("E9", "type", "E0", 1.0, 1)]))
+            assert engine.compact() == 2
+            assert not middle.closed
+            engine.close()
+            assert sorted(map(id, closed)) == sorted(
+                map(id, (old, middle, engine.store))
+            )
+            with pytest.raises(StorageError):
+                held.next_k(2)
+        finally:
+            proceed.set()
+            engine.close()
+
