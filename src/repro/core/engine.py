@@ -137,6 +137,13 @@ class EngineConfig:
     suggestion_min_overlap: float = 0.25
 
 
+def _same_term_ids(old: TripleStore, new: TripleStore) -> bool:
+    """Whether ``new`` — ``old`` compacted — numbers every term as ``old``
+    did.  Compaction keeps statement ids by construction; with term ids
+    equal too, whatever was indexed by id over ``old`` holds for ``new``."""
+    return len(new) == len(old) and list(new.dictionary) == list(old.dictionary)
+
+
 class _View:
     """Everything a query reads, derived from one (statements, rules) state.
 
@@ -144,8 +151,16 @@ class _View:
     ingest, a compaction or an added rule builds the next view instead, so
     nothing derived from an older vocabulary, statement set or rule set
     serves a query that starts after the change.  Statistics and matcher
-    build on first touch, so a view costs less than the first read of it.
-    ``version`` counts publishes, ``rules_version`` the rule-changing ones.
+    are grow-only functions of the statements, so the next view derives
+    them from ``previous`` where it can: an ingest extends built ones
+    copy-on-write by the statements that arrived (cost: the batch, not the
+    store), a compaction that kept every id carries them over as they
+    are, a rule change reuses the very instances.  Unbuilt ones stay lazy
+    — a view then costs less than the first read of it — and no view
+    refers to the one before it.  Collection mass, rule index and
+    processors are rebuilt per view.  ``version`` counts publishes,
+    ``rules_version`` the rule-changing ones; ``extent`` is the
+    (statement count, delta version) the view was built at.
     """
 
     def __init__(
@@ -156,14 +171,28 @@ class _View:
         previous: "_View | None" = None,
     ):
         config = shared.config
-        if previous is None or store is not previous.store:
+        same_store = previous is not None and store is previous.store
+        if not same_store:
             store.backend.configure_prefetch(config.merge_batch)
             store.configure_blocks(config.block_size)
             store.backend.configure_block_cache(shared.block_cache)
         self.store = store
         self.rules = rules
-        self.statistics = StoreStatistics(store)
-        self.matcher = TokenMatcher(store)
+        self.extent = (len(store), store.delta_version)
+        if same_store and self.extent == previous.extent:
+            # No statement moved (a rule change): nothing to derive.
+            self.statistics = previous.statistics
+            self.matcher = previous.matcher
+        else:
+            grown = same_store or (
+                previous is not None and _same_term_ids(previous.store, store)
+            )
+            self.statistics = StoreStatistics(
+                store, previous=previous.statistics if grown else None
+            )
+            self.matcher = TokenMatcher(
+                store, previous=previous.matcher if grown else None
+            )
         self.scorer = PatternScorer(store, config.scoring)
         self.suggester = QuerySuggester(
             self.statistics,
@@ -349,10 +378,14 @@ class TriniT:
         self._register_default_operators()
         self._state = _EngineState(self.config, store, RuleSet(rules))
         # Mining fills the first view's rule set before anything reads it;
-        # every later rule change publishes a new view (add_rules).
+        # every later rule change publishes a new view (add_rules).  It
+        # sweeps into statistics of its own: the view's stay unbuilt until
+        # a suggestion asks for them, so an engine that never suggests
+        # neither holds nor extends them.
         view = self._state.view
         self.registry.run(
-            OperatorContext(view.store, view.statistics), into=view.rules
+            OperatorContext(view.store, StoreStatistics(view.store)),
+            into=view.rules,
         )
 
     store = _of_view("store")
@@ -485,23 +518,42 @@ class TriniT:
         so they are immediately visible to ``ask``/``stream`` (and show up
         in :attr:`~repro.core.results.QueryStats.delta_hits`).  Duplicate
         statements accumulate evidence on their existing records.  The
-        batch ends by publishing a new read view, so statistics, token
-        matcher, collection mass and rule index follow the grown store.
+        batch ends by publishing a new read view: built statistics and a
+        built token matcher are extended by the statements that arrived
+        (the first read afterwards costs the batch, not the store);
+        collection mass and rule index are rebuilt.  An empty batch
+        publishes nothing.
+
+        A row that is not a :class:`Triple` is refused with
+        :class:`TrinitError` before the store is touched; if the store
+        itself fails midway, what it did absorb is published before the
+        error propagates, so no statement is ever visible under a view
+        that predates it.
 
         Once the delta outgrows ``EngineConfig.compaction_threshold`` the
         engine folds it into frozen storage (see :meth:`compact`) — in the
         background when it has an executor, inline otherwise.  Returns the
         triple ids, in input order.
         """
+        triples = list(triples)
+        for row in triples:
+            if not isinstance(row, Triple):
+                raise TrinitError(
+                    f"ingest() takes ground Triples, got {type(row).__name__}"
+                )
         state = self._state
         with state.write_lock:
             if state.closed:
                 raise TrinitError("Engine is closed")
+            if not triples:
+                return []
             view = state.view
-            ids = view.store.add_all(
-                triples, provenance, confidence=confidence, count=count
-            )
-            state.publish(self, view.store, view.rules)
+            try:
+                ids = view.store.add_all(
+                    triples, provenance, confidence=confidence, count=count
+                )
+            finally:
+                state.publish(self, view.store, view.rules)
             self._maybe_compact()
         return ids
 
@@ -739,7 +791,9 @@ class TriniT:
         """Add rules at run time; returns how many were new or improved.
 
         Published as a new read view: this engine and every
-        :meth:`variant` apply them from their next query on.
+        :meth:`variant` apply them from their next query on.  No statement
+        moved, so the view keeps its predecessor's statistics and token
+        matcher as they are; rule index and processors are rebuilt.
         """
         parsed = [parse_rule(r) if isinstance(r, str) else r for r in rules]
         state = self._state

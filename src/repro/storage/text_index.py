@@ -25,7 +25,6 @@ weight — matching a vaguer phrase attenuates the answer.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.core.terms import Resource, Term, TextToken
@@ -58,14 +57,36 @@ class TokenMatch:
 
 
 class TokenMatcher(LazilyBuilt):
-    """Index of stored phrases and resource surfaces, per slot."""
+    """Index of stored phrases and resource surfaces, per slot.
 
-    def __init__(self, store: TripleStore, *, include_resources: bool = True):
+    The index is a grow-only function of the statements in id order, so
+    ``previous=`` — a matcher over the same statements minus a suffix
+    (the engine's last read view) — lets a built predecessor be extended
+    by that suffix instead of sweeping the store again.  An unbuilt
+    predecessor is ignored: the successor stays lazy and keeps no
+    reference to it.  A built index is never written to again.
+    """
+
+    def __init__(
+        self,
+        store: TripleStore,
+        *,
+        include_resources: bool = True,
+        previous: "TokenMatcher | None" = None,
+    ):
         if not store.is_frozen:
             raise StorageError("TokenMatcher requires a frozen store")
         self.store = store
         self.include_resources = include_resources
-        self._init_lazy()
+        if (
+            previous is not None
+            and previous.include_resources == include_resources
+            and previous.is_built
+        ):
+            self._extend(previous)
+            self._init_lazy(built=True)
+        else:
+            self._init_lazy()
 
     @staticmethod
     def _surface(term: Term) -> str:
@@ -77,59 +98,88 @@ class TokenMatcher(LazilyBuilt):
         return match_key(self._surface(term), predicate=(slot == PREDICATE))
 
     def _build(self) -> None:
-        # First use only (LazilyBuilt._ensure): walks the backend's id
-        # columns and decodes each distinct per-slot term exactly once —
-        # no :class:`StoredTriple` records are materialised, so a lazily
-        # loaded snapshot store pays for the text index only when a query
-        # actually expands tokens.
+        # First use only (LazilyBuilt._ensure), and only for a matcher
+        # with no built predecessor: the sweep is "extend an empty index
+        # with every statement", so a lazily loaded snapshot store pays
+        # for the text index only when a query actually expands tokens.
+        self._extend(None)
+
+    def _extend(self, previous: "TokenMatcher | None") -> None:
+        """Index the statements ``previous`` does not cover (all, from None).
+
+        Walks the backend's id columns and decodes each distinct per-slot
+        term exactly once — no :class:`StoredTriple` records are
+        materialised.  Copy-on-write against ``previous``: a slot without
+        new terms shares its dicts, a slot with new terms gets shallow
+        copies of them, and only the lists / sets the new terms land in
+        are copied.  ``_seen`` (term ids indexed so far, per slot) is part
+        of the built state, so "the first statement in id order wins a
+        norm" holds across extensions exactly as within one sweep.
+        """
         store = self.store
+        covered = len(store)
+        if previous is None:
+            # slot -> exact norm -> term (the term that normalises to it)
+            by_norm: list[dict[str, Term]] = [{}, {}, {}]
+            # slot -> match key -> list of terms
+            by_key: list[dict[tuple[str, ...], list[Term]]] = [{}, {}, {}]
+            # slot -> single stem -> set of match keys containing it
+            by_stem: list[dict[str, set[tuple[str, ...]]]] = [{}, {}, {}]
+            seen: list[set[int]] = [set(), set(), set()]
+            start = 0
+        else:
+            by_norm = list(previous._by_norm)
+            by_key = list(previous._by_key)
+            by_stem = list(previous._by_stem)
+            seen = previous._seen
+            start = previous._covered
+            if start < covered:
+                seen = [set(ids) for ids in seen]
         decode = store.dictionary.decode
         slot_ids = store.backend.slot_ids
-        # slot -> exact norm -> term (the term that normalises to it)
-        by_norm: list[dict[str, Term]] = [{}, {}, {}]
-        # slot -> match key -> list of terms
-        by_key: list[dict[tuple[str, ...], list[Term]]] = [
-            defaultdict(list),
-            defaultdict(list),
-            defaultdict(list),
-        ]
-        # slot -> single stem -> set of match keys containing it
-        by_stem: list[dict[str, set[tuple[str, ...]]]] = [
-            defaultdict(set),
-            defaultdict(set),
-            defaultdict(set),
-        ]
-        seen: list[set[int]] = [set(), set(), set()]
-        for tid in range(len(store)):
+        # slot -> the new (term, norm, match key) entries, in id order
+        arrived: list[list[tuple[Term, str, tuple[str, ...]]]] = [[], [], []]
+        for tid in range(start, covered):
             for slot, term_id in enumerate(slot_ids(tid)):
                 if term_id in seen[slot]:
                     continue
                 seen[slot].add(term_id)
                 term = decode(term_id)
-                if not isinstance(term, TextToken) and not (
-                    self.include_resources and isinstance(term, Resource)
-                ):
+                if isinstance(term, TextToken):
+                    norm = term.norm
+                elif self.include_resources and isinstance(term, Resource):
+                    norm = " ".join(self._surface(term).lower().split())
+                else:
                     continue
-                norm = (
-                    term.norm
-                    if isinstance(term, TextToken)
-                    else " ".join(self._surface(term).lower().split())
-                )
-                by_norm[slot].setdefault(norm, term)
-                key = self._key_for(term, slot)
-                if not key:
-                    continue
-                by_key[slot][key].append(term)
-                for stem_token in set(key):
-                    by_stem[slot][stem_token].add(key)
-        # Deterministic candidate order within identical keys: phrases
-        # before resources, then lexical.
-        for slot_keys in by_key:
-            for terms in slot_keys.values():
-                terms.sort(key=lambda t: (t.kind != "token", t.lexical()))
+                arrived[slot].append((term, norm, self._key_for(term, slot)))
+        for slot, entries in enumerate(arrived):
+            if not entries:
+                continue
+            norms = by_norm[slot] = dict(by_norm[slot])
+            keys = by_key[slot] = dict(by_key[slot])
+            stems = by_stem[slot] = dict(by_stem[slot])
+            touched = {key for _term, _norm, key in entries if key}
+            new_keys = [key for key in touched if key not in keys]
+            for stem_token in {stem for key in new_keys for stem in key}:
+                stems[stem_token] = set(stems.get(stem_token, ()))
+            for key in new_keys:
+                for stem_token in key:
+                    stems[stem_token].add(key)
+            for key in touched:
+                keys[key] = list(keys.get(key, ()))
+            for term, norm, key in entries:
+                norms.setdefault(norm, term)
+                if key:
+                    keys[key].append(term)
+            # Deterministic candidate order within identical keys: phrases
+            # before resources, then lexical.
+            for key in touched:
+                keys[key].sort(key=lambda t: (t.kind != "token", t.lexical()))
         self._by_norm = by_norm
         self._by_key = by_key
         self._by_stem = by_stem
+        self._seen = seen
+        self._covered = covered
 
     def phrases_in_slot(self, slot: int) -> list[TextToken]:
         """All distinct stored token phrases for a slot, lexically ordered."""

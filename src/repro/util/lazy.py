@@ -10,7 +10,10 @@ either nothing or the completed build, never a prefix; a build that raises
 leaves the flag unset, so the next touch retries (``_build`` assigns its
 containers at the end).  There is no way back to "unbuilt": a structure
 that went stale is replaced by a new instance in the engine's next read
-view, never rebuilt under its readers.
+view, never rebuilt under its readers.  A successor that derives its
+containers from a built predecessor is born built
+(``_init_lazy(built=True)``, after assigning them) and never runs
+:meth:`_build` at all.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ class LazilyBuilt:
 
     _built = False
 
-    def _init_lazy(self) -> None:
-        self._built = False
+    def _init_lazy(self, built: bool = False) -> None:
+        self._built = built
         self._build_lock = threading.Lock()
 
     def _build(self) -> None:  # pragma: no cover - always overridden

@@ -102,3 +102,35 @@ def x():
 @pytest.fixture()
 def y():
     return Variable("y")
+
+
+def _matcher_state(matcher):
+    """A built :class:`TokenMatcher`'s whole index as plain values —
+    ``by_norm`` with its insertion order, ``by_key`` with its list order."""
+    matcher._ensure()
+    return (
+        [list(norms.items()) for norms in matcher._by_norm],
+        [{key: list(terms) for key, terms in keys.items()} for keys in matcher._by_key],
+        [{stem: set(keys) for stem, keys in stems.items()} for stems in matcher._by_stem],
+        [set(ids) for ids in matcher._seen],
+        matcher._covered,
+    )
+
+
+def _statistics_state(statistics):
+    """A built :class:`StoreStatistics`' carried state as plain values."""
+    statistics._ensure()
+    return (
+        [{term: set(pairs) for term, pairs in slot.items()} for slot in statistics._context],
+        statistics._covered,
+    )
+
+
+@pytest.fixture(scope="session")
+def matcher_state():
+    return _matcher_state
+
+
+@pytest.fixture(scope="session")
+def statistics_state():
+    return _statistics_state

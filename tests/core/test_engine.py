@@ -4,9 +4,13 @@ import pytest
 
 from repro.core.engine import EngineConfig, TriniT
 from repro.core.query import Query
-from repro.core.terms import Resource
-from repro.errors import TrinitError
+from repro.core.terms import Resource, TextToken, Variable
+from repro.core.triples import Triple, TriplePattern
+from repro.errors import StorageError, TrinitError
+from repro.kg.paper_example import paper_engine
 from repro.relax.operators import OperatorRegistry
+from repro.storage.statistics import StoreStatistics
+from repro.storage.text_index import TokenMatcher
 
 
 class TestConstruction:
@@ -145,3 +149,134 @@ class TestVariant:
     def test_variant_does_not_mutate_original(self, paper_engine_fixture):
         paper_engine_fixture.variant(use_relaxation=False)
         assert paper_engine_fixture.processor.config.use_relaxation
+
+
+def _signature(engine, text):
+    return [(a.binding, a.score) for a in engine.ask(text)]
+
+
+def _state_token(engine):
+    """``snapshot_identity()`` without the process-local store address."""
+    return engine.snapshot_identity().split("@", 1)[1]
+
+
+class TestIngestPublishes:
+    """Every statement the store absorbed is under a view that knows it."""
+
+    FOO = Triple(Resource("Foo"), Resource("bornIn"), Resource("Bar"))
+    FOO2 = Triple(Resource("Foo2"), TextToken("born in the town"), Resource("Bar"))
+    QUERIES = ("?x bornIn ?y", "?x 'born in the town' ?y")
+
+    def test_non_triple_row_is_refused_before_the_store_is_touched(self):
+        engine, clean = paper_engine(), paper_engine()
+        for text in self.QUERIES:
+            engine.ask(text)
+        with pytest.raises(TrinitError, match="ground Triples"):
+            engine.ingest([self.FOO, self.FOO2, object()])
+        assert len(engine.store) == len(clean.store)
+        assert _state_token(engine) == _state_token(clean)
+        for text in self.QUERIES:
+            assert _signature(engine, text) == _signature(clean, text)
+
+    def test_pattern_row_is_refused(self):
+        engine = paper_engine()
+        pattern = TriplePattern(Variable("x"), Resource("bornIn"), Resource("Bar"))
+        with pytest.raises(TrinitError):
+            engine.ingest([pattern])
+        assert not engine.store.has_delta
+
+    def test_store_fault_midway_publishes_the_absorbed_prefix(self, monkeypatch):
+        engine, clean = paper_engine(), paper_engine()
+        # Warm matcher, processor and masses: all of them stale afterwards.
+        stale = [_signature(engine, text) for text in self.QUERIES]
+        add, calls = engine.store.add, []
+
+        def faulty(triple, *args, **kwargs):
+            if len(calls) == 2:
+                raise StorageError("disk on fire")
+            calls.append(triple)
+            return add(triple, *args, **kwargs)
+
+        monkeypatch.setattr(engine.store, "add", faulty)
+        with pytest.raises(StorageError, match="disk on fire"):
+            engine.ingest([self.FOO, self.FOO2, self.FOO])
+        clean.ingest([self.FOO, self.FOO2])
+        assert _state_token(engine) == _state_token(clean)
+        assert _state_token(engine).endswith("+delta2")
+        for text in self.QUERIES:
+            assert _signature(engine, text) == _signature(clean, text)
+        assert [_signature(engine, text) for text in self.QUERIES] != stale
+
+    def test_empty_batch_publishes_nothing(self):
+        engine = paper_engine()
+        engine.ask("?x bornIn ?y")
+        view, identity = engine._state.view, engine.snapshot_identity()
+        processor = engine.processor
+        assert engine.ingest([]) == []
+        assert engine._state.view is view
+        assert engine.processor is processor
+        assert engine.snapshot_identity() == identity
+
+    def test_empty_batch_on_a_closed_engine_still_raises(self):
+        engine = paper_engine()
+        engine.close()
+        with pytest.raises(TrinitError, match="closed"):
+            engine.ingest([])
+
+
+class TestDerivedViews:
+    """The next view's matcher and statistics come from the previous ones."""
+
+    @staticmethod
+    def _batch(number):
+        person = Resource(f"Person{number}")
+        return [
+            Triple(person, Resource("bornIn"), Resource(f"Town{number % 3}")),
+            Triple(person, TextToken(f"lectured at {number}"), Resource("ETH")),
+            Triple(person, TextToken("born in"), Resource("Ulm")),
+        ]
+
+    def test_warm_engine_never_sweeps_again(self, monkeypatch):
+        engine = paper_engine(compaction_threshold=7)
+        engine.ask("?x 'born in' ?y")
+        engine.suggest("?x 'born in' Germany")
+        assert engine.matcher.is_built and engine.statistics.is_built
+        sweeps = []
+        for cls in (TokenMatcher, StoreStatistics):
+            build = cls._build
+            monkeypatch.setattr(
+                cls,
+                "_build",
+                lambda self, _build=build: sweeps.append(type(self)) or _build(self),
+            )
+        generation = engine.generation
+        for number in range(20):
+            engine.ingest(self._batch(number))
+            assert engine.matcher.is_built and engine.statistics.is_built
+            engine.ask("?x 'born in' ?y")
+            engine.suggest("?x 'born in' Germany")
+        assert engine.generation > generation  # compactions happened too
+        assert sweeps == []
+
+    def test_rule_change_reuses_the_instances(self):
+        engine = paper_engine()
+        engine.ask("?x 'born in' ?y")
+        matcher, statistics = engine.matcher, engine.statistics
+        engine.add_rule("?x worksAt ?y => ?x affiliation ?y @ 0.5")
+        assert engine.matcher is matcher and engine.statistics is statistics
+        cold = paper_engine()
+        unbuilt = cold.matcher
+        cold.add_rule("?x worksAt ?y => ?x affiliation ?y @ 0.5")
+        assert cold.matcher is unbuilt and not unbuilt.is_built
+
+    def test_unbuilt_structures_stay_lazy_across_ingest_and_compaction(self):
+        engine = paper_engine()
+        engine.ingest(self._batch(0))
+        assert not engine.matcher.is_built and not engine.statistics.is_built
+        engine.compact()
+        assert not engine.matcher.is_built and not engine.statistics.is_built
+
+    def test_mining_leaves_the_views_statistics_unbuilt(self):
+        engine = paper_engine()
+        assert len(engine.rules) > 0
+        assert not engine.statistics.is_built

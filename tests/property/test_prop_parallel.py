@@ -25,7 +25,13 @@ from repro.storage.store import TripleStore
 
 X, Y = Variable("x"), Variable("y")
 
-PREDICATES = ["bornIn", "livesIn", "affiliation", "type"]
+#: Quoted names are TextToken phrases: ``'born in'`` normalises to
+#: ``bornIn``'s surface and ``'lived in'`` shares ``'lives in'``'s match key,
+#: so token queries exercise the text index the ingested suffix extends.
+PREDICATES = [
+    "bornIn", "livesIn", "affiliation", "type",
+    "'born in'", "'lives in'", "'lived in'",
+]
 ENTITIES = [f"E{i}" for i in range(12)]
 
 triples = st.lists(
@@ -48,6 +54,8 @@ queries = st.lists(
             "?x ?p ?y",
             "?x bornIn ?y ; ?y type ?z",
             f"{ENTITIES[0]} ?p ?y",
+            "?x 'born in' ?y",
+            "?x 'lives in' ?y ; ?y 'type' ?z",
         ]
     ),
     min_size=1,
@@ -55,11 +63,15 @@ queries = st.lists(
 )
 
 
+def _predicate(name):
+    return TextToken(name.strip("'")) if name.startswith("'") else Resource(name)
+
+
 def _build(rows, segments, **config):
     store = TripleStore(backend=ShardedBackend(segments))
     for s, p, o, conf, count in rows:
         for _ in range(count):
-            store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
+            store.add(Triple(Resource(s), _predicate(p), Resource(o)), confidence=conf)
     return TriniT(store, config=EngineConfig(**config))
 
 
@@ -144,6 +156,25 @@ def test_batched_byte_identical_to_serial(
     cut=3,
     rule_target="affiliation",
 )
+@example(
+    # The live engine expands 'born in' (its text index is built: bornIn's
+    # surface owns the norm) before the suffix brings the phrase itself,
+    # a phrase sharing its match key, and one sharing 'lives in''s.
+    rows=[
+        ("E0", "bornIn", "E1", 1.0, 1),
+        ("E2", "'lives in'", "E1", 0.5, 2),
+        ("E1", "type", "E3", 1.0, 1),
+        ("E4", "'born in'", "E1", 0.7, 2),
+        ("E5", "'lived in'", "E1", 0.9, 1),
+        ("E0", "'born in'", "E6", 0.4, 1),
+    ],
+    texts=["?x 'born in' ?y", "?x 'lives in' ?y ; ?y 'type' ?z"],
+    k=10,
+    batch=None,
+    block=None,
+    cut=3,
+    rule_target="bornIn",
+)
 def test_live_ingestion_byte_identical_to_fresh_build(
     segments, rows, texts, k, batch, block, cut, rule_target
 ):
@@ -200,7 +231,7 @@ def test_live_ingestion_byte_identical_to_fresh_build(
         for s, p, o, conf, count in suffix:
             for _ in range(count):
                 live.ingest(
-                    [Triple(Resource(s), Resource(p), Resource(o))],
+                    [Triple(Resource(s), _predicate(p), Resource(o))],
                     confidence=conf,
                 )
         assert live.store.delta_size == len(

@@ -94,3 +94,86 @@ class TestSelectivity:
         stats = StoreStatistics(store)
         cities = stats.type_instances(Resource("city"), t)
         assert set(cities) == {Resource("Ulm"), Resource("Munich")}
+
+
+def _live_store():
+    store = TripleStore()
+    store.add(Triple(Resource("AlbertEinstein"), Resource("bornIn"), Resource("Ulm")))
+    store.add(Triple(Resource("MarieCurie"), Resource("bornIn"), Resource("Warsaw")))
+    store.add(Triple(Resource("MarieCurie"), TextToken("lectured at"), Resource("Sorbonne")))
+    return store.freeze()
+
+
+def _built(store, **options):
+    statistics = StoreStatistics(store, **options)
+    statistics._ensure()
+    return statistics
+
+
+class TestExtension:
+    """``previous=``: extending built statistics equals sweeping the store."""
+
+    def test_extension_equals_a_sweep(self, statistics_state):
+        store = _live_store()
+        base = _built(store)
+        store.add(Triple(Resource("NielsBohr"), Resource("bornIn"), Resource("Copenhagen")))
+        store.add(Triple(Resource("NielsBohr"), TextToken("lectured at"), Resource("Sorbonne")))
+        grown = StoreStatistics(store, previous=base)
+        assert grown.is_built
+        fresh = StoreStatistics(store)
+        assert statistics_state(grown) == statistics_state(fresh)
+        assert grown.predicates() == fresh.predicates()
+        assert grown.args(Resource("bornIn")) == fresh.args(Resource("bornIn"))
+        assert len(grown.args(Resource("bornIn"))) == 3
+        assert grown.terms_in_slot(SUBJECT) == fresh.terms_in_slot(SUBJECT)
+
+    def test_predecessor_is_left_exactly_as_it_was(self, statistics_state):
+        store = _live_store()
+        base = _built(store)
+        before = statistics_state(base)
+        curie = store.dictionary.id_of(Resource("MarieCurie"))
+        untouched = base._context[SUBJECT][curie]
+        store.add(Triple(Resource("NielsBohr"), Resource("bornIn"), Resource("Copenhagen")))
+        grown = StoreStatistics(store, previous=base)
+        assert statistics_state(base) == before
+        assert len(base.args(Resource("bornIn"))) == 2
+        # Copy-on-write: a set the batch did not land in is shared.
+        assert grown._context[SUBJECT][curie] is untouched
+        born_in = store.dictionary.id_of(Resource("bornIn"))
+        assert grown._context[PREDICATE][born_in] is not base._context[PREDICATE][born_in]
+
+    def test_nothing_new_shares_the_maps(self):
+        store = _live_store()
+        base = _built(store)
+        store.add(Triple(Resource("MarieCurie"), Resource("bornIn"), Resource("Warsaw")))
+        grown = StoreStatistics(store, previous=base)
+        assert grown.is_built
+        assert all(a is b for a, b in zip(grown._context, base._context))
+
+    def test_mass_follows_evidence_for_a_delta_statement(self):
+        """The one non-additive piece: a duplicate landing on a delta
+        statement moves a weight that was already summed."""
+        store = _live_store()
+        bohr = Triple(Resource("NielsBohr"), Resource("bornIn"), Resource("Copenhagen"))
+        store.add(bohr, confidence=0.3)
+        base = _built(store)
+        assert base.predicate_mass(Resource("bornIn")) == 1.0 + 1.0 + 0.3
+        store.add(bohr, confidence=0.7, count=2)
+        grown = StoreStatistics(store, previous=base)
+        fresh = StoreStatistics(store)
+        assert grown.predicate_mass(Resource("bornIn")) == fresh.predicate_mass(
+            Resource("bornIn")
+        )
+        assert grown.predicate_mass(Resource("bornIn")) == 1.0 + 1.0 + 3 * 0.7
+        # ... and what an instance answered once, it keeps answering.
+        assert base.predicate_mass(Resource("bornIn")) == 1.0 + 1.0 + 0.3
+
+    def test_unbuilt_predecessor_yields_an_unbuilt_unchained_successor(self):
+        store = _live_store()
+        base = StoreStatistics(store)
+        store.add(Triple(Resource("NielsBohr"), Resource("bornIn"), Resource("Copenhagen")))
+        successor = StoreStatistics(store, previous=base)
+        assert not successor.is_built and not base.is_built
+        assert all(value is not base for value in vars(successor).values())
+        assert successor.predicate_fanout(Resource("bornIn")) == 3
+        assert successor.is_built and not base.is_built
