@@ -187,6 +187,8 @@ class _View:
             grown = same_store or (
                 previous is not None and _same_term_ids(previous.store, store)
             )
+            if grown and not same_store:
+                store.dictionary.adopt_sort_keys(previous.store.dictionary)
             self.statistics = StoreStatistics(
                 store, previous=previous.statistics if grown else None
             )

@@ -62,8 +62,12 @@ class AnswerAggregator:
         entry = self._best.get(key)
         return None if entry is None else entry[0]
 
-    def best_scores(self) -> list[tuple[BindingKey, float]]:
-        """Every distinct binding with its best score (tracker rebuilds)."""
+    def best_scores(self, limit: int | None = None) -> list[tuple[BindingKey, float]]:
+        """Every distinct binding with its best score (tracker rebuilds).
+
+        ``limit`` is the tracker's new ``k`` — the id-space aggregator
+        answers with its ``limit`` best; a superset serves the tracker
+        equally, so the reference core hands over everything."""
         return [(key, entry[0]) for key, entry in self._best.items()]
 
     def ranked_answers(self, limit: int | None = None, start: int = 0) -> list[Answer]:

@@ -20,11 +20,22 @@ class TermDictionary:
 
     The dictionary is append-only: terms are never removed, so ids stay
     valid for the lifetime of the store that owns them.
+
+    Beside the term table sits the **tie-key column**: :meth:`sort_key`
+    is ``decode(id).sort_key()`` computed on first use and kept per id, so
+    ranking code orders tied answers without decoding them.  Ids are
+    append-only, so an entry is never invalidated — not by an ingest (new
+    ids, new entries) and not by a compaction that kept every id
+    (:meth:`adopt_sort_keys`).  Entries are immutable and each is
+    published by a single dict store: concurrent readers (``ask_many``
+    threads) see an id's key either absent or complete, and two threads
+    that both miss store equal values.
     """
 
     def __init__(self):
         self._term_to_id: dict[Term, int] = {}
         self._id_to_term: list[Term] = []
+        self._sort_keys: dict[int, tuple[int, str]] = {}
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -61,6 +72,19 @@ class TermDictionary:
         if 0 <= term_id < len(self._id_to_term):
             return self._id_to_term[term_id]
         raise DictionaryError(f"Unknown term id: {term_id}")
+
+    def sort_key(self, term_id: int) -> tuple[int, str]:
+        """``decode(term_id).sort_key()``, computed once per id."""
+        key = self._sort_keys.get(term_id)
+        if key is None:
+            key = self._sort_keys[term_id] = self.decode(term_id).sort_key()
+        return key
+
+    def adopt_sort_keys(self, other: "TermDictionary") -> None:
+        """Start from the tie keys ``other`` has computed; only valid when
+        every id of ``other`` names the same term here (a compaction that
+        kept ids).  Costs the keys computed, not the dictionary."""
+        self._sort_keys = dict(other._sort_keys)
 
     def ids_of_kind(self, kind: str) -> list[int]:
         """All ids whose term has the given kind ('resource', 'token', ...)."""

@@ -5,7 +5,8 @@ algorithm of Theobald, Schenkel & Weikum (SIGIR 2005):
 
 * :mod:`idspace` — the default execution core: cursors, rank join and
   answer aggregation operating on dictionary-encoded integer ids end to
-  end, with decode-to-:class:`Term` deferred to answer materialisation;
+  end, advancing by tied head runs (:class:`IdRun`), with provenance and
+  decode-to-:class:`Term` deferred to answer materialisation;
 * :mod:`cursors` — the original term-space sorted access
   (:class:`PostingCursor`, :class:`MaterializedJoinCursor`), retained as
   the executable reference semantics;
@@ -34,6 +35,7 @@ from repro.topk.idspace import (
     IdMatch,
     IdPostingCursor,
     IdRankJoin,
+    IdRun,
     IdSubJoinCursor,
     PatternPlan,
     SlotTable,
@@ -55,6 +57,7 @@ __all__ = [
     "IdMatch",
     "IdPostingCursor",
     "IdRankJoin",
+    "IdRun",
     "IdSubJoinCursor",
     "PatternPlan",
     "SlotTable",

@@ -132,7 +132,7 @@ class TopKDriver:
         else:
             self._started = True
         if k != self._tracker.k:
-            self._tracker.set_k(k, self._aggregator.best_scores())
+            self._tracker.set_k(k, self._aggregator.best_scores(k))
             self._reactivate()
         try:
             self._drain()

@@ -12,9 +12,12 @@ This module keeps the *whole* hot path in integer id-space:
   and variable slots once, so matching a posting is integer comparisons,
 * :class:`IdPostingCursor` / :class:`IdSubJoinCursor` stream id-space
   matches with scores computed straight off the store's weight column,
-* :class:`IdRankJoin` probes and merges bindings as int tuples,
-* :class:`IdAnswerAggregator` collects id-space derivations and decodes to
-  :class:`~repro.core.results.Answer` objects only at materialisation.
+  and hand them out a **tied head run** (:class:`IdRun`) at a time,
+* :class:`IdRankJoin` advances by those runs and probes and merges
+  bindings as int tuples,
+* :class:`IdAnswerAggregator` keeps each answer's provenance as
+  ``(cursor, posting)`` references and builds derivations and decodes to
+  :class:`~repro.core.results.Answer` objects only for an emitted window.
 
 Semantics are *identical* to the term-space reference path
 (:mod:`repro.topk.cursors` / :mod:`repro.topk.rank_join`): same enumeration
@@ -24,6 +27,9 @@ orders, same float arithmetic, same tie-breaks — which the equivalence suite
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
+from operator import itemgetter, neg
 from typing import Callable, Sequence
 
 from repro.core.query import Query
@@ -219,6 +225,25 @@ class IdDerivation:
         self.rewriting = rewriting
         self.rewriting_weight = rewriting_weight
 
+    @classmethod
+    def of_items(
+        cls,
+        items: tuple,
+        rewriting: tuple[RuleApplication, ...],
+        rewriting_weight: float,
+    ) -> "IdDerivation":
+        """The provenance of one combination: ``items`` are the consumed
+        run items a join combined (one per stream, each ``(binding, score,
+        slots, source, ref)``) under ``rewriting``."""
+        return cls(
+            tuple(
+                source.match_info(ref, score)
+                for _binding, score, _slots, source, ref in items
+            ),
+            rewriting,
+            rewriting_weight,
+        )
+
     def decode(self, store: TripleStore) -> Derivation:
         return Derivation(
             matches=tuple(m.decode(store) for m in self.matches),
@@ -253,6 +278,81 @@ class IdMatch:
         self.slots = slots
 
 
+class IdRun:
+    """A tied head run: the next matches of one cursor that share one score.
+
+    The unit sorted access advances by.  ``bindings`` are full-width
+    binding tuples in stream order, all scoring exactly ``score``;
+    ``refs[i]`` is the posting behind ``bindings[i]`` (a triple id, or a
+    sub-join's tuple of them) and ``source`` the cursor that read it —
+    ``source.match_info(ref, score)`` builds the provenance, which nobody
+    needs before an answer is shown.  ``slots`` names the bound positions
+    of every binding in the run.  A run is a *view* of the cursor's head:
+    nothing is consumed until the consumer says how many items it took
+    (``advance(n)``), so a join that suspends mid-run leaves the tail
+    staged where it was.
+    """
+
+    __slots__ = ("score", "bindings", "refs", "source", "slots")
+
+    def __init__(
+        self,
+        score: float,
+        bindings: Sequence[tuple[int, ...]],
+        refs: Sequence,
+        source,
+        slots: tuple[int, ...],
+    ):
+        self.score = score
+        self.bindings = bindings
+        self.refs = refs
+        self.source = source
+        self.slots = slots
+
+    def select(self, positions: Sequence[int]) -> "IdRun":
+        """The run restricted to ``positions`` (ascending)."""
+        bindings, refs = self.bindings, self.refs
+        return IdRun(
+            self.score,
+            [bindings[i] for i in positions],
+            [refs[i] for i in positions],
+            self.source,
+            self.slots,
+        )
+
+
+def _pop_one(cursor) -> IdMatch | None:
+    """Per-item access to a run cursor: a run of one, consumed whole."""
+    run = cursor.head_run(1)
+    if run is None:
+        return None
+    cursor.advance(1)
+    score = run.score
+    return IdMatch(
+        run.bindings[0], score, run.source.match_info(run.refs[0], score), run.slots
+    )
+
+
+def tie_key(
+    sort_key: Callable[[int], tuple[int, str]],
+    ids: Sequence[int],
+    names: Sequence[str] | None = None,
+) -> tuple:
+    """The lexical tie-break of one answer: the sort keys of its terms,
+    looked up by id (:meth:`~repro.storage.dictionary.TermDictionary.
+    sort_key`) — equal to sorting the decoded binding, without decoding it.
+
+    Answers that may leave a variable unbound compare as their bound
+    ``(variable name, sort key)`` pairs, so pass the variables' ``names``;
+    among answers that bind every variable the names cancel out.
+    """
+    if names is None:
+        return tuple(map(sort_key, ids))
+    return tuple(
+        (name, sort_key(tid)) for name, tid in zip(names, ids) if tid != UNBOUND
+    )
+
+
 class IdExecutionContext:
     """Shared per-rewriting state: store, scorer, stats, and the slot table."""
 
@@ -276,15 +376,17 @@ class IdPostingCursor:
     Consumption is **block-at-a-time** by default: the cursor decodes a
     whole posting block, filters repeated-variable mismatches over the
     block, and scores it in one :func:`repro.topk.kernels.score_block`
-    call — ``peek`` then reads a precomputed score and ``pop``
-    materialises an :class:`IdMatch` only for heads the rank join actually
-    consumes.  Block granularity follows ``TripleStore.block_size``
+    call — ``peek`` then reads a precomputed score, and :meth:`head_run`
+    hands out every staged head that shares it as one :class:`IdRun`,
+    bound by a single :func:`repro.topk.kernels.bind_block` call;
+    :meth:`advance` says how many the consumer took (:meth:`pop` is a run
+    of one).  Block granularity follows ``TripleStore.block_size``
     (``EngineConfig.block_size``): ``None`` adapts — the cursor scores
     exactly what each batched pull of the segment merge materialised —
-    while ``1`` selects the original per-item path, retained as the
-    byte-identical reference the property suite pins the block path
-    against.  Emitted matches and scores are identical in both modes; only
-    the ``blocks_decoded`` counter differs.
+    while ``1`` stages nothing and scores one head at a time, so every run
+    has length one: the per-item oracle the property suite pins the block
+    path against.  Emitted matches and scores are identical in both modes;
+    only the ``blocks_decoded`` counter differs.
     """
 
     __slots__ = (
@@ -475,28 +577,54 @@ class IdPostingCursor:
         """Posting peeks are exact (peeking opens the list); always True."""
         return True
 
-    def pop(self) -> IdMatch | None:
+    def head_run(self, limit: int | None = None) -> IdRun | None:
+        """The staged heads that share the head score, bound in one call.
+
+        The run never reaches past the staged block (a tie that continues
+        in the next block is the next run) nor past ``limit`` items; with
+        ``block_size=1`` nothing is staged and every run has length one.
+        Consumes nothing — see :meth:`advance`.
+        """
         score = self.peek()
         if score is None:
             return None
         if self._use_blocks:
-            tid = self._block_tids[self._block_pos]
-            self._block_pos += 1
+            scores = self._block_scores
+            start = self._block_pos
+            # Scores descend, so the tie ends where ``-score`` stops being
+            # the largest key; the common KG list is one tie to the end.
+            stop = len(scores)
+            if scores[stop - 1] != score:
+                stop = bisect_right(scores, -score, start, stop, key=neg)
+            if limit is not None:
+                stop = min(stop, start + limit)
+            tids = self._block_tids[start:stop]
         else:
-            tid = self._ids[self._position]
-            self._position += 1
-            self._head_score = None
-        if self.ctx.stats is not None:
-            self.ctx.stats.sorted_accesses += 1
+            tids = (self._ids[self._position],)
         if self._template is None:
             self._template = [UNBOUND] * self.ctx.table.width
-        out = self._template.copy()
-        bound = self.plan.bind_into(self._slot_ids(tid), out)
-        assert bound  # _current guarantees repeated-var consistency
-        info = IdMatchInfo(
+        plan = self.plan
+        bindings = plan.bind_block(tids, self._slot_ids, self._template)
+        return IdRun(score, bindings, tids, self, plan.bound_slots)
+
+    def advance(self, n: int) -> None:
+        """Consume the first ``n`` items of the current head run."""
+        if self._use_blocks:
+            self._block_pos += n
+        else:
+            self._position += n
+            self._head_score = None
+        if self.ctx.stats is not None:
+            self.ctx.stats.sorted_accesses += n
+
+    def match_info(self, tid: int, score: float) -> IdMatchInfo:
+        """Provenance of the match this cursor read from posting ``tid``."""
+        return IdMatchInfo(
             self.pattern, (tid,), score, self.rule, self.token_matches
         )
-        return IdMatch(tuple(out), score, info, self.plan.bound_slots)
+
+    def pop(self) -> IdMatch | None:
+        return _pop_one(self)
 
 
 class IdSubJoinCursor:
@@ -517,7 +645,9 @@ class IdSubJoinCursor:
         "rule",
         "token_matches",
         "max_results",
-        "_items",
+        "_bindings",
+        "_scores",
+        "_used",
         "_position",
         "_bound",
     )
@@ -558,7 +688,10 @@ class IdSubJoinCursor:
         self.rule = rule
         self.token_matches = token_matches
         self.max_results = max_results
-        self._items: list[IdMatch] | None = None
+        # The materialised result, score-descending, as parallel columns.
+        self._bindings: list[tuple[int, ...]] | None = None
+        self._scores: list[float] | None = None
+        self._used: list[tuple[int, ...]] | None = None
         self._position = 0
         self._bound: float | None = None
 
@@ -569,7 +702,7 @@ class IdSubJoinCursor:
         return self._bound
 
     def _materialize(self) -> None:
-        if self._items is not None:
+        if self._scores is not None:
             return
         ctx = self.ctx
         store = ctx.store
@@ -635,97 +768,97 @@ class IdSubJoinCursor:
 
         backtrack(0, [UNBOUND] * width, 1.0, ())
 
-        decode = store.dictionary.decode
         template = [UNBOUND] * width
-        items = []
+        items: list[tuple[tuple[int, ...], float, tuple[int, ...]]] = []
         for key, (score, used) in best.items():
             out = template.copy()
             for slot, value in zip(interface_slots, key):
                 out[slot] = value
-            total = self.multiplier * score
-            items.append(
-                IdMatch(
-                    tuple(out),
-                    total,
-                    IdMatchInfo(
-                        # The first replacement pattern stands for the whole
-                        # sub-join in explanations; all matched ids are kept.
-                        self.patterns[0],
-                        used,
-                        total,
-                        self.rule,
-                        self.token_matches,
-                    ),
-                    interface_slots,
-                )
-            )
-        # Ties break on the decoded terms' lexical order — identical to the
-        # term-space reference, which sorts BindingKey pairs.  Decoding is
-        # deferred to tied runs only.
-        sort_descending_with_decoded_ties(
-            items,
-            lambda m: m.score,
-            lambda m: tuple(
-                decode(m.binding[s]).sort_key()
-                for s in interface_slots
-                if m.binding[s] != UNBOUND
-            ),
+            items.append((tuple(out), self.multiplier * score, used))
+        # Ties break on the bound terms' lexical order — identical to the
+        # term-space reference, which sorts BindingKey pairs (a sub-join
+        # binds every interface variable, so their names cancel out).
+        sort_key = store.dictionary.sort_key
+        bound = kernels.tuple_getter(interface_slots)
+        sort_descending_with_ties(
+            items, itemgetter(1), lambda item: tie_key(sort_key, bound(item[0]))
         )
-        self._items = items
+        self._bindings = [item[0] for item in items]
+        self._scores = [item[1] for item in items]
+        self._used = [item[2] for item in items]
 
     @property
     def is_materialized(self) -> bool:
-        return self._items is not None
+        return self._scores is not None
 
     def ensure_exact(self) -> bool:
         """Materialise the sub-join if needed; True when already exact."""
-        if self._items is not None:
+        if self._scores is not None:
             return True
         self._materialize()
         return False
 
     def peek(self) -> float | None:
-        if self._items is None:
+        if self._scores is None:
             bound = self._upper_bound()
             return bound if bound > 0.0 else None
-        if self._position < len(self._items):
-            return self._items[self._position].score
+        if self._position < len(self._scores):
+            return self._scores[self._position]
         return None
 
-    def pop(self) -> IdMatch | None:
+    def head_run(self, limit: int | None = None) -> IdRun | None:
+        """The materialised items that share the head score (at most
+        ``limit``); materialises first, so the run's score may be lower
+        than an optimistic :meth:`peek` promised."""
         self._materialize()
-        assert self._items is not None
-        if self._position >= len(self._items):
+        scores = self._scores
+        start = self._position
+        if start >= len(scores):
             return None
-        item = self._items[self._position]
-        self._position += 1
-        return item
+        score = scores[start]
+        stop = bisect_right(scores, -score, start, key=neg)
+        if limit is not None:
+            stop = min(stop, start + limit)
+        return IdRun(
+            score,
+            self._bindings[start:stop],
+            self._used[start:stop],
+            self,
+            self.interface_slots,
+        )
+
+    def advance(self, n: int) -> None:
+        """Consume the first ``n`` items of the current head run (the
+        sorted accesses behind them were counted at materialisation)."""
+        self._position += n
+
+    def match_info(self, used: tuple[int, ...], score: float) -> IdMatchInfo:
+        """Provenance of one sub-join result: the first replacement
+        pattern stands for the whole sub-join in explanations; all
+        matched triple ids are kept."""
+        return IdMatchInfo(
+            self.patterns[0], used, score, self.rule, self.token_matches
+        )
+
+    def pop(self) -> IdMatch | None:
+        return _pop_one(self)
 
 
-def sort_descending_with_decoded_ties(
-    items: list, score_of, tie_key, limit: int | None = None
-) -> None:
-    """Sort ``items`` by (score desc, tie_key asc), computing ``tie_key``
-    only inside runs of equal score.
-
-    Tie keys in id-space require decoding term ids back to terms; scores
-    rarely tie, so resolving ties lazily keeps materialisation free of
-    wholesale decoding while producing the byte-identical order of a full
-    ``sort(key=(-score, tie_key))`` for the first ``limit`` items (all of
-    them when ``limit`` is None) — runs that start at or beyond the limit
-    can never surface and are left score-ordered only.
-    """
-    items.sort(key=lambda item: -score_of(item))
+def sort_descending_with_ties(items: list, score_of, key_of) -> None:
+    """Sort ``items`` by (score desc, ``key_of`` asc), computing ``key_of``
+    only inside runs of equal score (scores rarely tie outside KG lists)
+    — the byte-identical order of a full ``sort(key=(-score, key))``."""
+    # (a reversed sort keeps equal scores in their original order)
+    items.sort(key=score_of, reverse=True)
     n = len(items)
-    cut = n if limit is None else min(limit, n)
     start = 0
-    while start < cut:
+    while start < n:
         stop = start + 1
         score = score_of(items[start])
         while stop < n and score_of(items[stop]) == score:
             stop += 1
         if stop - start > 1:
-            items[start:stop] = sorted(items[start:stop], key=tie_key)
+            items[start:stop] = sorted(items[start:stop], key=key_of)
         start = stop
 
 
@@ -735,30 +868,90 @@ class IdAnswerAggregator:
     Keys are tuples of term ids aligned to the query's name-sorted
     projection variables (``UNBOUND`` where a rewriting left a projection
     variable unbound), so keys from different rewritings of the same query
-    always agree.  Decoding to :class:`Answer` happens once, at
-    :meth:`ranked_answers`.
+    always agree.  An answer's provenance is kept as the consumed run items
+    that were combined plus the rewriting they were combined under;
+    derivations are built and terms decoded only for the window
+    :meth:`ranked_answers` returns.
+
+    The ranked order is kept until :meth:`add` changes a best score, and a
+    tied run is ordered only as far as it is shown: its entries go into a
+    heap on their tie keys (each computed once) and leave it rank by rank.
+    A page over a settled aggregator costs the page, not a re-sort of
+    everything aggregated.
     """
 
     def __init__(self, projection: tuple[Variable, ...]):
         self.projection = projection
-        self._best: dict[tuple[int, ...], tuple[float, IdDerivation]] = {}
+        self._names = [variable.name for variable in projection]
+        self._best: dict[tuple[int, ...], tuple[float, tuple, tuple]] = {}
         self._counts: dict[tuple[int, ...], int] = {}
+        # ``_order``: (key, score) by score descending, ``None`` after
+        # ``_best`` moved.  ``_ranked``: its prefix in final order, as far
+        # as anyone asked.  ``_run``: a heap of (tie key, key) over the not
+        # yet ranked rest of the tied run ``_ranked`` ends inside.
+        self._order: list[tuple[tuple[int, ...], float]] | None = None
+        self._ranked: list[tuple[tuple[int, ...], float]] = []
+        self._run: list[tuple[tuple, tuple[int, ...]]] = []
 
     def __len__(self) -> int:
         return len(self._best)
 
-    def add(self, key: tuple[int, ...], score: float, derivation: IdDerivation) -> float:
-        """Record one derivation; return the key's best known score."""
+    def add(
+        self, key: tuple[int, ...], score: float, items: tuple, rewriting: tuple
+    ) -> float:
+        """Record one derivation — ``items`` combined under ``rewriting``,
+        the ``(applications, weight)`` pair — and return the key's best
+        known score."""
         self._counts[key] = self._counts.get(key, 0) + 1
         existing = self._best.get(key)
         if existing is None or score > existing[0]:
-            self._best[key] = (score, derivation)
+            self._best[key] = (score, items, rewriting)
+            self._order = None
             return score
         return existing[0]
 
-    def best_scores(self) -> list[tuple[tuple[int, ...], float]]:
-        """Every distinct key with its best score (tracker rebuilds)."""
-        return [(key, entry[0]) for key, entry in self._best.items()]
+    def _by_score(self) -> list[tuple[tuple[int, ...], float]]:
+        order = self._order
+        if order is None:
+            order = self._order = [
+                (key, entry[0]) for key, entry in self._best.items()
+            ]
+            order.sort(key=itemgetter(1), reverse=True)
+            self._ranked = []
+            self._run = []
+        return order
+
+    def _rank(
+        self, store: TripleStore, cut: int
+    ) -> list[tuple[tuple[int, ...], float]]:
+        """The first ``cut`` entries in final order: (score desc, tie key
+        asc).  Continues where the last call stopped."""
+        order = self._by_score()
+        ranked = self._ranked
+        run = self._run
+        while len(ranked) < cut:
+            position = len(ranked)
+            score = order[position][1]
+            if not run:
+                stop = position + 1
+                while stop < len(order) and order[stop][1] == score:
+                    stop += 1
+                if stop - position == 1:
+                    ranked.append(order[position])
+                    continue
+                keys = [key for key, _score in order[position:stop]]
+                partial = any(UNBOUND in key for key in keys)
+                names = self._names if partial else None
+                sort_key = store.dictionary.sort_key
+                run[:] = [(tie_key(sort_key, key, names), key) for key in keys]
+                heapq.heapify(run)
+            ranked.append((heapq.heappop(run)[1], score))
+        return ranked
+
+    def best_scores(self, limit: int) -> list[tuple[tuple[int, ...], float]]:
+        """The ``limit`` best distinct keys with their scores (tracker
+        rebuilds: the k-th best score is all a retargeted tracker needs)."""
+        return self._by_score()[:limit]
 
     def ranked_answers(
         self, store: TripleStore, limit: int | None = None, start: int = 0
@@ -767,41 +960,31 @@ class IdAnswerAggregator:
 
         Only the answers that make the cut are decoded: entries are ranked
         by score first (pure float/int work), equal-score runs intersecting
-        the top-``limit`` are tie-broken on their decoded terms, and
-        derivations materialise for the returned answers alone.  ``start``
-        skips decoding a settled prefix (streaming pagination returns only
+        the top-``limit`` are tie-broken on the id-indexed term sort keys,
+        and derivations materialise for the returned answers alone.
+        ``start`` skips a settled prefix (streaming pagination returns only
         the window ``[start:limit]`` — ranks the caller already holds are
-        never re-decoded).
+        neither re-ranked nor re-decoded).
         """
+        cut = len(self._best) if limit is None else min(limit, len(self._best))
+        ranked = self._rank(store, cut)
         decode = store.dictionary.decode
         projection = self.projection
-
-        def tie_key(entry: tuple[tuple[int, ...], float, IdDerivation]) -> tuple:
-            key = entry[0]
-            return tuple(
-                (var.name, decode(tid).sort_key())
-                for var, tid in zip(projection, key)
-                if tid != UNBOUND
-            )
-
-        entries = [
-            (key, score, derivation)
-            for key, (score, derivation) in self._best.items()
-        ]
-        sort_descending_with_decoded_ties(
-            entries, lambda entry: entry[1], tie_key, limit
-        )
-        cut = len(entries) if limit is None else min(limit, len(entries))
-
         answers = []
-        for key, score, derivation in entries[start:cut]:
+        for key, score in ranked[start:cut]:
+            _score, items, rewriting = self._best[key]
             binding = tuple(
                 (var, decode(tid))
                 for var, tid in zip(projection, key)
                 if tid != UNBOUND
             )
             answers.append(
-                Answer(binding, score, derivation.decode(store), self._counts[key])
+                Answer(
+                    binding,
+                    score,
+                    IdDerivation.of_items(items, *rewriting).decode(store),
+                    self._counts[key],
+                )
             )
         return answers
 
@@ -838,6 +1021,9 @@ class IdRankJoin:
         self.ctx = ctx
         self.rewriting_weight = rewriting_weight
         self.rewriting = rewriting
+        # Shared by every answer this join forms (and nothing of the join
+        # itself: an aggregated answer must not keep a finished join alive).
+        self._rewriting = (rewriting, rewriting_weight)
         self.aggregator = aggregator
         self.tracker = tracker
         self.exhaustive = exhaustive
@@ -858,12 +1044,18 @@ class IdRankJoin:
                 table.slots_for(tuple(sorted(shared, key=lambda v: v.name)))
             )
         table.freeze()
-        self._width = table.width
-        self._seen: list[dict[tuple[int, ...], IdMatch]] = [{} for _ in streams]
+        self._project = kernels.tuple_getter(self._projection_slots)
+        self._key_of = [kernels.tuple_getter(slots) for slots in self._join_slots]
+        # A consumed run item is ``(binding, score, slots, source, ref)``:
+        # what a probe compares, plus the ``(cursor, posting)`` reference
+        # its provenance is built from if an answer it formed is shown.
+        self._seen: list[dict[tuple[int, ...], tuple]] = [{} for _ in streams]
         self._best: list[float | None] = [None] * len(streams)
-        self._join_index: list[dict[tuple[int, ...], list[IdMatch]]] = [
+        self._join_index: list[dict[tuple[int, ...], list[tuple]]] = [
             {} for _ in streams
         ]
+        # Whether an offer moved the tracker since _consume last looked.
+        self._moved = False
 
     # -- bounds ------------------------------------------------------------
 
@@ -894,73 +1086,119 @@ class IdRankJoin:
             bound = max(bound, product)
         return bound * self.rewriting_weight
 
+    def _settled(self, bound: float) -> bool:
+        """Whether the k-th best score already rules out ``bound``."""
+        tracker = self.tracker
+        if not tracker.is_full:
+            return False
+        if self.strict_ties:
+            return tracker.threshold > bound
+        return tracker.threshold >= bound
+
     # -- combination formation ------------------------------------------------
 
-    def _emit(self, items: list[IdMatch]) -> None:
-        """Form the answer from one complete combination and record it."""
-        merged = [UNBOUND] * self._width
+    def _emit(self, merged: Sequence[int], items: tuple) -> None:
+        """Record the answer of one complete combination: ``items`` in
+        stream order, ``merged`` their bindings merged."""
         score = self.rewriting_weight
         for item in items:
-            score *= item.score
-            binding = item.binding
-            for slot in item.slots:
-                merged[slot] = binding[slot]
-        projected = tuple(merged[s] for s in self._projection_slots)
-        derivation = IdDerivation(
-            matches=tuple(item.info for item in items),
-            rewriting=self.rewriting,
-            rewriting_weight=self.rewriting_weight,
-        )
+            score *= item[1]
+        projected = self._project(merged)
         if self.ctx.stats is not None:
             self.ctx.stats.candidates_formed += 1
-        best = self.aggregator.add(projected, score, derivation)
-        self.tracker.offer(projected, best)
+        best = self.aggregator.add(projected, score, items, self._rewriting)
+        if self.tracker.offer(projected, best):
+            self._moved = True
 
-    def _probe(self, new_item: IdMatch, stream_index: int) -> None:
-        """Enumerate all combinations of the new item with seen items."""
-        others = [j for j in range(len(self.streams)) if j != stream_index]
-        # Visit scarcer streams first: fails fast on empty/selective ones.
-        others.sort(key=lambda j: len(self._seen[j]))
-        if any(not self._seen[j] for j in others):
+    def _extend(
+        self, others: list[int], position: int, assigned: list[int], combo: list
+    ) -> None:
+        """Enumerate the seen items of streams ``others[position:]`` that
+        are compatible with ``assigned``; emit each complete combination."""
+        if position == len(others):
+            self._emit(assigned, tuple(combo))
             return
-
-        combo: list[IdMatch | None] = [None] * len(self.streams)
-        combo[stream_index] = new_item
-
-        def candidates(j: int, assigned: list[int]) -> list[IdMatch]:
-            join_slots = self._join_slots[j]
-            if join_slots and all(assigned[s] != UNBOUND for s in join_slots):
-                key = tuple(assigned[s] for s in join_slots)
-                return self._join_index[j].get(key, [])
-            return list(self._seen[j].values())
-
-        def backtrack(position: int, assigned: list[int]) -> None:
-            if position == len(others):
-                self._emit([item for item in combo if item is not None])
-                return
-            j = others[position]
-            for item in candidates(j, assigned):
-                binding = item.binding
-                compatible = True
-                for slot in item.slots:
-                    current = assigned[slot]
-                    if current != UNBOUND and current != binding[slot]:
-                        compatible = False
-                        break
-                if not compatible:
-                    continue
+        j = others[position]
+        candidates = None
+        if self._join_slots[j]:
+            key = self._key_of[j](assigned)
+            if UNBOUND not in key:
+                candidates = self._join_index[j].get(key, ())
+        if candidates is None:
+            candidates = list(self._seen[j].values())
+        for item in candidates:
+            binding = item[0]
+            slots = item[2]
+            for slot in slots:
+                current = assigned[slot]
+                if current != UNBOUND and current != binding[slot]:
+                    break
+            else:
                 extended = assigned.copy()
-                for slot in item.slots:
+                for slot in slots:
                     extended[slot] = binding[slot]
                 combo[j] = item
-                backtrack(position + 1, extended)
-            combo[j] = None
+                self._extend(others, position + 1, extended, combo)
+        combo[j] = None
 
-        backtrack(0, list(new_item.binding))
+    def _consume(
+        self,
+        run: IdRun,
+        index: int,
+        limit: int,
+        bound: float,
+        should_stop: Callable[[], bool] | None,
+    ) -> int:
+        """Take up to ``limit`` items of stream ``index``'s head run;
+        return how many.
 
-    def _index_key(self, item: IdMatch, stream_index: int) -> tuple[int, ...]:
-        binding = item.binding
-        return tuple(binding[s] for s in self._join_slots[stream_index])
+        The caller has decided that the first item is to be consumed, and
+        that decision extends over the ``limit`` items: heads, liveness and
+        upper bound stay what they were, so only the threshold (and
+        ``should_stop``) is read again before each further item, and the
+        run is cut where the per-item loop would have suspended.
+        """
+        streams = self.streams
+        bindings = run.bindings
+        score = run.score
+        slots = run.slots
+        source = run.source
+        refs = run.refs
+        seen = self._seen[index]
+        check = not self.exhaustive
+        self._moved = False
+        # Visit scarcer streams first: fails fast on selective ones.
+        # Their sizes cannot change while this stream's run is taken.
+        others = [j for j in range(len(streams)) if j != index]
+        others.sort(key=lambda j: len(self._seen[j]))
+        joinable = all(self._seen[j] for j in others)
+        combo: list = [None] * len(streams)
+        key_of = self._key_of[index]
+        index_map = self._join_index[index]
+        for position in range(limit):
+            if position:
+                # The threshold is where the run's first item left it
+                # unless an offer since moved the tracked top-k.
+                if check and self._moved:
+                    self._moved = False
+                    if self._settled(bound):
+                        return position
+                if should_stop is not None and should_stop():
+                    return position
+            binding = bindings[position]
+            if binding in seen:
+                continue  # merged streams dedupe already; double guard
+            item = (binding, score, slots, source, refs[position])
+            seen[binding] = item
+            if not others:
+                # One stream: the item is the combination.
+                self._emit(binding, (item,))
+                continue
+            index_map.setdefault(key_of(binding), []).append(item)
+            if joinable:
+                combo[index] = item
+                self._extend(others, 0, list(binding), combo)
+        return limit
 
     # -- main loop ------------------------------------------------------------
 
@@ -970,9 +1208,16 @@ class IdRankJoin:
         Returns True when the join is *exhausted* — it can never emit
         another combination — and False when it merely suspended (threshold
         termination or ``should_stop``).  A suspended join is resumable:
-        all state lives on the instance, so calling :meth:`run` again
-        continues exactly where it left off (the driver does this when a
-        stream's consumer asks for more answers and the threshold drops).
+        all state lives on the instance and the cursors, so calling
+        :meth:`run` again continues at the very posting it stopped before
+        (the driver does this when a stream's consumer asks for more
+        answers and the threshold drops).
+
+        The loop advances by **tied head runs**: which stream to advance,
+        liveness and the upper bound are decided once per run from the
+        stream heads, then :meth:`_consume` takes the run's items.  A run
+        of length one (``block_size=1`` / ``merge_batch=1``, or simply
+        distinct scores) is the classic per-item HRJN step.
 
         With ``strict_ties`` termination requires the k-th best score to
         *strictly* beat the upper bound: combinations tying the threshold
@@ -993,27 +1238,26 @@ class IdRankJoin:
                 for i in range(len(streams))
             ):
                 return True
+            bound = 0.0
             if not self.exhaustive:
                 bound = self.upper_bound(peeks)
-                if self.tracker.is_full and (
-                    self.tracker.threshold > bound
-                    if self.strict_ties
-                    else self.tracker.threshold >= bound
-                ):
+                if self._settled(bound):
                     return False
             if should_stop is not None and should_stop():
                 return False
             # Advance the stream with the highest head (ties: lowest index).
             index = max(live, key=lambda i: (peeks[i], -i))
-            item = streams[index].pop()
-            if item is None:
+            stream = streams[index]
+            run = stream.head_run()
+            if run is None:
                 continue
             if self._best[index] is None:
-                self._best[index] = item.score
-            if item.binding in self._seen[index]:
-                continue  # merged streams dedupe already; double guard
-            self._seen[index][item.binding] = item
-            self._join_index[index].setdefault(
-                self._index_key(item, index), []
-            ).append(item)
-            self._probe(item, index)
+                self._best[index] = run.score
+            # An optimistic head (an unrefined relaxation) was refined by
+            # head_run: the run scores lower than the peek the decisions
+            # above rest on, so they hold for its first item only.
+            limit = len(run.bindings) if run.score == peeks[index] else 1
+            taken = self._consume(run, index, limit, bound, should_stop)
+            stream.advance(taken)
+            if taken < limit:
+                return False

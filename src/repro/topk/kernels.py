@@ -17,7 +17,8 @@ instead of once per posting:
   sharded k-way merge refills by instead of lists of per-head tuples;
 * :func:`filter_consistent_block` / :func:`bind_block` — the block
   variants of :meth:`PatternPlan.consistent` / ``bind_into`` (repeated
-  variable filtering over columns);
+  variable filtering over columns; the bindings of a whole tied head run
+  in one call);
 * :class:`HotBlockCache` — a small bounded LRU over prepared head blocks,
   keyed on ``(backend identity, segment, signature, block range)``, so
   Zipfian head queries stop re-decoding the same front blocks.  The engine
@@ -147,6 +148,18 @@ def filter_consistent_block(
     return out
 
 
+def tuple_getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``row -> tuple(row[i] for i in indices)`` without a Python-level
+    loop per call (``itemgetter`` alone returns a scalar for one index and
+    refuses none)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (index,) = indices
+        return lambda row: (row[index],)
+    return lambda row: ()
+
+
 def bind_block(
     tids: Sequence[int],
     slot_ids: Callable[[int], tuple[int, int, int]],
@@ -159,17 +172,14 @@ def bind_block(
     cursors: the template carries every slot the pattern does not bind, so
     each output tuple is full binding width.  Conflicts cannot arise here —
     repeated-variable ids were filtered by :func:`filter_consistent_block`
-    and a posting cursor binds into an otherwise-unbound template.
+    and a posting cursor binds into an otherwise-unbound template.  Each
+    row is one gather over ``(s, p, o) + template``: slot ``i`` reads the
+    position that binds it, or its own template cell.
     """
-    out: list[tuple[int, ...]] = []
-    base = list(template)
-    for tid in tids:
-        spo = slot_ids(tid)
-        row = base.copy()
-        for position, slot in var_positions:
-            row[slot] = spo[position]
-        out.append(tuple(row))
-    return out
+    tail = tuple(template)
+    bound_at = {slot: position for position, slot in var_positions}
+    pick = tuple_getter([bound_at.get(slot, 3 + slot) for slot in range(len(tail))])
+    return [pick(slot_ids(tid) + tail) for tid in tids]
 
 
 class HotBlockCache:

@@ -111,25 +111,27 @@ class DistinctTopKTracker:
         self._clean()
         return self._heap[0][0] if self._heap else 0.0
 
-    def offer(self, key: object, score: float) -> None:
-        """Report that ``key``'s best known score is now ``score``."""
-        current = self._in_top.get(key)
+    def offer(self, key: object, score: float) -> bool:
+        """Report that ``key``'s best known score is now ``score``.
+
+        Returns whether the tracked top-k moved: False means
+        :attr:`is_full` and :attr:`threshold` are what they were, so a
+        caller that polls them between offers can skip the poll.
+        """
+        in_top = self._in_top
+        current = in_top.get(key)
         if current is not None:
-            if score > current:
-                self._in_top[key] = score
-                heapq.heappush(self._heap, (score, next(self._counter), key))
-            return
-        if not self.is_full:
-            self._in_top[key] = score
-            heapq.heappush(self._heap, (score, next(self._counter), key))
-            return
-        if score > self.threshold:
-            self._clean()
-            if self._heap:
-                _s, _o, evicted = heapq.heappop(self._heap)
-                self._in_top.pop(evicted, None)
-            self._in_top[key] = score
-            heapq.heappush(self._heap, (score, next(self._counter), key))
+            if score <= current:
+                return False
+        elif len(in_top) >= self.k:
+            if score <= self.threshold:
+                return False
+            # threshold cleaned the heap: its head is the k-th best key.
+            _s, _o, evicted = heapq.heappop(self._heap)
+            in_top.pop(evicted, None)
+        in_top[key] = score
+        heapq.heappush(self._heap, (score, next(self._counter), key))
+        return True
 
 
 class GrowableTopKTracker:
@@ -139,9 +141,11 @@ class GrowableTopKTracker:
     for a ``k`` that increases as a stream's consumer asks for more answers.
     A plain tracker evicts keys that fall out of its fixed top-k, losing
     exactly the information a larger ``k`` needs — so :meth:`set_k` rebuilds
-    the inner tracker from the answer aggregator's full (key, best score)
-    map, which is never truncated.  Between rebuilds this is a zero-overhead
-    delegate, interface-compatible with the joins' tracker parameter.
+    the inner tracker from the answer aggregator, whose (key, best score)
+    map is never truncated; its ``k`` best entries suffice (every other key
+    scores no higher than the k-th, which is all the threshold states).
+    Between rebuilds this is a zero-overhead delegate, interface-compatible
+    with the joins' tracker parameter.
     """
 
     def __init__(self, k: int = 1):
@@ -149,7 +153,8 @@ class GrowableTopKTracker:
         self._inner = DistinctTopKTracker(k)
 
     def set_k(self, k: int, entries) -> None:
-        """Retarget to ``k``, re-offering ``entries`` of (key, best score)."""
+        """Retarget to ``k``, re-offering ``entries`` of (key, best score):
+        at least the ``k`` best known keys, in any order."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
@@ -166,5 +171,5 @@ class GrowableTopKTracker:
     def threshold(self) -> float:
         return self._inner.threshold
 
-    def offer(self, key: object, score: float) -> None:
-        self._inner.offer(key, score)
+    def offer(self, key: object, score: float) -> bool:
+        return self._inner.offer(key, score)

@@ -1,7 +1,10 @@
 """The public streaming API: ``engine.stream`` and :class:`AnswerStream`."""
 
+import itertools
+
 import pytest
 
+from repro.core.engine import EngineConfig, TriniT
 from repro.core.results import QueryStats
 from repro.errors import StorageError, TopKError, TrinitError
 from repro.kg.paper_example import paper_engine
@@ -61,6 +64,35 @@ class TestCollectedAndIteration:
         assert signature(first_pass) == signature(eager.answers)
         # Re-iteration replays the already-emitted answers identically.
         assert signature(list(stream)) == signature(first_pass)
+
+    def test_iterating_a_tied_run_costs_the_pages_not_the_run(self, monkeypatch):
+        # A 1,000-way tie is settled whole on the first page; every further
+        # ``next_k(1)`` of ``__iter__`` must then cost its page — not
+        # another ranking of the thousand.  Counted, not timed: a tie key
+        # is computed at most once per aggregated entry.
+        from repro.core.terms import Resource
+        from repro.core.triples import Triple
+        from repro.storage.store import TripleStore
+        from repro.topk import idspace
+
+        store = TripleStore()
+        for i in range(1000):
+            store.add(Triple(Resource(f"S{i:04d}"), Resource("p"), Resource("O")))
+        computed = []
+        tie_key = idspace.tie_key
+
+        def counting_tie_key(sort_key, ids, names=None):
+            computed.append(ids)
+            return tie_key(sort_key, ids, names)
+
+        monkeypatch.setattr(idspace, "tie_key", counting_tie_key)
+        with TriniT(store, config=EngineConfig(executor_kind="serial")) as engine:
+            eager = engine.ask("?x p O", 200)
+            assert len(computed) == len(set(computed)) == 1000
+            del computed[:]
+            answers = list(itertools.islice(engine.stream("?x p O"), 200))
+        assert signature(answers) == signature(eager.answers)
+        assert len(computed) == len(set(computed)) == 1000
 
 
 class TestStreamStats:

@@ -12,8 +12,11 @@ adaptive termination may surface a different equally-scored answer at the
 k boundary.
 """
 
+from dataclasses import fields
+
 from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import EngineConfig, TriniT
 from repro.core.parser import parse_query, parse_rule
 from repro.core.terms import Resource, TextToken
 from repro.core.triples import Provenance, Triple
@@ -157,3 +160,68 @@ def test_idspace_adaptive_is_valid_topk_of_exhaustive(
     exhaustive_set = set(exhaustive_sig)
     for entry in adaptive_sig:
         assert entry in exhaustive_set
+
+
+#: Counters of how postings were staged and fetched ahead — they follow
+#: ``block_size`` / ``merge_batch`` by definition; every other counter is
+#: work the join did and must not depend on how long its runs are.
+BATCHING_COUNTERS = {
+    "blocks_decoded",
+    "block_cache_hits",
+    "posting_pulls",
+    "postings_materialized",
+    "delta_hits",
+    "elapsed_seconds",
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    entries=st.lists(observations, min_size=1, max_size=35),
+    rule_specs=rule_texts,
+    query_text=queries,
+    pages=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3),
+    batching=st.sampled_from(
+        [{}, {"block_size": 2}, {"block_size": 3, "merge_batch": 2}]
+    ),
+)
+def test_run_at_a_time_equals_per_item_oracle(
+    segments, entries, rule_specs, query_text, pages, batching
+):
+    """The join advances by tied head runs; with ``block_size=1,
+    merge_batch=1`` every run has length one.  Three confidences and small
+    counts make most posting lists a handful of long ties, so runs span
+    blocks, relaxation heads tie with the original's, and pages end inside
+    runs — and answers, derivations and work counters must be those of
+    the per-item oracle, page by page."""
+
+    def observe(**config):
+        store, rules = build(entries, rule_specs, segments)
+        engine = TriniT(
+            store,
+            rules=rules,
+            config=EngineConfig(
+                executor_kind="serial",
+                mine_arg_overlap=False,
+                mine_chains=False,
+                mine_inversions=False,
+                **config,
+            ),
+        )
+        try:
+            stream = engine.stream(query_text)
+            return [
+                (
+                    fingerprint(stream.next_k(n)),
+                    {
+                        spec.name: getattr(stream.stats, spec.name)
+                        for spec in fields(stream.stats)
+                        if spec.name not in BATCHING_COUNTERS
+                    },
+                )
+                for n in pages
+            ]
+        finally:
+            engine.close()
+
+    assert observe(**batching) == observe(block_size=1, merge_batch=1)

@@ -68,3 +68,27 @@ class TestTermDictionary:
         for term in terms:
             d.encode(term)
         assert list(d) == terms
+
+    def test_sort_key_is_the_terms_and_kept_per_id(self):
+        d = TermDictionary()
+        terms = [Resource("B"), TextToken("a phrase"), Resource("A")]
+        ids = [d.encode(term) for term in terms]
+        assert [d.sort_key(i) for i in ids] == [t.sort_key() for t in terms]
+        assert d.sort_key(ids[0]) is d.sort_key(ids[0])  # computed once
+        assert sorted(ids, key=d.sort_key) == [ids[2], ids[0], ids[1]]
+        with pytest.raises(DictionaryError):
+            d.sort_key(len(terms))
+
+    def test_adopted_sort_keys_survive_growth(self):
+        # A compaction that kept every id hands the computed keys on; ids
+        # the new dictionary assigns afterwards extend its own column.
+        old, new = TermDictionary(), TermDictionary()
+        for d in (old, new):
+            d.encode(Resource("A"))
+        key = old.sort_key(0)
+        new.adopt_sort_keys(old)
+        assert new.sort_key(0) is key
+        fresh = new.encode(Resource("C"))
+        assert new.sort_key(fresh) == Resource("C").sort_key()
+        with pytest.raises(DictionaryError):
+            old.sort_key(fresh)

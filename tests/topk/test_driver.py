@@ -179,11 +179,15 @@ def build(entries, rule_specs, segments):
     query_text=queries,
     batch_sizes=splits,
     execution=st.sampled_from(["idspace", "termspace"]),
+    block_size=st.sampled_from([None, 2, 1]),
 )
 def test_stream_batches_equal_eager_topk(
-    segments, entries, rule_specs, query_text, batch_sizes, execution
+    segments, entries, rule_specs, query_text, batch_sizes, execution, block_size
 ):
     store, rules = build(entries, rule_specs, segments)
+    # How long the tied head runs are that the id-space join advances by
+    # (1: the per-item oracle) must not show in where a split may fall.
+    store.configure_blocks(block_size)
     processor = TopKProcessor(
         store, rules=rules, config=ProcessorConfig(execution=execution)
     )

@@ -6,6 +6,7 @@ from repro.core.results import PatternMatchInfo, QueryStats, binding_key
 from repro.core.terms import Resource, Variable
 from repro.core.triples import TriplePattern
 from repro.topk.cursors import ScoredMatch
+from repro.topk.idspace import IdMatch, IdRun
 from repro.topk.incremental_merge import IncrementalMergeCursor
 
 X = Variable("x")
@@ -154,3 +155,120 @@ class TestPeek:
         merged = IncrementalMergeCursor([FakeCursor([("a", 0.4)])])
         drain(merged)
         assert merged.peek() is None
+
+
+# -- the run protocol (id-space cursors) ---------------------------------------
+
+
+class FakeRunCursor:
+    """Scripted id-space cursor: ``(binding, score)`` items, handed out as
+    tied head runs (``head_run`` / ``advance``) or one at a time (``pop``)."""
+
+    def __init__(self, name, items, optimistic_bound=None):
+        self.name = name
+        self._items = [((binding,), score) for binding, score in items]
+        self.position = 0
+        self._bound = optimistic_bound
+
+    def peek(self):
+        if self._bound is not None:
+            return self._bound
+        if self.position < len(self._items):
+            return self._items[self.position][1]
+        return None
+
+    def ensure_exact(self):
+        if self._bound is not None:
+            self._bound = None
+            return False
+        return True
+
+    def head_run(self, limit=None):
+        self._bound = None
+        start = stop = self.position
+        if start >= len(self._items):
+            return None
+        score = self._items[start][1]
+        while stop < len(self._items) and self._items[stop][1] == score:
+            stop += 1
+        if limit is not None:
+            stop = min(stop, start + limit)
+        return IdRun(
+            score,
+            [binding for binding, _score in self._items[start:stop]],
+            list(range(start, stop)),
+            self,
+            (0,),
+        )
+
+    def advance(self, n):
+        self.position += n
+
+    def match_info(self, ref, score):
+        return (self.name, ref)
+
+    def pop(self):
+        run = self.head_run(1)
+        if run is None:
+            return None
+        self.advance(1)
+        return IdMatch(run.bindings[0], run.score, self.match_info(run.refs[0], run.score))
+
+
+def _script():
+    """An original list with two tied runs, a relaxation whose head ties
+    with the second run and repeats two of its bindings, and a lazy
+    relaxation whose optimistic bound overshoots."""
+    return [
+        FakeRunCursor("original", [(1, 0.9), (2, 0.9), (3, 0.5), (4, 0.5), (5, 0.5)]),
+        FakeRunCursor("relaxed", [(4, 0.5), (6, 0.5), (3, 0.5), (7, 0.5), (8, 0.2)]),
+        FakeRunCursor("lazy", [(9, 0.5), (1, 0.4)], optimistic_bound=0.95),
+    ]
+
+
+def _trace_pops():
+    cursors = _script()
+    stats = QueryStats()
+    merged = IncrementalMergeCursor(cursors, stats)
+    trace = []
+    while (item := merged.pop()) is not None:
+        trace.append(
+            (item.binding, item.score, item.info,
+             tuple(c.position for c in cursors), stats.relaxations_invoked)
+        )
+    return trace
+
+
+def _trace_runs(take):
+    cursors = _script()
+    stats = QueryStats()
+    merged = IncrementalMergeCursor(cursors, stats)
+    trace = []
+    while (run := merged.head_run()) is not None:
+        n = min(take, len(run.bindings))
+        for i in range(n):
+            trace.append(
+                (run.bindings[i], run.score,
+                 run.source.match_info(run.refs[i], run.score))
+            )
+        merged.advance(n)
+        # Where the cursors stand after taking n items of the run.
+        trace[-1] += (tuple(c.position for c in cursors), stats.relaxations_invoked)
+    return trace
+
+
+class TestHeadRuns:
+    @pytest.mark.parametrize("take", [1, 2, 100])
+    def test_runs_emit_what_pops_emit(self, take):
+        pops = _trace_pops()
+        runs = _trace_runs(take)
+        assert [entry[:3] for entry in runs] == [entry[:3] for entry in pops]
+        # Emitted once each, heap order deciding ties between cursors.
+        assert [entry[0] for entry in pops] == [
+            (1,), (2,), (3,), (4,), (5,), (6,), (7,), (9,), (8,),
+        ]
+        # Wherever a run was cut, the cursors stand exactly where per-item
+        # pops left them: duplicates *after* the last item taken stay put.
+        for position, entry in enumerate(runs):
+            if len(entry) > 3:
+                assert entry[3:] == pops[position][3:], position

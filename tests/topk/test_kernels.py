@@ -107,6 +107,9 @@ def test_bind_block_fills_template_slots():
         [-1, -1, -1],
     )
     assert rows == [(5, 3, -1), (7, 6, -1)]
+    # One slot and none: binding tuples all the same.
+    assert bind_block([10, 11], spo.__getitem__, [(1, 0)], [-1]) == [(4,), (4,)]
+    assert bind_block([10, 11], spo.__getitem__, [], []) == [(), ()]
 
 
 # -- HotBlockCache ----------------------------------------------------------

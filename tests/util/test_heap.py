@@ -113,7 +113,10 @@ class TestDistinctTopKTracker:
             key = rng.randint(0, 30)
             score = max(best.get(key, 0.0), rng.random())
             best[key] = score
-            tracker.offer(key, score)
+            before = (tracker.is_full, tracker.threshold)
+            moved = tracker.offer(key, score)
             expected = sorted(best.values(), reverse=True)
             expected_threshold = expected[4] if len(expected) >= 5 else 0.0
             assert tracker.threshold == pytest.approx(expected_threshold)
+            # An offer that reports "nothing moved" left the polled state be.
+            assert moved or (tracker.is_full, tracker.threshold) == before
