@@ -10,9 +10,10 @@ statements).  ROADMAP's north star is stated on the 175k-people / 1M-triple
 world, so this probe replays the same op mix — the same world generator,
 query pool, k and page sizes, imported from the frozen benchmark — at any
 number of people, through the same public path (JSONL → sharded snapshot →
-``TriniT.open``), and prints per size: the op median, how many sorted
-accesses an answer costs (overall and for the single-pattern ops alone),
-what one sorted access costs and the engine's peak RSS.  Every distinct
+``TriniT.open``), and prints per size: the op median, the first and the
+next page of the stream ops, how many sorted accesses an answer costs
+(overall and for the single-pattern ops alone), what one sorted access
+costs, how long ``TriniT.open`` took and the engine's peak RSS.  Every distinct
 op's answers are checked against the serial per-item oracle configuration;
 a difference fails the run (exit 1).
 
@@ -94,13 +95,18 @@ def replay(workdir: Path) -> dict:
     with (workdir / "inputs.pkl").open("rb") as handle:
         inputs = pickle.load(handle)
     ops, expected = inputs["ops"], inputs["expected"]
+    began = time.perf_counter()
     with TriniT.open(workdir / "scan.snapd") as engine:
+        open_s = time.perf_counter() - began
         wrong = [op for op in expected if engine_op(engine, op)[0] != expected[op]]
-        latencies = []
+        latencies, first_pages, next_pages = [], [], []
         accesses = answers = single_accesses = single_answers = 0
         for op in ops:
-            result, latency, _first, _next, stats = engine_op(engine, op)
+            result, latency, first_s, next_s, stats = engine_op(engine, op)
             latencies.append(latency)
+            if first_s is not None:
+                first_pages.append(first_s)
+                next_pages.append(next_s)
             accesses += stats.sorted_accesses
             answers += len(result[0])
             if "." not in op[1]:
@@ -110,6 +116,9 @@ def replay(workdir: Path) -> dict:
         "ops": len(ops),
         "op_p50_ms": statistics.median(latencies) * 1e3,
         "op_p90_ms": sorted(latencies)[round(0.9 * (len(latencies) - 1))] * 1e3,
+        "first_page_p50_ms": statistics.median(first_pages) * 1e3,
+        "next_page_p50_ms": statistics.median(next_pages) * 1e3,
+        "open_ms": open_s * 1e3,
         "accesses_per_answer": accesses / max(answers, 1),
         "single_pattern_accesses_per_answer": single_accesses / max(single_answers, 1),
         "us_per_access": sum(latencies) * 1e6 / max(accesses, 1),
@@ -200,8 +209,9 @@ def main(argv=None) -> int:
         )
     print(
         f"{'people':>8} {'statements':>10} {'ops':>5} {'op p50 ms':>10} "
-        f"{'op p90 ms':>10} {'acc/answer':>10} {'single':>7} {'us/access':>10} "
-        f"{'rss MB':>7} {'build s':>8} {'checked':>8} {'wrong':>6}"
+        f"{'op p90 ms':>10} {'first ms':>9} {'next ms':>8} {'acc/answer':>10} "
+        f"{'single':>7} {'us/access':>10} {'open ms':>8} {'rss MB':>7} "
+        f"{'build s':>8} {'checked':>8} {'wrong':>6}"
     )
     rows = []
     for people in args.people:
@@ -209,9 +219,10 @@ def main(argv=None) -> int:
         print(
             f"{row['people']:>8} {row['statements']:>10} {row['ops']:>5} "
             f"{row['op_p50_ms']:>10.2f} {row['op_p90_ms']:>10.2f} "
+            f"{row['first_page_p50_ms']:>9.2f} {row['next_page_p50_ms']:>8.2f} "
             f"{row['accesses_per_answer']:>10.1f} "
             f"{row['single_pattern_accesses_per_answer']:>7.1f} "
-            f"{row['us_per_access']:>10.2f} {row['rss_mb']:>7.1f} "
+            f"{row['us_per_access']:>10.2f} {row['open_ms']:>8.1f} {row['rss_mb']:>7.1f} "
             f"{row['build_s']:>8.1f} {row['checked']:>8} {len(row['wrong']):>6}",
             flush=True,
         )

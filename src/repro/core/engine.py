@@ -158,7 +158,10 @@ class _View:
     are, a rule change reuses the very instances.  Unbuilt ones stay lazy
     — a view then costs less than the first read of it — and no view
     refers to the one before it.  Collection mass, rule index and
-    processors are rebuilt per view.  ``version`` counts publishes,
+    processors are rebuilt per view, and with the processors the query
+    plans they prepared (:class:`~repro.topk.processor.PreparedQuery`):
+    a plan never outlives the statements and rules it was derived from,
+    so nothing has to flush it.  ``version`` counts publishes,
     ``rules_version`` the rule-changing ones; ``extent`` is the
     (statement count, delta version) the view was built at.
     """
@@ -711,7 +714,8 @@ class TriniT:
         """Answer independent queries on a thread pool; results in input order.
 
         The frozen store, scorer and rule set are shared read-only across
-        the pool (the caches they warm are idempotent under the GIL), and
+        the pool (the caches they warm are idempotent under the GIL), the
+        processor's query plans are extended under a lock per plan, and
         every query is evaluated in isolation — results are bit-identical
         to sequential ``ask`` calls.  Note the evaluation itself is pure
         Python, so on GIL-bound interpreters the pool bounds *latency
@@ -741,9 +745,6 @@ class TriniT:
                 or (max_workers is not None and max_workers <= 1)
             ):
                 return [processor.query(query, k) for query in parsed]
-            # Build the shared lazily-initialised structures once, up front,
-            # rather than racing the first queries into them.
-            processor._single_rule_index()
             try:
                 if max_workers is not None and max_workers < len(parsed):
                     # Honor an explicit concurrency cap without a throwaway

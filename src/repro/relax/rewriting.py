@@ -82,9 +82,9 @@ class RewriteEngine:
     Parameters
     ----------
     rules:
-        The rule pool.  ``rule_filter`` can restrict which rules this engine
-        applies (the top-k processor uses this to route single-pattern rules
-        to pattern-level incremental merging instead).
+        The rules this engine applies, ordered best-first once, here: a
+        later change to the set is not seen.  The top-k processor builds
+        its engine over only the rules it routes to this level.
     max_depth:
         Maximum number of rule applications per derivation.
     max_rewrites:
@@ -101,21 +101,14 @@ class RewriteEngine:
         max_depth: int = 2,
         max_rewrites: int = 200,
         min_weight: float = 0.05,
-        rule_filter: Callable[[RelaxationRule], bool] | None = None,
         condition_checker: Callable[[TriplePattern], bool] | None = None,
     ):
         self.rules = rules
         self.max_depth = max_depth
         self.max_rewrites = max_rewrites
         self.min_weight = min_weight
-        self.rule_filter = rule_filter
         self.condition_checker = condition_checker
-
-    def _active_rules(self) -> list[RelaxationRule]:
-        active = list(self.rules.best_first())
-        if self.rule_filter is not None:
-            active = [r for r in active if self.rule_filter(r)]
-        return active
+        self._active_rules: list[RelaxationRule] = rules.best_first()
 
     def rewrites(self, query: Query) -> list[RewrittenQuery]:
         """Enumerate rewritings, highest weight first.
@@ -131,7 +124,7 @@ class RewriteEngine:
         incrementally and stops pulling once rewriting upper bounds fall
         below the current answer threshold ("invoking a relaxation only when
         it can contribute to the top-k answers")."""
-        active_rules = self._active_rules()
+        active_rules = self._active_rules
         counter = itertools.count()
         fresh_names = (f"fv{i}" for i in itertools.count())
         heap: list[tuple[float, int, RewrittenQuery]] = []

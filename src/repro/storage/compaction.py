@@ -56,6 +56,7 @@ from repro.storage.snapshot import (
     generation_dirname,
     load_snapshot,
     parse_generation_dirname,
+    record_metadata,
     segment_filename,
     swap_current,
     write_manifest,
@@ -167,7 +168,7 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
     # Counts come from the records, not the old column: duplicate evidence
     # for frozen statements bumps record counts that the old column predates.
     sections["counts"] = array(
-        ID_TYPECODE, [record.count for record in store.records()]
+        ID_TYPECODE, [count for count, _confidence, _prov in record_metadata(store)]
     ).tobytes()
     for index in range(new_index):
         sections[f"seg{index}:globals"] = _column_bytes(backend._globals[index])

@@ -204,22 +204,42 @@ def _columnar_sections(backend: ColumnarBackend) -> dict[str, bytes]:
     return sections
 
 
+def _metadata(record: StoredTriple) -> tuple[int, float, list]:
+    return (
+        record.count,
+        record.confidence,
+        [encode_provenance(p) for p in record.provenances],
+    )
+
+
+def record_metadata(store: TripleStore) -> list[tuple[int, float, list]]:
+    """Every record's (count, confidence, encoded provenances), in id order.
+
+    The records of a loaded snapshot that were never materialised are read
+    off its columns (:meth:`_SnapshotRecords.metadata`), so writing the
+    next generation decodes only the records something touched.
+    """
+    frozen = store._triples
+    if isinstance(frozen, _SnapshotRecords):
+        head = [frozen.metadata(tid) for tid in range(len(frozen))]
+    else:
+        head = [_metadata(record) for record in frozen]
+    return head + [_metadata(record) for record in store._delta_records]
+
+
 def _metadata_sections(store: TripleStore) -> dict[str, bytes]:
     """The manifest's term dictionary and per-record metadata sections."""
-    records = list(store.records())
+    metadata = record_metadata(store)
     return {
         "terms": json.dumps(
             [encode_term(term) for term in store.dictionary], ensure_ascii=False
         ).encode("utf-8"),
         "prov": json.dumps(
-            [
-                [encode_provenance(p) for p in record.provenances]
-                for record in records
-            ],
+            [provenances for _count, _confidence, provenances in metadata],
             ensure_ascii=False,
         ).encode("utf-8"),
         "confidence": array(
-            WEIGHT_TYPECODE, [record.confidence for record in records]
+            WEIGHT_TYPECODE, [confidence for _count, confidence, _prov in metadata]
         ).tobytes(),
     }
 
@@ -629,6 +649,21 @@ class _SnapshotRecords(Sequence):
         for encoded in self._provenances()[tid]:
             record.add_provenance(decode_provenance(encoded))
         return record
+
+    def metadata(self, tid: int) -> tuple[int, float, list]:
+        """Record ``tid``'s (count, confidence, encoded provenances).
+
+        Only a materialised record can have changed since the snapshot was
+        written — new evidence for a stored statement updates its record —
+        so one never materialised is read off the columns as written.
+        """
+        with self._lock:
+            record = self._cache[tid]
+        if record is not None:
+            return _metadata(record)
+        if self._counts is None or self._confidences is None:
+            raise StorageError("Store is closed")
+        return self._counts[tid], self._confidences[tid], self._provenances()[tid]
 
     def __getitem__(self, index):
         if isinstance(index, slice):

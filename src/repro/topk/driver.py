@@ -9,8 +9,11 @@ AnswerStream` API.
 
 State the driver persists between :meth:`TopKDriver.advance` calls:
 
-* the lazy rewriting enumeration (weight-descending, one pending rewriting
-  buffered so its weight can bound everything not yet enumerated),
+* its position in the rewriting enumeration (weight-descending, one
+  pending rewriting buffered so its weight can bound everything not yet
+  enumerated) — the rewritings and their stream specs themselves are read
+  from the processor's :class:`~repro.topk.processor.PreparedQuery`, which
+  derives each once for every driver of the query,
 * every rank join started so far, with all of its cursor and probe state —
   the joins are naturally resumable (their loops keep state on ``self``),
   split into an *active* list and a *parked* list of settled joins tagged
@@ -36,7 +39,6 @@ never rebuilt.
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import TYPE_CHECKING
 
@@ -87,8 +89,8 @@ class TopKDriver:
         else:
             self._aggregator = AnswerAggregator()
         self._tracker = GrowableTopKTracker(1)
-        self._fresh_names = (f"pv{i}" for i in itertools.count())
-        self._rewrites = processor._make_rewriter().iter_rewrites(query)
+        self._plan = processor.prepared(query)
+        self._read = 0  # rewritings read from the plan
         self._rewriter_done = False
         self._pending = None
         self._active: list = []
@@ -163,10 +165,11 @@ class TopKDriver:
                 if not join.run():
                     self._parked.append((join, join.upper_bound()))
             if self._pending is None and not self._rewriter_done:
-                self._pending = next(self._rewrites, None)
+                self._pending = self._plan.rewriting(self._read)
                 if self._pending is None:
                     self._rewriter_done = True
                 else:
+                    self._read += 1
                     self.stats.rewritings_enumerated += 1
             if self._pending is not None:
                 # Rewritings come weight-descending, and combination scores
@@ -187,10 +190,8 @@ class TopKDriver:
         """Lower one rewriting into a (resumable) rank join over its streams."""
         processor = self.processor
         stats = self.stats
-        spec_lists = [
-            processor._stream_specs(pattern, rewriting.query, self._fresh_names)
-            for pattern in rewriting.query.patterns
-        ]
+        # The rewriting built is always the last one read.
+        spec_lists = self._plan.spec_lists(self._read - 1, processor._stream_specs)
         if self._id_space:
             ctx = IdExecutionContext(processor.store, processor.scorer, stats)
             streams = [

@@ -38,20 +38,27 @@ Control flow lives in the resumable :class:`~repro.topk.driver.TopKDriver`:
 :meth:`TopKProcessor.query` drains a fresh driver eagerly to ``k``, while
 :meth:`TopKProcessor.driver` hands the suspendable machine to streaming
 consumers (``engine.stream``) that advance it incrementally.
+
+Steps 1 and 2 depend only on the query and the processor, so a processor
+plans each query once: its :class:`PreparedQuery` keeps the rewritings
+enumerated so far and their stream specs, and every later driver for the
+same query reads them instead of deriving them again.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.core.query import Query
 from repro.core.results import AnswerSet, QueryStats
 from repro.core.terms import TextToken, Variable
 from repro.core.triples import TriplePattern
 from repro.errors import TopKError
-from repro.relax.rewriting import RewriteEngine
+from repro.relax.rewriting import RewriteEngine, RewrittenQuery
 from repro.relax.rules import RelaxationRule, RuleSet
 from repro.scoring.language_model import PatternScorer, ScoringConfig
 from repro.storage.store import TripleStore
@@ -149,8 +156,113 @@ class SubJoinSpec:
     rule: RelaxationRule | None = None
 
 
+StreamSpec = PostingSpec | SubJoinSpec
+
+
+class _HoldsIn:
+    """Condition check for rule application: does this fact hold in ``store``?
+
+    An object holding the store and nothing else — not a bound method of
+    the processor, which its plans would then keep alive in a cycle, nor
+    a closure, whose module globals a ``gc.get_referents`` walk from a
+    view follows to every other engine in the process.
+    """
+
+    __slots__ = ("store",)
+
+    def __init__(self, store: TripleStore):
+        self.store = store
+
+    def __call__(self, pattern: TriplePattern) -> bool:
+        return self.store.cardinality(pattern) > 0
+
+
+class PreparedQuery:
+    """The planning of one query by one processor, done once for all drivers.
+
+    Holds the query's rewritings in enumeration order — a prefix of one
+    :meth:`RewriteEngine.iter_rewrites` generator, extended only as far
+    as some driver has read — and, per rewriting read, the stream-spec
+    list of each of its patterns, built in rewriting order from one
+    ``pv{i}`` fresh-name counter.  A driver reading a prepared plan thus
+    sees exactly the rewritings, specs and variable names a driver over
+    an empty plan derives; cursors, merges, joins and aggregation are
+    still built per driver.
+
+    Drivers on several threads share a plan (``ask_many``, the query
+    service's executor), so it is extended under one lock.  It refers to
+    no processor: processors own their plans, and a reference back would
+    leave every superseded processor to the cyclic garbage collector.  A
+    step that raises commits nothing, so a later reader redoes it and
+    derives what it would have.
+    """
+
+    def __init__(self, query: Query, rewriter: RewriteEngine):
+        self.query = query
+        self._rewriter = rewriter
+        self._rewrites = rewriter.iter_rewrites(query)
+        self._rewritings: list[RewrittenQuery] = []
+        self._enumerated = False
+        self._spec_lists: list[list[list[StreamSpec]]] = []
+        self._names_used = 0
+        self._lock = threading.Lock()
+
+    def rewriting(self, index: int) -> RewrittenQuery | None:
+        """Rewriting ``index`` in enumeration order; ``None`` past the last."""
+        with self._lock:
+            rewritings = self._rewritings
+            while len(rewritings) <= index and not self._enumerated:
+                try:
+                    rewriting = next(self._rewrites, None)
+                except BaseException:
+                    # The error ended the generator: enumerate afresh
+                    # past the prefix on the next read.
+                    self._rewrites = itertools.islice(
+                        self._rewriter.iter_rewrites(self.query),
+                        len(rewritings),
+                        None,
+                    )
+                    raise
+                if rewriting is None:
+                    self._enumerated = True
+                else:
+                    rewritings.append(rewriting)
+            return rewritings[index] if index < len(rewritings) else None
+
+    def spec_lists(
+        self,
+        index: int,
+        build: Callable[[TriplePattern, Query, Iterator[str]], list[StreamSpec]],
+    ) -> list[list[StreamSpec]]:
+        """The per-pattern stream specs of rewriting ``index``, which must
+        have been read; ``build(pattern, query, fresh_names)`` makes those
+        not built yet."""
+        with self._lock:
+            spec_lists = self._spec_lists
+            while len(spec_lists) <= index:
+                query = self._rewritings[len(spec_lists)].query
+                counter = itertools.count(self._names_used)
+                names = (f"pv{i}" for i in counter)
+                spec_lists.append(
+                    [build(pattern, query, names) for pattern in query.patterns]
+                )
+                self._names_used = next(counter)
+            return spec_lists[index]
+
+
 class TopKProcessor:
-    """Answer queries over one frozen store with relaxation and top-k pruning."""
+    """Answer queries over one frozen store with relaxation and top-k pruning.
+
+    Rule routing (pattern level or rewriting level) and the rewrite engine
+    are fixed by the first planning; each query's planning is kept in a
+    :class:`PreparedQuery`, for at most :attr:`MAX_PREPARED` queries (the
+    least recently used goes first).  The processor is therefore bound
+    to the rule set and store contents it was built over — the engine
+    builds one per published view.
+    """
+
+    #: Prepared plans a processor keeps.
+    MAX_PREPARED = 256
 
     def __init__(
         self,
@@ -169,9 +281,12 @@ class TopKProcessor:
         self.scorer = scorer if scorer is not None else PatternScorer(store, scoring)
         self.matcher = matcher if matcher is not None else TokenMatcher(store)
         self.config = config if config is not None else ProcessorConfig()
-        self._rules_by_predicate: dict | None = None
+        self._rules_by_predicate: dict = {}
+        self._rewriter: RewriteEngine | None = None
+        self._plans: OrderedDict[Query, PreparedQuery] = OrderedDict()
+        self._plans_lock = threading.Lock()
 
-    # -- rule index ------------------------------------------------------------
+    # -- rule routing ------------------------------------------------------------
 
     def _is_translation_rule(self, rule: RelaxationRule) -> bool:
         """True when the rule's original predicate has no store matches.
@@ -192,31 +307,40 @@ class TopKProcessor:
             and self.store.dictionary.id_of(predicate) is None
         )
 
-    def _single_rule_index(self) -> dict:
-        """Single-pattern rules indexed by their original's predicate term.
+    def _route_rules(self) -> list[RelaxationRule]:
+        """Split the rules between the two levels; returns the rewriting
+        level's share.
 
-        Rules with a variable predicate (rare) are indexed under ``None`` and
-        tried against every pattern.  Translation rules (unknown original
-        predicate) are excluded — they run at the rewriting level.
+        Pattern-level rules — single-pattern ones except translations —
+        land in ``_rules_by_predicate``, keyed by their original's
+        predicate term.  Rules with a variable predicate (rare) apply to
+        every pattern: they are merged into each predicate's list and are
+        the whole list under ``None``.  Each list is in the order the
+        stream merges them, ``(-weight, n3())``.  Without pattern-level
+        merging every rule goes to the rewriting level.
         """
-        if self._rules_by_predicate is None:
-            index: dict = {}
-            for rule in self.rules.single_pattern_rules():
-                if self._is_translation_rule(rule):
-                    continue
-                predicate = rule.original[0].p
-                key = None if predicate.is_variable else predicate
-                index.setdefault(key, []).append(rule)
-            self._rules_by_predicate = index
-        return self._rules_by_predicate
+        merge = self.config.pattern_level_merge
+        rewriting: list[RelaxationRule] = []
+        anywhere: list[RelaxationRule] = []
+        index: dict = {None: []}
+        for rule in self.rules:
+            if not merge or not rule.is_single_pattern or self._is_translation_rule(rule):
+                rewriting.append(rule)
+            elif rule.original[0].p.is_variable:
+                anywhere.append(rule)
+            else:
+                index.setdefault(rule.original[0].p, []).append(rule)
+        self._rules_by_predicate = {
+            key: sorted(anywhere + rules, key=lambda rule: (-rule.weight, rule.n3()))
+            for key, rules in index.items()
+        }
+        return rewriting
 
     def _rules_for_pattern(self, pattern: TriplePattern) -> list[RelaxationRule]:
-        index = self._single_rule_index()
-        candidates = list(index.get(None, ()))
+        index = self._rules_by_predicate
         if pattern.p.is_constant:
-            candidates.extend(index.get(pattern.p, ()))
-        candidates.sort(key=lambda r: (-r.weight, r.n3()))
-        return candidates
+            return index.get(pattern.p, index[None])
+        return index[None]
 
     # -- stream planning ------------------------------------------------------
 
@@ -347,10 +471,6 @@ class TopKProcessor:
         ]
         return base + kept
 
-    def _holds_in_store(self, pattern: TriplePattern) -> bool:
-        """Condition check for rule application: does this fact hold?"""
-        return self.store.cardinality(pattern) > 0
-
     @staticmethod
     def _interface_vars(pattern: TriplePattern, query: Query) -> set[Variable]:
         """Variables of ``pattern`` the rest of the query can observe."""
@@ -410,25 +530,32 @@ class TopKProcessor:
 
     # -- querying ------------------------------------------------------------
 
-    def _make_rewriter(self) -> RewriteEngine:
+    def _make_rewriter(self, rules: list[RelaxationRule]) -> RewriteEngine:
         if self.config.use_relaxation:
-            rule_filter = (
-                (
-                    lambda rule: not rule.is_single_pattern
-                    or self._is_translation_rule(rule)
-                )
-                if self.config.pattern_level_merge
-                else None
-            )
             return RewriteEngine(
-                self.rules,
+                RuleSet(rules),
                 max_depth=self.config.max_rewrite_depth,
                 max_rewrites=self.config.max_rewrites,
                 min_weight=self.config.min_rewriting_weight,
-                rule_filter=rule_filter,
-                condition_checker=self._holds_in_store,
+                condition_checker=_HoldsIn(self.store),
             )
         return RewriteEngine(RuleSet(), max_depth=0, max_rewrites=1)
+
+    def prepared(self, query: Query) -> PreparedQuery:
+        """This processor's plan for ``query``, empty when first asked for."""
+        with self._plans_lock:
+            if self._rewriter is None:
+                # Rules are routed by the first planning, so a processor
+                # that never plans (an unqueried variant) costs nothing.
+                self._rewriter = self._make_rewriter(self._route_rules())
+            plan = self._plans.get(query)
+            if plan is None:
+                plan = self._plans[query] = PreparedQuery(query, self._rewriter)
+                if len(self._plans) > self.MAX_PREPARED:
+                    self._plans.popitem(last=False)
+            else:
+                self._plans.move_to_end(query)
+            return plan
 
     def query(self, query: Query, k: int | None = None) -> AnswerSet:
         """Evaluate ``query`` and return its top-k answer set.
@@ -446,7 +573,8 @@ class TopKProcessor:
         return self.driver(query).advance(k).answer_set(k)
 
     def driver(self, query: Query) -> "TopKDriver":
-        """A fresh resumable execution driver for ``query``.
+        """A fresh resumable execution driver for ``query``, reading this
+        processor's :class:`PreparedQuery` for it.
 
         The driver is the streaming entry point: advance it incrementally
         (:class:`~repro.core.results.AnswerStream` does) instead of paying

@@ -12,7 +12,10 @@ import sys
 import threading
 import weakref
 
+import pytest
+
 from repro.core.engine import EngineConfig, TriniT, _View
+from repro.core.parser import parse_query
 from repro.core.terms import Resource, TextToken
 from repro.core.triples import Triple
 from repro.storage.statistics import StoreStatistics
@@ -20,6 +23,10 @@ from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatcher
 
 QUERY = "?x 'born in' ?y"
+
+#: Expands the same token as QUERY, but ``_engine()`` never plans it: a
+#: reader asking it on view N consults view N's index while it plans.
+UNPLANNED_QUERY = "SELECT ?x WHERE ?x 'born in' ?y"
 
 #: Phrases the *next* index matches to 'born in' (same match key, or a
 #: super-sequence of it) over statements no pattern of view N's expansion
@@ -75,7 +82,7 @@ def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
 ):
     # The run without the writes.
     quiet = _engine()
-    expected_answer = _signature(quiet.ask(QUERY))
+    expected_answer = _signature(quiet.ask(UNPLANNED_QUERY))
     quiet_stream = quiet.stream(QUERY)
     expected_pages = [_signature(quiet_stream.next_k(1)) for _ in range(4)]
     assert expected_pages[0] and expected_pages[1]
@@ -85,10 +92,15 @@ def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
     matcher, statistics = view.matcher, view.statistics
     matcher_before, statistics_before = matcher_state(matcher), statistics_state(statistics)
 
+    # The stream resumes on the plan view N prepared for the warm-up ask.
+    processor = view.processor(engine.config.processor)
+    warm_plan = processor.prepared(parse_query(QUERY))
     stream = engine.stream(QUERY)
+    assert stream._driver._plan is warm_plan
     pages = [_signature(stream.next_k(1))]
 
-    # Reader A: parked inside TokenMatcher.matches on view N.
+    # Reader A: parked inside TokenMatcher.matches, in the first planning
+    # of a query on view N.
     inside, resume = threading.Event(), threading.Event()
     key_for = matcher._key_for
 
@@ -99,7 +111,9 @@ def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
 
     matcher._key_for = parked_key_for
     answers = []
-    reader = threading.Thread(target=lambda: answers.append(_signature(engine.ask(QUERY))))
+    reader = threading.Thread(
+        target=lambda: answers.append(_signature(engine.ask(UNPLANNED_QUERY)))
+    )
     reader.start()
     assert inside.wait(30)
     del matcher._key_for  # the next call — nobody's, by now — is the class's
@@ -119,7 +133,7 @@ def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
     assert TextToken("was born in") in [
         match.token for match in current.matcher.matches(TextToken("born in"), 1)
     ]
-    assert len(engine.ask(QUERY)) > len(expected_answer)
+    assert len(engine.ask(UNPLANNED_QUERY)) > len(expected_answer)
 
     resume.set()
     reader.join(30)
@@ -135,11 +149,52 @@ def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
     gone = weakref.ref(view)
     old_matcher = weakref.ref(matcher)
     del view, matcher, statistics, stream, reader, key_for, parked_key_for
+    del processor, warm_plan
     gc.collect()
     assert gone() is None
     assert old_matcher() is None
     engine.close()
     quiet.close()
+
+
+@pytest.mark.parametrize("write", ["ingest", "add_rule", "compact"])
+def test_a_superseded_view_goes_by_reference_counting_alone(write):
+    """A view, its processor and the plans the processor prepared hold no
+    reference cycle: the view is freed the moment its last reader lets go,
+    not at the cyclic collector's next pass — which, for an engine that
+    publishes a view per ingest, is what keeps memory flat."""
+    engine = TriniT.from_triples(BASE, config=EngineConfig(parallelism=2))
+    if write == "compact":
+        engine.ingest(BATCHES[0])  # something to fold
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for text in (QUERY, UNPLANNED_QUERY, "?x bornIn ?y ; ?y locatedIn ?z"):
+            engine.ask(text)
+        engine.ask_many([QUERY, "?x diedIn ?y"] * 2)
+        stream = engine.stream(QUERY)
+        stream.next_k(1)
+        view = engine._state.view
+        processor = view.processor(engine.config.processor)
+        plan = processor.prepared(parse_query(QUERY))
+        refs = [weakref.ref(view), weakref.ref(processor), weakref.ref(plan)]
+        del view, processor, plan
+        if write == "ingest":
+            engine.ingest(BATCHES[1])
+        elif write == "add_rule":
+            engine.add_rule("?x diedIn ?y => ?x bornIn ?y @ 0.2")
+        else:
+            engine.compact()
+        engine.ask(QUERY)
+        stream.next_k(1)
+        # The stream still reads view N's processor and its plan.
+        assert refs[1]() is not None and refs[2]() is not None
+        del stream
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
+    engine.close()
 
 
 def test_background_compaction_carries_the_index_without_touching_it(

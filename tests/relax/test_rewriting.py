@@ -106,12 +106,22 @@ class TestRewriteEngine:
         assert len(q_rewrites) == 1
         assert q_rewrites[0].weight == pytest.approx(0.9)
 
-    def test_rule_filter(self):
-        engine = RewriteEngine(
-            _rules("?x p ?y => ?x q ?y @ 0.9"),
-            rule_filter=lambda rule: False,
-        )
-        assert len(engine.rewrites(parse_query("?a p ?b"))) == 1
+    def test_engine_over_a_filtered_rule_set(self):
+        # The top-k processor routes rules by building its engine over the
+        # subset it keeps; the rules left out are never applied.
+        rules = _rules("?x p ?y => ?x q ?y @ 0.9", "?x p ?y => ?x r ?y @ 0.8")
+        kept = RuleSet(rule for rule in rules if rule.weight < 0.85)
+        rewrites = RewriteEngine(kept).rewrites(parse_query("?a p ?b"))
+        assert [r.weight for r in rewrites] == [1.0, 0.8]
+        assert len(RewriteEngine(RuleSet()).rewrites(parse_query("?a p ?b"))) == 1
+
+    def test_rules_are_ordered_once(self):
+        # The best-first rule order is fixed when the engine is built.
+        rules = _rules("?x p ?y => ?x q ?y @ 0.9")
+        engine = RewriteEngine(rules)
+        rules.add(parse_rule("?x p ?y => ?x r ?y @ 0.8"))
+        assert len(engine.rewrites(parse_query("?a p ?b"))) == 2
+        assert len(RewriteEngine(rules).rewrites(parse_query("?a p ?b"))) == 3
 
     def test_lazy_iteration(self):
         rules = _rules(*[f"?x p ?y => ?x q{i} ?y @ 0.9" for i in range(50)])

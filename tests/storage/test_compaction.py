@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.engine import EngineConfig, TriniT
 from repro.core.terms import Resource, Variable
-from repro.core.triples import Triple, TriplePattern
+from repro.core.triples import Provenance, Triple, TriplePattern
 from repro.errors import PersistenceError, StorageError, TrinitError
 from repro.scoring.language_model import PatternScorer
 from repro.storage.compaction import (
@@ -212,6 +212,40 @@ class TestGenerationWrite:
         reopened = load_snapshot(snapshot_root)
         assert reopened.record(tid).count == expected_count
         assert reopened.record(tid).confidence == 0.99
+
+    def test_untouched_records_are_written_without_decoding_them(self, tmp_path):
+        """A generation reads the metadata of records nothing touched off
+        the snapshot's columns, yet writes the manifest a fold that decoded
+        every record writes, byte for byte."""
+        provenance = Provenance("openie", "doc-7", "E1 is in E2", "reverb")
+        manifests = []
+        for decode_all in (False, True):
+            root = tmp_path / f"decode-{decode_all}.snapd"
+            store = TripleStore("XKG", backend="sharded")
+            _add(store, ROWS)
+            for s, p, o, conf, count in ROWS[::7]:
+                store.add(Triple(Resource(s), Resource(p), Resource(o)), provenance)
+            store.freeze()
+            save_snapshot(store, root)
+            store.close()
+            live = load_snapshot(root)
+            _add(live, LIVE_ROWS)
+            # New evidence for a frozen statement: the one record decoded.
+            live.add(_triples(ROWS[:1])[0], Provenance("kg", "dump-2"), count=2)
+            if decode_all:
+                list(live.records())
+            write_generation(live)
+            frozen = live._triples
+            assert frozen.materialized == (len(frozen) if decode_all else 1)
+            manifests.append((root / generation_dirname(1) / MANIFEST_NAME).read_bytes())
+            reopened = load_snapshot(root)
+            first, untouched = _triples([ROWS[0], ROWS[7]])
+            assert reopened.lookup(first).provenances[-2:] == [
+                provenance,
+                Provenance("kg", "dump-2"),
+            ]
+            assert provenance in reopened.lookup(untouched).provenances
+        assert manifests[0] == manifests[1]
 
     def test_requires_directory_backing(self):
         store = TripleStore("XKG", backend="sharded")
