@@ -25,10 +25,9 @@ Session lifecycle and streaming — the interactive surface::
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import weakref
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -67,19 +66,13 @@ class EngineConfig:
         ``execution`` ("idspace" hot path vs "termspace" reference).
     scoring:
         Language-model smoothing.
-    parallelism:
-        Worker count of the one engine-owned thread pool, used only for
-        ``ask_many`` query fan-out and background compaction — a single
-        query always executes in-line on its calling thread.  ``None``
-        (default) sizes the pool to the machine (``os.cpu_count()``);
-        ``0`` or ``1`` means no pool at all: ``ask_many`` evaluates
-        sequentially and compaction runs inline.  The pool is shut down by
-        :meth:`TriniT.close`.
     executor_kind:
-        ``"thread"`` (default — the pool above exists) or ``"serial"`` (no
-        pool, identical to ``parallelism<=1``).  Any other value raises
-        :class:`TrinitError`; :attr:`TriniT.executor_kind` reports the
-        effective kind.
+        Where a threshold-triggered compaction runs; every query runs
+        in-line on its calling thread either way.  ``"thread"`` (default)
+        folds on the engine's one worker thread, shut down by
+        :meth:`TriniT.close`; ``"serial"`` folds in-line inside the
+        :meth:`TriniT.ingest` that crossed the threshold.  Any other value
+        raises :class:`TrinitError`.
     merge_batch:
         Posting heads pulled per segment per batch by the store's k-way
         segment merge (and the granularity of the id-space cursors'
@@ -104,9 +97,9 @@ class EngineConfig:
         the engine folds it into frozen storage — a new snapshot
         *generation* for directory-backed stores (hardlinked segments, an
         atomically swapped ``CURRENT`` pointer), an in-memory rebuild
-        otherwise.  Folding runs in the background on the engine's thread
-        pool when it has one (queries keep answering from the delta
-        meanwhile) and inline under ``parallelism<=1``/``"serial"``.  ``None``
+        otherwise.  Folding runs in the background on the engine's worker
+        under ``"thread"`` (queries keep answering from the delta
+        meanwhile) and inline under ``"serial"``.  ``None``
         (default) never compacts automatically; :meth:`TriniT.compact`
         stays available explicitly.
     mine_arg_overlap, mine_chains, mine_inversions:
@@ -122,7 +115,6 @@ class EngineConfig:
 
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    parallelism: int | None = None
     executor_kind: str = "thread"
     merge_batch: int | None = None
     block_size: int | None = None
@@ -243,7 +235,9 @@ class _EngineState:
     writers for readers.  ``_readers`` counts, per store, the in-flight
     queries and open streams on it; a store that a publish superseded is
     closed by whoever lets go of it last.  ``write_lock`` serialises
-    ingest, compaction and rule changes and guards ``compact_scheduled``.
+    ingest, compaction and rule changes and guards ``fold``: the future of
+    the background compaction scheduled last, kept until a writer has
+    seen it finish.
     """
 
     def __init__(self, config: EngineConfig, store: TripleStore, rules: RuleSet):
@@ -254,29 +248,35 @@ class _EngineState:
                 "'serial'"
             )
         self.config = config
-        # The one engine-owned pool: ask_many fan-out and background
-        # compaction only.  Threads spawn on first use, so unqueried
-        # engines never start one; close() shuts it down.
-        workers = config.parallelism
-        if workers is None:
-            workers = os.cpu_count() or 4
-        if kind == "serial" or workers <= 1:
-            workers = 0
+        # The engine's one thread, for background compaction only.  It
+        # spawns on the first fold, so most engines never start it;
+        # close() shuts it down.
         self.executor = (
-            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="trinit")
-            if workers
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="trinit-fold")
+            if kind == "thread"
             else None
         )
         # One bounded hot-block cache shared across queries and generations
         # (keys carry the backend's identity and generation).
         self.block_cache = HotBlockCache()
         self.write_lock = threading.RLock()
-        self.compact_scheduled = False
+        self.fold: Future | None = None
         self.listeners: list = []
         self.closed = False
         self._lock = threading.Lock()
         self._readers: dict[TripleStore, int] = {}
         self.view = _View(self, store, rules)
+
+    def check_writable(self) -> None:
+        """Refuse a write to a closed engine, and hand the writer what the
+        last background fold raised (caller holds ``write_lock``).  A
+        finished fold is forgotten here, so its error is raised once."""
+        if self.closed:
+            raise TrinitError("Engine is closed")
+        fold = self.fold
+        if fold is not None and fold.done():
+            self.fold = None
+            fold.result()
 
     @contextmanager
     def reading(self):
@@ -335,8 +335,8 @@ class _EngineState:
             if self.closed:
                 return
             self.closed = True
-        # Drain the pool first: a background compaction still running
-        # publishes before the stores are collected below.
+        # Wait for the fold worker first: a background compaction still
+        # running publishes before the stores are collected below.
         if self.executor is not None:
             self.executor.shutdown(wait=True, cancel_futures=True)
         with self._lock:
@@ -401,7 +401,6 @@ class TriniT:
     rules = _of_view("rules")
     generation = _of_view("generation")
     closed = property(lambda self: self._state.closed)
-    _executor = property(lambda self: self._state.executor)
     _block_cache = property(lambda self: self._state.block_cache)
 
     @property
@@ -411,7 +410,8 @@ class TriniT:
 
     @property
     def executor_kind(self) -> str:
-        """The effective kind: ``"thread"`` exactly when the pool exists."""
+        """``"thread"`` exactly when background folds run on the engine's
+        worker, ``"serial"`` when they run in-line."""
         return "thread" if self._state.executor is not None else "serial"
 
     # -- construction helpers -----------------------------------------------------
@@ -536,9 +536,12 @@ class TriniT:
         that predates it.
 
         Once the delta outgrows ``EngineConfig.compaction_threshold`` the
-        engine folds it into frozen storage (see :meth:`compact`) — in the
-        background when it has an executor, inline otherwise.  Returns the
-        triple ids, in input order.
+        engine folds it into frozen storage (see :meth:`compact`) — on its
+        worker thread under ``executor_kind="thread"``, inline under
+        ``"serial"``.  A background fold that failed raises its exception
+        from the next ``ingest`` or :meth:`compact`, before that call
+        touches the store; the call after it schedules the fold again.
+        Returns the triple ids, in input order.
         """
         triples = list(triples)
         for row in triples:
@@ -548,8 +551,7 @@ class TriniT:
                 )
         state = self._state
         with state.write_lock:
-            if state.closed:
-                raise TrinitError("Engine is closed")
+            state.check_writable()
             if not triples:
                 return []
             view = state.view
@@ -577,8 +579,7 @@ class TriniT:
         generation number (unchanged when there was no delta).
         """
         with self._state.write_lock:
-            if self._state.closed:
-                raise TrinitError("Engine is closed")
+            self._state.check_writable()
             return self._compact_locked()
 
     def _compact_locked(self) -> int:
@@ -596,16 +597,14 @@ class TriniT:
             return
         if inline or state.executor is None:
             self._compact_locked()
-        elif not state.compact_scheduled:
-            state.compact_scheduled = True
-            state.executor.submit(self._background_compact)
+        elif state.fold is None:
+            # One fold at a time; the next writer to find it finished
+            # clears it (check_writable) and may schedule another.
+            state.fold = state.executor.submit(self._background_compact)
 
     def _background_compact(self) -> None:
         state = self._state
         with state.write_lock:
-            # Cleared first: an ingest that finds the delta over the
-            # threshold again after this run schedules the next one.
-            state.compact_scheduled = False
             if not state.closed:
                 self._maybe_compact(inline=True)
 
@@ -626,13 +625,12 @@ class TriniT:
     # -- lifecycle -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the engine's resources (worker pool, mmap buffers, columns).
+        """Release the engine's resources (fold worker, mmap buffers, columns).
 
-        The thread pool drains first (queued ``ask_many`` queries are
-        cancelled — an in-flight ``ask_many`` call surfaces that as
-        :class:`TrinitError` — while running tasks finish against the
-        still-open store), then every store still held — the current one
-        and any superseded one an open stream reads — is released.
+        A background compaction already running finishes first — and
+        publishes — while a queued one is cancelled; then every store
+        still held — the current one, any the fold published and any
+        superseded one an open stream reads — is released once.
         Streams become unusable (their ``next_k`` raises
         :class:`~repro.errors.StorageError`); answers already materialised
         stay valid.  Idempotent, and shared with :meth:`variant`\\ s.
@@ -705,66 +703,22 @@ class TriniT:
         return stream
 
     def ask_many(
-        self,
-        queries: Sequence[Query | str],
-        k: int | None = None,
-        *,
-        max_workers: int | None = None,
+        self, queries: Sequence[Query | str], k: int | None = None
     ) -> list[AnswerSet]:
-        """Answer independent queries on a thread pool; results in input order.
+        """Answer queries one after another; results in input order.
 
-        The frozen store, scorer and rule set are shared read-only across
-        the pool (the caches they warm are idempotent under the GIL), the
-        processor's query plans are extended under a lock per plan, and
-        every query is evaluated in isolation — results are bit-identical
-        to sequential ``ask`` calls.  Note the evaluation itself is pure
-        Python, so on GIL-bound interpreters the pool bounds *latency
-        interleaving*, not aggregate throughput.
-
-        Queries run on the *engine-owned* thread pool (``EngineConfig.
-        parallelism``, shared only with background compaction), so
-        repeated batch calls reuse warm threads instead of paying pool
-        startup per call.  ``max_workers=1`` forces sequential
-        evaluation; other explicit values bound how many of the batch are
-        in flight at once (sliced submission to the shared pool); an
-        engine configured with ``parallelism<=1`` has no pool and always
-        evaluates sequentially.
+        Every query is parsed before any runs, then each runs in-line on
+        the calling thread as :meth:`ask` would — same answers, same
+        errors — all on one read view: a write published while the batch
+        runs reaches none of its queries.
         """
         parsed = [
             parse_query(query) if isinstance(query, str) else query
             for query in queries
         ]
-        if not parsed:
-            return []
-        pool = self._state.executor
         with self._state.reading() as view:
             processor = view.processor(self.config.processor)
-            if (
-                pool is None
-                or len(parsed) == 1
-                or (max_workers is not None and max_workers <= 1)
-            ):
-                return [processor.query(query, k) for query in parsed]
-            try:
-                if max_workers is not None and max_workers < len(parsed):
-                    # Honor an explicit concurrency cap without a throwaway
-                    # pool: feed the shared executor in slices, so at most
-                    # max_workers queries are in flight at once.
-                    results: list[AnswerSet] = []
-                    run = lambda query: processor.query(query, k)  # noqa: E731
-                    for start in range(0, len(parsed), max_workers):
-                        results.extend(
-                            pool.map(run, parsed[start : start + max_workers])
-                        )
-                    return results
-                return list(
-                    pool.map(lambda query: processor.query(query, k), parsed)
-                )
-            except (RuntimeError, CancelledError):
-                # CancelledError: close() cancelled our queued query futures.
-                if not self._state.closed:
-                    raise
-                raise TrinitError("Engine is closed") from None
+            return [processor.query(query, k) for query in parsed]
 
     def explain(self, answer: Answer, query: Query | None = None) -> Explanation:
         """Explanation of an answer's provenance and relaxations."""

@@ -2,12 +2,12 @@
 
 The engine (:class:`repro.core.engine.TriniT`) has everything a server
 needs — an ``open()``/``close()`` lifecycle, resumable
-:class:`~repro.core.results.AnswerStream` pagination, concurrent
-``ask_many`` and live ``ingest()``/compaction — but no network surface.
-This package is that surface, built on nothing but the standard library
-(``asyncio`` streams, hand-rolled HTTP/1.1 and Server-Sent-Events
-framing; the project has zero runtime dependencies and keeps it that
-way):
+:class:`~repro.core.results.AnswerStream` pagination, concurrent queries
+(from this package's executor threads) and live ``ingest()``/compaction
+— but no network surface.  This package is that surface, built on
+nothing but the standard library (``asyncio`` streams, hand-rolled
+HTTP/1.1 and Server-Sent-Events framing; the project has zero runtime
+dependencies and keeps it that way):
 
 * :mod:`repro.serve.http` — :class:`QueryService`: request routing for
   ``POST /query`` (eager ask), ``GET /stream`` (SSE answers with

@@ -33,15 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine = parser.add_argument_group("engine (EngineConfig)")
     engine.add_argument(
-        "--parallelism", type=int, default=None,
-        help="engine pool size for ask_many + background compaction "
-             "(default: machine-sized; 1 = no pool)",
-    )
-    engine.add_argument(
-        "--merge-batch", type=int, default=None,
-        help="fixed posting-merge batch size (default: adaptive)",
-    )
-    engine.add_argument(
         "--compaction-threshold", type=int, default=None,
         help="fold the live delta into a new generation past this many statements",
     )
@@ -68,17 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    engine_config = EngineConfig(
-        **{
-            key: value
-            for key, value in {
-                "parallelism": args.parallelism,
-                "merge_batch": args.merge_batch,
-                "compaction_threshold": args.compaction_threshold,
-            }.items()
-            if value is not None
-        }
-    )
+    engine_config = EngineConfig(compaction_threshold=args.compaction_threshold)
     serve_config = ServeConfig(
         host=args.host,
         port=args.port,

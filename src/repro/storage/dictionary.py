@@ -27,9 +27,9 @@ class TermDictionary:
     append-only, so an entry is never invalidated — not by an ingest (new
     ids, new entries) and not by a compaction that kept every id
     (:meth:`adopt_sort_keys`).  Entries are immutable and each is
-    published by a single dict store: concurrent readers (``ask_many``
-    threads) see an id's key either absent or complete, and two threads
-    that both miss store equal values.
+    published by a single dict store: concurrent readers (the query
+    service's executor threads) see an id's key either absent or
+    complete, and two threads that both miss store equal values.
     """
 
     def __init__(self):
@@ -104,8 +104,8 @@ class LazyTermDictionary(TermDictionary, LazilyBuilt):
     defers the decode to the first dictionary access: ``populate`` (a
     closure over the snapshot's terms section) fills the table exactly once
     (:class:`~repro.util.lazy.LazilyBuilt`), so concurrent first touches
-    (``ask_many`` threads) observe either nothing or the complete id
-    assignment, never a prefix.
+    (the query service's executor threads) observe either nothing or the
+    complete id assignment, never a prefix.
     """
 
     def __init__(self, populate: Callable[["TermDictionary"], None]):

@@ -33,8 +33,8 @@ The id-space execution core runs over a partitioned store unchanged.
 
 Snapshot-restored backends (:mod:`repro.storage.snapshot`) keep their
 segmentation: each segment's columns arrive as a lazy loader over its own
-mapped file, materialised on first touch — or all at once, in parallel,
-via :meth:`load_segments`.
+mapped file, materialised on first touch — or all at once via
+:meth:`load_segments`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 import heapq
 import threading
 from array import array
-from concurrent.futures import Executor
 from typing import Callable, Sequence
 
 from repro.errors import StorageError
@@ -560,18 +559,14 @@ class ShardedBackend:
                     self._segments[index] = segment
         return segment
 
-    def load_segments(self, executor: Executor | None = None) -> None:
-        """Materialise every lazy segment — concurrently when given a pool."""
+    def load_segments(self) -> None:
+        """Materialise every lazy segment."""
         if self._closed:
             raise StorageError("Storage backend is closed")
         with self._load_lock:
             count = len(self._segments)
-        indices = range(count)
-        if executor is None:
-            for index in indices:
-                self._segment(index)
-        else:
-            list(executor.map(self._segment, indices))
+        for index in range(count):
+            self._segment(index)
 
     def configure_prefetch(self, batch_size: int | None) -> None:
         """Set the pull granularity for merged postings.

@@ -774,8 +774,8 @@ def load_snapshot(path: str | Path, *, map_file: bool = True) -> TripleStore:
 
     The returned store is **lazy**: records and the term dictionary decode
     on first use, and each segment's own file is mapped only when a lookup
-    touches it (or all in parallel via
-    ``store.backend.load_segments(executor)``) — a missing or damaged
+    touches it (or all at once via
+    ``store.backend.load_segments()``) — a missing or damaged
     segment file surfaces as :class:`~repro.errors.StorageError` at that
     point, not at open time.
 

@@ -189,8 +189,8 @@ class PreparedQuery:
     an empty plan derives; cursors, merges, joins and aggregation are
     still built per driver.
 
-    Drivers on several threads share a plan (``ask_many``, the query
-    service's executor), so it is extended under one lock.  It refers to
+    Drivers on several threads share a plan (the query service's executor
+    threads), so it is extended under one lock.  It refers to
     no processor: processors own their plans, and a reference back would
     leave every superseded processor to the cyclic garbage collector.  A
     step that raises commits nothing, so a later reader redoes it and

@@ -5,10 +5,10 @@ snapshot open stays cheap (store statistics, the text index, the snapshot
 term dictionary).  They share this mixin rather than each hand-rolling the
 double-checked-locking pattern: call :meth:`_init_lazy` in ``__init__``,
 implement :meth:`_build`, and guard every public accessor with
-:meth:`_ensure`.  Concurrent first touches (``ask_many`` threads) observe
-either nothing or the completed build, never a prefix; a build that raises
-leaves the flag unset, so the next touch retries (``_build`` assigns its
-containers at the end).  There is no way back to "unbuilt": a structure
+:meth:`_ensure`.  Concurrent first touches (the query service's executor
+threads) observe either nothing or the completed build, never a prefix; a
+build that raises leaves the flag unset, so the next touch retries
+(``_build`` assigns its containers at the end).  There is no way back to "unbuilt": a structure
 that went stale is replaced by a new instance in the engine's next read
 view, never rebuilt under its readers.  A successor that derives its
 containers from a built predecessor is born built

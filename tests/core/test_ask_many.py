@@ -1,4 +1,8 @@
-"""Concurrent batch querying: ``engine.ask_many``."""
+"""Batch querying: ``engine.ask_many``, a loop over one read view."""
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import TriniT
 from repro.core.parser import parse_query
 from repro.kg.paper_example import paper_engine
+
+#: Caller threads running one batch at once in the thread-safety property.
+CALLERS = 4
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +56,6 @@ class TestAskMany:
         first = signature(batch[0])
         assert all(signature(result) == first for result in batch)
 
-    def test_single_worker_path(self, engine):
-        batch = engine.ask_many(QUERY_POOL[:2], k=3, max_workers=1)
-        for query_text, result in zip(QUERY_POOL, batch):
-            assert signature(result) == signature(engine.ask(query_text, 3))
-
     def test_default_k_uses_config(self, engine):
         result = engine.ask_many(["?x type ?y"])[0]
         assert result.k == engine.config.processor.k
@@ -65,14 +67,29 @@ class TestAskMany:
     st.integers(min_value=1, max_value=8),
 )
 def test_ask_many_matches_sequential_ask(queries, k):
-    """Thread-safety property: randomized batches over one shared engine
-    are bit-identical to sequential evaluation, in input order."""
+    """Thread-safety property: randomized batches, run by four caller
+    threads at once over one shared engine, are each bit-identical to
+    sequential evaluation, in input order."""
     engine = _shared_engine()
-    concurrent = engine.ask_many(queries, k=k, max_workers=4)
-    sequential = [engine.ask(query, k) for query in queries]
-    assert [signature(c) for c in concurrent] == [
-        signature(s) for s in sequential
-    ]
+    start = threading.Barrier(CALLERS)
+
+    def batch():
+        start.wait(timeout=30)
+        return engine.ask_many(queries, k=k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=CALLERS) as callers:
+            concurrent = [
+                future.result()
+                for future in [callers.submit(batch) for _ in range(CALLERS)]
+            ]
+    finally:
+        sys.setswitchinterval(interval)
+    sequential = [signature(engine.ask(query, k)) for query in queries]
+    for results in concurrent:
+        assert [signature(c) for c in results] == sequential
 
 
 _ENGINE_CACHE: list[TriniT] = []

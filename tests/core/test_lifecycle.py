@@ -61,6 +61,12 @@ class TestClose:
         with pytest.raises(StorageError):
             engine.ask("?x bornIn ?y", 5)
 
+    def test_ask_many_after_close_raises_as_ask_does(self, snapshot_path):
+        engine = TriniT.open(snapshot_path)
+        engine.close()
+        with pytest.raises(StorageError):
+            engine.ask_many(["?x bornIn ?y", "?x type ?y"], 5)
+
     def test_close_works_without_open(self):
         # In-memory engines participate in the same lifecycle.
         engine = paper_engine()

@@ -14,10 +14,11 @@ import weakref
 
 import pytest
 
-from repro.core.engine import EngineConfig, TriniT, _View
+from repro.core.engine import TriniT, _View
 from repro.core.parser import parse_query
 from repro.core.terms import Resource, TextToken
 from repro.core.triples import Triple
+from repro.scoring.language_model import PatternScorer
 from repro.storage.statistics import StoreStatistics
 from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatcher
@@ -52,7 +53,7 @@ BASE = [
 
 
 def _engine():
-    engine = TriniT.from_triples(BASE, config=EngineConfig(parallelism=1))
+    engine = TriniT.from_triples(BASE)
     engine.ask(QUERY)
     engine.suggest(QUERY)
     assert engine.matcher.is_built and engine.statistics.is_built
@@ -157,13 +158,49 @@ def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
     quiet.close()
 
 
+def test_an_ask_many_batch_reads_one_view(monkeypatch):
+    """An ingest published while a batch's first query is parked reaches
+    none of the batch's later queries: they run on the view it started on."""
+    engine = _engine()
+    before = _signature(engine.ask(QUERY))
+    parked, resume = threading.Event(), threading.Event()
+    emission_model = PatternScorer.emission_model
+
+    def parking_emission_model(scorer, pattern):
+        if threading.current_thread().name == "batch" and not parked.is_set():
+            parked.set()
+            assert resume.wait(30)
+        return emission_model(scorer, pattern)
+
+    monkeypatch.setattr(PatternScorer, "emission_model", parking_emission_model)
+    results = []
+    batch = threading.Thread(
+        name="batch",
+        target=lambda: results.append(engine.ask_many(["?x diedIn ?y", QUERY])),
+    )
+    batch.start()
+    try:
+        assert parked.wait(30)
+        engine.ingest(BATCHES[0])
+        after = _signature(engine.ask(QUERY))
+        assert len(after) > len(before)  # the new view matches 'was born in'
+    finally:
+        resume.set()
+        batch.join(30)
+    assert not batch.is_alive()
+    [[_, batched]] = results
+    assert _signature(batched) == before
+    assert _signature(engine.ask_many([QUERY])[0]) == after
+    engine.close()
+
+
 @pytest.mark.parametrize("write", ["ingest", "add_rule", "compact"])
 def test_a_superseded_view_goes_by_reference_counting_alone(write):
     """A view, its processor and the plans the processor prepared hold no
     reference cycle: the view is freed the moment its last reader lets go,
     not at the cyclic collector's next pass — which, for an engine that
     publishes a view per ingest, is what keeps memory flat."""
-    engine = TriniT.from_triples(BASE, config=EngineConfig(parallelism=2))
+    engine = TriniT.from_triples(BASE)
     if write == "compact":
         engine.ingest(BATCHES[0])  # something to fold
     enabled = gc.isenabled()
@@ -200,7 +237,7 @@ def test_a_superseded_view_goes_by_reference_counting_alone(write):
 def test_background_compaction_carries_the_index_without_touching_it(
     matcher_state, statistics_state
 ):
-    """A compaction publish (here inline, the same code as the pool's)
+    """A compaction publish (here inline, the same code as the worker's)
     hands the built index on: equal before and after, under a new store."""
     engine = _engine()
     for batch in BATCHES:
@@ -227,8 +264,8 @@ def test_compaction_that_renumbers_terms_falls_back_to_the_sweep():
     store.dictionary.encode(Resource("Zurich"))  # id 0, no statement yet
     store.add(Triple(Resource("AlbertEinstein"), Resource("bornIn"), Resource("Ulm")))
     store.add(Triple(Resource("AlbertEinstein"), Resource("livedIn"), Resource("Zurich")))
-    engine = TriniT(store, config=EngineConfig(parallelism=1))
-    reference = TriniT(store.convert(None), config=EngineConfig(parallelism=1))
+    engine = TriniT(store)
+    reference = TriniT(store.convert(None))
     engine.ask(QUERY)
     engine.suggest(QUERY)
     batch = [Triple(Resource("NielsBohr"), TextToken("born in"), Resource("Copenhagen"))]

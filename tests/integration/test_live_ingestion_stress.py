@@ -56,10 +56,7 @@ def _seed_engine(tmp_path):
     save_snapshot(store, path)
     store.close()
     return TriniT.open(
-        path,
-        config=EngineConfig(
-            parallelism=4, compaction_threshold=25, **NO_MINING
-        ),
+        path, config=EngineConfig(compaction_threshold=25, **NO_MINING)
     )
 
 
@@ -153,9 +150,7 @@ def _reference_engine():
     store.freeze()
     return TriniT(
         store,
-        config=EngineConfig(
-            executor_kind="serial", merge_batch=1, parallelism=1, **NO_MINING
-        ),
+        config=EngineConfig(executor_kind="serial", merge_batch=1, **NO_MINING),
     )
 
 

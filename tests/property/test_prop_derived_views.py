@@ -162,7 +162,7 @@ def test_derived_views_equal_a_sweep(
 ):
     engine = TriniT(
         _frozen(base, segments),
-        config=EngineConfig(parallelism=1, compaction_threshold=threshold),
+        config=EngineConfig(executor_kind="serial", compaction_threshold=threshold),
     )
     try:
         _apply(engine, ("warm", warm))
@@ -188,7 +188,7 @@ def test_derived_views_equal_a_sweep_across_snapshot_generations(
         root = Path(scratch) / "xkg.snapd"
         save_snapshot(_frozen(base, segments), root)
         engine = TriniT.open(
-            root, config=EngineConfig(parallelism=1, compaction_threshold=4)
+            root, config=EngineConfig(executor_kind="serial", compaction_threshold=4)
         )
         try:
             _apply(engine, ("warm", "both"))

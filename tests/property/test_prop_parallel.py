@@ -3,12 +3,13 @@
 Batched merged pulls, adaptive batch sizing, the block kernels and the
 hot-block cache are only allowed to change *when* posting heads
 materialise, never *what* a query answers.  The property pins that: for
-random stores and random queries, a default-shaped engine (thread pool of
-4 for ``ask_many``) at either segment count (1 / the default), any merge
-batch policy (fixed sizes or adaptive ``None``) and any posting-block policy (fixed block sizes or adaptive ``None``) produces
-bindings, scores and order bit-identical to the degenerate serial
-reference (``executor_kind="serial"``, ``merge_batch=1``, ``block_size=1``
-— item-at-a-time pulls *and* per-item scoring, no pool), across eager
+random stores and random queries, a default-shaped engine at either
+segment count (1 / the default), any merge batch policy (fixed sizes or
+adaptive ``None``) and any posting-block policy (fixed block sizes or
+adaptive ``None``) produces bindings, scores and order bit-identical to
+the degenerate serial reference (``executor_kind="serial"``,
+``merge_batch=1``, ``block_size=1`` — item-at-a-time pulls *and* per-item
+scoring), across eager
 ``ask``, random stream splits and ``ask_many`` batches.  The block
 dimension pins the execution kernels (:mod:`repro.topk.kernels`): block
 decode, batched scoring and the hot-block cache may only change how many
@@ -95,14 +96,12 @@ def test_batched_byte_identical_to_serial(
         rows,
         segments,
         executor_kind="serial",
-        parallelism=1,
         merge_batch=1,
         block_size=1,
     )
     batched = _build(
         rows,
         segments,
-        parallelism=4,
         merge_batch=batch,
         block_size=block,
     )
@@ -120,7 +119,7 @@ def test_batched_byte_identical_to_serial(
                     break
                 collected.extend(got)
             assert signature(collected) == reference[: len(collected)]
-        # Batch fan-out over the engine pool.
+        # A batch over one read view.
         batch_results = batched.ask_many(texts, k=k)
         assert [signature(r) for r in batch_results] == [
             signature(serial.ask(text, k=k)) for text in texts
@@ -205,7 +204,6 @@ def test_live_ingestion_byte_identical_to_fresh_build(
         prefix + suffix,
         segments,
         executor_kind="serial",
-        parallelism=1,
         merge_batch=1,
         block_size=1,
         **no_mining,
@@ -213,7 +211,6 @@ def test_live_ingestion_byte_identical_to_fresh_build(
     live = _build(
         prefix,
         segments,
-        parallelism=4,
         merge_batch=batch,
         block_size=block,
         **no_mining,

@@ -49,7 +49,7 @@ def snapshot_dir(tmp_path):
 
 
 def open_engine(snapshot_dir, **overrides) -> TriniT:
-    config = dict(parallelism=2, **NO_MINING)
+    config = dict(NO_MINING)
     config.update(overrides)
     return TriniT.open(snapshot_dir, config=EngineConfig(**config))
 

@@ -485,6 +485,97 @@ class TestEngineLifecycle:
         other.close()
         assert closed == [store]
 
+    # -- the background fold -------------------------------------------------
+
+    def test_a_failed_background_fold_raises_from_the_next_write(
+        self, snapshot_root, monkeypatch
+    ):
+        """The fold's error reaches the next ingest once, unchanged and
+        before it touches the store; the ingest after that folds again."""
+        boom = StorageError("generation write failed")
+        folds = []
+
+        def compact_failing_once(store):
+            folds.append(store)
+            if len(folds) == 1:
+                raise boom
+            return compact_store(store)
+
+        monkeypatch.setattr(
+            "repro.core.engine.compact_store", compact_failing_once
+        )
+        config = EngineConfig(merge_batch=1, compaction_threshold=2)
+        with TriniT.open(snapshot_root, config=config) as engine:
+            engine.ingest(_triples(LIVE_ROWS[:2]))
+            assert engine._state.fold.exception(timeout=30) is boom
+            size = len(engine.store)
+            with pytest.raises(StorageError) as info:
+                engine.ingest(_triples(LIVE_ROWS[2:3]))
+            assert info.value is boom
+            assert len(engine.store) == size
+            assert engine.generation == 0 and len(folds) == 1
+
+            engine.ingest(_triples(LIVE_ROWS[2:3]))
+            engine._state.fold.result(timeout=30)
+            assert len(folds) == 2
+            assert engine.generation == 1 and not engine.store.has_delta
+            assert len(engine.store) == size + 1
+            engine.ingest(_triples([("E9", "type", "E0", 1.0, 1)]))
+
+    def test_close_waits_for_an_in_flight_fold(self, snapshot_root, monkeypatch):
+        """close() from another thread returns once the parked fold has
+        published; the superseded store and the published one each close
+        once, and nothing escapes the worker."""
+        closed = _record_store_closes(monkeypatch)
+        inside, resume, closing = (threading.Event() for _ in range(3))
+
+        def parked_compact_store(store):
+            inside.set()
+            assert resume.wait(timeout=30)
+            return compact_store(store)
+
+        monkeypatch.setattr(
+            "repro.core.engine.compact_store", parked_compact_store
+        )
+        config = EngineConfig(merge_batch=1, compaction_threshold=2)
+        engine = TriniT.open(snapshot_root, config=config)
+        try:
+            superseded = engine.store
+            engine.ingest(_triples(LIVE_ROWS[:2]))
+            fold = engine._state.fold
+            order = []
+            fold.add_done_callback(lambda _: order.append("fold"))
+            assert inside.wait(timeout=30)
+
+            worker = engine._state.executor
+            shutdown = worker.shutdown
+
+            def signalling_shutdown(*args, **kwargs):
+                closing.set()
+                shutdown(*args, **kwargs)
+
+            worker.shutdown = signalling_shutdown
+            closer = threading.Thread(
+                target=lambda: (engine.close(), order.append("close"))
+            )
+            closer.start()
+            assert closing.wait(timeout=30)
+            resume.set()
+            closer.join(timeout=30)
+            assert not closer.is_alive()
+            assert order == ["fold", "close"]
+            assert fold.exception() is None
+
+            published = engine.store
+            assert published is not superseded and engine.generation == 1
+            assert sorted(map(id, closed)) == sorted(map(id, (superseded, published)))
+            with pytest.raises(TrinitError, match="Engine is closed") as info:
+                engine.ingest(_triples(LIVE_ROWS[2:3]))
+            assert not isinstance(info.value, StorageError)
+        finally:
+            resume.set()
+            engine.close()
+
     def test_swap_waits_for_nobody_and_leaks_nothing(
         self, snapshot_root, monkeypatch
     ):

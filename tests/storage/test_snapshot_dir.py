@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.core.engine import EngineConfig, TriniT
+from repro.core.engine import TriniT
 from repro.core.terms import Resource
 from repro.core.triples import Triple
 from repro.errors import PersistenceError, StorageError
@@ -130,9 +130,7 @@ class TestRoundtripFidelity:
         self, sharded_store, snapshot_dir
     ):
         assert len(load_store(snapshot_dir)) == len(sharded_store)
-        with TriniT.open(
-            snapshot_dir, config=EngineConfig(parallelism=1)
-        ) as engine:
+        with TriniT.open(snapshot_dir) as engine:
             answers = engine.ask("?x bornIn ?y", k=5)
             assert len(answers) == 2
 
@@ -177,7 +175,7 @@ class TestResave:
         compacted = compact_store(live)
         assert compacted.backend.generation == 1
         expected = _all_posting_bytes(compacted)
-        with TriniT(compacted, config=EngineConfig(parallelism=1)) as engine:
+        with TriniT(compacted) as engine:
             answers = [
                 (a.binding, a.score) for a in engine.ask("?x bornIn ?y", k=10)
             ]
@@ -190,7 +188,7 @@ class TestResave:
         reopened.backend.load_segments()  # every linked segment file intact
         assert reopened.backend.generation == 1
         assert _all_posting_bytes(reopened) == expected
-        with TriniT(reopened, config=EngineConfig(parallelism=1)) as engine:
+        with TriniT(reopened) as engine:
             assert [
                 (a.binding, a.score) for a in engine.ask("?x bornIn ?y", k=10)
             ] == answers

@@ -1,8 +1,8 @@
 """Segment-aware snapshots: round-trip, laziness, legacy-file rejection.
 
 A snapshot directory holds one container per segment, so a store
-round-trips with its segmentation intact, segments mmap-load lazily (or in
-parallel), and records / the term dictionary materialise on first touch.
+round-trips with its segmentation intact, segments mmap-load lazily (also
+under concurrent first touches), and records / the term dictionary materialise on first touch.
 The single-file containers of format versions 1 and 2 are rejected by
 version.  General snapshot fidelity lives in test_snapshot.py, conformance
 per segment count in test_backends.py.
@@ -10,7 +10,7 @@ per segment count in test_backends.py.
 
 import json
 import struct
-
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -137,9 +137,17 @@ class TestLazyMaterialization:
         )
 
     def test_load_segments_in_parallel(self, sharded_store, sharded_snapshot):
+        # Concurrent first touches: four threads load every segment at once.
         loaded = load_snapshot(sharded_snapshot)
+        start = threading.Barrier(4)
+
+        def load():
+            start.wait(timeout=30)
+            loaded.backend.load_segments()
+
         with ThreadPoolExecutor(max_workers=4) as pool:
-            loaded.backend.load_segments(pool)
+            for future in [pool.submit(load) for _ in range(4)]:
+                future.result()
         assert loaded.backend.loaded_segments() == list(
             range(loaded.backend.num_segments)
         )

@@ -27,7 +27,6 @@ from repro.topk.processor import ProcessorConfig
 
 
 def _engine(rows, segments=DEFAULT_SEGMENTS, rules=(), **config):
-    config.setdefault("parallelism", 1)
     config.setdefault("executor_kind", "serial")
     store = TripleStore(backend=ShardedBackend(segments))
     for s, p, o, conf in rows:

@@ -12,6 +12,8 @@ reference configuration, also cold.  Synchronised with events only.
 """
 
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import pytest
@@ -30,6 +32,9 @@ from repro.relax.rewriting import RewriteEngine
 from repro.topk.processor import TopKProcessor
 
 ORACLE = dict(executor_kind="serial", merge_batch=1, block_size=1)
+
+#: Caller threads racing into one cold plan.
+CALLERS = 8
 
 #: Translation rules for a predicate the store does not know: rewritings
 #: at the query level, the lighter one reached only for a larger k.
@@ -171,16 +176,24 @@ def test_interleaved_streams_share_one_plan(text):
 
 
 @pytest.mark.parametrize("text", QUERIES)
-def test_ask_many_threads_race_into_one_cold_plan(text):
-    """More pool threads than cores extend one empty plan at once; every
+def test_caller_threads_race_into_one_cold_plan(text):
+    """More caller threads than cores extend one empty plan at once; every
     result must be the single cold ask's, byte for byte."""
-    engine = make_engine(parallelism=4)
+    engine = make_engine()
     reference = make_engine(cold=True)
     want = reference.ask(text)
+    start = threading.Barrier(CALLERS)
+
+    def ask():
+        start.wait(timeout=30)
+        return engine.ask(text)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        results = engine.ask_many([text] * 8)
+        with ThreadPoolExecutor(max_workers=CALLERS) as callers:
+            futures = [callers.submit(ask) for _ in range(CALLERS)]
+            results = [future.result() for future in futures]
     finally:
         sys.setswitchinterval(interval)
     # The hot-block cache is shared by concurrent queries, so its hits
