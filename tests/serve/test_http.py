@@ -5,7 +5,7 @@ SSE-streamed answers byte-identical to direct ``engine.ask`` prefixes, a
 repeated query is a cache hit (observable via ``/metrics``), live ingest
 changes the snapshot identity so nothing stale is ever served, and
 overload beyond the admission bound sheds 429/503 without deadlocking
-the engine pool.
+the service's executor.
 """
 
 from __future__ import annotations
