@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import TriniT
 from repro.core.parser import parse_query
+from repro.errors import ParseError
 from repro.kg.paper_example import paper_engine
 
 #: Caller threads running one batch at once in the thread-safety property.
@@ -55,6 +56,19 @@ class TestAskMany:
         batch = engine.ask_many(["?x type ?y"] * 4, k=3)
         first = signature(batch[0])
         assert all(signature(result) == first for result in batch)
+
+    def test_every_query_parses_before_any_runs(self, engine, monkeypatch):
+        acquired = []
+        original = engine._state.acquire
+
+        def acquire():
+            acquired.append(True)
+            return original()
+
+        monkeypatch.setattr(engine._state, "acquire", acquire)
+        with pytest.raises(ParseError):
+            engine.ask_many(["?x bornIn ?y", "?x bornIn"], k=3)
+        assert acquired == []  # no query took a read view
 
     def test_default_k_uses_config(self, engine):
         result = engine.ask_many(["?x type ?y"])[0]

@@ -88,6 +88,16 @@ class TestWhatRunsOnTheWorker:
         assert engine.store.delta_size == 0
         assert engine.generation == 1
 
+    def test_variant_shares_the_worker(self):
+        engine = _engine(compaction_threshold=2)
+        variant = engine.variant(use_relaxation=False)
+        assert variant._state.executor is engine._state.executor
+        submitted = count_submits(engine)
+        variant.ingest(LIVE)
+        [compaction] = submitted
+        compaction.result(timeout=30)
+        assert engine.generation == 1
+
     def test_close_shuts_the_worker_down(self):
         engine = _engine()
         worker = engine._state.executor
@@ -123,6 +133,14 @@ class TestExecutorKind:
         assert engine.config.executor_kind == "thread"
         assert engine.executor_kind == "thread"
         assert engine._state.executor._max_workers == 1
+
+    @pytest.mark.parametrize("kind", ["thread", "serial"])
+    def test_ask_many_answers_as_ask_does(self, kind):
+        engine = _engine(executor_kind=kind)
+        results = engine.ask_many(QUERIES, k=3)
+        assert [signature(r) for r in results] == [
+            signature(engine.ask(text, k=3)) for text in QUERIES
+        ]
 
     def test_the_reference_configuration_constructs(self):
         engine = _engine(executor_kind="serial", merge_batch=1, block_size=1)

@@ -104,6 +104,21 @@ def _record_store_closes(monkeypatch):
     return closed
 
 
+def _fail_first_fold(monkeypatch, error):
+    """Patch the engine's ``compact_store`` to raise ``error`` on its first
+    call only; the returned list logs the store of every call."""
+    folds = []
+
+    def compact_failing_once(store):
+        folds.append(store)
+        if len(folds) == 1:
+            raise error
+        return compact_store(store)
+
+    monkeypatch.setattr("repro.core.engine.compact_store", compact_failing_once)
+    return folds
+
+
 @pytest.fixture()
 def snapshot_root(tmp_path):
     store = TripleStore("XKG", backend="sharded")
@@ -493,17 +508,7 @@ class TestEngineLifecycle:
         """The fold's error reaches the next ingest once, unchanged and
         before it touches the store; the ingest after that folds again."""
         boom = StorageError("generation write failed")
-        folds = []
-
-        def compact_failing_once(store):
-            folds.append(store)
-            if len(folds) == 1:
-                raise boom
-            return compact_store(store)
-
-        monkeypatch.setattr(
-            "repro.core.engine.compact_store", compact_failing_once
-        )
+        folds = _fail_first_fold(monkeypatch, boom)
         config = EngineConfig(merge_batch=1, compaction_threshold=2)
         with TriniT.open(snapshot_root, config=config) as engine:
             engine.ingest(_triples(LIVE_ROWS[:2]))
@@ -521,6 +526,26 @@ class TestEngineLifecycle:
             assert engine.generation == 1 and not engine.store.has_delta
             assert len(engine.store) == size + 1
             engine.ingest(_triples([("E9", "type", "E0", 1.0, 1)]))
+
+    def test_a_failed_background_fold_raises_from_the_next_compact(
+        self, snapshot_root, monkeypatch
+    ):
+        """compact() hands over the fold's error as ingest() does: once,
+        unchanged, with the delta still live; the compact after it folds."""
+        boom = StorageError("generation write failed")
+        folds = _fail_first_fold(monkeypatch, boom)
+        config = EngineConfig(merge_batch=1, compaction_threshold=2)
+        with TriniT.open(snapshot_root, config=config) as engine:
+            engine.ingest(_triples(LIVE_ROWS[:2]))
+            assert engine._state.fold.exception(timeout=30) is boom
+            with pytest.raises(StorageError) as info:
+                engine.compact()
+            assert info.value is boom
+            assert len(folds) == 1
+            assert engine.generation == 0 and engine.store.has_delta
+
+            assert engine.compact() == 1
+            assert len(folds) == 2 and not engine.store.has_delta
 
     def test_close_waits_for_an_in_flight_fold(self, snapshot_root, monkeypatch):
         """close() from another thread returns once the parked fold has
