@@ -13,7 +13,8 @@ number of people, through the same public path (JSONL → sharded snapshot →
 ``TriniT.open``), and prints per size: the op median, the first and the
 next page of the stream ops, how many sorted accesses an answer costs
 (overall and for the single-pattern ops alone), what one sorted access
-costs, how long ``TriniT.open`` took and the engine's peak RSS.  Every distinct
+costs, how long ``TriniT.open`` took, the engine's peak RSS and the
+snapshot's bytes on disk per statement.  Every distinct
 op's answers are checked against the serial per-item oracle configuration;
 a difference fails the run (exit 1).
 
@@ -54,6 +55,7 @@ from e2e.workloads import (  # noqa: E402
     SCAN_PAGES,
     SCAN_QUERIES,
     _scan_world,
+    disk_bytes,
     engine_op,
     make_ops,
 )
@@ -76,6 +78,7 @@ def build(people: int, ops_wanted: int, seed: int, workdir: Path) -> dict:
     snapshot.save_snapshot(built, workdir / "scan.snapd")
     built.close()
     build_s = time.perf_counter() - began
+    disk_bytes_per_stmt = disk_bytes(workdir / "scan.snapd") / statements
     pool = list(SCAN_QUERIES)
     with TriniT.open(workdir / "scan.snapd", config=EngineConfig(**REFERENCE)) as oracle:
         pageable = [
@@ -86,7 +89,11 @@ def build(people: int, ops_wanted: int, seed: int, workdir: Path) -> dict:
         expected = {op: engine_op(oracle, op)[0] for op in sorted(set(ops), key=repr)}
     with (workdir / "inputs.pkl").open("wb") as handle:
         pickle.dump({"ops": ops, "expected": expected}, handle)
-    return {"statements": statements, "build_s": build_s}
+    return {
+        "statements": statements,
+        "build_s": build_s,
+        "disk_bytes_per_stmt": disk_bytes_per_stmt,
+    }
 
 
 def replay(workdir: Path) -> dict:
@@ -211,7 +218,7 @@ def main(argv=None) -> int:
         f"{'people':>8} {'statements':>10} {'ops':>5} {'op p50 ms':>10} "
         f"{'op p90 ms':>10} {'first ms':>9} {'next ms':>8} {'acc/answer':>10} "
         f"{'single':>7} {'us/access':>10} {'open ms':>8} {'rss MB':>7} "
-        f"{'build s':>8} {'checked':>8} {'wrong':>6}"
+        f"{'B/stmt':>7} {'build s':>8} {'checked':>8} {'wrong':>6}"
     )
     rows = []
     for people in args.people:
@@ -223,7 +230,8 @@ def main(argv=None) -> int:
             f"{row['accesses_per_answer']:>10.1f} "
             f"{row['single_pattern_accesses_per_answer']:>7.1f} "
             f"{row['us_per_access']:>10.2f} {row['open_ms']:>8.1f} {row['rss_mb']:>7.1f} "
-            f"{row['build_s']:>8.1f} {row['checked']:>8} {len(row['wrong']):>6}",
+            f"{row['disk_bytes_per_stmt']:>7.0f} {row['build_s']:>8.1f} "
+            f"{row['checked']:>8} {len(row['wrong']):>6}",
             flush=True,
         )
         for op in row["wrong"]:

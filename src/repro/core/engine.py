@@ -62,8 +62,8 @@ class EngineConfig:
     Attributes
     ----------
     processor:
-        Top-k processing knobs (budgets, ablation switches) — including
-        ``execution`` ("idspace" hot path vs "termspace" reference).
+        Top-k processing knobs (budgets, ablation switches, exhaustive
+        evaluation).
     scoring:
         Language-model smoothing.
     executor_kind:

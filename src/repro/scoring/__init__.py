@@ -8,14 +8,10 @@ an answer obtainable through several derivations keeps the maximal score.
 """
 
 from repro.scoring.language_model import PatternScorer, ScoringConfig
-from repro.scoring.answer_scoring import (
-    AnswerAggregator,
-    combine_pattern_scores,
-)
+from repro.scoring.answer_scoring import combine_pattern_scores
 
 __all__ = [
     "PatternScorer",
     "ScoringConfig",
-    "AnswerAggregator",
     "combine_pattern_scores",
 ]

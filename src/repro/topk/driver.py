@@ -45,13 +45,11 @@ from typing import TYPE_CHECKING
 from repro.core.query import Query
 from repro.core.results import Answer, AnswerSet, QueryStats
 from repro.errors import TopKError
-from repro.scoring.answer_scoring import AnswerAggregator
 from repro.topk.idspace import (
-    IdAnswerAggregator,
+    IdAggregator,
     IdExecutionContext,
     IdRankJoin,
 )
-from repro.topk.rank_join import NaryRankJoin
 from repro.util.heap import GrowableTopKTracker
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (processor imports us)
@@ -80,14 +78,10 @@ class TopKDriver:
         self.stats = stats if stats is not None else QueryStats()
         config = processor.config
         self._exhaustive = config.exhaustive
-        self._id_space = config.execution == "idspace"
-        if self._id_space:
-            self._aggregator = IdAnswerAggregator(
-                tuple(sorted(query.projection, key=lambda v: v.name)),
-                processor.store.dictionary.sort_key,
-            )
-        else:
-            self._aggregator = AnswerAggregator()
+        self._aggregator = IdAggregator(
+            tuple(sorted(query.projection, key=lambda v: v.name)),
+            processor.store.dictionary.sort_key,
+        )
         self._tracker = GrowableTopKTracker(1)
         self._plan = processor.prepared(query)
         self._read = 0  # rewritings read from the plan
@@ -192,39 +186,21 @@ class TopKDriver:
         stats = self.stats
         # The rewriting built is always the last one read.
         spec_lists = self._plan.spec_lists(self._read - 1, processor._stream_specs)
-        if self._id_space:
-            ctx = IdExecutionContext(processor.store, processor.scorer, stats)
-            streams = [
-                processor._merge(
-                    [processor._id_cursor(spec, ctx) for spec in specs], stats
-                )
-                for specs in spec_lists
-            ]
-            return IdRankJoin(
-                rewriting.query,
-                streams,
-                ctx,
-                rewriting_weight=rewriting.weight,
-                rewriting=rewriting.applications,
-                aggregator=self._aggregator,
-                tracker=self._tracker,
-                exhaustive=self._exhaustive,
-                strict_ties=True,
-            )
+        ctx = IdExecutionContext(processor.store, processor.scorer, stats)
         streams = [
             processor._merge(
-                [processor._term_cursor(spec, stats) for spec in specs], stats
+                [processor._id_cursor(spec, ctx) for spec in specs], stats
             )
             for specs in spec_lists
         ]
-        return NaryRankJoin(
+        return IdRankJoin(
             rewriting.query,
             streams,
+            ctx,
             rewriting_weight=rewriting.weight,
             rewriting=rewriting.applications,
             aggregator=self._aggregator,
             tracker=self._tracker,
-            stats=stats,
             exhaustive=self._exhaustive,
             strict_ties=True,
         )
@@ -238,11 +214,7 @@ class TopKDriver:
     def ranked_window(self, start: int, stop: int | None = None) -> list[Answer]:
         """Ranks ``[start:stop]`` only — the settled prefix before ``start``
         is neither re-decoded nor re-materialised (streaming pagination)."""
-        if self._id_space:
-            return self._aggregator.ranked_answers(
-                self.processor.store, stop, start
-            )
-        return self._aggregator.ranked_answers(stop, start)
+        return self._aggregator.ranked_answers(self.processor.store, stop, start)
 
     def answer_set(self, k: int) -> AnswerSet:
         """The top-``k`` answers as an :class:`AnswerSet` (after advancing).

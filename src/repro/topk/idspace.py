@@ -1,10 +1,8 @@
-"""The id-space execution core: top-k processing on integer term ids.
+"""The execution core: top-k processing on integer term ids.
 
-The store dictionary-encodes every term at ``add()`` time, yet the original
-execution path immediately decoded triples back into :class:`Term` objects
-and re-bound patterns object-by-object — hashing dataclasses, building
-per-match dicts, and sorting (Variable, Term) pairs inside every inner loop.
-This module keeps the *whole* hot path in integer id-space:
+The store dictionary-encodes every term at ``add()`` time, and this module
+keeps the *whole* hot path in that integer id-space — no :class:`Term`
+object is hashed, bound or sorted before an answer is shown:
 
 * a per-rewriting :class:`SlotTable` assigns each variable a dense slot;
   a binding is a plain ``tuple[int, ...]`` of term ids (``UNBOUND`` = -1),
@@ -12,18 +10,21 @@ This module keeps the *whole* hot path in integer id-space:
   and variable slots once, so matching a posting is integer comparisons,
 * :class:`IdPostingCursor` / :class:`IdSubJoinCursor` stream id-space
   matches with scores computed straight off the store's weight column,
-  and hand them out a **tied head run** (:class:`IdRun`) at a time,
+  and hand them out a **tied head run** (:class:`IdRun`) at a time — the
+  one cursor protocol (:class:`RunCursor`),
 * :class:`IdRankJoin` advances by those runs and probes and merges
   bindings as int tuples,
-* :class:`IdAnswerAggregator` keeps each answer's provenance as
+* :class:`IdAggregator` keeps each answer's provenance as
   ``(cursor, posting)`` references and builds derivations and decodes to
   :class:`~repro.core.results.Answer` objects only for an emitted window,
   ranking a tied run as far as it is shown.
 
-Semantics are *identical* to the term-space reference path
-(:mod:`repro.topk.cursors` / :mod:`repro.topk.rank_join`): same enumeration
-orders, same float arithmetic, same tie-breaks — which the equivalence suite
-(`tests/topk/test_idspace_equivalence.py`) asserts answer-by-answer.
+Semantics are *identical* to the term-space reference core the tests keep
+(``tests/reference_core.py``: per-item cursors, join and aggregation over
+:class:`Term` bindings): same enumeration orders, same float
+arithmetic, same tie-breaks — which the equivalence suites
+(``tests/topk/test_idspace_equivalence.py``,
+``tests/property/test_prop_idspace.py``) assert answer by answer.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from operator import itemgetter, neg
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.core.query import Query
 from repro.core.results import Answer, Derivation, PatternMatchInfo, QueryStats
@@ -219,32 +220,6 @@ class IdMatchInfo:
         )
 
 
-class IdMatch:
-    """One match emitted by an id-space cursor.
-
-    ``binding`` is a full-width tuple over the rewriting's slot table with
-    ``UNBOUND`` in slots this match does not constrain — hashable, cheap to
-    compare, and merge-compatible across patterns by slot position.
-    ``slots`` names the bound positions (a tuple shared with the emitting
-    cursor's plan, not allocated per match), so probes and merges touch
-    only the slots that matter.
-    """
-
-    __slots__ = ("binding", "score", "info", "slots")
-
-    def __init__(
-        self,
-        binding: tuple[int, ...],
-        score: float,
-        info: IdMatchInfo,
-        slots: tuple[int, ...] = (),
-    ):
-        self.binding = binding
-        self.score = score
-        self.info = info
-        self.slots = slots
-
-
 class IdRun:
     """A tied head run: the next matches of one cursor that share one score.
 
@@ -288,16 +263,33 @@ class IdRun:
         )
 
 
-def _pop_one(cursor) -> IdMatch | None:
-    """Per-item access to a run cursor: a run of one, consumed whole."""
-    run = cursor.head_run(1)
-    if run is None:
-        return None
-    cursor.advance(1)
-    score = run.score
-    return IdMatch(
-        run.bindings[0], score, run.source.match_info(run.refs[0], score), run.slots
-    )
+class RunCursor(Protocol):
+    """Sorted access by tied head runs: what the merge and the rank join
+    read, and what :class:`IdPostingCursor`, :class:`IdSubJoinCursor` and
+    :class:`~repro.topk.incremental_merge.IncrementalMergeCursor` serve."""
+
+    def peek(self) -> float | None:
+        """An upper bound on the next item's score (``None``: spent); exact
+        once :meth:`ensure_exact` returned."""
+        ...
+
+    def ensure_exact(self) -> bool:
+        """Make :meth:`peek` exact; return True if it already was.
+
+        Cursors with optimistic bounds (unmaterialised sub-joins) do their
+        expensive work here; the merged stream calls this only when the
+        cursor's bound has reached the head — the adaptive-invocation point.
+        """
+        ...
+
+    def head_run(self, limit: int | None = None) -> IdRun | None:
+        """The next items that share the head score, at most ``limit``,
+        consuming nothing (``None``: spent)."""
+        ...
+
+    def advance(self, n: int) -> None:
+        """Consume the first ``n`` items of the run :meth:`head_run` gave."""
+        ...
 
 
 def tie_key(
@@ -348,11 +340,10 @@ class IdPostingCursor:
     call — ``peek`` then reads a precomputed score, and :meth:`head_run`
     hands out every staged head that shares it as one :class:`IdRun`,
     bound by a single :func:`repro.topk.kernels.bind_block` call;
-    :meth:`advance` says how many the consumer took (:meth:`pop` is a run
-    of one).  Block granularity follows ``TripleStore.block_size``
-    (``EngineConfig.block_size``): ``None`` adapts — the cursor scores
-    exactly what each batched pull of the segment merge materialised —
-    while ``1`` stages nothing and scores one head at a time, so every run
+    :meth:`advance` says how many the consumer took.  Block granularity
+    follows ``TripleStore.block_size`` (``EngineConfig.block_size``):
+    ``None`` adapts — the cursor scores exactly what each batched pull of
+    the segment merge materialised — while ``1`` stages nothing and scores one head at a time, so every run
     has length one: the per-item oracle the property suite pins the block
     path against.  Emitted matches and scores are identical in both modes;
     only the ``blocks_decoded`` counter differs.
@@ -478,7 +469,7 @@ class IdPostingCursor:
         Advances ``_position`` in block strides, pulling merged batches
         exactly as the per-item path would (same pull sizes, same stats),
         and leaves the surviving ids with their scores staged for
-        :meth:`peek`/:meth:`pop`.  Returns False once the list is spent.
+        :meth:`peek` / :meth:`head_run`.  Returns False once the list is spent.
         """
         ids = self._ids
         merged = self._merged
@@ -611,15 +602,12 @@ class IdPostingCursor:
             self.pattern, (store.record(tid),), score, self.rule, self.token_matches
         )
 
-    def pop(self) -> IdMatch | None:
-        return _pop_one(self)
-
 
 class IdSubJoinCursor:
     """Sorted access over a multi-pattern relaxation's sub-join, in id-space.
 
-    Mirrors :class:`~repro.topk.cursors.MaterializedJoinCursor`: lazy
-    materialisation on first pop, projection onto the interface variables,
+    Lazy materialisation on the first :meth:`head_run` (or
+    :meth:`ensure_exact`), projection onto the interface variables,
     best-score dedup, then descending serve.  Until materialisation,
     ``peek`` is the optimistic bound ``multiplier × min_i max_score(p_i)``.
     """
@@ -670,7 +658,7 @@ class IdSubJoinCursor:
         for pattern in patterns:
             ctx.table.slots_for(pattern.variables())
         # Interface vars arrive name-sorted (the processor guarantees it),
-        # so this slot order matches term-space BindingKey order.
+        # so this slot order is the order of a decoded binding's pairs.
         self.interface_slots = ctx.table.slots_for(interface_vars)
         self.multiplier = multiplier
         self.rule = rule
@@ -698,7 +686,7 @@ class IdSubJoinCursor:
         if stats is not None:
             stats.cursors_opened += 1
         # Evaluate most-selective-first to keep intermediate results small
-        # (same stable order as the term-space reference).
+        # (a stable sort: equal cardinalities keep the rule's order).
         order = sorted(
             range(len(self.patterns)),
             key=lambda i: store.cardinality(self.patterns[i]),
@@ -763,9 +751,9 @@ class IdSubJoinCursor:
             for slot, value in zip(interface_slots, key):
                 out[slot] = value
             items.append((tuple(out), self.multiplier * score, used))
-        # Ties break on the bound terms' lexical order — identical to the
-        # term-space reference, which sorts BindingKey pairs (a sub-join
-        # binds every interface variable, so their names cancel out).
+        # Ties break on the bound terms' lexical order — the order of the
+        # decoded (variable, term) pairs (a sub-join binds every interface
+        # variable, so their names cancel out).
         sort_key = store.dictionary.sort_key
         bound = kernels.tuple_getter(interface_slots)
         sort_descending_with_ties(
@@ -834,9 +822,6 @@ class IdSubJoinCursor:
         """``match_info(used, score)`` decoded, for an answer being shown."""
         return self.match_info(used, score).decode(store)
 
-    def pop(self) -> IdMatch | None:
-        return _pop_one(self)
-
 
 def sort_descending_with_ties(items: list, score_of, key_of) -> None:
     """Sort ``items`` by (score desc, ``key_of`` asc), computing ``key_of``
@@ -856,7 +841,7 @@ def sort_descending_with_ties(items: list, score_of, key_of) -> None:
         start = stop
 
 
-class IdAnswerAggregator:
+class IdAggregator:
     """Max-score answer dedup over id-space projection keys.
 
     Keys are tuples of term ids aligned to the query's name-sorted
@@ -1068,11 +1053,21 @@ class IdAnswerAggregator:
 class IdRankJoin:
     """N-ary HRJN-style rank join over id-space streams.
 
-    The algorithm — stream advance order, probe enumeration, upper bound,
-    threshold termination — is the same as the term-space
-    :class:`~repro.topk.rank_join.NaryRankJoin`; only the binding
-    representation changed, so probes hash int tuples instead of
-    (Variable, Term) pair tuples.
+    Streams are consumed in descending score order; every new item is
+    probed against the items already seen on the other streams, and
+    complete, variable-compatible combinations become candidate answers.
+    The upper bound on any answer not yet formed is::
+
+        U = max_i ( rewriting_weight · c_0 · c_1 ⋯ ),  c_i = peek_i, c_j = cap_j (j ≠ i)
+
+    where ``cap_j`` is stream j's best item score (its peek until it has
+    emitted).  U and every combination score are multiplied left to right
+    in stream order (:func:`~repro.scoring.answer_scoring.score_product`),
+    so rounding never lifts a score above the bound that covers it.  Once
+    the k-th best distinct answer beats U, no future combination can change
+    the top-k and the join suspends — this, with lazy relaxation cursors,
+    is what keeps TriniT from exploring the whole rewriting space.  Probes
+    hash int tuples.
 
     **Settling inside a tied run.**  Posting lists are in (weight desc, tie
     key asc) order.  When the join has one stream, a lone posting cursor,
@@ -1094,7 +1089,7 @@ class IdRankJoin:
         *,
         rewriting_weight: float = 1.0,
         rewriting: tuple[RuleApplication, ...] = (),
-        aggregator: IdAnswerAggregator,
+        aggregator: IdAggregator,
         tracker: DistinctTopKTracker,
         exhaustive: bool = False,
         strict_ties: bool = False,

@@ -12,15 +12,13 @@ merge maintains a max-heap over cursor peeks:
 * the same binding reachable through several cursors is emitted once, at its
   maximal score (streams descend, so the first emission is the maximum).
 
-Two access protocols share the heap.  :meth:`IncrementalMergeCursor.pop`
-is the per-item one and works over any cursor with ``peek`` / ``pop`` /
-``ensure_exact`` (the term-space reference core).  Id-space cursors also
-hand out their **tied head run** (``head_run`` / ``advance``, see
-:class:`~repro.topk.idspace.IdRun`), and :meth:`IncrementalMergeCursor.
-head_run` passes the head cursor's run through: while the head cursor's
-score stays what it is, its heap entry stays the smallest — a runner-up
-is strictly lower or ties with a later order — so the per-item merge
-would emit exactly that run, minus the bindings already emitted.
+Cursors hand out their **tied head run** (``head_run`` / ``advance``, see
+:class:`~repro.topk.idspace.IdRun`) besides ``peek`` / ``ensure_exact``,
+and :meth:`IncrementalMergeCursor.head_run` passes the head cursor's run
+through: while the head cursor's score stays what it is, its heap entry
+stays the smallest — a runner-up is strictly lower or ties with a later
+order — so a merge emitting one item at a time would emit exactly that
+run, minus the bindings already emitted.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import heapq
 import itertools
 
 from repro.core.results import QueryStats
-from repro.topk.cursors import Cursor, ScoredMatch
+from repro.topk.idspace import RunCursor
 
 #: Tolerance when deciding whether a heap entry's cached peek is stale.
 _EPS = 1e-12
@@ -49,13 +47,11 @@ class IncrementalMergeCursor:
         first emits an item.
     """
 
-    def __init__(self, cursors: list[Cursor], stats: QueryStats | None = None):
+    def __init__(self, cursors: list[RunCursor], stats: QueryStats | None = None):
         self.stats = stats
         self._counter = itertools.count()
-        self._heap: list[tuple[float, int, Cursor]] = []
-        # Bindings are only required to be hashable: term-space cursors emit
-        # BindingKey pair-tuples, id-space cursors emit int tuples — the
-        # merge serves both execution cores unchanged.
+        self._heap: list[tuple[float, int, RunCursor]] = []
+        # Bindings are only required to be hashable.
         self._emitted: set = set()
         self._invoked: set[int] = set()
         self._cursor_index: dict[int, int] = {}
@@ -92,7 +88,7 @@ class IncrementalMergeCursor:
         else:
             heapq.heapreplace(self._heap, (-peek, order, cursor))
 
-    def _exact_head(self) -> Cursor | None:
+    def _exact_head(self) -> RunCursor | None:
         """The cursor the next item comes from — optimistic heads refined
         until the heap head is exact — or ``None`` when all are spent."""
         while self.peek() is not None:
@@ -102,7 +98,7 @@ class IncrementalMergeCursor:
             self._reseat_head()
         return None
 
-    def _note_invoked(self, cursor: Cursor) -> None:
+    def _note_invoked(self, cursor: RunCursor) -> None:
         if self.stats is None:
             return
         cursor_pos = self._cursor_index[id(cursor)]
@@ -110,28 +106,14 @@ class IncrementalMergeCursor:
             self._invoked.add(cursor_pos)
             self.stats.relaxations_invoked += 1
 
-    def pop(self) -> ScoredMatch | None:
-        """Next item in globally descending score order, deduped by binding."""
-        while (cursor := self._exact_head()) is not None:
-            item = cursor.pop()
-            self._reseat_head()
-            if item is None:
-                continue
-            self._note_invoked(cursor)
-            if item.binding in self._emitted:
-                continue
-            self._emitted.add(item.binding)
-            return item
-        return None
-
     def head_run(self, limit: int | None = None):
         """The head cursor's tied run, minus bindings already emitted.
 
-        Like :meth:`pop` it consumes the emitted duplicates that *precede*
-        the first fresh item; the duplicates between and after fresh items
-        are consumed by :meth:`advance`, and only as far as the consumer
-        got — so a consumer that stops mid-run leaves the cursor where
-        per-item pops would have.  Returns ``None`` when spent.
+        It consumes the emitted duplicates that *precede* the first fresh
+        item; the duplicates between and after fresh items are consumed by
+        :meth:`advance`, and only as far as the consumer got — so a
+        consumer that stops mid-run leaves the cursor where taking one item
+        at a time would have.  Returns ``None`` when spent.
         """
         emitted = self._emitted
         while (cursor := self._exact_head()) is not None:
@@ -172,12 +154,3 @@ class IncrementalMergeCursor:
             return True
         self._reseat_head()
         return False
-
-    def drain(self) -> list[ScoredMatch]:
-        """Exhaust the stream (used by tests and the exhaustive evaluator)."""
-        items = []
-        while True:
-            item = self.pop()
-            if item is None:
-                return items
-            items.append(item)

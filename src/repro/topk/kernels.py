@@ -2,7 +2,7 @@
 
 Every layer below the top-k driver is columnar, yet the innermost loops
 used to burn Python-object time: one score call per posting, one merge-key
-tuple per head, one ``IdMatch`` per sorted access.  The kernels here turn
+tuple per head, one match object per sorted access.  The kernels here turn
 those per-item loops into **block** operations over the stores' columns
 and memoryview slices, so the interpreter dispatches once per block
 instead of once per posting:
@@ -203,8 +203,9 @@ class HotBlockCache:
     compaction publishes a new generation** (cached front blocks of the old
     generation must not outlive it) as well as on engine close.
 
-    Thread-safe: the engine's query fan-out shares one instance across
-    worker threads.  Hit/miss totals are lifetime counters for
+    Thread-safe: every thread that queries the engine (each caller of
+    ``ask`` / ``stream``, the query service's executor threads) shares the
+    one instance.  Hit/miss totals are lifetime counters for
     introspection and tests; per-query accounting is done by the consumer
     (``MergedPostings`` counts hits per merge, the cursor diffs them into
     ``QueryStats.block_cache_hits``).

@@ -18,17 +18,10 @@ Pulls together the whole pipeline of Sections 3–4 of the paper:
    maximal score over all derivation sequences.
 
 Streams are described once as *cursor specs* (pattern, multiplier, rule,
-token expansions) and then lowered onto one of two execution cores selected
-by ``config.execution``:
-
-* ``"idspace"`` (default) — the dictionary-encoded hot path of
-  :mod:`repro.topk.idspace`: bindings are int tuples, scores come straight
-  off the weight column, decoding to :class:`Term` happens only when the
-  final :class:`AnswerSet` materialises.
-* ``"termspace"`` — the original object-based cursors
-  (:mod:`repro.topk.cursors`); retained as the executable reference
-  semantics that the equivalence suite and the id-space benchmark compare
-  against.
+token expansions) and then lowered onto the dictionary-encoded execution
+core of :mod:`repro.topk.idspace`: bindings are int tuples, scores come
+straight off the weight column, decoding to :class:`Term` happens only when
+the final :class:`AnswerSet` materialises.
 
 Setting ``config.exhaustive = True`` disables every early-termination check,
 yielding reference semantics (used by correctness tests and as the
@@ -63,19 +56,16 @@ from repro.relax.rules import RelaxationRule, RuleSet
 from repro.scoring.language_model import PatternScorer, ScoringConfig
 from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatch, TokenMatcher
-from repro.topk.cursors import Cursor, MaterializedJoinCursor, PostingCursor
 from repro.topk.idspace import (
     IdExecutionContext,
     IdPostingCursor,
     IdSubJoinCursor,
+    RunCursor,
 )
 from repro.topk.incremental_merge import IncrementalMergeCursor
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (driver imports us)
     from repro.topk.driver import TopKDriver
-
-#: Valid values of :attr:`ProcessorConfig.execution`.
-EXECUTION_MODES = ("idspace", "termspace")
 
 
 @dataclass(frozen=True)
@@ -103,9 +93,6 @@ class ProcessorConfig:
         rewrite enumeration instead (ablation of incremental merging).
     exhaustive:
         Disable all early termination (reference evaluation).
-    execution:
-        Execution core: "idspace" (dictionary-encoded hot path, default) or
-        "termspace" (the original Term-object reference path).
     """
 
     k: int = 10
@@ -121,7 +108,6 @@ class ProcessorConfig:
     exhaustive: bool = False
     unknown_resource_fallback: bool = True
     unknown_resource_penalty: float = 0.9
-    execution: str = "idspace"
 
     def __post_init__(self):
         if self.k < 1:
@@ -130,10 +116,10 @@ class ProcessorConfig:
             raise TopKError("max_rewrite_depth must be >= 0")
         if not 0.0 <= self.min_rewriting_weight <= 1.0:
             raise TopKError("min_rewriting_weight must be in [0, 1]")
-        if self.execution not in EXECUTION_MODES:
-            raise TopKError(
-                f"execution must be one of {EXECUTION_MODES}, got {self.execution!r}"
-            )
+        if self.max_relaxations_per_pattern < 0:
+            raise TopKError("max_relaxations_per_pattern must be >= 0")
+        if self.max_token_expansions < 0:
+            raise TopKError("max_token_expansions must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -363,6 +349,7 @@ class TopKProcessor:
 
         terms = list(pattern.terms())
         penalty = 1.0
+        rewritten = False
         for slot, term in enumerate(terms):
             if (
                 isinstance(term, Resource)
@@ -370,7 +357,8 @@ class TopKProcessor:
             ):
                 terms[slot] = TextToken(camel_to_words(term.name))
                 penalty *= self.config.unknown_resource_penalty
-        if penalty == 1.0:
+                rewritten = True
+        if not rewritten:
             return pattern, 1.0
         return TriplePattern(*terms), penalty
 
@@ -419,7 +407,7 @@ class TopKProcessor:
 
         The original pattern's (token-expanded) posting specs come first,
         then the pattern-level relaxations, weight-descending and capped —
-        exactly the cursor order both execution cores merge.
+        exactly the cursor order the stream merges.
         """
         base: list[PostingSpec | SubJoinSpec] = list(
             self._expand_pattern(pattern, multiplier=1.0, rule=None)
@@ -483,27 +471,6 @@ class TopKProcessor:
 
     # -- spec lowering ------------------------------------------------------
 
-    def _term_cursor(self, spec: PostingSpec | SubJoinSpec, stats: QueryStats) -> Cursor:
-        if isinstance(spec, PostingSpec):
-            return PostingCursor(
-                self.store,
-                self.scorer,
-                spec.pattern,
-                multiplier=spec.multiplier,
-                rule=spec.rule,
-                token_matches=spec.token_matches,
-                stats=stats,
-            )
-        return MaterializedJoinCursor(
-            self.store,
-            self.scorer,
-            spec.patterns,
-            spec.interface_vars,
-            multiplier=spec.multiplier,
-            rule=spec.rule,
-            stats=stats,
-        )
-
     @staticmethod
     def _id_cursor(spec: PostingSpec | SubJoinSpec, ctx: IdExecutionContext):
         if isinstance(spec, PostingSpec):
@@ -523,7 +490,7 @@ class TopKProcessor:
         )
 
     @staticmethod
-    def _merge(cursors: list[Cursor], stats: QueryStats) -> Cursor:
+    def _merge(cursors: list[RunCursor], stats: QueryStats) -> RunCursor:
         if len(cursors) == 1:
             return cursors[0]
         return IncrementalMergeCursor(cursors, stats)

@@ -2,8 +2,9 @@
 
 Random worlds (triple soups with weighted observations and token phrases),
 random single-pattern relaxation rules, and random conjunctive queries —
-every combination of execution core ("idspace"/"termspace"), segment count
-(1 / the default) and termination (adaptive/exhaustive) must
+every combination of execution core (the engine / the term-space reference
+core of ``tests/reference_core.py``), segment count (1 / the default) and
+termination (adaptive/exhaustive) must
 produce the *same* :class:`AnswerSet`: identical projection bindings,
 identical scores, and identical explanation provenance (derivation triples,
 rules applied, token expansions).  Equality is asserted within each
@@ -27,6 +28,8 @@ from repro.storage.sharded import ShardedBackend
 from repro.storage.store import TripleStore
 from repro.topk.processor import ProcessorConfig, TopKProcessor
 from repro.util.heap import TieFrontier
+
+from reference_core import reference_query
 
 resources = st.integers(0, 9).map(lambda i: Resource(f"E{i}"))
 predicates = st.one_of(
@@ -109,18 +112,16 @@ def test_idspace_equals_termspace_across_segment_counts(
     with patch.object(TieFrontier, "MIN_SKIP", settle_skip):
         for segments in segment_counts:
             store, rules = build(entries, rule_specs, segments)
-            for execution in ("idspace", "termspace"):
-                for exhaustive in (False, True):
-                    processor = TopKProcessor(
-                        store,
-                        rules=rules,
-                        config=ProcessorConfig(
-                            execution=execution, exhaustive=exhaustive
-                        ),
-                    )
-                    results[(segments, execution, exhaustive)] = fingerprint(
-                        processor.query(query, 5)
-                    )
+            for exhaustive in (False, True):
+                processor = TopKProcessor(
+                    store, rules=rules, config=ProcessorConfig(exhaustive=exhaustive)
+                )
+                results[(segments, "idspace", exhaustive)] = fingerprint(
+                    processor.query(query, 5)
+                )
+                results[(segments, "termspace", exhaustive)] = fingerprint(
+                    reference_query(processor, query, 5)
+                )
     # One reference per termination mode: adaptive termination may surface a
     # different *equally-scored* answer than exhaustive evaluation at the k
     # boundary (see test_idspace_adaptive_is_valid_topk_of_exhaustive), so

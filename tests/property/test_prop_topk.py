@@ -143,19 +143,19 @@ aggregator_steps = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(steps=aggregator_steps)
 def test_aggregator_ranks_exactly_across_interleaved_adds(steps):
-    """:class:`IdAnswerAggregator` keeps its ranking across pages and
+    """:class:`IdAggregator` keeps its ranking across pages and
     extends it as answers arrive; whatever the interleaving of adds and
     rank windows, a window equals a fresh sort by (score desc, tie key asc,
     key asc) — named tie keys for partial answers, which compare with
     complete ones by their bound (variable, sort key) pairs."""
     from repro.core.terms import Variable
-    from repro.topk.idspace import IdAnswerAggregator, tie_key
+    from repro.topk.idspace import IdAggregator, tie_key
 
     def sort_key(term_id):
         return (term_id % 2, f"t{term_id}")
 
     projection = (Variable("a"), Variable("b"))
-    aggregator = IdAnswerAggregator(projection, sort_key)
+    aggregator = IdAggregator(projection, sort_key)
     best: dict = {}
     names = ["a", "b"]
     for step in steps:

@@ -5,7 +5,9 @@ import pytest
 from repro.core.results import Derivation, binding_key
 from repro.core.terms import Resource, Variable
 from repro.errors import ScoringError
-from repro.scoring.answer_scoring import AnswerAggregator, combine_pattern_scores
+from repro.scoring.answer_scoring import combine_pattern_scores
+
+from reference_core import AnswerAggregator
 
 X = Variable("x")
 EMPTY = Derivation(matches=())

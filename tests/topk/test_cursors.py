@@ -1,4 +1,4 @@
-"""Unit tests for posting and materialised-join cursors."""
+"""Unit tests for the reference core's posting and materialised-join cursors."""
 
 import pytest
 
@@ -7,7 +7,8 @@ from repro.core.terms import Resource, TextToken, Variable
 from repro.core.triples import Triple, TriplePattern
 from repro.scoring.language_model import PatternScorer
 from repro.storage.store import TripleStore
-from repro.topk.cursors import MaterializedJoinCursor, PostingCursor
+
+from reference_core import MaterializedJoinCursor, PostingCursor
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 

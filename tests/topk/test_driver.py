@@ -4,9 +4,9 @@ The driver's contract is *split invariance*: however a top-k computation is
 chopped into ``advance`` calls, the settled prefix is byte-identical —
 bindings, scores, order, derivations — to the eager ``query()`` answer list
 (which is itself the driver drained in one go).  The property test hammers
-this across random worlds, rules, segment counts, execution cores and split
-patterns, including the score-tie-at-the-boundary cases that make naive
-pagination diverge.
+this across random worlds, rules, segment counts, execution cores (the
+engine and the term-space reference core) and split patterns, including
+the score-tie-at-the-boundary cases that make naive pagination diverge.
 """
 
 from unittest.mock import patch
@@ -23,6 +23,11 @@ from repro.storage.sharded import ShardedBackend
 from repro.storage.store import TripleStore
 from repro.topk.processor import ProcessorConfig, TopKProcessor
 from repro.util.heap import TieFrontier
+
+from reference_core import TermSpaceProcessor
+
+#: The engine's processor and the reference core's.
+PROCESSORS = {"idspace": TopKProcessor, "termspace": TermSpaceProcessor}
 
 
 def fingerprint(answers):
@@ -113,12 +118,10 @@ class TestTiedBoundaries:
             store.add(Triple(Resource(name), p, Resource("T")), count=3)
         return store.freeze()
 
-    @pytest.mark.parametrize("execution", ["idspace", "termspace"])
+    @pytest.mark.parametrize("execution", list(PROCESSORS))
     def test_splits_through_tie_runs(self, segments, execution):
         store = self._tied_store(segments)
-        processor = TopKProcessor(
-            store, config=ProcessorConfig(execution=execution)
-        )
+        processor = PROCESSORS[execution](store)
         query = parse_query("?x p T")
         eager = processor.query(query, 12)
         for batches in ([1, 11], [3, 9], [5, 5, 2], [2, 2, 2, 2, 2, 2]):
@@ -126,7 +129,7 @@ class TestTiedBoundaries:
             assert fingerprint(collected) == fingerprint(eager.answers), batches
 
 
-    @pytest.mark.parametrize("execution", ["idspace", "termspace"])
+    @pytest.mark.parametrize("execution", list(PROCESSORS))
     def test_lower_answers_after_a_split_tie_keep_their_place(
         self, segments, execution
     ):
@@ -137,9 +140,7 @@ class TestTiedBoundaries:
         p, t = Resource("p"), Resource("T")
         for name, count in (("A", 4), ("B", 4), ("Zed", 3), ("Mid", 2), ("Ann", 1)):
             store.add(Triple(Resource(name), p, t), count=count)
-        processor = TopKProcessor(
-            store.freeze(), config=ProcessorConfig(execution=execution)
-        )
+        processor = PROCESSORS[execution](store.freeze())
         query = parse_query("?x p T")
         eager = processor.query(query, 5)
         assert [a.binding[0][1].name for a in eager] == ["A", "B", "Zed", "Mid", "Ann"]
@@ -203,7 +204,7 @@ def build(entries, rule_specs, segments):
     rule_specs=rule_texts,
     query_text=queries,
     batch_sizes=splits,
-    execution=st.sampled_from(["idspace", "termspace"]),
+    execution=st.sampled_from(list(PROCESSORS)),
     block_size=st.sampled_from([None, 2, 1]),
 )
 def test_stream_batches_equal_eager_topk(
@@ -220,9 +221,7 @@ def test_stream_batches_equal_eager_topk(
     # How long the tied head runs are that the id-space join advances by
     # (1: the per-item oracle) must not show in where a split may fall.
     store.configure_blocks(block_size)
-    processor = TopKProcessor(
-        store, rules=rules, config=ProcessorConfig(execution=execution)
-    )
+    processor = PROCESSORS[execution](store, rules=rules)
     query = parse_query(query_text)
     total = sum(batch_sizes)
     with patch.object(TieFrontier, "MIN_SKIP", settle_skip):

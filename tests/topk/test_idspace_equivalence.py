@@ -1,11 +1,12 @@
 """Id-space execution must be indistinguishable from term-space semantics.
 
-The equivalence harness of the id-space refactor: for the paper KG and for
+The equivalence harness of the id-space core: for the paper KG and for
 generated worlds, every query must produce *identical* answer sets — same
 projection bindings, same scores, same derivation provenance (triples, rules,
 token expansions), same ``num_derivations`` — across
 
-* execution cores:   idspace vs termspace,
+* execution cores:   the engine vs the term-space reference core
+                     (``tests/reference_core.py``, driving the same plans),
 * segment counts:    1 vs the default (the ``segments`` axis of conftest),
 * termination:       adaptive vs ``exhaustive=True``.
 
@@ -31,6 +32,8 @@ from repro.topk.idspace import (
     SlotTable,
 )
 
+from reference_core import pop_item, reference_query
+
 X, Y = Variable("x"), Variable("y")
 
 
@@ -53,17 +56,15 @@ def fingerprint(answers):
 
 
 def assert_equivalent(engine, queries, ks=(1, 3, 10)):
-    """Drive all four (execution × exhaustive) variants over one engine."""
-    termspace = engine.variant(execution="termspace")
+    """Drive all four (core × exhaustive) variants over one engine."""
     for query in queries:
         for k in ks:
             for exhaustive in (False, True):
+                variant = engine.variant(exhaustive=exhaustive)
                 reference = fingerprint(
-                    termspace.variant(exhaustive=exhaustive).ask(query, k=k)
+                    reference_query(variant.processor, query, k)
                 )
-                observed = fingerprint(
-                    engine.variant(exhaustive=exhaustive).ask(query, k=k)
-                )
+                observed = fingerprint(variant.ask(query, k=k))
                 assert observed == reference, (query, k, exhaustive)
 
 
@@ -152,7 +153,7 @@ class TestIdPostingCursor:
         scores = []
         items = []
         while (peek := cursor.peek()) is not None:
-            item = cursor.pop()
+            item = pop_item(cursor)
             assert item.score == peek
             scores.append(item.score)
             items.append(item)
@@ -169,10 +170,10 @@ class TestIdPostingCursor:
         store.freeze()
         ctx = IdExecutionContext(store, PatternScorer(store), None)
         cursor = IdPostingCursor(ctx, TriplePattern(X, Resource("knows"), X))
-        item = cursor.pop()
+        item = pop_item(cursor)
         assert item is not None
         assert store.dictionary.decode(item.binding[0]) == ae
-        assert cursor.pop() is None
+        assert pop_item(cursor) is None
 
 
 # -- end-to-end equivalence ------------------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 from repro.core.results import PatternMatchInfo, QueryStats, binding_key
 from repro.core.terms import Resource, Variable
 from repro.core.triples import TriplePattern
-from repro.topk.cursors import ScoredMatch
-from repro.topk.idspace import IdMatch, IdRun
+from repro.topk.idspace import IdRun
 from repro.topk.incremental_merge import IncrementalMergeCursor
+
+from reference_core import PerItemMergeCursor, ScoredMatch, pop_item
 
 X = Variable("x")
 PATTERN = TriplePattern(X, Resource("p"), Resource("o"))
@@ -63,7 +64,7 @@ def drain(cursor):
 
 class TestMergeOrder:
     def test_globally_descending(self):
-        merged = IncrementalMergeCursor(
+        merged = PerItemMergeCursor(
             [
                 FakeCursor([("a", 0.9), ("b", 0.3)]),
                 FakeCursor([("c", 0.7), ("d", 0.5)]),
@@ -75,7 +76,7 @@ class TestMergeOrder:
         assert scores == [0.9, 0.8, 0.7, 0.5, 0.3]
 
     def test_dedup_keeps_first_and_best(self):
-        merged = IncrementalMergeCursor(
+        merged = PerItemMergeCursor(
             [
                 FakeCursor([("a", 0.9)]),
                 FakeCursor([("a", 0.6), ("b", 0.4)]),
@@ -85,19 +86,19 @@ class TestMergeOrder:
         assert [i.score for i in items] == [0.9, 0.4]
 
     def test_empty_cursors(self):
-        merged = IncrementalMergeCursor([FakeCursor([]), FakeCursor([])])
+        merged = PerItemMergeCursor([FakeCursor([]), FakeCursor([])])
         assert merged.peek() is None
         assert merged.pop() is None
 
     def test_single_cursor_passthrough(self):
-        merged = IncrementalMergeCursor([FakeCursor([("a", 0.5), ("b", 0.2)])])
+        merged = PerItemMergeCursor([FakeCursor([("a", 0.5), ("b", 0.2)])])
         assert [i.score for i in drain(merged)] == [0.5, 0.2]
 
 
 class TestAdaptiveInvocation:
     def test_lazy_cursor_not_materialized_when_dominated(self):
         lazy = FakeCursor([("z", 0.05)], optimistic_bound=0.1)
-        merged = IncrementalMergeCursor(
+        merged = PerItemMergeCursor(
             [FakeCursor([("a", 0.9), ("b", 0.8)]), lazy]
         )
         merged.pop()  # 0.9
@@ -106,7 +107,7 @@ class TestAdaptiveInvocation:
 
     def test_lazy_cursor_materialized_when_needed(self):
         lazy = FakeCursor([("z", 0.55)], optimistic_bound=0.6)
-        merged = IncrementalMergeCursor([FakeCursor([("a", 0.9)]), lazy])
+        merged = PerItemMergeCursor([FakeCursor([("a", 0.9)]), lazy])
         merged.pop()  # 0.9 from the eager cursor
         item = merged.pop()  # forces the lazy cursor open
         assert lazy.materialize_calls == 1
@@ -116,7 +117,7 @@ class TestAdaptiveInvocation:
         # Lazy bound 0.7 but actual best item 0.2: the merge must still
         # emit the eager 0.5 item first.
         lazy = FakeCursor([("z", 0.2)], optimistic_bound=0.7)
-        merged = IncrementalMergeCursor([FakeCursor([("a", 0.5)]), lazy])
+        merged = PerItemMergeCursor([FakeCursor([("a", 0.5)]), lazy])
         first = merged.pop()
         second = merged.pop()
         assert first.score == pytest.approx(0.5)
@@ -125,7 +126,7 @@ class TestAdaptiveInvocation:
     def test_stats_invocations(self):
         stats = QueryStats()
         lazy = FakeCursor([("z", 0.55)], optimistic_bound=0.6)
-        merged = IncrementalMergeCursor(
+        merged = PerItemMergeCursor(
             [FakeCursor([("a", 0.9)]), lazy], stats=stats
         )
         assert stats.relaxations_considered == 1
@@ -135,7 +136,7 @@ class TestAdaptiveInvocation:
     def test_stats_not_invoked_when_dominated(self):
         stats = QueryStats()
         lazy = FakeCursor([("z", 0.05)], optimistic_bound=0.1)
-        merged = IncrementalMergeCursor(
+        merged = PerItemMergeCursor(
             [FakeCursor([("a", 0.9)]), lazy], stats=stats
         )
         merged.pop()
@@ -144,7 +145,7 @@ class TestAdaptiveInvocation:
 
 class TestPeek:
     def test_peek_upper_bounds_next(self):
-        merged = IncrementalMergeCursor(
+        merged = PerItemMergeCursor(
             [FakeCursor([("a", 0.4)]), FakeCursor([("b", 0.9)])]
         )
         assert merged.peek() == pytest.approx(0.9)
@@ -152,7 +153,7 @@ class TestPeek:
         assert item.score <= 0.9
 
     def test_peek_after_exhaustion(self):
-        merged = IncrementalMergeCursor([FakeCursor([("a", 0.4)])])
+        merged = PerItemMergeCursor([FakeCursor([("a", 0.4)])])
         drain(merged)
         assert merged.peek() is None
 
@@ -208,11 +209,7 @@ class FakeRunCursor:
         return (self.name, ref)
 
     def pop(self):
-        run = self.head_run(1)
-        if run is None:
-            return None
-        self.advance(1)
-        return IdMatch(run.bindings[0], run.score, self.match_info(run.refs[0], run.score))
+        return pop_item(self)
 
 
 def _script():
@@ -229,7 +226,7 @@ def _script():
 def _trace_pops():
     cursors = _script()
     stats = QueryStats()
-    merged = IncrementalMergeCursor(cursors, stats)
+    merged = PerItemMergeCursor(cursors, stats)
     trace = []
     while (item := merged.pop()) is not None:
         trace.append(

@@ -29,6 +29,34 @@ class TestConfig:
         with pytest.raises(TopKError):
             TopKProcessor(small_store)
 
+    @pytest.mark.parametrize(
+        "field", ["max_relaxations_per_pattern", "max_token_expansions"]
+    )
+    def test_negative_stream_caps_rejected(self, field):
+        # Both caps are slice ends: -1 would silently drop the last stream.
+        with pytest.raises(TopKError):
+            ProcessorConfig(**{field: -1})
+        ProcessorConfig(**{field: 0})
+
+
+class TestUnknownResourceFallback:
+    @pytest.mark.parametrize("penalty", [0.9, 0.999, 1.0])
+    def test_unknown_predicate_falls_back_at_any_penalty(
+        self, paper_store_fixture, penalty
+    ):
+        # ``lecturedAt`` is not in the paper KG: its words become the token
+        # 'lectured at', attenuated by the penalty — 1.0 attenuating nothing.
+        processor = TopKProcessor(
+            paper_store_fixture,
+            config=ProcessorConfig(unknown_resource_penalty=penalty),
+        )
+        answers = processor.query(parse_query("?x lecturedAt ?y"))
+        assert [(a.value("x"), a.value("y")) for a in answers] == [
+            (Resource("AlbertEinstein"), Resource("PrincetonUniversity"))
+        ]
+        token = processor.query(parse_query("?x 'lectured at' ?y"))
+        assert answers.top().score == pytest.approx(penalty * token.top().score)
+
 
 class TestExactQueries:
     def test_single_pattern(self, processor):

@@ -1,4 +1,4 @@
-"""Unit tests for the n-ary rank join."""
+"""Unit tests for the reference core's n-ary rank join."""
 
 import pytest
 
@@ -6,10 +6,9 @@ from repro.core.parser import parse_query
 from repro.core.results import PatternMatchInfo, binding_key
 from repro.core.terms import Resource, Variable
 from repro.core.triples import TriplePattern
-from repro.scoring.answer_scoring import AnswerAggregator
-from repro.topk.cursors import ScoredMatch
-from repro.topk.rank_join import NaryRankJoin
 from repro.util.heap import DistinctTopKTracker
+
+from reference_core import AnswerAggregator, NaryRankJoin, ScoredMatch
 
 X, Y = Variable("x"), Variable("y")
 
