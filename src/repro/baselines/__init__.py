@@ -14,6 +14,10 @@ the :class:`System` protocol used by the evaluation runner:
   structural relaxation;
 * :mod:`qars` — QaRS-style relaxation on the KG only: TriniT's relaxation
   machinery without the XKG extension.
+
+:mod:`exhaustive` holds :func:`~repro.baselines.exhaustive.naive_join`, the
+backtracking exact-match join the strict and SLQ baselines answer with (and
+the top-k equivalence tests check the processor against).
 """
 
 from repro.baselines.base import System

@@ -2,9 +2,10 @@
 
 :func:`naive_join` evaluates a query by plain backtracking over the store
 with exact matching only — no relaxation, no token expansion, no pruning.
-Tests compare the :class:`~repro.topk.processor.TopKProcessor` (with
-relaxation disabled) against it; any disagreement is a bug in cursors, the
-merge, the join, or the bounds.
+The strict-SPARQL and SLQ baselines answer with it, and tests compare the
+:class:`~repro.topk.processor.TopKProcessor` (with relaxation disabled)
+against it; any disagreement is a bug in cursors, the merge, the join, or
+the bounds.
 
 For reference semantics *with* relaxation, use a processor configured with
 ``exhaustive=True`` — same semantics as the adaptive processor, all early

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 
+from repro.baselines.exhaustive import naive_join
 from repro.core.query import Query
 from repro.core.terms import Resource, Term, TextToken, Variable
 from repro.core.triples import TriplePattern
 from repro.scoring.language_model import PatternScorer
 from repro.storage.statistics import StoreStatistics
 from repro.storage.store import TripleStore
-from repro.topk.exhaustive import naive_join
 from repro.util.text import camel_to_words, dice, stem, tokenize_phrase
 
 

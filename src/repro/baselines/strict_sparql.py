@@ -10,11 +10,11 @@ behaviour, not ranking tweaks.
 
 from __future__ import annotations
 
+from repro.baselines.exhaustive import naive_join
 from repro.core.query import Query
 from repro.core.terms import Term, Variable
 from repro.scoring.language_model import PatternScorer
 from repro.storage.store import TripleStore
-from repro.topk.exhaustive import naive_join
 
 
 class StrictSparqlBaseline:

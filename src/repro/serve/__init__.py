@@ -2,12 +2,12 @@
 
 The engine (:class:`repro.core.engine.TriniT`) has everything a server
 needs — an ``open()``/``close()`` lifecycle, resumable
-:class:`~repro.core.results.AnswerStream` pagination, concurrent queries
-(from this package's executor threads) and live ``ingest()``/compaction
-— but no network surface.  This package is that surface, built on
-nothing but the standard library (``asyncio`` streams, hand-rolled
-HTTP/1.1 and Server-Sent-Events framing; the project has zero runtime
-dependencies and keeps it that way):
+:class:`~repro.core.results.AnswerStream` pagination, queries that run on
+their caller's thread (here: one thread per connection) and live
+``ingest()``/compaction — but no network surface.  This package is that
+surface, built on nothing but the standard library (``socket``,
+hand-rolled HTTP/1.1 and Server-Sent-Events framing; the project has zero
+runtime dependencies and keeps it that way):
 
 * :mod:`repro.serve.http` — :class:`QueryService`: request routing for
   ``POST /query`` (eager ask), ``GET /stream`` (SSE answers with
@@ -17,8 +17,8 @@ dependencies and keeps it that way):
   result cache keyed on (normalized query, k, snapshot identity),
   flushed whenever the engine publishes a compaction or an added rule;
 * :mod:`repro.serve.admission` — :class:`AdmissionController`:
-  semaphore-based admission with a bounded wait queue and per-request
-  timeouts, shedding 429/503 instead of piling work onto the engine;
+  slot admission with a bounded wait queue and per-request timeouts,
+  shedding 429/503 instead of piling work onto the engine;
 * :mod:`repro.serve.metrics` — :class:`ServerMetrics`: server counters,
   latency percentile rings and cumulative
   :class:`~repro.core.results.QueryStats` (via its ``merge()``/``diff()``

@@ -2,37 +2,31 @@
 
 Every piece of engine work a request triggers (an eager ``ask``, one
 ``next_k`` resume of a stream session, an ``ingest``) is blocking Python
-that runs on the service's executor threads.  Without a bound, a traffic
-burst piles arbitrarily many queued queries onto the pool — every one of
-them eventually runs to completion against an engine whose caller has
-long since timed out.  The admission controller is that bound:
+that runs on the request's connection thread.  Without a bound, a
+traffic burst runs arbitrarily many queries against the engine at once.
+The admission controller is that bound:
 
-* at most ``max_concurrency`` requests hold an execution slot at once
-  (matched to the executor's thread count, so an admitted request starts
-  immediately);
+* at most ``max_concurrency`` requests hold an execution slot at once;
 * at most ``queue_depth`` further requests may *wait* for a slot; a
   request arriving beyond that is shed instantly with **429** — the
   client should back off, nothing was queued on its behalf;
-* a request that cannot get a slot within its timeout, or whose engine
-  work exceeds it, is answered **503** — and, critically, a timed-out
-  *running* computation keeps its slot until the engine thread actually
-  finishes (Python threads cannot be cancelled), so the concurrency
-  bound holds even under timeout storms instead of quietly leaking
-  slots and deadlocking the pool.
+* a request that cannot get a slot within its timeout is answered
+  **503**; so is one whose engine work overruns it — when that work
+  returns, since Python threads cannot be cancelled.  The slot is held
+  until the work returns either way, so the concurrency bound holds
+  even under timeout storms.
 
-The controller is pure ``asyncio`` (used from the service's event loop);
-its counters feed the metrics surface.
+The controller is a :class:`threading.Condition` over its counters; the
+counters feed the metrics surface.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import TYPE_CHECKING, Any, Callable, TypeVar
+import threading
+import time
+from typing import Callable, TypeVar
 
 from repro.errors import TrinitError
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor, Future
 
 _T = TypeVar("_T")
 
@@ -51,15 +45,17 @@ class Overloaded(TrinitError):
         self.reason = reason
 
 
+def overran(deadline: float | None) -> bool:
+    """Whether a :func:`time.monotonic` ``deadline`` (``None``: none) passed."""
+    return deadline is not None and time.monotonic() > deadline
+
+
 class AdmissionController:
-    """Semaphore-based slot admission with a bounded wait queue.
+    """Slot admission with a bounded wait queue.
 
-    Use as an async context manager around the engine work::
-
-        async with controller.slot():
-            result = await controller.run(loop, executor, fn)
-
-    (:meth:`run` handles both in one call — see below.)
+    Wrap engine work in :meth:`run` (admit, run, release), or pair
+    :meth:`acquire` with :meth:`release` around work that checks its own
+    deadline (an SSE batch checks it between ranks).
     """
 
     def __init__(
@@ -79,7 +75,7 @@ class AdmissionController:
         self.max_concurrency = max_concurrency
         self.queue_depth = queue_depth
         self.timeout = timeout
-        self._semaphore = asyncio.Semaphore(max_concurrency)
+        self._cond = threading.Condition()
         self.waiting = 0
         self.executing = 0
         self.admitted = 0
@@ -87,129 +83,95 @@ class AdmissionController:
         self.shed_timeout = 0
         self.orphaned = 0
 
-    async def acquire(self, timeout: float | None) -> None:
+    def acquire(self, timeout: float | None) -> None:
         """Take an execution slot or raise :class:`Overloaded`."""
-        # The queue bound only applies to requests that would actually
-        # wait: a free slot admits immediately even with queue_depth=0.
-        if self._semaphore.locked() and self.waiting >= self.queue_depth:
-            self.shed_queue_full += 1
-            raise Overloaded(
-                f"admission queue full ({self.waiting} waiting, "
-                f"{self.executing} executing)",
-                status=429,
-                reason="queue_full",
-            )
-        self.waiting += 1
-        try:
-            if timeout is None:
-                await self._semaphore.acquire()
-            else:
-                try:
-                    await asyncio.wait_for(
-                        self._semaphore.acquire(), timeout
-                    )
-                except asyncio.TimeoutError:
-                    self.shed_timeout += 1
-                    raise Overloaded(
-                        f"no execution slot within {timeout:g}s",
-                        status=503,
-                        reason="timeout",
-                    ) from None
-        finally:
-            self.waiting -= 1
-        self.executing += 1
-        self.admitted += 1
+        with self._cond:
+            full = self.executing >= self.max_concurrency
+            # The queue bound only applies to requests that would actually
+            # wait: a free slot admits immediately even with queue_depth=0.
+            if full and self.waiting >= self.queue_depth:
+                self.shed_queue_full += 1
+                raise Overloaded(
+                    f"admission queue full ({self.waiting} waiting, "
+                    f"{self.executing} executing)",
+                    status=429,
+                    reason="queue_full",
+                )
+            self.waiting += 1
+            try:
+                free = self._cond.wait_for(
+                    lambda: self.executing < self.max_concurrency, timeout
+                )
+            finally:
+                self.waiting -= 1
+            if not free:
+                self.shed_timeout += 1
+                raise Overloaded(
+                    f"no execution slot within {timeout:g}s",
+                    status=503,
+                    reason="timeout",
+                )
+            self.executing += 1
+            self.admitted += 1
 
-    def release(self) -> None:
-        self.executing -= 1
-        self._semaphore.release()
+    def release(self, *, orphaned: bool = False) -> None:
+        """Give a slot back; ``orphaned`` when its work overran the budget."""
+        with self._cond:
+            self.executing -= 1
+            if orphaned:
+                self.orphaned += 1
+                self.shed_timeout += 1
+            self._cond.notify()
 
-    def release_when_done(
-        self, loop: asyncio.AbstractEventLoop, future: "Future[Any]"
-    ) -> None:
-        """Hand a held slot to ``future``'s completion (timeout orphans).
-
-        A timed-out engine thread cannot be cancelled; whoever stops
-        waiting for it calls this instead of :meth:`release` so the slot
-        stays occupied — and the concurrency bound honest — until the
-        thread actually finishes.  The orphan's result/exception is
-        discarded.
-        """
-        self.orphaned += 1
-        self.shed_timeout += 1
-
-        def _finished(f: "Future[Any]") -> None:
-            if not f.cancelled():
-                f.exception()  # consume: the caller is gone
-            loop.call_soon(self.release)
-
-        future.add_done_callback(_finished)
-
-    async def run(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        executor: "Executor | None",
-        fn: Callable[[], _T],
-        *,
-        timeout: float | None = None,
-    ) -> _T:
-        """Admit, then run ``fn()`` on ``executor``, bounded by one budget.
+    def run(self, fn: Callable[[], _T], *, timeout: float | None = None) -> _T:
+        """Admit, then run ``fn()`` here, bounded by one budget.
 
         ``timeout`` (default: the controller's) covers queue wait *and*
         execution together — a request that spent its budget queueing is
-        not granted a fresh budget to run.  On execution timeout the
-        result is :class:`Overloaded` (503) for the caller, while the
-        still-running engine thread keeps its slot until it finishes
-        (``orphaned`` counts those observations); its eventual result is
-        discarded and its exception, if any, swallowed.
+        not granted a fresh budget to run.  Work that overruns the budget
+        keeps its slot until it returns; then the caller gets
+        :class:`Overloaded` (503), ``orphaned`` counts it, and its result
+        or exception is discarded.
         """
         budget = self.timeout if timeout is None else timeout
-        loop_time = loop.time()
-        await self.acquire(budget)
-        held = True
+        deadline = None if budget is None else time.monotonic() + budget
+        self.acquire(budget)
+        late = False
         try:
-            remaining = None
-            if budget is not None:
-                remaining = budget - (loop.time() - loop_time)
-                if remaining <= 0:
+            if overran(deadline):
+                with self._cond:
                     self.shed_timeout += 1
-                    raise Overloaded(
-                        f"request budget {budget:g}s spent in the queue",
-                        status=503,
-                        reason="timeout",
-                    )
-            future = loop.run_in_executor(executor, fn)
-            try:
-                if remaining is None:
-                    return await future
-                return await asyncio.wait_for(
-                    asyncio.shield(future), remaining
-                )
-            except asyncio.TimeoutError:
-                # The engine thread is still running and cannot be
-                # cancelled: hand slot ownership to its completion
-                # callback so max_concurrency keeps counting it.
-                held = False
-                self.release_when_done(loop, future)
                 raise Overloaded(
-                    f"engine work exceeded the {budget:g}s budget "
-                    "(still completing in the background)",
+                    f"request budget {budget:g}s spent in the queue",
                     status=503,
                     reason="timeout",
-                ) from None
+                )
+            try:
+                result = fn()
+            except Exception:
+                if not overran(deadline):
+                    raise
+            late = overran(deadline)
         finally:
-            if held:
-                self.release()
+            self.release(orphaned=late)
+        if late:
+            raise Overloaded(
+                f"engine work exceeded the {budget:g}s budget",
+                status=503,
+                reason="timeout",
+            )
+        return result
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot for the metrics surface."""
-        return {
-            "max_concurrency": self.max_concurrency,
-            "queue_depth": self.queue_depth,
-            "executing": self.executing,
-            "waiting": self.waiting,
-            "admitted": self.admitted,
-            "shed_queue_full": self.shed_queue_full,
-            "shed_timeout": self.shed_timeout,
-            "orphaned": self.orphaned,
-        }
+        with self._cond:
+            return {
+                "max_concurrency": self.max_concurrency,
+                "queue_depth": self.queue_depth,
+                "executing": self.executing,
+                "waiting": self.waiting,
+                "admitted": self.admitted,
+                "shed_queue_full": self.shed_queue_full,
+                "shed_timeout": self.shed_timeout,
+                "orphaned": self.orphaned,
+            }

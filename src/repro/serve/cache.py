@@ -20,7 +20,7 @@ Zipfian mix).  Keys are ``(normalized query, k, snapshot identity)``:
   rule publishes a new engine state.
 
 The cache is a plain ``OrderedDict`` LRU under a mutex (entries are
-touched from the event loop *and* from executor threads), with lazy TTL
+touched from every connection thread), with lazy TTL
 expiry on read and full hit/miss/eviction/flush accounting for the
 metrics surface.
 """

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException
+from urllib.parse import urlencode
 
 from repro.errors import TrinitError
 
@@ -140,7 +141,11 @@ class ServeClient:
                     continue
                 raise
             if keep:
-                self._connection = connection
+                # Threads sharing a client each park their connection:
+                # keep the newest, close the one it replaces.
+                parked, self._connection = self._connection, connection
+                if parked is not None:
+                    parked.close()
             else:
                 connection.close()
             break
@@ -164,24 +169,18 @@ class ServeClient:
 
     def stream(self, query: str, n: int | None = None) -> StreamBatch:
         """``GET /stream?q=…`` — open a session, fetch the first batch."""
-        from urllib.parse import urlencode
-
-        params = {"q": query}
-        if n is not None:
-            params["n"] = n
-        return self._stream_request(f"/stream?{urlencode(params)}")
+        return self._stream_request({"q": query}, n)
 
     def resume(self, session: str, n: int | None = None) -> StreamBatch:
         """``GET /stream?session=…`` — the next batch, ranks continuing."""
-        from urllib.parse import urlencode
+        return self._stream_request({"session": session}, n)
 
-        params = {"session": session}
+    def _stream_request(self, params: dict, n: int | None) -> StreamBatch:
         if n is not None:
             params["n"] = n
-        return self._stream_request(f"/stream?{urlencode(params)}")
-
-    def _stream_request(self, path: str) -> StreamBatch:
-        _status, content_type, body = self._request("GET", path)
+        _status, content_type, body = self._request(
+            "GET", f"/stream?{urlencode(params)}"
+        )
         if "text/event-stream" not in content_type:
             raise TrinitError(f"Expected an SSE response, got {content_type!r}")
         batch = StreamBatch(session="")

@@ -1,12 +1,12 @@
 """The query service: stdlib HTTP/1.1 + SSE over one TriniT engine.
 
 :class:`QueryService` maps network clients onto the engine's session
-surface.  It is deliberately built on ``asyncio.start_server`` with
-hand-rolled HTTP/1.1 request parsing and Server-Sent-Events framing —
-the project has zero runtime dependencies and a query server does not
-need a framework: five routes, one content type, HTTP/1.1 keep-alive
-with a bounded per-connection request budget and idle timeout (SSE
-responses are EOF-framed and always close).
+surface.  It is deliberately built on stdlib ``socket`` with hand-rolled
+HTTP/1.1 request parsing and Server-Sent-Events framing — the project
+has zero runtime dependencies and a query server does not need a
+framework: five routes, one content type, HTTP/1.1 keep-alive with a
+bounded per-connection request budget and idle timeout (SSE responses
+are EOF-framed and always close).
 
 Routes
 ------
@@ -30,24 +30,30 @@ Routes
 ``GET /metrics``
     Prometheus text exposition; ``?format=json`` for the JSON document.
 
-Engine work (an ask, a ``next_k`` resume, an ingest) is blocking Python:
-each request runs it on the service's thread pool behind the
+Thread model: one accept thread, and one thread per connection that does
+everything for that connection's requests — it parses each request,
+checks the cache, runs the engine call (blocking Python, behind the
 :class:`~repro.serve.admission.AdmissionController`, so a burst sheds
-429/503 instead of piling unbounded work onto the engine.  Shutdown
-**drains**: in-flight requests (including mid-SSE writes against
-compaction-pinned store generations) get a bounded grace period before
-the engine is closed under them.
+429/503 instead of piling work onto the engine) and writes the response
+to the socket it owns.  At most :data:`MAX_CONNECTIONS` connections are
+served at once.  A connection thread that is done with its connection
+waits for the next one, so a new connection — every SSE response closes
+its own — starts no thread.  Shutdown **drains**: in-flight requests
+(including mid-SSE writes against compaction-pinned store generations)
+get a bounded grace period before the engine is closed under them.
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import json
+import queue
 import secrets
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from http import HTTPStatus
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.core.engine import TriniT
@@ -56,26 +62,25 @@ from repro.core.results import Answer, AnswerStream, QueryStats
 from repro.core.terms import Variable
 from repro.core.triples import Triple
 from repro.errors import StorageError, TrinitError
-from repro.serve.admission import AdmissionController, Overloaded
+from repro.serve.admission import AdmissionController, Overloaded, overran
 from repro.serve.cache import ResultCache
 from repro.serve.metrics import ServerMetrics
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
 
 #: Request-line / header-block / body size bounds (hand-rolled parser).
 MAX_REQUEST_LINE = 16 * 1024
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Connections served at once (one connection thread each); the accept
+#: thread answers 503 past it.
+MAX_CONNECTIONS = 128
+
+_SSE_HEAD = (
+    b"HTTP/1.1 200 OK\r\n"
+    b"Content-Type: text/event-stream; charset=utf-8\r\n"
+    b"Cache-Control: no-cache\r\n"
+    b"Connection: close\r\n\r\n"
+)
 
 
 @dataclass(frozen=True)
@@ -91,15 +96,16 @@ class ServeConfig:
         Answers per ``/query`` and per ``/stream`` batch when the client
         does not say.
     max_concurrency:
-        Execution slots — requests running engine work at once; also the
-        service executor's thread count.
+        Execution slots — requests running engine work at once, each on
+        its own connection thread.
     queue_depth:
         Requests allowed to *wait* for a slot beyond the executing ones;
         arrivals past it are shed with 429.
     request_timeout:
-        Per-request budget in seconds covering queue wait + engine work;
-        exceeded → 503 (the engine thread finishes in the background
-        without its slot being leaked).  ``None`` disables.
+        Per-request budget in seconds covering queue wait + engine work.
+        No slot within it → 503.  Engine work that overruns it cannot be
+        cancelled: the request keeps its slot and gets its 503 when the
+        work returns.  ``None`` disables.
     cache_size, cache_ttl:
         Result-cache LRU bound and entry TTL (``0`` disables the cache,
         ``None`` TTL means age never expires entries).
@@ -116,11 +122,12 @@ class ServeConfig:
     keepalive_requests:
         Requests served per connection before the server answers
         ``Connection: close`` (bounds how long one client can hold a
-        connection slot); ``1`` disables reuse entirely.
+        connection thread); ``1`` disables reuse entirely.
     keepalive_idle:
-        Seconds an idle kept-alive connection may wait for its next
-        request before the server closes it.  Idle connections are not
-        in-flight: draining never waits on them.
+        Seconds a connection may wait for the bytes of a request head —
+        its first request's or the next kept-alive one's — before the
+        server closes it.  Idle connections are not in-flight: draining
+        never waits on them.
     """
 
     host: str = "127.0.0.1"
@@ -184,34 +191,102 @@ class _Request:
         return token != "close"
 
 
-class _Session:
-    """One suspended stream with its bookkeeping (loop-confined fields)."""
+def _read_request(reader) -> _Request | None:
+    """Parse one request off a buffered socket reader; ``None`` at EOF."""
+    line = reader.readline(MAX_REQUEST_LINE + 1)
+    if not line:
+        return None
+    if not line.endswith(b"\n"):
+        if len(line) > MAX_REQUEST_LINE:
+            raise _BadRequest("Request line too long")
+        raise _BadRequest("Truncated request line")
+    parts = line.decode("latin-1").split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise _BadRequest(f"Malformed request line: {line!r}")
+    method, target, version = parts
+    headers: dict[str, str] = {}
+    header_bytes = 0
+    while True:
+        line = reader.readline(MAX_HEADER_BYTES + 1)
+        header_bytes += len(line)
+        if header_bytes > MAX_HEADER_BYTES:
+            raise _BadRequest("Header block too large")
+        if not line.endswith(b"\n"):
+            raise _BadRequest("Truncated header block")
+        if line in (b"\r\n", b"\n"):
+            break
+        name, sep, value = line.decode("latin-1").partition(":")
+        if not sep:
+            raise _BadRequest(f"Malformed header line: {line!r}")
+        headers[name.strip().lower()] = value.strip()
+    body = b""
+    length = headers.get("content-length")
+    if length is not None:
+        if not (length.isascii() and length.isdigit()):
+            raise _BadRequest(f"Bad Content-Length: {length!r}")
+        length = int(length)
+        if length > MAX_BODY_BYTES:
+            raise _BadRequest("Request body too large")
+        body = reader.read(length)
+        if len(body) < length:
+            raise _BadRequest("Truncated request body")
+    split = urlsplit(target)
+    params = {
+        key: values[-1]
+        for key, values in parse_qs(split.query, keep_blank_values=True).items()
+    }
+    return _Request(method, unquote(split.path), params, headers, body, version)
 
-    __slots__ = (
-        "sid", "stream", "normalized", "snapshot", "created",
-        "last_used", "emitted", "lock",
+
+def _respond(
+    conn: socket.socket,
+    status: int,
+    payload,
+    *,
+    content_type: str = "application/json",
+    keep_alive: bool = False,
+) -> int:
+    """Write one complete response; returns ``status``."""
+    if isinstance(payload, str):
+        body = payload.encode("utf-8")
+    else:
+        body = (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8")
+    head = (
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+        f"Content-Type: {content_type}; charset=utf-8\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
     )
+    conn.sendall(head.encode("latin-1") + body)
+    return status
 
-    def __init__(self, sid: str, stream: AnswerStream, normalized: str,
-                 snapshot: str, now: float):
-        self.sid = sid
-        self.stream = stream
-        self.normalized = normalized
-        self.snapshot = snapshot
-        self.created = now
-        self.last_used = now
-        self.emitted = 0
-        self.lock = asyncio.Lock()
+
+def _event(event: str, payload: dict) -> bytes:
+    data = json.dumps(payload, ensure_ascii=False)
+    return f"event: {event}\ndata: {data}\n\n".encode("utf-8")
+
+
+@dataclass(eq=False)
+class _Session:
+    """One suspended stream with its bookkeeping (``lock`` serialises batches)."""
+
+    sid: str
+    stream: AnswerStream
+    normalized: str
+    snapshot: str
+    last_used: float
+    emitted: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 class QueryService:
     """One engine behind an HTTP/SSE front — start, serve, drain, stop.
 
-    Thread model: the service runs its own event loop on a dedicated
-    thread (:meth:`start`/:meth:`stop`, or :meth:`run` to serve on the
-    calling thread).  Engine work runs on a service-owned
-    ``ThreadPoolExecutor`` sized to ``max_concurrency``; session and
-    in-flight bookkeeping stays loop-confined.
+    Thread model: :meth:`start` binds the port and starts one accept
+    thread; each accepted connection is handed to a connection thread,
+    which runs every request on it start to finish (see the module
+    docstring).  Sessions and connection bookkeeping live under one
+    service lock.
 
     Parameters
     ----------
@@ -244,21 +319,27 @@ class QueryService:
             self.config.request_timeout,
         )
         self.metrics = ServerMetrics()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_concurrency,
-            thread_name_prefix="trinit-serve",
-        )
         engine.on_store_swap(self._store_swapped)
+        self._routes = {
+            ("POST", "/query"): ("query", self._handle_query),
+            ("GET", "/stream"): ("stream", self._handle_stream),
+            ("POST", "/ingest"): ("ingest", self._handle_ingest),
+            ("GET", "/healthz"): ("healthz", self._handle_healthz),
+            ("GET", "/metrics"): ("metrics", self._handle_metrics),
+        }
+        # A condition, so the drain can wait for the last in-flight request.
+        self._lock = threading.Condition()
         self._sessions: dict[str, _Session] = {}
-        self._connections: set = set()
+        self._connections: set[socket.socket] = set()
+        # Connection threads, and how many of them wait for a connection.
+        self._workers: list[threading.Thread] = []
+        self._idle = 0
+        self._handoff: queue.SimpleQueue[socket.socket | None] = queue.SimpleQueue()
         self._inflight = 0
         self._draining = False
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
+        self._listener: socket.socket | None = None
+        self._acceptor: threading.Thread | None = None
         self._stopped = threading.Event()
-        self._start_error: BaseException | None = None
         self._closed = False
         self.host = self.config.host
         self.port: int | None = None
@@ -274,65 +355,28 @@ class QueryService:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "QueryService":
-        """Serve on a background thread; returns once the port is bound."""
-        if self._thread is not None:
-            raise TrinitError("Service already started")
-        self._thread = threading.Thread(
-            target=self._serve_thread, name="trinit-serve-loop", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._start_error is not None:
-            error = self._start_error
-            self._thread.join()
-            self._thread = None
-            self._start_error = None
-            raise TrinitError(f"Could not start query service: {error}")
-        return self
-
-    def run(self) -> None:
-        """Serve on the calling thread until interrupted (the CLI mode)."""
-        if self._thread is not None:
-            raise TrinitError("Service already started")
-        self._thread = threading.current_thread()
-        try:
-            self._serve_thread()
-            if self._start_error is not None:
-                raise TrinitError(
-                    f"Could not start query service: {self._start_error}"
-                )
-        finally:
-            self._thread = None
-
-    def _serve_thread(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
+        """Bind the port and start accepting; returns once listening."""
+        host, port = self.config.host, self.config.port
+        with self._lock:
+            if self._acceptor is not None:
+                raise TrinitError("Service already started")
             try:
-                server = loop.run_until_complete(
-                    asyncio.start_server(
-                        self._handle_connection,
-                        self.config.host,
-                        self.config.port,
-                    )
+                family, _type, _proto, _name, address = socket.getaddrinfo(
+                    host, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+                )[0]
+                listener = socket.create_server(
+                    address[:2], family=family, backlog=128
                 )
             except OSError as exc:
-                self._start_error = exc
-                return
-            self._server = server
-            self.port = server.sockets[0].getsockname()[1]
-            self._ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-        finally:
-            self._ready.set()
-            self._loop = None
-            asyncio.set_event_loop(None)
-            loop.close()
-            self._stopped.set()
+                raise TrinitError(f"Could not start query service: {exc}") from None
+            self.port = listener.getsockname()[1]
+            self._listener = listener
+            self._acceptor = threading.Thread(
+                target=self._accept, args=(listener,),
+                name="trinit-serve-accept", daemon=True,
+            )
+            self._acceptor.start()
+        return self
 
     def stop(self, drain_grace: float | None = None) -> None:
         """Drain and stop the server (idempotent; callable from any thread).
@@ -340,63 +384,51 @@ class QueryService:
         Stops accepting, then waits up to ``drain_grace`` (default: the
         config's) for in-flight requests — including SSE batches writing
         from streams that pin pre-compaction store generations — to
-        finish, then drops the suspended sessions so their pins release.
+        finish.  Then it drops the suspended sessions so their pins
+        release, shuts every connection's socket (idle kept-alive ones
+        wake and exit) and joins the connection threads; a thread still
+        inside engine work is waited for, since it cannot be cancelled.
         Only after that may :meth:`close` shut the engine down; closing
         the engine with requests still dispatching would yank mmap-backed
         stores out from under them mid-write.
         """
-        loop = self._loop
-        if loop is None or self._thread is None:
-            return
         grace = self.config.drain_grace if drain_grace is None else drain_grace
-        future = asyncio.run_coroutine_threadsafe(self._shutdown(grace), loop)
-        try:
-            future.result(timeout=grace + 10.0)
-        except TimeoutError:  # pragma: no cover - drain bound blew too
-            future.cancel()
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(loop.stop)
-        if self._thread is not threading.current_thread():
-            self._thread.join(timeout=grace + 10.0)
-        self._thread = None
-
-    async def _shutdown(self, grace: float) -> None:
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + grace
-        while self._inflight and loop.time() < deadline:
-            await asyncio.sleep(0.02)
-        # Kept-alive connections waiting idle for a next request are not
-        # in-flight; close them under their readers so their handler
-        # loops exit before the event loop does.
-        for writer in list(self._connections):
-            try:
-                writer.close()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
-        # Sessions go last: each holds the AnswerStream whose weakref
-        # finalizer unpins its store generation — dropping them here is
-        # what lets close() retire pinned pre-compaction stores.
-        self._sessions.clear()
+        with self._lock:
+            listener, self._listener = self._listener, None
+            if listener is None:
+                return
+            self._draining = True
+            acceptor = self._acceptor
+        _shut(listener)
+        listener.close()
+        acceptor.join()
+        with self._lock:
+            self._lock.wait_for(lambda: not self._inflight, grace)
+            connections = list(self._connections)
+            workers = list(self._workers)
+            # Sessions go last: each holds the AnswerStream whose weakref
+            # finalizer unpins its store generation — dropping them here
+            # is what lets close() retire pinned pre-compaction stores.
+            self._sessions.clear()
+        for conn in connections:
+            _shut(conn)
+        for _worker in workers:
+            self._handoff.put(None)
+        for worker in workers:
+            worker.join()
+        self._stopped.set()
 
     def close(self) -> None:
-        """Stop serving, release the executor, close an owned engine."""
+        """Stop serving, close an owned engine."""
         if self._closed:
             return
         self._closed = True
         self.stop()
-        self._executor.shutdown(wait=True)
         if self.owns_engine:
             self.engine.close()
 
     def __enter__(self) -> "QueryService":
-        if self._thread is None:
-            self.start()
-        return self
+        return self if self.port is not None else self.start()
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
@@ -407,236 +439,146 @@ class QueryService:
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
+    def _is_draining(self) -> bool:
+        with self._lock:
+            return self._draining
+
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                conn, _peer = listener.accept()
+            except OSError:
+                if self._is_draining():
+                    return  # stop() shut the listener
+                time.sleep(0.05)  # e.g. out of descriptors: retry shortly
+                continue
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.settimeout(self.config.keepalive_idle)
+            worker = None
+            with self._lock:
+                admitted = len(self._connections) < MAX_CONNECTIONS
+                if admitted:
+                    self._connections.add(conn)
+                    if self._idle:
+                        self._idle -= 1
+                    else:
+                        worker = threading.Thread(
+                            target=self._work, name="trinit-serve-conn", daemon=True
+                        )
+                        self._workers.append(worker)
+            if admitted:
+                self._handoff.put(conn)
+                if worker is not None:
+                    worker.start()
+                continue
+            with contextlib.suppress(OSError):
+                _respond(conn, 503, {"error": "Too many open connections"})
+            conn.close()
+            self.metrics.observe_request("unknown", 503)
+
+    def _work(self) -> None:
+        """A connection thread: serve handed-off connections until ``None``."""
+        while True:
+            conn = self._handoff.get()
+            if conn is None:
+                return
+            self._handle_connection(conn)
+            with self._lock:
+                self._idle += 1
+
+    def _handle_connection(self, conn: socket.socket) -> None:
         # HTTP/1.1 keep-alive: serve up to ``keepalive_requests`` requests
         # over one connection.  Each request is counted in-flight only
         # while it is being dispatched — a kept-alive connection waiting
         # idle for its next request never blocks the shutdown drain
-        # (the drain closes idle connections under their readers instead).
-        self._connections.add(writer)
+        # (the drain shuts idle sockets under their readers instead).
+        reader = conn.makefile("rb")
         try:
             served = 0
-            while await self._serve_one(reader, writer, served):
+            while self._serve_one(conn, reader, served):
                 served += 1
         finally:
-            self._connections.discard(writer)
-            try:
-                if writer.can_write_eof():
-                    writer.write_eof()
-            except (OSError, RuntimeError):
-                pass
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
+            with self._lock:
+                self._connections.discard(conn)
+            reader.close()
+            _shut(conn, socket.SHUT_WR)
+            conn.close()
 
-    async def _serve_one(self, reader, writer, served: int) -> bool:
+    def _serve_one(self, conn: socket.socket, reader, served: int) -> bool:
         """Read and answer one request; True to keep the connection."""
         started = time.perf_counter()
-        route, status = "unknown", 500
-        keep = False
+        route, status = "empty", 0
         try:
             try:
-                if served == 0:
-                    request = await self._read_request(reader)
-                else:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader),
-                        self.config.keepalive_idle,
-                    )
-            except asyncio.TimeoutError:  # idle keep-alive expired
-                route, status = "empty", 0
-                return False
+                request = _read_request(reader)
             except _BadRequest as exc:
                 route = "bad"
-                status = await self._respond(writer, 400, {"error": str(exc)})
+                status = _respond(conn, 400, {"error": str(exc)})
                 return False
             if request is None:  # client closed without a request
-                route, status = "empty", 0
                 return False
             started = time.perf_counter()
-            request.keep_alive = (
-                served + 1 < self.config.keepalive_requests
-                and not self._draining
-                and request.wants_keepalive()
-            )
-            self._inflight += 1
+            route, status = "unknown", 500
+            with self._lock:
+                request.keep_alive = (
+                    served + 1 < self.config.keepalive_requests
+                    and not self._draining
+                    and request.wants_keepalive()
+                )
+                self._inflight += 1
             try:
-                route, status = await self._dispatch(request, writer)
+                route, status = self._dispatch(request, conn)
             finally:
-                self._inflight -= 1
-            keep = request.keep_alive
-        except (ConnectionError, asyncio.IncompleteReadError):
-            status = 0  # client went away; nothing to answer
+                with self._lock:
+                    self._inflight -= 1
+                    self._lock.notify_all()
+            return request.keep_alive
+        except (ConnectionError, TimeoutError):
+            # The client went away, or sent no request head within
+            # keepalive_idle: nothing to answer.
+            status = 0
         except Exception as exc:  # noqa: BLE001 - last-resort 500
             try:
-                status = await self._respond(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-            except (ConnectionError, RuntimeError):
-                pass
+                error = f"{type(exc).__name__}: {exc}"
+                status = _respond(conn, 500, {"error": error})
+            except OSError:
+                status = 0
         finally:
-            if route not in ("empty",) and status:
+            if route != "empty" and status:
                 self.metrics.observe_request(
                     route, status, time.perf_counter() - started
                 )
-        return keep
-
-    async def _read_request(self, reader) -> _Request | None:
-        try:
-            line = await reader.readuntil(b"\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise _BadRequest("Truncated request line") from None
-        except asyncio.LimitOverrunError:
-            raise _BadRequest("Request line too long") from None
-        if len(line) > MAX_REQUEST_LINE:
-            raise _BadRequest("Request line too long")
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise _BadRequest(f"Malformed request line: {line!r}")
-        method, target, version = parts
-        headers: dict[str, str] = {}
-        header_bytes = 0
-        while True:
-            try:
-                line = await reader.readuntil(b"\r\n")
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-                raise _BadRequest("Truncated header block") from None
-            header_bytes += len(line)
-            if header_bytes > MAX_HEADER_BYTES:
-                raise _BadRequest("Header block too large")
-            if line == b"\r\n":
-                break
-            name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
-                raise _BadRequest(f"Malformed header line: {line!r}")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = headers.get("content-length")
-        if length is not None:
-            try:
-                length = int(length)
-            except ValueError:
-                raise _BadRequest(f"Bad Content-Length: {length!r}") from None
-            if length > MAX_BODY_BYTES:
-                raise _BadRequest("Request body too large")
-            if length:
-                try:
-                    body = await reader.readexactly(length)
-                except asyncio.IncompleteReadError:
-                    raise _BadRequest("Truncated request body") from None
-        split = urlsplit(target)
-        params = {
-            key: values[-1]
-            for key, values in parse_qs(split.query, keep_blank_values=True).items()
-        }
-        return _Request(
-            method, unquote(split.path), params, headers, body, version
-        )
-
-    # -- responses -----------------------------------------------------------
-
-    async def _respond(
-        self,
-        writer,
-        status: int,
-        payload,
-        *,
-        content_type: str = "application/json",
-        extra_headers: tuple[tuple[str, str], ...] = (),
-        keep_alive: bool = False,
-    ) -> int:
-        if isinstance(payload, bytes):
-            body = payload
-        elif isinstance(payload, str):
-            body = payload.encode("utf-8")
-        else:
-            body = (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8")
-        head = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}; charset=utf-8",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        head.extend(f"{name}: {value}" for name, value in extra_headers)
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
-        await writer.drain()
-        return status
-
-    async def _start_sse(self, writer) -> None:
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream; charset=utf-8\r\n"
-            b"Cache-Control: no-cache\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await writer.drain()
-
-    async def _send_event(self, writer, event: str, payload: dict) -> None:
-        data = json.dumps(payload, ensure_ascii=False)
-        writer.write(f"event: {event}\ndata: {data}\n\n".encode("utf-8"))
-        await writer.drain()
+        return False
 
     # -- routing -------------------------------------------------------------
 
-    async def _dispatch(self, request: _Request, writer) -> tuple[str, int]:
-        route_map = {
-            ("POST", "/query"): ("query", self._handle_query),
-            ("GET", "/stream"): ("stream", self._handle_stream),
-            ("POST", "/ingest"): ("ingest", self._handle_ingest),
-            ("GET", "/healthz"): ("healthz", self._handle_healthz),
-            ("GET", "/metrics"): ("metrics", self._handle_metrics),
-        }
-        entry = route_map.get((request.method, request.path))
-        keep = request.keep_alive
+    def _dispatch(self, request: _Request, conn: socket.socket) -> tuple[str, int]:
+        entry = self._routes.get((request.method, request.path))
         if entry is None:
-            known_path = any(path == request.path for _m, path in route_map)
-            if known_path:
-                return "bad", await self._respond(
-                    writer,
-                    405,
-                    {"error": f"Method not allowed: {request.method}"},
-                    keep_alive=keep,
-                )
-            return "bad", await self._respond(
-                writer,
-                404,
-                {"error": f"No such route: {request.path}"},
-                keep_alive=keep,
+            if any(path == request.path for _m, path in self._routes):
+                status, error = 405, f"Method not allowed: {request.method}"
+            else:
+                status, error = 404, f"No such route: {request.path}"
+            return "bad", _respond(
+                conn, status, {"error": error}, keep_alive=request.keep_alive
             )
         route, handler = entry
-        if self._draining and route not in ("healthz", "metrics"):
-            return route, await self._respond(
-                writer, 503, {"error": "Service is draining"}
-            )
+        if self._is_draining() and route not in ("healthz", "metrics"):
+            return route, _respond(conn, 503, {"error": "Service is draining"})
         try:
-            return route, await handler(request, writer)
+            return route, handler(request, conn)
         except Overloaded as exc:
-            return route, await self._respond(
-                writer,
-                exc.status,
-                {"error": str(exc), "reason": exc.reason},
-                keep_alive=keep,
-            )
+            status, payload = exc.status, {"error": str(exc), "reason": exc.reason}
         except _BadRequest as exc:
-            return route, await self._respond(
-                writer, 400, {"error": str(exc)}, keep_alive=keep
-            )
+            status, payload = 400, {"error": str(exc)}
         except TrinitError as exc:
             # Parse/query errors are the client's fault; a closed store
             # under a live stream means the service is going away.
             status = 503 if isinstance(exc, StorageError) else 400
+            payload = {"error": f"{type(exc).__name__}: {exc}"}
             if status == 503:
                 request.keep_alive = False
-            return route, await self._respond(
-                writer,
-                status,
-                {"error": f"{type(exc).__name__}: {exc}"},
-                keep_alive=request.keep_alive,
-            )
+        return route, _respond(conn, status, payload, keep_alive=request.keep_alive)
 
     def _json_body(self, request: _Request) -> dict:
         if not request.body:
@@ -661,14 +603,15 @@ class QueryService:
 
     # -- POST /query ---------------------------------------------------------
 
-    async def _handle_query(self, request: _Request, writer) -> int:
+    def _handle_query(self, request: _Request, conn: socket.socket) -> int:
         body = self._json_body(request)
         text = body.get("query")
         if not isinstance(text, str) or not text.strip():
             raise _BadRequest('Body needs a non-empty "query" string')
-        k = self._positive_int(
-            body.get("k", self.config.default_k), "k"
-        )
+        k = body.get("k", self.config.default_k)
+        if type(k) is not int:  # a JSON integer: not a float, not a bool
+            raise _BadRequest(f"k must be an integer, got {k!r}")
+        k = self._positive_int(k, "k")
         query = parse_query(text)
         normalized = query.n3()
         engine = self.engine
@@ -678,13 +621,8 @@ class QueryService:
         if cached is not None:
             payload = dict(cached)
             payload["cached"] = True
-            return await self._respond(
-                writer, 200, payload, keep_alive=request.keep_alive
-            )
-        loop = asyncio.get_running_loop()
-        answers = await self.admission.run(
-            loop, self._executor, lambda: engine.ask(query, k)
-        )
+            return _respond(conn, 200, payload, keep_alive=request.keep_alive)
+        answers = self.admission.run(lambda: engine.ask(query, k))
         self.metrics.record_query_stats(answers.stats)
         self.metrics.count_answers(len(answers))
         payload = {
@@ -699,25 +637,23 @@ class QueryService:
             "stats": _stats_dict(answers.stats),
         }
         self.cache.put(key, payload)
-        return await self._respond(
-            writer, 200, payload, keep_alive=request.keep_alive
-        )
+        return _respond(conn, 200, payload, keep_alive=request.keep_alive)
 
     # -- GET /stream ---------------------------------------------------------
 
-    async def _handle_stream(self, request: _Request, writer) -> int:
+    def _handle_stream(self, request: _Request, conn: socket.socket) -> int:
         n = self._positive_int(
             request.params.get("n", self.config.default_k), "n"
         )
         sid = request.params.get("session")
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        self._sweep_sessions(now)
+        now = time.monotonic()
         if sid is not None:
-            session = self._sessions.get(sid)
+            self._trim_sessions(now)
+            with self._lock:
+                session = self._sessions.get(sid)
             if session is None:
-                return await self._respond(
-                    writer,
+                return _respond(
+                    conn,
                     404,
                     {"error": f"Unknown or expired session {sid!r}"},
                     keep_alive=request.keep_alive,
@@ -730,160 +666,109 @@ class QueryService:
             query = parse_query(text)
             engine = self.engine
             identity = engine.snapshot_identity()
-            stream = await self.admission.run(
-                loop, self._executor, lambda: engine.stream(query)
+            stream = self.admission.run(lambda: engine.stream(query))
+            session = _Session(
+                secrets.token_hex(8), stream, query.n3(), identity, now
             )
-            sid = secrets.token_hex(8)
-            session = _Session(sid, stream, query.n3(), identity, now)
-            self._sessions[sid] = session
+            with self._lock:
+                self._sessions[session.sid] = session
+            self._trim_sessions(now)
             self.metrics.count_session("created")
-            self._cap_sessions()
 
         # SSE responses are framed by connection close, not Content-Length
         # — the event stream always ends the connection.
         request.keep_alive = False
-        async with session.lock:
-            session.last_used = loop.time()
-            await self._stream_batch(session, n, writer, loop)
-        session.last_used = loop.time()
+        with session.lock:
+            session.last_used = time.monotonic()
+            self._stream_batch(session, n, conn)
+        session.last_used = time.monotonic()
         return 200
 
-    async def _stream_batch(self, session, n: int, writer, loop) -> None:
+    def _stream_batch(self, session: _Session, n: int, conn: socket.socket) -> None:
         """Admit one resume, then SSE the next ``n`` answers as they settle.
 
-        The asyncio facade over the blocking driver: an executor thread
-        pulls answers one rank at a time (``next_k(1)`` resumes are
+        Answers are pulled one rank at a time (``next_k(1)`` resumes are
         incremental — the driver keeps its cursors and rank-join state
-        between calls) and posts each onto an ``asyncio.Queue`` that the
-        event loop drains into ``answer`` events, so the first answer
-        reaches the socket while later ranks are still being computed.
+        between calls) and each is written to the socket as it settles,
+        so the first answer goes out while later ranks are still to be
+        computed.  The budget is checked after each rank: a batch that
+        overruns it ends with an ``error`` event (``"reason":
+        "timeout"``) and counts as orphaned.
         """
         stream = session.stream
         budget = self.admission.timeout
-        await self.admission.acquire(budget)
-        held = True
-        queue: asyncio.Queue = asyncio.Queue()
-        stop_pulling = threading.Event()
-        done = object()
-
-        def pull():
-            before = stream.stats.copy()
-            error = None
-            try:
-                for _ in range(n):
-                    if stop_pulling.is_set():
-                        break
-                    batch = stream.next_k(1)
-                    if not batch:
-                        break
-                    loop.call_soon_threadsafe(queue.put_nowait, batch[0])
-            except Exception as exc:  # noqa: BLE001 - reported via the queue
-                error = exc
-            delta = stream.stats.diff(before)
-            loop.call_soon_threadsafe(queue.put_nowait, (done, delta, error))
-
+        self.admission.acquire(budget)
+        deadline = None if budget is None else time.monotonic() + budget
+        emitted_here, error, late = 0, None, False
         try:
-            await self._start_sse(writer)
-            await self._send_event(
-                writer,
-                "meta",
-                {
-                    "session": session.sid,
-                    "query": session.normalized,
-                    "snapshot": session.snapshot,
-                    "emitted": session.emitted,
-                    "n": n,
-                },
-            )
-            future = loop.run_in_executor(self._executor, pull)
-            deadline = loop.time() + budget if budget is not None else None
-            emitted_here = 0
-            error = None
-            while True:
-                timeout = None
-                if deadline is not None:
-                    timeout = max(0.0, deadline - loop.time())
+            conn.sendall(_SSE_HEAD + _event("meta", {
+                "session": session.sid,
+                "query": session.normalized,
+                "snapshot": session.snapshot,
+                "emitted": session.emitted,
+                "n": n,
+            }))
+            before = stream.stats.copy()
+            while emitted_here < n and not late:
                 try:
-                    item = await asyncio.wait_for(queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    # Budget spent mid-batch: tell the puller to stop at
-                    # the next rank boundary and hand the slot to the
-                    # future's completion callback (threads cannot be
-                    # cancelled; the concurrency bound must keep
-                    # counting the straggler).
-                    stop_pulling.set()
-                    held = False
-                    self.admission.release_when_done(loop, future)
-                    await self._send_event(
-                        writer,
-                        "error",
-                        {"error": f"batch exceeded the {budget:g}s budget",
-                         "reason": "timeout", "session": session.sid},
-                    )
-                    return
-                if isinstance(item, tuple) and item[0] is done:
-                    _, delta, error = item
+                    batch = stream.next_k(1)
+                except Exception as exc:  # noqa: BLE001 - an SSE error event
+                    error = exc
+                    break
+                if not batch:
                     break
                 session.emitted += 1
                 emitted_here += 1
-                await self._send_event(
-                    writer, "answer", serialize_answer(item, session.emitted)
-                )
-            self.metrics.record_query_stats(delta)
-            self.metrics.count_answers(emitted_here)
-            if error is not None:
-                await self._send_event(
-                    writer,
-                    "error",
-                    {"error": f"{type(error).__name__}: {error}",
-                     "session": session.sid},
-                )
-                return
-            await self._send_event(
-                writer,
-                "end",
-                {
-                    "session": session.sid,
-                    "batch": emitted_here,
-                    "emitted": session.emitted,
-                    "exhausted": stream.exhausted,
-                    "stats": _stats_dict(delta),
-                },
-            )
+                conn.sendall(_event(
+                    "answer", serialize_answer(batch[0], session.emitted)
+                ))
+                late = overran(deadline)
         finally:
-            if held:
-                self.admission.release()
+            self.admission.release(orphaned=late)
+        delta = stream.stats.diff(before)
+        self.metrics.record_query_stats(delta)
+        self.metrics.count_answers(emitted_here)
+        if late:
+            conn.sendall(_event("error", {
+                "error": f"batch exceeded the {budget:g}s budget",
+                "reason": "timeout", "session": session.sid,
+            }))
+        elif error is not None:
+            conn.sendall(_event("error", {
+                "error": f"{type(error).__name__}: {error}",
+                "session": session.sid,
+            }))
+        else:
+            conn.sendall(_event("end", {
+                "session": session.sid,
+                "batch": emitted_here,
+                "emitted": session.emitted,
+                "exhausted": stream.exhausted,
+                "stats": _stats_dict(delta),
+            }))
 
-    def _sweep_sessions(self, now: float) -> None:
-        ttl = self.config.session_ttl
-        expired = [
-            sid
-            for sid, session in self._sessions.items()
-            if now - session.last_used > ttl and not session.lock.locked()
-        ]
-        for sid in expired:
-            del self._sessions[sid]
-            self.metrics.count_session("evicted")
+    def _trim_sessions(self, now: float) -> None:
+        """Evict idle-expired sessions, then the LRU ones past the bound.
 
-    def _cap_sessions(self) -> None:
-        while len(self._sessions) > self.config.max_sessions:
-            victim = min(
-                (
-                    session
-                    for session in self._sessions.values()
-                    if not session.lock.locked()
-                ),
+        A session streaming a batch (its lock held) is never evicted.
+        """
+        with self._lock:
+            idle = sorted(
+                (s for s in self._sessions.values() if not s.lock.locked()),
                 key=lambda session: session.last_used,
-                default=None,
             )
-            if victim is None:
-                return
-            del self._sessions[victim.sid]
-            self.metrics.count_session("evicted")
+            for session in idle:  # oldest first: the expired ones lead
+                if (
+                    now - session.last_used <= self.config.session_ttl
+                    and len(self._sessions) <= self.config.max_sessions
+                ):
+                    break
+                del self._sessions[session.sid]
+                self.metrics.count_session("evicted")
 
     # -- POST /ingest --------------------------------------------------------
 
-    async def _handle_ingest(self, request: _Request, writer) -> int:
+    def _handle_ingest(self, request: _Request, conn: socket.socket) -> int:
         body = self._json_body(request)
         rows = body.get("triples")
         if not isinstance(rows, list) or not rows:
@@ -893,16 +778,13 @@ class QueryService:
             raise _BadRequest(f"confidence must be in (0, 1], got {confidence!r}")
         triples = [self._parse_ingest_row(row) for row in rows]
         engine = self.engine
-        loop = asyncio.get_running_loop()
-        ids = await self.admission.run(
-            loop,
-            self._executor,
-            lambda: engine.ingest(triples, confidence=float(confidence)),
+        ids = self.admission.run(
+            lambda: engine.ingest(triples, confidence=float(confidence))
         )
         self.metrics.count_ingested(len(ids))
         store = engine.store
-        return await self._respond(
-            writer,
+        return _respond(
+            conn,
             200,
             {
                 "ingested": len(ids),
@@ -934,14 +816,18 @@ class QueryService:
 
     # -- GET /healthz --------------------------------------------------------
 
-    async def _handle_healthz(self, request: _Request, writer) -> int:
+    def _handle_healthz(self, request: _Request, conn: socket.socket) -> int:
         engine = self.engine
         store = engine.store
-        return await self._respond(
-            writer,
+        with self._lock:
+            draining = self._draining
+            sessions = len(self._sessions)
+            inflight = self._inflight
+        return _respond(
+            conn,
             200,
             {
-                "status": "draining" if self._draining else "ok",
+                "status": "draining" if draining else "ok",
                 "snapshot": engine.snapshot_identity(),
                 "generation": engine.generation,
                 "delta": {
@@ -951,29 +837,32 @@ class QueryService:
                 "triples": len(store),
                 "backend": store.backend_name,
                 "executor_kind": engine.executor_kind,
-                "sessions": len(self._sessions),
-                "inflight": self._inflight,
+                "sessions": sessions,
+                "inflight": inflight,
             },
             keep_alive=request.keep_alive,
         )
 
     # -- GET /metrics --------------------------------------------------------
 
-    async def _handle_metrics(self, request: _Request, writer) -> int:
+    def _handle_metrics(self, request: _Request, conn: socket.socket) -> int:
         cache_stats = self.cache.stats()
         admission_stats = self.admission.stats()
-        admission_stats["sessions"] = len(self._sessions)
+        with self._lock:
+            admission_stats["sessions"] = len(self._sessions)
         if request.params.get("format") == "json":
-            return await self._respond(
-                writer,
-                200,
-                self.metrics.snapshot(cache_stats, admission_stats),
-                keep_alive=request.keep_alive,
-            )
-        return await self._respond(
-            writer,
+            document = self.metrics.snapshot(cache_stats, admission_stats)
+            return _respond(conn, 200, document, keep_alive=request.keep_alive)
+        return _respond(
+            conn,
             200,
             self.metrics.render_prometheus(cache_stats, admission_stats),
             content_type="text/plain; version=0.0.4",
             keep_alive=request.keep_alive,
         )
+
+
+def _shut(sock: socket.socket, how: int = socket.SHUT_RDWR) -> None:
+    """``shutdown`` that tolerates an already-dead socket; wakes its readers."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(how)

@@ -17,12 +17,12 @@ core:
 * :mod:`driver` — the resumable :class:`TopKDriver` state machine the
   processor's eager ``query()`` and the public ``AnswerStream`` both drain:
   suspended joins and the rewriting frontier persist between ``advance``
-  calls, and strict tie settlement makes every emitted prefix final;
-* :mod:`exhaustive` — the same semantics without early termination, used as
-  the correctness reference and the efficiency-bench baseline.
+  calls, and strict tie settlement makes every emitted prefix final.
 
 The term-space reference core the equivalence suites check this one
-against lives with the tests (``tests/reference_core.py``).
+against lives with the tests (``tests/reference_core.py``); the naive
+exact-match join lives with the baselines that answer with it
+(:mod:`repro.baselines.exhaustive`).
 """
 
 from repro.topk.idspace import (
@@ -40,7 +40,6 @@ from repro.topk.idspace import (
 from repro.topk.incremental_merge import IncrementalMergeCursor
 from repro.topk.processor import TopKProcessor, ProcessorConfig
 from repro.topk.driver import TopKDriver
-from repro.topk.exhaustive import naive_join
 
 __all__ = [
     "IdAggregator",
@@ -57,5 +56,4 @@ __all__ = [
     "TopKDriver",
     "TopKProcessor",
     "ProcessorConfig",
-    "naive_join",
 ]

@@ -72,4 +72,5 @@ def service(engine):
 
 @pytest.fixture()
 def client(service):
-    return ServeClient(service.host, service.port)
+    with ServeClient(service.host, service.port) as client:
+        yield client

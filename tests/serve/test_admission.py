@@ -1,76 +1,71 @@
-"""Unit tests for the admission controller (pure asyncio, no HTTP)."""
+"""Unit tests for the admission controller (threads, no HTTP)."""
 
-import asyncio
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
+from repro.serve import admission
 from repro.serve.admission import AdmissionController, Overloaded
 
 
-def run(coroutine):
-    return asyncio.run(coroutine)
+def wait_until(predicate, seconds: float = 5.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 class TestAcquire:
     def test_admits_up_to_concurrency(self):
-        async def scenario():
-            controller = AdmissionController(2, 0, timeout=None)
-            await controller.acquire(None)
-            await controller.acquire(None)
-            assert controller.executing == 2
-            controller.release()
-            controller.release()
-            assert controller.executing == 0
-
-        run(scenario())
+        controller = AdmissionController(2, 0, timeout=None)
+        controller.acquire(None)
+        controller.acquire(None)
+        assert controller.executing == 2
+        controller.release()
+        controller.release()
+        assert controller.executing == 0
 
     def test_sheds_429_when_queue_full(self):
-        async def scenario():
-            controller = AdmissionController(1, 0, timeout=None)
-            await controller.acquire(None)  # slot taken, queue_depth=0
-            with pytest.raises(Overloaded) as info:
-                await controller.acquire(None)
-            assert info.value.status == 429
-            assert info.value.reason == "queue_full"
-            assert controller.shed_queue_full == 1
-            controller.release()
-
-        run(scenario())
+        controller = AdmissionController(1, 0, timeout=None)
+        controller.acquire(None)  # slot taken, queue_depth=0
+        with pytest.raises(Overloaded) as info:
+            controller.acquire(None)
+        assert info.value.status == 429
+        assert info.value.reason == "queue_full"
+        assert controller.shed_queue_full == 1
+        controller.release()
 
     def test_sheds_503_on_queue_timeout(self):
-        async def scenario():
-            controller = AdmissionController(1, 4, timeout=None)
-            await controller.acquire(None)
-            with pytest.raises(Overloaded) as info:
-                await controller.acquire(0.05)
-            assert info.value.status == 503
-            assert info.value.reason == "timeout"
-            assert controller.shed_timeout == 1
-            assert controller.waiting == 0  # bookkeeping restored
-            controller.release()
-
-        run(scenario())
+        controller = AdmissionController(1, 4, timeout=None)
+        controller.acquire(None)
+        with pytest.raises(Overloaded) as info:
+            controller.acquire(0.05)
+        assert info.value.status == 503
+        assert info.value.reason == "timeout"
+        assert controller.shed_timeout == 1
+        assert controller.waiting == 0  # bookkeeping restored
+        controller.release()
 
     def test_waiter_proceeds_when_slot_frees(self):
-        async def scenario():
-            controller = AdmissionController(1, 4, timeout=None)
-            await controller.acquire(None)
+        controller = AdmissionController(1, 4, timeout=None)
+        controller.acquire(None)
+        outcome = []
 
-            async def waiter():
-                await controller.acquire(1.0)
-                controller.release()
-                return "ran"
-
-            task = asyncio.ensure_future(waiter())
-            await asyncio.sleep(0.01)
-            assert controller.waiting == 1
+        def waiter():
+            controller.acquire(5.0)
             controller.release()
-            assert await task == "ran"
+            outcome.append("ran")
 
-        run(scenario())
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        wait_until(lambda: controller.waiting == 1)
+        controller.release()
+        thread.join(timeout=10)
+        assert outcome == ["ran"]
+        assert controller.executing == 0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -82,82 +77,103 @@ class TestAcquire:
 
 
 class TestRun:
-    def test_runs_on_executor_and_releases(self):
-        async def scenario():
-            controller = AdmissionController(2, 2, timeout=5.0)
-            loop = asyncio.get_running_loop()
-            with ThreadPoolExecutor(2) as pool:
-                result = await controller.run(loop, pool, lambda: 40 + 2)
-            assert result == 42
-            assert controller.executing == 0
-            assert controller.admitted == 1
-
-        run(scenario())
+    def test_runs_on_caller_thread_and_releases(self):
+        controller = AdmissionController(2, 2, timeout=5.0)
+        result = controller.run(lambda: (threading.get_ident(), 40 + 2))
+        assert result == (threading.get_ident(), 42)
+        assert controller.executing == 0
+        assert controller.admitted == 1
 
     def test_propagates_work_exceptions(self):
-        async def scenario():
-            controller = AdmissionController(1, 1, timeout=5.0)
-            loop = asyncio.get_running_loop()
+        controller = AdmissionController(1, 1, timeout=5.0)
 
-            def boom():
-                raise RuntimeError("kaboom")
+        def boom():
+            raise RuntimeError("kaboom")
 
-            with ThreadPoolExecutor(1) as pool:
-                with pytest.raises(RuntimeError):
-                    await controller.run(loop, pool, boom)
-            assert controller.executing == 0
-
-        run(scenario())
+        with pytest.raises(RuntimeError):
+            controller.run(boom)
+        assert controller.executing == 0
 
     def test_timeout_orphan_keeps_slot_until_thread_finishes(self):
         """The concurrency bound must count timed-out-but-running work."""
-
+        controller = AdmissionController(1, 0, timeout=None)
         release_worker = threading.Event()
+        outcome = {}
 
-        async def scenario():
-            controller = AdmissionController(1, 0, timeout=None)
-            loop = asyncio.get_running_loop()
-            with ThreadPoolExecutor(1) as pool:
-                with pytest.raises(Overloaded) as info:
-                    await controller.run(
-                        loop, pool, release_worker.wait, timeout=0.05
-                    )
-                assert info.value.status == 503
-                assert controller.orphaned == 1
-                # The worker still runs: its slot is still held, so the
-                # next arrival sheds 429 instead of overcommitting.
-                assert controller.executing == 1
-                with pytest.raises(Overloaded) as second:
-                    await controller.acquire(None)
-                assert second.value.status == 429
-                release_worker.set()
-                deadline = time.monotonic() + 5.0
-                while controller.executing and time.monotonic() < deadline:
-                    await asyncio.sleep(0.01)
-                assert controller.executing == 0  # slot returned by callback
+        def worker():
+            try:
+                controller.run(release_worker.wait, timeout=0.05)
+            except Overloaded as exc:
+                outcome["error"] = exc
 
-        run(scenario())
+        thread = threading.Thread(target=worker)
+        thread.start()
+        wait_until(lambda: controller.executing == 1)
+        time.sleep(0.1)  # past the budget, the work still runs
+        # Its slot is still held, so the next arrival sheds 429 instead
+        # of overcommitting.
+        assert controller.executing == 1
+        with pytest.raises(Overloaded) as second:
+            controller.acquire(None)
+        assert second.value.status == 429
+        release_worker.set()
+        thread.join(timeout=10)
+        # The 503 comes when the work returns, with the slot.
+        assert outcome["error"].status == 503
+        assert outcome["error"].reason == "timeout"
+        assert controller.orphaned == 1
+        assert controller.executing == 0
 
-    def test_budget_spent_in_queue_is_not_granted_again(self):
-        async def scenario():
-            controller = AdmissionController(1, 2, timeout=None)
-            loop = asyncio.get_running_loop()
-            await controller.acquire(None)
+    def test_budget_spent_in_queue_is_not_granted_again(self, monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(
+            admission, "time", SimpleNamespace(monotonic=lambda: clock[0])
+        )
+        controller = AdmissionController(1, 2, timeout=None)
+        acquire = controller.acquire
 
-            async def late():
-                with pytest.raises(Overloaded) as info:
-                    await controller.run(
-                        loop, None, lambda: "never", timeout=0.05
-                    )
-                return info.value.status
+        def slow_acquire(timeout):
+            acquire(timeout)
+            clock[0] += 1.0  # the wait for the slot used the whole budget
 
-            task = asyncio.ensure_future(late())
-            status = await task
-            assert status == 503
-            controller.release()
-            assert controller.executing == 0
+        controller.acquire = slow_acquire
+        ran = []
+        with pytest.raises(Overloaded) as info:
+            controller.run(lambda: ran.append("never"), timeout=0.5)
+        assert info.value.status == 503
+        assert ran == []
+        assert controller.executing == 0
+        assert controller.orphaned == 0  # no work ran, none overran
 
-        run(scenario())
+    def test_bound_holds_under_contention(self):
+        # More threads than cores, switching often: a lost update to the
+        # counters would let ``executing`` pass the bound or not return to 0.
+        controller = AdmissionController(3, 64, timeout=None)
+        peak, lock = [0], threading.Lock()
+
+        def work():
+            with lock:
+                peak[0] = max(peak[0], controller.executing)
+            time.sleep(0.0005)
+
+        def client():
+            for _ in range(50):
+                controller.run(work)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(12)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert 1 <= peak[0] <= 3
+        assert controller.admitted == 12 * 50
+        assert (controller.executing, controller.waiting) == (0, 0)
 
     def test_stats_document(self):
         controller = AdmissionController(3, 7, timeout=1.0)

@@ -36,8 +36,9 @@ def test_compaction_during_active_sse_stream_is_byte_identical(snapshot_dir):
     assert len(reference) == 30
 
     engine = open_engine(snapshot_dir, compaction_threshold=6)
-    with QueryService(engine, ServeConfig(port=0), owns_engine=True) as service:
-        client = ServeClient(service.host, service.port)
+    with QueryService(
+        engine, ServeConfig(port=0), owns_engine=True
+    ) as service, ServeClient(service.host, service.port) as client:
         first = client.stream(WIDE_QUERY, n=10)
         assert "gen0" in first.meta["snapshot"]
 
@@ -86,11 +87,12 @@ def test_shutdown_waits_for_inflight_requests(snapshot_dir):
         except BaseException as exc:  # noqa: BLE001 - reported below
             outcome["error"] = exc
 
-    thread = threading.Thread(target=fire)
-    thread.start()
-    time.sleep(0.2)  # the request is mid engine work
-    service.close()  # must drain it, not yank the engine from under it
-    thread.join(timeout=30)
+    with client:
+        thread = threading.Thread(target=fire)
+        thread.start()
+        time.sleep(0.2)  # the request is mid engine work
+        service.close()  # must drain it, not yank the engine from under it
+        thread.join(timeout=30)
     assert "error" not in outcome, repr(outcome.get("error"))
     assert len(outcome["payload"]["answers"]) == 3
     assert engine.closed
@@ -125,8 +127,8 @@ def test_close_is_idempotent_and_stop_without_start_is_noop(engine):
     service = QueryService(engine, ServeConfig(port=0))
     service.stop()  # never started: no-op
     service.start()
-    client = ServeClient(service.host, service.port)
-    assert client.healthz()["status"] == "ok"
+    with ServeClient(service.host, service.port) as client:
+        assert client.healthz()["status"] == "ok"
     service.close()
     service.close()
     assert not engine.closed  # owns_engine=False leaves the engine alone

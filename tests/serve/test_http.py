@@ -135,8 +135,9 @@ class TestStreamRoute:
 
     def test_sessions_evicted_past_bound(self, engine):
         config = ServeConfig(port=0, max_sessions=2)
-        with QueryService(engine, config) as service:
-            client = ServeClient(service.host, service.port)
+        with QueryService(engine, config) as service, ServeClient(
+            service.host, service.port
+        ) as client:
             first = client.stream(WIDE_QUERY, n=2)
             client.stream(NARROW_QUERY, n=2)
             client.stream(WIDE_QUERY, n=2)
@@ -200,8 +201,9 @@ class TestIngestRoute:
     ):
         engine = open_engine(snapshot_dir, compaction_threshold=6)
         config = ServeConfig(port=0)
-        with QueryService(engine, config, owns_engine=True) as service:
-            client = ServeClient(service.host, service.port)
+        with QueryService(engine, config, owns_engine=True) as service, ServeClient(
+            service.host, service.port
+        ) as client:
             client.query(NARROW_QUERY, k=4)
             assert client.query(NARROW_QUERY, k=4)["cached"] is True
             rows = [[f"Fresh{i}", "bornIn", f"E{i % 5}"] for i in range(8)]
@@ -267,8 +269,9 @@ class TestAdmissionOverHttp:
             port=0, max_concurrency=1, queue_depth=1,
             request_timeout=10.0, cache_size=0,
         )
-        with QueryService(engine, config, owns_engine=True) as service:
-            client = ServeClient(service.host, service.port)
+        with QueryService(engine, config, owns_engine=True) as service, ServeClient(
+            service.host, service.port
+        ) as client:
             statuses: list[int] = []
             lock = threading.Lock()
 
@@ -324,8 +327,9 @@ class TestAdmissionOverHttp:
         config = ServeConfig(
             port=0, max_concurrency=1, queue_depth=2, request_timeout=0.3
         )
-        with QueryService(engine, config, owns_engine=True) as service:
-            client = ServeClient(service.host, service.port)
+        with QueryService(engine, config, owns_engine=True) as service, ServeClient(
+            service.host, service.port
+        ) as client:
             with pytest.raises(ServeError) as info:
                 client.query(NARROW_QUERY, k=3)
             assert info.value.status == 503

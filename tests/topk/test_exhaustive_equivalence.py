@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.baselines.exhaustive import naive_join
 from repro.core.parser import parse_query, parse_rule
 from repro.core.query import Query
 from repro.core.terms import Resource, TextToken, Variable
@@ -17,7 +18,6 @@ from repro.core.triples import Triple, TriplePattern
 from repro.relax.rules import RuleSet
 from repro.scoring.language_model import PatternScorer
 from repro.storage.store import TripleStore
-from repro.topk.exhaustive import naive_join
 from repro.topk.processor import ProcessorConfig, TopKProcessor
 
 
