@@ -1,9 +1,10 @@
 """tab-persistence — snapshot directory open vs JSONL re-ingestion.
 
 The paper served its XKG from a sharded ElasticSearch index; the
-reproduction's store is hash-partitioned columnar segments, persisted as a
-snapshot directory: the frozen segment arrays written one container file
-per segment plus a manifest and mmap-loaded back — no JSON parsing, no
+reproduction's store is a columnar base segment (plus one segment per
+compacted generation), persisted as a snapshot directory: the frozen
+segment arrays written one container file per segment plus a manifest and
+mmap-loaded back — no JSON parsing, no
 re-ingestion, no freeze-time re-sort, byte-identical postings and
 bit-exact weights.
 

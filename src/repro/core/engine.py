@@ -74,9 +74,10 @@ class EngineConfig:
         :meth:`TriniT.ingest` that crossed the threshold.  Any other value
         raises :class:`TrinitError`.
     merge_batch:
-        Posting heads pulled per segment per batch by the store's k-way
-        segment merge (and the granularity of the id-space cursors'
-        batched sorted access).  ``None`` (default) sizes batches
+        Postings pulled per batch by the store's lookups — one segment's
+        range copied, or several segments merged (and the granularity of
+        the id-space cursors' batched sorted access).  ``None`` (default)
+        sizes batches
         **adaptively** per query: each posting merge starts small and
         doubles its pull as the consumer keeps draining, so probe-only
         lookups stay cheap and deep drains amortise (bounded by
@@ -88,7 +89,7 @@ class EngineConfig:
         many posting heads the cursors decode, filter and score per
         :func:`repro.topk.kernels.score_block` call.  ``None`` (default)
         adapts — cursors score exactly what each batched pull of the
-        segment merge materialised (so ``merge_batch`` governs both).  ``1``
+        lookup materialised (so ``merge_batch`` governs both).  ``1``
         selects the original per-item scoring path, the byte-identical
         reference the property suite pins the block kernels against.
     compaction_threshold:
@@ -570,7 +571,7 @@ class TriniT:
         Directory-backed stores get a new snapshot **generation** (old
         segment files hardlinked, the delta frozen as one new segment, the
         root's ``CURRENT`` pointer swapped atomically); in-memory stores
-        rebuild onto a fresh backend with the same segment count.  The
+        rebuild into one fresh base segment.  The
         compacted store is published as a new read view without waiting
         for anyone: queries in flight and open
         :class:`~repro.core.results.AnswerStream`\\ s finish on the store

@@ -168,9 +168,9 @@ class QueryStats:
     run leaves both at zero.
 
     ``segments_touched``, ``postings_materialized`` and ``posting_pulls``
-    are the segment-parallel counters: how many physical storage segments
-    the query's posting cursors fanned out over, how many merged posting
-    heads the batched pulls actually materialised, and how many batched
+    are the storage counters: how many physical storage segments (and the
+    delta) the query's posting cursors read from, how many posting heads
+    the batched pulls actually materialised, and how many batched
     ``pull`` calls did that materialising (fed from
     ``MergedPostings.materialized``).
     The ratio ``postings_materialized / posting_pulls`` is the observed

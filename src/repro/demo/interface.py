@@ -181,10 +181,10 @@ class DemoSession:
         """The ``:stats`` screen: work counters of the last query's stream.
 
         Shows the cumulative :class:`~repro.core.results.QueryStats` over
-        every batch of the suspended stream — including the
-        segment-parallel counters (segments fanned out over, posting heads
-        the batched merge actually materialised) that make the storage
-        layer's laziness observable from the shell.
+        every batch of the suspended stream — including the storage
+        counters (segments read from, posting heads the batched pulls
+        actually materialised) that make the storage layer's laziness
+        observable from the shell.
         """
         if self._stream is None:
             raise TrinitError("No query statistics yet — run a query first")

@@ -23,7 +23,6 @@ from repro.core.terms import Literal, Resource
 from repro.core.triples import KG_PROVENANCE, Provenance, Triple
 from repro.kg.taxonomy import Taxonomy
 from repro.kg.world import World, WorldFact
-from repro.storage.backend import StorageBackend
 from repro.storage.store import TripleStore
 from repro.util.rand import SeededRng
 
@@ -111,12 +110,12 @@ class GeneratedKg:
         self,
         name: str | None = None,
         freeze: bool = True,
-        backend: str | StorageBackend | None = None,
+        backend: str | None = None,
     ) -> TripleStore:
         """Load the KG into a fresh triple store.
 
-        ``backend`` is handed to :class:`TripleStore` (``None``,
-        ``"sharded"`` or a fresh ``ShardedBackend(n)``).
+        ``backend`` is handed to :class:`TripleStore` (``None`` or
+        ``"sharded"``).
         """
         store = TripleStore(name or self.config.kg_name, backend=backend)
         for triple in self.triples:

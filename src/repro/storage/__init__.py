@@ -3,13 +3,15 @@
 The paper uses ElasticSearch as the storage backend; the contract top-k query
 processing needs from it is narrow: *given a triple pattern, access its
 matching triples in descending score order, incrementally*.  This package
-provides that contract with one physical layout — hash-partitioned columnar
-segments in memory, a snapshot directory on disk:
+provides that contract with one physical layout — a columnar base segment
+plus the segments compaction appends, in memory or mapped from a snapshot
+directory:
 
 * :mod:`dictionary` — bidirectional term ↔ integer-id encoding,
 * :mod:`backend` — the :class:`StorageBackend` protocol (the typed seam),
-* :mod:`sharded` — the store layout (:class:`ShardedBackend`): N columnar
-  segments plus the mutable delta behind lazy k-way merged postings,
+* :mod:`sharded` — the store layout (:class:`ShardedBackend`): the base
+  segment, the segments compaction appended (one contiguous global id range
+  each) and the mutable delta, behind lazily materialised postings,
 * :mod:`columnar` — the frozen segment class (:class:`ColumnarBackend`):
   array columns and, per bound-slot signature (:mod:`index`), a permutation
   pre-sorted by observation weight so sorted access is an array walk,

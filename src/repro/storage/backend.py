@@ -7,14 +7,15 @@ slot ids and sort weight.  Everything above this boundary (cursors, rank
 join, scoring) speaks integer ids only, so the physical layout never touches
 query processing.
 
-There is one layout: :class:`~repro.storage.sharded.ShardedBackend` —
-triples hash-partitioned across N frozen
-:class:`~repro.storage.columnar.ColumnarBackend` segments (parallel id and
-weight columns, posting lists as index ranges into per-signature permutation
-arrays, mapped zero-copy from a snapshot directory), postings answered by a
-lazy k-way merge of the segments' score-sorted lists plus the mutable delta
-segment.  :class:`StorageBackend` is the typed seam that layout implements;
-:func:`make_backend` resolves what ``TripleStore(backend=...)`` accepts.
+There is one layout: :class:`~repro.storage.sharded.ShardedBackend` — a
+base :class:`~repro.storage.columnar.ColumnarBackend` segment (parallel id
+and weight columns, posting lists as index ranges into per-signature
+permutation arrays, mapped zero-copy from a snapshot directory) plus the
+segments compaction appends, each a contiguous global id range; a lookup
+copies the one contributing segment's posting range, or merges several with
+the mutable delta segment.  :class:`StorageBackend` is the typed seam that
+layout implements; :func:`make_backend` resolves what
+``TripleStore(backend=...)`` accepts.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class StorageBackend(Protocol):
         ...
 
     def segment_count(self) -> int:
-        """Physical partitions one lookup fans out over."""
+        """Physical segments a lookup may read from."""
         ...
 
     def distinct_keys(self, bound_slots: Sequence[bool]) -> list[tuple[int, ...]]:
@@ -162,24 +163,15 @@ class _ClosedData:
 _CLOSED = _ClosedData()
 
 
-def make_backend(backend: "str | StorageBackend | None") -> StorageBackend:
-    """Resolve what ``TripleStore(backend=...)`` accepts to a fresh backend.
-
-    ``None`` and ``"sharded"`` build a default-sized
-    :class:`~repro.storage.sharded.ShardedBackend`; a ``ShardedBackend(n)``
-    instance picks the segment count and must be empty and unfrozen.
-    """
+def make_backend(backend: str | None) -> StorageBackend:
+    """A fresh backend for what ``TripleStore(backend=...)`` accepts:
+    ``None`` or ``"sharded"``, the one layout."""
     # Imported here: sharded.py imports _CLOSED from this module.
     from repro.storage.sharded import ShardedBackend
 
     if backend is None or backend == ShardedBackend.name:
         return ShardedBackend()
-    if not isinstance(backend, ShardedBackend):
-        raise StorageError(
-            f"Unknown storage backend {backend!r}: the one store layout is "
-            f'"sharded" (ShardedBackend over columnar segments) — pass None, '
-            f'"sharded" or a fresh ShardedBackend(n)'
-        )
-    if len(backend) or backend.is_frozen:
-        raise StorageError("A shared backend instance must be empty and unfrozen")
-    return backend
+    raise StorageError(
+        f"Unknown storage backend {backend!r}: the one store layout is "
+        '"sharded" — pass None or "sharded"'
+    )

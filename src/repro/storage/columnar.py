@@ -14,9 +14,11 @@ list is then just an index range ``perm[start:stop]``, returned as a
 zero-copy read-only memoryview.
 
 A :class:`ColumnarBackend` is never a store's backend on its own:
-:class:`~repro.storage.sharded.ShardedBackend` owns N of them (ids here are
-segment-*local*), merges their postings with the mutable delta, and
-:mod:`repro.storage.snapshot` maps each one from its own container file.
+:class:`~repro.storage.sharded.ShardedBackend` owns them — a fresh build's
+one base segment, whose local ids are the global ids, plus one segment per
+compacted generation, whose ids are local to the global range it starts
+at — and :mod:`repro.storage.snapshot` maps each one from its own
+container file.
 """
 
 from __future__ import annotations

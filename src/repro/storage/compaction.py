@@ -11,7 +11,9 @@ Two folding strategies, chosen by where the store lives:
 
 * **Generation write** (:func:`write_generation`) — for stores loaded
   from a snapshot directory.  The delta becomes one new frozen
-  columnar segment; the existing segment files are **hardlinked** (never
+  columnar segment, appended after the existing ones: it holds the
+  contiguous global id range the delta owned, so its start offset is its
+  whole id map.  The existing segment files are **hardlinked** (never
   copied, never rewritten) into a new ``generation-K`` directory next to
   a freshly written manifest and the new segment's container, and the
   root's ``CURRENT`` pointer is atomically swapped last.  A crash at any
@@ -20,9 +22,9 @@ Two folding strategies, chosen by where the store lives:
   the old files, which the swap does not disturb.
 
 * **In-memory rebuild** (the fallback) — for stores with no backing
-  directory.  :meth:`TripleStore.convert` re-adds every record in id order
-  onto a fresh backend with the same segment count, which freezes into
-  exactly the store a fresh build over the same statements would produce.
+  directory.  :meth:`TripleStore.rebuild` re-adds every record in id order
+  onto a fresh base segment, which freezes into exactly the store a fresh
+  build over the same statements would produce.
 
 Both strategies preserve the byte-identity contract: within-segment
 posting order is the canonical (weight desc, tie key asc, id asc) over
@@ -50,7 +52,6 @@ from pathlib import Path
 
 from repro.errors import StorageError
 from repro.storage.columnar import ID_TYPECODE, ColumnarBackend
-from repro.storage.sharded import ShardedBackend
 from repro.storage.snapshot import (
     _column_bytes,
     generation_dirname,
@@ -82,7 +83,7 @@ def compact_store(store: TripleStore) -> TripleStore:
     if backend.snapshot_root is not None:
         write_generation(store)
         return load_snapshot(backend.snapshot_root)
-    return store.convert(ShardedBackend(backend.num_segments))
+    return store.rebuild()
 
 
 def _link_or_copy(src: Path, dst: Path) -> None:
@@ -106,14 +107,12 @@ def next_generation_number(root: Path, current: int) -> int:
 
 def _delta_segment_backend(store: TripleStore) -> ColumnarBackend:
     """The delta frozen as a columnar segment, locals in global-id order."""
-    backend = store.backend
-    delta = backend.delta
-    frozen_n = len(backend._seg_of)
+    delta = store.backend.delta
     weights: list[float] = []
     counts: list[int] = []
     segment = ColumnarBackend()
     for local in range(len(delta)):
-        gid = frozen_n + local
+        gid = delta.base + local
         segment.insert(local, delta.slot_ids(gid))
         weights.append(delta.weight(gid))
         counts.append(delta.count(gid))
@@ -144,8 +143,6 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
     gen_dir.mkdir(parents=True, exist_ok=True)
 
     new_index = backend.num_segments
-    delta_len = store.delta_size
-    frozen_n = len(backend._seg_of)
     segment = _delta_segment_backend(store)
 
     for index in range(new_index):
@@ -153,31 +150,18 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
         _link_or_copy(source_dir / filename, gen_dir / filename)
     write_segment(gen_dir, store.name, new_index, segment)
 
-    sections: dict[str, bytes] = {}
-    sections["seg_of"] = (
-        _column_bytes(backend._seg_of)
-        + array(ID_TYPECODE, [new_index] * delta_len).tobytes()
-    )
-    sections["local_of"] = (
-        _column_bytes(backend._local_of)
-        + array(ID_TYPECODE, range(delta_len)).tobytes()
-    )
-    sections["weights"] = (
-        _column_bytes(backend._weights) + _column_bytes(segment._weights)
-    )
-    # Counts come from the records, not the old column: duplicate evidence
-    # for frozen statements bumps record counts that the old column predates.
-    sections["counts"] = array(
-        ID_TYPECODE, [count for count, _confidence, _prov in record_metadata(store)]
-    ).tobytes()
-    for index in range(new_index):
-        sections[f"seg{index}:globals"] = _column_bytes(backend._globals[index])
-    sections[f"seg{new_index}:globals"] = array(
-        ID_TYPECODE, range(frozen_n, frozen_n + delta_len)
-    ).tobytes()
-
+    sections = {
+        "weights": _column_bytes(backend._weights) + _column_bytes(segment._weights),
+        # Counts come from the records, not the old column: duplicate
+        # evidence for frozen statements bumps record counts that the old
+        # column predates.
+        "counts": array(
+            ID_TYPECODE,
+            [count for count, _confidence, _prov in record_metadata(store)],
+        ).tobytes(),
+    }
     write_manifest(
-        gen_dir, store, sections, backend.segment_sizes() + [delta_len]
+        gen_dir, store, sections, backend.segment_sizes() + [store.delta_size]
     )
     if swap:
         swap_current(root, generation)

@@ -16,10 +16,11 @@ property-tested against.
 
 Reads hand out **immutable snapshots**: :meth:`DeltaSegment.posting_part`
 returns a :class:`DeltaPart` whose posting order and weights are fixed at
-capture time (weights are snapshot per delta *version*), so a k-way merge
-can keep consuming a part while concurrent ``add_all`` calls grow the
-delta — later additions simply aren't in that part.  Mutations are serialised by an internal lock; every mutation bumps
-``version``, invalidating the per-``(signature, key)`` part cache.
+capture time (weights are snapshot per delta *version*), so a merge can
+keep consuming a part while concurrent ``add_all`` calls grow the delta —
+later additions simply aren't in that part.  Mutations are serialised by
+an internal lock; every mutation bumps ``version``, invalidating the
+per-``(signature, key)`` part cache.
 
 Deltas are folded into frozen columnar segments by background compaction
 (:mod:`repro.storage.compaction`).
@@ -44,8 +45,8 @@ class DeltaPart(NamedTuple):
     """One lookup's immutable slice of the delta, merge-ready.
 
     ``postings`` are delta-local positions in canonical (weight desc, tie
-    key asc, gid asc) order; ``globals_`` maps local position -> global
-    triple id; ``weights`` is a *snapshot* indexed by global id, frozen at
+    key asc, gid asc) order; ``start`` is the delta's first global id
+    (``gid = start + local``); ``weights`` is a *snapshot* indexed by global id, frozen at
     the delta version the part was captured at — a merge that ordered its
     heap by these keys stays internally consistent even if the live delta
     is updated mid-merge; ``columns`` are the s/p/o term-id columns
@@ -53,7 +54,7 @@ class DeltaPart(NamedTuple):
     """
 
     postings: Sequence[int]
-    globals_: Sequence[int]
+    start: int
     weights: "_DeltaWeights"
     columns: tuple[Sequence[int], Sequence[int], Sequence[int]]
 
@@ -100,7 +101,6 @@ class DeltaSegment:
         self._levels: list[float] = []
         self._held: dict[float, int] = {}
         self._counts: list[int] = []
-        self._globals: list[int] = []
         self._version = 0
         self._lock = threading.RLock()
         # (sig, key) -> (version, DeltaPart | None)
@@ -142,7 +142,6 @@ class DeltaSegment:
             self._weights.append(weight)
             self._hold(weight)
             self._counts.append(count)
-            self._globals.append(gid)
             self._version += 1
 
     def update(self, gid: int, weight: float, count: int) -> None:
@@ -242,7 +241,7 @@ class DeltaSegment:
                 matches.sort(key=lambda local: (-weights[local], ties[local]))
                 part = DeltaPart(
                     tuple(matches),
-                    tuple(self._globals),
+                    self._base,
                     self._weights_view(),
                     tuple(zip(*slots)),
                 )

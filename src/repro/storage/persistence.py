@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.core.triples import Triple
 from repro.errors import PersistenceError
-from repro.storage.backend import StorageBackend, make_backend
+from repro.storage.backend import make_backend
 from repro.storage.store import TripleStore
 from repro.storage.termcodec import (
     decode_provenance,
@@ -78,25 +78,24 @@ def save_store(store: TripleStore, path: str | Path) -> int:
 def load_store(
     path: str | Path,
     freeze: bool = True,
-    backend: str | StorageBackend | None = None,
+    backend: str | None = None,
 ) -> TripleStore:
     """Load a store previously written by :func:`save_store` or
     :func:`repro.storage.snapshot.save_snapshot`.
 
     A directory is a snapshot and is returned as mapped (zero-copy,
-    segmentation as saved); snapshots are inherently frozen, so
+    segments as saved); snapshots are inherently frozen, so
     ``freeze=False`` is rejected for them.  A file is JSONL — or a
     pre-directory single-file snapshot, which
     :func:`~repro.storage.snapshot.load_snapshot` rejects by version.
-    ``backend`` accepts what ``TripleStore(backend=...)`` does (``None``,
-    ``"sharded"`` or a fresh ``ShardedBackend(n)``; any other name raises
-    :class:`~repro.errors.StorageError`) and only shapes a JSONL load,
-    which is re-ingested.
+    ``backend`` accepts what ``TripleStore(backend=...)`` does (``None`` or
+    ``"sharded"``; any other name raises :class:`~repro.errors.StorageError`)
+    and is only checked: the layout is the same on every path.
     """
     path = Path(path)
     if not path.exists():
         raise PersistenceError(f"No such file: {path}")
-    fresh = make_backend(backend)  # rejects unknown names on every path
+    make_backend(backend)  # rejects unknown names on every path
 
     from repro.storage.snapshot import is_snapshot, load_snapshot
 
@@ -120,7 +119,7 @@ def load_store(
             raise PersistenceError(
                 f"Not a {FORMAT_NAME} file: format={header.get('format')!r}"
             )
-        store = TripleStore(name=header.get("name", "XKG"), backend=fresh)
+        store = TripleStore(name=header.get("name", "XKG"), backend=backend)
         for line_number, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:

@@ -1,38 +1,43 @@
-"""The store layout: hash-partitioned columnar segments behind one merge.
+"""The store layout: one base segment, the segments compaction appends, a merge.
 
 The paper's system served its XKG from a sharded ElasticSearch index; this
-backend reproduces the shape behind the :class:`~repro.storage.backend.
-StorageBackend` protocol.  Triples are hash-partitioned by their (s, p, o)
-term ids across N inner :class:`~repro.storage.columnar.ColumnarBackend`
-segments; each segment freezes its own permutation arrays over *local* ids,
-and a thin global layer keeps the id translation (global → segment/local,
-segment/local → global) plus the global weight and count columns.
+backend keeps the name for the layout behind the :class:`~repro.storage.
+backend.StorageBackend` protocol.  A fresh build is **one** columnar
+:class:`~repro.storage.columnar.ColumnarBackend` segment — the *base
+segment*, whose local ids are the global triple ids.  Compaction
+(:mod:`repro.storage.compaction`) appends one segment per generation after
+it, each holding the contiguous global id range the folded delta owned.
+So the whole id map is one start offset per segment: ``gid = start +
+local``.
 
-``postings()`` answers with a **lazy k-way merge** of the segments'
-score-sorted lists: segment heads are compared in the canonical posting
-order — weight desc, tie key asc (the sort keys of the lookup's free
-slots), global id asc — exactly the order each segment freezes with, so
-the merged stream is element-identical to one segment holding everything,
-while only the consumed prefix is ever materialised.  The merge runs
-in-line on the consuming thread and pulls each segment's heads as
-pre-keyed **blocks** — a ``(-weight, tie keys…)`` merge-key column and a
-global-id column, built by C-speed gathers
-(:func:`repro.topk.kernels.prepare_head_block`) instead of per-head
-Python loops.  :meth:`configure_block_cache` attaches the
-engine-owned :class:`~repro.topk.kernels.HotBlockCache`, so the front
-blocks Zipfian traffic hammers are decoded once and served from memory
-(delta blocks are never cached — the mutable segment changes under live
-ingestion).  Batch sizing (:meth:`configure_prefetch`) is either fixed or
-**adaptive** (``batch=None``): each merge starts small and doubles its
-per-segment pull as the consumer keeps draining, so one-head rewriting
-probes stay cheap while deep drains converge to amortised bulk pulls — the
-controller state is per merge instance, i.e. per query.  With
-``batch_size=1`` the merge degenerates to the item-at-a-time pull — the
-byte-identical reference batched execution is property-tested against.
-The id-space execution core runs over a partitioned store unchanged.
+``postings()`` answers with a :class:`MergedPostings` sequence over the
+segments (and the mutable delta) that hold the lookup's key.  When one
+stream contributes — every lookup on a fresh store — its posting range is
+copied in pulls, with no heap and no merge keys.  When several do (the
+generations and delta of a store under live ingestion), heads are merged
+lazily in the canonical posting order — weight desc, tie key asc (the sort
+keys of the lookup's free slots), global id asc — exactly the order each
+segment freezes with, so the merged stream is element-identical to one
+segment holding everything, while only the consumed prefix is ever
+materialised.  That merge pulls each segment's heads as pre-keyed
+**blocks** — a ``(-weight, tie keys…)`` merge-key column and a global-id
+column, built by C-speed gathers (:func:`repro.topk.kernels.
+prepare_head_block`) instead of per-head Python loops.
+:meth:`configure_block_cache` attaches the engine-owned
+:class:`~repro.topk.kernels.HotBlockCache`, so the front blocks Zipfian
+traffic hammers are keyed once and served from memory (delta blocks are
+never cached — the mutable segment changes under live ingestion).
+
+Batch sizing (:meth:`configure_prefetch`) is either fixed or **adaptive**
+(``batch=None``): each lookup starts small and doubles its pull as the
+consumer keeps draining, so one-head rewriting probes stay cheap while deep
+drains converge to amortised bulk pulls — the controller state is per
+:class:`MergedPostings` instance, i.e. per query.  With ``batch_size=1``
+every pull is one item — the byte-identical reference batched execution is
+property-tested against.
 
 Snapshot-restored backends (:mod:`repro.storage.snapshot`) keep their
-segmentation: each segment's columns arrive as a lazy loader over its own
+segments: each segment's columns arrive as a lazy loader over its own
 mapped file, materialised on first touch — or all at once via
 :meth:`load_segments`.
 """
@@ -42,6 +47,7 @@ from __future__ import annotations
 import heapq
 import threading
 from array import array
+from bisect import bisect_right
 from typing import Callable, Sequence
 
 from repro.errors import StorageError
@@ -65,18 +71,15 @@ def _kernel_module():
         _kernels = kernels
     return _kernels
 
-#: Segment count of ``ShardedBackend()`` — what ``TripleStore()`` builds.
-DEFAULT_SEGMENTS = 4
-
-#: Heads pulled per segment per batch when no explicit prefetch
-#: configuration was supplied (``EngineConfig.merge_batch`` overrides).
+#: Items per pull when no explicit prefetch configuration was supplied
+#: (``EngineConfig.merge_batch`` overrides).
 DEFAULT_MERGE_BATCH = 64
 
-#: Adaptive merge batching (``batch=None``): per-merge slow start.  A fresh
-#: merge prepares this many heads per segment, and every further full-depth
-#: demand pull doubles the granularity up to the ceiling — so rewriting
-#: probes that peek one head stay cheap while queries that actually drain a
-#: posting list converge to large, amortised pulls.  The state lives on the
+#: Adaptive batching (``batch=None``): per-lookup slow start.  A fresh
+#: lookup pulls this many items, and every further full-depth demand pull
+#: doubles the granularity up to the ceiling — so rewriting probes that
+#: peek one head stay cheap while queries that actually drain a posting
+#: list converge to large, amortised pulls.  The state lives on the
 #: :class:`MergedPostings` instance, i.e. per lookup per query: concurrent
 #: queries adapt independently and cannot clobber each other.
 ADAPTIVE_INITIAL_BATCH = 8
@@ -84,7 +87,7 @@ ADAPTIVE_MAX_BATCH = 1024
 
 
 class _SegmentStream:
-    """One segment's contribution to a merge: postings plus the id map.
+    """One segment's contribution to a lookup: postings plus its start.
 
     ``prepare_block`` translates the ``[lo, hi)`` local posting ids into a
     pre-keyed head block — parallel merge-key and global-id columns — in
@@ -96,19 +99,19 @@ class _SegmentStream:
     end of the posting range already taken.
     """
 
-    __slots__ = ("postings", "globals_", "columns", "segment_index",
+    __slots__ = ("postings", "start", "columns", "segment_index",
                  "position", "kw", "kg", "index", "weights", "is_delta")
 
     def __init__(
         self,
         postings: Sequence[int],
-        globals_: Sequence[int],
+        start: int,
         columns: Sequence[Sequence[int]],
         weights=None,
         is_delta: bool = False,
     ):
         self.postings = postings
-        self.globals_ = globals_
+        self.start = start
         self.columns = columns
         self.segment_index = 0
         self.position = 0
@@ -126,43 +129,43 @@ class _SegmentStream:
         if self.weights is not None:
             weights = self.weights
         return _kernel_module().prepare_head_block(
-            self.postings, self.globals_, weights, lo, hi, self.columns, sort_key
+            self.postings, self.start, weights, lo, hi, self.columns, sort_key
         )
 
 
 class MergedPostings:
-    """Immutable posting sequence materialised lazily from a segment merge.
+    """Immutable posting sequence materialised lazily from its streams.
 
     Length is known up front (each global id lives in exactly one segment,
-    so the merged length is the sum of the part lengths); items are pulled
-    from the k-way merge only as far as callers index, iterate, or
-    :meth:`pull`.  Cursors that abandon a posting list after a few sorted
-    accesses never pay for the full merge.
+    so the length is the sum of the part lengths); items are pulled only as
+    far as callers index, iterate, or :meth:`pull`.  Cursors that abandon a
+    posting list after a few sorted accesses never pay for the rest.
 
-    ``parts`` are ``(postings, globals_, columns)`` per segment; the merge
-    key of a head is ``(-weight, sort_key(id) for each free-slot column)``.
-    Segment heads are prepared on the consuming thread in batches of
-    ``batch`` pre-keyed entries; ``batch=None`` selects **adaptive** sizing
-    (slow start per merge, see :data:`ADAPTIVE_INITIAL_BATCH`).  The
-    emitted order is deterministic and independent of batch sizing: the
-    heap compares ``(merge key, global id)`` and global ids are unique.
+    ``parts`` are ``(postings, start, columns)`` per segment.  One stream
+    is copied range by range (``gid = start + local``).  Several are merged
+    by a heap: the merge key of a head is ``(-weight, sort_key(id) for each
+    free-slot column)``, heads are prepared in batches of ``batch``
+    pre-keyed entries per stream, and the heap compares ``(merge key,
+    global id)`` — global ids are unique, so the emitted order is
+    deterministic.  ``batch=None`` selects **adaptive** sizing (slow start
+    per lookup, see :data:`ADAPTIVE_INITIAL_BATCH`); the emitted order is
+    independent of it.
 
     ``delta`` adds the store's mutable delta segment as one more stream:
-    a ``(postings, globals_, weights, columns)`` snapshot
+    a ``(postings, start, weights, columns)`` snapshot
     (:class:`~repro.storage.delta.DeltaPart` with its columns narrowed to
     the free slots) whose per-stream weight view covers the delta ids the
     merge-level weights column doesn't.  :attr:`delta_emitted` counts how
-    many merged items came from it — the source of
-    ``QueryStats.delta_hits``.
+    many items came from it — the source of ``QueryStats.delta_hits``.
     """
 
     __slots__ = ("_items", "_streams", "_weights", "_sort_key", "_length",
-                 "_heap", "_batch", "_adaptive", "_has_delta",
-                 "_delta_emitted", "_cache", "_cache_base", "_cache_hits")
+                 "_heap", "_batch", "_adaptive", "_delta_emitted", "_cache",
+                 "_cache_base", "_cache_hits")
 
     def __init__(
         self,
-        parts: list[tuple[Sequence[int], Sequence[int], Sequence[Sequence[int]]]],
+        parts: list[tuple[Sequence[int], int, Sequence[Sequence[int]]]],
         weights,
         length: int,
         *,
@@ -174,26 +177,27 @@ class MergedPostings:
         cache_base: tuple | None = None,
     ):
         self._items = array(ID_TYPECODE)
-        self._streams = [_SegmentStream(p, g, c) for p, g, c in parts]
+        self._streams = [_SegmentStream(p, s, c) for p, s, c in parts]
         if segment_indices is not None:
             for stream, index in zip(self._streams, segment_indices):
                 stream.segment_index = index
         if delta is not None:
-            delta_postings, delta_globals, delta_weights, delta_columns = delta
+            delta_postings, delta_start, delta_weights, delta_columns = delta
             stream = _SegmentStream(
                 delta_postings,
-                delta_globals,
+                delta_start,
                 delta_columns,
                 delta_weights,
                 is_delta=True,
             )
             stream.segment_index = -1
             self._streams.append(stream)
-        self._has_delta = delta is not None
         self._delta_emitted = 0
         self._weights = weights
         self._sort_key = sort_key
         self._length = length
+        # None until the first pull; the merge heap of a multi-stream
+        # lookup (a single stream leaves it empty).
         self._heap: list[tuple[float, int, int]] | None = None
         self._adaptive = batch is None
         self._batch = ADAPTIVE_INITIAL_BATCH if batch is None else max(1, batch)
@@ -211,17 +215,17 @@ class MergedPostings:
 
     @property
     def materialized(self) -> int:
-        """How many items have been pulled from the merge so far."""
+        """How many items have been pulled so far."""
         return len(self._items)
 
     @property
     def segments(self) -> int:
-        """Number of segments contributing to this merge."""
+        """Number of streams (segments and delta) contributing."""
         return len(self._streams)
 
     @property
     def batch_size(self) -> int:
-        """Current heads-per-segment pull granularity (grows when adaptive)."""
+        """Current pull granularity (grows when adaptive)."""
         return self._batch
 
     @property
@@ -277,32 +281,53 @@ class MergedPostings:
         stream.index = index + 1
         heapq.heappush(heap, (stream.kw[index], stream.kg[index], stream_id))
 
+    def _copy(self, n: int) -> int:
+        """Pull from the one contributing stream: its next ``n`` postings,
+        shifted by its start."""
+        stream = self._streams[0]
+        lo = stream.position
+        hi = stream.position = min(lo + n, len(stream.postings))
+        block = stream.postings[lo:hi]
+        if stream.start:
+            self._items.extend(map(stream.start.__add__, block))
+        elif isinstance(block, memoryview):
+            # A base segment's ids are global: one memcpy.
+            self._items.frombytes(block.cast("B"))
+        else:
+            self._items.extend(block)
+        if stream.is_delta:
+            self._delta_emitted += hi - lo
+        return hi - lo
+
     def pull(self, n: int) -> int:
         """Materialise up to ``n`` further items; return how many were added.
 
         This is the batched sorted-access entry point: one call amortises
-        the heap walk over ``n`` items instead of paying the per-item
-        Python overhead at every ``[index]``.
+        the per-item Python overhead over ``n`` items instead of paying it
+        at every ``[index]``.
         """
         if n <= 0:
             return 0
         heap = self._heap
+        single = len(self._streams) == 1
         if heap is None:
             heap = self._heap = []
-            # Size the opening prepare to the request: a one-head probe
-            # (rewriting enumeration peeking ids[0]) should not pay for a
-            # full batch per segment.
-            first = min(n, self._batch)
-            for stream_id in range(len(self._streams)):
-                self._push(heap, stream_id, first)
+            if not single:
+                # Size the opening prepare to the request: a one-head probe
+                # (rewriting enumeration peeking ids[0]) should not pay for
+                # a full batch per segment.
+                first = min(n, self._batch)
+                for stream_id in range(len(self._streams)):
+                    self._push(heap, stream_id, first)
         elif self._adaptive and n >= self._batch:
             # The consumer drained the previous granularity and came back
             # for at least as much again — this lookup is a deep drain, so
-            # double the per-segment pull (slow start, bounded).
+            # double the pull (slow start, bounded).
             self._batch = min(self._batch * 2, ADAPTIVE_MAX_BATCH)
+        if single:
+            return self._copy(n)
         items = self._items
         streams = self._streams
-        has_delta = self._has_delta
         delta_emitted = 0
         before = len(items)
         target = min(self._length, before + n)
@@ -310,7 +335,7 @@ class MergedPostings:
             neg_weight, gid, stream_id = heap[0]
             items.append(gid)
             stream = streams[stream_id]
-            if has_delta and stream.is_delta:
+            if stream.is_delta:
                 delta_emitted += 1
             index = stream.index
             if index < len(stream.kw):
@@ -363,24 +388,17 @@ class MergedPostings:
 
 
 class ShardedBackend:
-    """Hash-partitioned composite of N columnar segments."""
+    """The base segment plus the segments compaction appended after it."""
 
     name = "sharded"
 
-    def __init__(self, num_segments: int = DEFAULT_SEGMENTS):
-        if num_segments < 1:
-            raise StorageError(f"Need at least one segment, got {num_segments}")
-        self._segments: list[ColumnarBackend | None] = [
-            ColumnarBackend() for _ in range(num_segments)
-        ]
+    def __init__(self):
+        # The base segment; builds insert into it, freeze sorts it.
+        self._segments: list[ColumnarBackend | None] = [ColumnarBackend()]
         self._segment_loaders: list[Callable[[], ColumnarBackend]] | None = None
-        # Global triple id -> owning segment / local id within it.
-        self._seg_of = array(ID_TYPECODE)
-        self._local_of = array(ID_TYPECODE)
-        # Per segment: local id -> global id (ascending, since globals
-        # arrive densely — which keeps a segment's local id tie-break equal
-        # to the global one).
-        self._globals = [array(ID_TYPECODE) for _ in range(num_segments)]
+        # First global id of each segment; segments tile [0, _size).
+        self._starts = [0]
+        self._size = 0
         self._weights = array("d")
         self._counts = array(ID_TYPECODE)
         self._sort_key: Callable[[int], object] | None = None
@@ -399,11 +417,9 @@ class ShardedBackend:
     def _restore(
         cls,
         *,
-        seg_of,
-        local_of,
+        starts: Sequence[int],
         weights,
         counts,
-        globals_,
         segment_loaders: list[Callable[[], ColumnarBackend]],
         buffer=None,
         source_dir: str | None = None,
@@ -413,32 +429,27 @@ class ShardedBackend:
     ) -> "ShardedBackend":
         """Assemble an already-frozen backend from snapshot sections.
 
-        Segments arrive as zero-argument *loaders* over the mapped file and
-        materialise lazily on first touch (or eagerly, in parallel, via
-        :meth:`load_segments`) — a cold open pays for the global id maps
-        only.  The mapped ``buffer`` is owned here and released on
-        :meth:`close`.  ``sort_key`` is the tie key the segments were
-        frozen with; merges compare heads by it.
+        Segments arrive as zero-argument *loaders* over their mapped files
+        and materialise lazily on first touch (or all at once via
+        :meth:`load_segments`) — a cold open pays for the manifest only.
+        ``starts`` are the segments' first global ids.  The mapped
+        ``buffer`` is owned here and released on :meth:`close`.
+        ``sort_key`` is the tie key the segments were frozen with; merges
+        compare heads by it.
         """
-        backend = cls.__new__(cls)
+        backend = cls()
         backend._segments = [None] * len(segment_loaders)
         backend._segment_loaders = list(segment_loaders)
-        backend._seg_of = seg_of
-        backend._local_of = local_of
+        backend._starts = list(starts)
+        backend._size = len(weights)
         backend._weights = weights
         backend._counts = counts
         backend._sort_key = sort_key
-        backend._globals = list(globals_)
         backend._frozen = True
-        backend._closed = False
         backend._buffer = buffer
-        backend._load_lock = threading.Lock()
-        backend._merge_batch = DEFAULT_MERGE_BATCH
         backend._source_dir = source_dir
         backend._snapshot_root = snapshot_root if snapshot_root else source_dir
         backend._generation = generation
-        backend._delta = None
-        backend._block_cache = None
         return backend
 
     @property
@@ -471,7 +482,7 @@ class ShardedBackend:
         """Hook the store's mutable delta into every lookup surface.
 
         From here on the delta contributes one more stream to every
-        :meth:`postings` merge and the id-space accessors dispatch global
+        :meth:`postings` lookup and the id-space accessors dispatch global
         ids at or above the frozen size to it.
         """
         if not self._frozen:
@@ -489,7 +500,7 @@ class ShardedBackend:
         return self._closed
 
     def close(self) -> None:
-        """Close every segment and drop the global id maps.  Idempotent."""
+        """Close every segment and drop the global columns.  Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -497,19 +508,15 @@ class ShardedBackend:
         self._segment_loaders = None
         views = [
             view
-            for view in (self._seg_of, self._local_of, self._weights,
-                         self._counts, *self._globals)
+            for view in (self._weights, self._counts)
             if isinstance(view, memoryview)
         ]
         for segment in self._segments:
             if segment is not None:
                 segment.close()
         self._segments = _CLOSED
-        self._seg_of = _CLOSED
-        self._local_of = _CLOSED
         self._weights = _CLOSED
         self._counts = _CLOSED
-        self._globals = _CLOSED
         for view in views:
             view.release()
         buffer, self._buffer = self._buffer, None
@@ -523,21 +530,22 @@ class ShardedBackend:
 
     @property
     def num_segments(self) -> int:
-        return len(self._globals)
+        return len(self._starts)
 
     def segment_count(self) -> int:
-        """Physical partitions one lookup fans out over (protocol surface)."""
-        return len(self._globals)
+        """Physical segments one lookup fans out over (protocol surface)."""
+        return len(self._starts)
 
     def __len__(self) -> int:
-        n = len(self._seg_of)
+        n = self._size
         if self._delta is not None:
             n += len(self._delta)
         return n
 
     def segment_sizes(self) -> list[int]:
-        """Triples per segment (introspection and partitioning tests)."""
-        return [len(globals_) for globals_ in self._globals]
+        """Triples per segment, in global id order."""
+        ends = self._starts[1:] + [self._size]
+        return [end - start for start, end in zip(self._starts, ends)]
 
     def loaded_segments(self) -> list[int]:
         """Indices of segments whose columns are materialised (lazy loads)."""
@@ -563,16 +571,14 @@ class ShardedBackend:
         """Materialise every lazy segment."""
         if self._closed:
             raise StorageError("Storage backend is closed")
-        with self._load_lock:
-            count = len(self._segments)
-        for index in range(count):
+        for index in range(len(self._starts)):
             self._segment(index)
 
     def configure_prefetch(self, batch_size: int | None) -> None:
-        """Set the pull granularity for merged postings.
+        """Set the pull granularity of :class:`MergedPostings`.
 
         ``batch_size=1`` restores item-at-a-time pulls (the serial
-        reference) and ``batch_size=None`` selects per-merge adaptive
+        reference) and ``batch_size=None`` selects per-lookup adaptive
         sizing.  The engine wires ``EngineConfig.merge_batch`` through
         here.
 
@@ -610,8 +616,8 @@ class ShardedBackend:
     ) -> Sequence[int]:
         """Zero-copy block ``[lo, hi)`` of one segment's frozen posting
         list — the segment-addressed face of :meth:`ColumnarBackend.
-        posting_block` (local posting ids; translate via the segment's
-        global id map)."""
+        posting_block` (local posting ids; add the segment's start for
+        global ids)."""
         if self._closed:
             raise StorageError("Storage backend is closed")
         if not self._frozen:
@@ -622,29 +628,8 @@ class ShardedBackend:
 
     # -- build phase ------------------------------------------------------------
 
-    def _place(self, slot_ids: tuple[int, int, int]) -> int:
-        """Deterministic hash partition over the (s, p, o) term ids."""
-        s, p, o = slot_ids
-        return ((s * 2654435761 + p * 40503 + o) & 0x7FFFFFFF) % len(
-            self._globals
-        )
-
     def insert(self, triple_id: int, slot_ids: tuple[int, int, int]) -> None:
-        if self._frozen:
-            raise StorageError("Cannot insert into a frozen backend")
-        if triple_id != len(self._seg_of):
-            raise StorageError(
-                f"Triple ids must be dense: expected {len(self._seg_of)}, "
-                f"got {triple_id}"
-            )
-        segment_index = self._place(slot_ids)
-        globals_ = self._globals[segment_index]
-        local_id = len(globals_)
-        # xkg: allow[lock-discipline] builder phase: insert runs single-threaded before freeze() publishes the backend; lazy loads (the lock's domain) exist only on snapshot-loaded backends
-        self._segments[segment_index].insert(local_id, slot_ids)
-        globals_.append(triple_id)
-        self._seg_of.append(segment_index)
-        self._local_of.append(local_id)
+        self._segment(0).insert(triple_id, slot_ids)
 
     def freeze(
         self,
@@ -655,22 +640,13 @@ class ShardedBackend:
     ) -> None:
         if self._frozen:
             raise StorageError("Backend already frozen")
-        n = len(self._seg_of)
-        if len(weights) != n:
-            raise StorageError(f"{n} triples but {len(weights)} weights")
-        self._weights = array("d", weights)
-        if counts is not None:
-            if len(counts) != n:
-                raise StorageError(f"{n} triples but {len(counts)} counts")
-            self._counts = array(ID_TYPECODE, counts)
-        # xkg: allow[lock-discipline] builder phase: freeze runs single-threaded before the backend is shared; lazy loads (the lock's domain) exist only on snapshot-loaded backends
-        for segment_index, segment in enumerate(self._segments):
-            globals_ = self._globals[segment_index]
-            local_weights = [self._weights[g] for g in globals_]
-            local_counts = (
-                [self._counts[g] for g in globals_] if counts is not None else None
-            )
-            segment.freeze(local_weights, local_counts, sort_key=sort_key)
+        base = self._segment(0)
+        base.freeze(weights, counts, sort_key=sort_key)
+        # The base segment's local ids are the global ids: its columns are
+        # the global ones.
+        self._weights = base._weights
+        self._counts = base._counts
+        self._size = len(base)
         self._sort_key = sort_key
         self._frozen = True
 
@@ -701,17 +677,11 @@ class ShardedBackend:
         parts: list = []
         indices: list[int] = []
         total = 0
-        for segment_index in range(len(self._globals)):
+        for segment_index, start in enumerate(self._starts):
             segment = self._segment(segment_index)
             postings = segment.postings(bound_slots, key)
             if len(postings):
-                parts.append(
-                    (
-                        postings,
-                        self._globals[segment_index],
-                        segment.slot_columns(free),
-                    )
-                )
+                parts.append((postings, start, segment.slot_columns(free)))
                 indices.append(segment_index)
                 total += len(postings)
         if delta_part is not None:
@@ -751,9 +721,9 @@ class ShardedBackend:
         if not sig:
             raise StorageError("The scan signature has no keys")
         # Walk global ids so keys come out in first-occurrence order
-        # whatever the segment count.  Delta ids sit densely above the
-        # frozen ids, so delta-only keys land last in delta insertion
-        # order — the fresh-build order too.
+        # whatever the segments.  Delta ids sit densely above the frozen
+        # ids, so delta-only keys land last in delta insertion order — the
+        # fresh-build order too.
         seen: dict[tuple[int, ...], None] = {}
         for triple_id in range(len(self)):
             spo = self.slot_ids(triple_id)
@@ -761,44 +731,38 @@ class ShardedBackend:
         return list(seen)
 
     def slot_ids(self, triple_id: int) -> tuple[int, int, int]:
-        if self._delta is not None and triple_id >= len(self._seg_of):
+        if self._delta is not None and triple_id >= self._size:
             return self._delta.slot_ids(triple_id)
-        return self._segment(self._seg_of[triple_id]).slot_ids(
-            self._local_of[triple_id]
-        )
+        starts = self._starts
+        index = bisect_right(starts, triple_id) - 1
+        return self._segment(index).slot_ids(triple_id - starts[index])
 
     def weight(self, triple_id: int) -> float:
-        if self._delta is not None and triple_id >= len(self._weights):
+        if self._delta is not None and triple_id >= self._size:
             return self._delta.weight(triple_id)
         return self._weights[triple_id]
 
     def count(self, triple_id: int) -> int:
-        if self._delta is not None and triple_id >= len(self._seg_of):
+        if self._delta is not None and triple_id >= self._size:
             return self._delta.count(triple_id)
-        if not 0 <= triple_id < len(self._seg_of):
+        if not 0 <= triple_id < self._size:
             raise StorageError(f"Unknown triple id: {triple_id}")
-        if len(self._counts) != len(self._seg_of):
+        if len(self._counts) != self._size:
             raise StorageError("Backend was frozen without a counts column")
         return self._counts[triple_id]
 
     # -- introspection ------------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Approximate resident bytes across all segments + the id maps."""
-        import sys
-
+        """Approximate resident bytes across the loaded segments plus the
+        manifest's global columns."""
         with self._load_lock:
             loaded = [seg for seg in self._segments if seg is not None]
         total = sum(segment.memory_bytes() for segment in loaded)
+        # An in-memory build's global columns are its base segment's.
         total += sum(
-            column.nbytes if isinstance(column, memoryview) else sys.getsizeof(column)
-            for column in (self._seg_of, self._local_of, self._weights, self._counts)
-        )
-        total += sum(
-            globals_.nbytes
-            if isinstance(globals_, memoryview)
-            else sys.getsizeof(globals_)
-            for globals_ in self._globals
+            column.nbytes
+            for column in (self._weights, self._counts)
+            if isinstance(column, memoryview)
         )
         return total
-

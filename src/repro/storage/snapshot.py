@@ -21,10 +21,14 @@ decimal text.
 
 A snapshot is a **directory**: one self-contained container file per
 segment (``segment-0000.xkgsnap`` …) plus ``manifest.xkgsnap`` carrying the
-global id maps, weights, terms and record metadata.  Every segment is
-mapped only when a lookup first touches it.  The loaded backend remembers
-its :attr:`~repro.storage.sharded.ShardedBackend.source_dir` so compaction
-can hardlink the segment files into the next generation.
+global weight and count columns, terms and record metadata.  A saved store
+is one segment, the base; each compaction appends one.  The manifest's
+segment table gives each segment's file, first global id and size — the
+segments tile the id space in order, so ``gid = start + local`` is the
+whole id map.  Every segment is mapped only when a lookup first touches
+it.  The loaded backend remembers its
+:attr:`~repro.storage.sharded.ShardedBackend.source_dir` so compaction can
+hardlink the segment files into the next generation.
 
 A directory may additionally be **generational**: after background
 compaction (:mod:`repro.storage.compaction`) the root holds
@@ -39,12 +43,14 @@ platform, recorded in the header)::
 
     [ magic "XKGSNAP\\x01" ][ uint64 header offset ][ sections ... ][ header JSON ]
 
-The header JSON carries the format name/version (3), store name, byte
-order, item sizes, segmentation, and a section table
+The header JSON carries the format name/version (4), store name, byte
+order, item sizes, the segment table, and a section table
 ``{name: [offset, length]}``.  Placing the header *after* the sections
-keeps section offsets stable while the header is being composed.  The
-single-file containers of format versions 1 and 2 are no longer readable:
-:func:`load_snapshot` rejects them by version — re-save from JSONL.
+keeps section offsets stable while the header is being composed.  Earlier
+versions are not readable and :func:`load_snapshot` rejects them by
+version — re-save from JSONL: the single-file containers of versions 1
+and 2, and the version-3 directories that hash-partitioned a store over
+several segments with per-statement id maps.
 
 The manifest also names the **posting order** its segments were frozen in
 (``"order"``: :data:`POSTING_ORDER`, the canonical weight desc, tie key
@@ -88,7 +94,7 @@ from repro.storage.termcodec import (
 MAGIC = b"XKGSNAP\x01"
 FORMAT_NAME = "trinit-xkg-snapshot"
 #: The one container version written and read.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: The manifest's name for the canonical posting order (weight desc, tie
 #: key asc, id asc) its segments were frozen in.
@@ -317,8 +323,16 @@ def write_manifest(
     segment_sizes: list[int],
 ) -> int:
     """Write the manifest of ``len(segment_sizes)`` segments into
-    ``directory``: ``sections`` are the global id maps, joined here by the
-    term dictionary and record metadata of ``store``."""
+    ``directory``: ``sections`` are the global weight and count columns,
+    joined here by the term dictionary and record metadata of ``store``.
+    Segment ``i`` starts at the sum of the sizes before it."""
+    segments = []
+    start = 0
+    for index, size in enumerate(segment_sizes):
+        segments.append(
+            {"file": segment_filename(index), "start": start, "size": size}
+        )
+        start += size
     return _write_container(
         directory / MANIFEST_NAME,
         {**_metadata_sections(store), **sections},
@@ -329,11 +343,7 @@ def write_manifest(
             "triples": len(store),
             "terms": len(store.dictionary),
             "order": POSTING_ORDER,
-            "segments": len(segment_sizes),
-            "segment_sizes": segment_sizes,
-            "segment_files": [
-                segment_filename(index) for index in range(len(segment_sizes))
-            ],
+            "segments": segments,
         },
     )
 
@@ -343,8 +353,8 @@ def save_snapshot(store: TripleStore, path: str | Path) -> int:
 
     Returns bytes written.  The store must be frozen (snapshots capture
     posting structures, which only exist after freeze) and carry no
-    uncompacted delta.  Segmentation round-trips: segment count,
-    per-segment posting layout and the global id maps.  ``path`` becomes a
+    uncompacted delta.  Segments round-trip: a fresh build is one, a
+    compacted store keeps its generations' segments.  ``path`` becomes a
     directory holding one self-contained container per segment plus the
     manifest; a root that compaction has already turned generational
     (``CURRENT`` pointer) is refused — its live generation would shadow
@@ -376,13 +386,9 @@ def save_snapshot(store: TripleStore, path: str | Path) -> int:
         for index in range(backend.num_segments)
     )
     sections = {
-        "seg_of": _column_bytes(backend._seg_of),
-        "local_of": _column_bytes(backend._local_of),
         "weights": _column_bytes(backend._weights),
         "counts": _column_bytes(backend._counts),
     }
-    for index in range(backend.num_segments):
-        sections[f"seg{index}:globals"] = _column_bytes(backend._globals[index])
     return total + write_manifest(path, store, sections, backend.segment_sizes())
 
 
@@ -428,6 +434,8 @@ def _read_header(base: memoryview) -> dict:
         )
     if header.get("signatures") != [_sig_key(sig) for sig in SIGNATURES]:
         raise PersistenceError("Snapshot signature set does not match this build")
+    if not isinstance(header.get("sections"), dict):
+        raise PersistenceError("Corrupt snapshot header: no section table")
     return header
 
 
@@ -517,7 +525,12 @@ class _Container:
     def restore_columnar(self, length: int) -> ColumnarBackend:
         """The :class:`ColumnarBackend` segment this container holds,
         validated against the ``length`` the manifest declares; the
-        segment takes ownership of the mapping."""
+        segment takes ownership of the mapping.
+
+        Each signature's key spans are written in permutation order and
+        tile ``[0, length)``; a table that does not is refused — a span
+        past its neighbours would answer lookups with other keys' ids.
+        """
         col_s = self.ids("col:s")
         col_p = self.ids("col:p")
         col_o = self.ids("col:o")
@@ -545,12 +558,21 @@ class _Container:
             arity = len(sig)
             stride = arity + 2
             if len(flat) % stride:
-                raise PersistenceError(f"Corrupt snapshot: offset table {key}")
+                raise PersistenceError(
+                    f"Corrupt snapshot: offset table {key}: {self.path}"
+                )
             table: dict[tuple[int, ...], tuple[int, int]] = {}
+            stop = 0
             for i in range(0, len(flat), stride):
-                table[tuple(flat[i : i + arity])] = (
-                    flat[i + arity],
-                    flat[i + arity + 1],
+                start = flat[i + arity]
+                if start != stop or flat[i + arity + 1] <= start:
+                    break
+                stop = flat[i + arity + 1]
+                table[tuple(flat[i : i + arity])] = (start, stop)
+            if len(table) * stride != len(flat) or stop != length:
+                raise PersistenceError(
+                    f"Corrupt snapshot: offset table {key} does not tile "
+                    f"its {length} postings: {self.path}"
                 )
             offsets[sig] = table
         scan = self.ids("scan")
@@ -683,37 +705,46 @@ class _SnapshotRecords(Sequence):
         return record
 
 
-def _global_id_maps(container: _Container, header: dict):
-    """Validated (seg_of, local_of, weights, counts, globals) of a manifest."""
-    n = header["triples"]
-    num_segments = header.get("segments")
-    sizes = header.get("segment_sizes")
-    if (
-        not isinstance(num_segments, int)
-        or num_segments < 1
-        or not isinstance(sizes, list)
-        or len(sizes) != num_segments
-        or not all(isinstance(size, int) and size >= 0 for size in sizes)
-        or sum(sizes) != n
-    ):
-        raise PersistenceError("Corrupt snapshot: bad segmentation header")
-    seg_of = container.ids("seg_of")
-    local_of = container.ids("local_of")
-    weights = container.doubles("weights")
-    counts = container.ids("counts")
-    if not (len(seg_of) == len(local_of) == len(weights) == len(counts) == n):
-        raise PersistenceError(
-            f"Header declares {n} triples but the global columns disagree"
-        )
-    globals_ = []
-    for index in range(num_segments):
-        seg_globals = container.ids(f"seg{index}:globals")
-        if len(seg_globals) != sizes[index]:
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _segment_table(container: _Container) -> list[tuple[str, int, int]]:
+    """The validated ``(file, start, size)`` of each segment a manifest
+    lists: the segments tile ``[0, triples)`` in order."""
+    header = container.header
+    for field in ("triples", "terms"):
+        if not _is_count(header.get(field)):
             raise PersistenceError(
-                f"Corrupt snapshot: segment {index} id map truncated"
+                f"Corrupt snapshot header: {field!r} is "
+                f"{header.get(field)!r}, not a count: {container.path}"
             )
-        globals_.append(seg_globals)
-    return seg_of, local_of, weights, counts, globals_, sizes
+    table = header.get("segments")
+    if not isinstance(table, list) or not table:
+        raise PersistenceError(
+            f"Corrupt snapshot header: no segment table: {container.path}"
+        )
+    segments = []
+    start = 0
+    for entry in table:
+        if (
+            not isinstance(entry, dict)
+            or not isinstance(entry.get("file"), str)
+            or entry.get("start") != start
+            or not _is_count(entry.get("size"))
+        ):
+            raise PersistenceError(
+                f"Corrupt snapshot header: segment entry {entry!r} does not "
+                f"start at global id {start}: {container.path}"
+            )
+        segments.append((entry["file"], start, entry["size"]))
+        start += entry["size"]
+    if start != header["triples"]:
+        raise PersistenceError(
+            f"Corrupt snapshot header: segments hold {start} triples, the "
+            f"header declares {header['triples']}: {container.path}"
+        )
+    return segments
 
 
 def _lazy_dictionary(container: _Container) -> LazyTermDictionary:
@@ -820,29 +851,23 @@ def load_snapshot(path: str | Path, *, map_file: bool = True) -> TripleStore:
                 "build that wrote it (persistence.save_store) and "
                 "save_snapshot the reloaded store with this one"
             )
-        seg_of, local_of, weights, counts, globals_, sizes = _global_id_maps(
-            manifest, header
-        )
-        segment_files = header.get("segment_files")
-        if (
-            not isinstance(segment_files, list)
-            or len(segment_files) != len(sizes)
-            or not all(isinstance(name, str) for name in segment_files)
-        ):
+        segments = _segment_table(manifest)
+        weights = manifest.doubles("weights")
+        counts = manifest.ids("counts")
+        if not len(weights) == len(counts) == header["triples"]:
             raise PersistenceError(
-                "Corrupt directory snapshot: bad segment file table"
+                f"Header declares {header['triples']} triples but the global "
+                f"columns disagree: {manifest_path}"
             )
 
         dictionary = _lazy_dictionary(manifest)
         backend = ShardedBackend._restore(
-            seg_of=seg_of,
-            local_of=local_of,
+            starts=[start for _file, start, _size in segments],
             weights=weights,
             counts=counts,
-            globals_=globals_,
             segment_loaders=[
-                partial(_load_segment, gen_dir / filename, index, length, map_file)
-                for index, (filename, length) in enumerate(zip(segment_files, sizes))
+                partial(_load_segment, gen_dir / filename, index, size, map_file)
+                for index, (filename, _start, size) in enumerate(segments)
             ],
             buffer=manifest.buffer,
             source_dir=str(gen_dir),

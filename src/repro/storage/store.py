@@ -87,9 +87,9 @@ class TripleStore:
     name:
         Label used in provenance descriptions and persistence headers.
     backend:
-        ``None`` or ``"sharded"`` for the default segment count, or a fresh
-        :class:`~repro.storage.sharded.ShardedBackend` ``(n)`` to pick it;
-        anything else raises :class:`StorageError`.
+        ``None`` or ``"sharded"``, the one layout
+        (:class:`~repro.storage.sharded.ShardedBackend`); anything else
+        raises :class:`StorageError`.
     """
 
     #: Preferred posting-block granularity for the id-space execution
@@ -99,7 +99,7 @@ class TripleStore:
     #: overrides it per instance through :meth:`configure_blocks`.
     _block_size: int | None = None
 
-    def __init__(self, name: str = "XKG", backend: str | StorageBackend | None = None):
+    def __init__(self, name: str = "XKG", backend: str | None = None):
         self.name = name
         self.dictionary = TermDictionary()
         self._triples: list[StoredTriple] = []
@@ -599,20 +599,19 @@ class TripleStore:
         """All distinct terms of a kind appearing anywhere in the store."""
         return [self.dictionary.decode(i) for i in self.dictionary.ids_of_kind(kind)]
 
-    # -- backend conversion ------------------------------------------------------------
+    # -- rebuild ------------------------------------------------------------
 
-    def convert(self, backend: str | StorageBackend) -> "TripleStore":
-        """An in-memory rebuild of this store on a fresh backend.
+    def rebuild(self) -> "TripleStore":
+        """An in-memory rebuild of this store: one fresh base segment.
 
-        ``backend`` is what the constructor accepts — a fresh
-        ``ShardedBackend(n)`` re-segments.  Records are re-added in id
-        order (frozen records first, then any live delta records), so
-        triple ids, dictionary ids, and posting orders are identical to a
-        fresh build over the same statements — the rebuild is
-        observationally transparent to query processing.  This is also the
-        path compaction uses to fold a delta into a fresh frozen store.
+        Records are re-added in id order (frozen records first, then any
+        live delta records), so triple ids, dictionary ids, and posting
+        orders are identical to a fresh build over the same statements —
+        the rebuild is observationally transparent to query processing.
+        This is also the path compaction uses to fold a delta into a fresh
+        frozen store.
         """
-        clone = TripleStore(self.name, backend=backend)
+        clone = TripleStore(self.name)
         for record in self.records():
             key = (
                 clone.dictionary.encode(record.triple.s),

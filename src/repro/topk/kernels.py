@@ -14,16 +14,17 @@ instead of once per posting:
 * :func:`prepare_head_block` — a posting range translated to pre-keyed
   merge heads as two parallel columns (``(-weight, tie keys…)`` merge keys
   in the canonical posting order + global ids, every input column
-  gathered by one ``itemgetter`` call), the unit the sharded k-way merge
-  refills by and the hot-block cache keeps — so a repeated query pays
-  nothing for the tie keys;
+  gathered by one ``itemgetter`` call), the unit the merge of a
+  multi-segment lookup refills by and the hot-block cache keeps — so a
+  repeated query pays nothing for the tie keys;
 * :func:`filter_consistent_block` / :func:`bind_block` — the block
   variants of :meth:`PatternPlan.consistent` / ``bind_into`` (repeated
   variable filtering over columns; the bindings of a whole tied head run
   in one call);
 * :class:`HotBlockCache` — a small bounded LRU over prepared head blocks,
   keyed on ``(backend identity, segment, signature, block range)``, so
-  Zipfian head queries stop re-decoding the same front blocks.  The engine
+  Zipfian head queries over a multi-segment store stop re-keying the same
+  front blocks.  The engine
   owns one instance and clears it whenever it publishes a new generation.
 
 This module deliberately imports nothing from the storage or topk layers
@@ -92,7 +93,7 @@ def gather_weights(weights, tids: Sequence[int]) -> Sequence[float]:
 
 def prepare_head_block(
     postings: Sequence[int],
-    globals_: Sequence[int],
+    start: int,
     weights,
     lo: int,
     hi: int,
@@ -101,13 +102,13 @@ def prepare_head_block(
 ) -> HeadBlock:
     """Translate a local posting range into pre-keyed merge-head columns.
 
-    Two parallel columns: the merge keys and the global ids.  A head's
-    merge key is ``(-weight, sort_key(c[local]) for c in columns)`` — the
-    canonical posting order's weight and tie key, where ``columns`` are
-    the lookup's free-slot term-id columns (local-indexed).  Every column
-    is gathered by one ``itemgetter(*block)`` call (one C dispatch per
-    *block*, not per head); ``-w`` float negation flips the sign bit only,
-    so the weight part is bit-equal to the weight column.
+    Two parallel columns: the merge keys and the global ids, ``start +
+    local``.  A head's merge key is ``(-weight, sort_key(c[local]) for c in
+    columns)`` — the canonical posting order's weight and tie key, where
+    ``columns`` are the lookup's free-slot term-id columns (local-indexed).
+    Every column is gathered by one ``itemgetter(*block)`` call (one C
+    dispatch per *block*, not per head); ``-w`` float negation flips the
+    sign bit only, so the weight part is bit-equal to the weight column.
     """
     block = postings[lo:hi]
     n = len(block)
@@ -115,10 +116,10 @@ def prepare_head_block(
         return [], ()
     if n == 1:
         local = block[0]
-        gid = globals_[local]
+        gid = start + local
         return [(-weights[gid], *(sort_key(c[local]) for c in columns))], (gid,)
     gather = itemgetter(*block)
-    gids = gather(globals_)
+    gids = tuple(map(start.__add__, block)) if start else tuple(block)
     negw = map(neg, itemgetter(*gids)(weights))
     ties = [map(sort_key, gather(column)) for column in columns]
     return list(zip(negw, *ties)), gids

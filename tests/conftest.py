@@ -13,13 +13,10 @@ from repro.core.terms import Literal, Resource, TextToken, Variable
 from repro.core.triples import Provenance, Triple
 from repro.eval.harness import EvalHarness
 from repro.kg.paper_example import paper_engine, paper_rules, paper_store
-from repro.storage.sharded import DEFAULT_SEGMENTS
 from repro.storage.store import TripleStore
 from repro.util.heap import TieFrontier
 
-#: The one storage axis: segment count of the sharded-over-columnar layout —
-#: a 1-segment store (the merge degenerates to one stream) and the default.
-SEGMENT_COUNTS = (1, DEFAULT_SEGMENTS)
+from layouts import LAYOUTS, as_layout
 
 #: A join settles inside an answer-ordered tied run only where that skips
 #: ``TieFrontier.MIN_SKIP`` postings — more than the small worlds of the
@@ -29,24 +26,25 @@ SETTLE_SKIPS = (0, TieFrontier.MIN_SKIP)
 
 
 def pytest_generate_tests(metafunc):
-    """Any test taking a ``segments`` argument runs once per segment count;
-    build its store with ``TripleStore(backend=ShardedBackend(segments))``.
+    """Any test taking a ``layout`` argument runs once per store layout
+    production serves (:data:`layouts.LAYOUTS`); the ``relayout`` fixture
+    (or, under hypothesis, :func:`layouts.as_layout`) puts a store in it.
     A ``settle_skip`` argument runs once per :data:`SETTLE_SKIPS`; patch
     ``TieFrontier.MIN_SKIP`` to it."""
-    if "segments" in metafunc.fixturenames:
-        metafunc.parametrize(
-            "segments", SEGMENT_COUNTS, ids=[f"{n}seg" for n in SEGMENT_COUNTS]
-        )
+    if "layout" in metafunc.fixturenames:
+        metafunc.parametrize("layout", LAYOUTS)
     if "settle_skip" in metafunc.fixturenames:
         metafunc.parametrize(
             "settle_skip", SETTLE_SKIPS, ids=[f"skip{n}" for n in SETTLE_SKIPS]
         )
 
 
-@pytest.fixture(scope="session")
-def segment_counts() -> tuple[int, ...]:
-    """The whole axis, for tests that compare segment counts to each other."""
-    return SEGMENT_COUNTS
+@pytest.fixture()
+def relayout(layout, tmp_path_factory):
+    """``store -> store`` in the test's layout: a frozen, delta-free store
+    comes back as itself (``fresh``) or as base segment + two compacted
+    generations + live delta over the same statements (``generational``)."""
+    return lambda store: as_layout(store, layout, tmp_path_factory)
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,8 @@ engine's only thread of its own is the compaction worker: under
 to the worker, the accepted ``executor_kind`` domain, the segment stats
 counters, and — the concurrent-correctness stress, driven from the test's
 own threads — that interleaving ``stream().next_k`` with ``ask_many`` on
-one shared engine yields exactly the serial answers at every segment
-count.
+one shared engine yields exactly the serial answers on either store
+layout.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +23,6 @@ from repro.core.terms import Resource
 from repro.core.triples import Triple
 from repro.errors import TrinitError
 from repro.kg.paper_example import paper_store
-from repro.storage.sharded import DEFAULT_SEGMENTS, ShardedBackend
 from repro.topk.processor import ProcessorConfig
 
 QUERIES = [
@@ -40,9 +39,8 @@ LIVE = [
 ]
 
 
-def _engine(segments: int = DEFAULT_SEGMENTS, **kwargs) -> TriniT:
-    store = paper_store().convert(ShardedBackend(segments))
-    return TriniT(store, config=EngineConfig(**kwargs))
+def _engine(store=None, **kwargs) -> TriniT:
+    return TriniT(store or paper_store(), config=EngineConfig(**kwargs))
 
 
 def signature(answer_set):
@@ -66,8 +64,8 @@ def count_submits(engine: TriniT) -> list:
 
 
 class TestWhatRunsOnTheWorker:
-    def test_queries_run_inline(self, segments):
-        engine = _engine(segments, merge_batch=2)
+    def test_queries_run_inline(self, relayout):
+        engine = _engine(relayout(paper_store()), merge_batch=2)
         submitted = count_submits(engine)
         for text in QUERIES:
             engine.ask(text, k=8)
@@ -77,8 +75,10 @@ class TestWhatRunsOnTheWorker:
         engine.ask_many(QUERIES, k=3)
         assert submitted == []
 
-    def test_threshold_compaction_runs_in_background(self, segments):
-        engine = _engine(segments, compaction_threshold=2)
+    def test_threshold_compaction_runs_in_background(self, relayout):
+        store = relayout(paper_store())
+        generation = store.backend.generation
+        engine = _engine(store, compaction_threshold=store.delta_size + 2)
         submitted = count_submits(engine)
         engine.ingest(LIVE[:1])
         assert submitted == []  # below threshold
@@ -86,7 +86,7 @@ class TestWhatRunsOnTheWorker:
         [compaction] = submitted
         compaction.result(timeout=30)
         assert engine.store.delta_size == 0
-        assert engine.generation == 1
+        assert engine.generation == generation + 1
 
     def test_variant_shares_the_worker(self):
         engine = _engine(compaction_threshold=2)
@@ -178,8 +178,8 @@ class TestSegmentStats:
 class TestConcurrentStress:
     """Interleave stream pagination and batch queries on one shared engine."""
 
-    def test_interleaved_streams_and_ask_many(self, segments):
-        engine = _engine(segments, merge_batch=3)
+    def test_interleaved_streams_and_ask_many(self, relayout):
+        engine = _engine(relayout(paper_store()), merge_batch=3)
         reference = {
             text: signature(engine.ask(text, k=8)) for text in QUERIES
         }
@@ -207,8 +207,8 @@ class TestConcurrentStress:
             for future in batch_futures:
                 assert future.result() == [reference[t] for t in QUERIES]
 
-    def test_streams_resume_exactly_after_contention(self, segments):
-        engine = _engine(segments, merge_batch=2)
+    def test_streams_resume_exactly_after_contention(self, relayout):
+        engine = _engine(relayout(paper_store()), merge_batch=2)
         eager = signature(engine.ask(QUERIES[0], k=8))
         stream = engine.stream(QUERIES[0])
         first = stream.next_k(4)

@@ -265,7 +265,7 @@ def test_compaction_that_renumbers_terms_falls_back_to_the_sweep():
     store.add(Triple(Resource("AlbertEinstein"), Resource("bornIn"), Resource("Ulm")))
     store.add(Triple(Resource("AlbertEinstein"), Resource("livedIn"), Resource("Zurich")))
     engine = TriniT(store)
-    reference = TriniT(store.convert(None))
+    reference = TriniT(store.rebuild())
     engine.ask(QUERY)
     engine.suggest(QUERY)
     batch = [Triple(Resource("NielsBohr"), TextToken("born in"), Resource("Copenhagen"))]

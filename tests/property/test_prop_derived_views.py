@@ -26,11 +26,12 @@ from repro.core.parser import parse_query
 from repro.core.suggestion import QuerySuggester
 from repro.core.terms import Resource, TextToken
 from repro.core.triples import Triple
-from repro.storage.sharded import ShardedBackend
 from repro.storage.snapshot import save_snapshot
 from repro.storage.statistics import StoreStatistics
 from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatcher
+
+from layouts import as_layout, generational_copy
 
 ENTITIES = [
     Resource("AlbertEinstein"),
@@ -88,8 +89,8 @@ steps = st.one_of(
 )
 
 
-def _frozen(entries, segments):
-    store = TripleStore(backend=ShardedBackend(segments))
+def _frozen(entries):
+    store = TripleStore()
     for triple, confidence, count in entries:
         store.add(triple, confidence=confidence, count=count)
     return store.freeze()
@@ -158,10 +159,11 @@ def _assert_equals_a_sweep(engine, matcher_state, statistics_state, *, force=Fal
     threshold=st.sampled_from([None, 3]),
 )
 def test_derived_views_equal_a_sweep(
-    segments, matcher_state, statistics_state, base, warm, sequence, threshold
+    layout, tmp_path_factory, matcher_state, statistics_state, base, warm,
+    sequence, threshold,
 ):
     engine = TriniT(
-        _frozen(base, segments),
+        as_layout(_frozen(base), layout, tmp_path_factory),
         config=EngineConfig(executor_kind="serial", compaction_threshold=threshold),
     )
     try:
@@ -180,16 +182,18 @@ def test_derived_views_equal_a_sweep(
     sequence=st.lists(steps, min_size=1, max_size=6),
 )
 def test_derived_views_equal_a_sweep_across_snapshot_generations(
-    segments, matcher_state, statistics_state, base, sequence
+    layout, matcher_state, statistics_state, base, sequence
 ):
     """The same property where compaction writes a generation and reloads
     it (``write_generation``), instead of rebuilding in memory."""
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch) / "xkg.snapd"
-        save_snapshot(_frozen(base, segments), root)
-        engine = TriniT.open(
-            root, config=EngineConfig(executor_kind="serial", compaction_threshold=4)
-        )
+        config = EngineConfig(executor_kind="serial", compaction_threshold=4)
+        if layout == "fresh":
+            save_snapshot(_frozen(base), root)
+            engine = TriniT.open(root, config=config)
+        else:
+            engine = TriniT(generational_copy(_frozen(base), root), config=config)
         try:
             _apply(engine, ("warm", "both"))
             for step in sequence:

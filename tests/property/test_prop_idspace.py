@@ -1,10 +1,10 @@
-"""Property-based equivalence: id-space × segment counts × termination modes.
+"""Property-based equivalence: id-space × store layouts × termination modes.
 
 Random worlds (triple soups with weighted observations and token phrases),
 random single-pattern relaxation rules, and random conjunctive queries —
 every combination of execution core (the engine / the term-space reference
-core of ``tests/reference_core.py``), segment count (1 / the default) and
-termination (adaptive/exhaustive) must
+core of ``tests/reference_core.py``), store layout (fresh / generational,
+``tests/layouts.py``) and termination (adaptive/exhaustive) must
 produce the *same* :class:`AnswerSet`: identical projection bindings,
 identical scores, and identical explanation provenance (derivation triples,
 rules applied, token expansions).  Equality is asserted within each
@@ -24,11 +24,11 @@ from repro.core.terms import Resource, TextToken
 from repro.core.triples import Provenance, Triple
 from repro.relax.rules import RuleSet
 from repro.scoring.language_model import ScoringConfig
-from repro.storage.sharded import ShardedBackend
 from repro.storage.store import TripleStore
 from repro.topk.processor import ProcessorConfig, TopKProcessor
 from repro.util.heap import TieFrontier
 
+from layouts import LAYOUTS, as_layout
 from reference_core import reference_query
 
 resources = st.integers(0, 9).map(lambda i: Resource(f"E{i}"))
@@ -66,12 +66,12 @@ queries = st.sampled_from(
 )
 
 
-def build(entries, rule_specs, segments):
-    store = TripleStore(backend=ShardedBackend(segments))
+def build(entries, rule_specs, layout, tmp_path_factory):
+    store = TripleStore()
     provenance = Provenance("openie", "doc-prop", "", "reverb")
     for triple, confidence, count in entries:
         store.add(triple, provenance, confidence=confidence, count=count)
-    store.freeze()
+    store = as_layout(store.freeze(), layout, tmp_path_factory)
     rules = RuleSet()
     for source, target, weight, inverted in rule_specs:
         shape = "?y {t} ?x" if inverted else "?x {t} ?y"
@@ -104,22 +104,22 @@ def fingerprint(answers):
     rule_specs=rule_texts,
     query_text=queries,
 )
-def test_idspace_equals_termspace_across_segment_counts(
-    segment_counts, settle_skip, entries, rule_specs, query_text
+def test_idspace_equals_termspace_across_layouts(
+    tmp_path_factory, settle_skip, entries, rule_specs, query_text
 ):
     query = parse_query(query_text)
     results = {}
     with patch.object(TieFrontier, "MIN_SKIP", settle_skip):
-        for segments in segment_counts:
-            store, rules = build(entries, rule_specs, segments)
+        for layout in LAYOUTS:
+            store, rules = build(entries, rule_specs, layout, tmp_path_factory)
             for exhaustive in (False, True):
                 processor = TopKProcessor(
                     store, rules=rules, config=ProcessorConfig(exhaustive=exhaustive)
                 )
-                results[(segments, "idspace", exhaustive)] = fingerprint(
+                results[(layout, "idspace", exhaustive)] = fingerprint(
                     processor.query(query, 5)
                 )
-                results[(segments, "termspace", exhaustive)] = fingerprint(
+                results[(layout, "termspace", exhaustive)] = fingerprint(
                     reference_query(processor, query, 5)
                 )
     # One reference per termination mode: adaptive termination may surface a
@@ -127,7 +127,7 @@ def test_idspace_equals_termspace_across_segment_counts(
     # boundary (see test_idspace_adaptive_is_valid_topk_of_exhaustive), so
     # only combinations sharing the termination mode must be identical.
     for exhaustive in (False, True):
-        reference = results[(segment_counts[0], "termspace", exhaustive)]
+        reference = results[(LAYOUTS[0], "termspace", exhaustive)]
         for combination, observed in results.items():
             if combination[2] == exhaustive:
                 assert observed == reference, combination
@@ -140,7 +140,7 @@ def test_idspace_equals_termspace_across_segment_counts(
     query_text=queries,
 )
 def test_idspace_adaptive_is_valid_topk_of_exhaustive(
-    segments, entries, rule_specs, query_text
+    layout, tmp_path_factory, entries, rule_specs, query_text
 ):
     """Adaptive id-space does less work yet yields a valid top-k.
 
@@ -149,7 +149,7 @@ def test_idspace_adaptive_is_valid_topk_of_exhaustive(
     invariant is the seed's: identical score profile, every answer present
     in the exhaustive set — not binding-for-binding equality.
     """
-    store, rules = build(entries, rule_specs, segments)
+    store, rules = build(entries, rule_specs, layout, tmp_path_factory)
     query = parse_query(query_text)
     adaptive = TopKProcessor(store, rules=rules).query(query, 3)
     exhaustive = TopKProcessor(
@@ -191,7 +191,8 @@ BATCHING_COUNTERS = {
     ),
 )
 def test_run_at_a_time_equals_per_item_oracle(
-    segments, settle_skip, entries, rule_specs, query_text, pages, batching
+    layout, tmp_path_factory, settle_skip, entries, rule_specs, query_text,
+    pages, batching,
 ):
     """The join advances by tied head runs; with ``block_size=1,
     merge_batch=1`` every run has length one.  Three confidences and small
@@ -201,7 +202,7 @@ def test_run_at_a_time_equals_per_item_oracle(
     the per-item oracle, page by page."""
 
     def observe(**config):
-        store, rules = build(entries, rule_specs, segments)
+        store, rules = build(entries, rule_specs, layout, tmp_path_factory)
         engine = TriniT(
             store,
             rules=rules,
@@ -279,7 +280,7 @@ ROUNDING_WORLD = [(f"P{i:02d}", "p0", f"U{i % 3}", 0.5) for i in range(12)] + [
     data=None,
 ).via("the twelve tied postings of the rounding world, reversed")
 def test_prefix_stable_under_any_insertion_order(
-    segments, settle_skip, rows, weight, query_text, data
+    layout, tmp_path_factory, settle_skip, rows, weight, query_text, data
 ):
     """``ask(k)[:j] == ask(j)`` for every j, and the answers do not depend
     on the order the statements were inserted in: score and bound are
@@ -293,14 +294,13 @@ def test_prefix_stable_under_any_insertion_order(
     query = parse_query(query_text)
 
     def answers(entries, smoothing):
-        store = TripleStore(backend=ShardedBackend(segments))
+        store = TripleStore()
         for s, p, o, confidence in entries:
             store.add(
                 Triple(Resource(s), Resource(p), Resource(o)), confidence=confidence
             )
-        processor = TopKProcessor(
-            store.freeze(), rules=rules, scoring=ScoringConfig(smoothing)
-        )
+        store = as_layout(store.freeze(), layout, tmp_path_factory)
+        processor = TopKProcessor(store, rules=rules, scoring=ScoringConfig(smoothing))
         total = len(processor.query(query, 1_000))
         return [
             [(a.binding, a.score) for a in processor.query(query, k)]

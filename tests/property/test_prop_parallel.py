@@ -3,13 +3,14 @@
 Batched merged pulls, adaptive batch sizing, the block kernels and the
 hot-block cache are only allowed to change *when* posting heads
 materialise, never *what* a query answers.  The property pins that: for
-random stores and random queries, a default-shaped engine at either
-segment count (1 / the default), any merge batch policy (fixed sizes or
+random stores and random queries, a default-shaped engine on either store
+layout (fresh / generational, ``tests/layouts.py``), any merge batch
+policy (fixed sizes or
 adaptive ``None``) and any posting-block policy (fixed block sizes or
 adaptive ``None``) produces bindings, scores and order bit-identical to
-the degenerate serial reference (``executor_kind="serial"``,
-``merge_batch=1``, ``block_size=1`` — item-at-a-time pulls *and* per-item
-scoring), across eager
+the degenerate serial reference over a fresh build
+(``executor_kind="serial"``, ``merge_batch=1``, ``block_size=1`` —
+item-at-a-time pulls *and* per-item scoring), across eager
 ``ask``, random stream splits and ``ask_many`` batches.  The block
 dimension pins the execution kernels (:mod:`repro.topk.kernels`): block
 decode, batched scoring and the hot-block cache may only change how many
@@ -21,8 +22,9 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.engine import EngineConfig, TriniT
 from repro.core.terms import Resource, TextToken, Variable
 from repro.core.triples import Triple
-from repro.storage.sharded import ShardedBackend
 from repro.storage.store import TripleStore
+
+from layouts import as_layout
 
 X, Y = Variable("x"), Variable("y")
 
@@ -68,11 +70,16 @@ def _predicate(name):
     return TextToken(name.strip("'")) if name.startswith("'") else Resource(name)
 
 
-def _build(rows, segments, **config):
-    store = TripleStore(backend=ShardedBackend(segments))
+def _build(rows, layout=None, tmp_path_factory=None, **config):
+    """An engine over ``rows``; a fresh build unless ``layout`` says
+    otherwise."""
+    store = TripleStore()
     for s, p, o, conf, count in rows:
         for _ in range(count):
             store.add(Triple(Resource(s), _predicate(p), Resource(o)), confidence=conf)
+    store.freeze()
+    if layout is not None:
+        store = as_layout(store, layout, tmp_path_factory)
     return TriniT(store, config=EngineConfig(**config))
 
 
@@ -90,18 +97,18 @@ def signature(answers):
     split=st.integers(min_value=1, max_value=6),
 )
 def test_batched_byte_identical_to_serial(
-    segments, rows, texts, k, batch, block, split
+    layout, tmp_path_factory, rows, texts, k, batch, block, split
 ):
     serial = _build(
         rows,
-        segments,
         executor_kind="serial",
         merge_batch=1,
         block_size=1,
     )
     batched = _build(
         rows,
-        segments,
+        layout,
+        tmp_path_factory,
         merge_batch=batch,
         block_size=block,
     )
@@ -175,14 +182,15 @@ def test_batched_byte_identical_to_serial(
     rule_target="bornIn",
 )
 def test_live_ingestion_byte_identical_to_fresh_build(
-    segments, rows, texts, k, batch, block, cut, rule_target
+    layout, tmp_path_factory, rows, texts, k, batch, block, cut, rule_target
 ):
     """(frozen + delta) == fresh build, and still after compaction.
 
-    Freeze a prefix of the statements, live-ingest the rest through
-    ``engine.ingest()``, and compare every answer bit for bit against a
-    serial engine freshly built from the union — then compact (the
-    in-memory rebuild path) and compare again.
+    Freeze a prefix of the statements (in the test's layout), live-ingest
+    the rest through ``engine.ingest()``, and compare every answer bit for
+    bit against a serial engine freshly built from the union — then
+    compact (the in-memory rebuild path on a fresh prefix, a generation
+    write on a generational one) and compare again.
     Rule miners are disabled: they run once at construction, so a
     prefix-built engine may legitimately mine different rules than a
     union-built one; the property pins the storage/merge contract.
@@ -202,7 +210,6 @@ def test_live_ingestion_byte_identical_to_fresh_build(
     suffix = [row for row in rows[cut:] if (row[0], row[1], row[2]) not in frozen_keys]
     reference = _build(
         prefix + suffix,
-        segments,
         executor_kind="serial",
         merge_batch=1,
         block_size=1,
@@ -210,7 +217,8 @@ def test_live_ingestion_byte_identical_to_fresh_build(
     )
     live = _build(
         prefix,
-        segments,
+        layout,
+        tmp_path_factory,
         merge_batch=batch,
         block_size=block,
         **no_mining,
@@ -225,13 +233,14 @@ def test_live_ingestion_byte_identical_to_fresh_build(
             reference.add_rule(rule)
             live.add_rule(rule)
             live.ask(texts[-1], k=k)
+        before = live.store.delta_size
         for s, p, o, conf, count in suffix:
             for _ in range(count):
                 live.ingest(
                     [Triple(Resource(s), _predicate(p), Resource(o))],
                     confidence=conf,
                 )
-        assert live.store.delta_size == len(
+        assert live.store.delta_size == before + len(
             {(s, p, o) for s, p, o, _, _ in suffix}
         )
         for text in texts:

@@ -130,26 +130,39 @@ def test_snapshot_round_trip_byte_identical(tmp_path_factory, entries):
 
 
 @settings(max_examples=40, deadline=None)
-@given(entries=st.lists(observations, min_size=1, max_size=40))
-def test_postings_identical_at_every_segment_count(segment_counts, entries):
-    """Hash-partitioned segments merge back to the exact global order."""
-    from repro.storage.sharded import ShardedBackend
+@given(
+    entries=st.lists(observations, min_size=1, max_size=40),
+    batch=st.sampled_from([1, None]),
+)
+def test_generational_postings_equal_the_fresh_build(tmp_path_factory, entries, batch):
+    """Base segment + two compacted generations + live delta merge back to
+    the exact posting lists of one fresh segment: every signature, every
+    key, item-at-a-time and adaptively pulled."""
+    from layouts import generational_copy
+    from repro.storage.index import SIGNATURES
 
-    single = build_store(entries).convert(ShardedBackend(1))
-    weights = single.weights()
-    assert list(single.sorted_ids(TriplePattern(X, P, Y))) == sorted(
-        range(len(single)),
-        key=lambda tid: (-weights[tid], single.triple(tid).sort_key(), tid),
+    fresh = build_store(entries)
+    weights = fresh.weights()
+    assert list(fresh.sorted_ids(TriplePattern(X, P, Y))) == sorted(
+        range(len(fresh)),
+        key=lambda tid: (-weights[tid], fresh.triple(tid).sort_key(), tid),
     )
-    for segments in segment_counts + (7,):
-        sharded = TripleStore(backend=ShardedBackend(segments))
-        for triple, confidence, count in entries:
-            sharded.add(triple, confidence=confidence, count=count)
-        sharded.freeze()
-        for pattern in _probe_patterns(entries):
-            assert list(sharded.sorted_ids(pattern)) == list(
-                single.sorted_ids(pattern)
-            )
+    root = tmp_path_factory.mktemp("generational") / "store.snapd"
+    generational = generational_copy(fresh, root)
+    if len(fresh) >= 4:
+        assert generational.backend.num_segments == 3
+        assert generational.has_delta
+    generational.backend.configure_prefetch(batch)
+    for sig in SIGNATURES:
+        bound = [slot in sig for slot in range(3)]
+        keys = fresh.backend.distinct_keys(bound) if sig else [()]
+        if sig:
+            assert generational.backend.distinct_keys(bound) == keys
+        for key in keys:
+            assert list(generational.backend.postings(bound, key)) == list(
+                fresh.backend.postings(bound, key)
+            ), (sig, key)
+    generational.close()
 
 
 #: Frozen terms are even-numbered, live ones odd: an ingested term sorts
@@ -212,21 +225,20 @@ def assert_canonical_order(store) -> None:
 @settings(max_examples=30, deadline=None)
 @given(frozen=frozen_rows, live=live_rows)
 def test_every_store_serves_postings_in_canonical_order(
-    tmp_path_factory, segments, frozen, live
+    tmp_path_factory, frozen, live
 ):
     """Fresh build, reopened snapshot, live delta (new terms sorting between
-    frozen ones), ``write_generation`` result and in-memory ``convert`` all
+    frozen ones), ``write_generation`` result and in-memory ``rebuild`` all
     hand out the one canonical posting order."""
     from repro.storage.compaction import compact_store, write_generation
-    from repro.storage.sharded import ShardedBackend
     from repro.storage.snapshot import load_snapshot, save_snapshot
 
-    fresh = TripleStore(backend=ShardedBackend(segments))
+    fresh = TripleStore()
     _add_rows(fresh, frozen + live)
     assert_canonical_order(fresh.freeze())
 
     root = tmp_path_factory.mktemp("order") / "store.snapd"
-    base = TripleStore(backend=ShardedBackend(segments))
+    base = TripleStore()
     _add_rows(base, frozen)
     save_snapshot(base.freeze(), root)
     reopened = load_snapshot(root)
@@ -234,7 +246,7 @@ def test_every_store_serves_postings_in_canonical_order(
 
     _add_rows(reopened, live)  # the live delta
     assert_canonical_order(reopened)
-    assert_canonical_order(reopened.convert(ShardedBackend(segments)))
+    assert_canonical_order(reopened.rebuild())
     if reopened.has_delta:
         write_generation(reopened)
         generation = load_snapshot(root)
@@ -242,7 +254,7 @@ def test_every_store_serves_postings_in_canonical_order(
         generation.close()
     reopened.close()
 
-    live_in_memory = TripleStore(backend=ShardedBackend(segments))
+    live_in_memory = TripleStore()
     _add_rows(live_in_memory, frozen)
     live_in_memory.freeze()
     _add_rows(live_in_memory, live)

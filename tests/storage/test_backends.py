@@ -1,14 +1,16 @@
-"""Backend conformance: the one store layout at every segment count.
+"""Backend conformance: the one store layout, fresh and generational.
 
 The StorageBackend protocol is the typed seam between the store and query
 processing — anything the backend leaks (mutable postings, an order that
-depends on how triples were partitioned) becomes a query-processing bug.
-These tests drive ``ShardedBackend`` at 1 and the default segment count
-(the shared ``segments`` axis of tests/conftest.py) through the same
-scenarios and compare every observable against a brute-force oracle:
-matching ids in the canonical order — weight desc, tie key asc (the
-terms' sort keys), id asc.
+depends on which segment holds a triple) becomes a query-processing bug.
+These tests drive ``ShardedBackend`` as one fresh base segment and as
+several segments merged (the shared ``layout`` axis of tests/conftest.py)
+through the same scenarios and compare every observable against a
+brute-force oracle: matching ids in the canonical order — weight desc, tie
+key asc (the terms' sort keys), id asc.
 """
+
+from array import array
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.core.triples import Triple, TriplePattern
 from repro.errors import StorageError
 from repro.storage.backend import StorageBackend, make_backend
 from repro.storage.columnar import ColumnarBackend
-from repro.storage.sharded import DEFAULT_SEGMENTS, ShardedBackend
+from repro.storage.sharded import ShardedBackend
 from repro.storage.store import TripleStore
 
 X, Y, P = Variable("x"), Variable("y"), Variable("p")
@@ -28,8 +30,8 @@ def _ids(term_id: int) -> int:
     return term_id
 
 
-def _sample_store(segments: int) -> TripleStore:
-    store = TripleStore("conformance", backend=ShardedBackend(segments))
+def _sample_store(relayout=None) -> TripleStore:
+    store = TripleStore("conformance")
     ae, mc = Resource("AlbertEinstein"), Resource("MarieCurie")
     born, aff = Resource("bornIn"), Resource("affiliation")
     store.add(Triple(ae, born, Resource("Ulm")))
@@ -38,7 +40,8 @@ def _sample_store(segments: int) -> TripleStore:
     store.add(Triple(mc, aff, Resource("Sorbonne")))
     store.add(Triple(ae, TextToken("lectured at"), Resource("IAS")), confidence=0.8)
     store.add(Triple(ae, Resource("knows"), ae))
-    return store.freeze()
+    store.freeze()
+    return store if relayout is None else relayout(store)
 
 
 PATTERNS = [
@@ -73,14 +76,36 @@ def _oracle_ids(store: TripleStore, pattern: TriplePattern) -> list[int]:
     )
 
 
-def _small_backend(segments: int) -> ShardedBackend:
+def _backend(layout: str, rows, weights) -> ShardedBackend:
+    """A frozen backend over ``rows`` of term ids: one base segment
+    (``fresh``), or one segment per row as compaction would append them
+    (``generational``)."""
+    if layout == "fresh":
+        backend = ShardedBackend()
+        for triple_id, row in enumerate(rows):
+            backend.insert(triple_id, row)
+        backend.freeze(weights, sort_key=_ids)
+        return backend
+    segments = []
+    for row, weight in zip(rows, weights):
+        segment = ColumnarBackend()
+        segment.insert(0, row)
+        segment.freeze([weight], sort_key=_ids)
+        segments.append(segment)
+    return ShardedBackend._restore(
+        starts=range(len(rows)),
+        weights=array("d", weights),
+        counts=array("i"),
+        segment_loaders=[lambda segment=segment: segment for segment in segments],
+        sort_key=_ids,
+    )
+
+
+def _small_backend(layout: str) -> ShardedBackend:
     """Three triples over a small id space; weights favour triple 1."""
-    backend = ShardedBackend(segments)
-    backend.insert(0, (10, 20, 30))
-    backend.insert(1, (10, 20, 31))
-    backend.insert(2, (11, 20, 30))
-    backend.freeze([1.0, 5.0, 3.0], sort_key=_ids)
-    return backend
+    return _backend(
+        layout, [(10, 20, 30), (10, 20, 31), (11, 20, 30)], [1.0, 5.0, 3.0]
+    )
 
 
 class TestMakeBackend:
@@ -88,13 +113,8 @@ class TestMakeBackend:
         for spec in (None, "sharded"):
             backend = make_backend(spec)
             assert isinstance(backend, ShardedBackend)
-            assert backend.num_segments == DEFAULT_SEGMENTS
+            assert backend.num_segments == 1
         assert TripleStore().backend_name == "sharded"
-
-    def test_fresh_instance_picks_segment_count(self):
-        backend = ShardedBackend(7)
-        assert make_backend(backend) is backend
-        assert TripleStore(backend=ShardedBackend(2)).backend.num_segments == 2
 
     @pytest.mark.parametrize("name", ["dict", "columnar", "elasticsearch"])
     def test_other_names_rejected_naming_the_replacement(self, name):
@@ -102,62 +122,54 @@ class TestMakeBackend:
             TripleStore(backend=name)
         assert repr(name) in str(excinfo.value)
 
-    def test_segment_class_is_not_a_store_backend(self):
-        with pytest.raises(StorageError, match="ShardedBackend"):
-            TripleStore(backend=ColumnarBackend())
+    @pytest.mark.parametrize("instance", [ColumnarBackend, ShardedBackend])
+    def test_backend_instances_rejected(self, instance):
+        with pytest.raises(StorageError, match="sharded"):
+            TripleStore(backend=instance())
 
     def test_protocol_conformance(self):
         assert isinstance(make_backend(None), StorageBackend)
 
-    def test_used_backend_instance_rejected(self):
-        backend = ShardedBackend()
-        backend.insert(0, (1, 2, 3))
-        with pytest.raises(StorageError):
-            make_backend(backend)
-
 
 class TestPostingOrder:
-    def test_sorted_ids_match_oracle(self, segments):
-        store = _sample_store(segments)
+    def test_sorted_ids_match_oracle(self, relayout):
+        store = _sample_store(relayout)
         for pattern in PATTERNS:
             assert list(store.sorted_ids(pattern)) == _oracle_ids(
                 store, pattern
             ), pattern.n3()
 
-    def test_postings_by_subject(self, segments):
-        backend = _small_backend(segments)
+    def test_postings_by_subject(self, layout):
+        backend = _small_backend(layout)
         assert list(backend.postings([True, False, False], (10,))) == [1, 0]
 
-    def test_postings_by_predicate_sorted_by_weight(self, segments):
-        backend = _small_backend(segments)
+    def test_postings_by_predicate_sorted_by_weight(self, layout):
+        backend = _small_backend(layout)
         assert list(backend.postings([False, True, False], (20,))) == [1, 2, 0]
 
-    def test_postings_full_triple(self, segments):
-        backend = _small_backend(segments)
+    def test_postings_full_triple(self, layout):
+        backend = _small_backend(layout)
         assert list(backend.postings([True, True, True], (10, 20, 30))) == [0]
 
-    def test_missing_key_empty(self, segments):
-        backend = _small_backend(segments)
+    def test_missing_key_empty(self, layout):
+        backend = _small_backend(layout)
         assert list(backend.postings([True, False, False], (99,))) == []
 
-    def test_scan_sorted(self, segments):
-        backend = _small_backend(segments)
+    def test_scan_sorted(self, layout):
+        backend = _small_backend(layout)
         assert list(backend.postings([False, False, False], ())) == [1, 2, 0]
 
-    def test_arity_mismatch_rejected(self, segments):
-        backend = _small_backend(segments)
+    def test_arity_mismatch_rejected(self, layout):
+        backend = _small_backend(layout)
         with pytest.raises(StorageError):
             backend.postings([True, True, False], (10,))
 
-    def test_tie_break_by_id(self, segments):
-        backend = ShardedBackend(segments)
-        backend.insert(0, (1, 1, 1))
-        backend.insert(1, (1, 1, 2))
-        backend.freeze([2.0, 2.0], sort_key=_ids)
+    def test_tie_break_by_id(self, layout):
+        backend = _backend(layout, [(1, 1, 1), (1, 1, 2)], [2.0, 2.0])
         assert list(backend.postings([True, False, False], (1,))) == [0, 1]
 
-    def test_weights_slot_ids_and_counts_match_records(self, segments):
-        store = _sample_store(segments)
+    def test_weights_slot_ids_and_counts_match_records(self, relayout):
+        store = _sample_store(relayout)
         encode = store.dictionary.id_of
         for tid, record in enumerate(store.records()):
             assert store.spo_ids(tid) == tuple(
@@ -166,8 +178,8 @@ class TestPostingOrder:
             assert store.weight(tid) == record.weight
             assert store.backend.count(tid) == record.count
 
-    def test_distinct_keys_in_first_occurrence_order(self, segments):
-        store = _sample_store(segments)
+    def test_distinct_keys_in_first_occurrence_order(self, relayout):
+        store = _sample_store(relayout)
         for bound in ([True, False, False], [False, True, False], [True, True, False]):
             expected = list(
                 dict.fromkeys(
@@ -181,16 +193,16 @@ class TestPostingOrder:
             )
             assert store.backend.distinct_keys(bound) == expected, bound
 
-    def test_postings_ids_matches_sorted_ids(self, segments):
-        store = _sample_store(segments)
+    def test_postings_ids_matches_sorted_ids(self, relayout):
+        store = _sample_store(relayout)
         born = store.dictionary.id_of(Resource("bornIn"))
         pattern_ids = list(store.sorted_ids(TriplePattern(X, Resource("bornIn"), Y)))
         assert list(store.postings_ids(None, born, None)) == pattern_ids
 
-    def test_single_segment_store_equals_its_segment(self):
-        """A 1-segment merge is element-identical to the segment's own
-        frozen posting lists (local ids == global ids)."""
-        store = _sample_store(1)
+    def test_fresh_store_equals_its_base_segment(self):
+        """A fresh store's postings are its base segment's own frozen
+        posting lists (local ids == global ids)."""
+        store = _sample_store()
         segment = store.backend._segment(0)
         for bound, key in (
             ([False, False, False], ()),
@@ -200,42 +212,41 @@ class TestPostingOrder:
                 segment.postings(bound, key)
             )
 
-    def test_convert_resegments_and_preserves_everything(self, segment_counts):
-        original = _sample_store(segment_counts[0])
-        for target in segment_counts + (7,):
-            converted = original.convert(ShardedBackend(target))
-            assert converted.backend.num_segments == target
-            assert converted.is_frozen
-            assert len(converted) == len(original)
-            for pattern in PATTERNS:
-                assert list(converted.sorted_ids(pattern)) == list(
-                    original.sorted_ids(pattern)
-                )
-            for tid in range(len(original)):
-                assert converted.record(tid).triple == original.record(tid).triple
-                assert converted.record(tid).count == original.record(tid).count
-                assert converted.spo_ids(tid) == original.spo_ids(tid)
+    def test_rebuild_is_one_segment_and_preserves_everything(self, relayout):
+        original = _sample_store(relayout)
+        rebuilt = original.rebuild()
+        assert rebuilt.backend.num_segments == 1
+        assert rebuilt.is_frozen and not rebuilt.has_delta
+        assert len(rebuilt) == len(original)
+        for pattern in PATTERNS:
+            assert list(rebuilt.sorted_ids(pattern)) == list(
+                original.sorted_ids(pattern)
+            )
+        for tid in range(len(original)):
+            assert rebuilt.record(tid).triple == original.record(tid).triple
+            assert rebuilt.record(tid).count == original.record(tid).count
+            assert rebuilt.spo_ids(tid) == original.spo_ids(tid)
 
 
 class TestImmutability:
     def test_segment_postings_are_readonly_views(self):
-        segment = _sample_store(1).backend._segment(0)
+        segment = _sample_store().backend._segment(0)
         postings = segment.postings([False, False, False], ())
         assert isinstance(postings, memoryview)
         assert postings.readonly
         with pytest.raises(TypeError):
             postings[0] = 99
 
-    def test_scan_postings_are_immutable(self, segments):
-        store = _sample_store(segments)
+    def test_scan_postings_are_immutable(self, relayout):
+        store = _sample_store(relayout)
         scan = store.sorted_ids(TriplePattern(X, P, Y))
         assert not hasattr(scan, "append")
         before = list(scan)
         assert list(store.sorted_ids(TriplePattern(X, P, Y))) == before
 
-    def test_empty_lookup_shared_tuple_cannot_corrupt(self, segments):
+    def test_empty_lookup_shared_tuple_cannot_corrupt(self, relayout):
         """The historical bug: the shared empty posting could be mutated."""
-        store = _sample_store(segments)
+        store = _sample_store(relayout)
         missing = TriplePattern(Resource("Nobody"), P, Y)
         empty = store.sorted_ids(missing)
         assert len(empty) == 0
@@ -297,20 +308,20 @@ class TestBuildPhaseGuards:
 class TestCountConformance:
     """count() is part of the protocol: record values, typed errors."""
 
-    def test_counts_from_store_freeze(self, segments):
-        store = _sample_store(segments)
+    def test_counts_from_store_freeze(self, relayout):
+        store = _sample_store(relayout)
         for tid, record in enumerate(store.records()):
             assert store.backend.count(tid) == record.count
 
-    def test_unknown_id_raises_storage_error(self, segments):
-        store = _sample_store(segments)
+    def test_unknown_id_raises_storage_error(self, relayout):
+        store = _sample_store(relayout)
         with pytest.raises(StorageError):
             store.backend.count(len(store))
         with pytest.raises(StorageError):
             store.backend.count(-1)
 
-    def test_frozen_without_counts_raises_storage_error(self, segments):
-        backend = ShardedBackend(segments)
+    def test_frozen_without_counts_raises_storage_error(self):
+        backend = ShardedBackend()
         backend.insert(0, (1, 2, 3))
         backend.freeze([2.0], sort_key=_ids)  # no counts column
         with pytest.raises(StorageError):
@@ -318,13 +329,13 @@ class TestCountConformance:
 
 
 class TestScanSignatureContract:
-    def test_distinct_keys_scan_raises_storage_error(self, segments):
-        store = _sample_store(segments)
+    def test_distinct_keys_scan_raises_storage_error(self, relayout):
+        store = _sample_store(relayout)
         with pytest.raises(StorageError):
             store.backend.distinct_keys([False, False, False])
 
-    def test_freeze_accepts_counts_column(self, segments):
-        backend = ShardedBackend(segments)
+    def test_freeze_accepts_counts_column(self):
+        backend = ShardedBackend()
         backend.insert(0, (1, 2, 3))
         backend.freeze([2.0], [2], sort_key=_ids)
         assert list(backend.postings([True, False, False], (1,))) == [0]

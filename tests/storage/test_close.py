@@ -3,9 +3,11 @@
 The mmap-leak fix: ``load_snapshot(map_file=True)`` used to create a mapping
 nothing could ever unmap.  ``close()`` now travels engine → store → backend
 → buffer, releasing every retained memoryview and the map itself; any use
-after close raises :class:`StorageError` at every segment count,
+after close raises :class:`StorageError` on either store layout,
 in-memory or mapped.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -13,28 +15,28 @@ from repro.core.terms import Resource
 from repro.core.triples import Triple, TriplePattern
 from repro.core.terms import Variable
 from repro.errors import StorageError
-from repro.storage.sharded import ShardedBackend
+from repro.storage.compaction import compact_store
 from repro.storage.snapshot import load_snapshot, save_snapshot
 from repro.storage.store import TripleStore
 
 
-def build_store(segments):
-    store = TripleStore(backend=ShardedBackend(segments))
+def build_store():
+    store = TripleStore()
     for i in range(6):
         store.add(Triple(Resource(f"E{i}"), Resource("p"), Resource(f"F{i % 2}")))
     return store.freeze()
 
 
 class TestBackendClose:
-    def test_close_flags_and_idempotence(self, segments):
-        store = build_store(segments)
+    def test_close_flags_and_idempotence(self, relayout):
+        store = relayout(build_store())
         assert not store.closed and not store.backend.closed
         store.close()
         store.close()
         assert store.closed and store.backend.closed
 
-    def test_lookups_raise_after_close(self, segments):
-        store = build_store(segments)
+    def test_lookups_raise_after_close(self, relayout):
+        store = relayout(build_store())
         inner = store.backend
         store.close()
         pattern = TriplePattern(Variable("x"), Resource("p"), Variable("y"))
@@ -57,10 +59,10 @@ class TestBackendClose:
         with pytest.raises(StorageError):
             inner.distinct_keys((False, True, False))
 
-    def test_records_stay_readable(self, segments):
+    def test_records_stay_readable(self, relayout):
         # Materialised answers keep rendering after close: the distinct
         # records and dictionary are not backend-owned.
-        store = build_store(segments)
+        store = relayout(build_store())
         record = store.record(0)
         store.close()
         assert store.record(0) is record
@@ -69,10 +71,18 @@ class TestBackendClose:
 
 class TestSnapshotClose:
     @pytest.fixture()
-    def snapshot(self, tmp_path, segments):
-        path = tmp_path / "store.snapd"
-        save_snapshot(build_store(segments), path)
-        return path
+    def snapshot(self, tmp_path, relayout):
+        """A snapshot directory of :func:`build_store`'s statements: one
+        segment, or (generational) base + three compacted generations."""
+        store = relayout(build_store())
+        root = store.backend.snapshot_root
+        if root is None:
+            root = tmp_path / "store.snapd"
+            save_snapshot(store, root)
+        else:
+            compact_store(store).close()
+            store.close()
+        return Path(root)
 
     def test_mmap_released_on_close(self, snapshot):
         loaded = load_snapshot(snapshot)
@@ -110,8 +120,8 @@ class TestSnapshotClose:
         with pytest.raises(StorageError):
             loaded.postings_ids(None, None, None)
 
-    def test_queries_identical_before_close(self, snapshot, segments):
-        original = build_store(segments)
+    def test_queries_identical_before_close(self, snapshot):
+        original = build_store()
         loaded = load_snapshot(snapshot)
         pattern = TriplePattern(Variable("x"), Resource("p"), Variable("y"))
         assert list(loaded.sorted_ids(pattern)) == list(

@@ -25,7 +25,6 @@ from repro.storage.compaction import (
     write_generation,
 )
 from repro.storage.index import SIGNATURES
-from repro.storage.sharded import DEFAULT_SEGMENTS, ShardedBackend
 from repro.storage.snapshot import (
     CURRENT_NAME,
     MANIFEST_NAME,
@@ -74,8 +73,8 @@ def _postings_by_key(store):
     return out
 
 
-def _fresh_store(segments=DEFAULT_SEGMENTS):
-    fresh = TripleStore("XKG", backend=ShardedBackend(segments))
+def _fresh_store():
+    fresh = TripleStore("XKG")
     _add(fresh, ROWS)
     _add(fresh, LIVE_ROWS)
     fresh.freeze()
@@ -149,25 +148,23 @@ class TestCompactStore:
         store.freeze()
         assert compact_store(store) is store
 
-    def test_in_memory_rebuild_matches_fresh_build(self, segments):
-        store = TripleStore("XKG", backend=ShardedBackend(segments))
+    def test_compaction_matches_fresh_build(self, relayout):
+        """In memory the fold rebuilds one base segment; on a generational
+        store it appends one segment."""
+        store = TripleStore("XKG")
         _add(store, ROWS)
-        store.freeze()
+        store = relayout(store.freeze())
         _add(store, LIVE_ROWS)
         compacted = compact_store(store)
         assert compacted is not store
         assert not compacted.has_delta
-        assert compacted.backend.num_segments == segments
-        fresh = _fresh_store(segments)
+        backend = store.backend
+        assert compacted.backend.num_segments == (
+            1 if backend.snapshot_root is None else backend.num_segments + 1
+        )
+        fresh = _fresh_store()
         assert _postings_by_key(compacted) == _postings_by_key(fresh)
         assert list(compacted.weights()) == list(fresh.weights())
-
-    def test_rebuild_keeps_segment_count(self):
-        store = TripleStore("XKG", backend=ShardedBackend(7))
-        _add(store, ROWS)
-        store.freeze()
-        _add(store, LIVE_ROWS)
-        assert compact_store(store).backend.num_segments == 7
 
 
 class TestGenerationWrite:
@@ -333,7 +330,7 @@ class TestMultiRound:
             )
             store = compact_store(store)
             assert store.backend.generation == round_number
-        assert store.backend.num_segments >= 4
+        assert store.backend.num_segments == 4
         reopened = load_snapshot(snapshot_root)
         assert reopened.backend.generation == 3
         assert list(reopened.weights()) == list(store.weights())

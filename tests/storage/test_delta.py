@@ -17,7 +17,6 @@ from repro.core.triples import Triple
 from repro.errors import StorageError
 from repro.storage.delta import DeltaSegment
 from repro.storage.index import SIGNATURES
-from repro.storage.sharded import ShardedBackend
 from repro.storage.store import TripleStore
 
 
@@ -92,7 +91,7 @@ class TestDeltaSegmentUnit:
         delta.add(1, (3, 7, 2), 0.9, 1)
         delta.add(2, (4, 7, 2), 0.9, 1)  # ties break by id, ascending
         part = delta.posting_part([False, True, False], (7,))
-        gids = [part.globals_[local] for local in part.postings]
+        gids = [part.start + local for local in part.postings]
         assert gids == [1, 2, 0]
         assert part.weights[1] == 0.9
 
@@ -115,7 +114,7 @@ class TestDeltaSegmentUnit:
         delta.update(0, 1.5, 3)  # re-weighed past the other triple
         assert delta.version == version + 1
         part = delta.posting_part([False, True, False], (7,))
-        assert [part.globals_[local] for local in part.postings] == [0, 1]
+        assert [part.start + local for local in part.postings] == [0, 1]
 
     def test_weight_below_follows_adds_and_updates(self):
         delta = DeltaSegment(0, _ids)
@@ -148,25 +147,28 @@ class TestDeltaSegmentUnit:
 class TestStoreByteIdentity:
     """(frozen + delta) lookups == a fresh build over the union, bit for bit."""
 
-    def _live_and_fresh(self, segments):
-        live = TripleStore("live", backend=ShardedBackend(segments))
+    def _live_and_fresh(self, relayout):
+        """The live store, the fresh one, and how many statements the live
+        ingest added to the delta."""
+        live = TripleStore("live")
         _add(live, ROWS)
-        live.freeze()
+        live = relayout(live.freeze())
+        before = live.delta_size
         _add(live, LIVE_ROWS)
 
-        fresh = TripleStore("fresh", backend=ShardedBackend(segments))
+        fresh = TripleStore("fresh")
         _add(fresh, ROWS)
         _add(fresh, LIVE_ROWS)
         fresh.freeze()
-        return live, fresh
+        return live, fresh, live.delta_size - before
 
-    def test_posting_lists_identical(self, segments):
-        live, fresh = self._live_and_fresh(segments)
-        assert live.delta_size == 3  # the duplicate folded into its delta twin
+    def test_posting_lists_identical(self, relayout):
+        live, fresh, ingested = self._live_and_fresh(relayout)
+        assert ingested == 3  # the duplicate folded into its delta twin
         assert _postings_by_key(live) == _postings_by_key(fresh)
 
-    def test_weights_and_records_identical(self, segments):
-        live, fresh = self._live_and_fresh(segments)
+    def test_weights_and_records_identical(self, relayout):
+        live, fresh, _ingested = self._live_and_fresh(relayout)
         assert len(live) == len(fresh)
         for tid in range(len(fresh)):
             assert live.weight(tid) == fresh.weight(tid)
@@ -175,8 +177,8 @@ class TestStoreByteIdentity:
             assert live.record(tid).confidence == fresh.record(tid).confidence
         assert list(live.weights()) == list(fresh.weights())
 
-    def test_lookup_and_cardinality_see_delta(self, segments):
-        live, _ = self._live_and_fresh(segments)
+    def test_lookup_and_cardinality_see_delta(self, relayout):
+        live, _fresh, _ingested = self._live_and_fresh(relayout)
         from repro.core.terms import Variable
         from repro.core.triples import TriplePattern
 
@@ -187,11 +189,12 @@ class TestStoreByteIdentity:
         pattern = TriplePattern(Variable("x"), Resource("bornIn"), Variable("y"))
         assert live.cardinality(pattern) == 3
 
-    def test_duplicate_of_frozen_updates_record_not_order(self, segments):
+    def test_duplicate_of_frozen_updates_record_not_order(self, relayout):
         """Documented eventual consistency: frozen sort weights stay fixed."""
-        live = TripleStore("live", backend=ShardedBackend(segments))
+        live = TripleStore("live")
         _add(live, ROWS)
-        live.freeze()
+        live = relayout(live.freeze())
+        delta_size = live.delta_size
         frozen_weight = live.weight(0)
         tid = live.add(
             Triple(Resource("E0"), Resource("bornIn"), Resource("E3")),
@@ -199,7 +202,7 @@ class TestStoreByteIdentity:
             count=4,
         )
         assert tid == 0
-        assert live.delta_size == 0
+        assert live.delta_size == delta_size
         assert live.record(0).count == 5
         assert live.record(0).confidence == 0.95
         # The frozen posting order is untouched until compaction folds it in.

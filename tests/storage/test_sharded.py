@@ -1,26 +1,24 @@
-"""ShardedBackend specifics: partitioning, lazy merged postings, id maps.
+"""ShardedBackend specifics: the segment layout and lazy merged postings.
 
-Conformance at every segment count lives in test_backends.py and the
-id-space equivalence/property suites; this module covers the hash
-partitioning itself, the laziness of the k-way merge, and the global/local
-id translation.
+Conformance on both store layouts lives in test_backends.py and the
+id-space equivalence/property suites; this module covers the layout itself
+(one base segment, generations appended as contiguous id ranges) and the
+laziness of :class:`MergedPostings` — a copied range on a fresh store, a
+merge on a generational one.
 """
 
 import pytest
 
 from repro.core.terms import Resource, Variable
 from repro.core.triples import Triple, TriplePattern
-from repro.errors import StorageError
-from repro.storage.sharded import DEFAULT_SEGMENTS, MergedPostings, ShardedBackend
+from repro.storage.sharded import MergedPostings
 from repro.storage.store import TripleStore
 
 X, Y, P = Variable("x"), Variable("y"), Variable("p")
 
 
-def _store(num_people: int = 40, backend=None) -> TripleStore:
-    store = TripleStore(
-        "sharded-test", backend=backend if backend is not None else "sharded"
-    )
+def _store(num_people: int = 40) -> TripleStore:
+    store = TripleStore("sharded-test")
     aff = Resource("affiliation")
     for i in range(num_people):
         person = Resource(f"Person{i}")
@@ -33,76 +31,60 @@ def _store(num_people: int = 40, backend=None) -> TripleStore:
     return store.freeze()
 
 
-class TestPartitioning:
-    def test_default_segment_count(self):
-        assert DEFAULT_SEGMENTS >= 4
-        assert ShardedBackend().num_segments == DEFAULT_SEGMENTS
-
-    def test_segments_all_used(self):
+class TestLayout:
+    def test_fresh_store_is_one_base_segment(self):
         store = _store()
+        assert store.backend.num_segments == 1
+        assert store.backend.segment_sizes() == [len(store)]
+
+    def test_generations_append_contiguous_id_ranges(self, relayout):
+        store = relayout(_store())
         sizes = store.backend.segment_sizes()
-        assert sum(sizes) == len(store)
-        assert all(size > 0 for size in sizes)
+        assert sum(sizes) + store.delta_size == len(store)
+        if store.backend.num_segments > 1:  # the generational layout
+            assert len(sizes) == 3 and store.delta_size > 0
+            # gid = start + local: each segment's rows are the next ids.
+            start = 0
+            for index, size in enumerate(sizes):
+                segment = store.backend._segment(index)
+                for local in range(size):
+                    assert segment.slot_ids(local) == store.spo_ids(start + local)
+                start += size
 
-    def test_partitioning_is_deterministic(self):
-        first, second = _store(), _store()
-        assert first.backend.segment_sizes() == second.backend.segment_sizes()
-
-    def test_configurable_segment_count(self):
-        store = _store(backend=ShardedBackend(8))
-        assert store.backend.num_segments == 8
-        assert sum(store.backend.segment_sizes()) == len(store)
-
-    def test_at_least_one_segment_required(self):
-        with pytest.raises(StorageError):
-            ShardedBackend(0)
-
-    def test_segment_count_does_not_change_order(self):
-        single = _store(backend=ShardedBackend(1))
-        for count in (DEFAULT_SEGMENTS, 8):
-            sharded = _store(backend=ShardedBackend(count))
-            for pattern in (TriplePattern(X, Resource("affiliation"), Y),
-                            TriplePattern(X, P, Y)):
-                assert list(sharded.sorted_ids(pattern)) == list(
-                    single.sorted_ids(pattern)
-                )
-
-
-class TestIdTranslation:
-    def test_slot_ids_and_weights_globally_indexed(self):
-        sharded = _store()
-        encode = sharded.dictionary.id_of
-        for tid, record in enumerate(sharded.records()):
-            assert sharded.backend.slot_ids(tid) == tuple(
+    def test_slot_ids_and_weights_globally_indexed(self, relayout):
+        store = relayout(_store())
+        encode = store.dictionary.id_of
+        for tid, record in enumerate(store.records()):
+            assert store.backend.slot_ids(tid) == tuple(
                 encode(term) for term in record.triple.terms()
             )
-            assert sharded.backend.weight(tid) == record.weight
-            assert sharded.backend.count(tid) == record.count
+            assert store.backend.weight(tid) == record.weight
+            assert store.backend.count(tid) == record.count
 
 
 class TestLazyMerge:
-    def test_length_known_without_materialisation(self):
-        store = _store()
+    def test_length_known_without_materialisation(self, relayout):
+        store = relayout(_store())
         postings = store.sorted_ids(TriplePattern(X, Resource("affiliation"), Y))
         assert isinstance(postings, MergedPostings)
         assert len(postings) == 40
         assert postings.materialized == 0
 
-    def test_prefix_access_materialises_prefix_only(self):
-        store = _store()
+    def test_prefix_access_materialises_prefix_only(self, relayout):
+        store = relayout(_store())
         postings = store.sorted_ids(TriplePattern(X, Resource("affiliation"), Y))
         _ = postings[0], postings[1], postings[2]
         assert 3 <= postings.materialized < len(postings)
 
-    def test_full_iteration_matches_indexing(self):
-        store = _store()
+    def test_full_iteration_matches_indexing(self, relayout):
+        store = relayout(_store())
         postings = store.sorted_ids(TriplePattern(X, Resource("affiliation"), Y))
         iterated = list(postings)
         assert iterated == [postings[i] for i in range(len(postings))]
         assert postings.materialized == len(postings)
 
-    def test_negative_index_and_slice(self):
-        store = _store()
+    def test_negative_index_and_slice(self, relayout):
+        store = relayout(_store())
         postings = store.sorted_ids(TriplePattern(X, Resource("affiliation"), Y))
         full = list(postings)
         assert postings[-1] == full[-1]
@@ -111,8 +93,8 @@ class TestLazyMerge:
         with pytest.raises(IndexError):
             postings[len(postings)]
 
-    def test_merged_order_is_global_score_order(self):
-        store = _store()
+    def test_merged_order_is_global_score_order(self, relayout):
+        store = relayout(_store())
         postings = store.sorted_ids(TriplePattern(X, Resource("affiliation"), Y))
         weights = store.weights()
         keys = [
@@ -120,15 +102,15 @@ class TestLazyMerge:
         ]
         assert keys == sorted(keys)
 
-    def test_scan_is_merged_across_segments(self):
-        sharded = _store()
+    def test_scan_in_global_score_order(self, relayout):
+        sharded = relayout(_store())
         weights = sharded.weights()
         assert list(sharded.sorted_ids(TriplePattern(X, P, Y))) == sorted(
             range(len(sharded)),
             key=lambda tid: (-weights[tid], sharded.triple(tid).sort_key(), tid),
         )
 
-    def test_merged_postings_are_stable_across_lookups(self):
-        store = _store()
+    def test_merged_postings_are_stable_across_lookups(self, relayout):
+        store = relayout(_store())
         pattern = TriplePattern(X, Resource("affiliation"), Y)
         assert list(store.sorted_ids(pattern)) == list(store.sorted_ids(pattern))

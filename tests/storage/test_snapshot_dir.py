@@ -2,13 +2,15 @@
 
 The layout's contract: byte-identical postings and answers after a round
 trip, and — because segment files load lazily — damage to the directory
-(missing or swapped segment files, corrupt manifest, a bad ``CURRENT``
-pointer) must surface as :class:`StorageError`, never as a KeyError or a
-wrong answer.  Writing is replace-by-rename, so re-saving never reaches
+(missing or swapped segment files, a corrupt manifest or header, offset
+tables that do not tile their postings, a bad ``CURRENT`` pointer) must
+surface as :class:`StorageError`, never as a KeyError or a wrong answer.  Writing is replace-by-rename, so re-saving never reaches
 through hard links into a compacted generation.
 """
 
+import json
 import os
+import struct
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.storage.persistence import load_store
 from repro.storage.snapshot import (
     MAGIC,
     MANIFEST_NAME,
+    generation_dirname,
     is_snapshot,
     load_snapshot,
     save_snapshot,
@@ -32,7 +35,7 @@ from repro.storage.store import TripleStore
 
 @pytest.fixture()
 def sharded_store(frozen_small_store) -> TripleStore:
-    return frozen_small_store.convert("sharded")
+    return frozen_small_store.rebuild()
 
 
 @pytest.fixture()
@@ -110,7 +113,7 @@ class TestRoundtripFidelity:
         loaded = load_snapshot(snapshot_dir)
         assert loaded.backend.source_dir == str(snapshot_dir)
         # In-memory backends have no re-open address.
-        assert TripleStore("t").freeze().convert("sharded").backend.source_dir is None
+        assert TripleStore("t").freeze().rebuild().backend.source_dir is None
 
     def test_segments_load_lazily_per_file(self, snapshot_dir):
         loaded = load_snapshot(snapshot_dir)
@@ -230,8 +233,14 @@ class TestDamage:
         assert str(missing) in str(excinfo.value)
 
     def test_swapped_segment_file_rejected(self, snapshot_dir):
-        seg0 = snapshot_dir / segment_filename(0)
-        seg1 = snapshot_dir / segment_filename(1)
+        live = load_snapshot(snapshot_dir)
+        live.add(Triple(Resource("Zed"), Resource("bornIn"), Resource("Ulm")))
+        compact_store(live).close()
+        live.close()
+        gen_dir = snapshot_dir / generation_dirname(1)
+        seg0 = gen_dir / segment_filename(0)
+        seg1 = gen_dir / segment_filename(1)
+        seg0.unlink()  # a hard link to generation 0's segment
         seg0.write_bytes(seg1.read_bytes())
         loaded = load_snapshot(snapshot_dir)
         with pytest.raises(StorageError, match="claims segment") as excinfo:
@@ -258,6 +267,54 @@ class TestDamage:
             load_snapshot(snapshot_dir / segment_filename(0))
         with pytest.raises(PersistenceError, match="directory"):
             load_snapshot(snapshot_dir / MANIFEST_NAME)
+
+    def test_offset_table_that_does_not_tile_rejected(self, snapshot_dir):
+        """One key's span starting past its stop used to load and answer
+        lookups with other keys' ids."""
+        segment = snapshot_dir / segment_filename(0)
+        data = bytearray(segment.read_bytes())
+        (offset,) = struct.unpack_from("<Q", data, len(MAGIC))
+        header = json.loads(data[offset:].decode("utf-8"))
+        start, _length = header["sections"]["offsets:1"]
+        # Entries are (key, start, stop); push the first start past its stop.
+        _key, _start, stop = struct.unpack_from("=3i", data, start)
+        struct.pack_into("=i", data, start + 4, stop + 1)
+        segment.write_bytes(bytes(data))
+        loaded = load_snapshot(snapshot_dir)
+        with pytest.raises(PersistenceError, match="offset table 1") as excinfo:
+            loaded.backend.load_segments()
+        assert str(segment) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h: h.pop("triples"),
+            lambda h: h.update(triples="12"),
+            lambda h: h.pop("terms"),
+            lambda h: h.update(terms=-1),
+            lambda h: h.update(sections=[]),
+            lambda h: h.pop("segments"),
+            lambda h: h.update(segments=1),
+            lambda h: h["segments"][0].update(start=1),
+            lambda h: h["segments"][0].update(size="10"),
+            lambda h: h["segments"][0].update(file=None),
+            lambda h: h["segments"][0].update(size=h["segments"][0]["size"] + 1),
+        ],
+        ids=[
+            "no-triples", "str-triples", "no-terms", "negative-terms",
+            "list-sections", "no-segments", "int-segments", "start-off",
+            "str-size", "no-file", "sizes-disagree",
+        ],
+    )
+    def test_damaged_header_raises_naming_the_file(self, snapshot_dir, mutate):
+        def damage(header):
+            mutate(header)
+            return header
+
+        _rewrite_manifest_header(snapshot_dir, damage)
+        with pytest.raises(PersistenceError) as excinfo:
+            load_snapshot(snapshot_dir)
+        assert str(snapshot_dir / MANIFEST_NAME) in str(excinfo.value)
 
     def test_non_snapshot_directory_via_load_store(self, tmp_path):
         plain = tmp_path / "plain_dir"
@@ -299,9 +356,6 @@ class TestGenerationPointerDamage:
 def _rewrite_manifest_header(directory, mutate):
     """Rewrite a manifest's trailing header JSON in place, as a writer of
     another build would have laid it out."""
-    import json
-    import struct
-
     path = directory / MANIFEST_NAME
     data = path.read_bytes()
     (offset,) = struct.unpack_from("<Q", data, len(MAGIC))
@@ -321,6 +375,20 @@ def _old_order(header):
         )
         for name, value in header.items()
     }
+
+
+class TestFormatVersion:
+    def test_version_3_directory_refused_naming_its_version(self, snapshot_dir):
+        """Version 3 hash-partitioned a store over several segments with
+        per-statement id maps; this build reads one start per segment."""
+        _rewrite_manifest_header(snapshot_dir, lambda header: {**header, "version": 3})
+        for load in (load_snapshot, load_store, TriniT.open):
+            with pytest.raises(PersistenceError) as excinfo:
+                load(snapshot_dir)
+            message = str(excinfo.value)
+            assert "version 3" in message
+            assert "re-save" in message
+            assert str(snapshot_dir / MANIFEST_NAME) in message
 
 
 class TestPostingOrderMarker:

@@ -1,11 +1,12 @@
 """Segment-aware snapshots: round-trip, laziness, legacy-file rejection.
 
 A snapshot directory holds one container per segment, so a store
-round-trips with its segmentation intact, segments mmap-load lazily (also
-under concurrent first touches), and records / the term dictionary materialise on first touch.
-The single-file containers of format versions 1 and 2 are rejected by
-version.  General snapshot fidelity lives in test_snapshot.py, conformance
-per segment count in test_backends.py.
+round-trips with its segments intact (one for a fresh build, one more per
+compacted generation), segments mmap-load lazily (also under concurrent
+first touches), and records / the term dictionary materialise on first
+touch.  The single-file containers of format versions 1 and 2 are rejected
+by version.  General snapshot fidelity lives in test_snapshot.py,
+conformance per store layout in test_backends.py.
 """
 
 import json
@@ -20,6 +21,7 @@ from repro.core.triples import Triple, TriplePattern
 from repro.errors import PersistenceError
 from repro.storage.index import SIGNATURES
 from repro.storage.persistence import load_store
+from repro.storage.compaction import compact_store
 from repro.storage.sharded import ShardedBackend
 from repro.storage.snapshot import (
     FORMAT_NAME,
@@ -31,11 +33,13 @@ from repro.storage.snapshot import (
 from repro.storage.store import TripleStore
 from repro.topk.processor import TopKProcessor
 
+from layouts import generational_copy
+
 X, Y, P = Variable("x"), Variable("y"), Variable("p")
 
 
-def _build_store(backend=None, people: int = 30) -> TripleStore:
-    store = TripleStore("seg-test", backend=backend)
+def _build_store(people: int = 30) -> TripleStore:
+    store = TripleStore("seg-test")
     for i in range(people):
         person = Resource(f"Person{i}")
         store.add(
@@ -85,13 +89,17 @@ class TestShardedRoundtrip:
         loaded = load_snapshot(sharded_snapshot)
         assert _all_posting_bytes(loaded) == _all_posting_bytes(sharded_store)
 
-    def test_custom_segment_count_survives(self, tmp_path):
-        store = _build_store(backend=ShardedBackend(7))
-        path = tmp_path / "seven.snapd"
+    def test_generational_segments_survive_a_resave(self, sharded_store, tmp_path):
+        live = generational_copy(sharded_store, tmp_path / "generational.snapd")
+        store = compact_store(live)
+        live.close()
+        assert store.backend.num_segments == 4
+        path = tmp_path / "resaved.snapd"
         save_snapshot(store, path)
         loaded = load_snapshot(path)
-        assert loaded.backend.num_segments == 7
         assert loaded.backend.segment_sizes() == store.backend.segment_sizes()
+        assert _all_posting_bytes(loaded) == _all_posting_bytes(sharded_store)
+        store.close()
 
     def test_identical_topk_answers(self, sharded_store, sharded_snapshot):
         loaded = load_snapshot(sharded_snapshot)

@@ -5,9 +5,10 @@ bulk; these tests nail the corners individually — empty posting lists,
 score ties straddling a block boundary exactly at the k-threshold, the
 delta segment's thread-side-only (and never cached) preparation, stale
 cached handles after a backend closes, the observability counters
-(``blocks_decoded`` / ``block_cache_hits``) — and the rank join advancing by
-tied head runs: six small worlds, each built around one way a run can go
-wrong, held against the per-item oracle page by page.
+(``blocks_decoded`` / ``block_cache_hits``), a fresh store's lookups
+skipping the merge — and the rank join advancing by tied head runs: small
+worlds, each built around one way a run can go wrong, held against the
+per-item oracle page by page on both store layouts.
 """
 
 from dataclasses import fields
@@ -20,17 +21,23 @@ from repro.core.terms import Resource
 from repro.core.triples import Triple
 from repro.errors import StorageError
 from repro.relax.rules import RuleSet
-from repro.storage.sharded import DEFAULT_SEGMENTS, ShardedBackend
 from repro.storage.store import TripleStore
+from repro.topk import kernels
 from repro.topk.kernels import HotBlockCache
 from repro.topk.processor import ProcessorConfig
 
+from layouts import generational_copy
 
-def _engine(rows, segments=DEFAULT_SEGMENTS, rules=(), **config):
+
+def _engine(rows, relayout=None, rules=(), **config):
+    """An engine over ``rows``: a fresh store, or ``relayout(store)``."""
     config.setdefault("executor_kind", "serial")
-    store = TripleStore(backend=ShardedBackend(segments))
+    store = TripleStore()
     for s, p, o, conf in rows:
         store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
+    store.freeze()
+    if relayout is not None:
+        store = relayout(store)
     ruleset = RuleSet()
     for text in rules:
         ruleset.add(parse_rule(text))
@@ -39,6 +46,13 @@ def _engine(rows, segments=DEFAULT_SEGMENTS, rules=(), **config):
 
 def signature(answers):
     return [(a.binding, a.score) for a in answers]
+
+
+@pytest.fixture()
+def generational(tmp_path):
+    """Puts a store in the generational layout: the one whose lookups
+    merge several streams, and so the hot-block cache's domain."""
+    return lambda store: generational_copy(store, tmp_path / "store.snapd")
 
 
 ROWS = [
@@ -58,14 +72,14 @@ def test_empty_posting_list_scores_no_blocks():
         engine.close()
 
 
-def test_tie_straddling_block_boundary_at_threshold(segments):
+def test_tie_straddling_block_boundary_at_threshold(relayout):
     # Every statement carries the same confidence, so the whole posting
     # list is one score tie; with block_size=2 the k-threshold falls inside
     # a tie run that straddles block boundaries.  The block path must cut
     # the identical top-k the per-item reference does.
     rows = [(f"A{i}", "knows", f"B{i}", 0.5) for i in range(9)]
-    reference = _engine(rows, segments, merge_batch=1, block_size=1)
-    blocked = _engine(rows, segments, block_size=2)
+    reference = _engine(rows, relayout, merge_batch=1, block_size=1)
+    blocked = _engine(rows, relayout, block_size=2)
     try:
         for k in (1, 3, 4, 8, 9):
             assert signature(blocked.ask("?x knows ?y", k=k)) == signature(
@@ -98,8 +112,25 @@ def test_delta_blocks_thread_side_and_never_cached():
         engine.close()
 
 
-def test_repeat_query_hits_block_cache():
+def test_fresh_store_lookups_skip_the_merge(monkeypatch):
+    # One stream per lookup: its posting range is copied, no head is keyed
+    # and nothing is cached.
+    def unreachable(*args):
+        raise AssertionError("a fresh store keyed a merge head")
+
+    monkeypatch.setattr(kernels, "prepare_head_block", unreachable)
     engine = _engine(ROWS)
+    try:
+        answers = engine.ask("?x bornIn ?y", k=30)
+        assert len(answers.answers) == 30
+        assert answers.stats.block_cache_hits == 0
+        assert len(engine._block_cache) == 0
+    finally:
+        engine.close()
+
+
+def test_repeat_query_hits_block_cache(generational):
+    engine = _engine(ROWS, generational)
     try:
         first = engine.stream("?x bornIn ?y")
         reference = signature(first.next_k(30))
@@ -146,11 +177,11 @@ def test_posting_block_after_close_raises_storage_error():
         segment.posting_block((False, False, False), (), 0, 4)
 
 
-def test_cached_blocks_survive_backend_close():
+def test_cached_blocks_survive_backend_close(generational):
     # Cached blocks are self-owned arrays, not views over the backend's
     # buffers: a consumer holding the cache may read them after the
     # producing backend is gone.
-    engine = _engine(ROWS)
+    engine = _engine(ROWS, generational)
     cache: HotBlockCache = engine._block_cache
     engine.ask("?x bornIn ?y", k=30)
     entries = list(cache._entries.items())
@@ -161,8 +192,8 @@ def test_cached_blocks_survive_backend_close():
         assert list(kw)  # reading the arrays cannot touch released views
 
 
-def test_swap_quiet_point_clears_cache():
-    engine = _engine(ROWS)
+def test_swap_quiet_point_clears_cache(generational):
+    engine = _engine(ROWS, generational)
     try:
         engine.ask("?x bornIn ?y", k=30)
         assert len(engine._block_cache) > 0
@@ -229,7 +260,8 @@ def _tied(subject, predicate, obj, n, confidence=0.5, start=0):
 
 
 def _tie_across_blocks(**config):
-    """(i) One tied run longer than a block, spread over 4 segments."""
+    """(i) One tied run longer than a block (over several segments in the
+    generational layout)."""
     rows = _tied("A{:02d}", "knows", "B{:02d}", 40) + _tied(
         "H{}", "knows", "B{}", 5, confidence=0.9
     )
@@ -353,9 +385,10 @@ def _observe(world, ignored, **config):
 
 @pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
 @pytest.mark.parametrize("world", WORLDS)
-def test_run_at_a_time_matches_per_item_oracle(world, config):
+def test_run_at_a_time_matches_per_item_oracle(world, config, relayout):
+    config = dict(config, relayout=relayout)
     assert _observe(world, FETCHING, **config) == _observe(
-        world, FETCHING, **ORACLE
+        world, FETCHING, **ORACLE, relayout=relayout
     )
     # Same merge batching, nothing staged: every counter but the staging
     # ones must agree — the run loop read what the per-item loop reads.

@@ -4,7 +4,7 @@ The driver's contract is *split invariance*: however a top-k computation is
 chopped into ``advance`` calls, the settled prefix is byte-identical —
 bindings, scores, order, derivations — to the eager ``query()`` answer list
 (which is itself the driver drained in one go).  The property test hammers
-this across random worlds, rules, segment counts, execution cores (the
+this across random worlds, rules, store layouts, execution cores (the
 engine and the term-space reference core) and split patterns, including
 the score-tie-at-the-boundary cases that make naive pagination diverge.
 """
@@ -19,11 +19,11 @@ from repro.core.terms import Resource, TextToken
 from repro.core.triples import Provenance, Triple
 from repro.errors import TopKError
 from repro.relax.rules import RuleSet
-from repro.storage.sharded import ShardedBackend
 from repro.storage.store import TripleStore
 from repro.topk.processor import ProcessorConfig, TopKProcessor
 from repro.util.heap import TieFrontier
 
+from layouts import as_layout
 from reference_core import TermSpaceProcessor
 
 #: The engine's processor and the reference core's.
@@ -107,8 +107,8 @@ class TestTiedBoundaries:
     """Score ties straddling a batch boundary must not reorder the prefix."""
 
     @staticmethod
-    def _tied_store(segments):
-        store = TripleStore(backend=ShardedBackend(segments))
+    def _tied_store(relayout):
+        store = TripleStore()
         p = Resource("p")
         # Ten subjects with identical weights -> ten answers at one score.
         for i in range(10):
@@ -116,11 +116,11 @@ class TestTiedBoundaries:
         # Two heavier, also mutually tied.
         for name in ("A", "B"):
             store.add(Triple(Resource(name), p, Resource("T")), count=3)
-        return store.freeze()
+        return relayout(store.freeze())
 
     @pytest.mark.parametrize("execution", list(PROCESSORS))
-    def test_splits_through_tie_runs(self, segments, execution):
-        store = self._tied_store(segments)
+    def test_splits_through_tie_runs(self, relayout, execution):
+        store = self._tied_store(relayout)
         processor = PROCESSORS[execution](store)
         query = parse_query("?x p T")
         eager = processor.query(query, 12)
@@ -130,17 +130,17 @@ class TestTiedBoundaries:
 
 
     @pytest.mark.parametrize("execution", list(PROCESSORS))
-    def test_lower_answers_after_a_split_tie_keep_their_place(
-        self, segments, execution
+    def test_lower_answers_after_a_split_tie_keep_their_rank(
+        self, relayout, execution
     ):
         # The first page ends inside the heavy tie {A, B}; the next page adds
         # lower answers whose names sort the other way round than their
         # scores.  They rank after the tie's rest, each at its own score.
-        store = TripleStore(backend=ShardedBackend(segments))
+        store = TripleStore()
         p, t = Resource("p"), Resource("T")
         for name, count in (("A", 4), ("B", 4), ("Zed", 3), ("Mid", 2), ("Ann", 1)):
             store.add(Triple(Resource(name), p, t), count=count)
-        processor = PROCESSORS[execution](store.freeze())
+        processor = PROCESSORS[execution](relayout(store.freeze()))
         query = parse_query("?x p T")
         eager = processor.query(query, 5)
         assert [a.binding[0][1].name for a in eager] == ["A", "B", "Zed", "Mid", "Ann"]
@@ -183,12 +183,12 @@ queries = st.sampled_from(
 splits = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4)
 
 
-def build(entries, rule_specs, segments):
-    store = TripleStore(backend=ShardedBackend(segments))
+def build(entries, rule_specs, layout, tmp_path_factory):
+    store = TripleStore()
     provenance = Provenance("openie", "doc-prop", "", "reverb")
     for triple, confidence, count in entries:
         store.add(triple, provenance, confidence=confidence, count=count)
-    store.freeze()
+    store = as_layout(store.freeze(), layout, tmp_path_factory)
     rules = RuleSet()
     for source, target, weight, inverted in rule_specs:
         shape = "?y {t} ?x" if inverted else "?x {t} ?y"
@@ -208,7 +208,8 @@ def build(entries, rule_specs, segments):
     block_size=st.sampled_from([None, 2, 1]),
 )
 def test_stream_batches_equal_eager_topk(
-    segments,
+    layout,
+    tmp_path_factory,
     settle_skip,
     entries,
     rule_specs,
@@ -217,7 +218,7 @@ def test_stream_batches_equal_eager_topk(
     execution,
     block_size,
 ):
-    store, rules = build(entries, rule_specs, segments)
+    store, rules = build(entries, rule_specs, layout, tmp_path_factory)
     # How long the tied head runs are that the id-space join advances by
     # (1: the per-item oracle) must not show in where a split may fall.
     store.configure_blocks(block_size)

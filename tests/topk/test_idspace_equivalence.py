@@ -7,7 +7,7 @@ token expansions), same ``num_derivations`` — across
 
 * execution cores:   the engine vs the term-space reference core
                      (``tests/reference_core.py``, driving the same plans),
-* segment counts:    1 vs the default (the ``segments`` axis of conftest),
+* store layouts:     fresh vs generational (the ``layout`` axis of conftest),
 * termination:       adaptive vs ``exhaustive=True``.
 
 Plus unit coverage of the id-space building blocks (slot tables, pattern
@@ -22,7 +22,6 @@ from repro.core.terms import Resource, TextToken, Variable
 from repro.core.triples import Triple, TriplePattern
 from repro.kg.paper_example import paper_rules, paper_store
 from repro.scoring.language_model import PatternScorer
-from repro.storage.sharded import ShardedBackend
 from repro.storage.store import TripleStore
 from repro.topk.idspace import (
     UNBOUND,
@@ -191,10 +190,8 @@ PAPER_QUERIES = [
 
 
 class TestPaperKgEquivalence:
-    def test_paper_queries_identical_across_everything(self, segments):
-        store = paper_store().convert(ShardedBackend(segments))
-        engine = TriniT(store, rules=paper_rules())
-        assert engine.store.backend.num_segments == segments
+    def test_paper_queries_identical_across_everything(self, relayout):
+        engine = TriniT(relayout(paper_store()), rules=paper_rules())
         assert_equivalent(engine, [parse_query(q) for q in PAPER_QUERIES])
 
 
@@ -215,10 +212,9 @@ class TestGeneratedWorldEquivalence:
         ]
         assert_equivalent(tiny_harness.engine, queries, ks=(1, 10))
 
-    def test_resegmented_engine_identical(self, tiny_harness, segments):
-        """However the store is partitioned, the execution core is unchanged."""
-        engine = TriniT(tiny_harness.xkg_store.convert(ShardedBackend(segments)))
-        assert engine.store.backend.num_segments == segments
+    def test_relaid_out_engine_identical(self, tiny_harness, relayout):
+        """However the store is laid out, the execution core is unchanged."""
+        engine = TriniT(relayout(tiny_harness.xkg_store.rebuild()))
         queries = [bq.parse() for bq in tiny_harness.benchmark.queries[:6]]
         assert_equivalent(engine, queries, ks=(3,))
 

@@ -66,10 +66,10 @@ def test_gather_weights_routes_through_getitem():
     assert gather_weights(Column(), [4, 0, 2]) == [2.0, 0.0, 1.0]
 
 
-def test_prepare_head_block_matches_tuple_reference():
-    postings = list(range(10))
-    globals_ = [i * 3 for i in range(10)]
-    weights = {i * 3: 0.1 + i / 7 for i in range(10)}
+@pytest.mark.parametrize("start", [0, 30])
+def test_prepare_head_block_matches_tuple_reference(start):
+    postings = [(i * 7) % 10 for i in range(10)]
+    weights = {start + i: 0.1 + i / 7 for i in range(10)}
     subjects = [9 - i for i in range(10)]
     objects = [i % 4 for i in range(10)]
     names = {i: f"t{i}" for i in range(10)}
@@ -80,10 +80,10 @@ def test_prepare_head_block_matches_tuple_reference():
 
     for lo, hi in ((2, 7), (4, 5)):
         keys, gids = prepare_head_block(
-            postings, globals_, Weights(), lo, hi, (subjects, objects), names.get
+            postings, start, Weights(), lo, hi, (subjects, objects), names.get
         )
         reference = [
-            ((-weights[globals_[p]], names[subjects[p]], names[objects[p]]), globals_[p])
+            ((-weights[start + p], names[subjects[p]], names[objects[p]]), start + p)
             for p in postings[lo:hi]
         ]
         assert list(zip(keys, gids)) == reference
@@ -92,8 +92,8 @@ def test_prepare_head_block_matches_tuple_reference():
         for key, (want, _) in zip(keys, reference):
             assert key[0].hex() == want[0].hex()
     # A fully bound lookup has no free columns: the weight is the whole key.
-    keys, _gids = prepare_head_block(postings, globals_, Weights(), 0, 2, (), names.get)
-    assert keys == [(-weights[0],), (-weights[3],)]
+    keys, _gids = prepare_head_block(postings, start, Weights(), 0, 2, (), names.get)
+    assert keys == [(-weights[start],), (-weights[start + 7],)]
 
 
 def test_filter_consistent_block_single_pair():
