@@ -142,7 +142,7 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
     gen_dir = root / generation_dirname(generation)
     gen_dir.mkdir(parents=True, exist_ok=True)
 
-    new_index = backend.num_segments
+    new_index = backend.segment_count()
     segment = _delta_segment_backend(store)
 
     for index in range(new_index):

@@ -94,9 +94,10 @@ class _SegmentStream:
     one pass of C-speed gathers; that block is the unit the merge refills
     by and the unit the hot-block cache stores.  ``columns`` are the
     stream's term-id columns of the lookup's free slots (local-indexed),
-    which the merge keys' tie part is read from.  ``kw``/``kg`` hold the
-    current block, ``index`` the consumed prefix of it, ``position`` the
-    end of the posting range already taken.
+    which the merge keys' tie part is read from.  ``segment_index`` is -1
+    for the delta.  ``kw``/``kg`` hold the current block, ``index`` the
+    consumed prefix of it, ``position`` the end of the posting range
+    already taken.
     """
 
     __slots__ = ("postings", "start", "columns", "segment_index",
@@ -107,13 +108,13 @@ class _SegmentStream:
         postings: Sequence[int],
         start: int,
         columns: Sequence[Sequence[int]],
+        segment_index: int,
         weights=None,
-        is_delta: bool = False,
     ):
         self.postings = postings
         self.start = start
         self.columns = columns
-        self.segment_index = 0
+        self.segment_index = segment_index
         self.position = 0
         # Current head block: merge keys and global ids, parallel.
         self.kw: Sequence[tuple] = ()
@@ -123,7 +124,7 @@ class _SegmentStream:
         # own immutable weight snapshot (frozen weights columns don't cover
         # delta ids).  None means "use the merge-level weights".
         self.weights = weights
-        self.is_delta = is_delta
+        self.is_delta = segment_index < 0
 
     def prepare_block(self, weights, sort_key, lo: int, hi: int):
         if self.weights is not None:
@@ -141,7 +142,8 @@ class MergedPostings:
     far as callers index, iterate, or :meth:`pull`.  Cursors that abandon a
     posting list after a few sorted accesses never pay for the rest.
 
-    ``parts`` are ``(postings, start, columns)`` per segment.  One stream
+    ``parts`` are ``(postings, start, columns, segment index)`` per
+    segment.  One stream
     is copied range by range (``gid = start + local``).  Several are merged
     by a heap: the merge key of a head is ``(-weight, sort_key(id) for each
     free-slot column)``, heads are prepared in batches of ``batch``
@@ -165,33 +167,23 @@ class MergedPostings:
 
     def __init__(
         self,
-        parts: list[tuple[Sequence[int], int, Sequence[Sequence[int]]]],
+        parts: list[tuple[Sequence[int], int, Sequence[Sequence[int]], int]],
         weights,
         length: int,
         *,
         sort_key: Callable[[int], object],
         batch: int | None = DEFAULT_MERGE_BATCH,
-        segment_indices: Sequence[int] | None = None,
         delta=None,
         cache=None,
         cache_base: tuple | None = None,
     ):
         self._items = array(ID_TYPECODE)
-        self._streams = [_SegmentStream(p, s, c) for p, s, c in parts]
-        if segment_indices is not None:
-            for stream, index in zip(self._streams, segment_indices):
-                stream.segment_index = index
+        self._streams = [_SegmentStream(*part) for part in parts]
         if delta is not None:
-            delta_postings, delta_start, delta_weights, delta_columns = delta
-            stream = _SegmentStream(
-                delta_postings,
-                delta_start,
-                delta_columns,
-                delta_weights,
-                is_delta=True,
+            postings, start, delta_weights, columns = delta
+            self._streams.append(
+                _SegmentStream(postings, start, columns, -1, delta_weights)
             )
-            stream.segment_index = -1
-            self._streams.append(stream)
         self._delta_emitted = 0
         self._weights = weights
         self._sort_key = sort_key
@@ -528,10 +520,6 @@ class ShardedBackend:
                 # somewhere; the mapping is freed when they are collected.
                 pass
 
-    @property
-    def num_segments(self) -> int:
-        return len(self._starts)
-
     def segment_count(self) -> int:
         """Physical segments one lookup fans out over (protocol surface)."""
         return len(self._starts)
@@ -675,14 +663,14 @@ class ShardedBackend:
         )
         free = [slot for slot in range(3) if not bound_slots[slot]]
         parts: list = []
-        indices: list[int] = []
         total = 0
         for segment_index, start in enumerate(self._starts):
             segment = self._segment(segment_index)
             postings = segment.postings(bound_slots, key)
             if len(postings):
-                parts.append((postings, start, segment.slot_columns(free)))
-                indices.append(segment_index)
+                parts.append(
+                    (postings, start, segment.slot_columns(free), segment_index)
+                )
                 total += len(postings)
         if delta_part is not None:
             total += len(delta_part.postings)
@@ -706,7 +694,6 @@ class ShardedBackend:
             total,
             sort_key=self._sort_key,
             batch=self._merge_batch,
-            segment_indices=indices,
             delta=delta_part,
             cache=cache,
             cache_base=cache_base,

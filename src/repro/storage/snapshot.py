@@ -21,12 +21,12 @@ decimal text.
 
 A snapshot is a **directory**: one self-contained container file per
 segment (``segment-0000.xkgsnap`` …) plus ``manifest.xkgsnap`` carrying the
-global weight and count columns, terms and record metadata.  A saved store
-is one segment, the base; each compaction appends one.  The manifest's
-segment table gives each segment's file, first global id and size — the
-segments tile the id space in order, so ``gid = start + local`` is the
-whole id map.  Every segment is mapped only when a lookup first touches
-it.  The loaded backend remembers its
+global weight and count columns, terms and record metadata.  A fresh
+build saves as one segment, the base; each compaction appends one.  The
+manifest's segment table gives each segment's file, first global id and
+size — the segments tile the id space in order, so ``gid = start +
+local`` is the whole id map.  Every segment is mapped only when a lookup
+first touches it.  The loaded backend remembers its
 :attr:`~repro.storage.sharded.ShardedBackend.source_dir` so compaction can
 hardlink the segment files into the next generation.
 
@@ -383,7 +383,7 @@ def save_snapshot(store: TripleStore, path: str | Path) -> int:
     path.mkdir(parents=True, exist_ok=True)
     total = sum(
         write_segment(path, store.name, index, backend._segment(index))
-        for index in range(backend.num_segments)
+        for index in range(backend.segment_count())
     )
     sections = {
         "weights": _column_bytes(backend._weights),

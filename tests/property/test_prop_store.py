@@ -150,7 +150,7 @@ def test_generational_postings_equal_the_fresh_build(tmp_path_factory, entries, 
     root = tmp_path_factory.mktemp("generational") / "store.snapd"
     generational = generational_copy(fresh, root)
     if len(fresh) >= 4:
-        assert generational.backend.num_segments == 3
+        assert generational.backend.segment_count() == 3
         assert generational.has_delta
     generational.backend.configure_prefetch(batch)
     for sig in SIGNATURES:

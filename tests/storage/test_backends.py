@@ -113,7 +113,7 @@ class TestMakeBackend:
         for spec in (None, "sharded"):
             backend = make_backend(spec)
             assert isinstance(backend, ShardedBackend)
-            assert backend.num_segments == 1
+            assert backend.segment_count() == 1
         assert TripleStore().backend_name == "sharded"
 
     @pytest.mark.parametrize("name", ["dict", "columnar", "elasticsearch"])
@@ -215,7 +215,7 @@ class TestPostingOrder:
     def test_rebuild_is_one_segment_and_preserves_everything(self, relayout):
         original = _sample_store(relayout)
         rebuilt = original.rebuild()
-        assert rebuilt.backend.num_segments == 1
+        assert rebuilt.backend.segment_count() == 1
         assert rebuilt.is_frozen and not rebuilt.has_delta
         assert len(rebuilt) == len(original)
         for pattern in PATTERNS:

@@ -103,7 +103,7 @@ class TestSnapshotClose:
         live = max(
             (
                 loaded.backend._segment(index).postings((False, True, False), key)
-                for index in range(loaded.backend.num_segments)
+                for index in range(loaded.backend.segment_count())
             ),
             key=len,
         )

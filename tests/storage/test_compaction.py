@@ -159,8 +159,8 @@ class TestCompactStore:
         assert compacted is not store
         assert not compacted.has_delta
         backend = store.backend
-        assert compacted.backend.num_segments == (
-            1 if backend.snapshot_root is None else backend.num_segments + 1
+        assert compacted.backend.segment_count() == (
+            1 if backend.snapshot_root is None else backend.segment_count() + 1
         )
         fresh = _fresh_store()
         assert _postings_by_key(compacted) == _postings_by_key(fresh)
@@ -178,15 +178,15 @@ class TestGenerationWrite:
         assert compacted.backend.snapshot_root == str(snapshot_root)
         assert compacted.backend.source_dir == str(gen_dir)
         # The delta became one new frozen segment.
-        assert compacted.backend.num_segments == (
-            live_store.backend.num_segments + 1
+        assert compacted.backend.segment_count() == (
+            live_store.backend.segment_count() + 1
         )
         assert not compacted.has_delta
 
     def test_old_segments_hardlinked_not_copied(self, snapshot_root, live_store):
         compact_store(live_store)
         gen_dir = snapshot_root / generation_dirname(1)
-        for index in range(live_store.backend.num_segments):
+        for index in range(live_store.backend.segment_count()):
             flat = snapshot_root / segment_filename(index)
             linked = gen_dir / segment_filename(index)
             assert linked.stat().st_ino == flat.stat().st_ino
@@ -330,7 +330,7 @@ class TestMultiRound:
             )
             store = compact_store(store)
             assert store.backend.generation == round_number
-        assert store.backend.num_segments == 4
+        assert store.backend.segment_count() == 4
         reopened = load_snapshot(snapshot_root)
         assert reopened.backend.generation == 3
         assert list(reopened.weights()) == list(store.weights())

@@ -34,14 +34,14 @@ def _store(num_people: int = 40) -> TripleStore:
 class TestLayout:
     def test_fresh_store_is_one_base_segment(self):
         store = _store()
-        assert store.backend.num_segments == 1
+        assert store.backend.segment_count() == 1
         assert store.backend.segment_sizes() == [len(store)]
 
     def test_generations_append_contiguous_id_ranges(self, relayout):
         store = relayout(_store())
         sizes = store.backend.segment_sizes()
         assert sum(sizes) + store.delta_size == len(store)
-        if store.backend.num_segments > 1:  # the generational layout
+        if store.backend.segment_count() > 1:  # the generational layout
             assert len(sizes) == 3 and store.delta_size > 0
             # gid = start + local: each segment's rows are the next ids.
             start = 0

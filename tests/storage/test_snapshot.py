@@ -126,7 +126,7 @@ class TestZeroCopy:
         # views straight over that segment file's mapping.
         parts = [
             loaded.backend._segment(index).postings([False, True, False], born)
-            for index in range(loaded.backend.num_segments)
+            for index in range(loaded.backend.segment_count())
         ]
         parts = [part for part in parts if len(part)]
         assert sum(len(part) for part in parts) == 2

@@ -65,7 +65,7 @@ class TestDirectoryLayout:
             [MANIFEST_NAME]
             + [
                 segment_filename(i)
-                for i in range(sharded_store.backend.num_segments)
+                for i in range(sharded_store.backend.segment_count())
             ]
         )
         assert names == expected
@@ -120,7 +120,7 @@ class TestRoundtripFidelity:
         assert loaded.backend.loaded_segments() == []
         loaded.backend.load_segments()
         assert loaded.backend.loaded_segments() == list(
-            range(loaded.backend.num_segments)
+            range(loaded.backend.segment_count())
         )
 
     def test_map_file_false_reads_private_buffers(

@@ -82,7 +82,7 @@ class TestShardedRoundtrip:
     def test_segmentation_preserved(self, sharded_store, sharded_snapshot):
         loaded = load_snapshot(sharded_snapshot)
         assert isinstance(loaded.backend, ShardedBackend)
-        assert loaded.backend.num_segments == sharded_store.backend.num_segments
+        assert loaded.backend.segment_count() == sharded_store.backend.segment_count()
         assert loaded.backend.segment_sizes() == sharded_store.backend.segment_sizes()
 
     def test_postings_byte_identical(self, sharded_store, sharded_snapshot):
@@ -93,7 +93,7 @@ class TestShardedRoundtrip:
         live = generational_copy(sharded_store, tmp_path / "generational.snapd")
         store = compact_store(live)
         live.close()
-        assert store.backend.num_segments == 4
+        assert store.backend.segment_count() == 4
         path = tmp_path / "resaved.snapd"
         save_snapshot(store, path)
         loaded = load_snapshot(path)
@@ -141,7 +141,7 @@ class TestLazyMaterialization:
         loaded = load_snapshot(sharded_snapshot)
         loaded.backend.load_segments()
         assert loaded.backend.loaded_segments() == list(
-            range(loaded.backend.num_segments)
+            range(loaded.backend.segment_count())
         )
 
     def test_load_segments_in_parallel(self, sharded_store, sharded_snapshot):
@@ -157,7 +157,7 @@ class TestLazyMaterialization:
             for future in [pool.submit(load) for _ in range(4)]:
                 future.result()
         assert loaded.backend.loaded_segments() == list(
-            range(loaded.backend.num_segments)
+            range(loaded.backend.segment_count())
         )
         assert _all_posting_bytes(loaded) == _all_posting_bytes(sharded_store)
 
