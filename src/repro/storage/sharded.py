@@ -143,13 +143,12 @@ class MergedPostings:
     posting list after a few sorted accesses never pay for the rest.
 
     ``parts`` are ``(postings, start, columns, segment index)`` per
-    segment.  One stream
-    is copied range by range (``gid = start + local``).  Several are merged
-    by a heap: the merge key of a head is ``(-weight, sort_key(id) for each
-    free-slot column)``, heads are prepared in batches of ``batch``
-    pre-keyed entries per stream, and the heap compares ``(merge key,
-    global id)`` — global ids are unique, so the emitted order is
-    deterministic.  ``batch=None`` selects **adaptive** sizing (slow start
+    segment.  One stream is copied range by range (``gid = start +
+    local``).  Several are merged by a heap: the merge key of a head is
+    ``(-weight, sort_key(id) for each free-slot column)``, heads are
+    prepared in batches of ``batch`` pre-keyed entries per stream, and the
+    heap compares ``(merge key, global id)`` — global ids are unique, so
+    the emitted order is deterministic.  ``batch=None`` selects **adaptive** sizing (slow start
     per lookup, see :data:`ADAPTIVE_INITIAL_BATCH`); the emitted order is
     independent of it.
 
