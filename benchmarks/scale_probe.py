@@ -14,12 +14,14 @@ number of people, through the same public path (JSONL → sharded snapshot →
 next page of the stream ops, how many sorted accesses an answer costs
 (overall and for the single-pattern ops alone), what one sorted access
 costs, how long ``TriniT.open`` took, the engine's peak RSS and the
-snapshot's bytes on disk per statement.  Every distinct
-op's answers are checked against the serial per-item oracle configuration;
-a difference fails the run (exit 1).
+snapshot's bytes on disk per statement.  Every distinct op's answers are
+checked against the term-space reference core (``tests/reference_core.py``),
+which reads every tied run to its end — so a join that stops inside a run
+too early shows up — and a stream's two pages against its reference
+prefix of 25 + 50 answers; a difference fails the run (exit 1).
 
 Each size runs in two child processes: one builds the snapshot and the
-oracle's answers, the other opens the snapshot and replays the ops, so the
+reference answers, the other opens the snapshot and replays the ops, so the
 RSS reported is the engine's, not the generator's.  ``--record PATH``
 appends one JSON row per (sha, people) to a trajectory file (a row for the
 same sha and size is replaced); it refuses to record from a tree with
@@ -48,25 +50,27 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks"), str(ROOT / "tests")]
 
 from e2e.workloads import (  # noqa: E402
-    REFERENCE,
     SCAN_PAGES,
     SCAN_QUERIES,
+    _fingerprint,
     _scan_world,
     disk_bytes,
     engine_op,
     make_ops,
 )
-from repro.core.engine import EngineConfig, TriniT  # noqa: E402
+from reference_core import reference_query  # noqa: E402
+from repro.core.engine import TriniT  # noqa: E402
+from repro.core.parser import parse_query  # noqa: E402
 from repro.kg.generator import KgGenerator  # noqa: E402
 from repro.kg.world import World  # noqa: E402
 from repro.storage import persistence, snapshot  # noqa: E402
 
 
 def build(people: int, ops_wanted: int, seed: int, workdir: Path) -> dict:
-    """Child 1: the snapshot, the op list and the oracle's answers."""
+    """Child 1: the snapshot, the op list and the reference answers."""
     began = time.perf_counter()
     kg = KgGenerator(World.generate(_scan_world(people))).generate()
     store = kg.store("scan", freeze=False)
@@ -80,13 +84,21 @@ def build(people: int, ops_wanted: int, seed: int, workdir: Path) -> dict:
     build_s = time.perf_counter() - began
     disk_bytes_per_stmt = disk_bytes(workdir / "scan.snapd") / statements
     pool = list(SCAN_QUERIES)
-    with TriniT.open(workdir / "scan.snapd", config=EngineConfig(**REFERENCE)) as oracle:
-        pageable = [
-            q for q in pool if len(oracle.ask(q, k=SCAN_PAGES[0] + 1)) > SCAN_PAGES[0]
-        ]
+    with TriniT.open(workdir / "scan.snapd") as engine:
+
+        def reference(query: str, k: int) -> list:
+            return _fingerprint(reference_query(engine.processor, parse_query(query), k))
+
+        first = SCAN_PAGES[0]
+        pageable = [q for q in pool if len(reference(q, first + 1)) > first]
         mix = {"ask": (0.6, 80, pool), "stream": (0.4, SCAN_PAGES, pageable)}
         ops = make_ops(random.Random(f"scan_kg:{seed}"), mix, 100, ops_wanted)
-        expected = {op: engine_op(oracle, op)[0] for op in sorted(set(ops), key=repr)}
+        # engine_op's result: the answers' fingerprint (a stream's pages
+        # concatenated) and no explanation text.
+        expected = {
+            op: (reference(op[1], op[2] if op[0] == "ask" else sum(op[2])), None)
+            for op in sorted(set(ops), key=repr)
+        }
     with (workdir / "inputs.pkl").open("wb") as handle:
         pickle.dump({"ops": ops, "expected": expected}, handle)
     return {
@@ -98,7 +110,7 @@ def build(people: int, ops_wanted: int, seed: int, workdir: Path) -> dict:
 
 def replay(workdir: Path) -> dict:
     """Child 2: open the snapshot with the default configuration, check
-    every distinct op against the oracle, then time the op list."""
+    every distinct op against the reference answers, then time the op list."""
     with (workdir / "inputs.pkl").open("rb") as handle:
         inputs = pickle.load(handle)
     ops, expected = inputs["ops"], inputs["expected"]
@@ -235,7 +247,7 @@ def main(argv=None) -> int:
             flush=True,
         )
         for op in row["wrong"]:
-            print(f"  differs from the per-item oracle: {op}", file=sys.stderr)
+            print(f"  differs from the reference core: {op}", file=sys.stderr)
         rows.append({**identity, **row, "wrong": len(row["wrong"])})
     if args.record is not None:
         append(args.record, rows)

@@ -124,10 +124,12 @@ class ServeConfig:
         ``Connection: close`` (bounds how long one client can hold a
         connection thread); ``1`` disables reuse entirely.
     keepalive_idle:
-        Seconds a connection may wait for the bytes of a request head —
-        its first request's or the next kept-alive one's — before the
-        server closes it.  Idle connections are not in-flight: draining
-        never waits on them.
+        Seconds a connection may wait for the first byte of a request —
+        its first one's or the next kept-alive one's — before the server
+        closes it, and then the budget for the rest of that request's
+        head: request line and headers must all arrive within it (past
+        it: 408 and close).  Idle connections are not in-flight:
+        draining never waits on them.
     """
 
     host: str = "127.0.0.1"
@@ -170,6 +172,11 @@ class _BadRequest(TrinitError):
     """Malformed HTTP or payload — answered 400."""
 
 
+class _HeadTimeout(TrinitError):
+    """A request head begun but not finished within its deadline —
+    answered 408, and the connection closed."""
+
+
 @dataclass
 class _Request:
     method: str
@@ -191,11 +198,43 @@ class _Request:
         return token != "close"
 
 
-def _read_request(reader) -> _Request | None:
-    """Parse one request off a buffered socket reader; ``None`` at EOF."""
-    line = reader.readline(MAX_REQUEST_LINE + 1)
-    if not line:
+def _head_line(reader, conn: socket.socket, limit: int, deadline: float) -> bytes:
+    """``reader.readline(limit)`` that gives up at ``deadline``.
+
+    Every receive waits only for what is left until the deadline, so a
+    client dripping a line byte by byte cannot stretch it past that.
+    """
+    line = bytearray()
+    while len(line) < limit:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise _HeadTimeout
+        conn.settimeout(remaining)
+        try:
+            buffered = reader.peek(1)
+        except TimeoutError:
+            raise _HeadTimeout from None
+        if not buffered:
+            break  # EOF
+        wanted = limit - len(line)
+        stop = buffered.find(b"\n", 0, wanted)
+        line += reader.read(stop + 1 if stop >= 0 else min(len(buffered), wanted))
+        if stop >= 0:
+            break
+    return bytes(line)
+
+
+def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None:
+    """Parse one request off a buffered socket reader; ``None`` at EOF.
+
+    The wait for the request's first byte is bounded by the socket's
+    timeout; from that byte on, the request line and every header must
+    arrive within ``budget`` seconds in total (:class:`_HeadTimeout`).
+    """
+    if not reader.peek(1):
         return None
+    deadline = time.monotonic() + budget
+    line = _head_line(reader, conn, MAX_REQUEST_LINE + 1, deadline)
     if not line.endswith(b"\n"):
         if len(line) > MAX_REQUEST_LINE:
             raise _BadRequest("Request line too long")
@@ -207,7 +246,7 @@ def _read_request(reader) -> _Request | None:
     headers: dict[str, str] = {}
     header_bytes = 0
     while True:
-        line = reader.readline(MAX_HEADER_BYTES + 1)
+        line = _head_line(reader, conn, MAX_HEADER_BYTES + 1, deadline)
         header_bytes += len(line)
         if header_bytes > MAX_HEADER_BYTES:
             raise _BadRequest("Header block too large")
@@ -219,6 +258,7 @@ def _read_request(reader) -> _Request | None:
         if not sep:
             raise _BadRequest(f"Malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
+    conn.settimeout(budget)
     body = b""
     length = headers.get("content-length")
     if length is not None:
@@ -510,10 +550,15 @@ class QueryService:
         route, status = "empty", 0
         try:
             try:
-                request = _read_request(reader)
+                request = _read_request(reader, conn, self.config.keepalive_idle)
             except _BadRequest as exc:
                 route = "bad"
                 status = _respond(conn, 400, {"error": str(exc)})
+                return False
+            except _HeadTimeout:
+                route = "bad"
+                error = "Request head not received within keepalive_idle"
+                status = _respond(conn, 408, {"error": error})
                 return False
             if request is None:  # client closed without a request
                 return False

@@ -1070,15 +1070,19 @@ class IdRankJoin:
     hash int tuples.
 
     **Settling inside a tied run.**  Posting lists are in (weight desc, tie
-    key asc) order.  When the join has one stream, a lone posting cursor,
-    and the query's name-sorted projection is a prefix of that pattern's
-    variables in s→p→o order, a single-weight run arrives in exactly the
-    order its answers rank — so the join also stops once the k-th answer
-    strictly precedes the next posting in (score desc, tie key asc) order
-    (:meth:`_tie_settled`), not only once the k-th score beats the bound,
-    wherever that skips at least :attr:`TieFrontier.MIN_SKIP` postings of
-    the list (:meth:`_settles_inside`).  Every other join reads a tied run
-    to its end.
+    key asc) order.  When the join has one stream, its next run comes from
+    a posting cursor, and the query's name-sorted projection is a prefix
+    of that cursor's pattern variables in s→p→o order, a single-weight run
+    arrives in exactly the order its answers rank — so the join also stops
+    once the k-th answer strictly precedes the next posting in (score
+    desc, tie key asc) order (:meth:`_tie_settled`), not only once the
+    k-th score beats the bound, wherever that skips at least
+    :attr:`TieFrontier.MIN_SKIP` postings of the list.  The stream may be
+    a relaxation merge: the run is then its head cursor's, and every other
+    cursor's cached peek must score strictly below it
+    (:meth:`~repro.topk.incremental_merge.IncrementalMergeCursor.
+    exact_head`).  :meth:`_settles_inside` checks all of it per run.
+    Every other join reads a tied run to its end.
     """
 
     def __init__(
@@ -1138,26 +1142,35 @@ class IdRankJoin:
         ]
         # Whether an offer moved the tracker since _consume last looked.
         self._moved = False
-        self._in_answer_order = self._answer_ordered()
         self._frontier = TieFrontier()
 
-    def _answer_ordered(self) -> bool:
-        """Whether the one stream's tied runs arrive in answer order: a lone
-        posting cursor whose variables, in s→p→o order, start with the
-        name-sorted projection."""
+    def _settles_inside(self, stream) -> bool:
+        """Whether this drain may stop inside ``stream``'s next tied run.
+
+        The run must arrive in answer order — it comes from a posting
+        cursor whose variables, in s→p→o order, start with the name-sorted
+        projection — and be the last thing that scores its score: when the
+        stream merges relaxations, every other cursor's peek scores
+        strictly lower.  And the stop must skip enough of the list.
+        """
         if self.exhaustive or len(self.streams) != 1:
             return False
-        stream = self.streams[0]
-        if not isinstance(stream, IdPostingCursor):
+        head, runner_up = stream, None
+        if not isinstance(stream, (IdPostingCursor, IdSubJoinCursor)):
+            found = stream.exact_head()  # a relaxation merge
+            if found is None:
+                return False
+            head, runner_up = found
+        if not isinstance(head, IdPostingCursor):
+            return False
+        weight = self.rewriting_weight
+        if runner_up is not None and score_product(
+            weight, (runner_up,)
+        ) >= score_product(weight, (head.peek(),)):
             return False
         projection = self._projection_slots
-        return stream.plan.bound_slots[: len(projection)] == projection
-
-    def _settles_inside(self, stream) -> bool:
-        """Whether this drain may stop inside ``stream``'s tied run: the
-        stream is in answer order and the stop would skip enough of it."""
-        return self._in_answer_order and self._frontier.worth(
-            stream.list_length, self.tracker.k
+        return head.plan.bound_slots[: len(projection)] == projection and (
+            self._frontier.worth(head.list_length, self.tracker.k)
         )
 
     # -- bounds ------------------------------------------------------------
@@ -1291,7 +1304,7 @@ class IdRankJoin:
         refs = run.refs
         seen = self._seen[index]
         check = not self.exhaustive
-        settling = self._settles_inside(source)
+        settling = self._settles_inside(streams[index])
         # Every combination one stream's run forms scores the same.
         emitted = score_product(self.rewriting_weight, (score,))
         # Rank k can fall inside a run this drain may settle in only while

@@ -18,7 +18,9 @@ and :meth:`IncrementalMergeCursor.head_run` passes the head cursor's run
 through: while the head cursor's score stays what it is, its heap entry
 stays the smallest — a runner-up is strictly lower or ties with a later
 order — so a merge emitting one item at a time would emit exactly that
-run, minus the bindings already emitted.
+run, minus the bindings already emitted.  :meth:`IncrementalMergeCursor.
+exact_head` names that cursor and bounds what every other cursor can
+still emit, which is what lets a rank join stop inside the head's run.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ class IncrementalMergeCursor:
         Shared work counters; ``relaxations_considered`` is bumped per
         relaxation cursor at construction, ``relaxations_invoked`` when one
         first emits an item.
+
+    A rank join over this stream alone may stop inside the head cursor's
+    tied run when :meth:`exact_head` shows every other cursor strictly
+    below it: the run is then the last thing the merge emits at its
+    score, minus the bindings already emitted, in the head cursor's order.
     """
 
     def __init__(self, cursors: list[RunCursor], stats: QueryStats | None = None):
@@ -98,6 +105,22 @@ class IncrementalMergeCursor:
             self._reseat_head()
         return None
 
+    def exact_head(self) -> tuple[RunCursor, float | None] | None:
+        """The cursor the next run comes from, refined as :meth:`head_run`
+        refines it, and the best cached peek of every other cursor
+        (``None``: no other is live) — ``None`` when all are spent.
+
+        A cached peek bounds its cursor from above: a stale one was read
+        before the cursor moved on, an unrefined one is optimistic — both
+        only higher.  The best of them sits at a child of the heap root.
+        """
+        cursor = self._exact_head()
+        if cursor is None:
+            return None
+        heap = self._heap
+        runner_up = min((entry[0] for entry in heap[1:3]), default=None)
+        return cursor, None if runner_up is None else -runner_up
+
     def _note_invoked(self, cursor: RunCursor) -> None:
         if self.stats is None:
             return
@@ -141,7 +164,7 @@ class IncrementalMergeCursor:
         bindings, counts = self._run
         self._run = None
         self._emitted.update(bindings[:n])
-        self._heap[0][2].advance(n if counts is None else counts[n - 1])
+        self._heap[0][2].advance(counts[n - 1] if counts and n else n)
         self._reseat_head()
 
     def ensure_exact(self) -> bool:

@@ -313,3 +313,76 @@ def test_prefix_stable_under_any_insertion_order(
             for k, page in enumerate(prefixes, 1):
                 assert page == prefixes[-1][:k]
         assert answers(order, 0.0) == answers(rows, 0.0)
+
+
+#: Two predicates, two confidences, twelve entities: long tied runs on
+#: both sides of a relaxation, which ties with, beats or trails them.
+relaxed_rows = st.lists(
+    st.tuples(
+        st.integers(0, 11).map("E{}".format),
+        st.sampled_from(["p0", "p1"]),
+        st.integers(0, 11).map("E{}".format),
+        st.sampled_from((0.5, 1.0)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+#: Aligned (the projection leads the pattern's variables) and unaligned;
+#: each projects every variable of its pattern — under a projection that
+#: drops one, settling skips derivations the reference counts (ROADMAP
+#: item 4).
+single_queries = st.sampled_from(["?x p0 ?y", "?y p0 ?x", "E1 p0 ?y", "?x p0 E2"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=relaxed_rows,
+    weight=st.sampled_from([0.25, 0.5, 1.0]),
+    inverted=st.booleans(),
+    query_text=single_queries,
+    pages=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3),
+)
+@example(
+    rows=[("E0", "p0", f"E{i}", (1.0, 0.5)[i % 2]) for i in range(4)]
+    + [("E0", "p1", "E0", 1.0), ("E0", "p1", "E1", 1.0), ("E0", "p1", "E2", 1.0)],
+    weight=1.0,
+    inverted=False,
+    query_text="?x p0 ?y",
+    pages=[1, 1],
+).via("page one settles on the first fresh binding of a run the merge trimmed")
+def test_merge_settling_equals_reference(rows, weight, inverted, query_text, pages):
+    """A single pattern merged with one relaxation settles inside its head
+    cursor's tied run wherever nothing else it merges can score as high;
+    with no length bound on settling, every ``ask(k)`` — answers, scores,
+    derivations — and every stream's pages must be the reference core's,
+    which reads each tied run to its end."""
+    shape = "?y p1 ?x" if inverted else "?x p1 ?y"
+    store = TripleStore()
+    for s, p, o, confidence in rows:
+        store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=confidence)
+    rules = RuleSet()
+    rules.add(parse_rule(f"?x p0 ?y => {shape} @ {weight}"))
+    query = parse_query(query_text)
+    engine = TriniT(
+        store.freeze(),
+        rules=rules,
+        config=EngineConfig(
+            executor_kind="serial",
+            mine_arg_overlap=False,
+            mine_chains=False,
+            mine_inversions=False,
+        ),
+    )
+    with engine, patch.object(TieFrontier, "MIN_SKIP", 0):
+        for k in (1, 3, 8):
+            assert fingerprint(engine.ask(query, k=k)) == fingerprint(
+                reference_query(engine.processor, query, k)
+            )
+        stream = engine.stream(query)
+        shown = 0
+        for n in pages:
+            page = fingerprint(stream.next_k(n))
+            reference = reference_query(engine.processor, query, shown + n)
+            assert page == fingerprint(reference)[shown:]
+            shown += len(page)

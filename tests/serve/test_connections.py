@@ -8,6 +8,7 @@ threads is capped, and ``close()`` leaves no service thread behind.
 
 from __future__ import annotations
 
+import select
 import socket
 import threading
 import time
@@ -112,6 +113,49 @@ class TestBudgets:
                 started = time.monotonic()
                 assert read_until_eof(sock) == b""  # closed, nothing sent
                 assert time.monotonic() - started < 5.0
+
+    def test_dripped_request_head_is_cut_at_keepalive_idle(self, engine):
+        # A header byte every keepalive_idle / 2 keeps each receive inside
+        # the idle timeout; the head as a whole gets keepalive_idle.
+        config = ServeConfig(port=0, keepalive_idle=0.4)
+        with QueryService(engine, config) as service:
+            with socket.create_connection(
+                (service.host, service.port), timeout=10
+            ) as sock:
+                started = time.monotonic()
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nX-Drip: ")
+                raw = None
+                while raw is None and time.monotonic() - started < 4.0:
+                    try:
+                        if select.select([sock], [], [], 0.2)[0]:
+                            raw = read_until_eof(sock)
+                        else:
+                            sock.sendall(b"x")
+                    except ConnectionError:  # closed under the next drip
+                        raw = b""
+                elapsed = time.monotonic() - started
+            assert raw is not None, "the dripping client kept its connection"
+            assert elapsed < 2.0
+            assert raw == b"" or raw.startswith(b"HTTP/1.1 408 "), raw[:80]
+            with ServeClient(service.host, service.port) as client:
+                assert client.metrics()["requests"].get("bad:408") == 1
+
+    def test_request_head_in_a_few_writes_is_served(self, engine):
+        config = ServeConfig(port=0, keepalive_idle=1.0)
+        with QueryService(engine, config) as service:
+            with socket.create_connection(
+                (service.host, service.port), timeout=10
+            ) as sock:
+                for piece in (
+                    b"GET /heal",
+                    b"thz HTTP/1.1\r\nHost: test\r\n",
+                    b"Connection: close\r\n",
+                    b"\r\n",
+                ):
+                    sock.sendall(piece)
+                    time.sleep(0.1)
+                raw = read_until_eof(sock)
+            assert raw.startswith(b"HTTP/1.1 200 "), raw[:80]
 
     def test_connections_past_the_cap_get_503(self, engine, monkeypatch):
         monkeypatch.setattr(serve_http, "MAX_CONNECTIONS", 2)

@@ -16,7 +16,7 @@ from dataclasses import fields
 import pytest
 
 from repro.core.engine import EngineConfig, TriniT
-from repro.core.parser import parse_rule
+from repro.core.parser import parse_query, parse_rule
 from repro.core.terms import Resource
 from repro.core.triples import Triple
 from repro.errors import StorageError
@@ -27,6 +27,7 @@ from repro.topk.kernels import HotBlockCache
 from repro.topk.processor import ProcessorConfig
 
 from layouts import generational_copy
+from reference_core import reference_query
 
 
 def _engine(rows, relayout=None, rules=(), **config):
@@ -436,12 +437,14 @@ def test_rounding_worlds_read_the_whole_run(world):
 # reads a tied run in the order its answers rank, and stops at rank k.
 
 
+#: One 1,000-way ``p`` tie, inserted out of name order.
+TIE_ROWS = [
+    (f"S{i * 389 % 1000:04d}", "p", f"O{i * 7 % 13:02d}", 0.5) for i in range(1000)
+]
+
+
 def _thousand_way_tie(**config):
-    """One 1,000-way tie, inserted out of name order."""
-    rows = [
-        (f"S{i * 389 % 1000:04d}", "p", f"O{i * 7 % 13:02d}", 0.5) for i in range(1000)
-    ]
-    return _engine(rows, **NO_MINING, **config)
+    return _engine(TIE_ROWS, **NO_MINING, **config)
 
 
 @pytest.mark.parametrize("query", ["?x p ?y", "SELECT ?x WHERE ?x p ?y"])
@@ -477,3 +480,108 @@ def test_unaligned_projection_still_reads_the_run(query):
         assert engine.ask(query, k=80).stats.sorted_accesses == 1000
     finally:
         engine.close()
+
+
+# -- …and so does a merge, while everything else it merges scores lower --------
+#
+# The tie relaxed to ``q``: a merge of the ``p`` cursor with a ``q`` cursor
+# settles inside its head cursor's run only while the other cursor's peek
+# scores strictly below that run.
+
+
+def _relaxed_tie(extra, weight, **config):
+    """The thousand-way ``p`` tie, plus ``extra`` rows that a rule of
+    ``weight`` relaxes ``p`` to."""
+    return _engine(
+        TIE_ROWS + extra,
+        rules=[f"?x p ?y => ?x q ?y @ {weight}"],
+        **NO_MINING,
+        **config,
+    )
+
+
+RELAXED_TIES = {
+    # Twenty q postings at 0.01 of the rule: strictly below the p run.
+    "lower": ([(f"T{i:03d}", "q", "O", 0.5) for i in range(20)], 0.01),
+    # A second 1,000-way tie whose scaled score equals the p run's, on
+    # subjects that interleave with it in name order.
+    "equal": ([(f"{s}q", "q", o, c) for s, _p, o, c in TIE_ROWS], 1.0),
+    # Ten of the p bindings, emitted through q at a higher score before the
+    # p run starts, then 300 q postings below the run.
+    "emitted-above": (
+        [(s, "q", o, 1.0) for s, _p, o, _c in TIE_ROWS[:40:4]]
+        + [(f"T{i:03d}", "q", "O", 0.01) for i in range(300)],
+        0.5,
+    ),
+    # A 400-way q tie above the p run: the relaxation heads the merge.
+    "relaxation-heads": ([(f"T{i:03d}", "q", "O", 0.5) for i in range(400)], 1.0),
+}
+
+
+def _observe_relaxed(world, query, **config):
+    """``ask(k=80)``, then a stream's pages of 25 and 50, as (answers with
+    derivations, counters) pairs, and the reference core's 80 answers."""
+    engine = _relaxed_tie(*RELAXED_TIES[world], **config)
+    try:
+        eager = engine.ask(query, k=80)
+        stream = engine.stream(query)
+        pages = [
+            (_fingerprint(stream.next_k(n)), _counters(stream.stats, FETCHING))
+            for n in (25, 50)
+        ]
+        reference = reference_query(engine.processor, parse_query(query), 80)
+        eager = (_fingerprint(eager.answers), _counters(eager.stats, FETCHING))
+        return eager, pages, _fingerprint(reference)
+    finally:
+        engine.close()
+
+
+def _relaxed_reads(world, query, config):
+    """The sorted accesses of ``ask(k=80)`` and of each page, once the
+    answers and every counter matched the per-item oracle and the answers
+    matched the reference core, which reads every tied run to its end."""
+    observed = _observe_relaxed(world, query, **config)
+    assert observed == _observe_relaxed(world, query, **ORACLE)
+    (eager, eager_counts), pages, reference = observed
+    assert eager == reference
+    assert pages[0][0] + pages[1][0] == reference[:75]
+    return eager_counts["sorted_accesses"], [
+        counts["sorted_accesses"] for _answers, counts in pages
+    ]
+
+
+ALIGNED = ["?x p ?y", "SELECT ?x WHERE ?x p ?y"]
+
+
+@pytest.mark.parametrize("query", ALIGNED)
+@pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
+def test_merge_settles_inside_run_over_a_lower_relaxation(config, query):
+    assert _relaxed_reads("lower", query, config) == (80, [25, 75])
+
+
+@pytest.mark.parametrize("query", ALIGNED)
+@pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
+def test_relaxation_tying_the_run_reads_it_to_the_end(config, query):
+    # The whole p run, then the q run settles where its 40 answers have
+    # interleaved with p's first 40.
+    eager, _pages = _relaxed_reads("equal", query, config)
+    assert eager == 1000 + 40
+
+
+@pytest.mark.parametrize("query", ALIGNED)
+@pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
+def test_bindings_emitted_above_the_run_are_skipped_in_it(config, query):
+    # Ten q postings first, then p's postings up to rank 80 — two of
+    # them the already-emitted bindings the merge drops from the run.
+    assert _relaxed_reads("emitted-above", query, config)[0] == 10 + 72
+
+
+@pytest.mark.parametrize("query", ALIGNED)
+@pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
+def test_relaxation_heading_the_merge_settles_in_its_own_run(config, query):
+    assert _relaxed_reads("relaxation-heads", query, config) == (80, [25, 75])
+
+
+@pytest.mark.parametrize("query", ["?y p ?x", "SELECT ?x ?z WHERE ?z p ?x"])
+def test_unaligned_projection_under_a_merge_reads_the_run(query):
+    assert _relaxed_reads("lower", query, {})[0] == 1000
