@@ -231,10 +231,21 @@ def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None
     timeout; from that byte on, the request line and every header must
     arrive within ``budget`` seconds in total (:class:`_HeadTimeout`).
     """
-    if not reader.peek(1):
+    buffered = reader.peek(1)
+    if not buffered:
         return None
-    deadline = time.monotonic() + budget
-    line = _head_line(reader, conn, MAX_REQUEST_LINE + 1, deadline)
+    # A head that arrived whole is read off the buffer: no line of it
+    # waits for a receive, so none needs the deadline.
+    whole = b"\n\r\n" in buffered or b"\n\n" in buffered
+    if whole:
+        readline = reader.readline
+    else:
+        deadline = time.monotonic() + budget
+
+        def readline(limit: int) -> bytes:
+            return _head_line(reader, conn, limit, deadline)
+
+    line = readline(MAX_REQUEST_LINE + 1)
     if not line.endswith(b"\n"):
         if len(line) > MAX_REQUEST_LINE:
             raise _BadRequest("Request line too long")
@@ -246,7 +257,7 @@ def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None
     headers: dict[str, str] = {}
     header_bytes = 0
     while True:
-        line = _head_line(reader, conn, MAX_HEADER_BYTES + 1, deadline)
+        line = readline(MAX_HEADER_BYTES + 1)
         header_bytes += len(line)
         if header_bytes > MAX_HEADER_BYTES:
             raise _BadRequest("Header block too large")
@@ -258,7 +269,8 @@ def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None
         if not sep:
             raise _BadRequest(f"Malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
-    conn.settimeout(budget)
+    if not whole:
+        conn.settimeout(budget)
     body = b""
     length = headers.get("content-length")
     if length is not None:
