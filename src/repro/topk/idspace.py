@@ -1081,7 +1081,7 @@ class IdRankJoin:
     a relaxation merge: the run is then its head cursor's, and every other
     cursor's cached peek must score strictly below it
     (:meth:`~repro.topk.incremental_merge.IncrementalMergeCursor.
-    exact_head`).  :meth:`_settles_inside` checks all of it per run.
+    exact_head`).  :meth:`_settler` checks all of it once per run.
     Every other join reads a tied run to its end.
     """
 
@@ -1144,34 +1144,38 @@ class IdRankJoin:
         self._moved = False
         self._frontier = TieFrontier()
 
-    def _settles_inside(self, stream) -> bool:
-        """Whether this drain may stop inside ``stream``'s next tied run.
+    def _settler(self, stream) -> tuple[IdPostingCursor, float] | None:
+        """The posting cursor, with its head score, whose next tied run in
+        ``stream`` this drain may stop inside; ``None`` if it may not.
 
-        The run must arrive in answer order — it comes from a posting
-        cursor whose variables, in s→p→o order, start with the name-sorted
-        projection — and be the last thing that scores its score: when the
-        stream merges relaxations, every other cursor's peek scores
-        strictly lower.  And the stop must skip enough of the list.
+        The run must arrive in answer order — the cursor's variables, in
+        s→p→o order, start with the name-sorted projection — the stop must
+        skip enough of the list, and the run must be the last thing that
+        scores its score: when the stream merges relaxations, every other
+        cursor's peek scores strictly lower.
         """
         if self.exhaustive or len(self.streams) != 1:
-            return False
+            return None
         head, runner_up = stream, None
         if not isinstance(stream, (IdPostingCursor, IdSubJoinCursor)):
             found = stream.exact_head()  # a relaxation merge
             if found is None:
-                return False
+                return None
             head, runner_up = found
         if not isinstance(head, IdPostingCursor):
-            return False
+            return None
+        projection = self._projection_slots
+        if head.plan.bound_slots[: len(projection)] != projection or not (
+            self._frontier.worth(head.list_length, self.tracker.k)
+        ):
+            return None
+        score = head.peek()
         weight = self.rewriting_weight
         if runner_up is not None and score_product(
             weight, (runner_up,)
-        ) >= score_product(weight, (head.peek(),)):
-            return False
-        projection = self._projection_slots
-        return head.plan.bound_slots[: len(projection)] == projection and (
-            self._frontier.worth(head.list_length, self.tracker.k)
-        )
+        ) >= score_product(weight, (score,)):
+            return None
+        return head, score
 
     # -- bounds ------------------------------------------------------------
 
@@ -1286,9 +1290,11 @@ class IdRankJoin:
         limit: int,
         bound: float,
         should_stop: Callable[[], bool] | None,
+        settling: bool,
     ) -> int:
         """Take up to ``limit`` items of stream ``index``'s head run;
-        return how many.
+        return how many; ``settling``: whether the drain may stop inside
+        the run (:meth:`_settler`).
 
         The caller has decided that the first item is to be consumed, and
         that decision extends over the ``limit`` items: heads, liveness and
@@ -1304,7 +1310,6 @@ class IdRankJoin:
         refs = run.refs
         seen = self._seen[index]
         check = not self.exhaustive
-        settling = self._settles_inside(streams[index])
         # Every combination one stream's run forms scores the same.
         emitted = score_product(self.rewriting_weight, (score,))
         # Rank k can fall inside a run this drain may settle in only while
@@ -1420,10 +1425,9 @@ class IdRankJoin:
             # use it: the answers the top-k still lacks, plus the posting
             # that settles it.
             tracker = self.tracker
+            settler = self._settler(stream)
             run = stream.head_run(
-                max(1, tracker.k - len(tracker)) + 1
-                if self._settles_inside(stream)
-                else None
+                None if settler is None else max(1, tracker.k - len(tracker)) + 1
             )
             if run is None:
                 continue
@@ -1433,7 +1437,10 @@ class IdRankJoin:
             # head_run: the run scores lower than the peek the decisions
             # above rest on, so they hold for its first item only.
             limit = len(run.bindings) if run.score == peeks[index] else 1
-            taken = self._consume(run, index, limit, bound, should_stop)
+            # The run a merge handed out may not be the one checked: it
+            # skips a run whose bindings were all emitted.
+            settling = settler == (run.source, run.score)
+            taken = self._consume(run, index, limit, bound, should_stop, settling)
             stream.advance(taken)
             if taken < limit:
                 return False
