@@ -1143,31 +1143,51 @@ class IdRankJoin:
         # Whether an offer moved the tracker since _consume last looked.
         self._moved = False
         self._frontier = TieFrontier()
+        # The longest list a run of this join may settle inside: that of a
+        # posting cursor in answer order, the one stream or merged in it.
+        self._settle_length = 0
+        if not exhaustive and len(streams) == 1:
+            stream = streams[0]
+            cursors = (
+                streams
+                if isinstance(stream, (IdPostingCursor, IdSubJoinCursor))
+                else stream.cursors
+            )
+            self._settle_length = max(
+                (c.list_length for c in cursors if self._answer_ordered(c)),
+                default=0,
+            )
+
+    def _answer_ordered(self, cursor) -> bool:
+        """Whether ``cursor``'s tied runs arrive in answer order: a posting
+        cursor whose variables, in s→p→o order, start with the name-sorted
+        projection."""
+        projection = self._projection_slots
+        return (
+            isinstance(cursor, IdPostingCursor)
+            and cursor.plan.bound_slots[: len(projection)] == projection
+        )
 
     def _settler(self, stream) -> tuple[IdPostingCursor, float] | None:
         """The posting cursor, with its head score, whose next tied run in
         ``stream`` this drain may stop inside; ``None`` if it may not.
 
-        The run must arrive in answer order — the cursor's variables, in
-        s→p→o order, start with the name-sorted projection — the stop must
-        skip enough of the list, and the run must be the last thing that
-        scores its score: when the stream merges relaxations, every other
-        cursor's peek scores strictly lower.
+        The run must arrive in answer order, the stop must skip enough of
+        the list, and the run must be the last thing that scores its
+        score: when the stream merges relaxations, every other cursor's
+        peek scores strictly lower.
         """
-        if self.exhaustive or len(self.streams) != 1:
+        k = self.tracker.k
+        worth = self._frontier.worth
+        if not worth(self._settle_length, k):
             return None
-        head, runner_up = stream, None
-        if not isinstance(stream, (IdPostingCursor, IdSubJoinCursor)):
-            found = stream.exact_head()  # a relaxation merge
-            if found is None:
-                return None
-            head, runner_up = found
-        if not isinstance(head, IdPostingCursor):
+        if isinstance(stream, IdPostingCursor):
+            return stream, stream.peek()
+        found = stream.exact_head()  # a relaxation merge
+        if found is None:
             return None
-        projection = self._projection_slots
-        if head.plan.bound_slots[: len(projection)] != projection or not (
-            self._frontier.worth(head.list_length, self.tracker.k)
-        ):
+        head, runner_up = found
+        if not (self._answer_ordered(head) and worth(head.list_length, k)):
             return None
         score = head.peek()
         weight = self.rewriting_weight

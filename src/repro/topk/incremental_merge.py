@@ -55,6 +55,7 @@ class IncrementalMergeCursor:
     """
 
     def __init__(self, cursors: list[RunCursor], stats: QueryStats | None = None):
+        self.cursors = cursors
         self.stats = stats
         self._counter = itertools.count()
         self._heap: list[tuple[float, int, RunCursor]] = []
