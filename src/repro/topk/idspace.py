@@ -1078,10 +1078,11 @@ class IdRankJoin:
     desc, tie key asc) order (:meth:`_tie_settled`), not only once the
     k-th score beats the bound, wherever that skips at least
     :attr:`TieFrontier.MIN_SKIP` postings of the list.  The stream may be
-    a relaxation merge: the run is then its head cursor's, and every other
+    a relaxation merge: the run is then its head cursor's, every other
     cursor's cached peek must score strictly below it
     (:meth:`~repro.topk.incremental_merge.IncrementalMergeCursor.
-    exact_head`).  :meth:`_settler` checks all of it once per run.
+    exact_head`), and the projection must keep every variable of the head
+    cursor's pattern.  :meth:`_settler` checks all of it once per run.
     Every other join reads a tied run to its end.
     """
 
@@ -1143,20 +1144,8 @@ class IdRankJoin:
         # Whether an offer moved the tracker since _consume last looked.
         self._moved = False
         self._frontier = TieFrontier()
-        # The longest list a run of this join may settle inside: that of a
-        # posting cursor in answer order, the one stream or merged in it.
-        self._settle_length = 0
-        if not exhaustive and len(streams) == 1:
-            stream = streams[0]
-            cursors = (
-                streams
-                if isinstance(stream, (IdPostingCursor, IdSubJoinCursor))
-                else stream.cursors
-            )
-            self._settle_length = max(
-                (c.list_length for c in cursors if self._answer_ordered(c)),
-                default=0,
-            )
+        # Only a join over one stream may settle inside a tied run.
+        self._may_settle = not exhaustive and len(streams) == 1
 
     def _answer_ordered(self, cursor) -> bool:
         """Whether ``cursor``'s tied runs arrive in answer order: a posting
@@ -1172,22 +1161,32 @@ class IdRankJoin:
         """The posting cursor, with its head score, whose next tied run in
         ``stream`` this drain may stop inside; ``None`` if it may not.
 
-        The run must arrive in answer order, the stop must skip enough of
-        the list, and the run must be the last thing that scores its
-        score: when the stream merges relaxations, every other cursor's
-        peek scores strictly lower.
+        The run must arrive in answer order and the stop must skip enough
+        of the list.  When the stream merges relaxations, the run must
+        also be the last thing that scores its score — every other
+        cursor's peek scores strictly lower — and the projection must
+        keep every variable of the head cursor's pattern: the other
+        cursors emit below the run, and under a projection that drops a
+        variable their later postings could add derivations to answers
+        already ranked.
         """
-        k = self.tracker.k
-        worth = self._frontier.worth
-        if not worth(self._settle_length, k):
+        if not self._may_settle:
             return None
-        if isinstance(stream, IdPostingCursor):
-            return stream, stream.peek()
-        found = stream.exact_head()  # a relaxation merge
-        if found is None:
+        # Not a cursor of this module: a relaxation merge.
+        merged = not isinstance(stream, (IdPostingCursor, IdSubJoinCursor))
+        if merged:
+            found = stream.exact_head()
+            if found is None:
+                return None
+            head, runner_up = found
+        else:
+            head, runner_up = stream, None
+        if not (
+            self._answer_ordered(head)
+            and self._frontier.worth(head.list_length, self.tracker.k)
+        ):
             return None
-        head, runner_up = found
-        if not (self._answer_ordered(head) and worth(head.list_length, k)):
+        if merged and len(self._projection_slots) != len(head.plan.bound_slots):
             return None
         score = head.peek()
         weight = self.rewriting_weight

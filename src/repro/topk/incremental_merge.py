@@ -55,7 +55,6 @@ class IncrementalMergeCursor:
     """
 
     def __init__(self, cursors: list[RunCursor], stats: QueryStats | None = None):
-        self.cursors = cursors
         self.stats = stats
         self._counter = itertools.count()
         self._heap: list[tuple[float, int, RunCursor]] = []

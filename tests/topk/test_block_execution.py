@@ -513,6 +513,10 @@ RELAXED_TIES = {
         + [(f"T{i:03d}", "q", "O", 0.01) for i in range(300)],
         0.5,
     ),
+    # Ten of the p run's subjects, last in name order, bound through q to
+    # another object at a higher score: under ``SELECT ?x`` their p
+    # postings, past rank 80 of the run, are second derivations.
+    "derived-above": ([(f"S{999 - i:04d}", "q", "Z", 1.0) for i in range(10)], 0.5),
     # A 400-way q tie above the p run: the relaxation heads the merge.
     "relaxation-heads": ([(f"T{i:03d}", "q", "O", 0.5) for i in range(400)], 1.0),
 }
@@ -550,36 +554,49 @@ def _relaxed_reads(world, query, config):
     ]
 
 
-ALIGNED = ["?x p ?y", "SELECT ?x WHERE ?x p ?y"]
-
-
-@pytest.mark.parametrize("query", ALIGNED)
 @pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
-def test_merge_settles_inside_run_over_a_lower_relaxation(config, query):
-    assert _relaxed_reads("lower", query, config) == (80, [25, 75])
+def test_merge_settles_inside_run_over_a_lower_relaxation(config):
+    assert _relaxed_reads("lower", "?x p ?y", config) == (80, [25, 75])
 
 
-@pytest.mark.parametrize("query", ALIGNED)
 @pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
-def test_relaxation_tying_the_run_reads_it_to_the_end(config, query):
+def test_relaxation_tying_the_run_reads_it_to_the_end(config):
     # The whole p run, then the q run settles where its 40 answers have
     # interleaved with p's first 40.
-    eager, _pages = _relaxed_reads("equal", query, config)
+    eager, _pages = _relaxed_reads("equal", "?x p ?y", config)
     assert eager == 1000 + 40
 
 
-@pytest.mark.parametrize("query", ALIGNED)
 @pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
-def test_bindings_emitted_above_the_run_are_skipped_in_it(config, query):
+def test_bindings_emitted_above_the_run_are_skipped_in_it(config):
     # Ten q postings first, then p's postings up to rank 80 — two of
     # them the already-emitted bindings the merge drops from the run.
-    assert _relaxed_reads("emitted-above", query, config)[0] == 10 + 72
+    assert _relaxed_reads("emitted-above", "?x p ?y", config)[0] == 10 + 72
 
 
-@pytest.mark.parametrize("query", ALIGNED)
 @pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
-def test_relaxation_heading_the_merge_settles_in_its_own_run(config, query):
-    assert _relaxed_reads("relaxation-heads", query, config) == (80, [25, 75])
+def test_relaxation_heading_the_merge_settles_in_its_own_run(config):
+    assert _relaxed_reads("relaxation-heads", "?x p ?y", config) == (80, [25, 75])
+
+
+@pytest.mark.parametrize(
+    "world, reads",
+    [
+        ("lower", 1000),
+        ("equal", 2000),
+        ("emitted-above", 1010),
+        ("derived-above", 1010),
+        ("relaxation-heads", 400),
+    ],
+)
+@pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
+def test_projection_dropping_a_variable_under_a_merge_reads_the_run(
+    config, world, reads
+):
+    # Answer order holds, but the merge's other cursors could still add
+    # derivations of ranked answers below the run: every run is read whole.
+    query = "SELECT ?x WHERE ?x p ?y"
+    assert _relaxed_reads(world, query, config) == (reads, [reads, reads])
 
 
 @pytest.mark.parametrize("query", ["?y p ?x", "SELECT ?x ?z WHERE ?z p ?x"])
