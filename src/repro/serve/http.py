@@ -231,19 +231,12 @@ def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None
     timeout; from that byte on, the request line and every header must
     arrive within ``budget`` seconds in total (:class:`_HeadTimeout`).
     """
-    buffered = reader.peek(1)
-    if not buffered:
+    if not reader.peek(1):
         return None
-    # A head that arrived whole is read off the buffer: no line of it
-    # waits for a receive, so none needs the deadline.
-    whole = b"\n\r\n" in buffered or b"\n\n" in buffered
-    if whole:
-        readline = reader.readline
-    else:
-        deadline = time.monotonic() + budget
+    deadline = time.monotonic() + budget
 
-        def readline(limit: int) -> bytes:
-            return _head_line(reader, conn, limit, deadline)
+    def readline(limit: int) -> bytes:
+        return _head_line(reader, conn, limit, deadline)
 
     line = readline(MAX_REQUEST_LINE + 1)
     if not line.endswith(b"\n"):
@@ -269,8 +262,7 @@ def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None
         if not sep:
             raise _BadRequest(f"Malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
-    if not whole:
-        conn.settimeout(budget)
+    conn.settimeout(budget)
     body = b""
     length = headers.get("content-length")
     if length is not None:
