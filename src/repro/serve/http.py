@@ -198,30 +198,51 @@ class _Request:
         return token != "close"
 
 
-def _head_line(reader, conn: socket.socket, limit: int, deadline: float) -> bytes:
-    """``reader.readline(limit)`` that gives up at ``deadline``.
+class _HeadReader:
+    """The lines of one request head, read within one deadline.
 
-    Every receive waits only for what is left until the deadline, so a
-    client dripping a line byte by byte cannot stretch it past that.
+    Lines are cut from what the socket reader already holds (``peek``);
+    only a line not all there waits for a receive, and each receive waits
+    only for what is left until the deadline, so a client dripping a head
+    byte by byte cannot stretch it past that.
     """
-    line = bytearray()
-    while len(line) < limit:
-        remaining = deadline - time.monotonic()
+
+    def __init__(self, reader, conn: socket.socket, held: bytes, deadline: float):
+        self._reader = reader
+        self._conn = conn
+        self._deadline = deadline
+        self._held = held  # the reader's buffer, as last peeked…
+        self._pos = 0  # …and how much of it the lines returned so far hold
+
+    def readline(self, limit: int) -> bytes:
+        """``reader.readline(limit)`` that gives up at the deadline."""
+        line = b""
+        while True:
+            held, pos = self._held, self._pos
+            end = pos + limit - len(line)
+            stop = held.find(b"\n", pos, end)
+            if stop >= 0 or len(held) >= end:
+                self._pos = end = stop + 1 if stop >= 0 else end
+                return line + held[pos:end]
+            line += held[pos:]
+            self._reader.read(len(held))
+            self._held, self._pos = self._receive(), 0
+            if not self._held:
+                return line  # EOF
+
+    def _receive(self) -> bytes:
+        remaining = self._deadline - time.monotonic()
         if remaining <= 0:
             raise _HeadTimeout
-        conn.settimeout(remaining)
+        self._conn.settimeout(remaining)
         try:
-            buffered = reader.peek(1)
+            return self._reader.peek(1)
         except TimeoutError:
             raise _HeadTimeout from None
-        if not buffered:
-            break  # EOF
-        wanted = limit - len(line)
-        stop = buffered.find(b"\n", 0, wanted)
-        line += reader.read(stop + 1 if stop >= 0 else min(len(buffered), wanted))
-        if stop >= 0:
-            break
-    return bytes(line)
+
+    def finish(self) -> None:
+        """Take the lines read off the reader."""
+        self._reader.read(self._pos)
 
 
 def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None:
@@ -231,14 +252,11 @@ def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None
     timeout; from that byte on, the request line and every header must
     arrive within ``budget`` seconds in total (:class:`_HeadTimeout`).
     """
-    if not reader.peek(1):
+    held = reader.peek(1)
+    if not held:
         return None
-    deadline = time.monotonic() + budget
-
-    def readline(limit: int) -> bytes:
-        return _head_line(reader, conn, limit, deadline)
-
-    line = readline(MAX_REQUEST_LINE + 1)
+    head = _HeadReader(reader, conn, held, time.monotonic() + budget)
+    line = head.readline(MAX_REQUEST_LINE + 1)
     if not line.endswith(b"\n"):
         if len(line) > MAX_REQUEST_LINE:
             raise _BadRequest("Request line too long")
@@ -250,7 +268,7 @@ def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None
     headers: dict[str, str] = {}
     header_bytes = 0
     while True:
-        line = readline(MAX_HEADER_BYTES + 1)
+        line = head.readline(MAX_HEADER_BYTES + 1)
         header_bytes += len(line)
         if header_bytes > MAX_HEADER_BYTES:
             raise _BadRequest("Header block too large")
@@ -262,6 +280,7 @@ def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None
         if not sep:
             raise _BadRequest(f"Malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
+    head.finish()
     conn.settimeout(budget)
     body = b""
     length = headers.get("content-length")
