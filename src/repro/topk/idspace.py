@@ -1081,7 +1081,7 @@ class IdRankJoin:
     a relaxation merge: the run is then its head cursor's, every other
     cursor's cached peek must score strictly below it
     (:meth:`~repro.topk.incremental_merge.IncrementalMergeCursor.
-    exact_head`), and the projection must keep every variable of the head
+    runner_up`), and the projection must keep every variable of the head
     cursor's pattern.  :meth:`_settler` checks all of it once per run.
     Every other join reads a tied run to its end.
     """
@@ -1174,20 +1174,17 @@ class IdRankJoin:
             return None
         # Not a cursor of this module: a relaxation merge.
         merged = not isinstance(stream, (IdPostingCursor, IdSubJoinCursor))
-        if merged:
-            found = stream.exact_head()
-            if found is None:
-                return None
-            head, runner_up = found
-        else:
-            head, runner_up = stream, None
+        head = stream.exact_head() if merged else stream
         if not (
             self._answer_ordered(head)
             and self._frontier.worth(head.list_length, self.tracker.k)
         ):
             return None
-        if merged and len(self._projection_slots) != len(head.plan.bound_slots):
-            return None
+        runner_up = None
+        if merged:
+            if len(self._projection_slots) != len(head.plan.bound_slots):
+                return None
+            runner_up = stream.runner_up()
         score = head.peek()
         weight = self.rewriting_weight
         if runner_up is not None and score_product(

@@ -19,8 +19,9 @@ through: while the head cursor's score stays what it is, its heap entry
 stays the smallest — a runner-up is strictly lower or ties with a later
 order — so a merge emitting one item at a time would emit exactly that
 run, minus the bindings already emitted.  :meth:`IncrementalMergeCursor.
-exact_head` names that cursor and bounds what every other cursor can
-still emit, which is what lets a rank join stop inside the head's run.
+exact_head` names that cursor and :meth:`IncrementalMergeCursor.runner_up`
+bounds what every other cursor can still emit, which is what lets a rank
+join stop inside the head's run.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class IncrementalMergeCursor:
         first emits an item.
 
     A rank join over this stream alone may stop inside the head cursor's
-    tied run when :meth:`exact_head` shows every other cursor strictly
+    tied run when :meth:`runner_up` shows every other cursor strictly
     below it: the run is then the last thing the merge emits at its
     score, minus the bindings already emitted, in the head cursor's order.
     """
@@ -95,7 +96,7 @@ class IncrementalMergeCursor:
         else:
             heapq.heapreplace(self._heap, (-peek, order, cursor))
 
-    def _exact_head(self) -> RunCursor | None:
+    def exact_head(self) -> RunCursor | None:
         """The cursor the next item comes from — optimistic heads refined
         until the heap head is exact — or ``None`` when all are spent."""
         while self.peek() is not None:
@@ -105,21 +106,16 @@ class IncrementalMergeCursor:
             self._reseat_head()
         return None
 
-    def exact_head(self) -> tuple[RunCursor, float | None] | None:
-        """The cursor the next run comes from, refined as :meth:`head_run`
-        refines it, and the best cached peek of every other cursor
-        (``None``: no other is live) — ``None`` when all are spent.
+    def runner_up(self) -> float | None:
+        """The best cached peek of every cursor but the head's; ``None``
+        when no other is live.
 
         A cached peek bounds its cursor from above: a stale one was read
         before the cursor moved on, an unrefined one is optimistic — both
         only higher.  The best of them sits at a child of the heap root.
         """
-        cursor = self._exact_head()
-        if cursor is None:
-            return None
-        heap = self._heap
-        runner_up = min((entry[0] for entry in heap[1:3]), default=None)
-        return cursor, None if runner_up is None else -runner_up
+        children = self._heap[1:3]
+        return -min(children)[0] if children else None
 
     def _note_invoked(self, cursor: RunCursor) -> None:
         if self.stats is None:
@@ -139,7 +135,7 @@ class IncrementalMergeCursor:
         at a time would have.  Returns ``None`` when spent.
         """
         emitted = self._emitted
-        while (cursor := self._exact_head()) is not None:
+        while (cursor := self.exact_head()) is not None:
             run = cursor.head_run(limit)
             self._note_invoked(cursor)
             bindings = run.bindings

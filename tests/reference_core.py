@@ -304,7 +304,7 @@ class PerItemMergeCursor(IncrementalMergeCursor):
 
     def pop(self) -> ScoredMatch | None:
         """Next item in globally descending score order, deduped by binding."""
-        while (cursor := self._exact_head()) is not None:
+        while (cursor := self.exact_head()) is not None:
             item = cursor.pop()
             self._reseat_head()
             if item is None:
