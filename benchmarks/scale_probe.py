@@ -12,7 +12,9 @@ query pool, k and page sizes, imported from the frozen benchmark — at any
 number of people, through the same public path (JSONL → sharded snapshot →
 ``TriniT.open``), and prints per size: the op median, the first and the
 next page of the stream ops, how many sorted accesses an answer costs
-(overall and for the single-pattern ops alone), what one sorted access
+(overall and for the single-pattern ops alone), how many postings an answer
+of the join ops reads by sorted and random access together (a join settles
+its tied band by probes, ``QueryStats.random_accesses``), what one sorted access
 costs, how long ``TriniT.open`` took, the engine's peak RSS and the
 snapshot's bytes on disk per statement.  Every distinct op's answers are
 checked against the term-space reference core (``tests/reference_core.py``),
@@ -120,6 +122,7 @@ def replay(workdir: Path) -> dict:
         wrong = [op for op in expected if engine_op(engine, op)[0] != expected[op]]
         latencies, first_pages, next_pages = [], [], []
         accesses = answers = single_accesses = single_answers = 0
+        join_reads = join_answers = 0
         for op in ops:
             result, latency, first_s, next_s, stats = engine_op(engine, op)
             latencies.append(latency)
@@ -131,6 +134,10 @@ def replay(workdir: Path) -> dict:
             if "." not in op[1]:
                 single_accesses += stats.sorted_accesses
                 single_answers += len(result[0])
+            else:
+                # An older commit's stats have no random accesses.
+                join_reads += stats.sorted_accesses + getattr(stats, "random_accesses", 0)
+                join_answers += len(result[0])
     return {
         "ops": len(ops),
         "op_p50_ms": statistics.median(latencies) * 1e3,
@@ -140,6 +147,7 @@ def replay(workdir: Path) -> dict:
         "open_ms": open_s * 1e3,
         "accesses_per_answer": accesses / max(answers, 1),
         "single_pattern_accesses_per_answer": single_accesses / max(single_answers, 1),
+        "join_reads_per_answer": join_reads / max(join_answers, 1),
         "us_per_access": sum(latencies) * 1e6 / max(accesses, 1),
         # ru_maxrss is in KiB on Linux: the peak of this process, which
         # only ever opened the snapshot and ran queries.
@@ -229,7 +237,7 @@ def main(argv=None) -> int:
     print(
         f"{'people':>8} {'statements':>10} {'ops':>5} {'op p50 ms':>10} "
         f"{'op p90 ms':>10} {'first ms':>9} {'next ms':>8} {'acc/answer':>10} "
-        f"{'single':>7} {'us/access':>10} {'open ms':>8} {'rss MB':>7} "
+        f"{'single':>7} {'join r+s':>8} {'us/access':>10} {'open ms':>8} {'rss MB':>7} "
         f"{'B/stmt':>7} {'build s':>8} {'checked':>8} {'wrong':>6}"
     )
     rows = []
@@ -241,6 +249,7 @@ def main(argv=None) -> int:
             f"{row['first_page_p50_ms']:>9.2f} {row['next_page_p50_ms']:>8.2f} "
             f"{row['accesses_per_answer']:>10.1f} "
             f"{row['single_pattern_accesses_per_answer']:>7.1f} "
+            f"{row['join_reads_per_answer']:>8.1f} "
             f"{row['us_per_access']:>10.2f} {row['open_ms']:>8.1f} {row['rss_mb']:>7.1f} "
             f"{row['disk_bytes_per_stmt']:>7.0f} {row['build_s']:>8.1f} "
             f"{row['checked']:>8} {len(row['wrong']):>6}",

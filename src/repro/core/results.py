@@ -186,9 +186,16 @@ class QueryStats:
     query's cursors decoded and scored in one kernel call each, and how
     many prepared head blocks were served from the engine's hot-block
     cache instead of being re-translated from segment postings.
+
+    ``random_accesses`` counts the postings a join read by *probing* a
+    posting list with some of its variables bound — the answer-ordered
+    enumeration of a tied band (:class:`~repro.topk.idspace.BandProbe`) —
+    as opposed to ``sorted_accesses``, the postings read in score order
+    (a sub-join's probes stay counted there, as they always were).
     """
 
     sorted_accesses: int = 0
+    random_accesses: int = 0
     cursors_opened: int = 0
     relaxations_considered: int = 0
     relaxations_invoked: int = 0

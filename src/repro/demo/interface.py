@@ -201,6 +201,7 @@ class DemoSession:
             f" / {stats.relaxations_considered} considered",
             f"  cursors opened         {stats.cursors_opened}",
             f"  sorted accesses        {stats.sorted_accesses}",
+            f"  random accesses        {stats.random_accesses}",
             f"  candidates formed      {stats.candidates_formed}",
             "",
             f"  storage segments       {backend.segment_count()}"

@@ -52,6 +52,8 @@ class ColumnarBackend:
         # signature -> key tuple -> (start, stop) into the permutation
         self._offsets: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, int]]] = {}
         self._scan_view: memoryview | None = None
+        # (signature, slot) -> key -> the distinct ids at slot (slot_values)
+        self._slot_values: dict = {}
         self._frozen = False
         self._closed = False
         # Set by _restore: keeps a snapshot's mmap (or bytes) buffer alive
@@ -88,6 +90,7 @@ class ColumnarBackend:
         backend._perm_views = perm_views
         backend._offsets = offsets
         backend._scan_view = scan_view
+        backend._slot_values = {}
         backend._frozen = True
         backend._closed = False
         backend._buffer = buffer
@@ -133,6 +136,7 @@ class ColumnarBackend:
         self._scan_view = _CLOSED
         self._perm_views = _CLOSED
         self._offsets = _CLOSED
+        self._slot_values = _CLOSED
         for view in views:
             view.release()
         buffer, self._buffer = self._buffer, None
@@ -232,6 +236,25 @@ class ColumnarBackend:
             return _EMPTY
         start, stop = span
         return self._perm_views[sig][start:stop]
+
+    def slot_values(
+        self, sig: tuple[int, ...], key: tuple[int, ...], slot: int
+    ) -> Sequence[int]:
+        """The distinct ids at ``slot`` (not in ``sig``) of the statements
+        keyed ``key`` on signature ``sig``: the key table of the signature
+        that adds ``slot``, grouped by ``sig`` once per segment."""
+        groups = self._slot_values.get((sig, slot))
+        if groups is None:
+            wider = tuple(sorted((*sig, slot)))
+            at = wider.index(slot)
+            kept = [wider.index(bound) for bound in sig]
+            groups = {}
+            for wide_key in self._offsets[wider]:
+                groups.setdefault(
+                    tuple(wide_key[i] for i in kept), []
+                ).append(wide_key[at])
+            self._slot_values[(sig, slot)] = groups
+        return groups.get(key, _EMPTY)
 
     def posting_block(
         self,

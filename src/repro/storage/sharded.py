@@ -698,6 +698,35 @@ class ShardedBackend:
             cache_base=cache_base,
         )
 
+    def lookup(
+        self, bound_slots: Sequence[bool], key: tuple[int, ...]
+    ) -> Sequence[int]:
+        """:meth:`postings` for a random-access probe: the base segment's
+        own zero-copy slice while it is the store's only part (no later
+        segment, no delta — its local ids are the global ids), else the
+        merged list."""
+        if self._delta is None and len(self._starts) == 1 and not self._closed:
+            return self._segment(0).postings(bound_slots, key)
+        return self.postings(bound_slots, key)
+
+    def slot_values(
+        self, bound_slots: Sequence[bool], key: tuple[int, ...], slot: int
+    ) -> set[int]:
+        """The distinct term ids at free ``slot`` of the statements a
+        lookup of ``key`` matches, read off the segments' key tables
+        (:meth:`ColumnarBackend.slot_values`) and the delta's part — no
+        posting is read."""
+        sig = self._check_lookup(bound_slots, key)
+        values: set[int] = set()
+        for segment_index in range(len(self._starts)):
+            values.update(self._segment(segment_index).slot_values(sig, key, slot))
+        if self._delta is not None:
+            part = self._delta.posting_part(bound_slots, key)
+            if part is not None:
+                column = part.columns[slot]
+                values.update(column[local] for local in part.postings)
+        return values
+
     def distinct_keys(self, bound_slots: Sequence[bool]) -> list[tuple[int, ...]]:
         if self._closed:
             raise StorageError("Storage backend is closed")

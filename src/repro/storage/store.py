@@ -29,6 +29,7 @@ documented eventual-consistency window that keeps frozen posting order
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
@@ -45,6 +46,23 @@ from repro.storage.dictionary import TermDictionary
 #: explanations show a sample of sources, not every one of potentially
 #: thousands of documents.
 MAX_PROVENANCES = 5
+
+
+def exact_partials(values: Sequence[float]) -> list[float]:
+    """Floats whose exact sum is the exact sum of ``values``, so that
+    ``math.fsum(partials + more)`` rounds the exact sum of ``values`` and
+    ``more`` once, whatever their order.
+
+    Each :func:`math.fsum` pass rounds the exact remainder; the remainder
+    shrinks by the float precision per pass, so two or three C-speed passes
+    usually end at a remainder of exactly zero.
+    """
+    partials: list[float] = []
+    while True:
+        remainder = math.fsum(chain(values, map(float.__neg__, partials)))
+        if remainder == 0.0:
+            return partials
+        partials.append(remainder)
 
 
 @dataclass
@@ -110,6 +128,7 @@ class TripleStore:
         self._closed = False
         self._pattern_total_cache: dict[object, float] = {}
         self._weight_levels: list[float] | None = None
+        self._weight_partials: list[float] | None = None
         self._delta_records: list[StoredTriple] = []
         self._delta: DeltaSegment | None = None
 
@@ -145,6 +164,7 @@ class TripleStore:
         store._closed = False
         store._pattern_total_cache = {}
         store._weight_levels = None
+        store._weight_partials = None
         store._delta_records = []
         store._delta = None
         return store
@@ -447,24 +467,30 @@ class TripleStore:
         return self._backend.slot_ids(triple_id)
 
     def total_observations(self) -> float:
-        """Collection-wide observation mass (for smoothing).
+        """Collection-wide observation mass (for smoothing): the exact sum
+        of every statement's weight, rounded once — a function of the
+        statement set, not of the order statements arrived in.
 
-        A frozen store reads its weight column (identical values in the same
-        id order, so the float sum is bit-identical) — no
-        :class:`StoredTriple` is materialised for it.  Delta weights extend
-        the sum in id order, which keeps the float accumulation sequence —
-        and therefore the result bits — equal to a fresh build over the
-        union.
+        A frozen store reads its weight column once into exact partials
+        (:func:`exact_partials`); a view with a live delta rounds those
+        partials together with the delta's weights, so an ingest costs
+        the delta, not the collection.
         """
-        if self._frozen:
-            total = sum(self._weights)
-            delta = self._delta
-            if delta is not None:
-                base = len(self._triples)
-                for triple_id in range(base, base + len(self._delta_records)):
-                    total += delta.weight(triple_id)
-            return total
-        return sum(record.weight for record in self._triples)
+        if not self._frozen:
+            return math.fsum(record.weight for record in self._triples)
+        partials = self._weight_partials
+        if partials is None:
+            partials = self._weight_partials = exact_partials(self._weights)
+        delta = self._delta
+        if delta is None:
+            return math.fsum(partials)
+        base = len(self._triples)
+        return math.fsum(
+            chain(
+                partials,
+                map(delta.weight, range(base, base + len(self._delta_records))),
+            )
+        )
 
     def num_token_triples(self) -> int:
         """Distinct triples with a token in any slot (the XKG extension part)."""
@@ -529,7 +555,11 @@ class TripleStore:
         """Score-sorted triple ids for an id-level lookup (None = unbound).
 
         This is the hot-path twin of :meth:`sorted_ids` for callers that
-        already hold term ids (the id-space sub-join evaluator).
+        already hold term ids — the id-space probes of a sub-join and of a
+        join's tied band.  A probe reads a few postings of many short
+        lists, so while the base segment is the store's only part (no
+        later segment, no delta) this returns that segment's own slice
+        instead of building a merged list.
         """
         if self._closed:
             raise StorageError("Store is closed")
@@ -537,7 +567,21 @@ class TripleStore:
             raise StorageError("Store must be frozen before lookup")
         bound = (s is not None, p is not None, o is not None)
         key = tuple(i for i in (s, p, o) if i is not None)
-        return self._backend.postings(bound, key)
+        return self._backend.lookup(bound, key)
+
+    def slot_values(
+        self, s: int | None, p: int | None, o: int | None, position: int
+    ) -> set[int]:
+        """The distinct term ids at ``position`` (an unbound one) of the
+        statements an id-level lookup matches, read off the index's key
+        tables — the values a probe walks, without reading a posting."""
+        if self._closed:
+            raise StorageError("Store is closed")
+        if not self._frozen:
+            raise StorageError("Store must be frozen before lookup")
+        bound = (s is not None, p is not None, o is not None)
+        key = tuple(i for i in (s, p, o) if i is not None)
+        return self._backend.slot_values(bound, key, position)
 
     def _has_repeated_variable(self, pattern: TriplePattern) -> bool:
         names = [t for t in pattern.terms() if t.is_variable]
@@ -581,7 +625,8 @@ class TripleStore:
         return total
 
     def observation_mass(self, pattern: TriplePattern) -> float:
-        """Total observation weight of the pattern's matches (idf-like term).
+        """Total observation weight of the pattern's matches (idf-like
+        term), summed exactly as :meth:`total_observations` is.
 
         Cached per pattern since scoring asks repeatedly for the same
         pattern during top-k processing.
@@ -591,7 +636,7 @@ class TripleStore:
         if cached is not None:
             return cached
         weights = self.weights() if self._frozen else self._weights
-        total = sum(weights[i] for i in self.sorted_ids(pattern))
+        total = math.fsum(weights[i] for i in self.sorted_ids(pattern))
         self._pattern_total_cache[cache_key] = total
         return total
 

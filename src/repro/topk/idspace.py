@@ -695,10 +695,10 @@ class IdSubJoinCursor:
         plans = [ctx.plan(p) for p in self.patterns]
         models = [ctx.scorer.emission_model(p) for p in self.patterns]
         weights = store.weights()
-        slot_ids = store.backend.slot_ids
         width = ctx.table.width
         best: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {}
         interface_slots = self.interface_slots
+        max_results = self.max_results
 
         def score_pattern(index: int, weight: float) -> float:
             lam, mass, cmass = models[index]
@@ -708,41 +708,28 @@ class IdSubJoinCursor:
             background = weight / cmass if cmass > 0 else 0.0
             return (1.0 - lam) * foreground + lam * background
 
-        def backtrack(
-            index: int, binding: list[int], score: float, used: tuple[int, ...]
-        ) -> None:
-            if len(best) > self.max_results:
-                return
-            if index == len(plans):
-                key = tuple(binding[s] for s in interface_slots)
-                entry = best.get(key)
-                if entry is None or score > entry[0]:
-                    best[key] = (score, used)
-                return
-            plan = plans[index]
-            if plan.missing_constant:
-                return
-            const_ids = plan.const_ids
-            requirements: list[int | None] = list(const_ids)
-            for position, slot in plan.var_positions:
-                value = binding[slot]
-                if value != UNBOUND:
-                    requirements[position] = value
-            ids = store.postings_ids(*requirements)
-            check_repeats = plan.has_repeated_variable
-            for tid in ids:
-                spo = slot_ids(tid)
-                if check_repeats and not plan.consistent(spo):
-                    continue
-                if stats is not None:
-                    stats.sorted_accesses += 1
-                extended = binding.copy()
-                if not plan.bind_into(spo, extended):
-                    continue
-                pattern_score = score_pattern(index, weights[tid])
-                backtrack(index + 1, extended, score * pattern_score, used + (tid,))
+        def keep(binding: list[int], used: tuple[int, ...]) -> None:
+            # The pattern scores multiply in plan order, as they did when
+            # the backtracking carried the running product.
+            score = 1.0
+            for index, tid in enumerate(used):
+                score = score * score_pattern(index, weights[tid])
+            key = tuple(binding[s] for s in interface_slots)
+            entry = best.get(key)
+            if entry is None or score > entry[0]:
+                best[key] = (score, used)
 
-        backtrack(0, [UNBOUND] * width, 1.0, ())
+        reads = probe_combinations(
+            plans,
+            lambda _index, requirements: store.postings_ids(*requirements),
+            store.backend.slot_ids,
+            [UNBOUND] * width,
+            (),
+            keep,
+            lambda: len(best) > max_results,
+        )
+        if stats is not None:
+            stats.sorted_accesses += reads
 
         template = [UNBOUND] * width
         items: list[tuple[tuple[int, ...], float, tuple[int, ...]]] = []
@@ -821,6 +808,53 @@ class IdSubJoinCursor:
     ) -> PatternMatchInfo:
         """``match_info(used, score)`` decoded, for an answer being shown."""
         return self.match_info(used, score).decode(store)
+
+
+def probe_combinations(
+    plans: Sequence[PatternPlan],
+    lookup: Callable[[int, list[int | None]], Sequence[int]],
+    slot_ids: Callable[[int], tuple[int, int, int]],
+    binding: list[int],
+    used: tuple[int, ...],
+    visit: Callable[[list[int], tuple[int, ...]], None],
+    halted: Callable[[], bool] | None = None,
+) -> int:
+    """Backtracking bound-slot probes: extend ``binding`` by one posting of
+    each of ``plans`` in turn, each looked up with the slots bound so far
+    (``lookup(index, (s, p, o) ids or None)``), and hand every complete
+    combination to ``visit(binding, used + triple ids)``.  ``halted`` is
+    asked before each step.  Returns how many postings were read — the
+    repeated-variable-consistent ones."""
+    depth = len(plans)
+    reads = 0
+
+    def extend(index: int, binding: list[int], used: tuple[int, ...]) -> None:
+        nonlocal reads
+        if halted is not None and halted():
+            return
+        if index == depth:
+            visit(binding, used)
+            return
+        plan = plans[index]
+        if plan.missing_constant:
+            return
+        requirements: list[int | None] = list(plan.const_ids)
+        for position, slot in plan.var_positions:
+            value = binding[slot]
+            if value != UNBOUND:
+                requirements[position] = value
+        check_repeats = plan.has_repeated_variable
+        for tid in lookup(index, requirements):
+            spo = slot_ids(tid)
+            if check_repeats and not plan.consistent(spo):
+                continue
+            reads += 1
+            extended = binding.copy()
+            if plan.bind_into(spo, extended):
+                extend(index + 1, extended, used + (tid,))
+
+    extend(0, binding, used)
+    return reads
 
 
 def sort_descending_with_ties(items: list, score_of, key_of) -> None:
@@ -1050,6 +1084,272 @@ class IdAggregator:
         return answers
 
 
+def _weight_prefix(ids: Sequence[int], weights, weight: float) -> Sequence[int]:
+    """The prefix of ``ids`` — weight-descending, none above ``weight`` —
+    that weighs ``weight``."""
+    n = len(ids)
+    if not n or weights[ids[n - 1]] == weight:
+        return ids
+    return ids[: bisect_right(ids, -weight, key=lambda tid: -weights[tid])]
+
+
+class BandProbe:
+    """A join's top tied band, enumerated in answer order by random access.
+
+    The band is every combination whose postings all score their stream's
+    head score — in a list ordered by weight, its *weight prefix* — so
+    each scores the join's bound, :attr:`score`.  Answers rank by (score
+    desc, tie key asc) and the tie key leads with the name-sorted
+    projection's first variable, so the band is walked one *lead value* at
+    a time, in sort-key order:
+
+    * **led** — the lead variable is the first variable slot of a stream's
+      pattern: that list's band is already in lead order and is streamed
+      (sorted access; the shortest such list);
+    * **unled** — otherwise the distinct lead values of the shortest list
+      that binds it are read off the index's key tables
+      (:meth:`~repro.storage.store.TripleStore.slot_values`) and sorted.
+
+    A lead value's *group* is completed by :func:`probe_combinations` over
+    the other patterns — the unled lead pattern first — most-bound first,
+    each probed list cut to its weight prefix (random access), and sorted
+    by tie key.  A group is computed only once everything before it was
+    handed out, except while :meth:`fill` decides whether to probe at all.
+    """
+
+    __slots__ = (
+        "score",
+        "scores",
+        "heads",
+        "whole",
+        "drain_reads",
+        "reads",
+        "_store",
+        "_stats",
+        "_sort_key",
+        "_lead_plan",
+        "_lead_slot",
+        "_lead_position",
+        "_lead_ids",
+        "_values",
+        "_plans",
+        "_width",
+        "_lookup",
+        "_visit",
+        "_combos",
+        "_tie",
+        "_next",
+        "_ready",
+        "_position",
+    )
+
+    def __init__(
+        self,
+        join: "IdRankJoin",
+        heads: list["IdPostingCursor"],
+        scores: list[float],
+        lead: int,
+        led: bool,
+    ):
+        ctx = join.ctx
+        store = self._store = ctx.store
+        self._stats = ctx.stats
+        sort_key = self._sort_key = store.dictionary.sort_key
+        weights = store.weights()
+        self.heads = heads
+        self.scores = scores
+        self.score = score_product(join.rewriting_weight, scores)
+        cuts = [weights[head.head_run(1).refs[0]] for head in heads]
+        bands = [
+            _weight_prefix(store.postings_ids(*head.plan.const_ids), weights, cut)
+            for head, cut in zip(heads, cuts)
+        ]
+        #: What draining the band reads: every stream's band.
+        self.drain_reads = sum(map(len, bands))
+        #: Whether the band is all the join can form: lone cursors whose
+        #: lists are all band.
+        self.whole = all(
+            stream is head and len(band) == head.list_length
+            for stream, head, band in zip(join.streams, heads, bands)
+        )
+        #: Postings read so far, by sorted and by random access.
+        self.reads = 0
+        lead_slot = self._lead_slot = join._projection_slots[0]
+        plan = self._lead_plan = heads[lead].plan
+        self._lead_position = next(
+            position for position, slot in plan.var_positions if slot == lead_slot
+        )
+        order = self._probe_order(
+            heads, bands, lead, plan.bound_slots if led else (lead_slot,)
+        )
+        if led:
+            self._lead_ids = bands[lead]
+            self._values = None
+            probed = order[1:]
+        else:
+            self._lead_ids = None
+            self._values = sorted(
+                store.slot_values(*plan.const_ids, self._lead_position),
+                key=lambda tid: (sort_key(tid), tid),
+            )
+            probed = order
+        self._plans = [heads[i].plan for i in probed]
+        self._width = ctx.table.width
+        probe_cuts = [cuts[i] for i in probed]
+        postings_ids = store.postings_ids
+
+        def lookup(index: int, requirements: list[int | None]) -> Sequence[int]:
+            return _weight_prefix(
+                postings_ids(*requirements), weights, probe_cuts[index]
+            )
+
+        combos: list[tuple] = []
+        project = join._project
+        streams = len(heads)
+
+        def visit(binding: list[int], used: tuple[int, ...]) -> None:
+            # ``used`` holds one triple id per pattern in probe order.
+            refs = [0] * streams
+            for stream, tid in zip(order, used):
+                refs[stream] = tid
+            merged = tuple(binding)
+            combos.append((project(merged), merged, refs))
+
+        self._lookup = lookup
+        self._visit = visit
+        self._combos = combos
+        self._tie = join.aggregator.tie
+        self._next = 0
+        self._ready: list[tuple] = []
+        self._position = 0
+
+    @staticmethod
+    def _probe_order(heads, bands, lead: int, bound) -> list[int]:
+        """The lead pattern, then greedily the pattern with the most
+        positions bound so far (ties: the shorter band, stream order)."""
+        bound = set(bound)
+        rest = [i for i in range(len(heads)) if i != lead]
+        order = [lead]
+
+        def rank(i: int) -> tuple[int, int, int]:
+            plan = heads[i].plan
+            fixed = sum(1 for c in plan.const_ids if c is not None) + sum(
+                1 for _position, slot in plan.var_positions if slot in bound
+            )
+            return (-fixed, len(bands[i]), i)
+
+        while rest:
+            chosen = min(rest, key=rank)
+            rest.remove(chosen)
+            order.append(chosen)
+            bound.update(heads[chosen].plan.bound_slots)
+        return order
+
+    # -- handing out ---------------------------------------------------------
+
+    def pending(self) -> tuple | None:
+        """The band's next combination in answer order, ``(key, binding,
+        triple id per stream)`` — its group computed if need be — or
+        ``None`` once the band is spent."""
+        while self._position >= len(self._ready):
+            if not self._group():
+                return None
+        return self._ready[self._position]
+
+    def take(self) -> None:
+        """Consume :meth:`pending`'s combination."""
+        self._position += 1
+
+    def at_boundary(self) -> bool:
+        """Whether every computed group has been handed out."""
+        return self._position >= len(self._ready)
+
+    def lead_key(self):
+        """A lower bound on the next group's lead sort key (``None``: the
+        band is spent)."""
+        if self._values is not None:
+            if self._next >= len(self._values):
+                return None
+            return self._sort_key(self._values[self._next])
+        if self._next >= len(self._lead_ids):
+            return None
+        spo = self._store.backend.slot_ids(self._lead_ids[self._next])
+        return self._sort_key(spo[self._lead_position])
+
+    def fill(self, wanted: int) -> bool:
+        """Compute groups until ``wanted`` combinations are ready or the
+        band is spent; False — nothing handed out yet, so the join can
+        still drain — once that reads more postings than draining the band
+        would (:attr:`drain_reads`)."""
+        while len(self._ready) - self._position < wanted:
+            if self.reads > self.drain_reads or not self._group():
+                break
+        return self.reads <= self.drain_reads
+
+    # -- groups ----------------------------------------------------------------
+
+    def _group(self) -> bool:
+        """Compute the next lead value's group; False when none is left."""
+        sort_key = self._sort_key
+        slot_ids = self._store.backend.slot_ids
+        plans, lookup, visit = self._plans, self._lookup, self._visit
+        position = self._lead_position
+        start = self._next
+        sorted_reads = random_reads = 0
+        if self._values is not None:
+            values = self._values
+            if start >= len(values):
+                return False
+            lead = sort_key(values[start])
+            stop = start + 1
+            while stop < len(values) and sort_key(values[stop]) == lead:
+                stop += 1
+            for value in values[start:stop]:
+                binding = [UNBOUND] * self._width
+                binding[self._lead_slot] = value
+                random_reads += probe_combinations(
+                    plans, lookup, slot_ids, binding, (), visit
+                )
+        else:
+            ids = self._lead_ids
+            if start >= len(ids):
+                return False
+            plan = self._lead_plan
+            check_repeats = plan.has_repeated_variable
+            lead = sort_key(slot_ids(ids[start])[position])
+            stop = start
+            while stop < len(ids):
+                tid = ids[stop]
+                spo = slot_ids(tid)
+                if sort_key(spo[position]) != lead:
+                    break
+                stop += 1
+                if check_repeats and not plan.consistent(spo):
+                    continue
+                sorted_reads += 1
+                binding = [UNBOUND] * self._width
+                plan.bind_into(spo, binding)
+                random_reads += probe_combinations(
+                    plans, lookup, slot_ids, binding, (tid,), visit
+                )
+        self._next = stop
+        self.reads += sorted_reads + random_reads
+        stats = self._stats
+        if stats is not None:
+            stats.sorted_accesses += sorted_reads
+            stats.random_accesses += random_reads
+        combos = self._combos
+        tie = self._tie
+        # Every combination of the band scores the same: answer order is
+        # tie-key order, ids breaking equal tie keys as the aggregator does.
+        combos.sort(key=lambda combo: (tie(combo[0]), combo[0]))
+        del self._ready[: self._position]
+        self._position = 0
+        self._ready.extend(combos)
+        combos.clear()
+        return True
+
+
 class IdRankJoin:
     """N-ary HRJN-style rank join over id-space streams.
 
@@ -1071,19 +1371,33 @@ class IdRankJoin:
 
     **Settling inside a tied run.**  Posting lists are in (weight desc, tie
     key asc) order.  When the join has one stream, its next run comes from
-    a posting cursor, and the query's name-sorted projection is a prefix
-    of that cursor's pattern variables in s→p→o order, a single-weight run
-    arrives in exactly the order its answers rank — so the join also stops
-    once the k-th answer strictly precedes the next posting in (score
-    desc, tie key asc) order (:meth:`_tie_settled`), not only once the
-    k-th score beats the bound, wherever that skips at least
-    :attr:`TieFrontier.MIN_SKIP` postings of the list.  The stream may be
-    a relaxation merge: the run is then its head cursor's, every other
-    cursor's cached peek must score strictly below it
-    (:meth:`~repro.topk.incremental_merge.IncrementalMergeCursor.
-    runner_up`), and the projection must keep every variable of the head
-    cursor's pattern.  :meth:`_settler` checks all of it once per run.
-    Every other join reads a tied run to its end.
+    a posting cursor, and the query's name-sorted projection is that
+    cursor's pattern variables in s→p→o order, a single-weight run arrives
+    in exactly the order its answers rank — so the join also stops once
+    the k-th answer strictly precedes the next posting in (score desc, tie
+    key asc) order (:meth:`_tie_settled`), not only once the k-th score
+    beats the bound, wherever that skips at least
+    :attr:`TieFrontier.MIN_SKIP` postings of the list.  A projection that
+    drops a variable does not settle: postings past the stop could add
+    derivations to answers already ranked.  The stream may be a relaxation
+    merge: the run is then its head cursor's, and every other cursor's
+    cached peek must score strictly below it (:meth:`~repro.topk.
+    incremental_merge.IncrementalMergeCursor.runner_up`).  :meth:`_settler`
+    checks all of it once per run.
+
+    **Settling a tied band by probes.**  A join over several streams that
+    starts with every stream head at its weight has one *top band*: every
+    combination of postings at those weights scores the product of the
+    heads, the best any combination can.  Where the band is exactly the
+    streams' weight prefixes (:meth:`_open_band`: lone posting cursors or
+    merges headed strictly, no lighter weight rounding into the band, a
+    projection keeping every variable, a list long enough to be worth it
+    and a probe cheaper than the drain), :class:`BandProbe` enumerates it
+    in answer order by random access, and the join stops once the k-th
+    answer strictly precedes the next combination; a page resumes it
+    mid-group.  A band spent before rank k settles is consumed from the
+    streams as seen items (:meth:`_absorb`) and the join drains on below
+    it.  Every other join reads a tied run to its end.
     """
 
     def __init__(
@@ -1144,47 +1458,58 @@ class IdRankJoin:
         # Whether an offer moved the tracker since _consume last looked.
         self._moved = False
         self._frontier = TieFrontier()
-        # Only a join over one stream may settle inside a tied run.
+        # Only a join over one stream may settle inside a tied run; a join
+        # over several whose projection keeps every variable may settle its
+        # top tied band by probes (BandProbe): ``None`` until the first run
+        # decides, then the probe or False.
         self._may_settle = not exhaustive and len(streams) == 1
-
-    def _answer_ordered(self, cursor) -> bool:
-        """Whether ``cursor``'s tied runs arrive in answer order: a posting
-        cursor whose variables, in s→p→o order, start with the name-sorted
-        projection."""
-        projection = self._projection_slots
-        return (
-            isinstance(cursor, IdPostingCursor)
-            and cursor.plan.bound_slots[: len(projection)] == projection
+        self._band: BandProbe | bool | None = (
+            None
+            if strict_ties
+            and not exhaustive
+            and len(streams) > 1
+            and set(query.projection) == set().union(*all_vars)
+            else False
         )
+
+    @staticmethod
+    def _head_of(stream) -> tuple[IdPostingCursor | None, float | None]:
+        """The posting cursor ``stream``'s next run comes from, and the
+        best score anything else in ``stream`` can still reach: for a
+        relaxation merge, its other cursors' cached peeks
+        (:meth:`~repro.topk.incremental_merge.IncrementalMergeCursor.
+        runner_up`), asked only once the head is a posting cursor."""
+        if isinstance(stream, IdSubJoinCursor):
+            return None, None
+        if isinstance(stream, IdPostingCursor):
+            return stream, None
+        # Not a cursor of this module: a relaxation merge.
+        head = stream.exact_head()
+        if not isinstance(head, IdPostingCursor):
+            return None, None
+        return head, stream.runner_up()
 
     def _settler(self, stream) -> tuple[IdPostingCursor, float] | None:
         """The posting cursor, with its head score, whose next tied run in
         ``stream`` this drain may stop inside; ``None`` if it may not.
 
-        The run must arrive in answer order and the stop must skip enough
-        of the list.  When the stream merges relaxations, the run must
-        also be the last thing that scores its score — every other
-        cursor's peek scores strictly lower — and the projection must
-        keep every variable of the head cursor's pattern: the other
-        cursors emit below the run, and under a projection that drops a
-        variable their later postings could add derivations to answers
-        already ranked.
+        The run must arrive in answer order — the cursor's variables, in
+        s→p→o order, are the name-sorted projection, so the projection
+        keeps every one of them — and the stop must skip enough of the
+        list.  A dropped variable would let postings past the stop add
+        derivations to answers already ranked.  When the stream merges
+        relaxations, the run must also be the last thing that scores its
+        score: every other cursor's peek scores strictly lower.
         """
         if not self._may_settle:
             return None
-        # Not a cursor of this module: a relaxation merge.
-        merged = not isinstance(stream, (IdPostingCursor, IdSubJoinCursor))
-        head = stream.exact_head() if merged else stream
+        head, runner_up = self._head_of(stream)
         if not (
-            self._answer_ordered(head)
+            head is not None
+            and head.plan.bound_slots == self._projection_slots
             and self._frontier.worth(head.list_length, self.tracker.k)
         ):
             return None
-        runner_up = None
-        if merged:
-            if len(self._projection_slots) != len(head.plan.bound_slots):
-                return None
-            runner_up = stream.runner_up()
         score = head.peek()
         weight = self.rewriting_weight
         if runner_up is not None and score_product(
@@ -1192,6 +1517,53 @@ class IdRankJoin:
         ) >= score_product(weight, (score,)):
             return None
         return head, score
+
+    def _open_band(self) -> "BandProbe | bool":
+        """The probe over this join's top tied band, or False where it
+        would not give the drain's answers or would read more.
+
+        Before anything is consumed, every unseen combination scores at
+        most the product of the stream heads, ``s``.  The probe applies
+        when the projection keeps every pattern variable (one combination
+        per answer), every stream's next run comes from a posting cursor
+        with nothing else in the stream scoring as high, no lighter
+        posting's score can round a combination to ``s`` (the guard of
+        :meth:`_tie_settled`), the longest list passes
+        :meth:`TieFrontier.worth`, and the band's first ``k`` answers cost
+        no more reads than draining the band (:meth:`BandProbe.fill`).
+        """
+        heads, runners = [], []
+        for stream in self.streams:
+            head, runner_up = self._head_of(stream)
+            if head is None or head.peek() is None:
+                return False
+            heads.append(head)
+            runners.append(runner_up)
+        projection = self._projection_slots
+        if set(projection) != {slot for head in heads for slot in head.plan.bound_slots}:
+            return False
+        if not self._frontier.worth(
+            max(head.list_length for head in heads), self.tracker.k
+        ):
+            return False
+        weight = self.rewriting_weight
+        scores = [head.peek() for head in heads]
+        band_score = score_product(weight, scores)
+        for index, (head, runner_up) in enumerate(zip(heads, runners)):
+            lower = head.score_below(head.head_run(1).refs[0])
+            if runner_up is not None and (lower is None or runner_up > lower):
+                lower = runner_up
+            if lower is not None:
+                factors = scores.copy()
+                factors[index] = lower
+                if score_product(weight, factors) >= band_score:
+                    return False
+        lead_slot = projection[0]
+        led = [i for i, head in enumerate(heads) if head.plan.bound_slots[0] == lead_slot]
+        binds = led or [i for i, head in enumerate(heads) if lead_slot in head.plan.bound_slots]
+        lead = min(binds, key=lambda i: (heads[i].list_length, i))
+        band = BandProbe(self, heads, scores, lead, bool(led))
+        return band if band.fill(self.tracker.k) else False
 
     # -- bounds ------------------------------------------------------------
 
@@ -1391,6 +1763,77 @@ class IdRankJoin:
 
     # -- main loop ------------------------------------------------------------
 
+    def _run_band(
+        self, band: BandProbe, should_stop: Callable[[], bool] | None
+    ) -> bool:
+        """Hand out the band in answer order until the k-th answer strictly
+        precedes the next one (False: suspended, resumable mid-group) or
+        the band is spent (True)."""
+        tracker = self.tracker
+        aggregator = self.aggregator
+        frontier = self._frontier
+        score = band.score
+        lead_name = aggregator.projection[0].name
+        while True:
+            kth = None
+            if tracker.is_full:
+                threshold = tracker.threshold
+                if threshold > score:
+                    return False
+                if threshold == score:
+                    kth = frontier.kth(
+                        aggregator.version, score, tracker.k, aggregator.tied_frontier
+                    )
+            if kth is not None and band.at_boundary():
+                # The next group ranks after every answer of this one: its
+                # lead sort key alone may settle the page.
+                lead = band.lead_key()
+                if lead is None:
+                    return True
+                if kth < (((lead_name, lead),) if frontier.named else (lead,)):
+                    return False
+            combo = band.pending()
+            if combo is None:
+                return True
+            key, merged, refs = combo
+            tie = None
+            if kth is not None:
+                tie = aggregator.tie(key, frontier.named)
+                if kth < tie:
+                    return False
+            if should_stop is not None and should_stop():
+                return False
+            band.take()
+            items = tuple(
+                (merged, item_score, head.plan.bound_slots, head, ref)
+                for item_score, head, ref in zip(band.scores, band.heads, refs)
+            )
+            self._emit(merged, items, score)
+            if frontier.tracks(score):
+                if tie is None:
+                    tie = aggregator.tie(key, frontier.named)
+                frontier.admit(aggregator.version, score, tie)
+
+    def _absorb(self, band: BandProbe) -> bool:
+        """After the band: consume every stream's head run at its band
+        score as seen items, forming nothing — the band formed all their
+        combinations.  True when nothing is left to form."""
+        if band.whole:
+            return True
+        for index, stream in enumerate(self.streams):
+            score = band.scores[index]
+            seen = self._seen[index]
+            index_map = self._join_index[index]
+            key_of = self._key_of[index]
+            while (run := stream.head_run()) is not None and run.score == score:
+                for binding, ref in zip(run.bindings, run.refs):
+                    item = (binding, score, run.slots, run.source, ref)
+                    seen[binding] = item
+                    index_map.setdefault(key_of(binding), []).append(item)
+                stream.advance(len(run.bindings))
+            self._best[index] = score
+        return False
+
     def run(self, should_stop: Callable[[], bool] | None = None) -> bool:
         """Consume streams until exhaustion or threshold termination.
 
@@ -1415,6 +1858,18 @@ class IdRankJoin:
         are built on.  The default (``>=``) is the seed's eager rule.
         """
         streams = self.streams
+        if self._band is not False:
+            if self._settled(self.upper_bound()):
+                return False
+            if self._band is None:
+                self._band = self._open_band()
+            band = self._band
+            if band:
+                if not self._run_band(band, should_stop):
+                    return False
+                self._band = False
+                if self._absorb(band):
+                    return True
         while True:
             peeks = [stream.peek() for stream in streams]
             live = [i for i, p in enumerate(peeks) if p is not None]

@@ -69,6 +69,7 @@ class TestStatsScreen:
         screen = session.render_stats_screen()
         assert "Query Statistics" in screen
         assert "sorted accesses" in screen
+        assert "random accesses" in screen
         assert "segments touched" in screen
         assert "postings materialized" in screen
 

@@ -328,11 +328,13 @@ relaxed_rows = st.lists(
     max_size=40,
 )
 
-#: Aligned (the projection leads the pattern's variables) and unaligned;
-#: each projects every variable of its pattern — under a projection that
-#: drops one, settling skips derivations the reference counts (ROADMAP
-#: item 4).
-single_queries = st.sampled_from(["?x p0 ?y", "?y p0 ?x", "E1 p0 ?y", "?x p0 E2"])
+#: Aligned (the projection is the pattern's variables in order),
+#: unaligned, and one that drops a variable: a cursor settles only under a
+#: projection keeping every variable of its pattern, or postings past the
+#: stop would add derivations the reference counts.
+single_queries = st.sampled_from(
+    ["?x p0 ?y", "?y p0 ?x", "E1 p0 ?y", "?x p0 E2", "SELECT ?x WHERE ?x p0 ?y"]
+)
 
 
 @settings(max_examples=40, deadline=None)
@@ -366,6 +368,95 @@ def test_merge_settling_equals_reference(rows, weight, inverted, query_text, pag
     query = parse_query(query_text)
     engine = TriniT(
         store.freeze(),
+        rules=rules,
+        config=EngineConfig(
+            executor_kind="serial",
+            mine_arg_overlap=False,
+            mine_chains=False,
+            mine_inversions=False,
+        ),
+    )
+    with engine, patch.object(TieFrontier, "MIN_SKIP", 0):
+        for k in (1, 3, 8):
+            assert fingerprint(engine.ask(query, k=k)) == fingerprint(
+                reference_query(engine.processor, query, k)
+            )
+        stream = engine.stream(query)
+        shown = 0
+        for n in pages:
+            page = fingerprint(stream.next_k(n))
+            reference = reference_query(engine.processor, query, shown + n)
+            assert page == fingerprint(reference)[shown:]
+            shown += len(page)
+
+
+@st.composite
+def band_rows(draw):
+    """8–60 statements over six entities, three predicates and a token
+    phrase, at one to three distinct weights: joins whose tied bands fan
+    out, tie across weights and leave lead values without a group."""
+    weights = draw(
+        st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=1, max_size=3, unique=True)
+    )
+    return draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5).map("E{}".format),
+                st.sampled_from(["p0", "p1", "p2", "works at"]),
+                st.integers(0, 5).map("E{}".format),
+                st.sampled_from(weights),
+            ),
+            min_size=8,
+            max_size=60,
+        )
+    )
+
+
+#: Led (the first name-sorted variable leads a pattern), unled, stars,
+#: constants, a repeated variable, three-pattern chains, a token phrase
+#: and — draining — a projection that drops a variable.
+join_queries = st.sampled_from(
+    [
+        "?x p0 ?y . ?y p1 ?z",
+        "?y p0 ?x . ?x p1 ?z",
+        "?u p0 ?c . ?p p1 ?u",
+        "?x p0 ?y . ?x p1 ?z",
+        "?x p0 E1 . ?x p1 ?y",
+        "?x p0 ?x . ?x p1 ?y",
+        "?a p0 ?b . ?b p1 ?c . ?c p2 ?d",
+        "?z p0 ?y . ?y p1 ?x . ?x p2 ?w",
+        "?x 'works at' ?u . ?u p2 ?c",
+        "SELECT ?x ?z WHERE ?x p0 ?y . ?y p1 ?z",
+    ]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=band_rows(),
+    query_text=join_queries,
+    relaxation=st.one_of(st.none(), st.sampled_from([0.25, 0.5, 1.0])),
+    pages=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3),
+)
+def test_band_probe_equals_reference(
+    layout, tmp_path_factory, rows, query_text, relaxation, pages
+):
+    """With no length bound on settling, a join whose top tied band is
+    enumerated by probes must give every ``ask(k)`` — answers, scores,
+    derivations, token matches — and every stream's pages exactly as the
+    reference core, which drains every tied run; ``relaxation`` merges a
+    ``p2`` relaxation into the ``p1`` stream."""
+    store = TripleStore()
+    for s, p, o, confidence in rows:
+        predicate = TextToken(p) if " " in p else Resource(p)
+        store.add(Triple(Resource(s), predicate, Resource(o)), confidence=confidence)
+    store = as_layout(store.freeze(), layout, tmp_path_factory)
+    rules = RuleSet()
+    if relaxation is not None:
+        rules.add(parse_rule(f"?x p1 ?y => ?x p2 ?y @ {relaxation}"))
+    query = parse_query(query_text)
+    engine = TriniT(
+        store,
         rules=rules,
         config=EngineConfig(
             executor_kind="serial",

@@ -19,14 +19,11 @@ the tests as executable reference semantics:
   PreparedQuery` onto the classes above, so the planning it checks is the
   engine's.
 
-The reference never settles inside a tied run: where the id-space join
-stops once the k-th answer strictly precedes the next posting, this one
-reads the run to its end.  The answers are the same; the shortcut is
-checked, not copied.  One known difference: when a lone posting cursor
-settles under a projection that drops a pattern variable (``SELECT ?x
-WHERE ?x p ?y``), a posting past the settle point can add a derivation
-to an answer that already ranks above the run; only this core counts it
-(``num_derivations``).  A relaxation merge reads such a run to its end.
+The reference never settles inside a tied run and never probes: where
+the id-space join stops once the k-th answer strictly precedes the next
+posting, or enumerates a join's tied band by random access, this one
+reads every run to its end.  The answers, scores and derivation counts
+are the same; the shortcuts are checked, not copied.
 
 Import it as ``from reference_core import ...`` (``tests/`` is on
 ``sys.path`` through its ``conftest.py``).

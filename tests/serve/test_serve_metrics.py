@@ -54,6 +54,15 @@ class TestServerMetrics:
         assert document["query_stats"]["delta_hits"] == 2
         assert document["query_stats"]["posting_pulls"] == 7
 
+    def test_random_accesses_reach_json_and_prometheus(self):
+        metrics = ServerMetrics()
+        metrics.record_query_stats(QueryStats(sorted_accesses=2, random_accesses=5))
+        metrics.record_query_stats(QueryStats(random_accesses=3))
+        assert metrics.render_prometheus().count('counter="random_accesses"} 8') == 1
+        document = metrics.snapshot()
+        assert document["query_stats"]["random_accesses"] == 8
+        assert document["query_stats_window"]["random_accesses"] == 0
+
     def test_scrape_window_is_diff_since_last_snapshot(self):
         metrics = ServerMetrics()
         metrics.record_query_stats(QueryStats(sorted_accesses=5))

@@ -11,6 +11,7 @@ worlds, each built around one way a run can go wrong, held against the
 per-item oracle page by page on both store layouts.
 """
 
+import math
 from dataclasses import fields
 
 import pytest
@@ -25,6 +26,7 @@ from repro.storage.store import TripleStore
 from repro.topk import kernels
 from repro.topk.kernels import HotBlockCache
 from repro.topk.processor import ProcessorConfig
+from repro.util.heap import TieFrontier
 
 from layouts import generational_copy
 from reference_core import reference_query
@@ -447,7 +449,7 @@ def _thousand_way_tie(**config):
     return _engine(TIE_ROWS, **NO_MINING, **config)
 
 
-@pytest.mark.parametrize("query", ["?x p ?y", "SELECT ?x WHERE ?x p ?y"])
+@pytest.mark.parametrize("query", ["?x p ?y"])
 @pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
 def test_single_pattern_tie_reads_k_postings(config, query):
     def observe(**config):
@@ -473,7 +475,11 @@ def test_single_pattern_tie_reads_k_postings(config, query):
     assert pages[0][0] + pages[1][0] == eager[:75]
 
 
-@pytest.mark.parametrize("query", ["?y p ?x", "SELECT ?y WHERE ?x p ?y"])
+# A projection that drops a pattern variable reads the run too: postings
+# past rank k could add derivations to answers already ranked.
+@pytest.mark.parametrize(
+    "query", ["?y p ?x", "SELECT ?y WHERE ?x p ?y", "SELECT ?x WHERE ?x p ?y"]
+)
 def test_unaligned_projection_still_reads_the_run(query):
     engine = _thousand_way_tie()
     try:
@@ -602,3 +608,151 @@ def test_projection_dropping_a_variable_under_a_merge_reads_the_run(
 @pytest.mark.parametrize("query", ["?y p ?x", "SELECT ?x ?z WHERE ?z p ?x"])
 def test_unaligned_projection_under_a_merge_reads_the_run(query):
     assert _relaxed_reads("lower", query, {})[0] == 1000
+
+
+# -- a lone cursor under a projection that drops a variable --------------------
+
+
+def test_dropped_variable_keeps_every_derivation(monkeypatch):
+    # E1's second posting sits in the 0.5 run past rank 2: settling inside
+    # that run would rank E1 with one derivation; the reference counts two.
+    monkeypatch.setattr(TieFrontier, "MIN_SKIP", 0)
+    rows = [
+        ("E1", "p0", "E1", 1.0),
+        ("E1", "p0", "E0", 0.5),
+        ("E0", "p0", "E0", 0.5),
+        ("E2", "p0", "E0", 0.5),
+    ]
+    query = "SELECT ?x WHERE ?x p0 ?y"
+    engine = _engine(rows, **NO_MINING)
+    try:
+        answers = engine.ask(query, k=2)
+        reference = reference_query(engine.processor, parse_query(query), 2)
+        assert _fingerprint(answers) == _fingerprint(reference)
+        assert [a.num_derivations for a in answers] == [2, 1]
+    finally:
+        engine.close()
+
+
+# -- a multi-pattern join settles its top tied band by probes ------------------
+#
+# Every statement weighs the same, so each join below is one tied band.
+# Without the probe the join reads both lists to their end (800 postings)
+# whatever k is; with it, the band is enumerated in answer order by random
+# access and stops at rank k.  Each world holds the engine against the
+# per-item oracle (answers, derivations, every counter) and the reference
+# core, which reads every tied run to its end.
+
+
+def _band_world(extra=(), rules=(), born=0.5, low=None, **config):
+    """400 people born in eight cities and affiliated with twenty
+    universities in five countries; 100 advisors with four students each.
+    ``low``: P000 is born at that weight instead."""
+    rows = [
+        (f"P{i:03d}", "bornIn", f"C{i % 8}", born if i or low is None else low)
+        for i in range(400)
+    ]
+    rows += [
+        (f"A{i:02d}", "hasStudent", f"P{(i * 4 + j) * 7 % 400:03d}", 0.5)
+        for i in range(100)
+        for j in range(4)
+    ]
+    rows += [(f"P{i:03d}", "affiliation", f"U{i * 3 % 20:02d}", 0.5) for i in range(400)]
+    rows += [(f"U{i:02d}", "locatedIn", f"N{i % 5}", 0.5) for i in range(20)]
+    return _engine(rows + list(extra), rules=rules, **NO_MINING, **config)
+
+
+#: Led: ``?a`` is the first variable of ``hasStudent``.  Unled: ``?c`` is
+#: no list's first variable; its values come off the index's key table.
+LED = "?a hasStudent ?b . ?b bornIn ?c"
+UNLED = "?p affiliation ?u . ?u locatedIn ?c"
+
+
+def _band_reads(query, config, **world):
+    """(sorted, random) accesses of ``ask(k=80)`` and of each page of 25 +
+    50, once answers and counters matched the per-item oracle and the
+    answers the reference core."""
+
+    def observe(**config):
+        engine = _band_world(**world, **config)
+        try:
+            eager = engine.ask(query, k=80)
+            stream = engine.stream(query)
+            pages = [
+                (_fingerprint(stream.next_k(n)), _counters(stream.stats, FETCHING))
+                for n in (25, 50)
+            ]
+            reference = reference_query(engine.processor, parse_query(query), 80)
+            eager = (_fingerprint(eager.answers), _counters(eager.stats, FETCHING))
+            return eager, pages, _fingerprint(reference)
+        finally:
+            engine.close()
+
+    observed = observe(**config)
+    assert observed == observe(**ORACLE)
+    (eager, counts), pages, reference = observed
+    assert eager == reference
+    assert pages[0][0] + pages[1][0] == reference[:75]
+    reads = [counts] + [page_counts for _answers, page_counts in pages]
+    return [(c["sorted_accesses"], c["random_accesses"]) for c in reads]
+
+
+@pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
+def test_led_join_settles_its_band_by_probes(config):
+    # Twenty advisors' four students, each probed once in bornIn.
+    assert _band_reads(LED, config) == [(80, 80), (28, 28), (76, 76)]
+
+
+@pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
+def test_unled_join_settles_its_band_by_probes(config):
+    # N0's four universities, then their twenty people each.
+    assert _band_reads(UNLED, config) == [(0, 84), (0, 84), (0, 84)]
+
+
+@pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
+def test_band_shorter_than_k_drains_on_without_forming_it_twice(config):
+    # Ten advisors' three students at a higher weight: a 30-answer band,
+    # then the drain reads both lists, and the band's combinations must
+    # not come back as second derivations.
+    extra = [(f"B{i}", "hasStudent", f"P{i * 3 + j:03d}", 1.0) for i in range(10) for j in range(3)]
+    reads = _band_reads(LED, config, extra=extra)
+    assert reads[0] == (30 + 30 + 400 + 400, 30)
+
+
+@pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
+def test_relaxation_tying_the_band_blocks_the_probe(config):
+    # A rule relaxes bornIn to birthPlace, whose list scores the same: the
+    # merge's other cursor ties the band, so the join drains.
+    extra = [(f"P{i:03d}", "birthPlace", f"D{i % 8}", 0.5) for i in range(400)]
+    rules = ["?x bornIn ?y => ?x birthPlace ?y @ 1.0"]
+    reads = _band_reads(LED, config, extra=extra, rules=rules)
+    assert {random for _sorted, random in reads} == {0}
+
+
+@pytest.mark.parametrize("config", RUN_CONFIGS, ids=repr)
+def test_lighter_weight_rounding_to_the_band_blocks_the_probe(config):
+    # One ulp below 0.345 scores P000's combination exactly the band's
+    # score: the band is not the weight prefix, so the join drains.
+    low = math.nextafter(0.345, 0.0)
+    reads = _band_reads(LED, config, born=0.345, low=low)
+    assert {random for _sorted, random in reads} == {0}
+
+
+def test_probe_reading_more_than_the_drain_gives_way_to_it():
+    # Every ?a reaches forty ?c through its ?b, and only one of them has a
+    # ?d: probing costs 42 postings an answer, draining the three lists
+    # 810 in all — the probe stops sampling once it passed that and drains.
+    rows = [(f"A{i:03d}", "p", f"B{i % 10}", 0.5) for i in range(400)]
+    rows += [(f"B{j}", "q", f"C{j * 40 + m:03d}", 0.5) for j in range(10) for m in range(40)]
+    rows += [(f"C{j * 40:03d}", "r", "D", 0.5) for j in range(10)]
+    query = "?a p ?b . ?b q ?c . ?c r ?d"
+    engine = _engine(rows, **NO_MINING)
+    try:
+        answers = engine.ask(query, k=80)
+        reference = reference_query(engine.processor, parse_query(query), 80)
+        assert _fingerprint(answers) == _fingerprint(reference)
+        # Twenty groups sampled (20 ?a, 800 + 20 probed), then the drain.
+        stats = answers.stats
+        assert (stats.sorted_accesses, stats.random_accesses) == (20 + 810, 820)
+    finally:
+        engine.close()
