@@ -11,6 +11,7 @@ primitive of top-k processing, is a plain array walk
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 #: The seven non-scan signatures, each a tuple of bound slot positions
@@ -26,10 +27,21 @@ SIGNATURES: tuple[tuple[int, ...], ...] = (
 )
 
 
+#: Every three-slot boundness mask's signature: a lookup is on the hot path
+#: of every probe.
+_BY_MASK = {
+    mask: tuple(i for i, bound in enumerate(mask) if bound)
+    for mask in product((False, True), repeat=3)
+}
+
+
 def signature_of(bound_slots: Sequence[bool]) -> tuple[int, ...]:
     """Map a per-slot boundness mask to a signature tuple.
 
     >>> signature_of([True, True, False])
     (0, 1)
     """
-    return tuple(i for i, bound in enumerate(bound_slots) if bound)
+    signature = _BY_MASK.get(tuple(bound_slots))
+    if signature is None:
+        signature = tuple(i for i, bound in enumerate(bound_slots) if bound)
+    return signature

@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from operator import itemgetter, neg
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from repro.core.query import Query
 from repro.core.results import Answer, Derivation, PatternMatchInfo, QueryStats
@@ -723,8 +723,7 @@ class IdSubJoinCursor:
             plans,
             lambda _index, requirements: store.postings_ids(*requirements),
             store.backend.slot_ids,
-            [UNBOUND] * width,
-            (),
+            [([UNBOUND] * width, ())],
             keep,
             lambda: len(best) > max_results,
         )
@@ -814,17 +813,16 @@ def probe_combinations(
     plans: Sequence[PatternPlan],
     lookup: Callable[[int, list[int | None]], Sequence[int]],
     slot_ids: Callable[[int], tuple[int, int, int]],
-    binding: list[int],
-    used: tuple[int, ...],
+    seeds: Iterable[tuple[list[int], tuple[int, ...]]],
     visit: Callable[[list[int], tuple[int, ...]], None],
     halted: Callable[[], bool] | None = None,
 ) -> int:
-    """Backtracking bound-slot probes: extend ``binding`` by one posting of
-    each of ``plans`` in turn, each looked up with the slots bound so far
-    (``lookup(index, (s, p, o) ids or None)``), and hand every complete
-    combination to ``visit(binding, used + triple ids)``.  ``halted`` is
-    asked before each step.  Returns how many postings were read — the
-    repeated-variable-consistent ones."""
+    """Backtracking bound-slot probes: extend each seed ``(binding,
+    used)`` by one posting of each of ``plans`` in turn, each looked up
+    with the slots bound so far (``lookup(index, (s, p, o) ids or
+    None)``), and hand every complete combination to ``visit(binding,
+    used + triple ids)``.  ``halted`` is asked before each step.  Returns
+    how many postings were read — the repeated-variable-consistent ones."""
     depth = len(plans)
     reads = 0
 
@@ -853,7 +851,8 @@ def probe_combinations(
             if plan.bind_into(spo, extended):
                 extend(index + 1, extended, used + (tid,))
 
-    extend(0, binding, used)
+    for binding, used in seeds:
+        extend(0, binding, used)
     return reads
 
 
@@ -1117,32 +1116,6 @@ class BandProbe:
     handed out, except while :meth:`fill` decides whether to probe at all.
     """
 
-    __slots__ = (
-        "score",
-        "scores",
-        "heads",
-        "whole",
-        "drain_reads",
-        "reads",
-        "_store",
-        "_stats",
-        "_sort_key",
-        "_lead_plan",
-        "_lead_slot",
-        "_lead_position",
-        "_lead_ids",
-        "_values",
-        "_plans",
-        "_width",
-        "_lookup",
-        "_visit",
-        "_combos",
-        "_tie",
-        "_next",
-        "_ready",
-        "_position",
-    )
-
     def __init__(
         self,
         join: "IdRankJoin",
@@ -1156,9 +1129,13 @@ class BandProbe:
         self._stats = ctx.stats
         sort_key = self._sort_key = store.dictionary.sort_key
         weights = store.weights()
-        self.heads = heads
         self.scores = scores
         self.score = score_product(join.rewriting_weight, scores)
+        #: Per stream, what a consumed item carries besides its binding
+        #: and posting: ``(score, slots, source)``.
+        self.sources = [
+            (score, head.plan.bound_slots, head) for score, head in zip(scores, heads)
+        ]
         cuts = [weights[head.head_run(1).refs[0]] for head in heads]
         bands = [
             _weight_prefix(store.postings_ids(*head.plan.const_ids), weights, cut)
@@ -1295,7 +1272,8 @@ class BandProbe:
         plans, lookup, visit = self._plans, self._lookup, self._visit
         position = self._lead_position
         start = self._next
-        sorted_reads = random_reads = 0
+        sorted_reads = 0
+        seeds: list[tuple[list[int], tuple[int, ...]]] = []
         if self._values is not None:
             values = self._values
             if start >= len(values):
@@ -1307,9 +1285,7 @@ class BandProbe:
             for value in values[start:stop]:
                 binding = [UNBOUND] * self._width
                 binding[self._lead_slot] = value
-                random_reads += probe_combinations(
-                    plans, lookup, slot_ids, binding, (), visit
-                )
+                seeds.append((binding, ()))
         else:
             ids = self._lead_ids
             if start >= len(ids):
@@ -1329,9 +1305,8 @@ class BandProbe:
                 sorted_reads += 1
                 binding = [UNBOUND] * self._width
                 plan.bind_into(spo, binding)
-                random_reads += probe_combinations(
-                    plans, lookup, slot_ids, binding, (tid,), visit
-                )
+                seeds.append((binding, (tid,)))
+        random_reads = probe_combinations(plans, lookup, slot_ids, seeds, visit)
         self._next = stop
         self.reads += sorted_reads + random_reads
         stats = self._stats
@@ -1473,21 +1448,16 @@ class IdRankJoin:
         )
 
     @staticmethod
-    def _head_of(stream) -> tuple[IdPostingCursor | None, float | None]:
-        """The posting cursor ``stream``'s next run comes from, and the
-        best score anything else in ``stream`` can still reach: for a
-        relaxation merge, its other cursors' cached peeks
-        (:meth:`~repro.topk.incremental_merge.IncrementalMergeCursor.
-        runner_up`), asked only once the head is a posting cursor."""
+    def _head_of(stream) -> IdPostingCursor | None:
+        """The posting cursor ``stream``'s next run comes from (``None``:
+        a sub-join, or spent); for a relaxation merge, its exact head."""
         if isinstance(stream, IdSubJoinCursor):
-            return None, None
+            return None
         if isinstance(stream, IdPostingCursor):
-            return stream, None
+            return stream
         # Not a cursor of this module: a relaxation merge.
         head = stream.exact_head()
-        if not isinstance(head, IdPostingCursor):
-            return None, None
-        return head, stream.runner_up()
+        return head if isinstance(head, IdPostingCursor) else None
 
     def _settler(self, stream) -> tuple[IdPostingCursor, float] | None:
         """The posting cursor, with its head score, whose next tied run in
@@ -1503,7 +1473,7 @@ class IdRankJoin:
         """
         if not self._may_settle:
             return None
-        head, runner_up = self._head_of(stream)
+        head = self._head_of(stream)
         if not (
             head is not None
             and head.plan.bound_slots == self._projection_slots
@@ -1512,6 +1482,7 @@ class IdRankJoin:
             return None
         score = head.peek()
         weight = self.rewriting_weight
+        runner_up = None if stream is head else stream.runner_up()
         if runner_up is not None and score_product(
             weight, (runner_up,)
         ) >= score_product(weight, (score,)):
@@ -1532,13 +1503,12 @@ class IdRankJoin:
         :meth:`TieFrontier.worth`, and the band's first ``k`` answers cost
         no more reads than draining the band (:meth:`BandProbe.fill`).
         """
-        heads, runners = [], []
+        heads = []
         for stream in self.streams:
-            head, runner_up = self._head_of(stream)
+            head = self._head_of(stream)
             if head is None or head.peek() is None:
                 return False
             heads.append(head)
-            runners.append(runner_up)
         projection = self._projection_slots
         if set(projection) != {slot for head in heads for slot in head.plan.bound_slots}:
             return False
@@ -1549,8 +1519,9 @@ class IdRankJoin:
         weight = self.rewriting_weight
         scores = [head.peek() for head in heads]
         band_score = score_product(weight, scores)
-        for index, (head, runner_up) in enumerate(zip(heads, runners)):
+        for index, (stream, head) in enumerate(zip(self.streams, heads)):
             lower = head.score_below(head.head_run(1).refs[0])
+            runner_up = None if stream is head else stream.runner_up()
             if runner_up is not None and (lower is None or runner_up > lower):
                 lower = runner_up
             if lower is not None:
@@ -1805,8 +1776,7 @@ class IdRankJoin:
                 return False
             band.take()
             items = tuple(
-                (merged, item_score, head.plan.bound_slots, head, ref)
-                for item_score, head, ref in zip(band.scores, band.heads, refs)
+                (merged, *source, ref) for source, ref in zip(band.sources, refs)
             )
             self._emit(merged, items, score)
             if frontier.tracks(score):
