@@ -51,7 +51,6 @@ from repro.storage.compaction import compact_store
 from repro.storage.statistics import StoreStatistics
 from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatcher
-from repro.topk.kernels import HotBlockCache
 from repro.topk.processor import ProcessorConfig, TopKProcessor
 
 
@@ -74,24 +73,22 @@ class EngineConfig:
         :meth:`TriniT.ingest` that crossed the threshold.  Any other value
         raises :class:`TrinitError`.
     merge_batch:
-        Postings pulled per batch by the store's lookups — one segment's
-        range copied, or several segments merged (and the granularity of
-        the id-space cursors' batched sorted access).  ``None`` (default)
-        sizes batches
-        **adaptively** per query: each posting merge starts small and
-        doubles its pull as the consumer keeps draining, so probe-only
-        lookups stay cheap and deep drains amortise (bounded by
-        ``ADAPTIVE_MAX_BATCH``).  ``1`` degenerates to item-at-a-time
-        pulls — the serial reference the property suite pins batched
-        execution against.
+        Postings an id-space cursor pulls per read of its lookup — a
+        segment's slice or a merge of several, read alike.  ``None``
+        (default) pulls **adaptively**: each cursor slow-starts at 8 and
+        then pulls as many as it has read so far (8, 8, 16, … up to
+        ``topk.idspace.MAX_PULL`` = 1024), so probe-only lookups stay
+        cheap and deep drains amortise.  ``1`` degenerates to
+        item-at-a-time pulls — the serial reference the property suite
+        pins batched execution against.
     block_size:
         Posting-block granularity of the id-space execution kernels: how
         many posting heads the cursors decode, filter and score per
         :func:`repro.topk.kernels.score_block` call.  ``None`` (default)
-        adapts — cursors score exactly what each batched pull of the
-        lookup materialised (so ``merge_batch`` governs both).  ``1``
-        selects the original per-item scoring path, the byte-identical
-        reference the property suite pins the block kernels against.
+        adapts — cursors score exactly what each pull made readable (so
+        ``merge_batch`` governs both).  ``1`` selects the original
+        per-item scoring path, the byte-identical reference the property
+        suite pins the block kernels against.
     compaction_threshold:
         Live-ingestion compaction trigger: once :meth:`TriniT.ingest` has
         grown the store's mutable delta segment past this many statements,
@@ -171,7 +168,6 @@ class _View:
         if not same_store:
             store.backend.configure_prefetch(config.merge_batch)
             store.configure_blocks(config.block_size)
-            store.backend.configure_block_cache(shared.block_cache)
         self.store = store
         self.rules = rules
         self.extent = (len(store), store.delta_version)
@@ -257,9 +253,6 @@ class _EngineState:
             if kind == "thread"
             else None
         )
-        # One bounded hot-block cache shared across queries and generations
-        # (keys carry the backend's identity and generation).
-        self.block_cache = HotBlockCache()
         self.write_lock = threading.RLock()
         self.fold: Future | None = None
         self.listeners: list = []
@@ -321,12 +314,10 @@ class _EngineState:
             )
         if unread:
             previous.store.close()
-        swapped = view.generation != previous.generation
-        if swapped:
-            # Only the superseded generation's remaining readers could
-            # ask for its cached blocks again; reclaim them now.
-            self.block_cache.clear()
-        if swapped or view.rules_version != previous.rules_version:
+        if (
+            view.generation != previous.generation
+            or view.rules_version != previous.rules_version
+        ):
             for callback in list(self.listeners):
                 callback(engine)
         return view
@@ -344,7 +335,6 @@ class _EngineState:
             stores = {self.view.store, *self._readers}
         for store in stores:
             store.close()
-        self.block_cache.clear()
 
 
 def _of_view(name: str) -> property:
@@ -402,7 +392,6 @@ class TriniT:
     rules = _of_view("rules")
     generation = _of_view("generation")
     closed = property(lambda self: self._state.closed)
-    _block_cache = property(lambda self: self._state.block_cache)
 
     @property
     def processor(self) -> TopKProcessor:

@@ -170,22 +170,21 @@ class QueryStats:
     ``segments_touched``, ``postings_materialized`` and ``posting_pulls``
     are the storage counters: how many physical storage segments (and the
     delta) the query's posting cursors read from, how many posting heads
-    the batched pulls actually materialised, and how many batched
-    ``pull`` calls did that materialising (fed from
-    ``MergedPostings.materialized``).
+    the cursors' pulls made readable, and how many pulls did that (one
+    read frontier per cursor, over a segment's slice or a merge alike).
     The ratio ``postings_materialized / posting_pulls`` is the observed
-    per-query posting-drain depth the adaptive merge batching responds to.
+    per-query posting-drain depth the adaptive pulls respond to.
 
     ``delta_hits`` counts materialised posting heads that came from the
     store's mutable delta segment (live ingestion) rather than a frozen
     segment — the observable share of a query answered by not-yet-
     compacted data.
 
-    ``blocks_decoded`` and ``block_cache_hits`` are the block-kernel
-    counters (:mod:`repro.topk.kernels`): how many posting blocks the
-    query's cursors decoded and scored in one kernel call each, and how
-    many prepared head blocks were served from the engine's hot-block
-    cache instead of being re-translated from segment postings.
+    ``blocks_decoded`` is the block-kernel counter (:mod:`repro.topk.
+    kernels`): how many posting blocks the query's cursors decoded and
+    scored in one kernel call each.  ``block_cache_hits`` is retired: the
+    hot-block cache it counted is gone, so it is always 0.  It stays until
+    the benchmark instrument stops reading it (ROADMAP item 1 step 1).
 
     ``random_accesses`` counts the postings a join read by *probing* a
     posting list with some of its variables bound — the answer-ordered

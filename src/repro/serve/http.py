@@ -126,8 +126,8 @@ class ServeConfig:
     keepalive_idle:
         Seconds a connection may wait for the first byte of a request —
         its first one's or the next kept-alive one's — before the server
-        closes it, and then the budget for the rest of that request's
-        head: request line and headers must all arrive within it (past
+        closes it, and then the budget for the rest of that request:
+        request line, headers and body must all arrive within it (past
         it: 408 and close).  Idle connections are not in-flight:
         draining never waits on them.
     """
@@ -172,8 +172,8 @@ class _BadRequest(TrinitError):
     """Malformed HTTP or payload — answered 400."""
 
 
-class _HeadTimeout(TrinitError):
-    """A request head begun but not finished within its deadline —
+class _RequestTimeout(TrinitError):
+    """A request begun but not received whole within its deadline —
     answered 408, and the connection closed."""
 
 
@@ -198,13 +198,13 @@ class _Request:
         return token != "close"
 
 
-class _HeadReader:
-    """The lines of one request head, read within one deadline.
+class _RequestReader:
+    """The head lines and the body of one request, read within one deadline.
 
-    Lines are cut from what the socket reader already holds (``peek``);
-    only a line not all there waits for a receive, and each receive waits
-    only for what is left until the deadline, so a client dripping a head
-    byte by byte cannot stretch it past that.
+    Both are cut from what the socket reader already holds (``peek``);
+    only a line or body not all there waits for a receive, and each
+    receive waits only for what is left until the deadline, so a client
+    dripping a request byte by byte cannot stretch it past that.
     """
 
     def __init__(self, reader, conn: socket.socket, held: bytes, deadline: float):
@@ -212,7 +212,8 @@ class _HeadReader:
         self._conn = conn
         self._deadline = deadline
         self._held = held  # the reader's buffer, as last peeked…
-        self._pos = 0  # …and how much of it the lines returned so far hold
+        self._pos = 0  # …and how much of it was returned so far
+        self._waited = False  # whether a receive changed the timeout
 
     def readline(self, limit: int) -> bytes:
         """``reader.readline(limit)`` that gives up at the deadline."""
@@ -230,32 +231,51 @@ class _HeadReader:
             if not self._held:
                 return line  # EOF
 
+    def read(self, size: int) -> bytes:
+        """``reader.read(size)`` that gives up at the deadline."""
+        data = bytearray()
+        while True:
+            held, pos = self._held, self._pos
+            self._pos = end = min(len(held), pos + size - len(data))
+            data += held[pos:end]
+            if len(data) == size:
+                return bytes(data)
+            self._reader.read(len(held))
+            self._held, self._pos = self._receive(), 0
+            if not self._held:
+                return bytes(data)  # EOF
+
     def _receive(self) -> bytes:
         remaining = self._deadline - time.monotonic()
         if remaining <= 0:
-            raise _HeadTimeout
+            raise _RequestTimeout
+        self._waited = True
         self._conn.settimeout(remaining)
         try:
             return self._reader.peek(1)
         except TimeoutError:
-            raise _HeadTimeout from None
+            raise _RequestTimeout from None
 
-    def finish(self) -> None:
-        """Take the lines read off the reader."""
+    def finish(self, idle: float) -> None:
+        """Take what was read off the reader; put back the ``idle``
+        timeout the next request's first byte waits under."""
         self._reader.read(self._pos)
+        if self._waited:
+            self._conn.settimeout(idle)
 
 
 def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None:
     """Parse one request off a buffered socket reader; ``None`` at EOF.
 
     The wait for the request's first byte is bounded by the socket's
-    timeout; from that byte on, the request line and every header must
-    arrive within ``budget`` seconds in total (:class:`_HeadTimeout`).
+    timeout; from that byte on, the request line, every header and the
+    body must arrive within ``budget`` seconds in total
+    (:class:`_RequestTimeout`).
     """
     held = reader.peek(1)
     if not held:
         return None
-    head = _HeadReader(reader, conn, held, time.monotonic() + budget)
+    head = _RequestReader(reader, conn, held, time.monotonic() + budget)
     line = head.readline(MAX_REQUEST_LINE + 1)
     if not line.endswith(b"\n"):
         if len(line) > MAX_REQUEST_LINE:
@@ -280,8 +300,6 @@ def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None
         if not sep:
             raise _BadRequest(f"Malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
-    head.finish()
-    conn.settimeout(budget)
     body = b""
     length = headers.get("content-length")
     if length is not None:
@@ -290,9 +308,10 @@ def _read_request(reader, conn: socket.socket, budget: float) -> _Request | None
         length = int(length)
         if length > MAX_BODY_BYTES:
             raise _BadRequest("Request body too large")
-        body = reader.read(length)
+        body = head.read(length)
         if len(body) < length:
             raise _BadRequest("Truncated request body")
+    head.finish(budget)
     split = urlsplit(target)
     params = {
         key: values[-1]
@@ -578,9 +597,9 @@ class QueryService:
                 route = "bad"
                 status = _respond(conn, 400, {"error": str(exc)})
                 return False
-            except _HeadTimeout:
+            except _RequestTimeout:
                 route = "bad"
-                error = "Request head not received within keepalive_idle"
+                error = "Request not received within keepalive_idle"
                 status = _respond(conn, 408, {"error": error})
                 return False
             if request is None:  # client closed without a request

@@ -12,9 +12,9 @@ base :class:`~repro.storage.columnar.ColumnarBackend` segment (parallel id
 and weight columns, posting lists as index ranges into per-signature
 permutation arrays, mapped zero-copy from a snapshot directory) plus the
 segments compaction appends, each a contiguous global id range; a lookup
-copies the one contributing segment's posting range, or merges several with
-the mutable delta segment.  :class:`StorageBackend` is the typed seam that
-layout implements; :func:`make_backend` resolves what
+is the base segment's own posting slice, or a merge of every segment (and
+the mutable delta segment) holding the key.  :class:`StorageBackend` is the
+typed seam that layout implements; :func:`make_backend` resolves what
 ``TripleStore(backend=...)`` accepts.
 """
 

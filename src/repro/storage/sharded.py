@@ -10,31 +10,24 @@ it, each holding the contiguous global id range the folded delta owned.
 So the whole id map is one start offset per segment: ``gid = start +
 local``.
 
-``postings()`` answers with a :class:`MergedPostings` sequence over the
-segments (and the mutable delta) that hold the lookup's key.  When one
-stream contributes — every lookup on a fresh store — its posting range is
-copied in pulls, with no heap and no merge keys.  When several do (the
-generations and delta of a store under live ingestion), heads are merged
-lazily in the canonical posting order — weight desc, tie key asc (the sort
-keys of the lookup's free slots), global id asc — exactly the order each
-segment freezes with, so the merged stream is element-identical to one
-segment holding everything, while only the consumed prefix is ever
-materialised.  That merge pulls each segment's heads as pre-keyed
-**blocks** — a ``(-weight, tie keys…)`` merge-key column and a global-id
-column, built by C-speed gathers (:func:`repro.topk.kernels.
-prepare_head_block`) instead of per-head Python loops.
-:meth:`configure_block_cache` attaches the engine-owned
-:class:`~repro.topk.kernels.HotBlockCache`, so the front blocks Zipfian
-traffic hammers are keyed once and served from memory (delta blocks are
-never cached — the mutable segment changes under live ingestion).
+``postings()`` is the one lookup.  While only the base segment holds the
+key — every lookup on a fresh store — it answers with that segment's own
+zero-copy slice and builds nothing else.  When a later segment or the
+mutable delta holds it too (a store under live ingestion), a
+:class:`MergedPostings` merges the parts' heads lazily in the canonical
+posting order — weight desc, tie key asc (the sort keys of the lookup's
+free slots), global id asc — exactly the order each segment freezes with,
+so the merged stream is element-identical to one segment holding
+everything, while only the consumed prefix is ever materialised.  The
+merge refills each part by pre-keyed **blocks** — a ``(-weight, tie
+keys…)`` merge-key column and a global-id column, built by C-speed gathers
+(:func:`repro.topk.kernels.prepare_head_block`) instead of per-head Python
+loops.
 
-Batch sizing (:meth:`configure_prefetch`) is either fixed or **adaptive**
-(``batch=None``): each lookup starts small and doubles its pull as the
-consumer keeps draining, so one-head rewriting probes stay cheap while deep
-drains converge to amortised bulk pulls — the controller state is per
-:class:`MergedPostings` instance, i.e. per query.  With ``batch_size=1``
-every pull is one item — the byte-identical reference batched execution is
-property-tested against.
+How many postings a read takes is the reader's choice: the id-space
+cursors pull a slice and a merge alike through one read frontier,
+sized by :attr:`ShardedBackend.merge_batch` (``EngineConfig.merge_batch``,
+set through :meth:`~ShardedBackend.configure_prefetch`).
 
 Snapshot-restored backends (:mod:`repro.storage.snapshot`) keep their
 segments: each segment's columns arrive as a lazy loader over its own
@@ -71,50 +64,36 @@ def _kernel_module():
         _kernels = kernels
     return _kernels
 
-#: Items per pull when no explicit prefetch configuration was supplied
+#: Postings per pull when no explicit prefetch configuration was supplied
 #: (``EngineConfig.merge_batch`` overrides).
 DEFAULT_MERGE_BATCH = 64
 
-#: Adaptive batching (``batch=None``): per-lookup slow start.  A fresh
-#: lookup pulls this many items, and every further full-depth demand pull
-#: doubles the granularity up to the ceiling — so rewriting probes that
-#: peek one head stay cheap while queries that actually drain a posting
-#: list converge to large, amortised pulls.  The state lives on the
-#: :class:`MergedPostings` instance, i.e. per lookup per query: concurrent
-#: queries adapt independently and cannot clobber each other.
-ADAPTIVE_INITIAL_BATCH = 8
-ADAPTIVE_MAX_BATCH = 1024
-
 
 class _SegmentStream:
-    """One segment's contribution to a lookup: postings plus its start.
+    """One part's contribution to a merge: postings plus its start.
 
     ``prepare_block`` translates the ``[lo, hi)`` local posting ids into a
     pre-keyed head block — parallel merge-key and global-id columns — in
     one pass of C-speed gathers; that block is the unit the merge refills
-    by and the unit the hot-block cache stores.  ``columns`` are the
-    stream's term-id columns of the lookup's free slots (local-indexed),
-    which the merge keys' tie part is read from.  ``segment_index`` is -1
-    for the delta.  ``kw``/``kg`` hold the current block, ``index`` the
-    consumed prefix of it, ``position`` the end of the posting range
-    already taken.
+    by.  ``columns`` are the stream's term-id columns of the lookup's free
+    slots (local-indexed), which the merge keys' tie part is read from.
+    ``kw``/``kg`` hold the current block, ``index`` the consumed prefix of
+    it, ``position`` the end of the posting range already taken.
     """
 
-    __slots__ = ("postings", "start", "columns", "segment_index",
-                 "position", "kw", "kg", "index", "weights", "is_delta")
+    __slots__ = ("postings", "start", "columns", "position", "kw", "kg",
+                 "index", "weights", "is_delta")
 
     def __init__(
         self,
         postings: Sequence[int],
         start: int,
         columns: Sequence[Sequence[int]],
-        segment_index: int,
         weights=None,
     ):
         self.postings = postings
         self.start = start
         self.columns = columns
-        self.segment_index = segment_index
         self.position = 0
         # Current head block: merge keys and global ids, parallel.
         self.kw: Sequence[tuple] = ()
@@ -124,7 +103,7 @@ class _SegmentStream:
         # own immutable weight snapshot (frozen weights columns don't cover
         # delta ids).  None means "use the merge-level weights".
         self.weights = weights
-        self.is_delta = segment_index < 0
+        self.is_delta = weights is not None
 
     def prepare_block(self, weights, sort_key, lo: int, hi: int):
         if self.weights is not None:
@@ -135,22 +114,19 @@ class _SegmentStream:
 
 
 class MergedPostings:
-    """Immutable posting sequence materialised lazily from its streams.
+    """Immutable posting sequence merged lazily from its parts.
 
     Length is known up front (each global id lives in exactly one segment,
-    so the length is the sum of the part lengths); items are pulled only as
+    so the length is the sum of the part lengths); items are merged only as
     far as callers index, iterate, or :meth:`pull`.  Cursors that abandon a
     posting list after a few sorted accesses never pay for the rest.
 
-    ``parts`` are ``(postings, start, columns, segment index)`` per
-    segment.  One stream is copied range by range (``gid = start +
-    local``).  Several are merged by a heap: the merge key of a head is
-    ``(-weight, sort_key(id) for each free-slot column)``, heads are
-    prepared in batches of ``batch`` pre-keyed entries per stream, and the
-    heap compares ``(merge key, global id)`` — global ids are unique, so
-    the emitted order is deterministic.  ``batch=None`` selects **adaptive** sizing (slow start
-    per lookup, see :data:`ADAPTIVE_INITIAL_BATCH`); the emitted order is
-    independent of it.
+    ``parts`` are ``(postings, start, columns)`` per segment.  The merge
+    key of a head is ``(-weight, sort_key(id) for each free-slot column)``,
+    heads are prepared in blocks no larger than the pull that needs them,
+    and the heap compares ``(merge key, global id)`` — global ids are
+    unique, so the emitted order is deterministic and independent of the
+    pull sizes.
 
     ``delta`` adds the store's mutable delta segment as one more stream:
     a ``(postings, start, weights, columns)`` snapshot
@@ -161,42 +137,30 @@ class MergedPostings:
     """
 
     __slots__ = ("_items", "_streams", "_weights", "_sort_key", "_length",
-                 "_heap", "_batch", "_adaptive", "_delta_emitted", "_cache",
-                 "_cache_base", "_cache_hits")
+                 "_heap", "_delta_emitted")
 
     def __init__(
         self,
-        parts: list[tuple[Sequence[int], int, Sequence[Sequence[int]], int]],
+        parts: list[tuple[Sequence[int], int, Sequence[Sequence[int]]]],
         weights,
         length: int,
         *,
         sort_key: Callable[[int], object],
-        batch: int | None = DEFAULT_MERGE_BATCH,
         delta=None,
-        cache=None,
-        cache_base: tuple | None = None,
     ):
         self._items = array(ID_TYPECODE)
         self._streams = [_SegmentStream(*part) for part in parts]
         if delta is not None:
             postings, start, delta_weights, columns = delta
             self._streams.append(
-                _SegmentStream(postings, start, columns, -1, delta_weights)
+                _SegmentStream(postings, start, columns, delta_weights)
             )
         self._delta_emitted = 0
         self._weights = weights
         self._sort_key = sort_key
         self._length = length
-        # None until the first pull; the merge heap of a multi-stream
-        # lookup (a single stream leaves it empty).
+        # None until the first pull.
         self._heap: list[tuple[float, int, int]] | None = None
-        self._adaptive = batch is None
-        self._batch = ADAPTIVE_INITIAL_BATCH if batch is None else max(1, batch)
-        # Hot-block cache: engine-owned, shared across merges; keyed by the
-        # lookup address (cache_base) plus segment index and block range.
-        self._cache = cache if cache_base is not None else None
-        self._cache_base = cache_base
-        self._cache_hits = 0
 
     def __len__(self) -> int:
         return self._length
@@ -215,80 +179,28 @@ class MergedPostings:
         return len(self._streams)
 
     @property
-    def batch_size(self) -> int:
-        """Current pull granularity (grows when adaptive)."""
-        return self._batch
-
-    @property
     def delta_emitted(self) -> int:
         """How many materialised items came from the mutable delta."""
         return self._delta_emitted
 
-    @property
-    def cache_hits(self) -> int:
-        """How many head blocks this merge served from the hot-block cache
-        (the source of ``QueryStats.block_cache_hits``)."""
-        return self._cache_hits
-
     # -- merge machinery ---------------------------------------------------
 
-    def _refill(self, stream: _SegmentStream, limit: int | None = None) -> None:
-        """Swap in the next head block of a stream that still has postings.
-
-        ``limit`` caps the block below the configured batch — used on heap
-        initialisation so a consumer that reads one head (rewriting
-        enumeration probing ``ids[0]``) doesn't pay for a full batch per
-        segment.
-
-        Frozen segment blocks go through the hot-block cache under their
-        ``(lookup, segment, range)`` key; the mutable delta changes under
-        live ingestion, so its blocks are always prepared afresh.
-        """
-        lo = stream.position
-        hi = min(lo + (limit or self._batch), len(stream.postings))
-        stream.position = hi
-        cache = None if stream.is_delta else self._cache
-        block = None
-        if cache is not None:
-            key = (self._cache_base, stream.segment_index, lo, hi)
-            block = cache.get(key)
-            if block is not None:
-                self._cache_hits += 1
-        if block is None:
-            block = stream.prepare_block(self._weights, self._sort_key, lo, hi)
-            if cache is not None:
-                cache.put(key, block)
-        stream.kw, stream.kg = block
-        stream.index = 0
-
-    def _push(self, heap, stream_id: int, limit: int | None = None) -> None:
-        """Push the stream's next head, refilling its block when drained."""
+    def _push(self, heap, stream_id: int, limit: int) -> None:
+        """Push the stream's next head, first swapping in its next head
+        block — at most ``limit`` heads — when the current one is spent."""
         stream = self._streams[stream_id]
         if stream.index >= len(stream.kw):
-            if stream.position >= len(stream.postings):
+            lo = stream.position
+            if lo >= len(stream.postings):
                 return
-            self._refill(stream, limit)
+            hi = stream.position = min(lo + limit, len(stream.postings))
+            stream.kw, stream.kg = stream.prepare_block(
+                self._weights, self._sort_key, lo, hi
+            )
+            stream.index = 0
         index = stream.index
         stream.index = index + 1
         heapq.heappush(heap, (stream.kw[index], stream.kg[index], stream_id))
-
-    def _copy(self, n: int) -> int:
-        """Pull from the one contributing stream: its next ``n`` postings,
-        shifted by its start."""
-        stream = self._streams[0]
-        lo = stream.position
-        hi = stream.position = min(lo + n, len(stream.postings))
-        block = stream.postings[lo:hi]
-        if stream.start:
-            self._items.extend(map(stream.start.__add__, block))
-        elif isinstance(block, memoryview):
-            # A base segment's ids are global: one memcpy.
-            self._items.frombytes(block.cast("B"))
-        else:
-            self._items.extend(block)
-        if stream.is_delta:
-            self._delta_emitted += hi - lo
-        return hi - lo
 
     def pull(self, n: int) -> int:
         """Materialise up to ``n`` further items; return how many were added.
@@ -300,23 +212,12 @@ class MergedPostings:
         if n <= 0:
             return 0
         heap = self._heap
-        single = len(self._streams) == 1
         if heap is None:
+            # Size the opening blocks to the request: a one-head probe
+            # (rewriting enumeration peeking ids[0]) keys one head a part.
             heap = self._heap = []
-            if not single:
-                # Size the opening prepare to the request: a one-head probe
-                # (rewriting enumeration peeking ids[0]) should not pay for
-                # a full batch per segment.
-                first = min(n, self._batch)
-                for stream_id in range(len(self._streams)):
-                    self._push(heap, stream_id, first)
-        elif self._adaptive and n >= self._batch:
-            # The consumer drained the previous granularity and came back
-            # for at least as much again — this lookup is a deep drain, so
-            # double the pull (slow start, bounded).
-            self._batch = min(self._batch * 2, ADAPTIVE_MAX_BATCH)
-        if single:
-            return self._copy(n)
+            for stream_id in range(len(self._streams)):
+                self._push(heap, stream_id, n)
         items = self._items
         streams = self._streams
         delta_emitted = 0
@@ -365,14 +266,8 @@ class MergedPostings:
         return self._items[index]
 
     def __iter__(self):
-        position = 0
-        while position < self._length:
-            if position >= len(self._items):
-                # Re-read the batch each round so adaptive growth applies.
-                if not self.pull(self._batch):
-                    return
-            yield self._items[position]
-            position += 1
+        self._fill(self._length)
+        return iter(self._items)
 
     def __contains__(self, value: object) -> bool:
         return any(item == value for item in self)
@@ -402,7 +297,6 @@ class ShardedBackend:
         self._snapshot_root: str | None = None
         self._generation = 0
         self._delta = None
-        self._block_cache = None
 
     @classmethod
     def _restore(
@@ -561,37 +455,24 @@ class ShardedBackend:
         for index in range(len(self._starts)):
             self._segment(index)
 
+    @property
+    def merge_batch(self) -> int | None:
+        """Postings a cursor pulls per read (``None``: adaptive slow start)."""
+        return self._merge_batch
+
     def configure_prefetch(self, batch_size: int | None) -> None:
-        """Set the pull granularity of :class:`MergedPostings`.
+        """Set :attr:`merge_batch`, the pull granularity of the id-space
+        cursors over this backend's lookups.
 
         ``batch_size=1`` restores item-at-a-time pulls (the serial
-        reference) and ``batch_size=None`` selects per-lookup adaptive
+        reference) and ``batch_size=None`` selects per-cursor adaptive
         sizing.  The engine wires ``EngineConfig.merge_batch`` through
-        here.
-
-        The setting is an engine-lifetime default copied into each
-        :class:`MergedPostings` at lookup time — nothing here mutates
-        mid-query, so concurrent queries with different adaptive batch
-        trajectories cannot clobber each other through the shared backend.
+        here; each cursor copies it when it opens, so nothing mutates
+        mid-query.
         """
         if batch_size is not None and batch_size < 1:
             raise StorageError(f"batch_size must be >= 1, got {batch_size}")
         self._merge_batch = batch_size
-
-    def configure_block_cache(self, cache) -> None:
-        """Attach (or detach, with ``None``) a hot-block cache.
-
-        The cache is engine-owned (one :class:`~repro.topk.kernels.
-        HotBlockCache` per engine, shared by every lookup) and invalidated
-        by the engine when it publishes a new generation — this backend only
-        consults it.  Cache keys carry the backend's persistent identity
-        (snapshot root + generation; a process-local token for in-memory
-        builds), the lookup's (bound-slot mask, key), the segment index and
-        the block range — everything that determines a prepared block's
-        content — so value-identical blocks are the only thing a hit can
-        return and emitted merge order is unaffected.
-        """
-        self._block_cache = cache
 
     def posting_block(
         self,
@@ -654,60 +535,33 @@ class ShardedBackend:
     def postings(
         self, bound_slots: Sequence[bool], key: tuple[int, ...]
     ) -> Sequence[int]:
+        """The lookup's postings, best first: the base segment's own slice
+        while no later segment and no delta holds ``key`` (its local ids
+        are the global ids), else a :class:`MergedPostings` over the parts
+        that do."""
         self._check_lookup(bound_slots, key)
-        delta_part = (
+        segments = [self._segment(index) for index in range(len(self._starts))]
+        lists = [segment.postings(bound_slots, key) for segment in segments]
+        delta = (
             self._delta.posting_part(bound_slots, key)
             if self._delta is not None
             else None
         )
+        if delta is None and not any(map(len, lists[1:])):
+            return lists[0]
         free = [slot for slot in range(3) if not bound_slots[slot]]
-        parts: list = []
-        total = 0
-        for segment_index, start in enumerate(self._starts):
-            segment = self._segment(segment_index)
-            postings = segment.postings(bound_slots, key)
-            if len(postings):
-                parts.append(
-                    (postings, start, segment.slot_columns(free), segment_index)
-                )
-                total += len(postings)
-        if delta_part is not None:
-            total += len(delta_part.postings)
-            delta_part = (
-                *delta_part[:3],
-                tuple(delta_part.columns[slot] for slot in free),
-            )
-        if not total:
-            return _EMPTY
-        cache = self._block_cache
-        cache_base = None
-        if cache is not None:
-            root = self._snapshot_root or self._source_dir
-            identity = root if root is not None else ("mem", id(self))
-            cache_base = (
-                identity, self._generation, tuple(bound_slots), tuple(key)
-            )
+        parts = [
+            (postings, start, segment.slot_columns(free))
+            for postings, start, segment in zip(lists, self._starts, segments)
+            if len(postings)
+        ]
+        total = sum(map(len, lists))
+        if delta is not None:
+            total += len(delta.postings)
+            delta = (*delta[:3], tuple(delta.columns[slot] for slot in free))
         return MergedPostings(
-            parts,
-            self._weights,
-            total,
-            sort_key=self._sort_key,
-            batch=self._merge_batch,
-            delta=delta_part,
-            cache=cache,
-            cache_base=cache_base,
+            parts, self._weights, total, sort_key=self._sort_key, delta=delta
         )
-
-    def lookup(
-        self, bound_slots: Sequence[bool], key: tuple[int, ...]
-    ) -> Sequence[int]:
-        """:meth:`postings` for a random-access probe: the base segment's
-        own zero-copy slice while it is the store's only part (no later
-        segment, no delta — its local ids are the global ids), else the
-        merged list."""
-        if self._delta is None and len(self._starts) == 1 and not self._closed:
-            return self._segment(0).postings(bound_slots, key)
-        return self.postings(bound_slots, key)
 
     def slot_values(
         self, bound_slots: Sequence[bool], key: tuple[int, ...], slot: int

@@ -554,12 +554,8 @@ class TripleStore:
     ) -> Sequence[int]:
         """Score-sorted triple ids for an id-level lookup (None = unbound).
 
-        This is the hot-path twin of :meth:`sorted_ids` for callers that
-        already hold term ids — the id-space probes of a sub-join and of a
-        join's tied band.  A probe reads a few postings of many short
-        lists, so while the base segment is the store's only part (no
-        later segment, no delta) this returns that segment's own slice
-        instead of building a merged list.
+        :meth:`sorted_ids` for callers that already hold term ids — the
+        id-space probes of a sub-join and of a join's tied band.
         """
         if self._closed:
             raise StorageError("Store is closed")
@@ -567,7 +563,7 @@ class TripleStore:
             raise StorageError("Store must be frozen before lookup")
         bound = (s is not None, p is not None, o is not None)
         key = tuple(i for i in (s, p, o) if i is not None)
-        return self._backend.lookup(bound, key)
+        return self._backend.postings(bound, key)
 
     def slot_values(
         self, s: int | None, p: int | None, o: int | None, position: int

@@ -23,9 +23,9 @@ State the driver persists between :meth:`TopKDriver.advance` calls:
 
 **Settlement, and why the prefix is stable.**  The driver stops a drain for
 target ``k`` only when the k-th best distinct score *strictly* exceeds every
-remaining upper bound (``strict_ties`` in the joins) — or when everything is
-exhausted.  Strictness means every combination that could still *tie* into
-the top-k has been formed, so the ranked prefix is the true ranking with
+remaining upper bound — or when everything is exhausted.  Strictness
+means every combination that could still *tie* into the top-k has been
+formed, so the ranked prefix is the true ranking with
 ties fully resolved, independent of the trajectory that produced it and of
 where the computation was split.  That is the prefix-stability guarantee:
 ``next_k(3)`` then ``next_k(7)`` is byte-identical to an eager ``ask(k=10)``
@@ -202,7 +202,6 @@ class TopKDriver:
             aggregator=self._aggregator,
             tracker=self._tracker,
             exhaustive=self._exhaustive,
-            strict_ties=True,
         )
 
     # -- results ------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.errors import TopKError
 from repro.relax.rules import RelaxationRule, RuleApplication
 from repro.scoring.answer_scoring import score_product
 from repro.scoring.language_model import PatternScorer
+from repro.storage.sharded import MergedPostings
 from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatch
 from repro.topk import kernels
@@ -56,6 +57,13 @@ _SETTLED = object()
 
 #: The score of a consumed run item ``(binding, score, slots, source, ref)``.
 _SCORE = itemgetter(1)
+
+#: Adaptive pulls (``merge_batch=None``) slow-start: a cursor's first pull
+#: takes this many postings and each later one as many as it has read so
+#: far — 8, 8, 16, 32, … — up to the ceiling, so a rewriting probe that
+#: peeks one head stays cheap while a deep drain converges to bulk pulls.
+FIRST_PULL = 8
+MAX_PULL = 1024
 
 
 class SlotTable:
@@ -342,11 +350,17 @@ class IdPostingCursor:
     bound by a single :func:`repro.topk.kernels.bind_block` call;
     :meth:`advance` says how many the consumer took.  Block granularity
     follows ``TripleStore.block_size`` (``EngineConfig.block_size``):
-    ``None`` adapts — the cursor scores exactly what each batched pull of
-    the segment merge materialised — while ``1`` stages nothing and scores one head at a time, so every run
-    has length one: the per-item oracle the property suite pins the block
-    path against.  Emitted matches and scores are identical in both modes;
-    only the ``blocks_decoded`` counter differs.
+    ``None`` adapts — the cursor scores exactly what each pull made
+    readable — while ``1`` stages nothing and scores one head at a time,
+    so every run has length one: the per-item oracle the property suite
+    pins the block path against.  Emitted matches and scores are
+    identical in both modes; only the ``blocks_decoded`` counter differs.
+
+    The lookup is the base segment's own slice or a lazy segment merge;
+    either is read through one *read frontier*: :meth:`_pull` moves it by
+    ``merge_batch`` postings (``EngineConfig.merge_batch``), or by the
+    adaptive slow start of :data:`FIRST_PULL` … :data:`MAX_PULL`, and
+    nothing past it is read.
     """
 
     __slots__ = (
@@ -366,8 +380,9 @@ class IdPostingCursor:
         "_slot_ids",
         "_template",
         "_merged",
+        "_frontier",
+        "_batch",
         "_delta_seen",
-        "_cache_seen",
         "_use_blocks",
         "_block_limit",
         "_block_tids",
@@ -395,8 +410,9 @@ class IdPostingCursor:
         self._head_score: float | None = None
         self._template: list[int] | None = None
         self._merged = None
+        self._frontier = 0
+        self._batch: int | None = None
         self._delta_seen = 0
-        self._cache_seen = 0
         self._use_blocks = True
         self._block_limit: int | None = None
         self._block_tids: Sequence[int] = ()
@@ -407,9 +423,10 @@ class IdPostingCursor:
         if self._ids is None:
             store = self.ctx.store
             ids = self._ids = store.sorted_ids(self.pattern)
-            # Lazily-merged segment postings support batched pulls; an
-            # empty lookup is a plain empty tuple.
-            self._merged = ids if hasattr(ids, "pull") else None
+            # A merge materialises what a pull asks for; a slice is all
+            # there already.
+            self._merged = ids if isinstance(ids, MergedPostings) else None
+            self._batch = store.backend.merge_batch
             self._lam, self._mass, self._cmass = self.ctx.scorer.emission_model(
                 self.pattern
             )
@@ -424,6 +441,8 @@ class IdPostingCursor:
                 self.ctx.stats.cursors_opened += 1
                 if self._merged is not None:
                     self.ctx.stats.segments_touched += self._merged.segments
+                elif len(ids):
+                    self.ctx.stats.segments_touched += 1
 
     def _score_weight(self, weight: float) -> float:
         # Same float ops, same order, as PatternScorer.score_weight.
@@ -440,22 +459,11 @@ class IdPostingCursor:
         """Triple id at the cursor head, skipping repeated-var mismatches."""
         self._open()
         ids = self._ids
-        merged = self._merged
         plan = self.plan
         needs_filter = plan.has_repeated_variable
         while self._position < len(ids):
-            if merged is not None and self._position >= merged.materialized:
-                # Batched sorted access: pull a whole batch of merged heads
-                # at once instead of paying the per-item merge hand-off on
-                # every index.
-                pulled = merged.pull(merged.batch_size)
-                if self.ctx.stats is not None:
-                    self.ctx.stats.postings_materialized += pulled
-                    self.ctx.stats.posting_pulls += 1
-                    emitted = merged.delta_emitted
-                    if emitted != self._delta_seen:
-                        self.ctx.stats.delta_hits += emitted - self._delta_seen
-                        self._delta_seen = emitted
+            if self._position >= self._frontier:
+                self._pull()
             tid = ids[self._position]
             if not needs_filter or plan.consistent(self._slot_ids(tid)):
                 return tid
@@ -463,43 +471,52 @@ class IdPostingCursor:
             self._head_score = None
         return None
 
+    def _pull(self) -> None:
+        """Move the read frontier by one pull: ``merge_batch`` postings, or
+        as many as read so far (from :data:`FIRST_PULL` up to
+        :data:`MAX_PULL`) when adaptive.  A merge materialises them."""
+        start = self._frontier
+        batch = self._batch or min(max(start, FIRST_PULL), MAX_PULL)
+        merged = self._merged
+        if merged is None:
+            self._frontier = min(start + batch, len(self._ids))
+        else:
+            merged.pull(batch)
+            self._frontier = merged.materialized
+        stats = self.ctx.stats
+        if stats is not None:
+            stats.postings_materialized += self._frontier - start
+            stats.posting_pulls += 1
+            if merged is not None and merged.delta_emitted != self._delta_seen:
+                stats.delta_hits += merged.delta_emitted - self._delta_seen
+                self._delta_seen = merged.delta_emitted
+
     def _refill_block(self) -> bool:
         """Decode, filter and score the next non-empty posting block.
 
-        Advances ``_position`` in block strides, pulling merged batches
-        exactly as the per-item path would (same pull sizes, same stats),
-        and leaves the surviving ids with their scores staged for
-        :meth:`peek` / :meth:`head_run`.  Returns False once the list is spent.
+        Advances ``_position`` in block strides, pulling exactly as the
+        per-item path would (same pull sizes, same stats), and leaves the
+        surviving ids with their scores staged for :meth:`peek` /
+        :meth:`head_run`.  Returns False once the list is spent.
         """
         ids = self._ids
-        merged = self._merged
         plan = self.plan
         slot_ids = self._slot_ids
         stats = self.ctx.stats
         needs_filter = plan.has_repeated_variable
         n = len(ids)
-        # A non-empty posting list is always a lazy segment merge.
         while self._position < n:
             position = self._position
-            if position >= merged.materialized:
-                pulled = merged.pull(merged.batch_size)
-                if stats is not None:
-                    stats.postings_materialized += pulled
-                    stats.posting_pulls += 1
-                    emitted = merged.delta_emitted
-                    if emitted != self._delta_seen:
-                        stats.delta_hits += emitted - self._delta_seen
-                        self._delta_seen = emitted
-                    hits = merged.cache_hits
-                    if hits != self._cache_seen:
-                        stats.block_cache_hits += hits - self._cache_seen
-                        self._cache_seen = hits
-            # Score only what is already merged: slicing past the
-            # materialized frontier would force an eager full fill.
-            stop = merged.materialized
+            if position >= self._frontier:
+                self._pull()
+            # Score only what was pulled: a merge's slice past its frontier
+            # would force an eager full fill.
+            stop = self._frontier
             if self._block_limit is not None:
                 stop = min(stop, position + self._block_limit)
             raw = ids[position:stop]
+            if self._merged is None:
+                raw = raw.tolist()  # a memoryview: index it as a list
             self._position = stop
             tids = plan.consistent_block(raw, slot_ids) if needs_filter else raw
             if not len(tids):
@@ -1386,7 +1403,6 @@ class IdRankJoin:
         aggregator: IdAggregator,
         tracker: DistinctTopKTracker,
         exhaustive: bool = False,
-        strict_ties: bool = False,
     ):
         if len(streams) != len(query.patterns):
             raise ValueError(
@@ -1403,7 +1419,6 @@ class IdRankJoin:
         self.aggregator = aggregator
         self.tracker = tracker
         self.exhaustive = exhaustive
-        self.strict_ties = strict_ties
         table = ctx.table
         # Projection keys align with the aggregator's name-sorted projection.
         self._projection_slots = table.slots_for(
@@ -1440,8 +1455,7 @@ class IdRankJoin:
         self._may_settle = not exhaustive and len(streams) == 1
         self._band: BandProbe | bool | None = (
             None
-            if strict_ties
-            and not exhaustive
+            if not exhaustive
             and len(streams) > 1
             and set(query.projection) == set().union(*all_vars)
             else False
@@ -1570,7 +1584,7 @@ class IdRankJoin:
 
     def _beats(self, threshold: float, bound: float) -> bool:
         """Whether a full top-k at ``threshold`` rules out ``bound``."""
-        return threshold > bound if self.strict_ties else threshold >= bound
+        return threshold > bound
 
     def _tie_settled(self, emitted: float, cursor, tid: int, binding):
         """Whether the k-th answer — scoring ``emitted``, like posting
@@ -1821,11 +1835,11 @@ class IdRankJoin:
         of length one (``block_size=1`` / ``merge_batch=1``, or simply
         distinct scores) is the classic per-item HRJN step.
 
-        With ``strict_ties`` termination requires the k-th best score to
-        *strictly* beat the upper bound: combinations tying the threshold
-        are still formed, which makes the surviving top-k independent of
-        where the computation was split — the invariant resumable streams
-        are built on.  The default (``>=``) is the seed's eager rule.
+        Termination requires the k-th best score to *strictly* beat the
+        upper bound: combinations tying the threshold are still formed,
+        which makes the surviving top-k independent of where the
+        computation was split — the invariant resumable streams are built
+        on.
         """
         streams = self.streams
         if self._band is not False:

@@ -15,17 +15,11 @@ instead of once per posting:
   merge heads as two parallel columns (``(-weight, tie keys…)`` merge keys
   in the canonical posting order + global ids, every input column
   gathered by one ``itemgetter`` call), the unit the merge of a
-  multi-segment lookup refills by and the hot-block cache keeps — so a
-  repeated query pays nothing for the tie keys;
+  multi-segment lookup refills by;
 * :func:`filter_consistent_block` / :func:`bind_block` — the block
   variants of :meth:`PatternPlan.consistent` / ``bind_into`` (repeated
   variable filtering over columns; the bindings of a whole tied head run
-  in one call);
-* :class:`HotBlockCache` — a small bounded LRU over prepared head blocks,
-  keyed on ``(backend identity, segment, signature, block range)``, so
-  Zipfian head queries over a multi-segment store stop re-keying the same
-  front blocks.  The engine
-  owns one instance and clears it whenever it publishes a new generation.
+  in one call).
 
 This module deliberately imports nothing from the storage or topk layers
 (both import *it*), and it sits inside the determinism rule's scope: no
@@ -34,8 +28,6 @@ wall clocks, no unseeded randomness, no ``id()``-keyed orderings.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from operator import itemgetter, neg
 from typing import Callable, Sequence
 
@@ -189,65 +181,3 @@ def bind_block(
     bound_at = {slot: position for position, slot in var_positions}
     pick = tuple_getter([bound_at.get(slot, 3 + slot) for slot in range(len(tail))])
     return [pick(slot_ids(tid) + tail) for tid in tids]
-
-
-class HotBlockCache:
-    """Bounded LRU of prepared head blocks for Zipfian front pages.
-
-    Keys are ``(backend identity, segment index, signature/key, lo, hi)``
-    tuples supplied by the caller; values are the immutable prepared
-    blocks (self-owned lists — safe to serve even after the backend that
-    produced them was closed or swapped away; their tie keys are the
-    dictionary's immutable per-id sort keys, shared, not copied).  The
-    cache is engine-owned: one instance per engine, handed to the sharded
-    backend through ``configure_block_cache`` and **cleared when a
-    compaction publishes a new generation** (cached front blocks of the old
-    generation must not outlive it) as well as on engine close.
-
-    Thread-safe: every thread that queries the engine (each caller of
-    ``ask`` / ``stream``, the query service's executor threads) shares the
-    one instance.  Hit/miss totals are lifetime counters for
-    introspection and tests; per-query accounting is done by the consumer
-    (``MergedPostings`` counts hits per merge, the cursor diffs them into
-    ``QueryStats.block_cache_hits``).
-    """
-
-    __slots__ = ("_lock", "_entries", "_capacity", "hits", "misses")
-
-    def __init__(self, capacity: int = 256):
-        if capacity < 1:
-            raise ValueError(f"Cache capacity must be >= 1, got {capacity}")
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, HeadBlock] = OrderedDict()
-        self._capacity = capacity
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def get(self, key: tuple) -> HeadBlock | None:
-        with self._lock:
-            block = self._entries.get(key)
-            if block is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return block
-
-    def put(self, key: tuple, block: HeadBlock) -> None:
-        with self._lock:
-            existing = self._entries.pop(key, None)
-            self._entries[key] = block if existing is None else existing
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()

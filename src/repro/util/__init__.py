@@ -1,4 +1,4 @@
-"""Shared utilities: text normalisation, seeded randomness, heaps."""
+"""Shared utilities: text normalisation and seeded randomness."""
 
 from repro.util.text import (
     normalize_phrase,
@@ -10,7 +10,6 @@ from repro.util.text import (
     overlap_coefficient,
 )
 from repro.util.rand import SeededRng, stable_hash
-from repro.util.heap import TopKHeap
 
 __all__ = [
     "normalize_phrase",
@@ -22,5 +21,4 @@ __all__ = [
     "overlap_coefficient",
     "SeededRng",
     "stable_hash",
-    "TopKHeap",
 ]

@@ -1,8 +1,9 @@
 """Heap helpers for top-k processing.
 
-:class:`TopKHeap` keeps the k best-scoring items seen so far and exposes the
-current threshold (the k-th best score), which the top-k processor compares
-against upper bounds to decide when relaxations can no longer contribute.
+:class:`DistinctTopKTracker` keeps the k-th best score over distinct
+answers (the threshold the rank joins compare upper bounds against),
+:class:`GrowableTopKTracker` lets that ``k`` grow as a stream asks for
+more, and :class:`TieFrontier` records where a tied run was settled.
 """
 
 from __future__ import annotations
@@ -11,68 +12,6 @@ import heapq
 import itertools
 from bisect import insort
 from operator import itemgetter
-from typing import Generic, TypeVar
-
-T = TypeVar("T")
-
-
-class TopKHeap(Generic[T]):
-    """Bounded min-heap retaining the ``k`` highest-scoring items.
-
-    Ties are broken by insertion order (earlier insertions win), which keeps
-    result lists deterministic.  Items may be any payload; only scores are
-    compared.
-    """
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self._heap: list[tuple[float, int, T]] = []
-        self._counter = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def is_full(self) -> bool:
-        """True once k items are retained."""
-        return len(self._heap) >= self.k
-
-    @property
-    def threshold(self) -> float:
-        """Score of the current k-th best item, or 0.0 until the heap fills.
-
-        An un-filled heap admits anything, hence the zero threshold.
-        """
-        if not self.is_full:
-            return 0.0
-        return self._heap[0][0]
-
-    def push(self, score: float, item: T) -> bool:
-        """Offer ``item``; return True if it entered the current top-k.
-
-        The tie-break counter is negated so that among equal scores the item
-        inserted *earlier* is considered better (larger), matching the
-        deterministic ordering used throughout the library.
-        """
-        order = -next(self._counter)
-        if not self.is_full:
-            heapq.heappush(self._heap, (score, order, item))
-            return True
-        if (score, order) > (self._heap[0][0], self._heap[0][1]):
-            heapq.heapreplace(self._heap, (score, order, item))
-            return True
-        return False
-
-    def would_accept(self, score: float) -> bool:
-        """True if an item with ``score`` could still enter the top-k."""
-        return not self.is_full or score > self.threshold
-
-    def items_descending(self) -> list[tuple[float, T]]:
-        """Return the retained (score, item) pairs, best first."""
-        ordered = sorted(self._heap, key=lambda entry: (entry[0], entry[1]), reverse=True)
-        return [(score, item) for score, _order, item in ordered]
 
 
 class DistinctTopKTracker:

@@ -2,7 +2,7 @@
 
 * ``fresh`` — one base segment: what a build, a JSONL load, a saved
   snapshot and an in-memory compaction all freeze into.  Every lookup
-  copies one posting range.
+  is the base segment's own posting slice.
 * ``generational`` — the same statements as a saved base segment, two
   compacted generations and a live delta, built through ``save_snapshot``
   → live ``add`` → ``compact_store``: lookups merge several streams.

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.parser import parse_query
 from repro.core.terms import Resource, TextToken, Variable
 from repro.eval.metrics import dcg, ndcg_at_k, precision_at_k, reciprocal_rank
-from repro.util.heap import DistinctTopKTracker, TopKHeap
+from repro.util.heap import DistinctTopKTracker
 from repro.util.text import is_subsequence, normalize_phrase, stem
 
 gains = st.lists(st.sampled_from([0.0, 1.0, 3.0]), max_size=12)
@@ -50,16 +50,6 @@ class TestMetricsProperties:
 
 
 class TestHeapProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(0, 1, allow_nan=False), max_size=50), st.integers(1, 8))
-    def test_topk_heap_keeps_k_largest(self, scores, k):
-        heap = TopKHeap(k)
-        for index, score in enumerate(scores):
-            heap.push(score, index)
-        kept = sorted((s for s, _i in heap.items_descending()), reverse=True)
-        expected = sorted(scores, reverse=True)[:k]
-        assert kept == expected
-
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(

@@ -1,8 +1,8 @@
 """Property: batched execution is byte-identical to the per-item reference.
 
-Batched merged pulls, adaptive batch sizing, the block kernels and the
-hot-block cache are only allowed to change *when* posting heads
-materialise, never *what* a query answers.  The property pins that: for
+Batched pulls, adaptive pull sizing and the block kernels are only
+allowed to change *when* posting heads materialise, never *what* a query
+answers.  The property pins that: for
 random stores and random queries, a default-shaped engine on either store
 layout (fresh / generational, ``tests/layouts.py``), any merge batch
 policy (fixed sizes or
@@ -13,8 +13,8 @@ the degenerate serial reference over a fresh build
 item-at-a-time pulls *and* per-item scoring), across eager
 ``ask``, random stream splits and ``ask_many`` batches.  The block
 dimension pins the execution kernels (:mod:`repro.topk.kernels`): block
-decode, batched scoring and the hot-block cache may only change how many
-heads are staged per step, never a single emitted bit.
+decode and batched scoring may only change how many heads are staged per
+step, never a single emitted bit.
 """
 
 from hypothesis import example, given, settings, strategies as st

@@ -140,6 +140,37 @@ class TestBudgets:
             with ServeClient(service.host, service.port) as client:
                 assert client.metrics()["requests"].get("bad:408") == 1
 
+    def test_dripped_request_body_is_cut_at_keepalive_idle(self, engine):
+        # The body shares the head's deadline: a body byte every
+        # keepalive_idle / 2 cannot hold the connection thread past it.
+        body = b'{"query": "?x bornIn ?y", "k": 3, "explain": false}\n'
+        config = ServeConfig(port=0, keepalive_idle=0.4)
+        with QueryService(engine, config) as service:
+            with socket.create_connection(
+                (service.host, service.port), timeout=10
+            ) as sock:
+                started = time.monotonic()
+                sock.sendall(
+                    b"POST /query HTTP/1.1\r\nContent-Type: application/json\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode("latin-1")
+                )
+                raw, dripped = None, 0
+                while raw is None and time.monotonic() - started < 4.0:
+                    try:
+                        if select.select([sock], [], [], 0.2)[0]:
+                            raw = read_until_eof(sock)
+                        elif dripped < len(body):
+                            sock.sendall(body[dripped : dripped + 1])
+                            dripped += 1
+                    except ConnectionError:  # closed under the next drip
+                        raw = b""
+                elapsed = time.monotonic() - started
+            assert raw is not None, "the dripping client kept its connection"
+            assert elapsed < 2.0
+            assert raw == b"" or raw.startswith(b"HTTP/1.1 408 "), raw[:80]
+            with ServeClient(service.host, service.port) as client:
+                assert client.metrics()["requests"].get("bad:408") == 1
+
     def test_request_head_in_a_few_writes_is_served(self, engine):
         config = ServeConfig(port=0, keepalive_idle=1.0)
         with QueryService(engine, config) as service:
@@ -154,6 +185,36 @@ class TestBudgets:
                 ):
                     sock.sendall(piece)
                     time.sleep(0.1)
+                raw = read_until_eof(sock)
+            assert raw.startswith(b"HTTP/1.1 200 "), raw[:80]
+
+    def test_request_body_in_a_later_write_is_served(self, engine):
+        # A body that follows its head within the deadline is served, and
+        # the next request on the connection waits keepalive_idle again,
+        # not the 0.6 s that were left of the deadline at the last receive.
+        body = b'{"query": "?x bornIn ?y", "k": 3}'
+        config = ServeConfig(port=0, keepalive_idle=1.0)
+        with QueryService(engine, config) as service:
+            with socket.create_connection(
+                (service.host, service.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    b"POST /query HTTP/1.1\r\nContent-Type: application/json\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode("latin-1")
+                )
+                for piece in (body[:9], body[9:]):
+                    time.sleep(0.4)
+                    sock.sendall(piece)
+                raw = b""
+                while b"\r\n\r\n" not in raw:
+                    raw += sock.recv(4096)
+                head, _sep, rest = raw.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 200 "), head[:80]
+                length = int(head.lower().partition(b"content-length:")[2].split()[0])
+                while len(rest) < length:
+                    rest += sock.recv(4096)
+                time.sleep(0.8)
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
                 raw = read_until_eof(sock)
             assert raw.startswith(b"HTTP/1.1 200 "), raw[:80]
 

@@ -39,22 +39,22 @@ def snapshot_path(frozen_small_store, tmp_path):
     return path
 
 
-def _all_posting_bytes(store):
-    """Posting bytes for every signature and key, plus the scan list."""
+def _all_postings(store):
+    """Postings for every signature and key, plus the scan list."""
     backend = store.backend
     out = {}
     for sig in SIGNATURES:
         bound = [slot in sig for slot in range(3)]
         for key in backend.distinct_keys(bound):
-            out[(sig, key)] = bytes(backend.postings(bound, key))
-    out[("scan",)] = bytes(backend.postings([False, False, False], ()))
+            out[(sig, key)] = list(backend.postings(bound, key))
+    out[("scan",)] = list(backend.postings([False, False, False], ()))
     return out
 
 
 class TestRoundtripFidelity:
     def test_byte_identical_postings(self, frozen_small_store, snapshot_path):
         loaded = load_snapshot(snapshot_path)
-        assert _all_posting_bytes(loaded) == _all_posting_bytes(frozen_small_store)
+        assert _all_postings(loaded) == _all_postings(frozen_small_store)
 
     def test_records_survive_exactly(self, frozen_small_store, snapshot_path):
         loaded = load_snapshot(snapshot_path)
@@ -150,7 +150,7 @@ class TestZeroCopy:
     def test_eager_load_matches_mapped_load(self, frozen_small_store, snapshot_path):
         mapped = load_snapshot(snapshot_path, map_file=True)
         eager = load_snapshot(snapshot_path, map_file=False)
-        assert _all_posting_bytes(mapped) == _all_posting_bytes(eager)
+        assert _all_postings(mapped) == _all_postings(eager)
         assert list(mapped.weights()) == list(eager.weights())
 
 
@@ -281,5 +281,5 @@ class TestSnapshotOfSnapshot:
         second_path = tmp_path / "second.snapd"
         save_snapshot(loaded, second_path)
         second = load_snapshot(second_path)
-        assert _all_posting_bytes(second) == _all_posting_bytes(frozen_small_store)
+        assert _all_postings(second) == _all_postings(frozen_small_store)
         assert list(second.weights()) == list(frozen_small_store.weights())

@@ -45,14 +45,14 @@ def snapshot_dir(sharded_store, tmp_path):
     return path
 
 
-def _all_posting_bytes(store):
+def _all_postings(store):
     backend = store.backend
     out = {}
     for sig in SIGNATURES:
         bound = [slot in sig for slot in range(3)]
         for key in backend.distinct_keys(bound):
-            out[(sig, key)] = bytes(backend.postings(bound, key))
-    out[("scan",)] = bytes(backend.postings([False, False, False], ()))
+            out[(sig, key)] = list(backend.postings(bound, key))
+    out[("scan",)] = list(backend.postings([False, False, False], ()))
     return out
 
 
@@ -93,7 +93,7 @@ class TestDirectoryLayout:
 class TestRoundtripFidelity:
     def test_byte_identical_postings(self, sharded_store, snapshot_dir):
         loaded = load_snapshot(snapshot_dir)
-        assert _all_posting_bytes(loaded) == _all_posting_bytes(sharded_store)
+        assert _all_postings(loaded) == _all_postings(sharded_store)
         assert loaded.backend.segment_sizes() == (
             sharded_store.backend.segment_sizes()
         )
@@ -127,7 +127,7 @@ class TestRoundtripFidelity:
         self, sharded_store, snapshot_dir
     ):
         loaded = load_snapshot(snapshot_dir, map_file=False)
-        assert _all_posting_bytes(loaded) == _all_posting_bytes(sharded_store)
+        assert _all_postings(loaded) == _all_postings(sharded_store)
 
     def test_load_store_and_engine_open_dispatch(
         self, sharded_store, snapshot_dir
@@ -177,7 +177,7 @@ class TestResave:
         live.add(Triple(Resource("AlbertEinstein"), Resource("bornIn"), Resource("Bern")))
         compacted = compact_store(live)
         assert compacted.backend.generation == 1
-        expected = _all_posting_bytes(compacted)
+        expected = _all_postings(compacted)
         with TriniT(compacted) as engine:
             answers = [
                 (a.binding, a.score) for a in engine.ask("?x bornIn ?y", k=10)
@@ -190,7 +190,7 @@ class TestResave:
         reopened = load_snapshot(snapshot_dir)
         reopened.backend.load_segments()  # every linked segment file intact
         assert reopened.backend.generation == 1
-        assert _all_posting_bytes(reopened) == expected
+        assert _all_postings(reopened) == expected
         with TriniT(reopened) as engine:
             assert [
                 (a.binding, a.score) for a in engine.ask("?x bornIn ?y", k=10)

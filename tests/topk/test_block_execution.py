@@ -3,12 +3,13 @@
 The property suite pins block execution against the per-item reference in
 bulk; these tests nail the corners individually — empty posting lists,
 score ties straddling a block boundary exactly at the k-threshold, the
-delta segment's thread-side-only (and never cached) preparation, stale
-cached handles after a backend closes, the observability counters
-(``blocks_decoded`` / ``block_cache_hits``), a fresh store's lookups
-skipping the merge — and the rank join advancing by tied head runs: small
-worlds, each built around one way a run can go wrong, held against the
-per-item oracle page by page on both store layouts.
+delta segment's postings merged into a lookup, stale handles after a
+backend closes, the observability counters (``blocks_decoded``), a fresh
+store's lookups skipping the merge — and the rank join advancing by tied
+head runs: small worlds, each built around one way a run can go wrong,
+held against the per-item oracle page by page on both store layouts, and
+their work counters pinned to the figures the lookups gave when a fresh
+store's lookup was still copied into a merge object.
 """
 
 import math
@@ -18,17 +19,19 @@ import pytest
 
 from repro.core.engine import EngineConfig, TriniT
 from repro.core.parser import parse_query, parse_rule
-from repro.core.terms import Resource
-from repro.core.triples import Triple
+from repro.core.results import QueryStats
+from repro.core.terms import Resource, Variable
+from repro.core.triples import Triple, TriplePattern
 from repro.errors import StorageError
 from repro.relax.rules import RuleSet
+from repro.scoring.language_model import PatternScorer
+from repro.storage.sharded import MergedPostings
 from repro.storage.store import TripleStore
 from repro.topk import kernels
-from repro.topk.kernels import HotBlockCache
+from repro.topk.idspace import IdExecutionContext, IdPostingCursor
 from repro.topk.processor import ProcessorConfig
 from repro.util.heap import TieFrontier
 
-from layouts import generational_copy
 from reference_core import reference_query
 
 
@@ -49,13 +52,6 @@ def _engine(rows, relayout=None, rules=(), **config):
 
 def signature(answers):
     return [(a.binding, a.score) for a in answers]
-
-
-@pytest.fixture()
-def generational(tmp_path):
-    """Puts a store in the generational layout: the one whose lookups
-    merge several streams, and so the hot-block cache's domain."""
-    return lambda store: generational_copy(store, tmp_path / "store.snapd")
 
 
 ROWS = [
@@ -93,7 +89,7 @@ def test_tie_straddling_block_boundary_at_threshold(relayout):
         blocked.close()
 
 
-def test_delta_blocks_thread_side_and_never_cached():
+def test_delta_postings_merge_into_the_lookup():
     engine = _engine(ROWS)
     try:
         engine.ingest(
@@ -104,20 +100,14 @@ def test_delta_blocks_thread_side_and_never_cached():
         assert ("Fresh", "E1") in {
             tuple(term.name for _v, term in a.binding) for a in answers
         }
-        # The delta stream uses segment_index -1; no cache key may carry it.
-        cached_segments = {
-            key[1] for key in engine._block_cache._entries
-        }
-        assert -1 not in cached_segments
-        # Frozen segment blocks of the same lookup did get cached.
-        assert len(engine._block_cache) > 0
+        assert answers.stats.delta_hits > 0
     finally:
         engine.close()
 
 
 def test_fresh_store_lookups_skip_the_merge(monkeypatch):
-    # One stream per lookup: its posting range is copied, no head is keyed
-    # and nothing is cached.
+    # One part per lookup: the cursors read the base segment's slice, and
+    # no head is keyed.
     def unreachable(*args):
         raise AssertionError("a fresh store keyed a merge head")
 
@@ -127,23 +117,6 @@ def test_fresh_store_lookups_skip_the_merge(monkeypatch):
         answers = engine.ask("?x bornIn ?y", k=30)
         assert len(answers.answers) == 30
         assert answers.stats.block_cache_hits == 0
-        assert len(engine._block_cache) == 0
-    finally:
-        engine.close()
-
-
-def test_repeat_query_hits_block_cache(generational):
-    engine = _engine(ROWS, generational)
-    try:
-        first = engine.stream("?x bornIn ?y")
-        reference = signature(first.next_k(30))
-        # Rewritings of one query re-probe the same lookup, so even the
-        # first query may hit blocks its own cursors cached.
-        first_hits = engine._block_cache.hits
-        second = engine.stream("?x bornIn ?y")
-        assert signature(second.next_k(30)) == reference
-        assert second.stats.block_cache_hits > 0
-        assert engine._block_cache.hits > first_hits
     finally:
         engine.close()
 
@@ -180,35 +153,6 @@ def test_posting_block_after_close_raises_storage_error():
         segment.posting_block((False, False, False), (), 0, 4)
 
 
-def test_cached_blocks_survive_backend_close(generational):
-    # Cached blocks are self-owned arrays, not views over the backend's
-    # buffers: a consumer holding the cache may read them after the
-    # producing backend is gone.
-    engine = _engine(ROWS, generational)
-    cache: HotBlockCache = engine._block_cache
-    engine.ask("?x bornIn ?y", k=30)
-    entries = list(cache._entries.items())
-    assert entries
-    engine.close()  # closes the store; engine.close also clears its cache
-    for key, (kw, kg) in entries:
-        assert len(kw) == len(kg)
-        assert list(kw)  # reading the arrays cannot touch released views
-
-
-def test_swap_quiet_point_clears_cache(generational):
-    engine = _engine(ROWS, generational)
-    try:
-        engine.ask("?x bornIn ?y", k=30)
-        assert len(engine._block_cache) > 0
-        engine.ingest(
-            [Triple(Resource("New"), Resource("type"), Resource("E2"))]
-        )
-        engine.compact()
-        assert len(engine._block_cache) == 0
-    finally:
-        engine.close()
-
-
 def test_block_size_validation():
     engine = _engine(ROWS[:5])
     try:
@@ -227,9 +171,10 @@ def test_block_size_validation():
 ORACLE = dict(block_size=1, merge_batch=1)
 RUN_CONFIGS = (dict(), dict(block_size=3), dict(block_size=3, merge_batch=2))
 
-#: Counters of how postings were *staged* (block kernels, hot-block cache)…
+#: Counters of how postings were *staged* (block kernels; the retired
+#: ``block_cache_hits`` is always 0)…
 STAGING = {"blocks_decoded", "block_cache_hits", "elapsed_seconds"}
-#: …and of how far the segment merge fetched ahead of consumption, which
+#: …and of how far the pulls fetched ahead of consumption, which
 #: follows ``merge_batch`` whatever the join does with what was fetched.
 FETCHING = STAGING | {"posting_pulls", "postings_materialized", "delta_hits"}
 
@@ -399,6 +344,131 @@ def test_run_at_a_time_matches_per_item_oracle(world, config, relayout):
     assert _observe(world, STAGING, **config) == _observe(
         world, STAGING, **per_item
     )
+
+
+#: Work counters per (world, layout, configuration): ``WORK_COUNTERS``
+#: after each page of the world's stream and after the eager ask, as the
+#: lookups gave them when every lookup still built a merge object (a fresh
+#: store's copied its one range into it).  A lookup that is the base
+#: segment's own slice is read through the same pulls, so none may move.
+WORK_COUNTERS = (
+    "sorted_accesses",
+    "blocks_decoded",
+    "postings_materialized",
+    "posting_pulls",
+    "segments_touched",
+)
+WORK_CONFIGS = {"oracle": ORACLE, "default": {}, "block3": RUN_CONFIGS[1],
+                "block3-batch2": RUN_CONFIGS[2]}
+PINNED_WORK = {
+    "tie-across-blocks/fresh/oracle": [(5, 0, 6, 6, 1), (45, 0, 45, 45, 1), (45, 0, 45, 45, 1), (45, 0, 45, 45, 1)],
+    "tie-across-blocks/fresh/default": [(5, 1, 8, 1, 1), (45, 4, 45, 4, 1), (45, 4, 45, 4, 1), (45, 4, 45, 4, 1)],
+    "tie-across-blocks/fresh/block3": [(5, 2, 8, 1, 1), (45, 17, 45, 4, 1), (45, 17, 45, 4, 1), (45, 17, 45, 4, 1)],
+    "tie-across-blocks/fresh/block3-batch2": [(5, 3, 6, 3, 1), (45, 23, 45, 23, 1), (45, 23, 45, 23, 1), (45, 23, 45, 23, 1)],
+    "tie-across-blocks/generational/oracle": [(5, 0, 6, 6, 4), (45, 0, 45, 45, 4), (45, 0, 45, 45, 4), (45, 0, 45, 45, 4)],
+    "tie-across-blocks/generational/default": [(5, 1, 8, 1, 4), (45, 4, 45, 4, 4), (45, 4, 45, 4, 4), (45, 4, 45, 4, 4)],
+    "tie-across-blocks/generational/block3": [(5, 2, 8, 1, 4), (45, 17, 45, 4, 4), (45, 17, 45, 4, 4), (45, 17, 45, 4, 4)],
+    "tie-across-blocks/generational/block3-batch2": [(5, 3, 6, 3, 4), (45, 23, 45, 23, 4), (45, 23, 45, 23, 4), (45, 23, 45, 23, 4)],
+    "threshold-inside-run/fresh/oracle": [(15, 0, 16, 16, 3), (15, 0, 16, 16, 3), (15, 0, 16, 16, 3), (15, 0, 16, 16, 3)],
+    "threshold-inside-run/fresh/default": [(15, 4, 18, 4, 3), (15, 4, 18, 4, 3), (15, 4, 18, 4, 3), (15, 4, 18, 4, 3)],
+    "threshold-inside-run/fresh/block3": [(15, 7, 18, 4, 3), (15, 7, 18, 4, 3), (15, 7, 18, 4, 3), (15, 7, 18, 4, 3)],
+    "threshold-inside-run/fresh/block3-batch2": [(15, 9, 17, 9, 3), (15, 9, 17, 9, 3), (15, 9, 17, 9, 3), (15, 9, 17, 9, 3)],
+    "threshold-inside-run/generational/oracle": [(15, 0, 16, 16, 5), (15, 0, 16, 16, 5), (15, 0, 16, 16, 5), (15, 0, 16, 16, 5)],
+    "threshold-inside-run/generational/default": [(15, 4, 18, 4, 5), (15, 4, 18, 4, 5), (15, 4, 18, 4, 5), (15, 4, 18, 4, 5)],
+    "threshold-inside-run/generational/block3": [(15, 7, 18, 4, 5), (15, 7, 18, 4, 5), (15, 7, 18, 4, 5), (15, 7, 18, 4, 5)],
+    "threshold-inside-run/generational/block3-batch2": [(15, 9, 17, 9, 5), (15, 9, 17, 9, 5), (15, 9, 17, 9, 5), (15, 9, 17, 9, 5)],
+    "optimistic-head/fresh/oracle": [(16, 0, 16, 16, 3), (16, 0, 16, 16, 3), (16, 0, 16, 16, 3), (16, 0, 16, 16, 3)],
+    "optimistic-head/fresh/default": [(16, 4, 18, 4, 3), (16, 4, 18, 4, 3), (16, 4, 18, 4, 3), (16, 4, 18, 4, 3)],
+    "optimistic-head/fresh/block3": [(16, 7, 18, 4, 3), (16, 7, 18, 4, 3), (16, 7, 18, 4, 3), (16, 7, 18, 4, 3)],
+    "optimistic-head/fresh/block3-batch2": [(16, 9, 17, 9, 3), (16, 9, 17, 9, 3), (16, 9, 17, 9, 3), (16, 9, 17, 9, 3)],
+    "optimistic-head/generational/oracle": [(16, 0, 16, 16, 7), (16, 0, 16, 16, 7), (16, 0, 16, 16, 7), (16, 0, 16, 16, 7)],
+    "optimistic-head/generational/default": [(16, 4, 18, 4, 7), (16, 4, 18, 4, 7), (16, 4, 18, 4, 7), (16, 4, 18, 4, 7)],
+    "optimistic-head/generational/block3": [(16, 7, 18, 4, 7), (16, 7, 18, 4, 7), (16, 7, 18, 4, 7), (16, 7, 18, 4, 7)],
+    "optimistic-head/generational/block3-batch2": [(16, 9, 17, 9, 7), (16, 9, 17, 9, 7), (16, 9, 17, 9, 7), (16, 9, 17, 9, 7)],
+    "relaxation-ties-head/fresh/oracle": [(16, 0, 16, 16, 2), (16, 0, 16, 16, 2), (16, 0, 16, 16, 2), (16, 0, 16, 16, 2)],
+    "relaxation-ties-head/fresh/default": [(16, 2, 16, 2, 2), (16, 2, 16, 2, 2), (16, 2, 16, 2, 2), (16, 2, 16, 2, 2)],
+    "relaxation-ties-head/fresh/block3": [(16, 6, 16, 2, 2), (16, 6, 16, 2, 2), (16, 6, 16, 2, 2), (16, 6, 16, 2, 2)],
+    "relaxation-ties-head/fresh/block3-batch2": [(16, 8, 16, 8, 2), (16, 8, 16, 8, 2), (16, 8, 16, 8, 2), (16, 8, 16, 8, 2)],
+    "relaxation-ties-head/generational/oracle": [(16, 0, 16, 16, 4), (16, 0, 16, 16, 4), (16, 0, 16, 16, 4), (16, 0, 16, 16, 4)],
+    "relaxation-ties-head/generational/default": [(16, 2, 16, 2, 4), (16, 2, 16, 2, 4), (16, 2, 16, 2, 4), (16, 2, 16, 2, 4)],
+    "relaxation-ties-head/generational/block3": [(16, 6, 16, 2, 4), (16, 6, 16, 2, 4), (16, 6, 16, 2, 4), (16, 6, 16, 2, 4)],
+    "relaxation-ties-head/generational/block3-batch2": [(16, 8, 16, 8, 4), (16, 8, 16, 8, 4), (16, 8, 16, 8, 4), (16, 8, 16, 8, 4)],
+    "delta-inside-run/fresh/oracle": [(5, 0, 6, 6, 2), (51, 0, 51, 51, 2), (51, 0, 51, 51, 2), (51, 0, 51, 51, 2)],
+    "delta-inside-run/fresh/default": [(5, 1, 8, 1, 2), (51, 4, 51, 4, 2), (51, 4, 51, 4, 2), (51, 4, 51, 4, 2)],
+    "delta-inside-run/fresh/block3": [(5, 2, 8, 1, 2), (51, 19, 51, 4, 2), (51, 19, 51, 4, 2), (51, 19, 51, 4, 2)],
+    "delta-inside-run/fresh/block3-batch2": [(5, 3, 6, 3, 2), (51, 26, 51, 26, 2), (51, 26, 51, 26, 2), (51, 26, 51, 26, 2)],
+    "delta-inside-run/generational/oracle": [(5, 0, 6, 6, 4), (51, 0, 51, 51, 4), (51, 0, 51, 51, 4), (51, 0, 51, 51, 4)],
+    "delta-inside-run/generational/default": [(5, 1, 8, 1, 4), (51, 4, 51, 4, 4), (51, 4, 51, 4, 4), (51, 4, 51, 4, 4)],
+    "delta-inside-run/generational/block3": [(5, 2, 8, 1, 4), (51, 19, 51, 4, 4), (51, 19, 51, 4, 4), (51, 19, 51, 4, 4)],
+    "delta-inside-run/generational/block3-batch2": [(5, 3, 6, 3, 4), (51, 26, 51, 26, 4), (51, 26, 51, 26, 4), (51, 26, 51, 26, 4)],
+    "compacted-delta/fresh/oracle": [(5, 0, 6, 6, 1), (51, 0, 51, 51, 1), (51, 0, 51, 51, 1), (51, 0, 51, 51, 1)],
+    "compacted-delta/fresh/default": [(5, 1, 8, 1, 1), (51, 4, 51, 4, 1), (51, 4, 51, 4, 1), (51, 4, 51, 4, 1)],
+    "compacted-delta/fresh/block3": [(5, 2, 8, 1, 1), (51, 19, 51, 4, 1), (51, 19, 51, 4, 1), (51, 19, 51, 4, 1)],
+    "compacted-delta/fresh/block3-batch2": [(5, 3, 6, 3, 1), (51, 26, 51, 26, 1), (51, 26, 51, 26, 1), (51, 26, 51, 26, 1)],
+    "compacted-delta/generational/oracle": [(5, 0, 6, 6, 4), (51, 0, 51, 51, 4), (51, 0, 51, 51, 4), (51, 0, 51, 51, 4)],
+    "compacted-delta/generational/default": [(5, 1, 8, 1, 4), (51, 4, 51, 4, 4), (51, 4, 51, 4, 4), (51, 4, 51, 4, 4)],
+    "compacted-delta/generational/block3": [(5, 2, 8, 1, 4), (51, 19, 51, 4, 4), (51, 19, 51, 4, 4), (51, 19, 51, 4, 4)],
+    "compacted-delta/generational/block3-batch2": [(5, 3, 6, 3, 4), (51, 26, 51, 26, 4), (51, 26, 51, 26, 4), (51, 26, 51, 26, 4)],
+    "repeated-variable/fresh/oracle": [(20, 0, 30, 30, 1), (20, 0, 30, 30, 1), (20, 0, 30, 30, 1), (20, 0, 30, 30, 1)],
+    "repeated-variable/fresh/default": [(20, 3, 30, 3, 1), (20, 3, 30, 3, 1), (20, 3, 30, 3, 1), (20, 3, 30, 3, 1)],
+    "repeated-variable/fresh/block3": [(20, 11, 30, 3, 1), (20, 11, 30, 3, 1), (20, 11, 30, 3, 1), (20, 11, 30, 3, 1)],
+    "repeated-variable/fresh/block3-batch2": [(20, 15, 30, 15, 1), (20, 15, 30, 15, 1), (20, 15, 30, 15, 1), (20, 15, 30, 15, 1)],
+    "repeated-variable/generational/oracle": [(20, 0, 30, 30, 4), (20, 0, 30, 30, 4), (20, 0, 30, 30, 4), (20, 0, 30, 30, 4)],
+    "repeated-variable/generational/default": [(20, 3, 30, 3, 4), (20, 3, 30, 3, 4), (20, 3, 30, 3, 4), (20, 3, 30, 3, 4)],
+    "repeated-variable/generational/block3": [(20, 11, 30, 3, 4), (20, 11, 30, 3, 4), (20, 11, 30, 3, 4), (20, 11, 30, 3, 4)],
+    "repeated-variable/generational/block3-batch2": [(20, 15, 30, 15, 4), (20, 15, 30, 15, 4), (20, 15, 30, 15, 4), (20, 15, 30, 15, 4)],
+}
+
+
+@pytest.mark.parametrize("config", WORK_CONFIGS)
+@pytest.mark.parametrize("world", WORLDS)
+def test_work_counters_are_pinned(world, config, layout, relayout):
+    engine, query, pages = WORLDS[world](relayout=relayout, **WORK_CONFIGS[config])
+    try:
+        stream = engine.stream(query)
+        seen = []
+        for n in pages:
+            stream.next_k(n)
+            seen.append(tuple(getattr(stream.stats, name) for name in WORK_COUNTERS))
+        eager = engine.ask(query, k=sum(pages)).stats
+        seen.append(tuple(getattr(eager, name) for name in WORK_COUNTERS))
+    finally:
+        engine.close()
+    assert seen == PINNED_WORK[f"{world}/{layout}/{config}"]
+
+
+#: 8, 8, 16, … 1024, 1024, then the rest of the 3,000 postings.
+ADAPTIVE_PULLS = [8, 8, 16, 32, 64, 128, 256, 512, 1024, 952]
+
+
+@pytest.mark.parametrize(
+    "merge_batch, pulls",
+    [(None, ADAPTIVE_PULLS), (700, [700] * 4 + [200]), (1, [1] * 3000)],
+)
+def test_pull_policy_is_the_cursors_on_a_slice_and_a_merge(
+    merge_batch, pulls, layout, relayout
+):
+    rows = [(f"S{i:04d}", "p", f"O{i % 7}", 0.5 + i % 5 / 10) for i in range(3000)]
+    store = TripleStore()
+    for s, p, o, conf in rows:
+        store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
+    store = relayout(store.freeze())
+    store.backend.configure_prefetch(merge_batch)
+    stats = QueryStats()
+    ctx = IdExecutionContext(store, PatternScorer(store), stats)
+    pattern = TriplePattern(Variable("x"), Resource("p"), Variable("y"))
+    cursor = IdPostingCursor(ctx, pattern)
+    assert cursor.list_length == 3000
+    kind = memoryview if layout == "fresh" else MergedPostings
+    assert isinstance(cursor._ids, kind)
+    sizes = []
+    while stats.postings_materialized < 3000:
+        before = stats.postings_materialized
+        cursor._pull()
+        sizes.append(stats.postings_materialized - before)
+    assert sizes == pulls
+    assert stats.posting_pulls == len(pulls)
+    store.close()
 
 
 @pytest.mark.parametrize("world", ["threshold-inside-run", "optimistic-head"])

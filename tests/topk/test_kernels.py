@@ -5,9 +5,7 @@ one of them has a scalar reference it must match *bit for bit* — these
 tests pin each kernel against its reference directly, across the branch
 combinations (zero mass, zero collection mass, background-off ``lam=0``)
 that the hoisted block variants resolve once per block instead of once per
-item.  The :class:`~repro.topk.kernels.HotBlockCache` tests pin the LRU
-contract the sharded merge relies on (bounded, thread-safe counters,
-clear-on-swap).
+item.
 """
 
 import math
@@ -16,7 +14,6 @@ import pytest
 
 from repro.topk import kernels
 from repro.topk.kernels import (
-    HotBlockCache,
     bind_block,
     filter_consistent_block,
     gather_weights,
@@ -122,46 +119,3 @@ def test_bind_block_fills_template_slots():
     # One slot and none: binding tuples all the same.
     assert bind_block([10, 11], spo.__getitem__, [(1, 0)], [-1]) == [(4,), (4,)]
     assert bind_block([10, 11], spo.__getitem__, [], []) == [(), ()]
-
-
-# -- HotBlockCache ----------------------------------------------------------
-
-
-def test_cache_round_trip_and_counters():
-    cache = HotBlockCache(capacity=4)
-    key = ("snap", 0, (False, True, False), (7,), 0, 8)
-    assert cache.get(key) is None
-    assert cache.misses == 1
-    block = ((0.5,), (1,))
-    cache.put(key, block)
-    assert cache.get(key) is block
-    assert cache.hits == 1
-    assert len(cache) == 1
-
-
-def test_cache_lru_eviction_order():
-    cache = HotBlockCache(capacity=2)
-    cache.put("a", (1,))
-    cache.put("b", (2,))
-    assert cache.get("a") == (1,)  # refresh "a": "b" is now LRU
-    cache.put("c", (3,))
-    assert cache.get("b") is None
-    assert cache.get("a") == (1,)
-    assert cache.get("c") == (3,)
-    assert len(cache) == 2
-
-
-def test_cache_clear_drops_entries_keeps_counters():
-    cache = HotBlockCache(capacity=2)
-    cache.put("a", (1,))
-    cache.get("a")
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.get("a") is None
-    assert cache.hits == 1  # lifetime counters survive a clear
-    assert cache.misses == 1
-
-
-def test_cache_rejects_nonpositive_capacity():
-    with pytest.raises(ValueError):
-        HotBlockCache(capacity=0)

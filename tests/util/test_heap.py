@@ -1,55 +1,8 @@
-"""Unit tests for TopKHeap and DistinctTopKTracker."""
+"""Unit tests for DistinctTopKTracker."""
 
 import pytest
 
-from repro.util.heap import DistinctTopKTracker, TopKHeap
-
-
-class TestTopKHeap:
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            TopKHeap(0)
-
-    def test_keeps_k_best(self):
-        heap = TopKHeap(3)
-        for score in [0.1, 0.9, 0.5, 0.7, 0.3]:
-            heap.push(score, f"item-{score}")
-        kept = [score for score, _item in heap.items_descending()]
-        assert kept == [0.9, 0.7, 0.5]
-
-    def test_threshold_zero_until_full(self):
-        heap = TopKHeap(2)
-        heap.push(0.9, "a")
-        assert heap.threshold == 0.0
-        heap.push(0.5, "b")
-        assert heap.threshold == 0.5
-
-    def test_push_returns_acceptance(self):
-        heap = TopKHeap(2)
-        assert heap.push(0.5, "a")
-        assert heap.push(0.6, "b")
-        assert not heap.push(0.1, "c")
-        assert heap.push(0.7, "d")
-
-    def test_would_accept(self):
-        heap = TopKHeap(1)
-        heap.push(0.5, "a")
-        assert heap.would_accept(0.6)
-        assert not heap.would_accept(0.5)
-        assert not heap.would_accept(0.4)
-
-    def test_ties_keep_earlier_insertion(self):
-        heap = TopKHeap(1)
-        heap.push(0.5, "first")
-        heap.push(0.5, "second")
-        assert heap.items_descending() == [(0.5, "first")]
-
-    def test_descending_order(self):
-        heap = TopKHeap(5)
-        for score in [0.2, 0.8, 0.4, 0.6, 0.1, 0.9]:
-            heap.push(score, score)
-        scores = [s for s, _ in heap.items_descending()]
-        assert scores == sorted(scores, reverse=True)
+from repro.util.heap import DistinctTopKTracker
 
 
 class TestDistinctTopKTracker:
