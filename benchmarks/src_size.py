@@ -1,7 +1,6 @@
 """How big ``src/`` is, and how much of it a served engine can import.
 
     python3 benchmarks/src_size.py            # this checkout
-    python3 benchmarks/src_size.py --json     # one JSON object
     python3 benchmarks/src_size.py --root /path/to/other/checkout
 
 Prints two line counts (newline characters, as ``wc -l`` counts them):
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 from pathlib import Path
 
 #: The modules a served engine starts from.
@@ -89,7 +87,6 @@ def measure(root: Path) -> dict[str, int]:
     return {
         "src_lines": sum(_lines(path) for path in src.rglob("*.py")),
         "reachable_lines": sum(_lines(path) for path in files),
-        "reachable_modules": len(files),
     }
 
 
@@ -101,14 +98,9 @@ def main(argv=None) -> int:
         default=Path(__file__).resolve().parent.parent,
         help="checkout to measure (default: this one)",
     )
-    parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
-    sizes = measure(args.root)
-    if args.json:
-        print(json.dumps(sizes))
-    else:
-        for key, value in sizes.items():
-            print(f"{key:18} {value:>7,}")
+    for key, value in measure(args.root).items():
+        print(f"{key:18} {value:>7,}")
     return 0
 
 

@@ -166,7 +166,7 @@ class _View:
         config = shared.config
         same_store = previous is not None and store is previous.store
         if not same_store:
-            store.backend.configure_prefetch(config.merge_batch)
+            store.configure_pulls(config.merge_batch)
             store.configure_blocks(config.block_size)
         self.store = store
         self.rules = rules

@@ -209,6 +209,7 @@ class QueryStats:
     posting_pulls: int = 0
     delta_hits: int = 0
     blocks_decoded: int = 0
+    # xkg: allow[stats-surface-drift] retired, always 0: the demo does not show it; kept for the benchmark instrument until ROADMAP item 1 step 1
     block_cache_hits: int = 0
 
     def copy(self) -> "QueryStats":

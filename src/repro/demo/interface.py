@@ -211,7 +211,6 @@ class DemoSession:
             f"  posting pulls          {stats.posting_pulls}",
             f"  delta hits             {stats.delta_hits}",
             f"  blocks decoded         {stats.blocks_decoded}",
-            f"  block cache hits       {stats.block_cache_hits}",
             "",
             f"  live delta             {self.engine.store.delta_size}"
             f" statements (generation {self.engine.generation})",

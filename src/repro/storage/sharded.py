@@ -26,8 +26,8 @@ loops.
 
 How many postings a read takes is the reader's choice: the id-space
 cursors pull a slice and a merge alike through one read frontier,
-sized by :attr:`ShardedBackend.merge_batch` (``EngineConfig.merge_batch``,
-set through :meth:`~ShardedBackend.configure_prefetch`).
+sized by :attr:`~repro.storage.store.TripleStore.merge_batch`
+(``EngineConfig.merge_batch``).
 
 Snapshot-restored backends (:mod:`repro.storage.snapshot`) keep their
 segments: each segment's columns arrive as a lazy loader over its own
@@ -48,8 +48,6 @@ from repro.storage.backend import _CLOSED
 from repro.storage.columnar import ID_TYPECODE, ColumnarBackend
 from repro.storage.index import signature_of
 
-_EMPTY: tuple[int, ...] = ()
-
 #: Lazily-imported kernel module (repro.topk.kernels imports nothing from
 #: the storage layer, but importing it at module top level here would run
 #: repro.topk's package init mid-way through the storage imports).
@@ -63,10 +61,6 @@ def _kernel_module():
 
         _kernels = kernels
     return _kernels
-
-#: Postings per pull when no explicit prefetch configuration was supplied
-#: (``EngineConfig.merge_batch`` overrides).
-DEFAULT_MERGE_BATCH = 64
 
 
 class _SegmentStream:
@@ -292,7 +286,6 @@ class ShardedBackend:
         self._closed = False
         self._buffer = None
         self._load_lock = threading.Lock()
-        self._merge_batch: int | None = DEFAULT_MERGE_BATCH
         self._source_dir: str | None = None
         self._snapshot_root: str | None = None
         self._generation = 0
@@ -454,25 +447,6 @@ class ShardedBackend:
             raise StorageError("Storage backend is closed")
         for index in range(len(self._starts)):
             self._segment(index)
-
-    @property
-    def merge_batch(self) -> int | None:
-        """Postings a cursor pulls per read (``None``: adaptive slow start)."""
-        return self._merge_batch
-
-    def configure_prefetch(self, batch_size: int | None) -> None:
-        """Set :attr:`merge_batch`, the pull granularity of the id-space
-        cursors over this backend's lookups.
-
-        ``batch_size=1`` restores item-at-a-time pulls (the serial
-        reference) and ``batch_size=None`` selects per-cursor adaptive
-        sizing.  The engine wires ``EngineConfig.merge_batch`` through
-        here; each cursor copies it when it opens, so nothing mutates
-        mid-query.
-        """
-        if batch_size is not None and batch_size < 1:
-            raise StorageError(f"batch_size must be >= 1, got {batch_size}")
-        self._merge_batch = batch_size
 
     def posting_block(
         self,

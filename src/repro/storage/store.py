@@ -116,6 +116,10 @@ class TripleStore:
     #: inherit the adaptive default without extra wiring; the engine
     #: overrides it per instance through :meth:`configure_blocks`.
     _block_size: int | None = None
+    #: Postings an id-space cursor pulls per read of a lookup
+    #: (``EngineConfig.merge_batch``); a class attribute for the same
+    #: reason.  A store the engine never configured pulls 64 at a time.
+    _merge_batch: int | None = 64
 
     def __init__(self, name: str = "XKG", backend: str | None = None):
         self.name = name
@@ -455,6 +459,24 @@ class TripleStore:
                 f"Block size must be >= 1 or None, got {block_size}"
             )
         self._block_size = block_size
+
+    @property
+    def merge_batch(self) -> int | None:
+        """Postings a cursor pulls per read of a lookup.
+
+        ``None`` slow-starts each cursor (8, 8, 16, … up to 1024); ``1``
+        pulls item at a time, the serial reference.  Each cursor copies it
+        when it opens, so nothing changes mid-query.
+        """
+        return self._merge_batch
+
+    def configure_pulls(self, merge_batch: int | None) -> None:
+        """Set :attr:`merge_batch` (``None`` = adaptive)."""
+        if merge_batch is not None and merge_batch < 1:
+            raise StorageError(
+                f"Merge batch must be >= 1 or None, got {merge_batch}"
+            )
+        self._merge_batch = merge_batch
 
     def spo_ids(self, triple_id: int) -> tuple[int, int, int]:
         """The (s, p, o) term ids of one stored triple.

@@ -42,7 +42,6 @@ from repro.errors import TopKError
 from repro.relax.rules import RelaxationRule, RuleApplication
 from repro.scoring.answer_scoring import score_product
 from repro.scoring.language_model import PatternScorer
-from repro.storage.sharded import MergedPostings
 from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatch
 from repro.topk import kernels
@@ -425,8 +424,8 @@ class IdPostingCursor:
             ids = self._ids = store.sorted_ids(self.pattern)
             # A merge materialises what a pull asks for; a slice is all
             # there already.
-            self._merged = ids if isinstance(ids, MergedPostings) else None
-            self._batch = store.backend.merge_batch
+            self._merged = ids if hasattr(ids, "pull") else None
+            self._batch = store.merge_batch
             self._lam, self._mass, self._cmass = self.ctx.scorer.emission_model(
                 self.pattern
             )

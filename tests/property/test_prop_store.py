@@ -152,14 +152,17 @@ def test_generational_postings_equal_the_fresh_build(tmp_path_factory, entries, 
     if len(fresh) >= 4:
         assert generational.backend.segment_count() == 3
         assert generational.has_delta
-    generational.backend.configure_prefetch(batch)
     for sig in SIGNATURES:
         bound = [slot in sig for slot in range(3)]
         keys = fresh.backend.distinct_keys(bound) if sig else [()]
         if sig:
             assert generational.backend.distinct_keys(bound) == keys
         for key in keys:
-            assert list(generational.backend.postings(bound, key)) == list(
+            merged = generational.backend.postings(bound, key)
+            if batch == 1:
+                # Index item at a time: a merge then pulls one per read.
+                merged = [merged[i] for i in range(len(merged))]
+            assert list(merged) == list(
                 fresh.backend.postings(bound, key)
             ), (sig, key)
     generational.close()

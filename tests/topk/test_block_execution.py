@@ -453,7 +453,7 @@ def test_pull_policy_is_the_cursors_on_a_slice_and_a_merge(
     for s, p, o, conf in rows:
         store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
     store = relayout(store.freeze())
-    store.backend.configure_prefetch(merge_batch)
+    store.configure_pulls(merge_batch)
     stats = QueryStats()
     ctx = IdExecutionContext(store, PatternScorer(store), stats)
     pattern = TriplePattern(Variable("x"), Resource("p"), Variable("y"))
