@@ -225,7 +225,7 @@ class ColumnarBackend:
         if not self._frozen:
             raise StorageError("Backend must be frozen before lookup")
         sig = signature_of(bound_slots)
-        if sig and len(key) != len(sig):
+        if len(key) != len(sig):
             raise StorageError(
                 f"Key arity {len(key)} does not match signature {sig}"
             )

@@ -14,13 +14,17 @@ order a fresh freeze over the union would, even for ingested terms that
 sort between frozen ones: the byte-identity invariant live ingestion is
 property-tested against.
 
+Rows are indexed as they arrive: :meth:`DeltaSegment.add` appends the new
+local id to one ``key -> [locals]`` list per signature, so a lookup costs
+its matches, not the size of the delta — it reads its list and sorts
+only those rows.
+
 Reads hand out **immutable snapshots**: :meth:`DeltaSegment.posting_part`
 returns a :class:`DeltaPart` whose posting order and weights are fixed at
-capture time (weights are snapshot per delta *version*), so a merge can
-keep consuming a part while concurrent ``add_all`` calls grow the delta —
-later additions simply aren't in that part.  Mutations are serialised by
-an internal lock; every mutation bumps ``version``, invalidating the
-per-``(signature, key)`` part cache.
+capture time, so a merge can keep consuming a part while concurrent
+``add_all`` calls grow the delta — later additions simply aren't in that
+part.  Mutations are serialised by an internal lock; every mutation bumps
+``version``.
 
 Deltas are folded into frozen columnar segments by background compaction
 (:mod:`repro.storage.compaction`).
@@ -30,15 +34,10 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, insort
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.errors import StorageError
-from repro.storage.index import signature_of
-
-#: Per-(signature, key) posting snapshots cached on the delta; cleared
-#: wholesale past this size so a scan-heavy workload over a long-lived
-#: delta cannot grow the cache without bound.
-_PART_CACHE_LIMIT = 256
+from repro.storage.index import SIGNATURES, signature_of
 
 
 class DeltaPart(NamedTuple):
@@ -46,33 +45,18 @@ class DeltaPart(NamedTuple):
 
     ``postings`` are delta-local positions in canonical (weight desc, tie
     key asc, gid asc) order; ``start`` is the delta's first global id
-    (``gid = start + local``); ``weights`` is a *snapshot* indexed by global id, frozen at
-    the delta version the part was captured at — a merge that ordered its
-    heap by these keys stays internally consistent even if the live delta
-    is updated mid-merge; ``columns`` are the s/p/o term-id columns
-    (local-indexed) the merge reads tie keys from.
+    (``gid = start + local``); ``weights`` maps each of the part's global
+    ids to its weight as of capture — a merge that ordered its heap by
+    these keys stays internally consistent even if the live delta is
+    updated mid-merge; ``columns`` are the delta's live s/p/o term-id
+    columns (local-indexed, append-only, so every local of the part reads
+    the value it had at capture), which the merge reads tie keys from.
     """
 
     postings: Sequence[int]
     start: int
-    weights: "_DeltaWeights"
+    weights: Mapping[int, float]
     columns: tuple[Sequence[int], Sequence[int], Sequence[int]]
-
-
-class _DeltaWeights:
-    """Immutable gid-indexed weight view over one delta version."""
-
-    __slots__ = ("_base", "_weights")
-
-    def __init__(self, base: int, weights: tuple[float, ...]):
-        self._base = base
-        self._weights = weights
-
-    def __getitem__(self, gid: int) -> float:
-        return self._weights[gid - self._base]
-
-    def __len__(self) -> int:
-        return len(self._weights)
 
 
 class DeltaSegment:
@@ -92,7 +76,13 @@ class DeltaSegment:
             raise StorageError(f"Delta base must be >= 0, got {base}")
         self._base = base
         self._sort_key = sort_key
-        self._slots: list[tuple[int, int, int]] = []
+        # The s, p and o term-id columns, local-indexed and append-only.
+        self._columns: tuple[list[int], list[int], list[int]] = ([], [], [])
+        # Per signature (the scan's ``()`` included): key -> its locals,
+        # ascending.
+        self._index: dict[tuple[int, ...], dict[tuple[int, ...], list[int]]] = {
+            sig: {} for sig in ((), *SIGNATURES)
+        }
         # Per local: the tie key (its terms' sort keys), fixed at add.
         self._ties: list[tuple] = []
         self._weights: list[float] = []
@@ -103,9 +93,6 @@ class DeltaSegment:
         self._counts: list[int] = []
         self._version = 0
         self._lock = threading.RLock()
-        # (sig, key) -> (version, DeltaPart | None)
-        self._part_cache: dict = {}
-        self._weights_snapshot: tuple[int, _DeltaWeights] | None = None
 
     @property
     def base(self) -> int:
@@ -119,7 +106,7 @@ class DeltaSegment:
             return self._version
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._ties)
 
     # -- mutation ----------------------------------------------------------
 
@@ -132,12 +119,18 @@ class DeltaSegment:
     ) -> None:
         """Absorb one new triple.  Ids must arrive densely above ``base``."""
         with self._lock:
-            expected = self._base + len(self._slots)
-            if gid != expected:
+            local = len(self._ties)
+            if gid != self._base + local:
                 raise StorageError(
-                    f"Delta ids must be dense: expected {expected}, got {gid}"
+                    f"Delta ids must be dense: expected {self._base + local},"
+                    f" got {gid}"
                 )
-            self._slots.append(tuple(slot_ids))
+            for column, term in zip(self._columns, slot_ids):
+                column.append(term)
+            for sig, keys in self._index.items():
+                keys.setdefault(tuple(map(slot_ids.__getitem__, sig)), []).append(
+                    local
+                )
             self._ties.append(tuple(map(self._sort_key, slot_ids)))
             self._weights.append(weight)
             self._hold(weight)
@@ -147,9 +140,7 @@ class DeltaSegment:
     def update(self, gid: int, weight: float, count: int) -> None:
         """Re-weigh an existing delta triple (duplicate evidence arrived)."""
         with self._lock:
-            local = gid - self._base
-            if not 0 <= local < len(self._slots):
-                raise StorageError(f"Unknown delta triple id: {gid}")
+            local = self._local(gid)
             self._release(self._weights[local])
             self._weights[local] = weight
             self._hold(weight)
@@ -174,12 +165,14 @@ class DeltaSegment:
 
     def _local(self, gid: int) -> int:
         local = gid - self._base
-        if not 0 <= local < len(self._slots):
+        if not 0 <= local < len(self._ties):
             raise StorageError(f"Unknown triple id: {gid}")
         return local
 
     def slot_ids(self, gid: int) -> tuple[int, int, int]:
-        return self._slots[self._local(gid)]
+        local = self._local(gid)
+        s, p, o = self._columns
+        return s[local], p[local], o[local]
 
     def weight(self, gid: int) -> float:
         with self._lock:
@@ -197,16 +190,14 @@ class DeltaSegment:
 
     # -- lookup ------------------------------------------------------------
 
-    def _weights_view(self) -> _DeltaWeights:
-        with self._lock:
-            snapshot = self._weights_snapshot
-            if snapshot is None or snapshot[0] != self._version:
-                snapshot = (
-                    self._version,
-                    _DeltaWeights(self._base, tuple(self._weights)),
-                )
-                self._weights_snapshot = snapshot
-            return snapshot[1]
+    def _matches(
+        self, sig: tuple[int, ...], key: tuple[int, ...]
+    ) -> Sequence[int]:
+        if len(key) != len(sig):
+            raise StorageError(
+                f"Key arity {len(key)} does not match signature {sig}"
+            )
+        return self._index[sig].get(key, ())
 
     def posting_part(
         self, bound_slots: Sequence[bool], key: tuple[int, ...]
@@ -218,36 +209,26 @@ class DeltaSegment:
         monotone in ``local``.
         """
         sig = signature_of(bound_slots)
-        if sig and len(key) != len(sig):
-            raise StorageError(
-                f"Key arity {len(key)} does not match signature {sig}"
-            )
         with self._lock:
-            if not self._slots:
+            matches = self._matches(sig, key)
+            if not matches:
                 return None
-            cache_key = (sig, tuple(key))
-            cached = self._part_cache.get(cache_key)
-            if cached is not None and cached[0] == self._version:
-                return cached[1]
-            weights = self._weights
-            slots = self._slots
-            matches = [
-                local
-                for local, spo in enumerate(slots)
-                if all(spo[slot] == key[i] for i, slot in enumerate(sig))
-            ]
-            if matches:
-                ties = self._ties
-                matches.sort(key=lambda local: (-weights[local], ties[local]))
-                part = DeltaPart(
-                    tuple(matches),
-                    self._base,
-                    self._weights_view(),
-                    tuple(zip(*slots)),
-                )
-            else:
-                part = None
-            if len(self._part_cache) >= _PART_CACHE_LIMIT:
-                self._part_cache.clear()
-            self._part_cache[cache_key] = (self._version, part)
-            return part
+            weights, ties, base = self._weights, self._ties, self._base
+            postings = tuple(
+                sorted(matches, key=lambda local: (-weights[local], ties[local]))
+            )
+            return DeltaPart(
+                postings,
+                base,
+                {base + local: weights[local] for local in postings},
+                self._columns,
+            )
+
+    def slot_values(
+        self, sig: tuple[int, ...], key: tuple[int, ...], slot: int
+    ) -> set[int]:
+        """The distinct term ids at ``slot`` of the rows keyed ``key`` on
+        signature ``sig``, read off the index (nothing is sorted)."""
+        with self._lock:
+            column = self._columns[slot]
+            return {column[local] for local in self._matches(sig, key)}

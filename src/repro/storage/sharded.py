@@ -500,7 +500,7 @@ class ShardedBackend:
         if not self._frozen:
             raise StorageError("Backend must be frozen before lookup")
         sig = signature_of(bound_slots)
-        if sig and len(key) != len(sig):
+        if len(key) != len(sig):
             raise StorageError(
                 f"Key arity {len(key)} does not match signature {sig}"
             )
@@ -542,17 +542,14 @@ class ShardedBackend:
     ) -> set[int]:
         """The distinct term ids at free ``slot`` of the statements a
         lookup of ``key`` matches, read off the segments' key tables
-        (:meth:`ColumnarBackend.slot_values`) and the delta's part — no
+        (:meth:`ColumnarBackend.slot_values`) and the delta's index — no
         posting is read."""
         sig = self._check_lookup(bound_slots, key)
         values: set[int] = set()
         for segment_index in range(len(self._starts)):
             values.update(self._segment(segment_index).slot_values(sig, key, slot))
         if self._delta is not None:
-            part = self._delta.posting_part(bound_slots, key)
-            if part is not None:
-                column = part.columns[slot]
-                values.update(column[local] for local in part.postings)
+            values.update(self._delta.slot_values(sig, key, slot))
         return values
 
     def distinct_keys(self, bound_slots: Sequence[bool]) -> list[tuple[int, ...]]:

@@ -334,6 +334,20 @@ class TestScanSignatureContract:
         with pytest.raises(StorageError):
             store.backend.distinct_keys([False, False, False])
 
+    def test_columnar_scan_rejects_a_key(self):
+        segment = ColumnarBackend()
+        segment.insert(0, (1, 2, 3))
+        segment.freeze([2.0], sort_key=_ids)
+        with pytest.raises(StorageError, match="arity"):
+            segment.postings([False, False, False], (1,))
+
+    def test_sharded_scan_rejects_a_key(self, layout):
+        backend = _small_backend(layout)
+        with pytest.raises(StorageError, match="arity"):
+            backend.postings([False, False, False], (10,))
+        with pytest.raises(StorageError, match="arity"):
+            backend.slot_values([False, False, False], (10,), 0)
+
     def test_freeze_accepts_counts_column(self):
         backend = ShardedBackend()
         backend.insert(0, (1, 2, 3))

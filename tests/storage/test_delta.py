@@ -2,21 +2,24 @@
 
 Two layers of contract.  The :class:`DeltaSegment` unit contract: dense id
 assignment above the frozen base, immutable merge-ready posting snapshots
-(a captured part never changes under concurrent growth), version-keyed
-cache invalidation.  The store-level byte-identity contract: a frozen
+(a captured part never changes under concurrent growth), lookups read off
+the per-signature index and agree with a linear scan of the rows.  The store-level byte-identity contract: a frozen
 store that absorbed live additions answers every posting lookup in
 *exactly* the order a store freshly built from the union would — at
 every segment count — because delta ids continue the frozen id space
 densely and every merge is keyed by ``(-weight, tie key, id)``.
 """
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.terms import Resource
 from repro.core.triples import Triple
 from repro.errors import StorageError
 from repro.storage.delta import DeltaSegment
-from repro.storage.index import SIGNATURES
+from repro.storage.index import SIGNATURES, signature_of
 from repro.storage.store import TripleStore
 
 
@@ -106,7 +109,7 @@ class TestDeltaSegmentUnit:
         fresh = delta.posting_part([False, True, False], (7,))
         assert len(fresh.postings) == 2
 
-    def test_update_invalidates_cached_parts(self):
+    def test_reweighed_row_moves_in_the_next_lookup(self):
         delta = DeltaSegment(0, _ids)
         delta.add(0, (1, 7, 2), 0.5, 1)
         delta.add(1, (3, 7, 2), 0.9, 1)
@@ -142,6 +145,109 @@ class TestDeltaSegmentUnit:
         delta.add(0, (1, 7, 2), 0.5, 1)
         with pytest.raises(StorageError, match="arity"):
             delta.posting_part([True, True, False], (1,))
+
+    def test_scan_rejects_a_key(self):
+        delta = DeltaSegment(0, _ids)
+        delta.add(0, (1, 7, 2), 0.5, 1)
+        with pytest.raises(StorageError, match="arity"):
+            delta.posting_part([False, False, False], (1,))
+        with pytest.raises(StorageError, match="arity"):
+            delta.slot_values((), (1,), 0)
+
+
+MASKS = list(product((False, True), repeat=3))
+_TERMS = st.integers(0, 3)
+_WEIGHTS = st.sampled_from([0.5, 0.9, 1.5])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.tuples(_TERMS, _TERMS, _TERMS), _WEIGHTS),
+        st.tuples(st.just("update"), st.integers(0, 1000), _WEIGHTS),
+        st.tuples(
+            st.just("capture"), st.sampled_from(MASKS), st.tuples(_TERMS, _TERMS, _TERMS)
+        ),
+    ),
+    max_size=40,
+)
+
+
+def _reversed(term_id: int) -> int:
+    """A tie key that disagrees with id order."""
+    return -term_id
+
+
+def _scan(rows, weights, sig, key):
+    """The linear scan the index replaced: matching locals in canonical
+    ``(-weight, tie key, local)`` order."""
+    matches = [
+        local
+        for local, spo in enumerate(rows)
+        if all(spo[slot] == key[i] for i, slot in enumerate(sig))
+    ]
+    matches.sort(
+        key=lambda local: (-weights[local], tuple(map(_reversed, rows[local])))
+    )
+    return matches
+
+
+class TestIndexAgainstScan:
+    """The per-signature index answers every lookup as a scan would."""
+
+    BASE = 7
+
+    @settings(max_examples=80, deadline=None)
+    @given(_OPS)
+    def test_lookups_match_the_scan(self, ops):
+        delta = DeltaSegment(self.BASE, _reversed)
+        rows: list[tuple[int, int, int]] = []
+        weights: list[float] = []
+        captured = []
+        for op, arg, value in ops:
+            if op == "add":
+                delta.add(self.BASE + len(rows), arg, value, 1)
+                rows.append(arg)
+                weights.append(value)
+            elif op == "update" and rows:
+                local = arg % len(rows)
+                delta.update(self.BASE + local, value, 2)
+                weights[local] = value
+            elif op == "capture":
+                key = tuple(value[slot] for slot in signature_of(arg))
+                part = delta.posting_part(arg, key)
+                if part is not None:
+                    expected = _scan(rows, weights, signature_of(arg), key)
+                    captured.append(
+                        (
+                            part,
+                            expected,
+                            [weights[local] for local in expected],
+                            [rows[local] for local in expected],
+                        )
+                    )
+        for mask in MASKS:
+            sig = signature_of(mask)
+            # Term 4 is never added: every key holding it is absent.
+            for key in product(range(5), repeat=len(sig)):
+                expected = _scan(rows, weights, sig, key)
+                part = delta.posting_part(mask, key)
+                if not expected:
+                    assert part is None
+                else:
+                    assert list(part.postings) == expected
+                    assert part.start == self.BASE
+                    assert [part.weights[self.BASE + l] for l in expected] == [
+                        weights[l] for l in expected
+                    ]
+                for slot in range(3):
+                    if slot not in sig:
+                        assert delta.slot_values(sig, key, slot) == {
+                            rows[local][slot] for local in expected
+                        }
+        for part, postings, part_weights, part_rows in captured:
+            assert list(part.postings) == postings
+            assert [part.weights[self.BASE + l] for l in postings] == part_weights
+            assert [
+                tuple(column[l] for column in part.columns) for l in postings
+            ] == part_rows
 
 
 class TestStoreByteIdentity:
