@@ -3,9 +3,11 @@
 Live ingestion (:meth:`TripleStore.add` on a frozen store) accumulates
 statements in an in-memory :class:`~repro.storage.delta.DeltaSegment`
 that the posting merge treats as one more segment head.  The delta keeps
-reads correct but not free — every posting pull re-sorts its keys against
-the frozen heads — so once it grows past the engine's threshold it is
-folded back into frozen, immutable storage here.
+reads correct but not free — a lookup that matches delta rows sorts them
+on the spot and heap-merges them with the frozen heads, and every row
+costs memory and an index entry per signature — so once it grows past
+the engine's threshold it is folded back into frozen, immutable storage
+here.
 
 Two folding strategies, chosen by where the store lives:
 

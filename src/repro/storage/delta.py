@@ -120,17 +120,16 @@ class DeltaSegment:
         """Absorb one new triple.  Ids must arrive densely above ``base``."""
         with self._lock:
             local = len(self._ties)
-            if gid != self._base + local:
+            expected = self._base + local
+            if gid != expected:
                 raise StorageError(
-                    f"Delta ids must be dense: expected {self._base + local},"
-                    f" got {gid}"
+                    f"Delta ids must be dense: expected {expected}, got {gid}"
                 )
             for column, term in zip(self._columns, slot_ids):
                 column.append(term)
             for sig, keys in self._index.items():
-                keys.setdefault(tuple(map(slot_ids.__getitem__, sig)), []).append(
-                    local
-                )
+                key = tuple(map(slot_ids.__getitem__, sig))
+                keys.setdefault(key, []).append(local)
             self._ties.append(tuple(map(self._sort_key, slot_ids)))
             self._weights.append(weight)
             self._hold(weight)
