@@ -3,11 +3,12 @@
 Two layers of contract.  The :class:`DeltaSegment` unit contract: dense id
 assignment above the frozen base, immutable merge-ready posting snapshots
 (a captured part never changes under concurrent growth), lookups read off
-the per-signature index and agree with a linear scan of the rows.  The store-level byte-identity contract: a frozen
-store that absorbed live additions answers every posting lookup in
-*exactly* the order a store freshly built from the union would — at
-every segment count — because delta ids continue the frozen id space
-densely and every merge is keyed by ``(-weight, tie key, id)``.
+the per-signature index and agree with a linear scan of the rows.  The
+store-level byte-identity contract: a frozen store that absorbed live
+additions answers every posting lookup in *exactly* the order a store
+freshly built from the union would — at every segment count — because
+delta ids continue the frozen id space densely and every merge is keyed
+by ``(-weight, tie key, id)``.
 """
 
 from itertools import product
@@ -163,7 +164,9 @@ _OPS = st.lists(
         st.tuples(st.just("add"), st.tuples(_TERMS, _TERMS, _TERMS), _WEIGHTS),
         st.tuples(st.just("update"), st.integers(0, 1000), _WEIGHTS),
         st.tuples(
-            st.just("capture"), st.sampled_from(MASKS), st.tuples(_TERMS, _TERMS, _TERMS)
+            st.just("capture"),
+            st.sampled_from(MASKS),
+            st.tuples(_TERMS, _TERMS, _TERMS),
         ),
     ),
     max_size=40,
@@ -211,10 +214,12 @@ class TestIndexAgainstScan:
                 delta.update(self.BASE + local, value, 2)
                 weights[local] = value
             elif op == "capture":
-                key = tuple(value[slot] for slot in signature_of(arg))
+                sig = signature_of(arg)
+                key = tuple(value[slot] for slot in sig)
                 part = delta.posting_part(arg, key)
+                expected = _scan(rows, weights, sig, key)
+                assert (part is None) == (not expected)
                 if part is not None:
-                    expected = _scan(rows, weights, signature_of(arg), key)
                     captured.append(
                         (
                             part,
@@ -234,8 +239,8 @@ class TestIndexAgainstScan:
                 else:
                     assert list(part.postings) == expected
                     assert part.start == self.BASE
-                    assert [part.weights[self.BASE + l] for l in expected] == [
-                        weights[l] for l in expected
+                    assert [part.weights[self.BASE + local] for local in expected] == [
+                        weights[local] for local in expected
                     ]
                 for slot in range(3):
                     if slot not in sig:
@@ -244,9 +249,11 @@ class TestIndexAgainstScan:
                         }
         for part, postings, part_weights, part_rows in captured:
             assert list(part.postings) == postings
-            assert [part.weights[self.BASE + l] for l in postings] == part_weights
             assert [
-                tuple(column[l] for column in part.columns) for l in postings
+                part.weights[self.BASE + local] for local in postings
+            ] == part_weights
+            assert [
+                tuple(column[local] for column in part.columns) for local in postings
             ] == part_rows
 
 
