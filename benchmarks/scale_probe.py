@@ -80,7 +80,7 @@ def build(people: int, ops_wanted: int, seed: int, workdir: Path) -> dict:
     jsonl = workdir / "inputs.jsonl"
     persistence.save_store(store, jsonl)
     del kg, store
-    built = persistence.load_store(jsonl, backend="sharded")
+    built = persistence.load_store(jsonl)
     snapshot.save_snapshot(built, workdir / "scan.snapd")
     built.close()
     build_s = time.perf_counter() - began

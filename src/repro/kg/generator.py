@@ -106,18 +106,9 @@ class GeneratedKg:
         total = kept + dropped
         return kept / total if total else 0.0
 
-    def store(
-        self,
-        name: str | None = None,
-        freeze: bool = True,
-        backend: str | None = None,
-    ) -> TripleStore:
-        """Load the KG into a fresh triple store.
-
-        ``backend`` is handed to :class:`TripleStore` (``None`` or
-        ``"sharded"``).
-        """
-        store = TripleStore(name or self.config.kg_name, backend=backend)
+    def store(self, name: str | None = None, freeze: bool = True) -> TripleStore:
+        """Load the KG into a fresh triple store."""
+        store = TripleStore(name or self.config.kg_name)
         for triple in self.triples:
             store.add(triple, self.provenance)
         return store.freeze() if freeze else store

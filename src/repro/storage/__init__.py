@@ -3,15 +3,15 @@
 The paper uses ElasticSearch as the storage backend; the contract top-k query
 processing needs from it is narrow: *given a triple pattern, access its
 matching triples in descending score order, incrementally*.  This package
-provides that contract with one physical layout — a columnar base segment
-plus the segments compaction appends, in memory or mapped from a snapshot
-directory:
+provides that contract with one store class, :class:`ShardedBackend` — a
+columnar base segment plus the segments compaction appends, in memory or
+mapped from a snapshot directory:
 
 * :mod:`dictionary` — bidirectional term ↔ integer-id encoding,
-* :mod:`backend` — the :class:`StorageBackend` protocol (the typed seam),
 * :mod:`sharded` — the store layout (:class:`ShardedBackend`): the base
   segment, the segments compaction appended (one contiguous global id range
-  each) and the mutable delta, behind lazily materialised postings,
+  each) and the mutable delta, behind lazily materialised postings, plus
+  the sort-weight column by global id,
 * :mod:`columnar` — the frozen segment class (:class:`ColumnarBackend`):
   array columns and, per bound-slot signature (:mod:`index`), a permutation
   pre-sorted by observation weight so sorted access is an array walk,
@@ -24,7 +24,6 @@ directory:
 * :mod:`snapshot` — binary snapshot directories loaded back via ``mmap``.
 """
 
-from repro.storage.backend import StorageBackend, make_backend
 from repro.storage.columnar import ColumnarBackend
 from repro.storage.dictionary import TermDictionary
 from repro.storage.sharded import ShardedBackend
@@ -37,14 +36,12 @@ from repro.storage.snapshot import load_snapshot, save_snapshot
 __all__ = [
     "ColumnarBackend",
     "ShardedBackend",
-    "StorageBackend",
     "TermDictionary",
     "TripleStore",
     "StoredTriple",
     "StoreStatistics",
     "TokenMatcher",
     "TokenMatch",
-    "make_backend",
     "save_store",
     "load_store",
     "save_snapshot",

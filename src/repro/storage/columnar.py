@@ -1,4 +1,4 @@
-"""Columnar segment: the frozen unit of the sharded store layout.
+"""Columnar segment: the frozen unit of the store layout.
 
 Triples live in parallel columns — ``array('i')`` for the s/p/o term ids,
 ``array('d')`` for sort weights, ``array('i')`` for observation counts —
@@ -18,17 +18,17 @@ A :class:`ColumnarBackend` is never a store's backend on its own:
 one base segment, whose local ids are the global ids, plus one segment per
 compacted generation, whose ids are local to the global range it starts
 at — and :mod:`repro.storage.snapshot` maps each one from its own
-container file.
+container file.  Both classes swap released columns for :data:`_CLOSED`
+on close, so a use after close raises :class:`StorageError`.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from repro.errors import StorageError
-from repro.storage.backend import _CLOSED
 from repro.storage.index import SIGNATURES, signature_of
 
 #: Typecode for id columns.  'q' (64-bit) would also work; 'i' (>= 32-bit)
@@ -36,6 +36,40 @@ from repro.storage.index import SIGNATURES, signature_of
 ID_TYPECODE = "i"
 
 _EMPTY: tuple[int, ...] = ()
+
+
+class _ClosedData:
+    """Placeholder swapped in for released columns and posting structures.
+
+    Every access path through a closed backend lands on one of these, so
+    use-after-close surfaces as :class:`StorageError` instead of a released
+    memoryview's ``ValueError`` (mmap case) or silently-working stale data
+    (in-memory case) — with zero per-access cost before close.
+    """
+
+    def _raise(self) -> NoReturn:
+        raise StorageError("Storage backend is closed")
+
+    def __getitem__(self, index: object) -> NoReturn:
+        self._raise()
+
+    def __len__(self) -> NoReturn:
+        self._raise()
+
+    def __iter__(self) -> NoReturn:
+        self._raise()
+
+    def get(self, *args: object) -> NoReturn:
+        self._raise()
+
+    def keys(self) -> NoReturn:
+        self._raise()
+
+    def values(self) -> NoReturn:
+        self._raise()
+
+
+_CLOSED = _ClosedData()
 
 
 class ColumnarBackend:
@@ -169,25 +203,25 @@ class ColumnarBackend:
     def freeze(
         self,
         weights: Sequence[float],
-        counts: Sequence[int] | None = None,
+        counts: Sequence[int],
         *,
         sort_key: Callable[[int], object],
     ) -> None:
         """Sort every posting structure into the canonical order.
 
-        ``sort_key`` maps a term id to its tie key (the store passes
-        :meth:`TermDictionary.sort_key`).
+        ``weights`` and ``counts`` are the per-triple sort weight and
+        observation count columns; ``sort_key`` maps a term id to its tie
+        key (the store passes :meth:`TermDictionary.sort_key`).
         """
         if self._frozen:
             raise StorageError("Backend already frozen")
         n = len(self._s)
         if len(weights) != n:
             raise StorageError(f"{n} triples but {len(weights)} weights")
+        if len(counts) != n:
+            raise StorageError(f"{n} triples but {len(counts)} counts")
         self._weights = array("d", weights)
-        if counts is not None:
-            if len(counts) != n:
-                raise StorageError(f"{n} triples but {len(counts)} counts")
-            self._counts = array(ID_TYPECODE, counts)
+        self._counts = array(ID_TYPECODE, counts)
         w = self._weights
         columns = (self._s, self._p, self._o)
         ks, kp, ko = [list(map(sort_key, column)) for column in columns]

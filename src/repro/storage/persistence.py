@@ -29,8 +29,7 @@ import json
 from pathlib import Path
 
 from repro.core.triples import Triple
-from repro.errors import PersistenceError
-from repro.storage.backend import make_backend
+from repro.errors import PersistenceError, StorageError
 from repro.storage.store import TripleStore
 from repro.storage.termcodec import (
     decode_provenance,
@@ -88,14 +87,18 @@ def load_store(
     ``freeze=False`` is rejected for them.  A file is JSONL — or a
     pre-directory single-file snapshot, which
     :func:`~repro.storage.snapshot.load_snapshot` rejects by version.
-    ``backend`` accepts what ``TripleStore(backend=...)`` does (``None`` or
-    ``"sharded"``; any other name raises :class:`~repro.errors.StorageError`)
-    and is only checked: the layout is the same on every path.
+    ``backend`` selects nothing: ``None`` and ``"sharded"`` load, any other
+    name raises :class:`~repro.errors.StorageError`.  It stays only as the
+    frozen benchmark harness's spelling and goes with ROADMAP item 1 step 1.
     """
     path = Path(path)
     if not path.exists():
         raise PersistenceError(f"No such file: {path}")
-    make_backend(backend)  # rejects unknown names on every path
+    if backend not in (None, "sharded"):
+        raise StorageError(
+            f"Unknown storage backend {backend!r}: the one store layout is "
+            '"sharded" — pass None or "sharded"'
+        )
 
     from repro.storage.snapshot import is_snapshot, load_snapshot
 
@@ -119,7 +122,7 @@ def load_store(
             raise PersistenceError(
                 f"Not a {FORMAT_NAME} file: format={header.get('format')!r}"
             )
-        store = TripleStore(name=header.get("name", "XKG"), backend=backend)
+        store = TripleStore(name=header.get("name", "XKG"))
         for line_number, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:

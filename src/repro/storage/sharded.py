@@ -1,14 +1,17 @@
 """The store layout: one base segment, the segments compaction appends, a merge.
 
-The paper's system served its XKG from a sharded ElasticSearch index; this
-backend keeps the name for the layout behind the :class:`~repro.storage.
-backend.StorageBackend` protocol.  A fresh build is **one** columnar
+The paper's system served its XKG from a sharded ElasticSearch index;
+:class:`ShardedBackend`, the one class behind every
+:class:`~repro.storage.store.TripleStore`, keeps that name (it is what
+``TripleStore.backend_name`` and ``/healthz`` report) but does not shard.
+A fresh build is **one** columnar
 :class:`~repro.storage.columnar.ColumnarBackend` segment — the *base
 segment*, whose local ids are the global triple ids.  Compaction
 (:mod:`repro.storage.compaction`) appends one segment per generation after
 it, each holding the contiguous global id range the folded delta owned.
 So the whole id map is one start offset per segment: ``gid = start +
-local``.
+local``.  The backend owns the sort-weight column
+(:meth:`ShardedBackend.weights`).
 
 ``postings()`` is the one lookup.  While only the base segment holds the
 key — every lookup on a fresh store — it answers with that segment's own
@@ -41,11 +44,10 @@ import heapq
 import threading
 from array import array
 from bisect import bisect_right
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import StorageError
-from repro.storage.backend import _CLOSED
-from repro.storage.columnar import ID_TYPECODE, ColumnarBackend
+from repro.storage.columnar import _CLOSED, ID_TYPECODE, ColumnarBackend
 from repro.storage.index import signature_of
 
 #: Lazily-imported kernel module (repro.topk.kernels imports nothing from
@@ -268,7 +270,9 @@ class MergedPostings:
 
 
 class ShardedBackend:
-    """The base segment plus the segments compaction appended after it."""
+    """The base segment plus the segments compaction appended after it:
+    :meth:`insert` every triple, :meth:`freeze` once, then look up (until
+    :meth:`close`); an attached delta's ids dispatch to it."""
 
     name = "sharded"
 
@@ -476,7 +480,7 @@ class ShardedBackend:
     def freeze(
         self,
         weights: Sequence[float],
-        counts: Sequence[int] | None = None,
+        counts: Sequence[int],
         *,
         sort_key: Callable[[int], object],
     ) -> None:
@@ -582,13 +586,22 @@ class ShardedBackend:
             return self._delta.weight(triple_id)
         return self._weights[triple_id]
 
+    @property
+    def frozen_weights(self) -> Sequence[float]:
+        """The sort-weight column of the frozen segments, by global id."""
+        return self._weights
+
+    def weights(self) -> Sequence[float]:
+        """The sort-weight column by global id, extended by the delta's."""
+        if self._delta is None:
+            return self._weights
+        return _CombinedWeights(self._weights, self._size, self._delta)
+
     def count(self, triple_id: int) -> int:
         if self._delta is not None and triple_id >= self._size:
             return self._delta.count(triple_id)
         if not 0 <= triple_id < self._size:
             raise StorageError(f"Unknown triple id: {triple_id}")
-        if len(self._counts) != self._size:
-            raise StorageError("Backend was frozen without a counts column")
         return self._counts[triple_id]
 
     # -- introspection ------------------------------------------------------------
@@ -606,3 +619,34 @@ class ShardedBackend:
             if isinstance(column, memoryview)
         )
         return total
+
+
+class _CombinedWeights:
+    """Frozen weight column extended by the live delta's weights.
+
+    Indexable by any current triple id: ids below the frozen size read the
+    frozen column, ids above it dispatch to the delta.  Hot loops cache one
+    instance per cursor open, so the dispatch branch is paid only on delta
+    ids.
+    """
+
+    __slots__ = ("_frozen", "_base", "_delta")
+
+    def __init__(self, frozen: Sequence[float], base: int, delta):
+        self._frozen = frozen
+        self._base = base
+        self._delta = delta
+
+    def __getitem__(self, triple_id: int) -> float:
+        if triple_id < self._base:
+            return self._frozen[triple_id]
+        return self._delta.weight(triple_id)
+
+    def __len__(self) -> int:
+        return self._base + len(self._delta)
+
+    def __iter__(self) -> Iterator[float]:
+        yield from self._frozen
+        delta = self._delta
+        for triple_id in range(self._base, self._base + len(delta)):
+            yield delta.weight(triple_id)

@@ -785,9 +785,8 @@ def _assemble_store(
     records = _SnapshotRecords(
         dictionary, backend, container.ids("counts"), confidences, prov_raw, n
     )
-    weights = container.doubles("weights")
     return TripleStore._adopt_frozen(
-        header.get("name", "XKG"), dictionary, records, None, backend, weights
+        header.get("name", "XKG"), dictionary, records, None, backend
     )
 
 

@@ -9,10 +9,12 @@ order: swept from the store once, on first use, or — in the engine's next
 read view — extended from a built predecessor by only the statements that
 arrived since.  Predicate masses read the store's *sort weights*, which
 later evidence can move, so they are not carried along: each instance
-sums them, in id order, the first time it is asked.
+sums them exactly, the first time it is asked.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.core.terms import Term
 from repro.core.triples import TriplePattern, Triple
@@ -86,19 +88,20 @@ class StoreStatistics(LazilyBuilt):
     # -- predicates ---------------------------------------------------------
 
     def _masses(self) -> dict[int, float]:
-        """predicate id -> total sort weight, each summed in statement-id
-        order (float addition is not associative; the order is the
-        contract).  One pass over the weight column the first time this
-        instance is asked, kept for its life."""
+        """predicate id -> total sort weight, each summed exactly
+        (:func:`math.fsum`), so it does not depend on arrival order.  One
+        pass over the weight column the first time this instance is asked,
+        kept for its life."""
         masses = self._mass
         if masses is None:
             store = self.store
             slot_ids = store.backend.slot_ids
             weights = store.weights()
-            masses = {}
+            groups: dict[int, list[float]] = {}
             for tid in range(len(store)):
                 pid = slot_ids(tid)[PREDICATE]
-                masses[pid] = masses.get(pid, 0.0) + weights[tid]
+                groups.setdefault(pid, []).append(weights[tid])
+            masses = {pid: math.fsum(group) for pid, group in groups.items()}
             self._mass = masses
         return masses
 

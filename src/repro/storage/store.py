@@ -8,11 +8,10 @@ uses) and keep the best confidence plus a bounded sample of provenances.
 :meth:`~TripleStore.freeze` then builds the posting-list indexes; afterwards
 the store is immutable and supports sorted access.
 
-Physical index layout lives behind the
-:class:`~repro.storage.backend.StorageBackend` seam — one layout,
-:class:`~repro.storage.sharded.ShardedBackend` over columnar segments; the
-store also exposes the id-level accessors (:meth:`spo_ids`, :meth:`weight`,
-:meth:`postings_ids`) the id-space execution core runs on.
+The physical index is one :class:`~repro.storage.sharded.ShardedBackend`
+over columnar segments, which also owns the sort-weight column; the store
+exposes the id-level accessors (:meth:`spo_ids`, :meth:`weight`,
+:meth:`weights`, :meth:`postings_ids`) the id-space execution core runs on.
 
 **Live ingestion.**  Freezing is no longer the end of the write path: an
 :meth:`~TripleStore.add` against a frozen store routes the observation
@@ -38,9 +37,9 @@ from typing import Iterator, Sequence
 from repro.core.terms import Term
 from repro.core.triples import KG_PROVENANCE, Provenance, Triple, TriplePattern
 from repro.errors import StorageError
-from repro.storage.backend import StorageBackend, make_backend
 from repro.storage.delta import DeltaSegment
 from repro.storage.dictionary import TermDictionary
+from repro.storage.sharded import ShardedBackend
 
 #: How many distinct provenance records are retained per triple.  Answer
 #: explanations show a sample of sources, not every one of potentially
@@ -104,10 +103,6 @@ class TripleStore:
     ----------
     name:
         Label used in provenance descriptions and persistence headers.
-    backend:
-        ``None`` or ``"sharded"``, the one layout
-        (:class:`~repro.storage.sharded.ShardedBackend`); anything else
-        raises :class:`StorageError`.
     """
 
     #: Preferred posting-block granularity for the id-space execution
@@ -121,13 +116,12 @@ class TripleStore:
     #: reason.  A store the engine never configured pulls 64 at a time.
     _merge_batch: int | None = 64
 
-    def __init__(self, name: str = "XKG", backend: str | None = None):
+    def __init__(self, name: str = "XKG"):
         self.name = name
         self.dictionary = TermDictionary()
         self._triples: list[StoredTriple] = []
         self._by_key: dict[tuple[int, int, int], int] = {}
-        self._backend = make_backend(backend)
-        self._weights: Sequence[float] = ()
+        self._backend = ShardedBackend()
         self._frozen = False
         self._closed = False
         self._pattern_total_cache: dict[object, float] = {}
@@ -143,8 +137,7 @@ class TripleStore:
         dictionary: TermDictionary,
         records: Sequence[StoredTriple],
         by_key: dict[tuple[int, int, int], int] | None,
-        backend: StorageBackend,
-        weights: Sequence[float],
+        backend: ShardedBackend,
     ) -> "TripleStore":
         """Assemble an already-frozen store from restored parts.
 
@@ -163,7 +156,6 @@ class TripleStore:
         store._triples = records
         store._by_key = by_key
         store._backend = backend
-        store._weights = weights
         store._frozen = True
         store._closed = False
         store._pattern_total_cache = {}
@@ -301,9 +293,8 @@ class TripleStore:
         (weight desc, tie key asc, id asc).  Returns self for chaining."""
         if self._frozen:
             raise StorageError("Store already frozen")
-        self._weights = tuple(record.weight for record in self._triples)
         self._backend.freeze(
-            self._weights,
+            [record.weight for record in self._triples],
             [record.count for record in self._triples],
             sort_key=self.dictionary.sort_key,
         )
@@ -342,7 +333,7 @@ class TripleStore:
         return self._frozen
 
     @property
-    def backend(self) -> StorageBackend:
+    def backend(self) -> ShardedBackend:
         return self._backend
 
     @property
@@ -400,29 +391,22 @@ class TripleStore:
     def weight(self, triple_id: int) -> float:
         if self._closed:
             raise StorageError("Store is closed")
-        if self._frozen:
-            if 0 <= triple_id < len(self._weights):
-                return self._weights[triple_id]
-            local = triple_id - len(self._weights)
-            if 0 <= local < len(self._delta_records):
-                return self._delta.weight(triple_id)
+        if not self._frozen:
+            return self.record(triple_id).weight
+        if not 0 <= triple_id < len(self):
             raise StorageError(f"Unknown triple id: {triple_id}")
-        return self.record(triple_id).weight
+        return self._backend.weight(triple_id)
 
     def weights(self) -> Sequence[float]:
-        """The per-triple *sort* weight column (index parallel to triple ids).
-
-        With a live delta the frozen column is extended by a dispatching
-        view: ids below the frozen size read the frozen column untouched,
-        ids above it read the delta's live weights.
+        """The per-triple *sort* weight column (index parallel to triple ids),
+        read off the backend (:meth:`ShardedBackend.weights`): with a live
+        delta, ids above the frozen size read the delta's live weights.
         """
         if self._closed:
             raise StorageError("Store is closed")
         if not self._frozen:
             raise StorageError("Weights are materialised at freeze time")
-        if not self._delta_records:
-            return self._weights
-        return _CombinedWeights(self._weights, len(self._triples), self._delta)
+        return self._backend.weights()
 
     def weight_below(self, weight: float) -> float | None:
         """The largest sort weight below ``weight`` any statement carries
@@ -433,7 +417,9 @@ class TripleStore:
         levels = self._weight_levels
         if levels is None:
             # The frozen column never changes; one sorted pass per store.
-            levels = self._weight_levels = sorted(set(self._weights))
+            levels = self._weight_levels = sorted(
+                set(self._backend.frozen_weights)
+            )
         position = bisect_left(levels, weight)
         below = levels[position - 1] if position else None
         if self._delta is not None:
@@ -502,7 +488,9 @@ class TripleStore:
             return math.fsum(record.weight for record in self._triples)
         partials = self._weight_partials
         if partials is None:
-            partials = self._weight_partials = exact_partials(self._weights)
+            partials = self._weight_partials = exact_partials(
+                self._backend.frozen_weights
+            )
         delta = self._delta
         if delta is None:
             return math.fsum(partials)
@@ -513,24 +501,6 @@ class TripleStore:
                 map(delta.weight, range(base, base + len(self._delta_records))),
             )
         )
-
-    def num_token_triples(self) -> int:
-        """Distinct triples with a token in any slot (the XKG extension part)."""
-        if self._frozen:
-            token_ids = set(self.dictionary.ids_of_kind("token"))
-            if not token_ids:
-                return 0
-            slot_ids = self._backend.slot_ids
-            return sum(
-                1
-                for tid in range(len(self))
-                if not token_ids.isdisjoint(slot_ids(tid))
-            )
-        return sum(1 for r in self._triples if r.triple.is_token_triple)
-
-    def num_kg_triples(self) -> int:
-        """Distinct triples whose every slot is canonical (KG part)."""
-        return len(self) - self.num_token_triples()
 
     # -- lookup ------------------------------------------------------------
 
@@ -653,14 +623,11 @@ class TripleStore:
         cached = self._pattern_total_cache.get(cache_key)
         if cached is not None:
             return cached
-        weights = self.weights() if self._frozen else self._weights
-        total = math.fsum(weights[i] for i in self.sorted_ids(pattern))
+        ids = self.sorted_ids(pattern)
+        weights = self.weights()
+        total = math.fsum(weights[i] for i in ids)
         self._pattern_total_cache[cache_key] = total
         return total
-
-    def terms_of_kind(self, kind: str) -> list[Term]:
-        """All distinct terms of a kind appearing anywhere in the store."""
-        return [self.dictionary.decode(i) for i in self.dictionary.ids_of_kind(kind)]
 
     # -- rebuild ------------------------------------------------------------
 
@@ -696,33 +663,3 @@ class TripleStore:
             clone.freeze()
         return clone
 
-
-class _CombinedWeights:
-    """Frozen weight column extended by the live delta's weights.
-
-    Indexable by any current triple id: ids below the frozen size read the
-    frozen column (same objects, same bits), ids above it dispatch to the
-    delta.  Hot loops cache one instance per cursor open, so the dispatch
-    branch is paid only on delta ids.
-    """
-
-    __slots__ = ("_frozen", "_base", "_delta")
-
-    def __init__(self, frozen: Sequence[float], base: int, delta: DeltaSegment):
-        self._frozen = frozen
-        self._base = base
-        self._delta = delta
-
-    def __getitem__(self, triple_id: int) -> float:
-        if triple_id < self._base:
-            return self._frozen[triple_id]
-        return self._delta.weight(triple_id)
-
-    def __len__(self) -> int:
-        return self._base + len(self._delta)
-
-    def __iter__(self) -> Iterator[float]:
-        yield from self._frozen
-        delta = self._delta
-        for triple_id in range(self._base, self._base + len(delta)):
-            yield delta.weight(triple_id)

@@ -74,12 +74,10 @@ class XkgBuilder:
         extractor: ReverbExtractor | None = None,
         linker: EntityLinker | None = None,
         min_confidence: float = 0.35,
-        backend: str | None = None,
     ):
         self.extractor = extractor if extractor is not None else ReverbExtractor()
         self.linker = linker
         self.min_confidence = min_confidence
-        self.backend = backend
 
     def _argument_term(self, phrase: str, context: str, report: XkgBuildReport) -> Term:
         """Resolve an argument phrase: linked resource or text token."""
@@ -132,7 +130,7 @@ class XkgBuilder:
     ) -> tuple[TripleStore, XkgBuildReport]:
         """Construct the XKG store.  Returns (store, report)."""
         report = XkgBuildReport()
-        store = TripleStore(store_name, backend=self.backend)
+        store = TripleStore(store_name)
         kg_provenance = Provenance(origin="kg", source="KG")
         store.add_all(kg_triples, kg_provenance)
         report.kg_triples = len(store)
@@ -194,10 +192,7 @@ def build_xkg(
     linker: EntityLinker | None = None,
     min_confidence: float = 0.35,
     store_name: str = "XKG",
-    backend: str | None = None,
 ) -> tuple[TripleStore, XkgBuildReport]:
     """Convenience wrapper around :class:`XkgBuilder`."""
-    builder = XkgBuilder(
-        linker=linker, min_confidence=min_confidence, backend=backend
-    )
+    builder = XkgBuilder(linker=linker, min_confidence=min_confidence)
     return builder.build(kg_triples, documents, store_name=store_name)

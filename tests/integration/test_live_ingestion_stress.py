@@ -48,7 +48,7 @@ NO_MINING = dict(mine_arg_overlap=False, mine_chains=False, mine_inversions=Fals
 
 
 def _seed_engine(tmp_path):
-    store = TripleStore("stress", backend="sharded")
+    store = TripleStore("stress")
     for s, p, o, conf in SEED_ROWS:
         store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
     store.freeze()
@@ -141,7 +141,7 @@ def _seed_duplicates():
 
 
 def _reference_engine():
-    store = TripleStore("stress", backend="sharded")
+    store = TripleStore("stress")
     for s, p, o, conf in SEED_ROWS:
         store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
     for feed in FEEDS:

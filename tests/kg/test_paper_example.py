@@ -68,8 +68,9 @@ class TestFigure4:
 class TestPaperStore:
     def test_sizes(self):
         store = paper_store()
-        assert store.num_kg_triples() == 6 + 3  # Figure 1 + type assertions
-        assert store.num_token_triples() == 4
+        tokens = [r for r in store.records() if r.triple.is_token_triple]
+        assert len(tokens) == 4
+        assert len(store) == 6 + 3 + 4  # Figure 1 + type assertions + tokens
 
     def test_queryable(self):
         store = paper_store()

@@ -33,7 +33,7 @@ SEED_ROWS = [
 
 
 def build_seed_store() -> TripleStore:
-    store = TripleStore("serve", backend="sharded")
+    store = TripleStore("serve")
     for s, p, o, conf in SEED_ROWS:
         store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
     return store.freeze()

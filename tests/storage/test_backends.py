@@ -1,9 +1,9 @@
-"""Backend conformance: the one store layout, fresh and generational.
+"""Backend conformance: the one store class, fresh and generational.
 
-The StorageBackend protocol is the typed seam between the store and query
-processing — anything the backend leaks (mutable postings, an order that
-depends on which segment holds a triple) becomes a query-processing bug.
-These tests drive ``ShardedBackend`` as one fresh base segment and as
+``ShardedBackend`` is the boundary between the store and query
+processing — anything it leaks (mutable postings, an order that depends
+on which segment holds a triple) becomes a query-processing bug.
+These tests drive it as one fresh base segment and as
 several segments merged (the shared ``layout`` axis of tests/conftest.py)
 through the same scenarios and compare every observable against a
 brute-force oracle: matching ids in the canonical order — weight desc, tie
@@ -17,9 +17,10 @@ import pytest
 from repro.core.terms import Resource, TextToken, Variable
 from repro.core.triples import Triple, TriplePattern
 from repro.errors import StorageError
-from repro.storage.backend import StorageBackend, make_backend
 from repro.storage.columnar import ColumnarBackend
+from repro.storage.persistence import load_store, save_store
 from repro.storage.sharded import ShardedBackend
+from repro.storage.snapshot import save_snapshot
 from repro.storage.store import TripleStore
 
 X, Y, P = Variable("x"), Variable("y"), Variable("p")
@@ -84,18 +85,18 @@ def _backend(layout: str, rows, weights) -> ShardedBackend:
         backend = ShardedBackend()
         for triple_id, row in enumerate(rows):
             backend.insert(triple_id, row)
-        backend.freeze(weights, sort_key=_ids)
+        backend.freeze(weights, [1] * len(rows), sort_key=_ids)
         return backend
     segments = []
     for row, weight in zip(rows, weights):
         segment = ColumnarBackend()
         segment.insert(0, row)
-        segment.freeze([weight], sort_key=_ids)
+        segment.freeze([weight], [1], sort_key=_ids)
         segments.append(segment)
     return ShardedBackend._restore(
         starts=range(len(rows)),
         weights=array("d", weights),
-        counts=array("i"),
+        counts=array("i", [1] * len(rows)),
         segment_loaders=[lambda segment=segment: segment for segment in segments],
         sort_key=_ids,
     )
@@ -108,27 +109,32 @@ def _small_backend(layout: str) -> ShardedBackend:
     )
 
 
-class TestMakeBackend:
-    def test_default_and_name_build_the_sharded_layout(self):
-        for spec in (None, "sharded"):
-            backend = make_backend(spec)
-            assert isinstance(backend, ShardedBackend)
-            assert backend.segment_count() == 1
-        assert TripleStore().backend_name == "sharded"
+class TestOneStoreClass:
+    def test_a_store_is_built_on_one_base_segment(self):
+        store = TripleStore()
+        assert isinstance(store.backend, ShardedBackend)
+        assert store.backend.segment_count() == 1
+        assert store.backend_name == "sharded"
 
-    @pytest.mark.parametrize("name", ["dict", "columnar", "elasticsearch"])
-    def test_other_names_rejected_naming_the_replacement(self, name):
+    def test_store_takes_no_backend_argument(self):
+        with pytest.raises(TypeError, match="backend"):
+            TripleStore("XKG", backend="sharded")
+
+    @pytest.mark.parametrize("saved", ["jsonl", "snapshot"])
+    def test_load_store_accepts_only_the_one_layout_name(self, tmp_path, saved):
+        path = tmp_path / "store"
+        if saved == "jsonl":
+            save_store(_sample_store(), path)
+        else:
+            save_snapshot(_sample_store(), path)
+        for name in (None, "sharded"):
+            loaded = load_store(path, backend=name)
+            assert loaded.backend_name == "sharded"
+            assert len(loaded) == 6
+            loaded.close()
         with pytest.raises(StorageError, match="sharded") as excinfo:
-            TripleStore(backend=name)
-        assert repr(name) in str(excinfo.value)
-
-    @pytest.mark.parametrize("instance", [ColumnarBackend, ShardedBackend])
-    def test_backend_instances_rejected(self, instance):
-        with pytest.raises(StorageError, match="sharded"):
-            TripleStore(backend=instance())
-
-    def test_protocol_conformance(self):
-        assert isinstance(make_backend(None), StorageBackend)
+            load_store(path, backend="hash")
+        assert "'hash'" in str(excinfo.value)
 
 
 class TestPostingOrder:
@@ -228,6 +234,34 @@ class TestPostingOrder:
             assert rebuilt.spo_ids(tid) == original.spo_ids(tid)
 
 
+class TestWeightColumn:
+    """The backend owns the sort-weight column; the store reads it."""
+
+    def test_store_reads_the_backend_column(self, relayout, layout):
+        store = _sample_store(relayout)
+        expected = [record.weight for record in store.records()]
+        assert list(store.weights()) == expected
+        assert [store.backend.weight(tid) for tid in range(len(store))] == expected
+        if layout == "fresh":
+            assert store.weights() is store.backend.frozen_weights
+
+    def test_live_delta_extends_the_column(self):
+        store = _sample_store()
+        frozen = list(store.weights())
+        tid = store.add(
+            Triple(Resource("NielsBohr"), Resource("bornIn"), Resource("Copenhagen")),
+            confidence=0.5,
+            count=3,
+        )
+        weights = store.weights()
+        assert len(weights) == len(store) == len(frozen) + 1
+        assert list(weights) == frozen + [1.5]
+        assert weights[tid] == store.weight(tid) == 1.5
+        assert list(store.backend.frozen_weights) == frozen
+        with pytest.raises(StorageError):
+            store.weight(len(store))
+
+
 class TestImmutability:
     def test_segment_postings_are_readonly_views(self):
         segment = _sample_store().backend._segment(0)
@@ -270,21 +304,27 @@ class TestBuildPhaseGuards:
     def test_rejects_insert_after_freeze(self, kind):
         backend = _fresh(kind)
         backend.insert(0, (1, 2, 3))
-        backend.freeze([1.0], sort_key=_ids)
+        backend.freeze([1.0], [1], sort_key=_ids)
         with pytest.raises(StorageError):
             backend.insert(1, (4, 5, 6))
 
     def test_rejects_double_freeze(self, kind):
         backend = _fresh(kind)
-        backend.freeze([], sort_key=_ids)
+        backend.freeze([], [], sort_key=_ids)
         with pytest.raises(StorageError):
-            backend.freeze([], sort_key=_ids)
+            backend.freeze([], [], sort_key=_ids)
 
     def test_weight_arity_checked(self, kind):
         backend = _fresh(kind)
         backend.insert(0, (1, 2, 3))
         with pytest.raises(StorageError):
-            backend.freeze([1.0, 2.0], sort_key=_ids)
+            backend.freeze([1.0, 2.0], [1, 1], sort_key=_ids)
+
+    def test_counts_are_required(self, kind):
+        backend = _fresh(kind)
+        backend.insert(0, (1, 2, 3))
+        with pytest.raises(TypeError):
+            backend.freeze([1.0], sort_key=_ids)
 
     def test_count_arity_checked(self, kind):
         backend = _fresh(kind)
@@ -306,7 +346,7 @@ class TestBuildPhaseGuards:
 
 
 class TestCountConformance:
-    """count() is part of the protocol: record values, typed errors."""
+    """count(): record values, typed errors."""
 
     def test_counts_from_store_freeze(self, relayout):
         store = _sample_store(relayout)
@@ -320,13 +360,6 @@ class TestCountConformance:
         with pytest.raises(StorageError):
             store.backend.count(-1)
 
-    def test_frozen_without_counts_raises_storage_error(self):
-        backend = ShardedBackend()
-        backend.insert(0, (1, 2, 3))
-        backend.freeze([2.0], sort_key=_ids)  # no counts column
-        with pytest.raises(StorageError):
-            backend.count(0)
-
 
 class TestScanSignatureContract:
     def test_distinct_keys_scan_raises_storage_error(self, relayout):
@@ -337,7 +370,7 @@ class TestScanSignatureContract:
     def test_columnar_scan_rejects_a_key(self):
         segment = ColumnarBackend()
         segment.insert(0, (1, 2, 3))
-        segment.freeze([2.0], sort_key=_ids)
+        segment.freeze([2.0], [1], sort_key=_ids)
         with pytest.raises(StorageError, match="arity"):
             segment.postings([False, False, False], (1,))
 

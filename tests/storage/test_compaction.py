@@ -120,7 +120,7 @@ def _fail_first_fold(monkeypatch, error):
 
 @pytest.fixture()
 def snapshot_root(tmp_path):
-    store = TripleStore("XKG", backend="sharded")
+    store = TripleStore("XKG")
     _add(store, ROWS)
     store.freeze()
     path = tmp_path / "store.snapd"
@@ -233,7 +233,7 @@ class TestGenerationWrite:
         manifests = []
         for decode_all in (False, True):
             root = tmp_path / f"decode-{decode_all}.snapd"
-            store = TripleStore("XKG", backend="sharded")
+            store = TripleStore("XKG")
             _add(store, ROWS)
             for s, p, o, conf, count in ROWS[::7]:
                 store.add(Triple(Resource(s), Resource(p), Resource(o)), provenance)
@@ -260,7 +260,7 @@ class TestGenerationWrite:
         assert manifests[0] == manifests[1]
 
     def test_requires_directory_backing(self):
-        store = TripleStore("XKG", backend="sharded")
+        store = TripleStore("XKG")
         _add(store, ROWS)
         store.freeze()
         _add(store, LIVE_ROWS)
@@ -419,7 +419,7 @@ class TestEngineLifecycle:
     ):
         """A stream opened pre-compaction resumes on its pinned generation."""
         reference_root = tmp_path / "reference.snapd"
-        ref_store = TripleStore("XKG", backend="sharded")
+        ref_store = TripleStore("XKG")
         _add(ref_store, ROWS)
         ref_store.freeze()
         save_snapshot(ref_store, reference_root)

@@ -163,10 +163,10 @@ class TestFormatSniffing:
         assert loaded.backend_name == "sharded"
         assert loaded.is_frozen
 
-    def test_load_store_with_backend_returns_the_mapped_store(self, snapshot_path):
-        """No convert-and-drop: ``backend="sharded"`` keeps the mapping (the
-        old convert branch rebuilt in memory and leaked the mmap until GC)."""
-        loaded = load_store(snapshot_path, backend="sharded")
+    def test_load_store_returns_the_mapped_store(self, snapshot_path):
+        """No convert-and-drop: a directory loads as mapped (an old convert
+        branch rebuilt it in memory and leaked the mmap until GC)."""
+        loaded = load_store(snapshot_path)
         assert loaded.backend.source_dir == str(snapshot_path)
         assert isinstance(loaded.backend._buffer, mmap.mmap)
         assert isinstance(loaded.backend._segment(0)._buffer, mmap.mmap)

@@ -1,5 +1,7 @@
 """Unit tests for store statistics (args(p), context pairs, selectivity)."""
 
+from itertools import permutations
+
 import pytest
 
 from repro.core.terms import Resource, TextToken, Variable
@@ -177,3 +179,45 @@ class TestExtension:
         assert all(value is not base for value in vars(successor).values())
         assert successor.predicate_fanout(Resource("bornIn")) == 3
         assert successor.is_built and not base.is_built
+
+
+class TestArrivalOrder:
+    """Predicate masses are a function of the statement set: every arrival
+    order of one multiset gives equal masses and one predicate order."""
+
+    ZETA, ALPHA = Resource("zeta"), Resource("alpha")
+    #: zeta's confidences add to 0.6000000000000001 left to right and to
+    #: 0.6 right to left; exactly summed they are 0.6 — alpha's mass, so
+    #: the two predicates tie and alpha's sort key ranks it first.
+    STATEMENTS = [
+        (Triple(Resource("a"), ZETA, Resource("b")), 0.1),
+        (Triple(Resource("c"), ZETA, Resource("d")), 0.2),
+        (Triple(Resource("e"), ZETA, Resource("f")), 0.3),
+        (Triple(Resource("g"), ALPHA, Resource("h")), 0.6),
+    ]
+
+    @staticmethod
+    def _store(order, live: bool) -> TripleStore:
+        """The statements in ``order``; with ``live``, all but the first
+        arrive in the frozen store's delta."""
+        store = TripleStore()
+        for index, (triple, confidence) in enumerate(order):
+            if live and index == 1:
+                store.freeze()
+            store.add(triple, confidence=confidence)
+        return store if store.is_frozen else store.freeze()
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_masses_and_predicate_order_do_not_depend_on_arrival(self, live):
+        seen = set()
+        for order in permutations(self.STATEMENTS):
+            store = self._store(order, live)
+            stats = StoreStatistics(store)
+            seen.add(
+                (
+                    stats.predicate_mass(self.ZETA),
+                    stats.predicate_mass(self.ALPHA),
+                    tuple(stats.predicates()),
+                )
+            )
+        assert seen == {(0.6, 0.6, (self.ALPHA, self.ZETA))}

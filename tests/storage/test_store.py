@@ -142,18 +142,9 @@ class TestLookup:
 
 
 class TestCounts:
-    def test_token_vs_kg_split(self, frozen_small_store):
-        store = frozen_small_store
-        assert store.num_token_triples() == 3
-        assert store.num_kg_triples() == len(store) - 3
-
     def test_total_observations(self, frozen_small_store):
         total = frozen_small_store.total_observations()
         assert total > len(frozen_small_store) - 3  # counts and confidences
-
-    def test_terms_of_kind(self, frozen_small_store):
-        tokens = frozen_small_store.terms_of_kind("token")
-        assert TextToken("lectured at") in tokens
 
     def test_record_bad_id(self, frozen_small_store):
         with pytest.raises(StorageError):
