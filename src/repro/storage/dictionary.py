@@ -91,6 +91,10 @@ class TermDictionary:
         kept ids).  Costs the keys computed, not the dictionary."""
         self._sort_keys = dict(other._sort_keys)
 
+    def ids_of_kind(self, kind: str) -> list[int]:
+        """All ids whose term has the given kind ('resource', 'token', ...)."""
+        return [i for i, term in enumerate(self._id_to_term) if term.kind == kind]
+
 
 class LazyTermDictionary(TermDictionary, LazilyBuilt):
     """A dictionary whose term table decodes on first use.
@@ -149,3 +153,7 @@ class LazyTermDictionary(TermDictionary, LazilyBuilt):
     def decoder(self) -> Callable[[int], Term]:
         self._ensure()
         return super().decoder()
+
+    def ids_of_kind(self, kind: str) -> list[int]:
+        self._ensure()
+        return super().ids_of_kind(kind)

@@ -646,7 +646,4 @@ class _CombinedWeights:
         return self._base + len(self._delta)
 
     def __iter__(self) -> Iterator[float]:
-        yield from self._frozen
-        delta = self._delta
-        for triple_id in range(self._base, self._base + len(delta)):
-            yield delta.weight(triple_id)
+        return map(self.__getitem__, range(len(self)))

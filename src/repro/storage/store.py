@@ -491,16 +491,19 @@ class TripleStore:
             partials = self._weight_partials = exact_partials(
                 self._backend.frozen_weights
             )
-        delta = self._delta
-        if delta is None:
+        if self._delta is None:
             return math.fsum(partials)
-        base = len(self._triples)
-        return math.fsum(
-            chain(
-                partials,
-                map(delta.weight, range(base, base + len(self._delta_records))),
-            )
-        )
+        live = map(self._backend.weight, range(len(self._triples), len(self)))
+        return math.fsum(chain(partials, live))
+
+    def num_token_triples(self) -> int:
+        """Distinct triples with a token in any slot (the XKG extension part)."""
+        if not self._frozen:
+            return sum(1 for r in self._triples if r.triple.is_token_triple)
+        token_ids = set(self.dictionary.ids_of_kind("token"))
+        slot_ids = self._backend.slot_ids
+        ids = range(len(self))
+        return sum(not token_ids.isdisjoint(slot_ids(tid)) for tid in ids)
 
     # -- lookup ------------------------------------------------------------
 

@@ -68,8 +68,7 @@ class TestFigure4:
 class TestPaperStore:
     def test_sizes(self):
         store = paper_store()
-        tokens = [r for r in store.records() if r.triple.is_token_triple]
-        assert len(tokens) == 4
+        assert store.num_token_triples() == 4
         assert len(store) == 6 + 3 + 4  # Figure 1 + type assertions + tokens
 
     def test_queryable(self):

@@ -54,6 +54,14 @@ class TestTermDictionary:
         second = d.encode(TextToken("housed  in"))
         assert first == second
 
+    def test_ids_of_kind(self):
+        d = TermDictionary()
+        d.encode(Resource("A"))
+        d.encode(TextToken("a phrase"))
+        d.encode(Resource("B"))
+        assert d.ids_of_kind("resource") == [0, 2]
+        assert d.ids_of_kind("token") == [1]
+
     def test_iteration_order(self):
         d = TermDictionary()
         terms = [Resource("C"), Resource("A"), Resource("B")]

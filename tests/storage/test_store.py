@@ -142,6 +142,12 @@ class TestLookup:
 
 
 class TestCounts:
+    def test_token_vs_kg_split(self, frozen_small_store):
+        store = frozen_small_store
+        assert store.num_token_triples() == 3
+        kg = [r for r in store.records() if not r.triple.is_token_triple]
+        assert len(kg) == len(store) - 3
+
     def test_total_observations(self, frozen_small_store):
         total = frozen_small_store.total_observations()
         assert total > len(frozen_small_store) - 3  # counts and confidences
