@@ -130,7 +130,9 @@ class EngineConfig:
 def _same_term_ids(old: TripleStore, new: TripleStore) -> bool:
     """Whether ``new`` — ``old`` compacted — numbers every term as ``old``
     did.  Compaction keeps statement ids by construction; with term ids
-    equal too, whatever was indexed by id over ``old`` holds for ``new``."""
+    equal too, whatever was indexed by id over ``old`` holds for ``new``.
+    A generation's store starts from a copy of its parent's decoded term
+    table, so this compares two decoded tables and decodes neither."""
     return len(new) == len(old) and list(new.dictionary) == list(old.dictionary)
 
 

@@ -20,11 +20,18 @@ compacted generation, whose ids are local to the global range it starts
 at — and :mod:`repro.storage.snapshot` maps each one from its own
 container file.  Both classes swap released columns for :data:`_CLOSED`
 on close, so a use after close raises :class:`StorageError`.
+
+A restored segment may be listed by several stores at once — a compacted
+store keeps the segments its parent had already mapped
+(:mod:`repro.storage.compaction`) — so a segment counts the stores that
+hold it: :meth:`ColumnarBackend.share` adds one, :meth:`ColumnarBackend.close`
+drops one, and the last close releases the columns and the mapping.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from array import array
 from typing import Callable, NoReturn, Sequence
 
@@ -93,6 +100,9 @@ class ColumnarBackend:
         # Set by _restore: keeps a snapshot's mmap (or bytes) buffer alive
         # for as long as the views over it exist.
         self._buffer = None
+        # Stores listing this segment; the last close releases it.
+        self._holders = 1
+        self._holders_lock = threading.Lock()
 
     @classmethod
     def _restore(
@@ -128,6 +138,8 @@ class ColumnarBackend:
         backend._frozen = True
         backend._closed = False
         backend._buffer = buffer
+        backend._holders = 1
+        backend._holders_lock = threading.Lock()
         return backend
 
     @property
@@ -138,8 +150,18 @@ class ColumnarBackend:
     def closed(self) -> bool:
         return self._closed
 
+    def share(self) -> bool:
+        """Count one more store listing this segment; ``False`` (and no
+        count) once the segment is closed."""
+        with self._holders_lock:
+            if self._closed:
+                return False
+            self._holders += 1
+            return True
+
     def close(self) -> None:
-        """Release columns, permutation views and the snapshot buffer.
+        """Drop one holder; the last one releases columns, permutation
+        views and the snapshot buffer.
 
         For an mmap-restored backend this is the only way the mapping is
         ever unmapped: every retained memoryview over the mapped pages is
@@ -147,11 +169,16 @@ class ColumnarBackend:
         handed out before close (cursors of a still-live stream) keep the
         pages alive until they are garbage-collected — in that case the
         explicit unmap is deferred to GC rather than failing the close.
-        Further lookups raise :class:`StorageError`.  Idempotent.
+        Further lookups raise :class:`StorageError`.  A store closes each
+        segment it lists once; closing a closed segment does nothing.
         """
-        if self._closed:
-            return
-        self._closed = True
+        with self._holders_lock:
+            if self._closed:
+                return
+            self._holders -= 1
+            if self._holders:
+                return
+            self._closed = True
         views = [
             view
             for view in (

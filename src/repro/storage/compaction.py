@@ -17,11 +17,25 @@ Two folding strategies, chosen by where the store lives:
   contiguous global id range the delta owned, so its start offset is its
   whole id map.  The existing segment files are **hardlinked** (never
   copied, never rewritten) into a new ``generation-K`` directory next to
-  a freshly written manifest and the new segment's container, and the
-  root's ``CURRENT`` pointer is atomically swapped last.  A crash at any
+  the new segment's container and a manifest that extends the loaded
+  one — its terms and record metadata sections with the delta's appended
+  (:func:`~repro.storage.snapshot.generation_sections`) — and the root's
+  ``CURRENT`` pointer is atomically swapped last.  A crash at any
   earlier point leaves the previous generation untouched and active.
   Readers that opened the old generation keep it: their mmaps reference
   the old files, which the swap does not disturb.
+
+  The compacted store opens the new generation from its parent's state
+  (:func:`~repro.storage.snapshot.open_compacted`), so a fold costs its
+  delta, not the store: it starts from copies of the parent's decoded
+  term table and key map, and it **shares** every segment the parent has
+  already restored.  Only the new segment is mapped and restored again.
+  A shared segment's mapping belongs to every store listing it: each
+  store that closes drops its hold (:meth:`~repro.storage.columnar.
+  ColumnarBackend.close`, under the segment's lock), and the last one
+  unmaps it.  So a parent may close before or after its child, and a
+  stream pinned on either keeps its segments mapped until its store
+  closes.
 
 * **In-memory rebuild** (the fallback) — for stores with no backing
   directory.  :meth:`TripleStore.rebuild` re-adds every record in id order
@@ -49,17 +63,15 @@ rebuild, which re-sorts anyway, folds those weight changes in.
 from __future__ import annotations
 
 import shutil
-from array import array
 from pathlib import Path
 
 from repro.errors import StorageError
-from repro.storage.columnar import ID_TYPECODE, ColumnarBackend
+from repro.storage.columnar import ColumnarBackend
 from repro.storage.snapshot import (
-    _column_bytes,
     generation_dirname,
-    load_snapshot,
+    generation_sections,
+    open_compacted,
     parse_generation_dirname,
-    record_metadata,
     segment_filename,
     swap_current,
     write_manifest,
@@ -73,18 +85,17 @@ def compact_store(store: TripleStore) -> TripleStore:
 
     A store without a delta is returned unchanged.  Otherwise the result
     is a **new** store (the caller decides when the old one closes — the
-    engine keeps it open while pinned streams still read from it): loaded
-    from a freshly written snapshot generation when the store came from a
-    directory snapshot, rebuilt in memory otherwise.
+    engine keeps it open while pinned streams still read from it): a
+    freshly written snapshot generation, opened from ``store``'s decoded
+    state, when the store came from a directory snapshot; rebuilt in
+    memory otherwise.
     """
     if not store.is_frozen:
         raise StorageError("Only frozen stores can be compacted")
     if not store.has_delta:
         return store
-    backend = store.backend
-    if backend.snapshot_root is not None:
-        write_generation(store)
-        return load_snapshot(backend.snapshot_root)
+    if store.backend.snapshot_root is not None:
+        return open_compacted(store, *write_generation(store))
     return store.rebuild()
 
 
@@ -136,6 +147,8 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
             "Generation writes need a store loaded from a directory "
             "snapshot — use compact_store() for in-memory stores"
         )
+    if store.closed:
+        raise StorageError("Store is closed")
     if not store.has_delta:
         raise StorageError("Nothing to compact: the store has no delta segment")
     root = Path(backend.snapshot_root)
@@ -152,18 +165,12 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
         _link_or_copy(source_dir / filename, gen_dir / filename)
     write_segment(gen_dir, store.name, new_index, segment)
 
-    sections = {
-        "weights": _column_bytes(backend._weights) + _column_bytes(segment._weights),
-        # Counts come from the records, not the old column: duplicate
-        # evidence for frozen statements bumps record counts that the old
-        # column predates.
-        "counts": array(
-            ID_TYPECODE,
-            [count for count, _confidence, _prov in record_metadata(store)],
-        ).tobytes(),
-    }
+    weights = b"".join((backend.frozen_weights, segment._weights))
     write_manifest(
-        gen_dir, store, sections, backend.segment_sizes() + [store.delta_size]
+        gen_dir,
+        store,
+        generation_sections(store, weights),
+        backend.segment_sizes() + [store.delta_size],
     )
     if swap:
         swap_current(root, generation)

@@ -91,6 +91,16 @@ class TermDictionary:
         kept ids).  Costs the keys computed, not the dictionary."""
         self._sort_keys = dict(other._sort_keys)
 
+    def copy(self) -> "TermDictionary":
+        """A dictionary numbering every term as this one does, with the
+        tie keys computed so far: what a compaction's result starts from.
+        Costs the table, not a decode."""
+        clone = TermDictionary()
+        clone._term_to_id = dict(self._term_to_id)
+        clone._id_to_term = list(self._id_to_term)
+        clone._sort_keys = dict(self._sort_keys)
+        return clone
+
     def ids_of_kind(self, kind: str) -> list[int]:
         """All ids whose term has the given kind ('resource', 'token', ...)."""
         return [i for i, term in enumerate(self._id_to_term) if term.kind == kind]
@@ -153,6 +163,10 @@ class LazyTermDictionary(TermDictionary, LazilyBuilt):
     def decoder(self) -> Callable[[int], Term]:
         self._ensure()
         return super().decoder()
+
+    def copy(self) -> TermDictionary:
+        self._ensure()
+        return super().copy()
 
     def ids_of_kind(self, kind: str) -> list[int]:
         self._ensure()

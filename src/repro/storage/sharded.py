@@ -35,7 +35,10 @@ sized by :attr:`~repro.storage.store.TripleStore.merge_batch`
 Snapshot-restored backends (:mod:`repro.storage.snapshot`) keep their
 segments: each segment's columns arrive as a lazy loader over its own
 mapped file, materialised on first touch — or all at once via
-:meth:`load_segments`.
+:meth:`load_segments`.  A compacted store lists its parent's segments
+first and starts from the ones the parent had already materialised
+(:meth:`ShardedBackend.adopt_segments`); a segment held by several stores
+is released by the last one to close.
 """
 
 from __future__ import annotations
@@ -393,10 +396,11 @@ class ShardedBackend:
             for view in (self._weights, self._counts)
             if isinstance(view, memoryview)
         ]
-        for segment in self._segments:
+        with self._load_lock:
+            segments, self._segments = self._segments, _CLOSED
+        for segment in segments:
             if segment is not None:
                 segment.close()
-        self._segments = _CLOSED
         self._weights = _CLOSED
         self._counts = _CLOSED
         for view in views:
@@ -444,6 +448,31 @@ class ShardedBackend:
                     segment = self._segment_loaders[index]()
                     self._segments[index] = segment
         return segment
+
+    def adopt_segments(self, parent: "ShardedBackend") -> None:
+        """Start from the segments ``parent`` has already materialised.
+
+        ``parent``'s segments must be this backend's leading ones (a
+        compaction appends after them).  Each one loaded there is shared
+        — this backend becomes one more holder, so the mapping stays until
+        both have closed — instead of being mapped and restored again; one
+        ``parent`` has not loaded, or has closed meanwhile, stays lazy.
+        """
+        with parent._load_lock:
+            held = parent._segments
+            loaded = [] if held is _CLOSED else list(held)
+        if len(loaded) >= len(self._starts):
+            raise StorageError(
+                "A compacted store lists more segments than its parent"
+            )
+        with self._load_lock:
+            for index, segment in enumerate(loaded):
+                if (
+                    segment is not None
+                    and self._segments[index] is None
+                    and segment.share()
+                ):
+                    self._segments[index] = segment
 
     def load_segments(self) -> None:
         """Materialise every lazy segment."""
@@ -555,24 +584,6 @@ class ShardedBackend:
         if self._delta is not None:
             values.update(self._delta.slot_values(sig, key, slot))
         return values
-
-    def distinct_keys(self, bound_slots: Sequence[bool]) -> list[tuple[int, ...]]:
-        if self._closed:
-            raise StorageError("Storage backend is closed")
-        if not self._frozen:
-            raise StorageError("Backend must be frozen before lookup")
-        sig = signature_of(bound_slots)
-        if not sig:
-            raise StorageError("The scan signature has no keys")
-        # Walk global ids so keys come out in first-occurrence order
-        # whatever the segments.  Delta ids sit densely above the frozen
-        # ids, so delta-only keys land last in delta insertion order — the
-        # fresh-build order too.
-        seen: dict[tuple[int, ...], None] = {}
-        for triple_id in range(len(self)):
-            spo = self.slot_ids(triple_id)
-            seen[tuple(spo[slot] for slot in sig)] = None
-        return list(seen)
 
     def slot_ids(self, triple_id: int) -> tuple[int, int, int]:
         if self._delta is not None and triple_id >= self._size:

@@ -210,12 +210,12 @@ def _columnar_sections(backend: ColumnarBackend) -> dict[str, bytes]:
     return sections
 
 
+def _encoded_provenances(record: StoredTriple) -> list:
+    return [encode_provenance(p) for p in record.provenances]
+
+
 def _metadata(record: StoredTriple) -> tuple[int, float, list]:
-    return (
-        record.count,
-        record.confidence,
-        [encode_provenance(p) for p in record.provenances],
-    )
+    return record.count, record.confidence, _encoded_provenances(record)
 
 
 def record_metadata(store: TripleStore) -> list[tuple[int, float, list]]:
@@ -233,20 +233,75 @@ def record_metadata(store: TripleStore) -> list[tuple[int, float, list]]:
     return head + [_metadata(record) for record in store._delta_records]
 
 
-def _metadata_sections(store: TripleStore) -> dict[str, bytes]:
-    """The manifest's term dictionary and per-record metadata sections."""
-    metadata = record_metadata(store)
+def _json_list(items: list) -> bytes:
+    return json.dumps(items, ensure_ascii=False).encode("utf-8")
+
+
+def _extend_json_list(head: memoryview, items: list) -> bytes:
+    """``head`` — a list :func:`_json_list` wrote — with ``items``
+    appended: byte for byte what :func:`_json_list` writes for the whole."""
+    if not items:
+        return bytes(head)
+    tail = _json_list(items)
+    if len(head) == 2:  # "[]"
+        return tail
+    return b"".join((head[:-1], b", ", tail[1:]))
+
+
+def _encoded_sections(
+    store: TripleStore, metadata: list[tuple[int, float, list]]
+) -> dict[str, bytes]:
+    """The term dictionary and the per-record ``prov`` and ``confidence``
+    sections, encoded in full from ``metadata`` (:func:`record_metadata`)."""
     return {
-        "terms": json.dumps(
-            [encode_term(term) for term in store.dictionary], ensure_ascii=False
-        ).encode("utf-8"),
-        "prov": json.dumps(
-            [provenances for _count, _confidence, provenances in metadata],
-            ensure_ascii=False,
-        ).encode("utf-8"),
+        "terms": _json_list([encode_term(term) for term in store.dictionary]),
+        "prov": _json_list([prov for _count, _confidence, prov in metadata]),
         "confidence": array(
             WEIGHT_TYPECODE, [confidence for _count, confidence, _prov in metadata]
         ).tobytes(),
+    }
+
+
+def generation_sections(store: TripleStore, weights: bytes) -> dict[str, bytes]:
+    """The manifest sections of ``store``'s next generation, whose global
+    sort-weight column is ``weights``.
+
+    The generation the store was loaded from already holds the terms and
+    the frozen records' metadata, so the new manifest is its sections
+    with the terms and the delta's records appended: the bytes a full
+    encode writes, for the cost of the delta.  Only once a frozen record
+    has gained evidence since the load does its metadata differ from the
+    loaded sections; then every record's metadata is read, in one pass,
+    and every section encoded in full.
+    """
+    frozen = store._triples
+    if store._frozen_records_changed or not isinstance(frozen, _SnapshotRecords):
+        metadata = record_metadata(store)
+        # Counts come from the records, not the loaded column: duplicate
+        # evidence for frozen statements bumps record counts that the
+        # column predates.
+        counts = array(ID_TYPECODE, [count for count, _conf, _prov in metadata])
+        return {
+            **_encoded_sections(store, metadata),
+            "weights": weights,
+            "counts": counts.tobytes(),
+        }
+    parent = frozen.manifest
+    delta = store._delta_records
+    decode = store.dictionary.decoder()
+    terms = range(parent.header["terms"], len(store.dictionary))
+    confidences = array(WEIGHT_TYPECODE, [record.confidence for record in delta])
+    counts = array(ID_TYPECODE, [record.count for record in delta])
+    return {
+        "terms": _extend_json_list(
+            parent.view("terms"), [encode_term(decode(i)) for i in terms]
+        ),
+        "prov": _extend_json_list(
+            parent.view("prov"), [_encoded_provenances(record) for record in delta]
+        ),
+        "confidence": b"".join((parent.view("confidence"), confidences)),
+        "weights": weights,
+        "counts": b"".join((parent.view("counts"), counts)),
     }
 
 
@@ -323,8 +378,8 @@ def write_manifest(
     segment_sizes: list[int],
 ) -> int:
     """Write the manifest of ``len(segment_sizes)`` segments into
-    ``directory``: ``sections`` are the global weight and count columns,
-    joined here by the term dictionary and record metadata of ``store``.
+    ``directory``: ``sections`` are ``store``'s term dictionary, record
+    metadata and global weight and count columns, in that order.
     Segment ``i`` starts at the sum of the sizes before it."""
     segments = []
     start = 0
@@ -335,7 +390,7 @@ def write_manifest(
         start += size
     return _write_container(
         directory / MANIFEST_NAME,
-        {**_metadata_sections(store), **sections},
+        sections,
         {
             "version": FORMAT_VERSION,
             "kind": "manifest",
@@ -386,6 +441,7 @@ def save_snapshot(store: TripleStore, path: str | Path) -> int:
         for index in range(backend.segment_count())
     )
     sections = {
+        **_encoded_sections(store, record_metadata(store)),
         "weights": _column_bytes(backend._weights),
         "counts": _column_bytes(backend._counts),
     }
@@ -450,6 +506,7 @@ class _Container:
 
     def __init__(self, path: Path, *, map_file: bool = True):
         self.path = Path(path)
+        self.mapped = map_file
         if not self.path.exists():
             raise PersistenceError(f"No such file: {self.path}")
         if map_file:
@@ -474,11 +531,15 @@ class _Container:
         """Container role: "manifest" or "segment"."""
         return self.header.get("kind")
 
-    def discard(self) -> None:
-        """Release the mapping of a container that will not be adopted."""
+    def release_views(self) -> None:
+        """Stop handing out section views; the buffer stays with its owner."""
         base, self.base = getattr(self, "base", None), None
         if base is not None:
             base.release()
+
+    def discard(self) -> None:
+        """Release the mapping of a container that will not be adopted."""
+        self.release_views()
         buffer, self.buffer = self.buffer, None
         if buffer is not None and hasattr(buffer, "close"):
             try:
@@ -594,29 +655,37 @@ class _Container:
 class _SnapshotRecords(Sequence):
     """Per-triple :class:`StoredTriple` records, materialised on demand.
 
-    Everything a record needs is already in the mapped sections: term ids
-    come from the backend columns, counts and bit-exact confidences from
-    their own columns, provenance samples from the ``prov`` JSON blob —
-    which itself is parsed only when the first record is materialised.
-    Materialised records are cached, so repeated ``store.record(tid)`` calls
-    return the same object (explanations hold on to them).
+    Everything a record needs is already in the mapped sections of the
+    ``manifest``: term ids come from the backend columns, counts and
+    bit-exact confidences from their own columns, provenance samples from
+    the ``prov`` JSON blob — which itself is parsed only when the first
+    record is materialised, unless ``prov`` hands it over parsed (a
+    compaction's result inherits its parent's).  Materialised records are
+    cached, so repeated ``store.record(tid)`` calls return the same object
+    (explanations hold on to them).  The manifest stays reachable
+    (:attr:`manifest`) for the next generation to extend.
     """
 
     def __init__(
         self,
         dictionary: TermDictionary,
         backend,
-        counts,
-        confidences,
-        prov_raw: memoryview,
+        manifest: _Container,
         n: int,
+        prov: list | None = None,
     ):
+        confidences = manifest.doubles("confidence")
+        if len(confidences) != n:
+            raise PersistenceError(
+                f"Header declares {n} triples but the confidence column disagrees"
+            )
         self._dictionary = dictionary
         self._backend = backend
-        self._counts = counts
+        self._manifest: _Container | None = manifest
+        self._counts = manifest.ids("counts")
         self._confidences = confidences
-        self._prov_raw = prov_raw
-        self._prov: list | None = None
+        self._prov_raw = manifest.view("prov")
+        self._prov = prov
         self._n = n
         self._cache: list[StoredTriple | None] = [None] * n
         self._lock = threading.Lock()
@@ -630,6 +699,19 @@ class _SnapshotRecords(Sequence):
         with self._lock:
             return sum(1 for record in self._cache if record is not None)
 
+    @property
+    def manifest(self) -> _Container:
+        """The mapped manifest these records were read from."""
+        manifest = self._manifest
+        if manifest is None:
+            raise StorageError("Store is closed")
+        return manifest
+
+    @property
+    def parsed_provenances(self) -> list | None:
+        """The ``prov`` table, if something has parsed it."""
+        return self._prov
+
     def release(self) -> None:
         """Drop the mapped views (store close).  Cached records stay valid;
         records never materialised raise :class:`StorageError` afterwards
@@ -638,6 +720,9 @@ class _SnapshotRecords(Sequence):
             if isinstance(view, memoryview):
                 view.release()
         self._prov_raw = self._counts = self._confidences = None
+        manifest, self._manifest = self._manifest, None
+        if manifest is not None:
+            manifest.release_views()
 
     def _provenances(self) -> list:
         prov = self._prov
@@ -770,26 +855,6 @@ def _lazy_dictionary(container: _Container) -> LazyTermDictionary:
     return LazyTermDictionary(populate_terms)
 
 
-def _assemble_store(
-    container: _Container, backend, dictionary: TermDictionary
-) -> TripleStore:
-    """Finish a load: lazy records, adopt the backend and dictionary."""
-    header = container.header
-    n = header["triples"]
-    confidences = container.doubles("confidence")
-    if len(confidences) != n:
-        raise PersistenceError(
-            f"Header declares {n} triples but the confidence column disagrees"
-        )
-    prov_raw = container.view("prov")
-    records = _SnapshotRecords(
-        dictionary, backend, container.ids("counts"), confidences, prov_raw, n
-    )
-    return TripleStore._adopt_frozen(
-        header.get("name", "XKG"), dictionary, records, None, backend
-    )
-
-
 def load_snapshot(path: str | Path, *, map_file: bool = True) -> TripleStore:
     """Load a snapshot directory written by :func:`save_snapshot`.
 
@@ -828,6 +893,57 @@ def load_snapshot(path: str | Path, *, map_file: bool = True) -> TripleStore:
             "load the directory instead"
         )
     root, gen_dir, generation = resolve_generation(path)
+    return _open_generation(root, gen_dir, generation, map_file)
+
+
+def open_compacted(
+    parent: TripleStore, gen_dir: Path, generation: int
+) -> TripleStore:
+    """The store of generation ``generation`` (at ``gen_dir``), which
+    :func:`~repro.storage.compaction.write_generation` has just written
+    from ``parent``: the generation :func:`load_snapshot` would open,
+    started from what ``parent`` has already decoded.
+
+    It shares every segment ``parent`` has restored (each mapping closes
+    with the last store listing it) and restores only the new one; it
+    starts from a copy of ``parent``'s term table and key map, and from
+    its parsed provenance table when the new manifest extends the loaded
+    one.  ``parent`` stays open and unchanged.
+    """
+    frozen = parent._triples
+    if parent.closed or not isinstance(frozen, _SnapshotRecords):
+        raise StorageError("A generation's parent must be an open loaded store")
+    prov = frozen.parsed_provenances
+    if prov is not None and not parent._frozen_records_changed:
+        prov = prov + [_encoded_provenances(r) for r in parent._delta_records]
+    else:
+        prov = None
+    by_key = parent._by_key
+    return _open_generation(
+        Path(parent.backend.snapshot_root),
+        gen_dir,
+        generation,
+        frozen.manifest.mapped,
+        parent=parent.backend,
+        dictionary=parent.dictionary.copy(),
+        prov=prov,
+        by_key=None if by_key is None else dict(by_key),
+    )
+
+
+def _open_generation(
+    root: Path,
+    gen_dir: Path,
+    generation: int,
+    map_file: bool,
+    *,
+    parent: ShardedBackend | None = None,
+    dictionary: TermDictionary | None = None,
+    prov: list | None = None,
+    by_key: dict | None = None,
+) -> TripleStore:
+    """Open the generation at ``gen_dir``; a compaction's result hands in
+    its ``parent``'s backend and decoded state (:func:`open_compacted`)."""
     manifest_path = gen_dir / MANIFEST_NAME
     if not manifest_path.exists():
         raise PersistenceError(
@@ -851,15 +967,16 @@ def load_snapshot(path: str | Path, *, map_file: bool = True) -> TripleStore:
                 "save_snapshot the reloaded store with this one"
             )
         segments = _segment_table(manifest)
+        n = header["triples"]
         weights = manifest.doubles("weights")
         counts = manifest.ids("counts")
-        if not len(weights) == len(counts) == header["triples"]:
+        if not len(weights) == len(counts) == n:
             raise PersistenceError(
-                f"Header declares {header['triples']} triples but the global "
+                f"Header declares {n} triples but the global "
                 f"columns disagree: {manifest_path}"
             )
-
-        dictionary = _lazy_dictionary(manifest)
+        if dictionary is None:
+            dictionary = _lazy_dictionary(manifest)
         backend = ShardedBackend._restore(
             starts=[start for _file, start, _size in segments],
             weights=weights,
@@ -874,10 +991,15 @@ def load_snapshot(path: str | Path, *, map_file: bool = True) -> TripleStore:
             generation=generation,
             sort_key=dictionary.sort_key,
         )
-        return _assemble_store(manifest, backend, dictionary)
+        records = _SnapshotRecords(dictionary, backend, manifest, n, prov)
+        if parent is not None:
+            backend.adopt_segments(parent)
     except Exception:
         manifest.discard()
         raise
+    return TripleStore._adopt_frozen(
+        header.get("name", "XKG"), dictionary, records, by_key, backend
+    )
 
 
 def _load_segment(

@@ -129,6 +129,10 @@ class TripleStore:
         self._weight_partials: list[float] | None = None
         self._delta_records: list[StoredTriple] = []
         self._delta: DeltaSegment | None = None
+        # Whether a frozen record has gained evidence since the store was
+        # frozen or loaded: its metadata then differs from what the
+        # snapshot it was loaded from holds.
+        self._frozen_records_changed = False
 
     @classmethod
     def _adopt_frozen(
@@ -163,6 +167,7 @@ class TripleStore:
         store._weight_partials = None
         store._delta_records = []
         store._delta = None
+        store._frozen_records_changed = False
         return store
 
     def _require_by_key(self) -> dict[tuple[int, int, int], int]:
@@ -254,6 +259,8 @@ class TripleStore:
                 # Delta statements re-sort live; frozen ones keep their
                 # frozen sort weight until compaction (documented above).
                 self._delta.update(existing, record.weight, record.count)
+            else:
+                self._frozen_records_changed = True
             self._pattern_total_cache.clear()
             return existing
         delta = self._delta

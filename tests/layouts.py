@@ -9,7 +9,8 @@
 
 Import as ``from layouts import ...`` (``tests/`` is on ``sys.path``
 through its ``conftest.py``); tests taking a ``layout`` argument run once
-per :data:`LAYOUTS` (see ``tests/conftest.py``).
+per :data:`LAYOUTS` (see ``tests/conftest.py``).  :func:`distinct_keys`
+enumerates the keys a store's lookups can be asked for.
 """
 
 from __future__ import annotations
@@ -17,10 +18,24 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.storage.compaction import compact_store
+from repro.storage.index import signature_of
 from repro.storage.snapshot import load_snapshot, save_snapshot
 from repro.storage.store import StoredTriple, TripleStore
 
 LAYOUTS = ("fresh", "generational")
+
+
+def distinct_keys(backend, bound_slots) -> list[tuple[int, ...]]:
+    """The keys on ``bound_slots``' signature that ``backend``'s statements
+    hold, in first-occurrence order over global ids — delta-only keys
+    last, in arrival order, as a fresh build orders them."""
+    sig = signature_of(bound_slots)
+    slot_ids = backend.slot_ids
+    return list(
+        dict.fromkeys(
+            tuple(slot_ids(tid)[slot] for slot in sig) for tid in range(len(backend))
+        )
+    )
 
 
 def _replay(store: TripleStore, records: list[StoredTriple]) -> None:

@@ -138,7 +138,7 @@ def test_generational_postings_equal_the_fresh_build(tmp_path_factory, entries, 
     """Base segment + two compacted generations + live delta merge back to
     the exact posting lists of one fresh segment: every signature, every
     key, item-at-a-time and adaptively pulled."""
-    from layouts import generational_copy
+    from layouts import distinct_keys, generational_copy
     from repro.storage.index import SIGNATURES
 
     fresh = build_store(entries)
@@ -154,9 +154,9 @@ def test_generational_postings_equal_the_fresh_build(tmp_path_factory, entries, 
         assert generational.has_delta
     for sig in SIGNATURES:
         bound = [slot in sig for slot in range(3)]
-        keys = fresh.backend.distinct_keys(bound) if sig else [()]
+        keys = distinct_keys(fresh.backend, bound) if sig else [()]
         if sig:
-            assert generational.backend.distinct_keys(bound) == keys
+            assert distinct_keys(generational.backend, bound) == keys
         for key in keys:
             merged = generational.backend.postings(bound, key)
             if batch == 1:
@@ -202,6 +202,7 @@ def _add_rows(store, rows):
 def assert_canonical_order(store) -> None:
     """Every posting list of every signature, and the scan, in (weight desc,
     tie key asc, id asc) order — the tie key being the terms' sort keys."""
+    from layouts import distinct_keys
     from repro.storage.index import SIGNATURES
 
     sort_key = store.dictionary.sort_key
@@ -217,7 +218,7 @@ def assert_canonical_order(store) -> None:
     assert list(backend.postings([False] * 3, ())) == canonical(range(len(store)))
     for sig in SIGNATURES:
         bound = [slot in sig for slot in range(3)]
-        for key in backend.distinct_keys(bound):
+        for key in distinct_keys(backend, bound):
             matching = [
                 tid for tid in range(len(store))
                 if tuple(spo[tid][slot] for slot in sig) == key

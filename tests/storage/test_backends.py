@@ -184,21 +184,6 @@ class TestPostingOrder:
             assert store.weight(tid) == record.weight
             assert store.backend.count(tid) == record.count
 
-    def test_distinct_keys_in_first_occurrence_order(self, relayout):
-        store = _sample_store(relayout)
-        for bound in ([True, False, False], [False, True, False], [True, True, False]):
-            expected = list(
-                dict.fromkeys(
-                    tuple(
-                        slot
-                        for slot, is_bound in zip(store.spo_ids(tid), bound)
-                        if is_bound
-                    )
-                    for tid in range(len(store))
-                )
-            )
-            assert store.backend.distinct_keys(bound) == expected, bound
-
     def test_postings_ids_matches_sorted_ids(self, relayout):
         store = _sample_store(relayout)
         born = store.dictionary.id_of(Resource("bornIn"))
@@ -362,11 +347,6 @@ class TestCountConformance:
 
 
 class TestScanSignatureContract:
-    def test_distinct_keys_scan_raises_storage_error(self, relayout):
-        store = _sample_store(relayout)
-        with pytest.raises(StorageError):
-            store.backend.distinct_keys([False, False, False])
-
     def test_columnar_scan_rejects_a_key(self):
         segment = ColumnarBackend()
         segment.insert(0, (1, 2, 3))

@@ -7,17 +7,24 @@ after close raises :class:`StorageError` on either store layout,
 in-memory or mapped.
 """
 
+import gc
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro.core.engine import EngineConfig, TriniT
 from repro.core.terms import Resource
 from repro.core.triples import Triple, TriplePattern
 from repro.core.terms import Variable
 from repro.errors import StorageError
+from repro.storage.columnar import ColumnarBackend
 from repro.storage.compaction import compact_store
+from repro.storage.index import SIGNATURES
 from repro.storage.snapshot import load_snapshot, save_snapshot
 from repro.storage.store import TripleStore
+
+from layouts import distinct_keys
 
 
 def build_store():
@@ -56,8 +63,6 @@ class TestBackendClose:
             inner.weight(0)
         with pytest.raises(StorageError):
             inner.count(0)
-        with pytest.raises(StorageError):
-            inner.distinct_keys((False, True, False))
 
     def test_records_stay_readable(self, relayout):
         # Materialised answers keep rendering after close: the distinct
@@ -128,3 +133,159 @@ class TestSnapshotClose:
             original.sorted_ids(pattern)
         )
         loaded.close()
+
+
+def _lookups(store) -> dict:
+    """Every posting list of every signature, the scan, and the records."""
+    backend = store.backend
+    out = {("scan",): list(backend.postings([False] * 3, ()))}
+    for sig in SIGNATURES:
+        bound = [slot in sig for slot in range(3)]
+        for key in distinct_keys(backend, bound):
+            out[(sig, key)] = list(backend.postings(bound, key))
+    out["records"] = [
+        (r.triple, r.count, r.confidence, r.provenances) for r in store.records()
+    ]
+    return out
+
+
+def _wide_snapshot(root: Path) -> Path:
+    store = TripleStore()
+    for i in range(60):
+        store.add(
+            Triple(Resource(f"E{i % 11}"), Resource(f"p{i % 3}"), Resource(f"F{i % 7}")),
+            confidence=0.05 + (i % 13) / 14,
+        )
+    save_snapshot(store.freeze(), root)
+    store.close()
+    return root
+
+
+def _live_rows(tag: str) -> list[Triple]:
+    return [
+        Triple(Resource(f"{tag}{i}"), Resource(f"p{i % 3}"), Resource("F1"))
+        for i in range(3)
+    ]
+
+
+class TestSharedSegments:
+    """A compacted store shares the segments its parent had restored; the
+    last store listing a segment unmaps it."""
+
+    @pytest.fixture()
+    def family(self, tmp_path):
+        root = _wide_snapshot(tmp_path / "store.snapd")
+        parent = load_snapshot(root)
+        parent.backend.load_segments()
+        for triple in _live_rows("N"):
+            parent.add(triple)
+        child = compact_store(parent)
+        yield root, parent, child
+        child.close()
+        parent.close()
+
+    def test_the_child_lists_the_parents_restored_segment(self, family):
+        _root, parent, child = family
+        shared = parent.backend._segment(0)
+        assert child.backend._segment(0) is shared
+        assert child.backend.loaded_segments() == [0]
+
+    @pytest.mark.parametrize("first", ["parent", "child"])
+    def test_either_closes_first_and_the_other_answers(self, family, first):
+        root, parent, child = family
+        stays = child if first == "parent" else parent
+        expected = _lookups(stays)
+        shared = parent.backend._segment(0)
+        (parent if first == "parent" else child).close()
+        assert not shared.closed and shared._buffer is not None
+        assert _lookups(stays) == expected
+        if stays is child:
+            reopened = load_snapshot(root)
+            assert _lookups(reopened) == expected
+            reopened.close()
+        stays.close()
+        assert shared.closed and shared._buffer is None
+
+    def test_a_closed_parents_segments_stay_lazy(self, tmp_path):
+        root = _wide_snapshot(tmp_path / "store.snapd")
+        parent = load_snapshot(root)
+        parent.backend.load_segments()
+        parent.add(_live_rows("N")[0])
+        closed_first = parent.backend._segment(0)
+        closed_first.close()  # as if the parent's last holder had gone
+        child = compact_store(parent)
+        assert child.backend.loaded_segments() == []
+        assert child.backend._segment(0) is not closed_first
+        assert len(child.sorted_ids(TriplePattern(Variable("x"), Resource("p1"), Variable("y"))))
+        child.close()
+        parent.close()
+
+    def test_engine_close_with_a_stream_pinned_on_the_parent(
+        self, tmp_path, monkeypatch
+    ):
+        """Every store closes once, every segment unmaps once, and the
+        pinned stream fails loudly."""
+        root = _wide_snapshot(tmp_path / "store.snapd")
+        stores, segments = [], []
+        close_store, close_segment = TripleStore.close, ColumnarBackend.close
+
+        def record_store(store):
+            if not store.closed:
+                stores.append(store)
+            close_store(store)
+
+        def record_segment(segment):
+            was_open = not segment.closed
+            close_segment(segment)
+            if was_open and segment.closed:
+                segments.append(segment)
+
+        monkeypatch.setattr(TripleStore, "close", record_store)
+        monkeypatch.setattr(ColumnarBackend, "close", record_segment)
+        engine = TriniT.open(root, config=EngineConfig(merge_batch=1))
+        try:
+            stream = engine.stream("?x ?p ?y")
+            assert stream.next_k(2)
+            parent = engine.store
+            for fold, tag in enumerate("NM", start=1):
+                engine.ingest(_live_rows(tag))
+                assert engine.compact() == fold
+                assert engine.ask("?x p1 ?y").answers
+            child = engine.store
+            assert child.backend._segment(0) is parent.backend._segment(0)
+            assert child.backend.loaded_segments() == [0, 1, 2]
+            assert not parent.closed  # the stream still reads it
+            engine.close()
+            # Parent, the generation between and the child, once each.
+            assert len(stores) == len(set(map(id, stores))) == 3
+            assert parent in stores and child in stores
+            # Each segment is unmapped once, by the last store to close.
+            assert len(segments) == len(set(map(id, segments))) == 3
+            with pytest.raises(StorageError):
+                stream.next_k(5)
+        finally:
+            engine.close()
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/self/maps"
+    )
+    def test_no_mapping_under_the_root_outlives_close(self, tmp_path):
+        root = _wide_snapshot(tmp_path / "store.snapd").resolve()
+        config = EngineConfig(executor_kind="serial", compaction_threshold=2)
+        engine = TriniT.open(root, config=config)
+        stream = engine.stream("?x ?p ?y")
+        stream.next_k(3)
+        for tag in "NMK":
+            engine.ingest(_live_rows(tag))
+            engine.ask("?x p1 ?y")
+        assert engine.generation == 3
+        backend = engine.store.backend
+        # Held past close: only an explicit unmap, not collection, frees them.
+        segments = [backend._segment(i) for i in range(backend.segment_count())]
+        assert str(root) in Path("/proc/self/maps").read_text()
+        engine.close()
+        del stream
+        gc.collect()
+        assert all(segment.closed for segment in segments)
+        assert str(root) not in Path("/proc/self/maps").read_text()
+

@@ -19,11 +19,14 @@ from repro.core.terms import Resource, Variable
 from repro.core.triples import Provenance, Triple, TriplePattern
 from repro.errors import PersistenceError, StorageError, TrinitError
 from repro.scoring.language_model import PatternScorer
+import repro.core.engine as engine_module
+from repro.storage import snapshot as snapshot_module
 from repro.storage.compaction import (
     compact_store,
     next_generation_number,
     write_generation,
 )
+from repro.storage.dictionary import LazyTermDictionary
 from repro.storage.index import SIGNATURES
 from repro.storage.snapshot import (
     CURRENT_NAME,
@@ -36,6 +39,8 @@ from repro.storage.snapshot import (
     swap_current,
 )
 from repro.storage.store import TripleStore
+
+from layouts import distinct_keys
 
 X, Y = Variable("x"), Variable("y")
 
@@ -67,7 +72,7 @@ def _postings_by_key(store):
     out = {}
     for sig in SIGNATURES:
         bound = [slot in sig for slot in range(3)]
-        for key in backend.distinct_keys(bound):
+        for key in distinct_keys(backend, bound):
             out[(sig, key)] = list(backend.postings(bound, key))
     out[("scan",)] = list(backend.postings([False, False, False], ()))
     return out
@@ -671,4 +676,160 @@ class TestEngineLifecycle:
         finally:
             proceed.set()
             engine.close()
+
+
+def _counting(monkeypatch, owner, name):
+    """Patch ``owner.name`` to log the first argument of every call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _serial_config(**kwargs):
+    return EngineConfig(
+        executor_kind="serial",
+        merge_batch=1,
+        mine_arg_overlap=False,
+        mine_chains=False,
+        mine_inversions=False,
+        **kwargs,
+    )
+
+
+class TestAFoldCostsItsDelta:
+    """Counted, not timed: what a fold decodes, restores and rebuilds."""
+
+    def test_each_engine_fold_restores_only_the_new_segment(
+        self, snapshot_root, monkeypatch
+    ):
+        restored = _counting(
+            monkeypatch, snapshot_module._Container, "restore_columnar"
+        )
+        with TriniT.open(
+            snapshot_root, config=_serial_config(compaction_threshold=2)
+        ) as engine:
+            engine.ask("?x ?p ?y", k=5)
+            assert [c.path.name for c in restored] == [segment_filename(0)]
+            for fold in range(1, 5):
+                before = len(restored)
+                engine.ingest(
+                    _triples([(f"N{fold}", "type", "Round", 1, 1),
+                              (f"M{fold}", "bornIn", "E1", 1, 1)])
+                )
+                assert engine.generation == fold and not engine.store.has_delta
+                assert engine.ask("?x ?p ?y", k=5).answers
+                assert [c.path.name for c in restored[before:]] == [
+                    segment_filename(fold)
+                ]
+                assert engine.store.backend.loaded_segments() == list(
+                    range(fold + 1)
+                )
+
+    def test_the_key_map_is_carried_not_rebuilt(self, live_store):
+        assert live_store._by_key is not None  # the live adds built it
+        compacted = compact_store(live_store)
+        carried = compacted._by_key
+        assert carried is not None and carried is not live_store._by_key
+        slot_ids = compacted.backend.slot_ids
+        assert carried == {slot_ids(tid): tid for tid in range(len(compacted))}
+        # A copy: the parent's map does not grow with the child's adds.
+        compacted.add(_triples([("E9", "type", "New", 1, 1)])[0])
+        assert len(compacted._by_key) == len(live_store._by_key) + 1
+
+    def test_folds_decode_no_term_table(self, snapshot_root, monkeypatch):
+        decoded = _counting(monkeypatch, LazyTermDictionary, "_build")
+        compared = []
+        same_term_ids = engine_module._same_term_ids
+
+        def recorded(old, new):
+            compared.append(same_term_ids(old, new))
+            return compared[-1]
+
+        monkeypatch.setattr(engine_module, "_same_term_ids", recorded)
+        with TriniT.open(snapshot_root, config=_serial_config()) as engine:
+            engine.ingest(_triples(LIVE_ROWS[:1]))  # decodes the loaded table
+            assert len(decoded) == 1
+            for fold in range(1, 4):
+                engine.ingest(_triples([(f"N{fold}", "type", "Round", 1, 1)]))
+                assert engine.compact() == fold
+            assert len(decoded) == 1
+            assert compared == [True, True, True]
+            assert not isinstance(engine.store.dictionary, LazyTermDictionary)
+            assert engine.store.dictionary.id_of(Resource("N3")) is not None
+
+
+def _unused_rows(count):
+    """Statements of ``ROWS``' terms that ``ROWS`` does not hold."""
+    held = {(s, p, o) for s, p, o, _conf, _count in ROWS}
+    subjects = sorted({s for s, *_ in ROWS})
+    predicates = sorted({p for _s, p, *_ in ROWS})
+    fresh = (
+        (s, p, o, 0.55, 1)
+        for s in subjects
+        for p in predicates
+        for o in subjects
+        if (s, p, o) not in held
+    )
+    return [row for row, _ in zip(fresh, range(count))]
+
+
+class TestExtendedManifest:
+    """A generation's manifest extends the loaded one; a full re-encode of
+    every term and record is the oracle it must equal, byte for byte."""
+
+    @pytest.mark.parametrize("parent", ["flat", "generation"])
+    @pytest.mark.parametrize(
+        "evidence", ["none", "for-a-materialised-record", "for-an-unread-record"]
+    )
+    @pytest.mark.parametrize("new_terms", [True, False])
+    def test_extended_manifest_equals_the_full_re_encode(
+        self, tmp_path, monkeypatch, parent, evidence, new_terms
+    ):
+        full_encodes = _counting(monkeypatch, snapshot_module, "record_metadata")
+        provenance = Provenance("openie", "doc-3", "E1 is in E2", "reverb")
+        written = {}
+        for oracle in (False, True):
+            root = tmp_path / f"oracle-{oracle}.snapd"
+            store = TripleStore("XKG")
+            _add(store, ROWS)
+            store.add(_triples(ROWS[3:4])[0], provenance)
+            save_snapshot(store.freeze(), root)
+            store.close()
+            live = load_snapshot(root)
+            if parent == "generation":
+                _add(live, [("G1", "type", "E0", 0.5, 2)])
+                live.add(_triples([("G1", "type", "E0", 0, 0)])[0], provenance)
+                compacted = compact_store(live)
+                live.close()
+                live = compacted
+            _add(live, LIVE_ROWS if new_terms else _unused_rows(3))
+            if evidence != "none":
+                if evidence == "for-a-materialised-record":
+                    list(live.records())
+                live.add(_triples(ROWS[:1])[0], Provenance("kg", "dump-2"), count=2)
+            if oracle:
+                live._frozen_records_changed = True
+            calls = len(full_encodes)
+            gen_dir, _generation = write_generation(live)
+            encoded_in_full = len(full_encodes) > calls
+            assert encoded_in_full == (oracle or evidence != "none")
+            written[oracle] = {
+                path.name: path.read_bytes() for path in sorted(gen_dir.iterdir())
+            }
+            reopened = load_snapshot(root)
+            assert len(reopened) == len(live)
+            for tid in range(len(live)):
+                got, want = reopened.record(tid), live.record(tid)
+                assert (got.triple, got.count, got.confidence, got.provenances) == (
+                    want.triple, want.count, want.confidence, want.provenances
+                )
+            reopened.close()
+            live.close()
+        assert written[False] == written[True]
 

@@ -23,6 +23,8 @@ from repro.storage.delta import DeltaSegment
 from repro.storage.index import SIGNATURES, signature_of
 from repro.storage.store import TripleStore
 
+from layouts import distinct_keys
+
 
 def _ids(term_id: int) -> int:
     """A tie key for deltas built without a dictionary: the id itself."""
@@ -61,7 +63,7 @@ def _postings_by_key(store):
     out = {}
     for sig in SIGNATURES:
         bound = [slot in sig for slot in range(3)]
-        for key in backend.distinct_keys(bound):
+        for key in distinct_keys(backend, bound):
             out[(sig, key)] = list(backend.postings(bound, key))
     out[("scan",)] = list(backend.postings([False, False, False], ()))
     return out

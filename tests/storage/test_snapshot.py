@@ -29,6 +29,8 @@ from repro.storage.snapshot import (
 from repro.storage.store import TripleStore
 from repro.topk.processor import TopKProcessor
 
+from layouts import distinct_keys
+
 X, Y, P = Variable("x"), Variable("y"), Variable("p")
 
 
@@ -45,7 +47,7 @@ def _all_postings(store):
     out = {}
     for sig in SIGNATURES:
         bound = [slot in sig for slot in range(3)]
-        for key in backend.distinct_keys(bound):
+        for key in distinct_keys(backend, bound):
             out[(sig, key)] = list(backend.postings(bound, key))
     out[("scan",)] = list(backend.postings([False, False, False], ()))
     return out

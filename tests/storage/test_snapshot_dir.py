@@ -32,6 +32,8 @@ from repro.storage.snapshot import (
 )
 from repro.storage.store import TripleStore
 
+from layouts import distinct_keys
+
 
 @pytest.fixture()
 def sharded_store(frozen_small_store) -> TripleStore:
@@ -50,7 +52,7 @@ def _all_postings(store):
     out = {}
     for sig in SIGNATURES:
         bound = [slot in sig for slot in range(3)]
-        for key in backend.distinct_keys(bound):
+        for key in distinct_keys(backend, bound):
             out[(sig, key)] = list(backend.postings(bound, key))
     out[("scan",)] = list(backend.postings([False, False, False], ()))
     return out
