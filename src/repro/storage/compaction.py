@@ -147,8 +147,6 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
             "Generation writes need a store loaded from a directory "
             "snapshot — use compact_store() for in-memory stores"
         )
-    if store.closed:
-        raise StorageError("Store is closed")
     if not store.has_delta:
         raise StorageError("Nothing to compact: the store has no delta segment")
     root = Path(backend.snapshot_root)

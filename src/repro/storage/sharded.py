@@ -461,10 +461,6 @@ class ShardedBackend:
         with parent._load_lock:
             held = parent._segments
             loaded = [] if held is _CLOSED else list(held)
-        if len(loaded) >= len(self._starts):
-            raise StorageError(
-                "A compacted store lists more segments than its parent"
-            )
         with self._load_lock:
             for index, segment in enumerate(loaded):
                 if (

@@ -274,8 +274,7 @@ def generation_sections(store: TripleStore, weights: bytes) -> dict[str, bytes]:
     loaded sections; then every record's metadata is read, in one pass,
     and every section encoded in full.
     """
-    frozen = store._triples
-    if store._frozen_records_changed or not isinstance(frozen, _SnapshotRecords):
+    if store._frozen_records_changed:
         metadata = record_metadata(store)
         # Counts come from the records, not the loaded column: duplicate
         # evidence for frozen statements bumps record counts that the
@@ -286,7 +285,7 @@ def generation_sections(store: TripleStore, weights: bytes) -> dict[str, bytes]:
             "weights": weights,
             "counts": counts.tobytes(),
         }
-    parent = frozen.manifest
+    parent = store._triples.manifest
     delta = store._delta_records
     decode = store.dictionary.decoder()
     terms = range(parent.header["terms"], len(store.dictionary))
@@ -911,8 +910,6 @@ def open_compacted(
     one.  ``parent`` stays open and unchanged.
     """
     frozen = parent._triples
-    if parent.closed or not isinstance(frozen, _SnapshotRecords):
-        raise StorageError("A generation's parent must be an open loaded store")
     prov = frozen.parsed_provenances
     if prov is not None and not parent._frozen_records_changed:
         prov = prov + [_encoded_provenances(r) for r in parent._delta_records]

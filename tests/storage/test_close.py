@@ -9,6 +9,7 @@ in-memory or mapped.
 
 import gc
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,49 @@ class TestSharedSegments:
                 stream.next_k(5)
         finally:
             engine.close()
+
+    def test_holders_are_counted_under_contention(self, tmp_path):
+        """Stores taking and dropping one segment from many threads while
+        its first holder closes: every taken hold reads a live segment, and
+        the segment unmaps once the last hold is dropped — a lost update
+        of the count would break one or the other."""
+        store = load_snapshot(_wide_snapshot(tmp_path / "store.snapd"))
+        segment = store.backend._segment(0)
+        key = (store.dictionary.id_of(Resource("p1")),)
+        expected = list(segment.postings((False, True, False), key))
+        start, reads, failures = threading.Barrier(9), [], []
+
+        def churn():
+            start.wait(timeout=30)
+            for _ in range(3000):
+                if not segment.share():
+                    return
+                try:
+                    reads.append(
+                        list(segment.postings((False, True, False), key)) == expected
+                    )
+                except StorageError as exc:
+                    failures.append(exc)
+                finally:
+                    segment.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            start.wait(timeout=30)
+            while len(reads) < 500 and any(t.is_alive() for t in threads):
+                pass
+            store.close()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures and reads and all(reads)
+        assert segment.closed and segment._buffer is None
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads /proc/self/maps"

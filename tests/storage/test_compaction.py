@@ -742,6 +742,32 @@ class TestAFoldCostsItsDelta:
         compacted.add(_triples([("E9", "type", "New", 1, 1)])[0])
         assert len(compacted._by_key) == len(live_store._by_key) + 1
 
+    @pytest.mark.parametrize("frozen_evidence", [False, True])
+    def test_a_parsed_provenance_table_is_carried(
+        self, snapshot_root, frozen_evidence
+    ):
+        """Carried while the new manifest extends the loaded one; parsed
+        again from the new manifest once a frozen record changed."""
+        live = load_snapshot(snapshot_root)
+        live.record(1)  # parses the loaded provenance table
+        _add(live, LIVE_ROWS)
+        if frozen_evidence:
+            live.add(_triples(ROWS[:1])[0], Provenance("kg", "dump-2"))
+        compacted = compact_store(live)
+        carried = compacted._triples.parsed_provenances
+        assert (carried is None) == frozen_evidence
+        reopened = load_snapshot(snapshot_root)
+
+        def evidence(store):
+            return [
+                (r.triple, r.count, r.confidence, r.provenances)
+                for r in store.records()
+            ]
+
+        assert evidence(compacted) == evidence(reopened)
+        for store in (reopened, compacted, live):
+            store.close()
+
     def test_folds_decode_no_term_table(self, snapshot_root, monkeypatch):
         decoded = _counting(monkeypatch, LazyTermDictionary, "_build")
         compared = []
