@@ -4,7 +4,9 @@ Triples live in parallel columns — ``array('i')`` for the s/p/o term ids,
 ``array('d')`` for sort weights, ``array('i')`` for observation counts —
 instead of a list of per-triple objects.  For each bound-slot signature the
 freeze step materialises one *permutation array*: all triple ids reordered so
-that ids sharing a key are contiguous and each key group is in the
+that ids sharing a key are contiguous, the key groups in **key order** (the
+key's ids compared in the signature's lookup order, :data:`LOOKUP_ORDER`)
+and each key group in the
 **canonical posting order** — weight desc, then tie key asc, then triple id
 asc, where a triple's tie key is the sort keys of its (s, p, o) terms
 (:meth:`~repro.storage.dictionary.TermDictionary.sort_key`).  Inside one
@@ -12,6 +14,17 @@ key group the bound slots are equal, so the order ranks the free slots
 lexically: a tied run arrives in the order its answers rank.  A posting
 list is then just an index range ``perm[start:stop]``, returned as a
 zero-copy read-only memoryview.
+
+The ranges are found by bisection, not looked up in a decoded table.
+Each slot has one **key table**: the slot's distinct ids ascending and,
+beside them, where each id's group starts in the one-slot permutations
+(a group stops where the next one starts).  Every permutation of a
+signature leading with that slot is sorted by it first, so the table
+gives the lead id's run in all of them; the key's further slots are
+bisected inside that run, over the permutation read through the id
+columns.  A key costs one bisection of a key table plus two (its run's
+two ends) per further bound slot, and no per-key Python object exists,
+in memory or in a mapped segment.
 
 A :class:`ColumnarBackend` is never a store's backend on its own:
 :class:`~repro.storage.sharded.ShardedBackend` owns them — a fresh build's
@@ -33,7 +46,10 @@ from __future__ import annotations
 import sys
 import threading
 from array import array
-from typing import Callable, NoReturn, Sequence
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from itertools import accumulate
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from repro.errors import StorageError
 from repro.storage.index import SIGNATURES, signature_of
@@ -43,6 +59,15 @@ from repro.storage.index import SIGNATURES, signature_of
 ID_TYPECODE = "i"
 
 _EMPTY: tuple[int, ...] = ()
+
+#: Per signature, its ``(position in the key, slot)`` pairs in the order a
+#: lookup narrows by them: subject, object, predicate.  A KG has far fewer
+#: predicates than subjects or objects, so the lead id's run is short and
+#: the bisections inside it are too.
+LOOKUP_ORDER: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {
+    sig: tuple(sorted(enumerate(sig), key=lambda item: (0, 2, 1).index(item[1])))
+    for sig in SIGNATURES
+}
 
 
 class _ClosedData:
@@ -66,12 +91,6 @@ class _ClosedData:
     def __iter__(self) -> NoReturn:
         self._raise()
 
-    def get(self, *args: object) -> NoReturn:
-        self._raise()
-
-    def keys(self) -> NoReturn:
-        self._raise()
-
     def values(self) -> NoReturn:
         self._raise()
 
@@ -90,11 +109,9 @@ class ColumnarBackend:
         self._counts = array(ID_TYPECODE)
         # signature -> read-only memoryview over that signature's permutation
         self._perm_views: dict[tuple[int, ...], memoryview] = {}
-        # signature -> key tuple -> (start, stop) into the permutation
-        self._offsets: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, int]]] = {}
+        # slot -> (its distinct ids ascending, where each id's group starts)
+        self._key_tables: tuple[tuple[memoryview, memoryview], ...] = ()
         self._scan_view: memoryview | None = None
-        # (signature, slot) -> key -> the distinct ids at slot (slot_values)
-        self._slot_values: dict = {}
         self._frozen = False
         self._closed = False
         # Set by _restore: keeps a snapshot's mmap (or bytes) buffer alive
@@ -115,15 +132,16 @@ class ColumnarBackend:
         counts,
         scan_view,
         perm_views,
-        offsets,
+        key_tables,
         buffer=None,
     ) -> "ColumnarBackend":
         """Assemble an already-frozen backend from snapshot sections.
 
-        Columns and permutation views may be read-only memoryviews straight
-        over a mapped snapshot file (see :mod:`repro.storage.snapshot`) —
-        nothing is copied and no freeze-time sorting happens: the on-disk
-        permutations *are* the posting lists.
+        Columns, permutation views and key tables may be read-only
+        memoryviews straight over a mapped snapshot file (see
+        :mod:`repro.storage.snapshot`) — nothing is copied, decoded or
+        sorted: the on-disk permutations *are* the posting lists and the
+        on-disk key tables are bisected in place.
         """
         backend = cls.__new__(cls)
         backend._s = s
@@ -132,9 +150,8 @@ class ColumnarBackend:
         backend._weights = weights
         backend._counts = counts
         backend._perm_views = perm_views
-        backend._offsets = offsets
+        backend._key_tables = key_tables
         backend._scan_view = scan_view
-        backend._slot_values = {}
         backend._frozen = True
         backend._closed = False
         backend._buffer = buffer
@@ -161,7 +178,7 @@ class ColumnarBackend:
 
     def close(self) -> None:
         """Drop one holder; the last one releases columns, permutation
-        views and the snapshot buffer.
+        views, key tables and the snapshot buffer.
 
         For an mmap-restored backend this is the only way the mapping is
         ever unmapped: every retained memoryview over the mapped pages is
@@ -189,6 +206,7 @@ class ColumnarBackend:
                 self._counts,
                 self._scan_view,
                 *self._perm_views.values(),
+                *(view for table in self._key_tables for view in table),
             )
             if isinstance(view, memoryview)
         ]
@@ -196,8 +214,7 @@ class ColumnarBackend:
         self._weights = self._counts = _CLOSED
         self._scan_view = _CLOSED
         self._perm_views = _CLOSED
-        self._offsets = _CLOSED
-        self._slot_values = _CLOSED
+        self._key_tables = _CLOSED
         for view in views:
             view.release()
         buffer, self._buffer = self._buffer, None
@@ -253,27 +270,38 @@ class ColumnarBackend:
         columns = (self._s, self._p, self._o)
         ks, kp, ko = [list(map(sort_key, column)) for column in columns]
         # One stable sort fixes the canonical order (equal keys keep id
-        # order); every signature's key groups are filled in it.
+        # order); every signature's key groups keep it.
         scan = array(
             ID_TYPECODE,
             sorted(range(n), key=lambda tid: (-w[tid], ks[tid], kp[tid], ko[tid])),
         )
         self._scan_view = memoryview(scan).toreadonly()
-
+        # A signature's key order is its lead slot, then the order of the
+        # slots after it — one stable sort by the lead slot of the tail's
+        # permutation (the scan for a single slot): a radix sort that keeps
+        # each key group in the scan's canonical order.
+        perms: dict[tuple[int, ...], Sequence[int]] = {(): scan}
         for sig in SIGNATURES:
-            sig_columns = [columns[slot] for slot in sig]
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for tid in scan:
-                key = tuple(col[tid] for col in sig_columns)
-                groups.setdefault(key, []).append(tid)
-            perm = array(ID_TYPECODE)
-            offsets: dict[tuple[int, ...], tuple[int, int]] = {}
-            for key, tids in groups.items():
-                start = len(perm)
-                perm.extend(tids)
-                offsets[key] = (start, len(perm))
+            lead, *tail = [slot for _at, slot in LOOKUP_ORDER[sig]]
+            perm = perms[(lead, *tail)] = array(
+                ID_TYPECODE, sorted(perms[tuple(tail)], key=columns[lead].__getitem__)
+            )
             self._perm_views[sig] = memoryview(perm).toreadonly()
-            self._offsets[sig] = offsets
+        tables = []
+        for column in columns:
+            sizes = Counter(column)
+            keys = sorted(sizes)
+            starts = array(
+                ID_TYPECODE, accumulate(map(sizes.__getitem__, keys), initial=0)
+            )
+            starts.pop()  # the end of the last group: the segment's length
+            tables.append(
+                (
+                    memoryview(array(ID_TYPECODE, keys)).toreadonly(),
+                    memoryview(starts).toreadonly(),
+                )
+            )
+        self._key_tables = tuple(tables)
         self._frozen = True
 
     # -- lookup ------------------------------------------------------------
@@ -292,30 +320,48 @@ class ColumnarBackend:
             )
         if not sig:
             return self._scan_view  # type: ignore[return-value]
-        span = self._offsets[sig].get(key)
-        if span is None:
+        lo, hi = self._span(sig, key)
+        if lo == hi:
             return _EMPTY
-        start, stop = span
-        return self._perm_views[sig][start:stop]
+        return self._perm_views[sig][lo:hi]
+
+    def _span(self, sig: tuple[int, ...], key: tuple[int, ...]) -> tuple[int, int]:
+        """The range of ``key``'s group in ``sig``'s permutation; empty
+        when no statement holds it.
+
+        The lead slot's key table gives the lead id's run; each further
+        slot (:data:`LOOKUP_ORDER`) narrows the run by bisecting the
+        permutation through that slot's id column (the run is sorted by
+        it)."""
+        order = LOOKUP_ORDER[sig]
+        first, lead = order[0]
+        keys, starts = self._key_tables[lead]
+        value = key[first]
+        at = bisect_left(keys, value)
+        if at == len(keys) or keys[at] != value:
+            return 0, 0
+        lo = starts[at]
+        hi = starts[at + 1] if at + 1 < len(starts) else len(self._s)
+        if len(order) > 1:
+            perm = self._perm_views[sig]
+            columns = (self._s, self._p, self._o)
+            for at, slot in order[1:]:
+                id_at = columns[slot].__getitem__
+                lo = bisect_left(perm, key[at], lo, hi, key=id_at)
+                hi = bisect_right(perm, key[at], lo, hi, key=id_at)
+        return lo, hi
 
     def slot_values(
         self, sig: tuple[int, ...], key: tuple[int, ...], slot: int
-    ) -> Sequence[int]:
+    ) -> Iterable[int]:
         """The distinct ids at ``slot`` (not in ``sig``) of the statements
-        keyed ``key`` on signature ``sig``: the key table of the signature
-        that adds ``slot``, grouped by ``sig`` once per segment."""
-        groups = self._slot_values.get((sig, slot))
-        if groups is None:
-            wider = tuple(sorted((*sig, slot)))
-            at = wider.index(slot)
-            kept = [wider.index(bound) for bound in sig]
-            groups = {}
-            for wide_key in self._offsets[wider]:
-                groups.setdefault(
-                    tuple(wide_key[i] for i in kept), []
-                ).append(wide_key[at])
-            self._slot_values[(sig, slot)] = groups
-        return groups.get(key, _EMPTY)
+        keyed ``key`` on signature ``sig``: the slot's key table when
+        nothing is bound, else read through the key group's postings."""
+        if not sig:
+            return self._key_tables[slot][0]
+        lo, hi = self._span(sig, key)
+        column = (self._s, self._p, self._o)[slot]
+        return set(map(column.__getitem__, self._perm_views[sig][lo:hi]))
 
     def posting_block(
         self,
@@ -341,13 +387,16 @@ class ColumnarBackend:
     # -- introspection ------------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Approximate resident bytes of the column + permutation arrays."""
+        """Approximate resident bytes of the columns, permutations and
+        key tables."""
         total = sum(
             col.nbytes if isinstance(col, memoryview) else sys.getsizeof(col)
             for col in (self._s, self._p, self._o, self._weights, self._counts)
         )
         for view in self._perm_views.values():
             total += view.nbytes
+        for keys, starts in self._key_tables:
+            total += keys.nbytes + starts.nbytes
         if self._scan_view is not None:
             total += self._scan_view.nbytes
         return total

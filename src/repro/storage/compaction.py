@@ -90,6 +90,8 @@ def compact_store(store: TripleStore) -> TripleStore:
     state, when the store came from a directory snapshot; rebuilt in
     memory otherwise.
     """
+    if store.closed:
+        raise StorageError("Store is closed")
     if not store.is_frozen:
         raise StorageError("Only frozen stores can be compacted")
     if not store.has_delta:
@@ -141,6 +143,8 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
     untouched — the crash-window state: a reopened store still loads the
     previous generation (crash-safety tests exercise exactly this).
     """
+    if store.closed:
+        raise StorageError("Store is closed")
     backend = store.backend
     if backend.snapshot_root is None:
         raise StorageError(

@@ -7,15 +7,22 @@ instead writes the frozen backend state *as laid out in memory*:
 
 * the s/p/o id columns, the weight column, and the counts column,
 * the global scan permutation and the per-signature permutation arrays
-  (postings in the canonical weight desc, tie key asc, id asc order),
-* the per-signature offset tables (key → posting range),
+  (key groups in key order, postings in each in the canonical weight
+  desc, tie key asc, id asc order),
+* one key table per slot (``keys:N``, the slot's distinct ids ascending;
+  ``starts:N``, where each id's group starts — it stops where the next
+  starts),
 * the term dictionary (in id order) and the per-triple record metadata
   (exact binary confidences, counts, provenance samples).
 
-Loading ``mmap``-s the file and exposes the permutation arrays and columns
-as zero-copy read-only memoryviews directly over the mapped pages — no
-re-ingestion, no re-freeze, and posting lists byte-identical to the store
-the snapshot was written from.  Confidences and weights travel as binary
+Loading ``mmap``-s the file and exposes the permutation arrays, columns
+and key tables as zero-copy read-only memoryviews directly over the
+mapped pages — no re-ingestion, no re-freeze, no decoded lookup table,
+and posting lists byte-identical to the store the snapshot was written
+from.  A lookup bisects the lead slot's key table and then, for each
+further bound slot, the permutation inside that run
+(:mod:`repro.storage.columnar`); a restore checks each key table with C
+comparisons over the mapped views.  Confidences and weights travel as binary
 IEEE doubles, so reloaded scores are bit-exact, not round-tripped through
 decimal text.
 
@@ -43,14 +50,16 @@ platform, recorded in the header)::
 
     [ magic "XKGSNAP\\x01" ][ uint64 header offset ][ sections ... ][ header JSON ]
 
-The header JSON carries the format name/version (4), store name, byte
+The header JSON carries the format name/version (5), store name, byte
 order, item sizes, the segment table, and a section table
 ``{name: [offset, length]}``.  Placing the header *after* the sections
 keeps section offsets stable while the header is being composed.  Earlier
 versions are not readable and :func:`load_snapshot` rejects them by
 version — re-save from JSONL: the single-file containers of versions 1
-and 2, and the version-3 directories that hash-partitioned a store over
-several segments with per-statement id maps.
+and 2, the version-3 directories that hash-partitioned a store over
+several segments with per-statement id maps, and the version-4 ones
+whose per-signature ``offsets:`` tables of (key, start, stop) entries a
+load decoded into dicts.
 
 The manifest also names the **posting order** its segments were frozen in
 (``"order"``: :data:`POSTING_ORDER`, the canonical weight desc, tie key
@@ -66,6 +75,7 @@ from __future__ import annotations
 
 import json
 import mmap
+import operator
 import os
 import struct
 import sys
@@ -94,7 +104,7 @@ from repro.storage.termcodec import (
 MAGIC = b"XKGSNAP\x01"
 FORMAT_NAME = "trinit-xkg-snapshot"
 #: The one container version written and read.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: The manifest's name for the canonical posting order (weight desc, tie
 #: key asc, id asc) its segments were frozen in.
@@ -199,14 +209,10 @@ def _columnar_sections(backend: ColumnarBackend) -> dict[str, bytes]:
     sections["weights"] = _column_bytes(backend._weights)
     sections["scan"] = bytes(backend._scan_view)
     for sig in SIGNATURES:
-        key = _sig_key(sig)
-        sections[f"perm:{key}"] = bytes(backend._perm_views[sig])
-        flat = array(ID_TYPECODE)
-        for group_key, (start, stop) in backend._offsets[sig].items():
-            flat.extend(group_key)
-            flat.append(start)
-            flat.append(stop)
-        sections[f"offsets:{key}"] = flat.tobytes()
+        sections[f"perm:{_sig_key(sig)}"] = bytes(backend._perm_views[sig])
+    for slot, (keys, starts) in enumerate(backend._key_tables):
+        sections[f"keys:{slot}"] = bytes(keys)
+        sections[f"starts:{slot}"] = bytes(starts)
     return sections
 
 
@@ -560,10 +566,14 @@ class _Container:
             or len(entry) != 2
             or not all(isinstance(v, int) for v in entry)
         ):
-            raise PersistenceError(f"Snapshot is missing section {name!r}")
+            raise PersistenceError(
+                f"Snapshot is missing section {name!r}: {self.path}"
+            )
         offset, length = entry
         if offset < 0 or length < 0 or offset + length > len(base):
-            raise PersistenceError(f"Corrupt snapshot: section {name!r} truncated")
+            raise PersistenceError(
+                f"Corrupt snapshot: section {name!r} truncated: {self.path}"
+            )
         return base[offset : offset + length]
 
     def cast(self, name: str, typecode: str) -> memoryview:
@@ -572,7 +582,7 @@ class _Container:
         if len(raw) % itemsize:
             raise PersistenceError(
                 f"Corrupt snapshot: section {name!r} is not a whole number "
-                f"of {itemsize}-byte items"
+                f"of {itemsize}-byte items: {self.path}"
             )
         return raw.cast(typecode)
 
@@ -587,9 +597,9 @@ class _Container:
         validated against the ``length`` the manifest declares; the
         segment takes ownership of the mapping.
 
-        Each signature's key spans are written in permutation order and
-        tile ``[0, length)``; a table that does not is refused — a span
-        past its neighbours would answer lookups with other keys' ids.
+        Nothing is decoded: every section becomes a memoryview over the
+        mapping, and the key tables are checked in place
+        (:meth:`key_table`).
         """
         col_s = self.ids("col:s")
         col_p = self.ids("col:p")
@@ -601,43 +611,25 @@ class _Container:
             == len(counts) == length
         ):
             raise PersistenceError(
-                f"Header declares {length} triples but the columns disagree"
+                f"Header declares {length} triples but the columns "
+                f"disagree: {self.path}"
             )
         perm_views: dict[tuple[int, ...], memoryview] = {}
-        offsets: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, int]]] = {}
         for sig in SIGNATURES:
             key = _sig_key(sig)
             perm = self.ids(f"perm:{key}")
             if len(perm) != length:
                 raise PersistenceError(
                     f"Corrupt snapshot: permutation {key} has "
-                    f"{len(perm)} entries, expected {length}"
+                    f"{len(perm)} entries, expected {length}: {self.path}"
                 )
             perm_views[sig] = perm
-            flat = self.ids(f"offsets:{key}")
-            arity = len(sig)
-            stride = arity + 2
-            if len(flat) % stride:
-                raise PersistenceError(
-                    f"Corrupt snapshot: offset table {key}: {self.path}"
-                )
-            table: dict[tuple[int, ...], tuple[int, int]] = {}
-            stop = 0
-            for i in range(0, len(flat), stride):
-                start = flat[i + arity]
-                if start != stop or flat[i + arity + 1] <= start:
-                    break
-                stop = flat[i + arity + 1]
-                table[tuple(flat[i : i + arity])] = (start, stop)
-            if len(table) * stride != len(flat) or stop != length:
-                raise PersistenceError(
-                    f"Corrupt snapshot: offset table {key} does not tile "
-                    f"its {length} postings: {self.path}"
-                )
-            offsets[sig] = table
+        key_tables = tuple(self.key_table(slot, length) for slot in range(3))
         scan = self.ids("scan")
         if len(scan) != length:
-            raise PersistenceError("Corrupt snapshot: scan permutation truncated")
+            raise PersistenceError(
+                f"Corrupt snapshot: scan permutation truncated: {self.path}"
+            )
         return ColumnarBackend._restore(
             s=col_s,
             p=col_p,
@@ -646,9 +638,44 @@ class _Container:
             counts=counts,
             scan_view=scan,
             perm_views=perm_views,
-            offsets=offsets,
+            key_tables=key_tables,
             buffer=self.buffer,
         )
+
+    def key_table(self, slot: int, length: int) -> tuple[memoryview, memoryview]:
+        """Slot ``slot``'s key table: its ``keys:`` and ``starts:`` views.
+
+        A lookup bisects the keys and reads a group's span off the starts,
+        so the keys must strictly increase, and the spans must tile the
+        ``length`` postings: starts strictly increasing from 0, the last
+        below ``length``.  A table that does not is refused — a span past
+        its neighbours would answer lookups with other keys' ids.  The
+        checks compare adjacent items of the mapped views in C
+        (:func:`_increasing`); nothing is decoded.
+        """
+        keys = self.ids(f"keys:{slot}")
+        starts = self.ids(f"starts:{slot}")
+        if len(keys) != len(starts):
+            problem = f"has {len(keys)} keys but {len(starts)} starts"
+        elif not _increasing(keys):
+            problem = "keys are not strictly increasing"
+        elif not _increasing(starts):
+            problem = "starts are not strictly increasing"
+        elif len(starts) and (starts[0] != 0 or starts[-1] >= length):
+            problem = f"spans leave [0, {length})"
+        elif length and not len(starts):
+            problem = f"holds no key for {length} postings"
+        else:
+            return keys, starts
+        raise PersistenceError(
+            f"Corrupt snapshot: key table {slot} {problem}: {self.path}"
+        )
+
+
+def _increasing(view: memoryview) -> bool:
+    """Whether each item of ``view`` is below the next: one C comparison
+    per adjacent pair of the view and its shifted slice."""
+    return all(map(operator.lt, view[:-1], view[1:]))
 
 
 class _SnapshotRecords(Sequence):

@@ -10,7 +10,9 @@ brute-force oracle: matching ids in the canonical order — weight desc, tie
 key asc (the terms' sort keys), id asc.
 """
 
+import random
 from array import array
+from itertools import product
 
 import pytest
 
@@ -18,9 +20,15 @@ from repro.core.terms import Resource, TextToken, Variable
 from repro.core.triples import Triple, TriplePattern
 from repro.errors import StorageError
 from repro.storage.columnar import ColumnarBackend
+from repro.storage.index import SIGNATURES
 from repro.storage.persistence import load_store, save_store
 from repro.storage.sharded import ShardedBackend
-from repro.storage.snapshot import save_snapshot
+from repro.storage.snapshot import (
+    _load_segment,
+    save_snapshot,
+    segment_filename,
+    write_segment,
+)
 from repro.storage.store import TripleStore
 
 X, Y, P = Variable("x"), Variable("y"), Variable("p")
@@ -367,3 +375,126 @@ class TestScanSignatureContract:
         backend.freeze([2.0], [2], sort_key=_ids)
         assert list(backend.postings([True, False, False], (1,))) == [0]
         assert backend.count(0) == 2
+
+
+def _random_rows(seed: int, n: int = 60) -> tuple[list, list[float]]:
+    """``n`` distinct (s, p, o) rows over few ids — long runs, shared
+    prefixes and ids no row holds — and their weights (many ties)."""
+    rng = random.Random(seed)
+    rows = rng.sample(list(product(range(7), range(3), range(7))), n)
+    return rows, [rng.choice((0.5, 0.9, 1.5)) for _ in rows]
+
+
+def _frozen_segment(rows, weights) -> ColumnarBackend:
+    segment = ColumnarBackend()
+    for tid, row in enumerate(rows):
+        segment.insert(tid, row)
+    segment.freeze(weights, [1] * len(rows), sort_key=_ids)
+    return segment
+
+
+def _restored_segment(segment: ColumnarBackend, directory) -> ColumnarBackend:
+    write_segment(directory, "keys", 0, segment)
+    return _load_segment(directory / segment_filename(0), 0, len(segment), True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("where", ("memory", "mapped"))
+class TestKeyTableLookup:
+    """A lookup bisects the lead slot's key table, then the permutation
+    inside the lead id's run; against a brute-force filter of every key,
+    held or not, in memory and mapped from a segment file."""
+
+    def _segment(self, seed, where, tmp_path):
+        rows, weights = _random_rows(seed)
+        segment = _frozen_segment(rows, weights)
+        if where == "mapped":
+            segment = _restored_segment(segment, tmp_path)
+        return segment, rows, weights
+
+    def test_every_key_matches_brute_force(self, seed, where, tmp_path):
+        segment, rows, weights = self._segment(seed, where, tmp_path)
+        order = sorted(range(len(rows)), key=lambda tid: (-weights[tid], rows[tid], tid))
+        try:
+            for sig in SIGNATURES:
+                bound = [slot in sig for slot in range(3)]
+                for key in product(range(-1, 9), repeat=len(sig)):
+                    expected = [
+                        tid
+                        for tid in order
+                        if tuple(rows[tid][slot] for slot in sig) == key
+                    ]
+                    assert list(segment.postings(bound, key)) == expected, (sig, key)
+        finally:
+            segment.close()
+
+    def test_slot_values_match_brute_force(self, seed, where, tmp_path):
+        segment, rows, _weights = self._segment(seed, where, tmp_path)
+        try:
+            for sig in ((), *SIGNATURES):
+                for key in product(range(-1, 9), repeat=len(sig)):
+                    for slot in sorted(set(range(3)) - set(sig)):
+                        expected = {
+                            row[slot]
+                            for row in rows
+                            if tuple(row[bound] for bound in sig) == key
+                        }
+                        assert set(segment.slot_values(sig, key, slot)) == expected
+        finally:
+            segment.close()
+
+    def test_key_tables_hold_one_entry_per_distinct_id(self, seed, where, tmp_path):
+        segment, rows, _weights = self._segment(seed, where, tmp_path)
+        try:
+            for slot, (keys, starts) in enumerate(segment._key_tables):
+                ids = sorted({row[slot] for row in rows})
+                assert list(keys) == ids
+                assert list(starts) == [
+                    sum(row[slot] < wanted for row in rows) for wanted in ids
+                ]
+        finally:
+            segment.close()
+
+
+class TestMemoryAccounting:
+    """``memory_bytes`` covers the key tables, not only columns and
+    permutations."""
+
+    @staticmethod
+    def _structures(segment: ColumnarBackend) -> tuple[int, int]:
+        """(bytes of every view a segment keeps, bytes of its key tables)"""
+        tables = sum(
+            keys.nbytes + starts.nbytes for keys, starts in segment._key_tables
+        )
+        views = tables + segment._scan_view.nbytes + sum(
+            view.nbytes for view in segment._perm_views.values()
+        )
+        return views, tables
+
+    def test_an_in_memory_segment_counts_its_key_tables(self):
+        segment = _frozen_segment(*_random_rows(0))
+        views, tables = self._structures(segment)
+        assert tables > 0
+        assert segment.memory_bytes() >= views
+
+    def test_a_mapped_store_counts_every_view_of_its_segments(self, tmp_path):
+        store = _sample_store()
+        save_snapshot(store, tmp_path / "store.snapd")
+        loaded = load_store(tmp_path / "store.snapd")
+        try:
+            backend = loaded.backend
+            backend.load_segments()
+            (segment,) = backend._segments
+            views, tables = self._structures(segment)
+            columns = sum(
+                column.nbytes
+                for column in (
+                    segment._s, segment._p, segment._o,
+                    segment._weights, segment._counts,
+                    backend._weights, backend._counts,
+                )
+            )
+            assert tables > 0
+            assert backend.memory_bytes() == views + columns
+        finally:
+            loaded.close()

@@ -101,6 +101,37 @@ class TestSnapshotClose:
         with pytest.raises(StorageError):
             loaded.postings_ids(None, None, None)
 
+    def test_last_close_leaves_no_exported_buffer(self, snapshot):
+        """Every view a segment keeps over its mapping — columns,
+        permutations, key tables — is released by its last holder, so the
+        unmap happens at close, not whenever the views are collected."""
+        loaded = load_snapshot(snapshot)
+        backend = loaded.backend
+        backend.load_segments()
+        segments = list(backend._segments)
+        for segment in segments:
+            for sig in SIGNATURES:
+                bound = [slot in sig for slot in range(3)]
+                for key in distinct_keys(segment, bound):
+                    assert len(segment.postings(bound, key))
+                    for slot in sorted(set(range(3)) - set(sig)):
+                        assert segment.slot_values(sig, key, slot)
+        # Held past close, as a caller may hold what it was handed: only
+        # an explicit release, not collection, lets the unmap through.
+        tables = [
+            view
+            for segment in segments
+            for table in segment._key_tables
+            for view in table
+        ]
+        buffers = [backend._buffer, *(segment._buffer for segment in segments)]
+        assert not any(buffer.closed for buffer in buffers)
+        loaded.close()
+        assert all(buffer.closed for buffer in buffers)
+        for view in tables:
+            with pytest.raises(ValueError, match="released"):
+                view.tolist()
+
     def test_close_with_live_posting_slice_defers_unmap(self, snapshot):
         loaded = load_snapshot(snapshot)
         pattern = TriplePattern(Variable("x"), Resource("p"), Variable("y"))

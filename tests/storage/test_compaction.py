@@ -277,6 +277,27 @@ class TestGenerationWrite:
         with pytest.raises(StorageError, match="delta"):
             write_generation(store)
 
+    def test_a_store_closed_with_a_live_delta_is_not_folded(self, snapshot_root):
+        """Close drops the store's delta; folding it after close used to
+        fail with a TypeError from the delta freeze."""
+        store = load_snapshot(snapshot_root)
+        _add(store, LIVE_ROWS[:1])
+        store.close()
+        for fold in (compact_store, write_generation):
+            with pytest.raises(StorageError, match="closed"):
+                fold(store)
+        assert not (snapshot_root / CURRENT_NAME).exists()
+        assert not list(snapshot_root.glob("generation-*"))
+
+    def test_an_in_memory_store_closed_with_a_delta_is_not_folded(self):
+        store = TripleStore("XKG")
+        _add(store, ROWS)
+        store.freeze()
+        _add(store, LIVE_ROWS[:1])
+        store.close()
+        with pytest.raises(StorageError, match="closed"):
+            compact_store(store)
+
     def test_snapshot_of_uncompacted_store_rejected(self, live_store, tmp_path):
         with pytest.raises(PersistenceError, match="uncompacted"):
             save_snapshot(live_store, tmp_path / "nope.snapd")

@@ -2,8 +2,9 @@
 
 The layout's contract: byte-identical postings and answers after a round
 trip, and — because segment files load lazily — damage to the directory
-(missing or swapped segment files, a corrupt manifest or header, offset
-tables that do not tile their postings, a bad ``CURRENT`` pointer) must
+(missing or swapped segment files, a corrupt manifest or header, key
+tables out of order or not tiling their postings, a bad ``CURRENT``
+pointer) must
 surface as :class:`StorageError`, never as a KeyError or a wrong answer.  Writing is replace-by-rename, so re-saving never reaches
 through hard links into a compacted generation.
 """
@@ -24,6 +25,7 @@ from repro.storage.persistence import load_store
 from repro.storage.snapshot import (
     MAGIC,
     MANIFEST_NAME,
+    _Container,
     generation_dirname,
     is_snapshot,
     load_snapshot,
@@ -274,16 +276,13 @@ class TestDamage:
         """One key's span starting past its stop used to load and answer
         lookups with other keys' ids."""
         segment = snapshot_dir / segment_filename(0)
-        data = bytearray(segment.read_bytes())
-        (offset,) = struct.unpack_from("<Q", data, len(MAGIC))
-        header = json.loads(data[offset:].decode("utf-8"))
-        start, _length = header["sections"]["offsets:1"]
-        # Entries are (key, start, stop); push the first start past its stop.
-        _key, _start, stop = struct.unpack_from("=3i", data, start)
-        struct.pack_into("=i", data, start + 4, stop + 1)
+        data, starts, _length = _segment_section(segment, "starts:1")
+        # A span stops where the next starts; push the first start past it.
+        _start, stop = struct.unpack_from("=2i", data, starts)
+        struct.pack_into("=i", data, starts, stop + 1)
         segment.write_bytes(bytes(data))
         loaded = load_snapshot(snapshot_dir)
-        with pytest.raises(PersistenceError, match="offset table 1") as excinfo:
+        with pytest.raises(PersistenceError, match="key table 1") as excinfo:
             loaded.backend.load_segments()
         assert str(segment) in str(excinfo.value)
 
@@ -325,6 +324,113 @@ class TestDamage:
             load_store(plain)
 
 
+class TestKeyTableDamage:
+    """Format 5 bisects each slot's key table in place — its ``keys:``
+    column and the ``starts:`` of the groups — so a table that would
+    misdirect a bisection is refused when the segment is restored, with a
+    :class:`PersistenceError` naming the file."""
+
+    def _refused(self, snapshot_dir, match):
+        segment = snapshot_dir / segment_filename(0)
+        loaded = load_snapshot(snapshot_dir)
+        try:
+            with pytest.raises(PersistenceError, match=match) as excinfo:
+                loaded.backend.load_segments()
+        finally:
+            loaded.close()
+        assert str(segment) in str(excinfo.value)
+
+    def _patch_items(self, snapshot_dir, name, patch):
+        """Rewrite the items of segment 0's section ``name`` (4-byte ids)
+        as ``patch`` returns them."""
+        segment = snapshot_dir / segment_filename(0)
+        data, offset, length = _segment_section(segment, name)
+        items = list(struct.unpack_from(f"={length // 4}i", data, offset))
+        assert len(items) >= 3
+        patched = patch(items)
+        struct.pack_into(f"={len(patched)}i", data, offset, *patched)
+        segment.write_bytes(bytes(data))
+
+    def test_keys_out_of_order_rejected(self, snapshot_dir):
+        def swap(keys):
+            keys[0], keys[1] = keys[1], keys[0]
+            return keys
+
+        self._patch_items(snapshot_dir, "keys:0", swap)
+        self._refused(snapshot_dir, "key table 0 keys are not strictly increasing")
+
+    def test_repeated_key_rejected(self, snapshot_dir):
+        self._patch_items(snapshot_dir, "keys:2", lambda keys: [keys[0], *keys[:-1]])
+        self._refused(snapshot_dir, "key table 2 keys are not strictly increasing")
+
+    def test_start_that_does_not_increase_rejected(self, snapshot_dir):
+        def stall(starts):
+            starts[2] = starts[1]
+            return starts
+
+        self._patch_items(snapshot_dir, "starts:0", stall)
+        self._refused(snapshot_dir, "key table 0 starts are not strictly increasing")
+
+    def test_first_span_not_at_zero_rejected(self, snapshot_dir):
+        def shift(starts):
+            starts[0] = -1
+            return starts
+
+        self._patch_items(snapshot_dir, "starts:2", shift)
+        self._refused(snapshot_dir, r"key table 2 spans leave \[0, ")
+
+    def test_last_span_past_the_postings_rejected(self, snapshot_dir):
+        length = len(load_snapshot(snapshot_dir))
+
+        def overrun(starts):
+            starts[-1] = length
+            return starts
+
+        self._patch_items(snapshot_dir, "starts:0", overrun)
+        self._refused(snapshot_dir, rf"key table 0 spans leave \[0, {length}\)")
+
+    @pytest.mark.parametrize("name", ["keys:1", "starts:1"])
+    def test_columns_of_different_lengths_rejected(self, snapshot_dir, name):
+        segment = snapshot_dir / segment_filename(0)
+        _rewrite_segment_section_entry(
+            segment, name, lambda offset, length: (offset, length - 4)
+        )
+        self._refused(snapshot_dir, r"key table 1 has \d+ keys but \d+ starts")
+
+    @pytest.mark.parametrize("name", ["keys:2", "starts:0"])
+    @pytest.mark.parametrize(
+        ("cut", "match"),
+        [
+            (lambda offset, length, size: (offset, size), "truncated"),
+            (lambda offset, length, size: (offset, length - 2), "whole number"),
+        ],
+        ids=["past-the-file", "partial-item"],
+    )
+    def test_truncated_section_rejected(self, snapshot_dir, name, cut, match):
+        segment = snapshot_dir / segment_filename(0)
+        size = segment.stat().st_size
+        _rewrite_segment_section_entry(
+            segment, name, lambda offset, length: cut(offset, length, size)
+        )
+        self._refused(snapshot_dir, f"{name!r}.*{match}|{match}.*{name!r}")
+
+    def test_empty_table_of_a_nonempty_segment_rejected(self, snapshot_dir):
+        segment = snapshot_dir / segment_filename(0)
+        for name in ("keys:1", "starts:1"):
+            _rewrite_segment_section_entry(
+                segment, name, lambda offset, length: (offset, 0)
+            )
+        self._refused(snapshot_dir, "key table 1 holds no key for")
+
+    def test_missing_section_rejected(self, snapshot_dir):
+        def drop(header):
+            del header["sections"]["starts:1"]
+            return header
+
+        _rewrite_container_header(snapshot_dir / segment_filename(0), drop)
+        self._refused(snapshot_dir, "missing section 'starts:1'")
+
+
 class TestGenerationPointerDamage:
     """Damage to the ``CURRENT`` generation pointer (compacted layouts)."""
 
@@ -358,7 +464,11 @@ class TestGenerationPointerDamage:
 def _rewrite_manifest_header(directory, mutate):
     """Rewrite a manifest's trailing header JSON in place, as a writer of
     another build would have laid it out."""
-    path = directory / MANIFEST_NAME
+    _rewrite_container_header(directory / MANIFEST_NAME, mutate)
+
+
+def _rewrite_container_header(path, mutate):
+    """Rewrite the trailing header JSON of the container at ``path``."""
     data = path.read_bytes()
     (offset,) = struct.unpack_from("<Q", data, len(MAGIC))
     header = json.loads(data[offset:].decode("utf-8"))
@@ -366,6 +476,26 @@ def _rewrite_manifest_header(directory, mutate):
     path.write_bytes(
         data[:offset] + json.dumps(header, ensure_ascii=False).encode("utf-8")
     )
+
+
+def _segment_section(segment, name):
+    """``segment``'s bytes (mutable) and its section ``name``'s offset and
+    length."""
+    data = bytearray(segment.read_bytes())
+    (offset,) = struct.unpack_from("<Q", data, len(MAGIC))
+    header = json.loads(data[offset:].decode("utf-8"))
+    return (data, *header["sections"][name])
+
+
+def _rewrite_segment_section_entry(segment, name, entry):
+    """Point ``segment``'s section table entry ``name`` at ``entry(offset,
+    length)``, the section bytes left as they are."""
+
+    def repoint(header):
+        header["sections"][name] = list(entry(*header["sections"][name]))
+        return header
+
+    _rewrite_container_header(segment, repoint)
 
 
 def _old_order(header):
@@ -391,6 +521,25 @@ class TestFormatVersion:
             assert "version 3" in message
             assert "re-save" in message
             assert str(snapshot_dir / MANIFEST_NAME) in message
+
+
+    def test_version_4_directory_refused_naming_the_resave(self, snapshot_dir):
+        """Version 4 wrote each signature's key table as (key, start,
+        stop) entries that a load decoded into dicts; this build bisects
+        per-slot key tables in place."""
+        _rewrite_manifest_header(snapshot_dir, lambda header: {**header, "version": 4})
+        _rewrite_container_header(
+            snapshot_dir / segment_filename(0), lambda header: {**header, "version": 4}
+        )
+        for load in (load_snapshot, load_store, TriniT.open):
+            with pytest.raises(PersistenceError) as excinfo:
+                load(snapshot_dir)
+            message = str(excinfo.value)
+            assert "version 4" in message
+            assert "re-save" in message
+            assert str(snapshot_dir / MANIFEST_NAME) in message
+        with pytest.raises(PersistenceError, match="version 4.*re-save"):
+            _Container(snapshot_dir / segment_filename(0))
 
 
 class TestPostingOrderMarker:
