@@ -570,9 +570,9 @@ class ShardedBackend:
         self, bound_slots: Sequence[bool], key: tuple[int, ...], slot: int
     ) -> set[int]:
         """The distinct term ids at free ``slot`` of the statements a
-        lookup of ``key`` matches, read off the segments' key tables
+        lookup of ``key`` matches, read off each segment's key group
         (:meth:`ColumnarBackend.slot_values`) and the delta's index — no
-        posting is read."""
+        posting list is merged."""
         sig = self._check_lookup(bound_slots, key)
         values: set[int] = set()
         for segment_index in range(len(self._starts)):

@@ -572,7 +572,7 @@ class TripleStore:
     ) -> set[int]:
         """The distinct term ids at ``position`` (an unbound one) of the
         statements an id-level lookup matches, read off the index's key
-        tables — the values a probe walks, without reading a posting."""
+        groups — the values a probe walks, without merging a posting list."""
         if self._closed:
             raise StorageError("Store is closed")
         if not self._frozen:

@@ -1122,7 +1122,7 @@ class BandProbe:
       pattern: that list's band is already in lead order and is streamed
       (sorted access; the shortest such list);
     * **unled** — otherwise the distinct lead values of the shortest list
-      that binds it are read off the index's key tables
+      that binds it are read off the index's key groups
       (:meth:`~repro.storage.store.TripleStore.slot_values`) and sorted.
 
     A lead value's *group* is completed by :func:`probe_combinations` over
