@@ -91,6 +91,9 @@ class _ClosedData:
     def __iter__(self) -> NoReturn:
         self._raise()
 
+    def get(self, *args: object) -> NoReturn:
+        self._raise()
+
     def values(self) -> NoReturn:
         self._raise()
 
@@ -112,6 +115,8 @@ class ColumnarBackend:
         # slot -> (its distinct ids ascending, where each id's group starts)
         self._key_tables: tuple[tuple[memoryview, memoryview], ...] = ()
         self._scan_view: memoryview | None = None
+        # (signature, key, slot) -> the distinct ids at slot (slot_values)
+        self._slot_values: dict = {}
         self._frozen = False
         self._closed = False
         # Set by _restore: keeps a snapshot's mmap (or bytes) buffer alive
@@ -152,6 +157,7 @@ class ColumnarBackend:
         backend._perm_views = perm_views
         backend._key_tables = key_tables
         backend._scan_view = scan_view
+        backend._slot_values = {}
         backend._frozen = True
         backend._closed = False
         backend._buffer = buffer
@@ -215,6 +221,7 @@ class ColumnarBackend:
         self._scan_view = _CLOSED
         self._perm_views = _CLOSED
         self._key_tables = _CLOSED
+        self._slot_values = _CLOSED
         for view in views:
             view.release()
         buffer, self._buffer = self._buffer, None
@@ -356,12 +363,19 @@ class ColumnarBackend:
     ) -> Iterable[int]:
         """The distinct ids at ``slot`` (not in ``sig``) of the statements
         keyed ``key`` on signature ``sig``: the slot's key table when
-        nothing is bound, else read through the key group's postings."""
+        nothing is bound, else read through the key group's postings once
+        per segment and request — a group can be a whole predicate's."""
         if not sig:
             return self._key_tables[slot][0]
-        lo, hi = self._span(sig, key)
-        column = (self._s, self._p, self._o)[slot]
-        return set(map(column.__getitem__, self._perm_views[sig][lo:hi]))
+        request = (sig, key, slot)
+        values = self._slot_values.get(request)
+        if values is None:
+            lo, hi = self._span(sig, key)
+            column = (self._s, self._p, self._o)[slot]
+            values = self._slot_values[request] = frozenset(
+                map(column.__getitem__, self._perm_views[sig][lo:hi])
+            )
+        return values
 
     def posting_block(
         self,

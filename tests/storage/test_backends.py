@@ -443,6 +443,15 @@ class TestKeyTableLookup:
         finally:
             segment.close()
 
+    def test_slot_values_are_memoised_until_close(self, seed, where, tmp_path):
+        segment, rows, _weights = self._segment(seed, where, tmp_path)
+        sig, key = (1,), (rows[0][1],)
+        first = segment.slot_values(sig, key, 2)
+        assert segment.slot_values(sig, key, 2) is first
+        segment.close()
+        with pytest.raises(StorageError):
+            segment.slot_values(sig, key, 2)
+
     def test_key_tables_hold_one_entry_per_distinct_id(self, seed, where, tmp_path):
         segment, rows, _weights = self._segment(seed, where, tmp_path)
         try:

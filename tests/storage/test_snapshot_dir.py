@@ -380,7 +380,9 @@ class TestKeyTableDamage:
         self._refused(snapshot_dir, r"key table 2 spans leave \[0, ")
 
     def test_last_span_past_the_postings_rejected(self, snapshot_dir):
-        length = len(load_snapshot(snapshot_dir))
+        loaded = load_snapshot(snapshot_dir)
+        length = len(loaded)
+        loaded.close()
 
         def overrun(starts):
             starts[-1] = length
