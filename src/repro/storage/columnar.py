@@ -6,9 +6,9 @@ instead of a list of per-triple objects.  For each bound-slot signature the
 freeze step materialises one *permutation array*: all triple ids reordered so
 that ids sharing a key are contiguous, the key groups in **key order** (the
 key's ids compared in the signature's lookup order, :data:`LOOKUP_ORDER`)
-and each key group in the
-**canonical posting order** — weight desc, then tie key asc, then triple id
-asc, where a triple's tie key is the sort keys of its (s, p, o) terms
+and each key group in the **canonical posting order** — weight desc, then
+tie key asc, then triple id asc, where a triple's tie key is the sort keys
+of its (s, p, o) terms
 (:meth:`~repro.storage.dictionary.TermDictionary.sort_key`).  Inside one
 key group the bound slots are equal, so the order ranks the free slots
 lexically: a tied run arrives in the order its answers rank.  A posting
