@@ -69,7 +69,7 @@ def test_persistence_table(medium_harness, tmp_path):
     t_save_snap = _best_of(lambda: save_snapshot(store, snap_path), reps=1)
     t_load_jsonl = _best_of(lambda: load_store(jsonl_path))
     # Segments map lazily; touch them all so the open pays for every
-    # offset table, not just the manifest.
+    # key-table check, not just the manifest.
     t_load_snap = _best_of(lambda: load_snapshot(snap_path).backend.load_segments())
 
     # Fidelity: the mmap-loaded snapshot store must be byte-identical on

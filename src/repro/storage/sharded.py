@@ -543,6 +543,8 @@ class ShardedBackend:
         are the global ids), else a :class:`MergedPostings` over the parts
         that do."""
         self._check_lookup(bound_slots, key)
+        if len(self._starts) == 1 and self._delta is None:
+            return self._segment(0).postings(bound_slots, key)
         segments = [self._segment(index) for index in range(len(self._starts))]
         lists = [segment.postings(bound_slots, key) for segment in segments]
         delta = (
