@@ -142,18 +142,20 @@ class _View:
     Built here and nowhere else, and never modified once published: an
     ingest, a compaction or an added rule builds the next view instead, so
     nothing derived from an older vocabulary, statement set or rule set
-    serves a query that starts after the change.  Statistics and matcher
-    are grow-only functions of the statements, so the next view derives
-    them from ``previous`` where it can: an ingest extends built ones
-    copy-on-write by the statements that arrived (cost: the batch, not the
-    store), a compaction that kept every id carries them over as they
-    are, a rule change reuses the very instances.  Unbuilt ones stay lazy
-    — a view then costs less than the first read of it — and no view
-    refers to the one before it.  Collection mass, rule index and
-    processors are rebuilt per view, and with the processors the query
-    plans they prepared (:class:`~repro.topk.processor.PreparedQuery`):
-    a plan never outlives the statements and rules it was derived from,
-    so nothing has to flush it.  ``version`` counts publishes,
+    serves a query that starts after the change.  Statistics hold
+    nothing but a predicate-mass memo — they read the store's own posting
+    index — so each view makes its own.  The token matcher is a grow-only
+    function of the statements, so the next view derives it from
+    ``previous`` where it can: an ingest extends a built one copy-on-write
+    by the statements that arrived (cost: the batch, not the store), a
+    compaction that kept every id carries it over as it is, a rule change
+    reuses the very instance.  An unbuilt one stays lazy — a view then
+    costs less than the first read of it — and no view refers to the one
+    before it.  Collection mass, rule index and processors are rebuilt
+    per view, and with the processors the query plans they prepared
+    (:class:`~repro.topk.processor.PreparedQuery`): a plan never outlives
+    the statements and rules it was derived from, so nothing has to flush
+    it.  ``version`` counts publishes,
     ``rules_version`` the rule-changing ones; ``extent`` is the
     (statement count, delta version) the view was built at.
     """
@@ -173,9 +175,9 @@ class _View:
         self.store = store
         self.rules = rules
         self.extent = (len(store), store.delta_version)
+        self.statistics = StoreStatistics(store)
         if same_store and self.extent == previous.extent:
             # No statement moved (a rule change): nothing to derive.
-            self.statistics = previous.statistics
             self.matcher = previous.matcher
         else:
             grown = same_store or (
@@ -183,9 +185,6 @@ class _View:
             )
             if grown and not same_store:
                 store.dictionary.adopt_sort_keys(previous.store.dictionary)
-            self.statistics = StoreStatistics(
-                store, previous=previous.statistics if grown else None
-            )
             self.matcher = TokenMatcher(
                 store, previous=previous.matcher if grown else None
             )
@@ -376,14 +375,10 @@ class TriniT:
         self._register_default_operators()
         self._state = _EngineState(self.config, store, RuleSet(rules))
         # Mining fills the first view's rule set before anything reads it;
-        # every later rule change publishes a new view (add_rules).  It
-        # sweeps into statistics of its own: the view's stay unbuilt until
-        # a suggestion asks for them, so an engine that never suggests
-        # neither holds nor extends them.
+        # every later rule change publishes a new view (add_rules).
         view = self._state.view
         self.registry.run(
-            OperatorContext(view.store, StoreStatistics(view.store)),
-            into=view.rules,
+            OperatorContext(view.store, view.statistics), into=view.rules
         )
 
     store = _of_view("store")
@@ -515,11 +510,11 @@ class TriniT:
         so they are immediately visible to ``ask``/``stream`` (and show up
         in :attr:`~repro.core.results.QueryStats.delta_hits`).  Duplicate
         statements accumulate evidence on their existing records.  The
-        batch ends by publishing a new read view: built statistics and a
-        built token matcher are extended by the statements that arrived
-        (the first read afterwards costs the batch, not the store);
-        collection mass and rule index are rebuilt.  An empty batch
-        publishes nothing.
+        batch ends by publishing a new read view: a built token matcher is
+        extended by the statements that arrived (the first read afterwards
+        costs the batch, not the store); statistics read the store's
+        index as it is; collection mass and rule index are rebuilt.  An
+        empty batch publishes nothing.
 
         A row that is not a :class:`Triple` is refused with
         :class:`TrinitError` before the store is touched; if the store
@@ -741,8 +736,8 @@ class TriniT:
 
         Published as a new read view: this engine and every
         :meth:`variant` apply them from their next query on.  No statement
-        moved, so the view keeps its predecessor's statistics and token
-        matcher as they are; rule index and processors are rebuilt.
+        moved, so the view keeps its predecessor's token matcher as it
+        is; rule index and processors are rebuilt.
         """
         parsed = [parse_rule(r) if isinstance(r, str) else r for r in rules]
         state = self._state

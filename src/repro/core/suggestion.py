@@ -95,7 +95,7 @@ class QuerySuggester:
         scored: list[tuple[float, Resource]] = []
         for resource in self.statistics.terms_in_slot(slot, kind="resource"):
             resource_context = self.statistics.context_pairs(resource, slot)
-            overlap = overlap_coefficient(token_context, set(resource_context))
+            overlap = overlap_coefficient(token_context, resource_context)
             score = max(overlap, surface_similarity.get(resource, 0.0))
             if score >= self.min_overlap:
                 scored.append((score, resource))

@@ -80,7 +80,9 @@ def mine_arg_overlap_rules(
 
     rules: list[RelaxationRule] = []
     for p1 in sources:
-        p1_args = args_cache.get(p1, statistics.args(p1))
+        p1_args = args_cache.get(p1)
+        if p1_args is None:
+            p1_args = statistics.args(p1)
         if not p1_args:
             continue
         overlap: dict[Term, int] = defaultdict(int)
@@ -148,26 +150,27 @@ def mine_chain_expansion_rules(
     ``max_compose_size`` aborts pathological compositions (hub nodes) before
     they blow up quadratically.
     """
-    store = statistics.store
-    dictionary = store.dictionary
     all_predicates = statistics.predicates()
     sources = list(source_predicates) if source_predicates is not None else all_predicates
     hops = list(hop_predicates) if hop_predicates is not None else all_predicates
 
-    # q's adjacency: subject id -> set of object ids.
+    # q's adjacency: subject id -> set of object ids.  A source that is
+    # also a hop reuses the pairs read for its adjacency.
+    hop_args = {q: statistics.args(q) for q in hops}
     hop_adjacency: dict[Term, dict[int, set[int]]] = {}
-    for q in hops:
+    for q, pairs in hop_args.items():
         adjacency: dict[int, set[int]] = defaultdict(set)
-        for s, o in statistics.args(q):
+        for s, o in pairs:
             adjacency[s].add(o)
         hop_adjacency[q] = adjacency
 
     rules: list[RelaxationRule] = []
     for p in sources:
-        p_args = statistics.args(p)
+        p_args = hop_args.get(p)
+        if p_args is None:
+            p_args = statistics.args(p)
         if not p_args:
             continue
-        p_pairs = set(p_args)
         candidates: list[tuple[float, int, Term]] = []
         for q in hops:
             if q == p:
@@ -185,7 +188,7 @@ def mine_chain_expansion_rules(
                     break
             if overflow or not composed:
                 continue
-            support = len(composed & p_pairs)
+            support = len(composed & p_args)
             # Smoothed confidence: pure overlap underestimates weight when
             # the KG is incomplete (the whole reason relaxation exists), so
             # one pseudo-count is granted to the overlap.

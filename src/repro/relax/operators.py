@@ -29,7 +29,8 @@ class OperatorContext:
     store:
         The frozen XKG triple store.
     statistics:
-        Pre-computed :class:`StoreStatistics` over the store.
+        :class:`StoreStatistics` over the store: reads of its posting
+        index (``args(p)``, predicate order), each made when asked.
     params:
         Free-form configuration for the operator (thresholds, caps...).
     """

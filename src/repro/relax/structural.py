@@ -38,15 +38,16 @@ def inversion_rules(
     """
     rules: list[RelaxationRule] = []
     predicates = statistics.predicates()
-    inverted_cache = {q: statistics.args_inverted(q) for q in predicates}
+    args = {p: statistics.args(p) for p in predicates}
+    inverted = {q: frozenset((o, s) for s, o in pairs) for q, pairs in args.items()}
     for p in predicates:
-        p_args = statistics.args(p)
+        p_args = args[p]
         if not p_args:
             continue
         for q in predicates:
             if q == p:
                 continue
-            q_inv = inverted_cache[q]
+            q_inv = inverted[q]
             if not q_inv:
                 continue
             support = len(p_args & q_inv)

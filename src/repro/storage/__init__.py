@@ -17,8 +17,9 @@ mapped from a snapshot directory:
   pre-sorted by observation weight so sorted access is an array walk,
 * :mod:`delta`, :mod:`compaction` — live ingestion and folding it back,
 * :mod:`store` — the :class:`TripleStore` facade (add / freeze / match),
-* :mod:`statistics` — pattern cardinalities, ``args(p)`` subject-object pair
-  sets for relaxation mining, collection frequencies for scoring,
+* :mod:`statistics` — ``args(p)`` subject-object pair sets for relaxation
+  mining, context pairs for query suggestion and predicate masses, read
+  off the store's own single-slot posting lists,
 * :mod:`text_index` — fuzzy phrase matching for text-token query slots,
 * :mod:`persistence` — JSONL save/load (with format sniffing),
 * :mod:`snapshot` — binary snapshot directories loaded back via ``mmap``.

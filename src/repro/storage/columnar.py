@@ -49,7 +49,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from repro.errors import StorageError
 from repro.storage.index import SIGNATURES, signature_of
@@ -370,12 +370,27 @@ class ColumnarBackend:
         request = (sig, key, slot)
         values = self._slot_values.get(request)
         if values is None:
-            lo, hi = self._span(sig, key)
             column = (self._s, self._p, self._o)[slot]
             values = self._slot_values[request] = frozenset(
-                map(column.__getitem__, self._perm_views[sig][lo:hi])
+                map(column.__getitem__, self._group(sig, key))
             )
         return values
+
+    def slot_pairs(
+        self, sig: tuple[int, ...], key: tuple[int, ...], slots: Sequence[int]
+    ) -> Iterator[tuple[int, int]]:
+        """The ids at the two ``slots`` (not in ``sig``) of each statement
+        keyed ``key`` on signature ``sig`` (nonempty), one pair per
+        statement; read through the key group and, unlike
+        :meth:`slot_values`, kept nowhere: a group can be a whole
+        predicate's, one tuple a statement."""
+        group = self._group(sig, key)
+        first, second = self.slot_columns(slots)
+        return zip(map(first.__getitem__, group), map(second.__getitem__, group))
+
+    def _group(self, sig: tuple[int, ...], key: tuple[int, ...]) -> Sequence[int]:
+        lo, hi = self._span(sig, key)
+        return self._perm_views[sig][lo:hi]
 
     def posting_block(
         self,

@@ -231,3 +231,20 @@ class DeltaSegment:
         with self._lock:
             column = self._columns[slot]
             return {column[local] for local in self._matches(sig, key)}
+
+    def slot_pairs(
+        self, sig: tuple[int, ...], key: tuple[int, ...], slots: Sequence[int]
+    ) -> list[tuple[int, int]]:
+        """The ids at the two ``slots`` of each row keyed ``key`` on
+        signature ``sig``, one pair per row."""
+        with self._lock:
+            first, second = (self._columns[slot] for slot in slots)
+            return [(first[local], second[local]) for local in self._matches(sig, key)]
+
+    def key_weights(
+        self, sig: tuple[int, ...], key: tuple[int, ...]
+    ) -> list[float]:
+        """The current weights of the rows keyed ``key`` on ``sig``."""
+        with self._lock:
+            weights = self._weights
+            return [weights[local] for local in self._matches(sig, key)]

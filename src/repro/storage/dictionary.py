@@ -101,10 +101,6 @@ class TermDictionary:
         clone._sort_keys = dict(self._sort_keys)
         return clone
 
-    def ids_of_kind(self, kind: str) -> list[int]:
-        """All ids whose term has the given kind ('resource', 'token', ...)."""
-        return [i for i, term in enumerate(self._id_to_term) if term.kind == kind]
-
 
 class LazyTermDictionary(TermDictionary, LazilyBuilt):
     """A dictionary whose term table decodes on first use.
@@ -167,7 +163,3 @@ class LazyTermDictionary(TermDictionary, LazilyBuilt):
     def copy(self) -> TermDictionary:
         self._ensure()
         return super().copy()
-
-    def ids_of_kind(self, kind: str) -> list[int]:
-        self._ensure()
-        return super().ids_of_kind(kind)

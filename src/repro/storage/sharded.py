@@ -47,6 +47,7 @@ import heapq
 import threading
 from array import array
 from bisect import bisect_right
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import StorageError
@@ -577,11 +578,51 @@ class ShardedBackend:
         posting list is merged."""
         sig = self._check_lookup(bound_slots, key)
         values: set[int] = set()
-        for segment_index in range(len(self._starts)):
-            values.update(self._segment(segment_index).slot_values(sig, key, slot))
-        if self._delta is not None:
-            values.update(self._delta.slot_values(sig, key, slot))
+        for part in self._parts():
+            values.update(part.slot_values(sig, key, slot))
         return values
+
+    def slot_pairs(
+        self, bound_slots: Sequence[bool], key: tuple[int, ...], slots: Sequence[int]
+    ) -> frozenset[tuple[int, int]]:
+        """The distinct ``(id, id)`` pairs at the two free ``slots`` of the
+        statements a lookup of ``key`` (nonempty) matches, read off each
+        segment's key group and the delta's index: no posting list is
+        merged, and no part keeps the pairs."""
+        sig = self._check_lookup(bound_slots, key)
+        return frozenset(
+            chain.from_iterable(
+                [part.slot_pairs(sig, key, slots) for part in self._parts()]
+            )
+        )
+
+    def key_weights(
+        self, bound_slots: Sequence[bool], key: tuple[int, ...]
+    ) -> Iterator[float]:
+        """The sort weights of the statements a lookup of ``key``
+        (nonempty) matches, part by part — in no rank order, so for an
+        order-free reduction such as :func:`math.fsum`.  Frozen ones are
+        read from the global column, as every other weight read does."""
+        sig = self._check_lookup(bound_slots, key)
+        weights = self._weights
+        parts = [
+            map(
+                weights.__getitem__,
+                map(start.__add__, self._segment(index).postings(bound_slots, key)),
+            )
+            for index, start in enumerate(self._starts)
+        ]
+        if self._delta is not None:
+            parts.append(self._delta.key_weights(sig, key))
+        return chain.from_iterable(parts)
+
+    def _parts(self) -> list:
+        """The segments in id order, then the delta if one is attached:
+        what a read that merges nothing walks part by part."""
+        parts: list = [self._segment(index) for index in range(len(self._starts))]
+        if self._delta is not None:
+            parts.append(self._delta)
+        return parts
 
     def slot_ids(self, triple_id: int) -> tuple[int, int, int]:
         if self._delta is not None and triple_id >= self._size:

@@ -1,123 +1,82 @@
-"""Derived statistics over a frozen store.
+"""Derived statistics over a frozen store, read off its posting index.
 
 Relaxation-rule mining needs ``args(p)`` — the set of subject-object pairs a
 predicate connects (Section 3 of the paper); query suggestion needs the
 *context pairs* of a term in a slot to measure match overlap between a text
-token and a candidate KG resource (Section 5).  Both are the same grow-only
-per-slot context maps, accumulated here statement by statement in id
-order: swept from the store once, on first use, or — in the engine's next
-read view — extended from a built predecessor by only the statements that
-arrived since.  Predicate masses read the store's *sort weights*, which
-later evidence can move, so they are not carried along: each instance
-sums them exactly, the first time it is asked.
+token and a candidate KG resource (Section 5).  Both are the term's
+single-slot key group — its ``(p,)``, ``(s,)`` or ``(o,)`` postings in each
+segment, plus the live delta's rows for that key — read as pairs of the
+other two id columns (:meth:`~repro.storage.sharded.ShardedBackend.
+slot_pairs`).  Nothing is swept or carried: every read asks the store as
+it is, and its pair set lives no longer than the caller holds it.
+Predicate masses read the store's *sort weights*, summed exactly per
+predicate the first time an instance is asked and kept for its life.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 
-from repro.core.terms import Term
-from repro.core.triples import TriplePattern, Triple
-from repro.core.terms import Variable
+from repro.core.terms import Term, Variable
+from repro.core.triples import TriplePattern
 from repro.errors import StorageError
 from repro.storage.store import TripleStore
-from repro.util.lazy import LazilyBuilt
 
 #: Slot indexes, for readability at call sites.
 SUBJECT, PREDICATE, OBJECT = 0, 1, 2
 
+#: Per slot: the lookup that binds it alone, and the two slots it leaves.
+_BOUND = ((True, False, False), (False, True, False), (False, False, True))
+_OTHERS = ((PREDICATE, OBJECT), (SUBJECT, OBJECT), (SUBJECT, PREDICATE))
 
-class StoreStatistics(LazilyBuilt):
+
+def _check_slot(slot: int) -> None:
+    if slot not in (SUBJECT, PREDICATE, OBJECT):
+        raise StorageError(f"Slot must be 0, 1 or 2, got {slot}")
+
+
+class StoreStatistics:
     """Aggregate views over a frozen :class:`TripleStore`.
 
     All returned collections use term *ids* internally but the public API
-    speaks :class:`Term`; decoding happens lazily where needed.
-    ``previous=`` names statistics over the same statements minus a suffix
-    (same term ids): if it is built, this instance extends its context maps
-    copy-on-write by that suffix; if not, it is ignored and this instance
-    stays lazy.  Built context maps are never written to again.
+    speaks :class:`Term`; decoding happens lazily where needed.  The only
+    state is the predicate-mass memo: everything else is a read of the
+    store's index, so an instance costs nothing until asked.
     """
 
-    def __init__(
-        self, store: TripleStore, *, previous: "StoreStatistics | None" = None
-    ):
+    def __init__(self, store: TripleStore):
         if not store.is_frozen:
             raise StorageError("Statistics require a frozen store")
         self.store = store
         self._mass: dict[int, float] | None = None
-        if previous is not None and previous.is_built:
-            self._extend(previous)
-            self._init_lazy(built=True)
-        else:
-            self._init_lazy()
 
-    def _build(self) -> None:
-        # Deferring the sweep (LazilyBuilt._ensure) keeps a cold
-        # ``TriniT.open()`` with mining disabled from touching every
-        # statement; it is "extend nothing with every statement".
-        self._extend(None)
-
-    def _extend(self, previous: "StoreStatistics | None") -> None:
-        """Accumulate the statements ``previous`` does not cover (all, from
-        None), reading the backend's id columns directly — no
-        :class:`StoredTriple` records are materialised.  The per-slot maps
-        of ``previous`` are shallow-copied and only the sets the new
-        statements land in are copied."""
-        store = self.store
-        covered = len(store)
-        slot_ids = store.backend.slot_ids
-        start = 0 if previous is None else previous._covered
-        rows = [slot_ids(tid) for tid in range(start, covered)]
-        # slot -> term id -> set of context tuples (ids of the other 2 slots)
-        context: list[dict[int, set[tuple[int, int]]]] = (
-            [{}, {}, {}] if previous is None else list(previous._context)
-        )
-        if rows:
-            for slot in (SUBJECT, PREDICATE, OBJECT):
-                pairs = context[slot] = dict(context[slot])
-                for term_id in {row[slot] for row in rows}:
-                    pairs[term_id] = set(pairs.get(term_id, ()))
-            by_subject, by_predicate, by_object = context
-            for s, p, o in rows:
-                by_subject[s].add((p, o))
-                by_predicate[p].add((s, o))
-                by_object[o].add((s, p))
-        self._context = context
-        self._covered = covered
+    def _slot_ids(self, slot: int) -> set[int]:
+        _check_slot(slot)
+        return self.store.slot_values(None, None, None, slot)
 
     # -- predicates ---------------------------------------------------------
 
     def _masses(self) -> dict[int, float]:
-        """predicate id -> total sort weight, each summed exactly
-        (:func:`math.fsum`), so it does not depend on arrival order.  One
-        pass over the weight column the first time this instance is asked
-        (grouping it per predicate costs 8 bytes a statement, freed on
-        return), kept for its life."""
+        """predicate id -> total sort weight for every predicate, each
+        summed exactly (:func:`math.fsum`) over its ``(p,)`` group's
+        weights, so it does not depend on arrival order.  Read the first
+        time this instance is asked, kept for its life."""
         masses = self._mass
         if masses is None:
-            store = self.store
-            slot_ids = store.backend.slot_ids
-            weights = store.weights()
-            groups: dict[int, array[float]] = {}
-            for tid in range(len(store)):
-                pid = slot_ids(tid)[PREDICATE]
-                group = groups.get(pid)
-                if group is None:
-                    group = groups[pid] = array("d")
-                group.append(weights[tid])
-            masses = {pid: math.fsum(group) for pid, group in groups.items()}
-            self._mass = masses
+            key_weights = self.store.backend.key_weights
+            masses = self._mass = {
+                pid: math.fsum(key_weights(_BOUND[PREDICATE], (pid,)))
+                for pid in self._slot_ids(PREDICATE)
+            }
         return masses
 
     def predicates(self) -> list[Term]:
-        """All distinct predicate terms, most-observed first (deterministic)."""
-        self._ensure()
+        """All distinct predicate terms, most-observed first (deterministic);
+        like the masses, as of this instance's first read of them."""
         decode = self.store.dictionary.decode
         masses = self._masses()
         ordered = sorted(
-            self._context[PREDICATE],
-            key=lambda pid: (-masses.get(pid, 0.0), decode(pid).sort_key()),
+            masses, key=lambda pid: (-masses[pid], decode(pid).sort_key())
         )
         return [decode(pid) for pid in ordered]
 
@@ -133,10 +92,6 @@ class StoreStatistics(LazilyBuilt):
     def args_inverted(self, predicate: Term) -> frozenset[tuple[int, int]]:
         """``args(p)`` with each pair flipped — for mining inversion rules."""
         return frozenset((o, s) for s, o in self.args(predicate))
-
-    def predicate_fanout(self, predicate: Term) -> int:
-        """Number of distinct S-O pairs the predicate connects."""
-        return len(self.args(predicate))
 
     def predicate_mass(self, predicate: Term) -> float:
         """Total observation weight across the predicate's triples."""
@@ -154,33 +109,19 @@ class StoreStatistics(LazilyBuilt):
         pairs of a text token with those of KG resources: large overlap means
         the token likely denotes that resource.
         """
-        if slot not in (SUBJECT, PREDICATE, OBJECT):
-            raise StorageError(f"Slot must be 0, 1 or 2, got {slot}")
-        self._ensure()
+        _check_slot(slot)
         term_id = self.store.dictionary.id_of(term)
         if term_id is None:
             return frozenset()
-        return frozenset(self._context[slot].get(term_id, ()))
+        return self.store.backend.slot_pairs(_BOUND[slot], (term_id,), _OTHERS[slot])
 
     def terms_in_slot(self, slot: int, kind: str | None = None) -> list[Term]:
         """Distinct terms occurring in ``slot``, optionally filtered by kind."""
-        if slot not in (SUBJECT, PREDICATE, OBJECT):
-            raise StorageError(f"Slot must be 0, 1 or 2, got {slot}")
-        self._ensure()
         decode = self.store.dictionary.decode
-        terms = (decode(term_id) for term_id in sorted(self._context[slot]))
+        terms = (decode(term_id) for term_id in sorted(self._slot_ids(slot)))
         if kind is None:
             return list(terms)
         return [t for t in terms if t.kind == kind]
-
-    # -- selectivity helpers -----------------------------------------------------
-
-    def pattern_selectivity(self, pattern: TriplePattern) -> float:
-        """Fraction of the store matched by the pattern (0 when empty store)."""
-        total = len(self.store)
-        if total == 0:
-            return 0.0
-        return self.store.cardinality(pattern) / total
 
     def type_instances(self, class_term: Term, type_predicate: Term) -> list[Term]:
         """Entities ``e`` with ``e type_predicate class_term`` — taxonomy helper."""

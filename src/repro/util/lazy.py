@@ -1,8 +1,8 @@
 """One-shot, thread-safe lazy construction.
 
-Several structures defer an expensive build to first use so a cold
-snapshot open stays cheap (store statistics, the text index, the snapshot
-term dictionary).  They share this mixin rather than each hand-rolling the
+Two structures defer an expensive build to first use so a cold
+snapshot open stays cheap (the text index, the snapshot term
+dictionary).  They share this mixin rather than each hand-rolling the
 double-checked-locking pattern: call :meth:`_init_lazy` in ``__init__``,
 implement :meth:`_build`, and guard every public accessor with
 :meth:`_ensure`.  Concurrent first touches (the query service's executor

@@ -128,20 +128,6 @@ def _matcher_state(matcher):
     )
 
 
-def _statistics_state(statistics):
-    """A built :class:`StoreStatistics`' carried state as plain values."""
-    statistics._ensure()
-    return (
-        [{term: set(pairs) for term, pairs in slot.items()} for slot in statistics._context],
-        statistics._covered,
-    )
-
-
 @pytest.fixture(scope="session")
 def matcher_state():
     return _matcher_state
-
-
-@pytest.fixture(scope="session")
-def statistics_state():
-    return _statistics_state

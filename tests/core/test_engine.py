@@ -7,10 +7,11 @@ from repro.core.query import Query
 from repro.core.terms import Resource, TextToken, Variable
 from repro.core.triples import Triple, TriplePattern
 from repro.errors import StorageError, TrinitError
-from repro.kg.paper_example import paper_engine
+from repro.kg.paper_example import paper_engine, paper_store
 from repro.relax.operators import OperatorRegistry
-from repro.storage.statistics import StoreStatistics
 from repro.storage.text_index import TokenMatcher
+
+from statistics_reference import assert_reads_equal
 
 
 class TestConstruction:
@@ -225,7 +226,7 @@ class TestIngestPublishes:
 
 
 class TestDerivedViews:
-    """The next view's matcher and statistics come from the previous ones."""
+    """The next view's token matcher comes from the previous one."""
 
     @staticmethod
     def _batch(number):
@@ -240,19 +241,18 @@ class TestDerivedViews:
         engine = paper_engine(compaction_threshold=7)
         engine.ask("?x 'born in' ?y")
         engine.suggest("?x 'born in' Germany")
-        assert engine.matcher.is_built and engine.statistics.is_built
+        assert engine.matcher.is_built
         sweeps = []
-        for cls in (TokenMatcher, StoreStatistics):
-            build = cls._build
-            monkeypatch.setattr(
-                cls,
-                "_build",
-                lambda self, _build=build: sweeps.append(type(self)) or _build(self),
-            )
+        build = TokenMatcher._build
+        monkeypatch.setattr(
+            TokenMatcher,
+            "_build",
+            lambda self: sweeps.append(type(self)) or build(self),
+        )
         generation = engine.generation
         for number in range(20):
             engine.ingest(self._batch(number))
-            assert engine.matcher.is_built and engine.statistics.is_built
+            assert engine.matcher.is_built
             engine.ask("?x 'born in' ?y")
             engine.suggest("?x 'born in' Germany")
         assert engine.generation > generation  # compactions happened too
@@ -261,9 +261,9 @@ class TestDerivedViews:
     def test_rule_change_reuses_the_instances(self):
         engine = paper_engine()
         engine.ask("?x 'born in' ?y")
-        matcher, statistics = engine.matcher, engine.statistics
+        matcher = engine.matcher
         engine.add_rule("?x worksAt ?y => ?x affiliation ?y @ 0.5")
-        assert engine.matcher is matcher and engine.statistics is statistics
+        assert engine.matcher is matcher
         cold = paper_engine()
         unbuilt = cold.matcher
         cold.add_rule("?x worksAt ?y => ?x affiliation ?y @ 0.5")
@@ -272,11 +272,22 @@ class TestDerivedViews:
     def test_unbuilt_structures_stay_lazy_across_ingest_and_compaction(self):
         engine = paper_engine()
         engine.ingest(self._batch(0))
-        assert not engine.matcher.is_built and not engine.statistics.is_built
+        assert not engine.matcher.is_built
         engine.compact()
-        assert not engine.matcher.is_built and not engine.statistics.is_built
+        assert not engine.matcher.is_built
 
-    def test_mining_leaves_the_views_statistics_unbuilt(self):
-        engine = paper_engine()
-        assert len(engine.rules) > 0
-        assert not engine.statistics.is_built
+    def test_each_view_reads_its_own_store_and_mining_reads_the_first(self):
+        seen = []
+        registry = OperatorRegistry()
+        registry.register("probe", lambda ctx: seen.append(ctx.statistics) or [])
+        engine = TriniT(paper_store(), registry=registry)
+        assert seen == [engine.statistics]
+        first = engine.statistics
+        engine.ingest(self._batch(0))
+        assert engine.statistics is not first
+        assert engine.statistics.store is engine.store
+        assert_reads_equal(engine.statistics)
+        engine.compact()
+        assert engine.statistics.store is engine.store
+        assert_reads_equal(engine.statistics)
+        engine.close()

@@ -1,9 +1,10 @@
 """A published read view's index never changes.
 
-The next view's token matcher and statistics are derived from this one's
-containers copy-on-write, so a query in flight on view N — and a stream
-opened on it — read exactly what they started with, whatever is ingested
-meanwhile, and no view keeps the one before it alive.  Synchronised with
+The next view's token matcher is derived from this one's containers
+copy-on-write, so a query in flight on view N — and a stream opened on it
+— read exactly what they started with, whatever is ingested meanwhile,
+and no view keeps the one before it alive.  (Statistics keep no index of
+their own: they read the store's.)  Synchronised with
 events only: no sleeps, no timing.
 """
 
@@ -19,9 +20,10 @@ from repro.core.parser import parse_query
 from repro.core.terms import Resource, TextToken
 from repro.core.triples import Triple
 from repro.scoring.language_model import PatternScorer
-from repro.storage.statistics import StoreStatistics
 from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatcher
+
+from statistics_reference import assert_reads_equal
 
 QUERY = "?x 'born in' ?y"
 
@@ -56,7 +58,7 @@ def _engine():
     engine = TriniT.from_triples(BASE)
     engine.ask(QUERY)
     engine.suggest(QUERY)
-    assert engine.matcher.is_built and engine.statistics.is_built
+    assert engine.matcher.is_built
     return engine
 
 
@@ -79,7 +81,7 @@ def _reachable_views(root):
 
 
 def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
-    matcher_state, statistics_state
+    matcher_state,
 ):
     # The run without the writes.
     quiet = _engine()
@@ -91,7 +93,7 @@ def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
     engine = _engine()
     view = engine._state.view
     matcher, statistics = view.matcher, view.statistics
-    matcher_before, statistics_before = matcher_state(matcher), statistics_state(statistics)
+    matcher_before = matcher_state(matcher)
 
     # The stream resumes on the plan view N prepared for the warm-up ask.
     processor = view.processor(engine.config.processor)
@@ -127,7 +129,6 @@ def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
 
     # The writers are done; view N's index is what it was ...
     assert matcher_state(matcher) == matcher_before
-    assert statistics_state(statistics) == statistics_before
     # ... while the current one has moved on, and knows the new phrases.
     assert current.matcher is not matcher and current.statistics is not statistics
     assert matcher_state(current.matcher) != matcher_before
@@ -235,7 +236,7 @@ def test_a_superseded_view_goes_by_reference_counting_alone(write):
 
 
 def test_background_compaction_carries_the_index_without_touching_it(
-    matcher_state, statistics_state
+    matcher_state,
 ):
     """A compaction publish (here inline, the same code as the worker's)
     hands the built index on: equal before and after, under a new store."""
@@ -243,14 +244,15 @@ def test_background_compaction_carries_the_index_without_touching_it(
     for batch in BATCHES:
         engine.ingest(batch)
     view = engine._state.view
-    before = matcher_state(view.matcher), statistics_state(view.statistics)
+    before = matcher_state(view.matcher)
     engine.compact()
     current = engine._state.view
     assert current.store is not view.store
-    assert current.matcher.is_built and current.statistics.is_built
+    assert current.matcher.is_built
     assert current.matcher.store is current.store
-    assert (matcher_state(current.matcher), statistics_state(current.statistics)) == before
-    assert (matcher_state(view.matcher), statistics_state(view.statistics)) == before
+    assert current.statistics.store is current.store
+    assert matcher_state(current.matcher) == before
+    assert matcher_state(view.matcher) == before
     assert _reachable_views(current) == []
     engine.close()
 
@@ -271,16 +273,16 @@ def test_compaction_that_renumbers_terms_falls_back_to_the_sweep():
     batch = [Triple(Resource("NielsBohr"), TextToken("born in"), Resource("Copenhagen"))]
     engine.ingest(batch)
     reference.ingest(batch)
-    assert engine.matcher.is_built and engine.statistics.is_built
+    assert engine.matcher.is_built
     engine.compact()
-    assert not engine.matcher.is_built and not engine.statistics.is_built
+    assert not engine.matcher.is_built
     assert _signature(engine.ask(QUERY)) == _signature(reference.ask(QUERY))
     assert engine.suggest(QUERY) == reference.suggest(QUERY)
     engine.close()
     reference.close()
 
 
-def test_readers_never_see_a_view_change_under_them(matcher_state, statistics_state):
+def test_readers_never_see_a_view_change_under_them(matcher_state):
     """Stress: more readers than cores re-check the view they hold while
     the writer ingests — a lost copy (a container shared with the next
     view and then written to) would show as a changed index."""
@@ -290,11 +292,13 @@ def test_readers_never_see_a_view_change_under_them(matcher_state, statistics_st
     def read():
         try:
             while not stop.is_set():
-                view = engine._state.view
-                before = matcher_state(view.matcher), statistics_state(view.statistics)
-                view.matcher.matches(TextToken("born in"), 1)
-                view.statistics.context_pairs(Resource("bornIn"), 1)
-                after = matcher_state(view.matcher), statistics_state(view.statistics)
+                # Held as a query holds it: statistics read the view's
+                # store, which must stay open meanwhile.
+                with engine._state.reading() as view:
+                    before = matcher_state(view.matcher)
+                    view.matcher.matches(TextToken("born in"), 1)
+                    view.statistics.context_pairs(Resource("bornIn"), 1)
+                    after = matcher_state(view.matcher)
                 if after != before:
                     failures.append(view.version)
         except Exception as exc:  # noqa: BLE001 - reported below
@@ -326,7 +330,5 @@ def test_readers_never_see_a_view_change_under_them(matcher_state, statistics_st
     assert failures == []
     current = engine._state.view
     assert matcher_state(current.matcher) == matcher_state(TokenMatcher(current.store))
-    assert statistics_state(current.statistics) == statistics_state(
-        StoreStatistics(current.store)
-    )
+    assert_reads_equal(current.statistics)
     engine.close()

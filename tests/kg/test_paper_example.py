@@ -68,7 +68,7 @@ class TestFigure4:
 class TestPaperStore:
     def test_sizes(self):
         store = paper_store()
-        assert store.num_token_triples() == 4
+        assert sum(r.triple.is_token_triple for r in store.records()) == 4
         assert len(store) == 6 + 3 + 4  # Figure 1 + type assertions + tokens
 
     def test_queryable(self):

@@ -1,14 +1,16 @@
 """Property: a derived read view equals one built from scratch.
 
 ``TriniT.ingest`` / ``compact`` / ``add_rule`` publish a view whose token
-matcher and statistics come from the previous view — extended by the
-batch, carried across the compaction, reused as they are — instead of
-sweeping the store again.  The sweep stays as the oracle: after every
-step of a random write sequence, whatever the engine's matcher and
-statistics have built is structurally equal to fresh instances over
+matcher comes from the previous view — extended by the batch, carried
+across the compaction, reused as it is — instead of sweeping the store
+again; its statistics read the store's posting index.  Sweeps stay as the
+oracles: after every step of a random write sequence, whatever the
+engine's matcher has built is structurally equal to a fresh instance over
 ``engine.store`` (``by_norm`` with its insertion order, ``by_key`` with
-its list order, ``by_stem``, the three context maps), predicate masses
-are bit-equal, and ``matches`` / ``context_pairs`` / ``suggest`` agree.
+its list order, ``by_stem``), every statistics read equals the id-order
+sweep (:mod:`statistics_reference`: predicate order, masses bit for bit,
+``args``, ``terms_in_slot``, ``context_pairs``), and ``matches`` /
+``suggest`` agree.
 
 The vocabulary is chosen to collide: phrases whose norms equal a
 resource's surface (``'born in'`` / ``bornIn``), phrases that share a
@@ -27,11 +29,11 @@ from repro.core.suggestion import QuerySuggester
 from repro.core.terms import Resource, TextToken
 from repro.core.triples import Triple
 from repro.storage.snapshot import save_snapshot
-from repro.storage.statistics import StoreStatistics
 from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatcher
 
 from layouts import as_layout, generational_copy
+from statistics_reference import SweptStatistics, assert_reads_equal
 
 ENTITIES = [
     Resource("AlbertEinstein"),
@@ -115,9 +117,10 @@ def _apply(engine, step):
             engine.statistics.predicates()
 
 
-def _assert_equals_a_sweep(engine, matcher_state, statistics_state, *, force=False):
-    """What the current view has built equals fresh instances over its
-    store; ``force`` builds what is still lazy first."""
+def _assert_equals_a_sweep(engine, matcher_state, *, force=False):
+    """What the current view has built equals a fresh matcher over its
+    store, and its statistics read what the sweep does; ``force`` builds
+    the matcher first if it is still lazy."""
     store = engine.store
     matcher, statistics = engine.matcher, engine.statistics
     assert matcher.store is store and statistics.store is store
@@ -128,22 +131,10 @@ def _assert_equals_a_sweep(engine, matcher_state, statistics_state, *, force=Fal
             assert matcher.phrases_in_slot(slot) == fresh.phrases_in_slot(slot)
             for probe in PROBES:
                 assert matcher.matches(probe, slot) == fresh.matches(probe, slot)
-    if force or statistics.is_built:
-        fresh = StoreStatistics(store)
-        assert statistics_state(statistics) == statistics_state(fresh)
-        predicates = fresh.predicates()
-        assert statistics.predicates() == predicates
-        for predicate in predicates:
-            # Bit-equal, not approximately: one id-ordered sum on both sides.
-            assert statistics.predicate_mass(predicate) == fresh.predicate_mass(predicate)
-            assert statistics.args(predicate) == fresh.args(predicate)
-        for slot in (0, 1, 2):
-            assert statistics.terms_in_slot(slot) == fresh.terms_in_slot(slot)
-            for term in ENTITIES + PREDICATES:
-                assert statistics.context_pairs(term, slot) == fresh.context_pairs(term, slot)
-    if force or (matcher.is_built and statistics.is_built):
+    assert_reads_equal(statistics, ENTITIES + PREDICATES)
+    if force or matcher.is_built:
         suggester = QuerySuggester(
-            StoreStatistics(store),
+            SweptStatistics(store),
             TokenMatcher(store),
             min_overlap=engine.config.suggestion_min_overlap,
         )
@@ -159,7 +150,7 @@ def _assert_equals_a_sweep(engine, matcher_state, statistics_state, *, force=Fal
     threshold=st.sampled_from([None, 3]),
 )
 def test_derived_views_equal_a_sweep(
-    layout, tmp_path_factory, matcher_state, statistics_state, base, warm,
+    layout, tmp_path_factory, matcher_state, base, warm,
     sequence, threshold,
 ):
     engine = TriniT(
@@ -170,8 +161,8 @@ def test_derived_views_equal_a_sweep(
         _apply(engine, ("warm", warm))
         for step in sequence:
             _apply(engine, step)
-            _assert_equals_a_sweep(engine, matcher_state, statistics_state)
-        _assert_equals_a_sweep(engine, matcher_state, statistics_state, force=True)
+            _assert_equals_a_sweep(engine, matcher_state)
+        _assert_equals_a_sweep(engine, matcher_state, force=True)
     finally:
         engine.close()
 
@@ -182,7 +173,7 @@ def test_derived_views_equal_a_sweep(
     sequence=st.lists(steps, min_size=1, max_size=6),
 )
 def test_derived_views_equal_a_sweep_across_snapshot_generations(
-    layout, matcher_state, statistics_state, base, sequence
+    layout, matcher_state, base, sequence
 ):
     """The same property where compaction writes a generation and reloads
     it (``write_generation``), instead of rebuilding in memory."""
@@ -198,8 +189,8 @@ def test_derived_views_equal_a_sweep_across_snapshot_generations(
             _apply(engine, ("warm", "both"))
             for step in sequence:
                 _apply(engine, step)
-                _assert_equals_a_sweep(engine, matcher_state, statistics_state)
+                _assert_equals_a_sweep(engine, matcher_state)
             engine.compact()
-            _assert_equals_a_sweep(engine, matcher_state, statistics_state, force=True)
+            _assert_equals_a_sweep(engine, matcher_state, force=True)
         finally:
             engine.close()

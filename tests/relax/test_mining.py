@@ -1,12 +1,17 @@
 """Unit tests for XKG rule mining (the paper's §3 weight formula)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.terms import Resource, TextToken, Variable
 from repro.core.triples import Triple
 from repro.relax.mining import mine_arg_overlap_rules, mine_chain_expansion_rules
+from repro.relax.structural import inversion_rules
 from repro.storage.statistics import StoreStatistics
 from repro.storage.store import TripleStore
+
+from statistics_reference import SweptStatistics
 
 
 def _store_with_overlap():
@@ -161,3 +166,59 @@ class TestChainExpansionMining:
             assert rule.replacement[0].p != rule.replacement[1].p or (
                 rule.original[0].p != rule.replacement[1].p
             )
+
+
+class _CountingStatistics:
+    """Statistics that count the pair-set reads (``args`` and
+    ``args_inverted``) a miner makes, per predicate."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.store = inner.store
+        self.reads = Counter()
+
+    def predicates(self):
+        return self._inner.predicates()
+
+    def args(self, predicate):
+        self.reads[predicate] += 1
+        return self._inner.args(predicate)
+
+    def args_inverted(self, predicate):
+        self.reads[predicate] += 1
+        return self._inner.args_inverted(predicate)
+
+
+#: The engine's default miners under its default thresholds.
+DEFAULT_MINERS = {
+    "arg-overlap": lambda stats: mine_arg_overlap_rules(stats, min_support=2, min_weight=0.1),
+    "chain-expansion": lambda stats: mine_chain_expansion_rules(stats, min_support=2),
+    "inversions": lambda stats: inversion_rules(stats, min_support=2),
+}
+
+
+class TestPairReads:
+    """Each default miner reads a predicate's pairs once, and mines over
+    posting reads exactly what it mines over the id-order sweep."""
+
+    @pytest.mark.parametrize("miner", sorted(DEFAULT_MINERS))
+    def test_one_read_per_predicate(self, miner, tiny_harness, relayout):
+        store = relayout(tiny_harness.engine.store.rebuild())
+        counting = _CountingStatistics(StoreStatistics(store))
+        rules = DEFAULT_MINERS[miner](counting)
+        assert rules
+        predicates = StoreStatistics(store).predicates()
+        assert counting.reads == Counter(predicates)
+        assert rules == DEFAULT_MINERS[miner](SweptStatistics(store))
+        store.close()
+
+    @pytest.mark.parametrize("miner", sorted(DEFAULT_MINERS))
+    def test_live_delta_mines_what_the_sweep_does(self, miner, paper_store_fixture):
+        store = paper_store_fixture.rebuild()
+        store.add(Triple(Resource("MaxPlanck"), TextToken("works at"), Resource("KWI")))
+        store.add(Triple(Resource("MaxPlanck"), Resource("affiliation"), Resource("KWI")))
+        store.add(Triple(Resource("NielsBohr"), TextToken("works at"), Resource("KWI")))
+        store.add(Triple(Resource("NielsBohr"), Resource("affiliation"), Resource("KWI")))
+        assert store.has_delta
+        rules = DEFAULT_MINERS[miner](StoreStatistics(store))
+        assert rules == DEFAULT_MINERS[miner](SweptStatistics(store))

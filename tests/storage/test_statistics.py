@@ -1,14 +1,18 @@
-"""Unit tests for store statistics (args(p), context pairs, selectivity)."""
+"""Unit tests for store statistics (args(p), context pairs, masses)."""
 
 from itertools import permutations
 
 import pytest
 
-from repro.core.terms import Resource, TextToken, Variable
-from repro.core.triples import Triple, TriplePattern
+from repro.core.terms import Resource, TextToken
+from repro.core.triples import Triple
 from repro.errors import StorageError
+from repro.storage.compaction import compact_store
+from repro.storage.snapshot import load_snapshot, save_snapshot
 from repro.storage.statistics import OBJECT, PREDICATE, SUBJECT, StoreStatistics
 from repro.storage.store import TripleStore
+
+from statistics_reference import SweptStatistics, assert_reads_equal
 
 
 @pytest.fixture()
@@ -49,7 +53,7 @@ class TestPredicates:
         assert stats.args(Resource("unknownPred")) == frozenset()
 
     def test_fanout(self, stats):
-        assert stats.predicate_fanout(Resource("bornIn")) == 2
+        assert len(stats.args(Resource("bornIn"))) == 2
 
     def test_mass_counts_observations(self, stats):
         # 'lectured at': 3 × 0.8 + 1 × 0.9
@@ -79,13 +83,7 @@ class TestContextPairs:
         assert all(t.kind == "token" for t in tokens)
 
 
-class TestSelectivity:
-    def test_pattern_selectivity(self, stats, frozen_small_store):
-        x, y = Variable("x"), Variable("y")
-        pattern = TriplePattern(x, Resource("bornIn"), y)
-        expected = 2 / len(frozen_small_store)
-        assert stats.pattern_selectivity(pattern) == pytest.approx(expected)
-
+class TestTypeInstances:
     def test_type_instances(self):
         store = TripleStore()
         t = Resource("type")
@@ -106,51 +104,79 @@ def _live_store():
     return store.freeze()
 
 
-def _built(store, **options):
-    statistics = StoreStatistics(store, **options)
-    statistics._ensure()
-    return statistics
+#: Terms the sweep comparisons also ask for though no statement holds them.
+ABSENT = [Resource("Nobody"), TextToken("never said")]
+
+
+class TestAgainstTheSweep:
+    """Every read equals the id-order sweep over the same store
+    (:mod:`statistics_reference`): a fresh build, a live delta, several
+    segments, a reopened snapshot, and after each ingest and compaction."""
+
+    def test_fresh_build(self, frozen_small_store, paper_store_fixture):
+        for store in (frozen_small_store, paper_store_fixture):
+            assert_reads_equal(StoreStatistics(store), ABSENT)
+
+    def test_generated_world(self, tiny_harness):
+        assert_reads_equal(StoreStatistics(tiny_harness.engine.store), ABSENT)
+
+    def test_every_layout(self, small_store, relayout):
+        store = relayout(small_store.freeze())
+        assert_reads_equal(StoreStatistics(store), ABSENT)
+        store.close()
+
+    def test_live_delta_after_each_ingest(self):
+        store = _live_store()
+        batches = [
+            [(Triple(Resource("NielsBohr"), Resource("bornIn"), Resource("Copenhagen")), 0.3)],
+            # A new predicate, a term new to the subject slot, and a
+            # duplicate of a frozen statement (its frozen weight stays).
+            [
+                (Triple(Resource("Ulm"), Resource("locatedIn"), Resource("Germany")), 1.0),
+                (Triple(Resource("MarieCurie"), Resource("bornIn"), Resource("Warsaw")), 0.5),
+            ],
+            # A duplicate of a delta statement: its weight moves.
+            [(Triple(Resource("NielsBohr"), Resource("bornIn"), Resource("Copenhagen")), 0.9)],
+        ]
+        for batch in batches:
+            for triple, confidence in batch:
+                store.add(triple, confidence=confidence)
+            assert store.has_delta
+            assert_reads_equal(StoreStatistics(store), ABSENT)
+
+    def test_after_each_compaction(self):
+        store = _live_store()
+        for number in range(3):
+            store.add(Triple(Resource(f"P{number}"), Resource("bornIn"), Resource("Ulm")))
+            store.add(Triple(Resource(f"P{number}"), TextToken("born in"), Resource("Ulm")))
+            compacted = compact_store(store)
+            assert not compacted.has_delta
+            assert_reads_equal(StoreStatistics(compacted), ABSENT)
+            store = compacted
+
+    def test_reopened_snapshot(self, small_store, tmp_path):
+        store = small_store.freeze()
+        save_snapshot(store, tmp_path / "xkg.snapd")
+        reopened = load_snapshot(tmp_path / "xkg.snapd")
+        assert_reads_equal(StoreStatistics(reopened), ABSENT)
+        reopened.add(Triple(Resource("NielsBohr"), TextToken("lectured at"), Resource("ETH")))
+        assert_reads_equal(StoreStatistics(reopened), ABSENT)
+        reopened.close()
+
+    def test_pair_sets_are_not_kept(self, frozen_small_store):
+        """No read is memoised: each one is a new set, and the segment's
+        ``slot_values`` memo stays empty."""
+        stats = StoreStatistics(frozen_small_store)
+        first = stats.args(Resource("bornIn"))
+        assert stats.args(Resource("bornIn")) is not first
+        stats.predicates()
+        stats.terms_in_slot(SUBJECT)
+        stats.context_pairs(Resource("AlbertEinstein"), SUBJECT)
+        assert frozen_small_store.backend._segment(0)._slot_values == {}
 
 
 class TestExtension:
-    """``previous=``: extending built statistics equals sweeping the store."""
-
-    def test_extension_equals_a_sweep(self, statistics_state):
-        store = _live_store()
-        base = _built(store)
-        store.add(Triple(Resource("NielsBohr"), Resource("bornIn"), Resource("Copenhagen")))
-        store.add(Triple(Resource("NielsBohr"), TextToken("lectured at"), Resource("Sorbonne")))
-        grown = StoreStatistics(store, previous=base)
-        assert grown.is_built
-        fresh = StoreStatistics(store)
-        assert statistics_state(grown) == statistics_state(fresh)
-        assert grown.predicates() == fresh.predicates()
-        assert grown.args(Resource("bornIn")) == fresh.args(Resource("bornIn"))
-        assert len(grown.args(Resource("bornIn"))) == 3
-        assert grown.terms_in_slot(SUBJECT) == fresh.terms_in_slot(SUBJECT)
-
-    def test_predecessor_is_left_exactly_as_it_was(self, statistics_state):
-        store = _live_store()
-        base = _built(store)
-        before = statistics_state(base)
-        curie = store.dictionary.id_of(Resource("MarieCurie"))
-        untouched = base._context[SUBJECT][curie]
-        store.add(Triple(Resource("NielsBohr"), Resource("bornIn"), Resource("Copenhagen")))
-        grown = StoreStatistics(store, previous=base)
-        assert statistics_state(base) == before
-        assert len(base.args(Resource("bornIn"))) == 2
-        # Copy-on-write: a set the batch did not land in is shared.
-        assert grown._context[SUBJECT][curie] is untouched
-        born_in = store.dictionary.id_of(Resource("bornIn"))
-        assert grown._context[PREDICATE][born_in] is not base._context[PREDICATE][born_in]
-
-    def test_nothing_new_shares_the_maps(self):
-        store = _live_store()
-        base = _built(store)
-        store.add(Triple(Resource("MarieCurie"), Resource("bornIn"), Resource("Warsaw")))
-        grown = StoreStatistics(store, previous=base)
-        assert grown.is_built
-        assert all(a is b for a, b in zip(grown._context, base._context))
+    """Statistics over a store that grew after an instance read it."""
 
     def test_mass_follows_evidence_for_a_delta_statement(self):
         """The one non-additive piece: a duplicate landing on a delta
@@ -158,27 +184,16 @@ class TestExtension:
         store = _live_store()
         bohr = Triple(Resource("NielsBohr"), Resource("bornIn"), Resource("Copenhagen"))
         store.add(bohr, confidence=0.3)
-        base = _built(store)
+        base = StoreStatistics(store)
         assert base.predicate_mass(Resource("bornIn")) == 1.0 + 1.0 + 0.3
         store.add(bohr, confidence=0.7, count=2)
-        grown = StoreStatistics(store, previous=base)
         fresh = StoreStatistics(store)
-        assert grown.predicate_mass(Resource("bornIn")) == fresh.predicate_mass(
-            Resource("bornIn")
-        )
-        assert grown.predicate_mass(Resource("bornIn")) == 1.0 + 1.0 + 3 * 0.7
+        assert fresh.predicate_mass(Resource("bornIn")) == SweptStatistics(
+            store
+        ).predicate_mass(Resource("bornIn"))
+        assert fresh.predicate_mass(Resource("bornIn")) == 1.0 + 1.0 + 3 * 0.7
         # ... and what an instance answered once, it keeps answering.
         assert base.predicate_mass(Resource("bornIn")) == 1.0 + 1.0 + 0.3
-
-    def test_unbuilt_predecessor_yields_an_unbuilt_unchained_successor(self):
-        store = _live_store()
-        base = StoreStatistics(store)
-        store.add(Triple(Resource("NielsBohr"), Resource("bornIn"), Resource("Copenhagen")))
-        successor = StoreStatistics(store, previous=base)
-        assert not successor.is_built and not base.is_built
-        assert all(value is not base for value in vars(successor).values())
-        assert successor.predicate_fanout(Resource("bornIn")) == 3
-        assert successor.is_built and not base.is_built
 
 
 class TestArrivalOrder:

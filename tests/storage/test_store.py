@@ -144,7 +144,7 @@ class TestLookup:
 class TestCounts:
     def test_token_vs_kg_split(self, frozen_small_store):
         store = frozen_small_store
-        assert store.num_token_triples() == 3
+        assert sum(r.triple.is_token_triple for r in store.records()) == 3
         kg = [r for r in store.records() if not r.triple.is_token_triple]
         assert len(kg) == len(store) - 3
 
