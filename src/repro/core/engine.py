@@ -151,11 +151,18 @@ class _View:
     compaction that kept every id carries it over as it is, a rule change
     reuses the very instance.  An unbuilt one stays lazy — a view then
     costs less than the first read of it — and no view refers to the one
-    before it.  Collection mass, rule index and processors are rebuilt
-    per view, and with the processors the query plans they prepared
-    (:class:`~repro.topk.processor.PreparedQuery`): a plan never outlives
-    the statements and rules it was derived from, so nothing has to flush
-    it.  ``version`` counts publishes,
+    before it.  Collection mass is recomputed per view.  Each view has its
+    own processors; after an ingest, or a compaction that kept every id,
+    under the same rule set, each starts from its predecessor's
+    (:meth:`~repro.topk.processor.TopKProcessor.successor`): the rule
+    routing, unless the batch made a translated rule's predicate known,
+    and every query plan (:class:`~repro.topk.processor.PreparedQuery`)
+    whose recorded reads the batch cannot have changed — the matcher's
+    ``arrivals`` say which token expansions it could.  A rule change, or a
+    compaction that renumbered terms, starts them empty.  A carried plan
+    is checked and copied on its first read in the new view, a compaction
+    copies them at once, so no processor keeps a superseded store.
+    ``version`` counts publishes,
     ``rules_version`` the rule-changing ones; ``extent`` is the
     (statement count, delta version) the view was built at.
     """
@@ -176,18 +183,22 @@ class _View:
         self.rules = rules
         self.extent = (len(store), store.delta_version)
         self.statistics = StoreStatistics(store)
+        grown = same_store or (
+            previous is not None and _same_term_ids(previous.store, store)
+        )
         if same_store and self.extent == previous.extent:
-            # No statement moved (a rule change): nothing to derive.
+            # No statement moved: nothing to derive.
             self.matcher = previous.matcher
+            arrivals = [(frozenset(), frozenset())] * 3
         else:
-            grown = same_store or (
-                previous is not None and _same_term_ids(previous.store, store)
-            )
             if grown and not same_store:
                 store.dictionary.adopt_sort_keys(previous.store.dictionary)
             self.matcher = TokenMatcher(
                 store, previous=previous.matcher if grown else None
             )
+            # What it gained over the previous view's built index; None
+            # when it was not extended from one.
+            arrivals = self.matcher.arrivals
         self.scorer = PatternScorer(store, config.scoring)
         self.suggester = QuerySuggester(
             self.statistics,
@@ -206,10 +217,16 @@ class _View:
             else:
                 self.generation = max(self.generation, previous.generation + 1)
         self._processors: dict[ProcessorConfig, TopKProcessor] = {}
+        if grown and rules is previous.rules:
+            for processor_config, processor in dict(previous._processors).items():
+                self._processors[processor_config] = processor.successor(
+                    store, scorer=self.scorer, matcher=self.matcher, arrivals=arrivals
+                )
 
     def processor(self, config: ProcessorConfig) -> TopKProcessor:
         """The processor under ``config``: an engine and its variants each
-        get theirs, and none outlives the view it was derived from."""
+        get theirs — carried from the previous view's when there was one,
+        else built on first use."""
         processor = self._processors.get(config)
         if processor is None:
             processor = self._processors.setdefault(
@@ -513,8 +530,10 @@ class TriniT:
         batch ends by publishing a new read view: a built token matcher is
         extended by the statements that arrived (the first read afterwards
         costs the batch, not the store); statistics read the store's
-        index as it is; collection mass and rule index are rebuilt.  An
-        empty batch publishes nothing.
+        index as it is; collection mass is recomputed; the rule routing
+        and every prepared query plan the batch cannot have changed carry
+        over, so a repeated query plans nothing again.  An empty batch
+        publishes nothing.
 
         A row that is not a :class:`Triple` is refused with
         :class:`TrinitError` before the store is touched; if the store
@@ -737,7 +756,7 @@ class TriniT:
         Published as a new read view: this engine and every
         :meth:`variant` apply them from their next query on.  No statement
         moved, so the view keeps its predecessor's token matcher as it
-        is; rule index and processors are rebuilt.
+        is; rule routing and query plans start empty.
         """
         parsed = [parse_rule(r) if isinstance(r, str) else r for r in rules]
         state = self._state

@@ -65,6 +65,24 @@ class Query:
         object.__setattr__(self, "projection", projection)
         object.__setattr__(self, "limit", limit)
 
+    def __hash__(self) -> int:
+        # A query keys its processor's plans, looked up by every read and
+        # re-keyed by every view that carries them: hash the patterns once.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.patterns, self.projection, self.limit))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # A string's hash differs between processes: pickle the fields only.
+        return {
+            "patterns": self.patterns,
+            "projection": self.projection,
+            "limit": self.limit,
+        }
+
     # -- structure -------------------------------------------------------------
 
     def variables(self) -> tuple[Variable, ...]:

@@ -22,7 +22,6 @@ from repro.core.results import AnswerSet
 from repro.core.terms import Resource, TextToken
 from repro.storage.statistics import StoreStatistics
 from repro.storage.text_index import TokenMatcher
-from repro.util.text import overlap_coefficient
 
 #: Suggestion kinds.
 KIND_RESOURCE = "resource"
@@ -92,10 +91,27 @@ class QuerySuggester:
                 surface_similarity[match.token] = match.similarity
         if not token_context and not surface_similarity:
             return []
+        # |context(token) ∩ context(resource)| per resource, counted off
+        # the token's pairs: only a resource sharing one, or matched by
+        # surface form, scores above zero.
+        shared = self.statistics.shared_pairs(token_context, slot)
+        if self.min_overlap > 0:
+            candidates = [
+                term
+                for term in shared
+                if term.kind == "resource" and term not in surface_similarity
+            ] + list(surface_similarity)
+        else:
+            candidates = self.statistics.terms_in_slot(slot, kind="resource")
         scored: list[tuple[float, Resource]] = []
-        for resource in self.statistics.terms_in_slot(slot, kind="resource"):
-            resource_context = self.statistics.context_pairs(resource, slot)
-            overlap = overlap_coefficient(token_context, resource_context)
+        for resource in candidates:
+            common = shared.get(resource, 0)
+            overlap = (
+                common
+                / min(len(token_context), self.statistics.context_size(resource, slot))
+                if common
+                else 0.0
+            )
             score = max(overlap, surface_similarity.get(resource, 0.0))
             if score >= self.min_overlap:
                 scored.append((score, resource))

@@ -119,12 +119,20 @@ class RewriteEngine:
         """
         return list(self.iter_rewrites(query))
 
-    def iter_rewrites(self, query: Query) -> Iterator[RewrittenQuery]:
+    def iter_rewrites(
+        self,
+        query: Query,
+        condition_checker: Callable[[TriplePattern], bool] | None = None,
+    ) -> Iterator[RewrittenQuery]:
         """Lazy best-first enumeration — the top-k processor consumes this
         incrementally and stops pulling once rewriting upper bounds fall
         below the current answer threshold ("invoking a relaxation only when
-        it can contribute to the top-k answers")."""
+        it can contribute to the top-k answers").  ``condition_checker``,
+        when given, checks rule conditions for this enumeration instead of
+        the engine's own."""
         active_rules = self._active_rules
+        if condition_checker is None:
+            condition_checker = self.condition_checker
         counter = itertools.count()
         fresh_names = (f"fv{i}" for i in itertools.count())
         heap: list[tuple[float, int, RewrittenQuery]] = []
@@ -148,7 +156,7 @@ class RewriteEngine:
                 if child_weight < self.min_weight:
                     continue  # rules are weight-sorted per rule, not combined
                 for application in rule.apply(
-                    item.query, fresh_names, self.condition_checker
+                    item.query, fresh_names, condition_checker
                 ):
                     child_key = canonical_form(application.query)
                     if child_key in emitted:

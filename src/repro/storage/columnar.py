@@ -376,6 +376,34 @@ class ColumnarBackend:
             )
         return values
 
+    def slot_counts(
+        self, sig: tuple[int, ...], keys: Iterable[tuple[int, ...]], slot: int
+    ) -> Counter[int]:
+        """How many statements keyed by one of ``keys`` (distinct) on the
+        two-slot signature ``sig`` hold each id at ``slot``: each distinct
+        lead id's run is read once, the other bound slot checked per
+        statement, and, unlike :meth:`slot_values`, nothing is kept."""
+        (first, lead), (second, other) = LOOKUP_ORDER[sig]
+        wanted: dict[int, set[int]] = {}
+        for key in keys:
+            wanted.setdefault(key[first], set()).add(key[second])
+        columns = (self._s, self._p, self._o)
+        other_ids, slot_ids = columns[other], columns[slot]
+        perm = self._perm_views[sig]
+        lead_ids, starts = self._key_tables[lead]
+        held: list[int] = []
+        for value, others in wanted.items():
+            at = bisect_left(lead_ids, value)
+            if at == len(lead_ids) or lead_ids[at] != value:
+                continue
+            stop = starts[at + 1] if at + 1 < len(starts) else len(self._s)
+            held += [
+                slot_ids[local]
+                for local in perm[starts[at] : stop]
+                if other_ids[local] in others
+            ]
+        return Counter(held)
+
     def slot_pairs(
         self, sig: tuple[int, ...], key: tuple[int, ...], slots: Sequence[int]
     ) -> Iterator[tuple[int, int]]:

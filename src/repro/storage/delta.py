@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, insort
-from typing import Callable, Mapping, NamedTuple, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import StorageError
 from repro.storage.index import SIGNATURES, signature_of
@@ -231,6 +232,18 @@ class DeltaSegment:
         with self._lock:
             column = self._columns[slot]
             return {column[local] for local in self._matches(sig, key)}
+
+    def slot_counts(
+        self, sig: tuple[int, ...], keys: Iterable[tuple[int, ...]], slot: int
+    ) -> Counter[int]:
+        """How many rows keyed by one of ``keys`` on ``sig`` hold each id
+        at ``slot``."""
+        with self._lock:
+            column = self._columns[slot]
+            matches = self._index[sig].get
+            return Counter(
+                column[local] for key in keys for local in matches(key, ())
+            )
 
     def slot_pairs(
         self, sig: tuple[int, ...], key: tuple[int, ...], slots: Sequence[int]

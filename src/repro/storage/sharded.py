@@ -47,6 +47,7 @@ import heapq
 import threading
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from itertools import chain
 from typing import Callable, Iterator, Sequence
 
@@ -581,6 +582,19 @@ class ShardedBackend:
         for part in self._parts():
             values.update(part.slot_values(sig, key, slot))
         return values
+
+    def slot_counts(
+        self, bound_slots: Sequence[bool], keys: Sequence[tuple[int, ...]], slot: int
+    ) -> Counter[int]:
+        """How many statements a two-slot lookup of one of ``keys``
+        (distinct) matches hold each id at free ``slot``: one read per part
+        over all the keys, no posting list merged and nothing kept."""
+        counts: Counter[int] = Counter()
+        if keys:
+            sig = self._check_lookup(bound_slots, keys[0])
+            for part in self._parts():
+                counts.update(part.slot_counts(sig, keys, slot))
+        return counts
 
     def slot_pairs(
         self, bound_slots: Sequence[bool], key: tuple[int, ...], slots: Sequence[int]

@@ -89,10 +89,6 @@ class StoreStatistics:
         """
         return self.context_pairs(predicate, PREDICATE)
 
-    def args_inverted(self, predicate: Term) -> frozenset[tuple[int, int]]:
-        """``args(p)`` with each pair flipped — for mining inversion rules."""
-        return frozenset((o, s) for s, o in self.args(predicate))
-
     def predicate_mass(self, predicate: Term) -> float:
         """Total observation weight across the predicate's triples."""
         pid = self.store.dictionary.id_of(predicate)
@@ -114,6 +110,28 @@ class StoreStatistics:
         if term_id is None:
             return frozenset()
         return self.store.backend.slot_pairs(_BOUND[slot], (term_id,), _OTHERS[slot])
+
+    def context_size(self, term: Term, slot: int) -> int:
+        """``len(context_pairs(term, slot))``, read as the size of the
+        term's key group: each statement is one distinct pair."""
+        _check_slot(slot)
+        term_id = self.store.dictionary.id_of(term)
+        if term_id is None:
+            return 0
+        return len(self.store.backend.postings(_BOUND[slot], (term_id,)))
+
+    def shared_pairs(
+        self, pairs: "set[tuple[int, int]] | frozenset[tuple[int, int]]", slot: int
+    ) -> dict[Term, int]:
+        """For each term in ``slot`` with one of ``pairs`` among its context
+        pairs, how many: the ``slot`` values of the statements holding a
+        pair in the other two slots, counted off those key groups."""
+        _check_slot(slot)
+        bound = [True, True, True]
+        bound[slot] = False
+        decode = self.store.dictionary.decode
+        counts = self.store.backend.slot_counts(bound, list(pairs), slot)
+        return {decode(term_id): count for term_id, count in counts.items()}
 
     def terms_in_slot(self, slot: int, kind: str | None = None) -> list[Term]:
         """Distinct terms occurring in ``slot``, optionally filtered by kind."""

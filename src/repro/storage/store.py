@@ -500,8 +500,7 @@ class TripleStore:
             )
         if self._delta is None:
             return math.fsum(partials)
-        live = map(self._backend.weight, range(len(self._triples), len(self)))
-        return math.fsum(chain(partials, live))
+        return math.fsum(chain(partials, self._delta.key_weights((), ())))
 
     # -- lookup ------------------------------------------------------------
 
@@ -528,6 +527,14 @@ class TripleStore:
         — use :meth:`matches` or filter via ``pattern.bind``.  The returned
         sequence is immutable and owned by the backend.
         """
+        lookup = self._lookup_key(pattern)
+        return () if lookup is None else self._backend.postings(*lookup)
+
+    def _lookup_key(
+        self, pattern: TriplePattern
+    ) -> tuple[list[bool], tuple[int, ...]] | None:
+        """The backend lookup of ``pattern``'s constant slots — which slots
+        are bound, and their ids — or ``None`` when a constant is unknown."""
         if self._closed:
             raise StorageError("Store is closed")
         if not self._frozen:
@@ -538,9 +545,9 @@ class TripleStore:
             if term.is_constant:
                 term_id = self.dictionary.id_of(term)
                 if term_id is None:
-                    return ()
+                    return None
                 key.append(term_id)
-        return self._backend.postings(bound, tuple(key))
+        return bound, tuple(key)
 
     def postings_ids(
         self, s: int | None, p: int | None, o: int | None
@@ -617,16 +624,23 @@ class TripleStore:
         """Total observation weight of the pattern's matches (idf-like
         term), summed exactly as :meth:`total_observations` is.
 
-        Cached per pattern since scoring asks repeatedly for the same
-        pattern during top-k processing.
+        The sum is order-free, so it reads each part's matches as they lie
+        (:meth:`ShardedBackend.key_weights`) and merges no posting list; a
+        pattern with no constant is the whole collection.  Cached per
+        pattern since scoring asks repeatedly for the same pattern during
+        top-k processing.
         """
         cache_key = (pattern.s, pattern.p, pattern.o)
         cached = self._pattern_total_cache.get(cache_key)
         if cached is not None:
             return cached
-        ids = self.sorted_ids(pattern)
-        weights = self.weights()
-        total = math.fsum(weights[i] for i in ids)
+        lookup = self._lookup_key(pattern)
+        if lookup is None:
+            total = 0.0
+        elif lookup[1]:
+            total = math.fsum(self._backend.key_weights(*lookup))
+        else:
+            total = self.total_observations()
         self._pattern_total_cache[cache_key] = total
         return total
 

@@ -65,7 +65,16 @@ class TokenMatcher(LazilyBuilt):
     by that suffix instead of sweeping the store again.  An unbuilt
     predecessor is ignored: the successor stays lazy and keeps no
     reference to it.  A built index is never written to again.
+
+    ``arrivals`` says what the extension added, per slot: the norms and
+    the match-key stems of the entries new since ``previous`` — ``None``
+    for a matcher not extended from one.  :meth:`matches` of a token in a
+    slot reads only entries sharing its norm or one of its
+    :meth:`stems`, so an extension that added none of those left that
+    token's matches as they were.
     """
+
+    arrivals: "list[tuple[frozenset[str], frozenset[str]]] | None" = None
 
     def __init__(
         self,
@@ -83,7 +92,14 @@ class TokenMatcher(LazilyBuilt):
             and previous.include_resources == include_resources
             and previous.is_built
         ):
-            self._extend(previous)
+            arrived = self._extend(previous)
+            self.arrivals = [
+                (
+                    frozenset(norm for _term, norm, _key in entries),
+                    frozenset(stem for _term, _norm, key in entries for stem in key),
+                )
+                for entries in arrived
+            ]
             self._init_lazy(built=True)
         else:
             self._init_lazy()
@@ -104,8 +120,11 @@ class TokenMatcher(LazilyBuilt):
         # for the text index only when a query actually expands tokens.
         self._extend(None)
 
-    def _extend(self, previous: "TokenMatcher | None") -> None:
-        """Index the statements ``previous`` does not cover (all, from None).
+    def _extend(
+        self, previous: "TokenMatcher | None"
+    ) -> list[list[tuple[Term, str, tuple[str, ...]]]]:
+        """Index the statements ``previous`` does not cover (all, from None);
+        returns the new (term, norm, match key) entries per slot.
 
         Walks the backend's id columns and decodes each distinct per-slot
         term exactly once — no :class:`StoredTriple` records are
@@ -180,6 +199,7 @@ class TokenMatcher(LazilyBuilt):
         self._by_stem = by_stem
         self._seen = seen
         self._covered = covered
+        return arrived
 
     def phrases_in_slot(self, slot: int) -> list[TextToken]:
         """All distinct stored token phrases for a slot, lexically ordered."""
@@ -193,6 +213,11 @@ class TokenMatcher(LazilyBuilt):
 
     def _factor(self, term: Term) -> float:
         return RESOURCE_MATCH_FACTOR if isinstance(term, Resource) else 1.0
+
+    def stems(self, query_token: TextToken, slot: int) -> frozenset[str]:
+        """The stems of ``query_token``'s match key in ``slot``: besides
+        its norm, what an entry must share to be read by :meth:`matches`."""
+        return frozenset(self._key_for(query_token, slot))
 
     def matches(self, query_token: TextToken, slot: int) -> list[TokenMatch]:
         """Stored terms matching ``query_token`` in ``slot``, best first."""

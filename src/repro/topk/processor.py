@@ -32,10 +32,15 @@ Control flow lives in the resumable :class:`~repro.topk.driver.TopKDriver`:
 :meth:`TopKProcessor.driver` hands the suspendable machine to streaming
 consumers (``engine.stream``) that advance it incrementally.
 
-Steps 1 and 2 depend only on the query and the processor, so a processor
-plans each query once: its :class:`PreparedQuery` keeps the rewritings
-enumerated so far and their stream specs, and every later driver for the
-same query reads them instead of deriving them again.
+Steps 1 and 2 depend only on the query, the rules and what the store
+held when they ran, so a processor plans each query once: its
+:class:`PreparedQuery` keeps the rewritings enumerated so far and their
+stream specs, and every later driver for the same query reads them
+instead of deriving them again.  Planning records what it read that new
+statements could change (:class:`_Reads`); when the engine publishes a
+view after an ingest, the next processor starts from this one's rule
+routing and from each plan whose reads still answer as they did
+(:meth:`TopKProcessor.successor`).
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.core.query import Query
 from repro.core.results import AnswerSet, QueryStats
-from repro.core.terms import TextToken, Variable
+from repro.core.terms import Term, TextToken, Variable
 from repro.core.triples import TriplePattern
 from repro.errors import TopKError
 from repro.relax.rewriting import RewriteEngine, RewrittenQuery
@@ -163,6 +168,73 @@ class _HoldsIn:
         return self.store.cardinality(pattern) > 0
 
 
+#: Per slot, the norms and match-key stems a token matcher's extension
+#: added (:attr:`TokenMatcher.arrivals`).
+Arrivals = list[tuple[frozenset[str], frozenset[str]]]
+
+
+class _Reads:
+    """What planning one query read that new statements can change.
+
+    Statements are only added, and a term once known keeps its id, so a
+    read that found something finds it again; only what planning did not
+    find can go stale:
+
+    * ``unknown`` — resources :meth:`TopKProcessor._effective_pattern`
+      found absent from the dictionary (and turned into text tokens);
+    * ``tokens`` — ``(slot, token, stems)`` of each token expanded
+      against the matcher: its matches change only when an entry with
+      the token's norm or one of those stems arrives in the slot;
+    * ``misses`` — rewrite conditions found not to hold.
+
+    Each is a frozenset replaced on a new read, so a carried plan starts
+    from its predecessor's without copying them.
+    """
+
+    __slots__ = ("unknown", "tokens", "misses")
+
+    def __init__(self, reads: "_Reads | None" = None):
+        self.unknown: frozenset[Term] = reads.unknown if reads else frozenset()
+        self.tokens: frozenset[tuple[int, TextToken, frozenset[str]]] = (
+            reads.tokens if reads else frozenset()
+        )
+        self.misses: frozenset[TriplePattern] = reads.misses if reads else frozenset()
+
+    def unchanged(self, store: TripleStore, arrivals: Arrivals | None) -> bool:
+        """Whether every read answers over ``store`` as it did, the matcher
+        having gained ``arrivals`` since (``None``: unknown gains)."""
+        id_of = store.dictionary.id_of
+        for term in self.unknown:
+            if id_of(term) is not None:
+                return False
+        if self.tokens:
+            if arrivals is None:
+                return False
+            for slot, token, stems in self.tokens:
+                norms, arrived = arrivals[slot]
+                if token.norm in norms or not stems.isdisjoint(arrived):
+                    return False
+        return not (self.misses and any(map(_HoldsIn(store), self.misses)))
+
+
+class _Checked:
+    """One plan's condition check: its rewriter's, noting each condition
+    found not to hold in the plan's :class:`_Reads`."""
+
+    __slots__ = ("rewriter", "reads")
+
+    def __init__(self, rewriter: RewriteEngine, reads: _Reads):
+        self.rewriter = rewriter
+        self.reads = reads
+
+    def __call__(self, pattern: TriplePattern) -> bool:
+        if self.rewriter.condition_checker(pattern):
+            return True
+        if pattern not in self.reads.misses:
+            self.reads.misses |= {pattern}
+        return False
+
+
 class PreparedQuery:
     """The planning of one query by one processor, done once for all drivers.
 
@@ -181,59 +253,138 @@ class PreparedQuery:
     leave every superseded processor to the cyclic garbage collector.  A
     step that raises commits nothing, so a later reader redoes it and
     derives what it would have.
+
+    Planning records its :class:`_Reads`.  When the engine publishes the
+    next view, the plan is :meth:`seal`\ ed and handed to that view's
+    processor as it is: from then on nothing is added to it — a driver
+    that needs more reads it from a private copy (:meth:`_extensible`) —
+    so its reads stay what the next processor checks before it reads the
+    plan as its own (:meth:`carried`).
     """
 
-    def __init__(self, query: Query, rewriter: RewriteEngine):
+    def __init__(
+        self,
+        query: Query,
+        rewriter: RewriteEngine,
+        carried: "PreparedQuery | None" = None,
+    ):
         self.query = query
         self._rewriter = rewriter
-        self._rewrites = rewriter.iter_rewrites(query)
-        self._rewritings: list[RewrittenQuery] = []
-        self._enumerated = False
-        self._spec_lists: list[list[list[StreamSpec]]] = []
-        self._names_used = 0
         self._lock = threading.Lock()
+        #: The enumeration past ``_rewritings``, started on first need.
+        self._rewrites: Iterator[RewrittenQuery] | None = None
+        self._sealed = False
+        self._copy: PreparedQuery | None = None
+        if carried is None:
+            self.reads = _Reads()
+            self._rewritings: list[RewrittenQuery] = []
+            self._enumerated = False
+            self._spec_lists: list[list[list[StreamSpec]]] = []
+            self._names_used = 0
+        else:
+            self.reads = _Reads(carried.reads)
+            self._rewritings = carried._rewritings.copy()
+            self._enumerated = carried._enumerated
+            self._spec_lists = carried._spec_lists.copy()
+            self._names_used = carried._names_used
+
+    def _enumeration(self) -> Iterator[RewrittenQuery]:
+        """The rewritings past those read so far: a prefix is enumerated
+        afresh and skipped, which derives what the last enumeration did."""
+        checked = (
+            _Checked(self._rewriter, self.reads)
+            if self._rewriter.condition_checker is not None
+            else None
+        )
+        rewrites = self._rewriter.iter_rewrites(self.query, checked)
+        if not self._rewritings:
+            return rewrites
+        return itertools.islice(rewrites, len(self._rewritings), None)
+
+    def seal(self) -> bool:
+        """Freeze this plan for the next view's processor; ``False`` when a
+        reader is extending it right now (a writer never waits for one)."""
+        if not self._lock.acquire(blocking=False):
+            return False
+        self._sealed = True
+        self._lock.release()
+        return True
+
+    def carried(
+        self, rewriter: RewriteEngine, store: TripleStore, arrivals: Arrivals | None
+    ) -> "PreparedQuery | None":
+        """A copy of this sealed plan enumerating with ``rewriter`` — a
+        later view's, over ``store`` — when every read it made answers
+        there as it did, the matcher having gained ``arrivals``: it then
+        holds what planning there would derive.  ``None`` when a read
+        changed.  The copy refers to nothing of this plan."""
+        if not self.reads.unchanged(store, arrivals):
+            return None
+        return PreparedQuery(self.query, rewriter, self)
+
+    def _extensible(self) -> "PreparedQuery":
+        """The plan to extend (caller holds the lock): this one, or once
+        sealed its private copy, made on first need and kept."""
+        if not self._sealed:
+            return self
+        if self._copy is None:
+            self._copy = PreparedQuery(self.query, self._rewriter, self)
+        return self._copy
 
     def rewriting(self, index: int) -> RewrittenQuery | None:
         """Rewriting ``index`` in enumeration order; ``None`` past the last."""
         with self._lock:
             rewritings = self._rewritings
-            while len(rewritings) <= index and not self._enumerated:
-                try:
-                    rewriting = next(self._rewrites, None)
-                except BaseException:
-                    # The error ended the generator: enumerate afresh
-                    # past the prefix on the next read.
-                    self._rewrites = itertools.islice(
-                        self._rewriter.iter_rewrites(self.query),
-                        len(rewritings),
-                        None,
-                    )
-                    raise
-                if rewriting is None:
-                    self._enumerated = True
-                else:
-                    rewritings.append(rewriting)
-            return rewritings[index] if index < len(rewritings) else None
+            if index < len(rewritings) or self._enumerated:
+                return rewritings[index] if index < len(rewritings) else None
+            plan = self._extensible()
+            if plan is self:
+                while len(rewritings) <= index and not self._enumerated:
+                    if self._rewrites is None:
+                        self._rewrites = self._enumeration()
+                    try:
+                        rewriting = next(self._rewrites, None)
+                    except BaseException:
+                        # The error ended the generator: enumerate afresh
+                        # past the prefix on the next read.
+                        self._rewrites = None
+                        raise
+                    if rewriting is None:
+                        self._enumerated = True
+                    else:
+                        rewritings.append(rewriting)
+                return rewritings[index] if index < len(rewritings) else None
+        return plan.rewriting(index)
 
     def spec_lists(
         self,
         index: int,
-        build: Callable[[TriplePattern, Query, Iterator[str]], list[StreamSpec]],
+        build: Callable[
+            [TriplePattern, Query, Iterator[str], _Reads], list[StreamSpec]
+        ],
     ) -> list[list[StreamSpec]]:
         """The per-pattern stream specs of rewriting ``index``, which must
-        have been read; ``build(pattern, query, fresh_names)`` makes those
-        not built yet."""
+        have been read; ``build(pattern, query, fresh_names, reads)`` makes
+        those not built yet, noting what it read in ``reads``."""
         with self._lock:
             spec_lists = self._spec_lists
-            while len(spec_lists) <= index:
-                query = self._rewritings[len(spec_lists)].query
-                counter = itertools.count(self._names_used)
-                names = (f"pv{i}" for i in counter)
-                spec_lists.append(
-                    [build(pattern, query, names) for pattern in query.patterns]
-                )
-                self._names_used = next(counter)
-            return spec_lists[index]
+            if index < len(spec_lists):
+                return spec_lists[index]
+            plan = self._extensible()
+            if plan is self:
+                while len(spec_lists) <= index:
+                    query = self._rewritings[len(spec_lists)].query
+                    counter = itertools.count(self._names_used)
+                    names = (f"pv{i}" for i in counter)
+                    spec_lists.append(
+                        [
+                            build(pattern, query, names, self.reads)
+                            for pattern in query.patterns
+                        ]
+                    )
+                    self._names_used = next(counter)
+                return spec_lists[index]
+        return plan.spec_lists(index, build)
 
 
 class TopKProcessor:
@@ -242,9 +393,12 @@ class TopKProcessor:
     Rule routing (pattern level or rewriting level) and the rewrite engine
     are fixed by the first planning; each query's planning is kept in a
     :class:`PreparedQuery`, for at most :attr:`MAX_PREPARED` queries (the
-    least recently used goes first).  The processor is therefore bound
-    to the rule set and store contents it was built over — the engine
-    builds one per published view.
+    least recently used goes first).  Both are derived from the rule set
+    and from what the store held when they were planned, so the engine
+    gives each published view its own processor: a :meth:`successor`
+    over the same rules after an ingest (or a compaction that kept every
+    id) starts from what this one derived that the new statements left
+    valid, any other starts empty.
     """
 
     #: Prepared plans a processor keeps.
@@ -267,9 +421,16 @@ class TopKProcessor:
         self.scorer = scorer if scorer is not None else PatternScorer(store, scoring)
         self.matcher = matcher if matcher is not None else TokenMatcher(store)
         self.config = config if config is not None else ProcessorConfig()
-        self._rules_by_predicate: dict = {}
+        #: The rule routing: the pattern-level index, the predicates of
+        #: the rules routed as translations, the rewriting-level rules.
+        self._routing: tuple[dict, frozenset[Term], list[RelaxationRule]] | None = None
         self._rewriter: RewriteEngine | None = None
         self._plans: OrderedDict[Query, PreparedQuery] = OrderedDict()
+        #: Sealed plans of earlier processors whose reads answered as they
+        #: did up to the predecessor's view; checked against ``_arrivals``
+        #: (what this matcher gained over the predecessor's) when read.
+        self._inherited: dict[Query, PreparedQuery] = {}
+        self._arrivals: Arrivals | None = None
         self._plans_lock = threading.Lock()
 
     # -- rule routing ------------------------------------------------------------
@@ -298,7 +459,7 @@ class TopKProcessor:
         level's share.
 
         Pattern-level rules — single-pattern ones except translations —
-        land in ``_rules_by_predicate``, keyed by their original's
+        land in the routing's index, keyed by their original's
         predicate term.  Rules with a variable predicate (rare) apply to
         every pattern: they are merged into each predicate's list and are
         the whole list under ``None``.  Each list is in the order the
@@ -309,35 +470,43 @@ class TopKProcessor:
         rewriting: list[RelaxationRule] = []
         anywhere: list[RelaxationRule] = []
         index: dict = {None: []}
+        translated: set[Term] = set()
         for rule in self.rules:
-            if not merge or not rule.is_single_pattern or self._is_translation_rule(rule):
+            if not merge or not rule.is_single_pattern:
                 rewriting.append(rule)
+            elif self._is_translation_rule(rule):
+                rewriting.append(rule)
+                translated.add(rule.original[0].p)
             elif rule.original[0].p.is_variable:
                 anywhere.append(rule)
             else:
                 index.setdefault(rule.original[0].p, []).append(rule)
-        self._rules_by_predicate = {
+        by_predicate = {
             key: sorted(anywhere + rules, key=lambda rule: (-rule.weight, rule.n3()))
             for key, rules in index.items()
         }
+        self._routing = (by_predicate, frozenset(translated), rewriting)
         return rewriting
 
     def _rules_for_pattern(self, pattern: TriplePattern) -> list[RelaxationRule]:
-        index = self._rules_by_predicate
+        index = self._routing[0]
         if pattern.p.is_constant:
             return index.get(pattern.p, index[None])
         return index[None]
 
     # -- stream planning ------------------------------------------------------
 
-    def _effective_pattern(self, pattern: TriplePattern) -> tuple[TriplePattern, float]:
+    def _effective_pattern(
+        self, pattern: TriplePattern, reads: _Reads
+    ) -> tuple[TriplePattern, float]:
         """Handle vocabulary mismatch: unknown resources fall back to tokens.
 
         A constant resource the store has never seen (the user guessed a
         name like ``hasAdvisor``) cannot match anything exactly; with the
         fallback enabled its camel-case surface words become a text token,
         which fuzzy expansion can then translate into stored phrases or
-        canonical resources — at a small penalty.
+        canonical resources — at a small penalty.  Each resource found
+        unknown is noted in ``reads``.
         """
         if not (
             self.config.unknown_resource_fallback
@@ -355,6 +524,8 @@ class TopKProcessor:
                 isinstance(term, Resource)
                 and self.store.dictionary.id_of(term) is None
             ):
+                if term not in reads.unknown:
+                    reads.unknown |= {term}
                 terms[slot] = TextToken(camel_to_words(term.name))
                 penalty *= self.config.unknown_resource_penalty
                 rewritten = True
@@ -368,9 +539,11 @@ class TopKProcessor:
         *,
         multiplier: float,
         rule: RelaxationRule | None,
+        reads: _Reads,
     ) -> list[PostingSpec]:
-        """Posting specs for a pattern, fuzzy-expanding token constants."""
-        pattern, penalty = self._effective_pattern(pattern)
+        """Posting specs for a pattern, fuzzy-expanding token constants;
+        each token expanded is noted in ``reads``."""
+        pattern, penalty = self._effective_pattern(pattern, reads)
         multiplier *= penalty
         token_slots = [
             (slot, term)
@@ -381,6 +554,9 @@ class TopKProcessor:
             return [PostingSpec(pattern, multiplier, rule)]
         options = []
         for slot, term in token_slots:
+            read = (slot, term, self.matcher.stems(term, slot))
+            if read not in reads.tokens:
+                reads.tokens |= {read}
             matches = self.matcher.matches(term, slot)
             options.append(matches[: self.config.max_token_expansions])
         specs: list[PostingSpec] = []
@@ -402,6 +578,7 @@ class TopKProcessor:
         pattern: TriplePattern,
         query: Query,
         fresh_names,
+        reads: _Reads,
     ) -> list[PostingSpec | SubJoinSpec]:
         """The merged stream of one pattern, as an ordered list of specs.
 
@@ -410,7 +587,7 @@ class TopKProcessor:
         exactly the cursor order the stream merges.
         """
         base: list[PostingSpec | SubJoinSpec] = list(
-            self._expand_pattern(pattern, multiplier=1.0, rule=None)
+            self._expand_pattern(pattern, multiplier=1.0, rule=None, reads=reads)
         )
         relaxations: list[tuple[float, int, PostingSpec | SubJoinSpec]] = []
         if self.config.use_relaxation and self.config.pattern_level_merge:
@@ -440,6 +617,7 @@ class TopKProcessor:
                             replacement[0],
                             multiplier=rule.weight,
                             rule=rule,
+                            reads=reads,
                         ):
                             relaxations.append((rule.weight, next(order), spec))
                     else:
@@ -509,20 +687,82 @@ class TopKProcessor:
         return RewriteEngine(RuleSet(), max_depth=0, max_rewrites=1)
 
     def prepared(self, query: Query) -> PreparedQuery:
-        """This processor's plan for ``query``, empty when first asked for."""
+        """This processor's plan for ``query``: one inherited from an
+        earlier view when its reads still answer as they did, else empty
+        when first asked for."""
         with self._plans_lock:
             if self._rewriter is None:
                 # Rules are routed by the first planning, so a processor
                 # that never plans (an unqueried variant) costs nothing.
-                self._rewriter = self._make_rewriter(self._route_rules())
+                routing = self._routing
+                self._rewriter = self._make_rewriter(
+                    self._route_rules() if routing is None else routing[2]
+                )
             plan = self._plans.get(query)
             if plan is None:
-                plan = self._plans[query] = PreparedQuery(query, self._rewriter)
+                inherited = self._inherited.pop(query, None)
+                if inherited is not None:
+                    plan = inherited.carried(self._rewriter, self.store, self._arrivals)
+                if plan is None:
+                    plan = PreparedQuery(query, self._rewriter)
+                self._plans[query] = plan
                 if len(self._plans) > self.MAX_PREPARED:
                     self._plans.popitem(last=False)
             else:
                 self._plans.move_to_end(query)
             return plan
+
+    def successor(
+        self,
+        store: TripleStore,
+        *,
+        scorer: PatternScorer,
+        matcher: TokenMatcher,
+        arrivals: Arrivals | None,
+    ) -> "TopKProcessor":
+        """This processor's counterpart over ``store`` — this one's store
+        after an ingest, or its compaction keeping every id — under the
+        same rules and config; ``matcher`` is this one's matcher extended
+        by ``arrivals`` (``None``: not derived from it).
+
+        It starts from what this one derived that the new statements can
+        leave valid: the rule routing, unless a translated rule's
+        predicate is now known, and with it this processor's plans, sealed
+        (:meth:`PreparedQuery.seal`), plus those it inherited and did not
+        read whose reads still answer as they did.  Each is checked and
+        copied when first read (:meth:`prepared`); until then the sealed
+        plan is shared.  Over a compacted store they are checked and
+        copied here, so that no plan of the superseded store stays
+        referenced."""
+        successor = TopKProcessor(
+            store, rules=self.rules, scorer=scorer, matcher=matcher, config=self.config
+        )
+        with self._plans_lock:
+            routing = self._routing
+            plans = list(self._plans.items())
+            inherited = list(self._inherited.items())
+        id_of = store.dictionary.id_of
+        if routing is None or any(id_of(p) is not None for p in routing[1]):
+            return successor
+        successor._routing = routing
+        successor._arrivals = arrivals
+        kept = {
+            query: plan
+            for query, plan in inherited
+            if plan.reads.unchanged(store, self._arrivals)
+        }
+        kept.update((query, plan) for query, plan in plans if plan.seal())
+        if len(kept) > self.MAX_PREPARED:
+            kept = dict(list(kept.items())[-self.MAX_PREPARED :])
+        if store is self.store:
+            successor._inherited = kept
+            return successor
+        rewriter = successor._rewriter = successor._make_rewriter(routing[2])
+        for query, plan in kept.items():
+            carried = plan.carried(rewriter, store, arrivals)
+            if carried is not None:
+                successor._plans[query] = carried
+        return successor
 
     def query(self, query: Query, k: int | None = None) -> AnswerSet:
         """Evaluate ``query`` and return its top-k answer set.

@@ -16,6 +16,14 @@ The vocabulary is chosen to collide: phrases whose norms equal a
 resource's surface (``'born in'`` / ``bornIn``), phrases that share a
 match key (``'lectured at'`` / ``'lectures at'``), a term with an empty
 match key (``'the'``), and the same term arriving in several slots.
+
+The query plans a view's processor carries into the next view are held
+to the same standard: after every write, each query answers from them
+exactly as a processor over the new view that plans from scratch.  The
+queries read what a write can change: a resource the store may not know
+yet (``E3``), a predicate that may arrive under a translated rule
+(``worksAt``), a rule condition that may start to hold (``Ulm type E0``)
+and tokens whose slots gain phrases.
 """
 
 import tempfile
@@ -31,6 +39,7 @@ from repro.core.triples import Triple
 from repro.storage.snapshot import save_snapshot
 from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatcher
+from repro.topk.processor import TopKProcessor
 
 from layouts import as_layout, generational_copy
 from statistics_reference import SweptStatistics, assert_reads_equal
@@ -55,6 +64,7 @@ PREDICATES = [
     Resource("type"),
     TextToken("of the"),
     TextToken("ulm"),  # an entity's phrase in the predicate slot
+    Resource("worksAt"),  # a translated rule's predicate, once it arrives
 ]
 PROBES = [
     TextToken("born in"),
@@ -71,7 +81,11 @@ RULES = [
     "?x bornIn ?y => ?x 'born in' ?y @ 0.8",
     "?x lecturedAt ?y => ?x 'lectured at' ?y @ 0.7",
     "?x type ?y => ?x bornIn ?y @ 0.3",
+    "?x worksAt ?y => ?x 'lectures at' ?y @ 0.6",
+    "?x bornIn ?y ; ?y type E0 => ?x 'was born in' ?y @ 0.5",
 ]
+#: Asked after every step, so each write finds plans to carry.
+PLANNED = QUERIES + ["?x worksAt ?y", "E3 lecturedAt ?y", "?x bornIn Ulm"]
 
 rows = st.tuples(
     st.builds(
@@ -140,6 +154,48 @@ def _assert_equals_a_sweep(engine, matcher_state, *, force=False):
         )
         for text in QUERIES:
             assert engine.suggest(text) == suggester.suggest(parse_query(text), None)
+
+
+def _assert_plans_answer_as_cold(engine):
+    """Every planned query answers from the current processor's plans —
+    carried, or planned here to be carried by the next write — exactly as
+    from a processor over the same view that plans from scratch."""
+    view = engine._state.view
+    cold = TopKProcessor(
+        view.store,
+        rules=view.rules,
+        scorer=view.scorer,
+        matcher=view.matcher,
+        config=engine.config.processor,
+    )
+    for text in PLANNED:
+        query = parse_query(text)
+        got, want = engine.ask(query, 5), cold.query(query, 5)
+        assert [(a.binding, a.score, repr(a.derivation)) for a in got] == [
+            (a.binding, a.score, repr(a.derivation)) for a in want
+        ], text
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.lists(rows, min_size=0, max_size=12),
+    sequence=st.lists(steps, min_size=1, max_size=10),
+    threshold=st.sampled_from([None, 3]),
+)
+def test_carried_plans_answer_as_a_cold_processor(
+    layout, tmp_path_factory, base, sequence, threshold
+):
+    engine = TriniT(
+        as_layout(_frozen(base), layout, tmp_path_factory),
+        config=EngineConfig(executor_kind="serial", compaction_threshold=threshold),
+    )
+    try:
+        _assert_plans_answer_as_cold(engine)
+        for step in sequence:
+            _apply(engine, step)
+            _assert_plans_answer_as_cold(engine)
+    finally:
+        engine.close()
 
 
 @settings(max_examples=60, deadline=None)

@@ -169,8 +169,8 @@ class TestChainExpansionMining:
 
 
 class _CountingStatistics:
-    """Statistics that count the pair-set reads (``args`` and
-    ``args_inverted``) a miner makes, per predicate."""
+    """Statistics that count the pair-set reads (``args``) a miner makes,
+    per predicate."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -183,10 +183,6 @@ class _CountingStatistics:
     def args(self, predicate):
         self.reads[predicate] += 1
         return self._inner.args(predicate)
-
-    def args_inverted(self, predicate):
-        self.reads[predicate] += 1
-        return self._inner.args_inverted(predicate)
 
 
 #: The engine's default miners under its default thresholds.

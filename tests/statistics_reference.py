@@ -4,8 +4,9 @@
 maps — slot -> term id -> set of context pairs — and groups the weight
 column by predicate, exactly as ``StoreStatistics`` once did before it
 read the store's posting index instead.  It answers the same reads
-(``predicates``, ``args``, ``args_inverted``, ``predicate_mass``,
-``context_pairs``, ``terms_in_slot``), so the miners run on it too.
+(``predicates``, ``args``, ``predicate_mass``, ``context_pairs``,
+``context_size``, ``shared_pairs``, ``terms_in_slot``), so the miners and
+the suggester run on it too.
 
 Import as ``from statistics_reference import ...`` (``tests/`` is on
 ``sys.path`` through its ``conftest.py``).
@@ -49,9 +50,6 @@ class SweptStatistics:
     def args(self, predicate):
         return self.context_pairs(predicate, PREDICATE)
 
-    def args_inverted(self, predicate):
-        return frozenset((o, s) for s, o in self.args(predicate))
-
     def predicate_mass(self, predicate):
         pid = self.store.dictionary.id_of(predicate)
         return self._mass.get(pid, 0.0)
@@ -59,6 +57,17 @@ class SweptStatistics:
     def context_pairs(self, term, slot):
         term_id = self.store.dictionary.id_of(term)
         return frozenset(self._context[slot].get(term_id, ()))
+
+    def context_size(self, term, slot):
+        return len(self.context_pairs(term, slot))
+
+    def shared_pairs(self, pairs, slot):
+        decode = self.store.dictionary.decode
+        shared = {
+            term_id: len(context & pairs)
+            for term_id, context in self._context[slot].items()
+        }
+        return {decode(term_id): count for term_id, count in shared.items() if count}
 
     def terms_in_slot(self, slot, kind=None):
         decode = self.store.dictionary.decode
@@ -68,9 +77,10 @@ class SweptStatistics:
 
 def assert_reads_equal(statistics: StoreStatistics, extra_terms=()) -> None:
     """Every read of ``statistics`` equals the sweep's over its store:
-    predicate order, masses bit for bit, ``args``, and per slot the terms
+    predicate order, masses bit for bit, ``args``, and per slot the terms,
     and the context pairs of every dictionary term (plus ``extra_terms``,
-    which may be absent from the store)."""
+    which may be absent from the store), their sizes and, per term in the
+    slot, how many of them it shares."""
     reference = SweptStatistics(statistics.store)
     predicates = reference.predicates()
     assert statistics.predicates() == predicates
@@ -81,4 +91,7 @@ def assert_reads_equal(statistics: StoreStatistics, extra_terms=()) -> None:
     for slot in (0, 1, 2):
         assert statistics.terms_in_slot(slot) == reference.terms_in_slot(slot)
         for term in terms:
-            assert statistics.context_pairs(term, slot) == reference.context_pairs(term, slot)
+            pairs = reference.context_pairs(term, slot)
+            assert statistics.context_pairs(term, slot) == pairs
+            assert statistics.context_size(term, slot) == len(pairs)
+            assert statistics.shared_pairs(pairs, slot) == reference.shared_pairs(pairs, slot)

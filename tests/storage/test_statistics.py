@@ -44,11 +44,6 @@ class TestPredicates:
         subjects = {decode(s) for s, _o in args}
         assert subjects == {Resource("AlbertEinstein"), Resource("MarieCurie")}
 
-    def test_args_inverted_flips(self, stats):
-        args = stats.args(Resource("bornIn"))
-        inverted = stats.args_inverted(Resource("bornIn"))
-        assert {(o, s) for s, o in args} == set(inverted)
-
     def test_args_unknown_predicate_empty(self, stats):
         assert stats.args(Resource("unknownPred")) == frozenset()
 

@@ -1,5 +1,7 @@
 """Unit tests for the triple store."""
 
+import math
+
 import pytest
 
 from repro.core.terms import Resource, TextToken, Variable
@@ -7,10 +9,12 @@ from repro.core.triples import Provenance, Triple, TriplePattern
 from repro.errors import StorageError
 from repro.storage.store import MAX_PROVENANCES, TripleStore
 
+from layouts import generational_copy
+
 AE = Resource("AlbertEinstein")
 BORN = Resource("bornIn")
 ULM = Resource("Ulm")
-X, Y = Variable("x"), Variable("y")
+X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
 
 class TestLoadPhase:
@@ -133,6 +137,39 @@ class TestLookup:
         first = frozen_small_store.observation_mass(pattern)
         second = frozen_small_store.observation_mass(pattern)
         assert first == second
+
+    @pytest.mark.parametrize("world", ["small", "paper"])
+    def test_observation_mass_is_the_merged_lists_sum(
+        self, world, small_store, paper_store_fixture, tmp_path
+    ):
+        """Summed part by part over base segment + generations + live delta,
+        every pattern's mass is the exact sum over its merged posting list,
+        bit for bit — repeated variables and unknown constants included."""
+        source = small_store.freeze() if world == "small" else paper_store_fixture
+        store = generational_copy(source, tmp_path / "xkg.snapd")
+        assert store.has_delta and store.backend.segment_count() > 1
+        weights = store.weights()
+        slot_ids, decode = store.backend.slot_ids, store.dictionary.decode
+        patterns = {
+            TriplePattern(X, Y, Z),
+            TriplePattern(X, BORN, X),
+            TriplePattern(X, Resource("neverStored"), Y),
+        }
+        for tid in range(len(store)):
+            terms = [decode(term_id) for term_id in slot_ids(tid)]
+            for mask in range(1, 8):
+                patterns.add(
+                    TriplePattern(
+                        *(
+                            term if mask >> slot & 1 else (X, Y, Z)[slot]
+                            for slot, term in enumerate(terms)
+                        )
+                    )
+                )
+        for pattern in patterns:
+            merged = math.fsum(weights[i] for i in store.sorted_ids(pattern))
+            assert store.observation_mass(pattern) == merged, pattern
+        store.close()
 
     def test_lookup_exact(self, frozen_small_store):
         record = frozen_small_store.lookup(Triple(AE, BORN, ULM))

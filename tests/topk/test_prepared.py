@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.engine import EngineConfig, TriniT
 from repro.core.parser import parse_query, parse_rule
-from repro.core.terms import Resource
+from repro.core.terms import Resource, TextToken
 from repro.core.triples import Triple
 from repro.kg.paper_example import (
     paper_kg,
@@ -29,6 +29,7 @@ from repro.kg.paper_example import (
     paper_xkg_extension,
 )
 from repro.relax.rewriting import RewriteEngine
+from repro.storage.snapshot import save_snapshot
 from repro.topk.processor import TopKProcessor
 
 ORACLE = dict(executor_kind="serial", merge_batch=1, block_size=1)
@@ -302,6 +303,192 @@ def test_a_compaction_replans_on_the_compacted_store():
     compacted = engine.ask(text)
     assert Resource("ETH") in compacted.terms_for("x")
     assert fingerprint(compacted) == fingerprint(ingested)
+    engine.close()
+
+
+# -- carrying: a plan outlives an ingest that cannot change it --------------------
+
+#: A batch in vocabulary no query below reads: no resource they miss, no
+#: stem or norm of a token they expand, no condition, no translated rule.
+UNRELATED = [Triple(Resource("Zurich"), Resource("twinnedWith"), Resource("Sydney"))]
+
+#: Per read-set kind: a query whose plan reads it, and a batch that
+#: changes what that read answers.
+TOUCHING = {
+    # NielsBohr is unknown: the plan expands it as the token 'niels bohr'.
+    # It arrives as an object, so no subject's stems move.
+    "unknown resource becomes known": (
+        "NielsBohr affiliation ?x",
+        [Triple(Resource("IAS"), Resource("director"), Resource("NielsBohr"))],
+    ),
+    # 'lectured at' expanded in the predicate slot: 'lectures at' shares
+    # its stems.  'the' has no stems: only its very norm matches it.
+    "token slot gains a stem": (
+        "AlbertEinstein 'lectured at' ?x",
+        [Triple(Resource("MaxPlanck"), TextToken("lectures at"), Resource("Berlin"))],
+    ),
+    "token slot gains the norm": (
+        "?x 'the' ?y",
+        [Triple(Resource("KWI"), TextToken("the"), Resource("Berlin"))],
+    ),
+    # Figure 4 rule 1 needs "Ulm type country" for this query's rewriting.
+    "a false condition starts to hold": (
+        "?x bornIn Ulm",
+        [Triple(Resource("Ulm"), Resource("type"), Resource("country"))],
+    ),
+    # worksFor is unknown, so its rules route at the rewriting level.
+    "a translated predicate becomes known": (
+        "AlbertEinstein worksFor ?x",
+        [Triple(Resource("MaxPlanck"), Resource("worksFor"), Resource("KWI"))],
+    ),
+}
+
+
+def cold_answers(engine, text, k=None):
+    """``text`` answered by a processor over the engine's current view that
+    carries nothing: it plans from scratch."""
+    view = engine._state.view
+    cold = TopKProcessor(
+        view.store,
+        rules=view.rules,
+        scorer=view.scorer,
+        matcher=view.matcher,
+        config=engine.config.processor,
+    )
+    return cold.query(parse_query(text), k)
+
+
+def assert_answers_as_cold(engine, text, k=None):
+    got, want = engine.ask(text, k), cold_answers(engine, text, k)
+    assert fingerprint(got) == fingerprint(want)
+    assert counters(got.stats) == counters(want.stats)
+    return got
+
+
+def test_a_batch_that_touches_no_read_carries_every_plan(monkeypatch):
+    engine = make_engine()
+    texts = QUERIES + [text for text, _batch in TOUCHING.values()]
+    for text in texts:
+        engine.ask(text)
+    plans = {text: engine.processor.prepared(parse_query(text)) for text in texts}
+    engine.ingest(UNRELATED)
+    specs = count_calls(monkeypatch, TopKProcessor, "_stream_specs")
+    rewrites = count_calls(monkeypatch, RewriteEngine, "iter_rewrites")
+    carried = {text: engine.ask(text) for text in texts}
+    assert (specs, rewrites) == ([], [])
+    for text in texts:
+        assert fingerprint(carried[text]) == fingerprint(cold_answers(engine, text))
+        plan = engine.processor.prepared(parse_query(text))
+        assert plan is not plans[text]
+        assert plan._rewriter is engine.processor._rewriter
+    engine.close()
+
+
+@pytest.mark.parametrize("kind", list(TOUCHING))
+def test_a_batch_that_touches_a_read_replans(kind, monkeypatch):
+    text, batch = TOUCHING[kind]
+    engine = make_engine()
+    engine.ask(text)
+    plan = engine.processor.prepared(parse_query(text))
+    engine.ingest(batch)
+    specs = count_calls(monkeypatch, TopKProcessor, "_stream_specs")
+    got = engine.ask(text, k=12)
+    assert specs  # planned again
+    want = cold_answers(engine, text, k=12)
+    assert fingerprint(got) == fingerprint(want)
+    assert counters(got.stats) == counters(want.stats)
+    assert engine.processor.prepared(parse_query(text)) is not plan
+    engine.close()
+
+
+def test_a_batch_that_touches_one_read_leaves_the_other_plans_carried(monkeypatch):
+    engine = make_engine()
+    text, batch = TOUCHING["unknown resource becomes known"]
+    for query in QUERIES + [text]:
+        engine.ask(query)
+    engine.ingest(batch)
+    planned = count_calls(monkeypatch, TopKProcessor, "_stream_specs")
+    for query in QUERIES:
+        engine.ask(query)
+    assert planned == []
+    engine.ask(text)
+    assert planned
+    engine.close()
+
+
+def test_a_condition_that_starts_to_hold_reaches_the_carried_answers():
+    country = Triple(Resource("Germany"), Resource("type"), Resource("country"))
+    triples = paper_kg() + [Triple(Resource("Ulm"), Resource("type"), Resource("city"))]
+    engine = TriniT.from_triples(triples, paper_xkg_extension(), rules=paper_rules())
+    text = "?x bornIn Germany"
+    assert engine.ask(text).is_empty
+    plan = engine.processor.prepared(parse_query(text))
+    assert country in {Triple(*p.terms()) for p in plan.reads.misses}
+    engine.ingest(UNRELATED)
+    assert engine.ask(text).is_empty  # carried: the condition still fails
+    engine.ingest([country])
+    assert_answers_as_cold(engine, text)
+    assert not engine.ask(text).is_empty
+    engine.close()
+
+
+def test_a_stream_on_a_superseded_view_extends_a_private_copy():
+    """A stream whose plan was sealed for the next view reads past it from
+    a copy of its own; the next view's plan does not move."""
+    text = "AlbertEinstein worksFor ?x"
+    quiet = make_engine()
+    quiet_stream = quiet.stream(text)
+    want = [fingerprint(quiet_stream.next_k(1)) for _ in range(4)]
+    engine = make_engine()
+    stream = engine.stream(text)
+    got = [fingerprint(stream.next_k(1))]
+    sealed = stream._driver._plan
+    read = len(sealed._rewritings)
+    engine.ingest(UNRELATED)
+    assert sealed._sealed
+    got += [fingerprint(stream.next_k(1)) for _ in range(3)]
+    assert got == want
+    assert len(sealed._rewritings) == read
+    assert_answers_as_cold(engine, text, k=12)
+    engine.close()
+    quiet.close()
+
+
+@pytest.mark.parametrize("backing", ["memory", "snapshot"])
+def test_carried_plans_after_a_compaction_keep_no_superseded_store(backing, tmp_path):
+    engine = make_engine()
+    if backing == "snapshot":
+        save_snapshot(engine.store, tmp_path / "xkg.snapd")
+        rules = engine.rules
+        engine.close()
+        engine = TriniT.open(tmp_path / "xkg.snapd", rules=rules)
+    for text in QUERIES:
+        engine.ask(text)
+    engine.ingest(UNRELATED)
+    old_store = engine.store
+    engine.compact()
+    processor = engine.processor
+    assert processor._inherited == {}
+    assert set(processor._plans) == {parse_query(text) for text in QUERIES}
+    for plan in processor._plans.values():
+        assert plan._rewriter is processor._rewriter
+        assert plan._rewriter.condition_checker.store is engine.store is not old_store
+    assert old_store.closed
+    for text in QUERIES:
+        assert_answers_as_cold(engine, text, k=12)
+    engine.close()
+
+
+def test_an_added_rule_starts_cold(monkeypatch):
+    engine = make_engine()
+    for text in QUERIES:
+        engine.ask(text)
+    engine.add_rule("?x 'met his teacher' ?y => ?y hasStudent ?x @ 0.6")
+    assert engine.processor._inherited == {} and not engine.processor._plans
+    planned = count_calls(monkeypatch, TopKProcessor, "_stream_specs")
+    for text in QUERIES:
+        assert_answers_as_cold(engine, text)
+    assert planned
     engine.close()
 
 
