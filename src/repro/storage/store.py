@@ -39,6 +39,7 @@ from repro.core.triples import KG_PROVENANCE, Provenance, Triple, TriplePattern
 from repro.errors import StorageError
 from repro.storage.delta import DeltaSegment
 from repro.storage.dictionary import TermDictionary
+from repro.storage.index import signature_of
 from repro.storage.sharded import ShardedBackend
 
 #: How many distinct provenance records are retained per triple.  Answer
@@ -125,6 +126,8 @@ class TripleStore:
         self._frozen = False
         self._closed = False
         self._pattern_total_cache: dict[object, float] = {}
+        # Per pattern, exact partials of its frozen matches' weights.
+        self._frozen_masses: dict[object, list[float]] = {}
         self._weight_levels: list[float] | None = None
         self._weight_partials: list[float] | None = None
         self._delta_records: list[StoredTriple] = []
@@ -163,6 +166,7 @@ class TripleStore:
         store._frozen = True
         store._closed = False
         store._pattern_total_cache = {}
+        store._frozen_masses = {}
         store._weight_levels = None
         store._weight_partials = None
         store._delta_records = []
@@ -625,10 +629,12 @@ class TripleStore:
         term), summed exactly as :meth:`total_observations` is.
 
         The sum is order-free, so it reads each part's matches as they lie
-        (:meth:`ShardedBackend.key_weights`) and merges no posting list; a
-        pattern with no constant is the whole collection.  Cached per
-        pattern since scoring asks repeatedly for the same pattern during
-        top-k processing.
+        and merges no posting list: the frozen segments' weights once per
+        pattern, kept as exact partials (they never change), the live
+        delta's at each computation.  A pattern with no constant is the
+        whole collection.  Cached per pattern since scoring asks
+        repeatedly for the same pattern during top-k processing; an add
+        clears that cache, not the partials.
         """
         cache_key = (pattern.s, pattern.p, pattern.o)
         cached = self._pattern_total_cache.get(cache_key)
@@ -638,7 +644,17 @@ class TripleStore:
         if lookup is None:
             total = 0.0
         elif lookup[1]:
-            total = math.fsum(self._backend.key_weights(*lookup))
+            bound, key = lookup
+            partials = self._frozen_masses.get(cache_key)
+            if partials is None:
+                partials = self._frozen_masses[cache_key] = exact_partials(
+                    list(self._backend.frozen_key_weights(bound, key))
+                )
+            if self._delta is None:
+                total = math.fsum(partials)
+            else:
+                live = self._delta.key_weights(signature_of(bound), key)
+                total = math.fsum(chain(partials, live))
         else:
             total = self.total_observations()
         self._pattern_total_cache[cache_key] = total

@@ -255,7 +255,7 @@ class PreparedQuery:
     derives what it would have.
 
     Planning records its :class:`_Reads`.  When the engine publishes the
-    next view, the plan is :meth:`seal`\ ed and handed to that view's
+    next view, the plan is sealed (:meth:`seal`) and handed to that view's
     processor as it is: from then on nothing is added to it — a driver
     that needs more reads it from a private copy (:meth:`_extensible`) —
     so its reads stay what the next processor checks before it reads the

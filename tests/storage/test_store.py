@@ -144,11 +144,12 @@ class TestLookup:
     ):
         """Summed part by part over base segment + generations + live delta,
         every pattern's mass is the exact sum over its merged posting list,
-        bit for bit — repeated variables and unknown constants included."""
+        bit for bit — repeated variables and unknown constants included —
+        also after more evidence for frozen and delta statements and new
+        ones arrive."""
         source = small_store.freeze() if world == "small" else paper_store_fixture
         store = generational_copy(source, tmp_path / "xkg.snapd")
         assert store.has_delta and store.backend.segment_count() > 1
-        weights = store.weights()
         slot_ids, decode = store.backend.slot_ids, store.dictionary.decode
         patterns = {
             TriplePattern(X, Y, Z),
@@ -166,9 +167,16 @@ class TestLookup:
                         )
                     )
                 )
-        for pattern in patterns:
-            merged = math.fsum(weights[i] for i in store.sorted_ids(pattern))
-            assert store.observation_mass(pattern) == merged, pattern
+        for more in (False, True):
+            if more:
+                records = list(store.records())
+                for record in records[:2] + records[-2:]:
+                    store.add(record.triple, confidence=0.35, count=2)
+                store.add(Triple(AE, BORN, Resource("Bern")), confidence=0.6)
+            weights = store.weights()
+            for pattern in patterns:
+                merged = math.fsum(weights[i] for i in store.sorted_ids(pattern))
+                assert store.observation_mass(pattern) == merged, pattern
         store.close()
 
     def test_lookup_exact(self, frozen_small_store):
