@@ -615,27 +615,20 @@ class ShardedBackend:
     ) -> Iterator[float]:
         """The sort weights of the statements a lookup of ``key``
         (nonempty) matches, part by part — in no rank order, so for an
-        order-free reduction such as :func:`math.fsum`."""
-        frozen = self.frozen_key_weights(bound_slots, key)
-        if self._delta is None:
-            return frozen
-        return chain(frozen, self._delta.key_weights(signature_of(bound_slots), key))
-
-    def frozen_key_weights(
-        self, bound_slots: Sequence[bool], key: tuple[int, ...]
-    ) -> Iterator[float]:
-        """:meth:`key_weights` of the frozen segments alone, read from the
-        global column as every other weight read does: fixed for the
-        backend's life."""
-        self._check_lookup(bound_slots, key)
+        order-free reduction such as :func:`math.fsum`.  Frozen ones are
+        read from the global column, as every other weight read does."""
+        sig = self._check_lookup(bound_slots, key)
         weights = self._weights
-        return chain.from_iterable(
+        parts = [
             map(
                 weights.__getitem__,
                 map(start.__add__, self._segment(index).postings(bound_slots, key)),
             )
             for index, start in enumerate(self._starts)
-        )
+        ]
+        if self._delta is not None:
+            parts.append(self._delta.key_weights(sig, key))
+        return chain.from_iterable(parts)
 
     def _parts(self) -> list:
         """The segments in id order, then the delta if one is attached:

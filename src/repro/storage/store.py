@@ -39,7 +39,6 @@ from repro.core.triples import KG_PROVENANCE, Provenance, Triple, TriplePattern
 from repro.errors import StorageError
 from repro.storage.delta import DeltaSegment
 from repro.storage.dictionary import TermDictionary
-from repro.storage.index import signature_of
 from repro.storage.sharded import ShardedBackend
 
 #: How many distinct provenance records are retained per triple.  Answer
@@ -126,8 +125,6 @@ class TripleStore:
         self._frozen = False
         self._closed = False
         self._pattern_total_cache: dict[object, float] = {}
-        # Per pattern, exact partials of its frozen matches' weights.
-        self._frozen_masses: dict[object, list[float]] = {}
         self._weight_levels: list[float] | None = None
         self._weight_partials: list[float] | None = None
         self._delta_records: list[StoredTriple] = []
@@ -166,7 +163,6 @@ class TripleStore:
         store._frozen = True
         store._closed = False
         store._pattern_total_cache = {}
-        store._frozen_masses = {}
         store._weight_levels = None
         store._weight_partials = None
         store._delta_records = []
@@ -629,12 +625,10 @@ class TripleStore:
         term), summed exactly as :meth:`total_observations` is.
 
         The sum is order-free, so it reads each part's matches as they lie
-        and merges no posting list: the frozen segments' weights once per
-        pattern, kept as exact partials (they never change), the live
-        delta's at each computation.  A pattern with no constant is the
-        whole collection.  Cached per pattern since scoring asks
-        repeatedly for the same pattern during top-k processing; an add
-        clears that cache, not the partials.
+        (:meth:`ShardedBackend.key_weights`) and merges no posting list; a
+        pattern with no constant is the whole collection.  Cached per
+        pattern since scoring asks repeatedly for the same pattern during
+        top-k processing.
         """
         cache_key = (pattern.s, pattern.p, pattern.o)
         cached = self._pattern_total_cache.get(cache_key)
@@ -644,17 +638,7 @@ class TripleStore:
         if lookup is None:
             total = 0.0
         elif lookup[1]:
-            bound, key = lookup
-            partials = self._frozen_masses.get(cache_key)
-            if partials is None:
-                partials = self._frozen_masses[cache_key] = exact_partials(
-                    list(self._backend.frozen_key_weights(bound, key))
-                )
-            if self._delta is None:
-                total = math.fsum(partials)
-            else:
-                live = self._delta.key_weights(signature_of(bound), key)
-                total = math.fsum(chain(partials, live))
+            total = math.fsum(self._backend.key_weights(*lookup))
         else:
             total = self.total_observations()
         self._pattern_total_cache[cache_key] = total
