@@ -472,7 +472,7 @@ class TriniT:
             self.registry.register(
                 "arg-overlap",
                 lambda ctx: mine_arg_overlap_rules(
-                    ctx.statistics,
+                    ctx.pair_index,
                     min_support=cfg.mining_min_support,
                     min_weight=cfg.mining_min_weight,
                 ),
@@ -482,7 +482,7 @@ class TriniT:
             self.registry.register(
                 "chain-expansion",
                 lambda ctx: mine_chain_expansion_rules(
-                    ctx.statistics,
+                    ctx.pair_index,
                     min_support=cfg.mining_min_support,
                 ),
                 description="two-hop chain expansions (Figure 4 rule 3 shape)",
@@ -491,7 +491,7 @@ class TriniT:
             self.registry.register(
                 "inversions",
                 lambda ctx: inversion_rules(
-                    ctx.statistics, min_support=cfg.mining_min_support
+                    ctx.pair_index, min_support=cfg.mining_min_support
                 ),
                 description="inverse-predicate rules (Figure 4 rule 2 shape)",
             )

@@ -12,9 +12,11 @@ time and pools the rules into one :class:`RuleSet`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Protocol
 
 from repro.errors import OperatorError
+from repro.relax.mining import PairIndex
 from repro.relax.rules import RelaxationRule, RuleSet
 from repro.storage.statistics import StoreStatistics
 from repro.storage.store import TripleStore
@@ -38,6 +40,13 @@ class OperatorContext:
     store: TripleStore
     statistics: StoreStatistics
     params: dict = field(default_factory=dict)
+
+    @cached_property
+    def pair_index(self) -> PairIndex:
+        """One :class:`~repro.relax.mining.PairIndex` over ``statistics``,
+        built when an operator first asks: the miners of one registry run
+        share its reads and counts."""
+        return PairIndex(self.statistics)
 
 
 class RelaxationOperator(Protocol):

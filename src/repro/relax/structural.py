@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from repro.core.terms import Resource, Term, Variable
 from repro.core.triples import TriplePattern
-from repro.relax.mining import mine_arg_overlap_rules, mine_chain_expansion_rules
+from repro.relax.mining import (
+    PairIndex,
+    mine_arg_overlap_rules,
+    mine_chain_expansion_rules,
+)
 from repro.relax.rules import ORIGIN_STRUCTURAL, RelaxationRule
 from repro.storage.statistics import StoreStatistics
 
@@ -24,7 +28,7 @@ _X, _Y, _Z = Variable("x"), Variable("y"), Variable("z")
 
 
 def inversion_rules(
-    statistics: StoreStatistics,
+    statistics: StoreStatistics | PairIndex,
     *,
     min_support: int = 2,
     min_weight: float = 0.5,
@@ -35,25 +39,28 @@ def inversion_rules(
     ``|args(p) ∩ inv(args(q))| / |args(q)|`` — the fraction of q-pairs
     explained as flipped p-pairs.  True inverses in a consistent KG score
     1.0, which matches the weight of Figure 4 rule 2.
+
+    No pair set is flipped or intersected: the support is the flipped
+    co-occurrence count of the arg-overlap pass over ``args(p)``
+    (:meth:`~repro.relax.mining.PairIndex.overlaps`) — each ``(s, o)`` of
+    ``p`` counts for every ``q`` connecting ``(o, s)`` — so under a shared
+    :class:`~repro.relax.mining.PairIndex` (the engine's default operators)
+    inversions cost no pass of their own.
     """
+    index = PairIndex.of(statistics)
+    predicates = index.predicates
     rules: list[RelaxationRule] = []
-    predicates = statistics.predicates()
-    args = {p: statistics.args(p) for p in predicates}
-    inverted = {q: frozenset((o, s) for s, o in pairs) for q, pairs in args.items()}
-    for p in predicates:
-        p_args = args[p]
-        if not p_args:
+    for i, p in enumerate(predicates):
+        if not index.size(i):
             continue
-        for q in predicates:
-            if q == p:
+        _forward, flipped = index.overlaps(p)
+        for j, q in enumerate(predicates):
+            if j == i or not index.size(j):
                 continue
-            q_inv = inverted[q]
-            if not q_inv:
-                continue
-            support = len(p_args & q_inv)
+            support = flipped[j]
             if support < min_support:
                 continue
-            weight = support / len(q_inv)
+            weight = support / index.size(j)
             if weight < min_weight:
                 continue
             rules.append(
@@ -150,13 +157,14 @@ def kg_to_token_bridge_rules(
     in'``).  Sources are restricted to canonical (resource) predicates and
     targets to token predicates.
     """
-    kg_predicates = [p for p in statistics.predicates() if isinstance(p, Resource)]
-    token_predicates = [p for p in statistics.predicates() if p.is_token]
+    index = PairIndex(statistics)
+    kg_predicates = [p for p in index.predicates if isinstance(p, Resource)]
+    token_predicates = [p for p in index.predicates if p.is_token]
     if not kg_predicates or not token_predicates:
         return []
 
     rewrites = mine_arg_overlap_rules(
-        statistics,
+        index,
         min_support=min_support,
         min_weight=min_weight,
         max_rules_per_predicate=max_rules_per_predicate,
@@ -168,7 +176,7 @@ def kg_to_token_bridge_rules(
         if any(term.is_token for pat in r.replacement for term in pat.terms())
     ]
     chains = mine_chain_expansion_rules(
-        statistics,
+        index,
         source_predicates=kg_predicates,
         hop_predicates=token_predicates,
         min_support=min_support,
