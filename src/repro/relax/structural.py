@@ -157,12 +157,13 @@ def kg_to_token_bridge_rules(
     in'``).  Sources are restricted to canonical (resource) predicates and
     targets to token predicates.
     """
-    index = PairIndex(statistics)
-    kg_predicates = [p for p in index.predicates if isinstance(p, Resource)]
-    token_predicates = [p for p in index.predicates if p.is_token]
+    predicates = statistics.predicates()
+    kg_predicates = [p for p in predicates if isinstance(p, Resource)]
+    token_predicates = [p for p in predicates if p.is_token]
     if not kg_predicates or not token_predicates:
         return []
 
+    index = PairIndex(statistics)
     rewrites = mine_arg_overlap_rules(
         index,
         min_support=min_support,
