@@ -92,6 +92,8 @@ class PairIndex:
         return statistics if isinstance(statistics, PairIndex) else cls(statistics)
 
     def position(self, predicate: Term) -> int | None:
+        """``predicate``'s position in :attr:`predicates`, ``None`` if the
+        store does not list it."""
         return self._position.get(predicate)
 
     def args(self, predicate: Term) -> frozenset[tuple[int, int]]:
@@ -188,9 +190,9 @@ class PairIndex:
                 ys = adjacency.get(z)
                 if ys:
                     composed.update(zip(repeat(x), ys))
-            size = len(composed)
-            if size > max_size or numerator / (size + 2) < min_weight:
-                return None
+                    size = len(composed)
+                    if size > max_size or numerator / (size + 2) < min_weight:
+                        return None
         return len(composed)
 
 
