@@ -1,6 +1,8 @@
 """Unit tests for XKG rule mining (the paper's §3 weight formula)."""
 
 from collections import Counter
+from functools import partial
+from itertools import chain
 
 import pytest
 
@@ -203,23 +205,49 @@ class _CountingStatistics:
         return self._inner.args(predicate)
 
 
+#: Each miner and its oracle, called the same way, in the order the engine
+#: registers them.
+MINERS = {
+    "arg-overlap": (mine_arg_overlap_rules, reference_arg_overlap_rules),
+    "chain-expansion": (mine_chain_expansion_rules, reference_chain_expansion_rules),
+    "inversions": (inversion_rules, reference_inversion_rules),
+}
+
+_CONFIG = EngineConfig()
+
 #: The thresholds the engine's default operators pass each miner.
 DEFAULT_THRESHOLDS = {
-    "arg-overlap": {"min_support": 2, "min_weight": 0.1},
-    "chain-expansion": {"min_support": 2},
-    "inversions": {"min_support": 2},
+    "arg-overlap": {
+        "min_support": _CONFIG.mining_min_support,
+        "min_weight": _CONFIG.mining_min_weight,
+    },
+    "chain-expansion": {"min_support": _CONFIG.mining_min_support},
+    "inversions": {"min_support": _CONFIG.mining_min_support},
 }
 
 #: The engine's default miners under its default thresholds.
 DEFAULT_MINERS = {
-    "arg-overlap": lambda stats: mine_arg_overlap_rules(
-        stats, **DEFAULT_THRESHOLDS["arg-overlap"]
-    ),
-    "chain-expansion": lambda stats: mine_chain_expansion_rules(
-        stats, **DEFAULT_THRESHOLDS["chain-expansion"]
-    ),
-    "inversions": lambda stats: inversion_rules(stats, **DEFAULT_THRESHOLDS["inversions"]),
+    name: partial(mine, **DEFAULT_THRESHOLDS[name])
+    for name, (mine, _reference) in MINERS.items()
 }
+
+
+def _fingerprint(rules):
+    """What must not change: each rule's repr, weight bit for bit, label and
+    origin, in order."""
+    return [(repr(r), r.weight.hex(), r.label, r.origin) for r in rules]
+
+
+def _reference_registry_run(store):
+    """The oracle's rules pooled as the engine's default registry pools its
+    operators' (default thresholds, registration order)."""
+    statistics = StoreStatistics(store)
+    return RuleSet(
+        chain.from_iterable(
+            reference(statistics, **DEFAULT_THRESHOLDS[name])
+            for name, (_mine, reference) in MINERS.items()
+        )
+    )
 
 
 class TestPairReads:
@@ -263,35 +291,6 @@ class TestPairReads:
 
 
 # -- the miners against the test-side oracle ------------------------------------
-
-
-def _fingerprint(rules):
-    """What must not change: each rule's repr, weight bit for bit, label and
-    origin, in order."""
-    return [(repr(r), r.weight.hex(), r.label, r.origin) for r in rules]
-
-
-#: Each miner and its oracle, called the same way.
-MINERS = {
-    "arg-overlap": (mine_arg_overlap_rules, reference_arg_overlap_rules),
-    "chain-expansion": (mine_chain_expansion_rules, reference_chain_expansion_rules),
-    "inversions": (inversion_rules, reference_inversion_rules),
-}
-
-
-def _reference_registry_run(store):
-    """The oracle's rules pooled as the engine's default registry pools its
-    operators' (engine default thresholds, registration order)."""
-    config = EngineConfig()
-    statistics = StoreStatistics(store)
-    support = config.mining_min_support
-    return RuleSet(
-        reference_arg_overlap_rules(
-            statistics, min_support=support, min_weight=config.mining_min_weight
-        )
-        + reference_chain_expansion_rules(statistics, min_support=support)
-        + reference_inversion_rules(statistics, min_support=support)
-    )
 
 
 @pytest.fixture(scope="module")
