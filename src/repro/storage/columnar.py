@@ -1,8 +1,10 @@
 """Columnar segment: the frozen unit of the store layout.
 
-Triples live in parallel columns — ``array('i')`` for the s/p/o term ids,
-``array('d')`` for sort weights, ``array('i')`` for observation counts —
-instead of a list of per-triple objects.  For each bound-slot signature the
+Triples live in parallel ``array('i')`` columns of s/p/o term ids instead
+of a list of per-triple objects.  A segment is posting structure only: the
+sort weights it is frozen by belong to the store's one global column
+(:meth:`~repro.storage.sharded.ShardedBackend.weights`) and the observation
+counts to the store's records.  For each bound-slot signature the
 freeze step materialises one *permutation array*: all triple ids reordered so
 that ids sharing a key are contiguous, the key groups in **key order** (the
 key's ids compared in the signature's lookup order, :data:`LOOKUP_ORDER`)
@@ -108,8 +110,6 @@ class ColumnarBackend:
         self._s = array(ID_TYPECODE)
         self._p = array(ID_TYPECODE)
         self._o = array(ID_TYPECODE)
-        self._weights = array("d")
-        self._counts = array(ID_TYPECODE)
         # signature -> read-only memoryview over that signature's permutation
         self._perm_views: dict[tuple[int, ...], memoryview] = {}
         # slot -> (its distinct ids ascending, where each id's group starts)
@@ -133,8 +133,6 @@ class ColumnarBackend:
         s,
         p,
         o,
-        weights,
-        counts,
         scan_view,
         perm_views,
         key_tables,
@@ -152,8 +150,6 @@ class ColumnarBackend:
         backend._s = s
         backend._p = p
         backend._o = o
-        backend._weights = weights
-        backend._counts = counts
         backend._perm_views = perm_views
         backend._key_tables = key_tables
         backend._scan_view = scan_view
@@ -208,8 +204,6 @@ class ColumnarBackend:
                 self._s,
                 self._p,
                 self._o,
-                self._weights,
-                self._counts,
                 self._scan_view,
                 *self._perm_views.values(),
                 *(view for table in self._key_tables for view in table),
@@ -217,7 +211,6 @@ class ColumnarBackend:
             if isinstance(view, memoryview)
         ]
         self._s = self._p = self._o = _CLOSED
-        self._weights = self._counts = _CLOSED
         self._scan_view = _CLOSED
         self._perm_views = _CLOSED
         self._key_tables = _CLOSED
@@ -254,33 +247,31 @@ class ColumnarBackend:
     def freeze(
         self,
         weights: Sequence[float],
-        counts: Sequence[int],
         *,
         sort_key: Callable[[int], object],
     ) -> None:
         """Sort every posting structure into the canonical order.
 
-        ``weights`` and ``counts`` are the per-triple sort weight and
-        observation count columns; ``sort_key`` maps a term id to its tie
-        key (the store passes :meth:`TermDictionary.sort_key`).
+        ``weights`` is the per-triple sort weight column, read to sort and
+        not kept (its owner is the store's backend); ``sort_key`` maps a
+        term id to its tie key (the store passes
+        :meth:`TermDictionary.sort_key`).
         """
         if self._frozen:
             raise StorageError("Backend already frozen")
         n = len(self._s)
         if len(weights) != n:
             raise StorageError(f"{n} triples but {len(weights)} weights")
-        if len(counts) != n:
-            raise StorageError(f"{n} triples but {len(counts)} counts")
-        self._weights = array("d", weights)
-        self._counts = array(ID_TYPECODE, counts)
-        w = self._weights
         columns = (self._s, self._p, self._o)
         ks, kp, ko = [list(map(sort_key, column)) for column in columns]
         # One stable sort fixes the canonical order (equal keys keep id
         # order); every signature's key groups keep it.
         scan = array(
             ID_TYPECODE,
-            sorted(range(n), key=lambda tid: (-w[tid], ks[tid], kp[tid], ko[tid])),
+            sorted(
+                range(n),
+                key=lambda tid: (-weights[tid], ks[tid], kp[tid], ko[tid]),
+            ),
         )
         self._scan_view = memoryview(scan).toreadonly()
         # A signature's key order is its lead slot, then the order of the
@@ -448,7 +439,7 @@ class ColumnarBackend:
         key tables."""
         total = sum(
             col.nbytes if isinstance(col, memoryview) else sys.getsizeof(col)
-            for col in (self._s, self._p, self._o, self._weights, self._counts)
+            for col in (self._s, self._p, self._o)
         )
         for view in self._perm_views.values():
             total += view.nbytes

@@ -15,13 +15,19 @@ Two folding strategies, chosen by where the store lives:
   from a snapshot directory.  The delta becomes one new frozen
   columnar segment, appended after the existing ones: it holds the
   contiguous global id range the delta owned, so its start offset is its
-  whole id map.  The existing segment files are **hardlinked** (never
+  whole id map.  Like every segment it holds posting structure only: the
+  delta's sort weights are appended to the global weight column and its
+  records' counts, confidences and provenance to the record metadata, both
+  in the manifest.  The existing segment files are **hardlinked** (never
   copied, never rewritten) into a new ``generation-K`` directory next to
   the new segment's container and a manifest that extends the loaded
   one — its terms and record metadata sections with the delta's appended
   (:func:`~repro.storage.snapshot.generation_sections`) — and the root's
-  ``CURRENT`` pointer is atomically swapped last.  A crash at any
-  earlier point leaves the previous generation untouched and active.
+  ``CURRENT`` pointer is atomically swapped last.  ``K`` is the first
+  number after the loaded generation whose directory an exclusive
+  ``mkdir`` creates, so the leftovers of a crashed, never-referenced
+  compaction are stepped over, never reused or written into.  A crash at
+  any earlier point leaves the previous generation untouched and active.
   Readers that opened the old generation keep it: their mmaps reference
   the old files, which the swap does not disturb.
 
@@ -63,6 +69,7 @@ rebuild, which re-sorts anyway, folds those weight changes in.
 from __future__ import annotations
 
 import shutil
+from array import array
 from pathlib import Path
 
 from repro.errors import StorageError
@@ -71,7 +78,6 @@ from repro.storage.snapshot import (
     generation_dirname,
     generation_sections,
     open_compacted,
-    parse_generation_dirname,
     segment_filename,
     swap_current,
     write_manifest,
@@ -109,30 +115,36 @@ def _link_or_copy(src: Path, dst: Path) -> None:
         shutil.copy2(src, dst)
 
 
-def next_generation_number(root: Path, current: int) -> int:
-    """First unused generation number at ``root`` (also skips leftovers
-    of crashed, never-referenced compactions)."""
-    highest = current
-    for entry in root.iterdir():
-        parsed = parse_generation_dirname(entry.name)
-        if parsed is not None and entry.is_dir():
-            highest = max(highest, parsed)
-    return highest + 1
+def _new_generation_dir(root: Path, current: int) -> tuple[Path, int]:
+    """Create the directory of the first generation after ``current``
+    that does not exist at ``root`` yet; returns it and its number.
+
+    Each ``mkdir`` is exclusive, so a leftover of a crashed,
+    never-referenced compaction (or of a concurrent writer) is stepped
+    over, never reused or written into — and the root is never listed.
+    """
+    generation = current + 1
+    while True:
+        gen_dir = root / generation_dirname(generation)
+        try:
+            gen_dir.mkdir()
+        except FileExistsError:
+            generation += 1
+        else:
+            return gen_dir, generation
 
 
-def _delta_segment_backend(store: TripleStore) -> ColumnarBackend:
-    """The delta frozen as a columnar segment, locals in global-id order."""
+def _delta_segment_backend(store: TripleStore) -> tuple[ColumnarBackend, array]:
+    """The delta frozen as a columnar segment, locals in global-id order,
+    and the sort-weight column it was frozen by."""
     delta = store.backend.delta
-    weights: list[float] = []
-    counts: list[int] = []
+    gids = range(delta.base, delta.base + len(delta))
     segment = ColumnarBackend()
-    for local in range(len(delta)):
-        gid = delta.base + local
+    for local, gid in enumerate(gids):
         segment.insert(local, delta.slot_ids(gid))
-        weights.append(delta.weight(gid))
-        counts.append(delta.count(gid))
-    segment.freeze(weights, counts, sort_key=store.dictionary.sort_key)
-    return segment
+    weights = array("d", map(delta.weight, gids))
+    segment.freeze(weights, sort_key=store.dictionary.sort_key)
+    return segment, weights
 
 
 def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, int]:
@@ -155,23 +167,20 @@ def write_generation(store: TripleStore, *, swap: bool = True) -> tuple[Path, in
         raise StorageError("Nothing to compact: the store has no delta segment")
     root = Path(backend.snapshot_root)
     source_dir = Path(backend.source_dir)
-    generation = next_generation_number(root, backend.generation)
-    gen_dir = root / generation_dirname(generation)
-    gen_dir.mkdir(parents=True, exist_ok=True)
+    gen_dir, generation = _new_generation_dir(root, backend.generation)
 
     new_index = backend.segment_count()
-    segment = _delta_segment_backend(store)
+    segment, weights = _delta_segment_backend(store)
 
     for index in range(new_index):
         filename = segment_filename(index)
         _link_or_copy(source_dir / filename, gen_dir / filename)
     write_segment(gen_dir, store.name, new_index, segment)
 
-    weights = b"".join((backend.frozen_weights, segment._weights))
     write_manifest(
         gen_dir,
         store,
-        generation_sections(store, weights),
+        generation_sections(store, b"".join((backend.frozen_weights, weights))),
         backend.segment_sizes() + [store.delta_size],
     )
     if swap:

@@ -65,11 +65,11 @@ class DeltaSegment:
 
     ``base`` is the size of the frozen id space the delta sits on top of;
     the delta's global ids are ``base, base + 1, ...`` in insertion order.
-    The segment stores the per-triple ``(s, p, o)`` term ids, the sort
-    weight and the observation count — everything the posting merge and
-    the id-space accessors need; the full :class:`~repro.storage.store.
-    StoredTriple` records stay with the store.  ``sort_key`` maps a term
-    id to its tie key (the store's :meth:`TermDictionary.sort_key`).
+    The segment stores the per-triple ``(s, p, o)`` term ids and sort
+    weight — everything the posting merge and the id-space accessors
+    need; the full :class:`~repro.storage.store.StoredTriple` records,
+    observation counts included, stay with the store.  ``sort_key`` maps
+    a term id to its tie key (the store's :meth:`TermDictionary.sort_key`).
     """
 
     def __init__(self, base: int, sort_key: Callable[[int], object]):
@@ -91,7 +91,6 @@ class DeltaSegment:
         # each — what weight_below bisects.
         self._levels: list[float] = []
         self._held: dict[float, int] = {}
-        self._counts: list[int] = []
         self._version = 0
         self._lock = threading.RLock()
 
@@ -111,13 +110,7 @@ class DeltaSegment:
 
     # -- mutation ----------------------------------------------------------
 
-    def add(
-        self,
-        gid: int,
-        slot_ids: tuple[int, int, int],
-        weight: float,
-        count: int,
-    ) -> None:
+    def add(self, gid: int, slot_ids: tuple[int, int, int], weight: float) -> None:
         """Absorb one new triple.  Ids must arrive densely above ``base``."""
         with self._lock:
             local = len(self._ties)
@@ -134,17 +127,15 @@ class DeltaSegment:
             self._ties.append(tuple(map(self._sort_key, slot_ids)))
             self._weights.append(weight)
             self._hold(weight)
-            self._counts.append(count)
             self._version += 1
 
-    def update(self, gid: int, weight: float, count: int) -> None:
+    def update(self, gid: int, weight: float) -> None:
         """Re-weigh an existing delta triple (duplicate evidence arrived)."""
         with self._lock:
             local = self._local(gid)
             self._release(self._weights[local])
             self._weights[local] = weight
             self._hold(weight)
-            self._counts[local] = count
             self._version += 1
 
     def _hold(self, weight: float) -> None:
@@ -177,10 +168,6 @@ class DeltaSegment:
     def weight(self, gid: int) -> float:
         with self._lock:
             return self._weights[self._local(gid)]
-
-    def count(self, gid: int) -> int:
-        with self._lock:
-            return self._counts[self._local(gid)]
 
     def weight_below(self, weight: float) -> float | None:
         """The largest delta weight below ``weight`` (``None``: none)."""

@@ -289,7 +289,6 @@ class ShardedBackend:
         self._starts = [0]
         self._size = 0
         self._weights = array("d")
-        self._counts = array(ID_TYPECODE)
         self._sort_key: Callable[[int], object] | None = None
         self._frozen = False
         self._closed = False
@@ -306,7 +305,6 @@ class ShardedBackend:
         *,
         starts: Sequence[int],
         weights,
-        counts,
         segment_loaders: list[Callable[[], ColumnarBackend]],
         buffer=None,
         source_dir: str | None = None,
@@ -330,7 +328,6 @@ class ShardedBackend:
         backend._starts = list(starts)
         backend._size = len(weights)
         backend._weights = weights
-        backend._counts = counts
         backend._sort_key = sort_key
         backend._frozen = True
         backend._buffer = buffer
@@ -393,20 +390,14 @@ class ShardedBackend:
         self._closed = True
         self._delta = None
         self._segment_loaders = None
-        views = [
-            view
-            for view in (self._weights, self._counts)
-            if isinstance(view, memoryview)
-        ]
+        weights, self._weights = self._weights, _CLOSED
         with self._load_lock:
             segments, self._segments = self._segments, _CLOSED
         for segment in segments:
             if segment is not None:
                 segment.close()
-        self._weights = _CLOSED
-        self._counts = _CLOSED
-        for view in views:
-            view.release()
+        if isinstance(weights, memoryview):
+            weights.release()
         buffer, self._buffer = self._buffer, None
         if buffer is not None and hasattr(buffer, "close"):
             try:
@@ -507,19 +498,18 @@ class ShardedBackend:
     def freeze(
         self,
         weights: Sequence[float],
-        counts: Sequence[int],
         *,
         sort_key: Callable[[int], object],
     ) -> None:
+        """Freeze the base segment by ``weights``, which become the
+        global sort-weight column: the base segment's local ids are the
+        global ids."""
         if self._frozen:
             raise StorageError("Backend already frozen")
-        base = self._segment(0)
-        base.freeze(weights, counts, sort_key=sort_key)
-        # The base segment's local ids are the global ids: its columns are
-        # the global ones.
-        self._weights = base._weights
-        self._counts = base._counts
-        self._size = len(base)
+        weights = array("d", weights)
+        self._segment(0).freeze(weights, sort_key=sort_key)
+        self._weights = weights
+        self._size = len(weights)
         self._sort_key = sort_key
         self._frozen = True
 
@@ -661,28 +651,15 @@ class ShardedBackend:
             return self._weights
         return _CombinedWeights(self._weights, self._size, self._delta)
 
-    def count(self, triple_id: int) -> int:
-        if self._delta is not None and triple_id >= self._size:
-            return self._delta.count(triple_id)
-        if not 0 <= triple_id < self._size:
-            raise StorageError(f"Unknown triple id: {triple_id}")
-        return self._counts[triple_id]
-
     # -- introspection ------------------------------------------------------------
 
     def memory_bytes(self) -> int:
         """Approximate resident bytes across the loaded segments plus the
-        manifest's global columns."""
+        global weight column."""
         with self._load_lock:
             loaded = [seg for seg in self._segments if seg is not None]
         total = sum(segment.memory_bytes() for segment in loaded)
-        # An in-memory build's global columns are its base segment's.
-        total += sum(
-            column.nbytes
-            for column in (self._weights, self._counts)
-            if isinstance(column, memoryview)
-        )
-        return total
+        return total + memoryview(self._weights).nbytes
 
 
 class _CombinedWeights:

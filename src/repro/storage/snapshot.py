@@ -3,17 +3,23 @@
 The JSONL format (:mod:`repro.storage.persistence`) re-ingests every
 statement on load — JSON parsing, dictionary re-encoding, backend inserts,
 and a full freeze-time re-sort of every posting structure.  A snapshot
-instead writes the frozen backend state *as laid out in memory*:
+instead writes the frozen backend state *as laid out in memory*.  Each
+value has one owner, stored once.  A **segment** file is posting
+structure only:
 
-* the s/p/o id columns, the weight column, and the counts column,
-* the global scan permutation and the per-signature permutation arrays
-  (key groups in key order, postings in each in the canonical weight
-  desc, tie key asc, id asc order),
+* the s/p/o id columns (``col:s``, ``col:p``, ``col:o``),
+* the segment's scan permutation (``scan``) and the per-signature
+  permutation arrays (``perm:*``; key groups in key order, postings in
+  each in the canonical weight desc, tie key asc, id asc order),
 * one key table per slot (``keys:N``, the slot's distinct ids ascending;
   ``starts:N``, where each id's group starts — it stops where the next
-  starts),
-* the term dictionary (in id order) and the per-triple record metadata
-  (exact binary confidences, counts, provenance samples).
+  starts).
+
+The **manifest** holds everything per statement: the global sort-weight
+column (``weights``, by global id — the one weight column the store
+reads), the record metadata (``counts``, exact binary ``confidence``,
+``prov`` provenance samples) and the term dictionary (``terms``, in id
+order).
 
 Loading ``mmap``-s the file and exposes the permutation arrays, columns
 and key tables as zero-copy read-only memoryviews directly over the
@@ -28,7 +34,7 @@ decimal text.
 
 A snapshot is a **directory**: one self-contained container file per
 segment (``segment-0000.xkgsnap`` …) plus ``manifest.xkgsnap`` carrying the
-global weight and count columns, terms and record metadata.  A fresh
+global weight column, terms and record metadata.  A fresh
 build saves as one segment, the base; each compaction appends one.  The
 manifest's segment table gives each segment's file, first global id and
 size — the segments tile the id space in order, so ``gid = start +
@@ -50,16 +56,17 @@ platform, recorded in the header)::
 
     [ magic "XKGSNAP\\x01" ][ uint64 header offset ][ sections ... ][ header JSON ]
 
-The header JSON carries the format name/version (5), store name, byte
+The header JSON carries the format name/version (6), store name, byte
 order, item sizes, the segment table, and a section table
 ``{name: [offset, length]}``.  Placing the header *after* the sections
 keeps section offsets stable while the header is being composed.  Earlier
 versions are not readable and :func:`load_snapshot` rejects them by
 version — re-save from JSONL: the single-file containers of versions 1
 and 2, the version-3 directories that hash-partitioned a store over
-several segments with per-statement id maps, and the version-4 ones
-whose per-signature ``offsets:`` tables of (key, start, stop) entries a
-load decoded into dicts.
+several segments with per-statement id maps, the version-4 ones whose
+per-signature ``offsets:`` tables of (key, start, stop) entries a load
+decoded into dicts, and the version-5 ones whose segments also carried
+their own copies of the weight and count columns.
 
 The manifest also names the **posting order** its segments were frozen in
 (``"order"``: :data:`POSTING_ORDER`, the canonical weight desc, tie key
@@ -104,7 +111,7 @@ from repro.storage.termcodec import (
 MAGIC = b"XKGSNAP\x01"
 FORMAT_NAME = "trinit-xkg-snapshot"
 #: The one container version written and read.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: The manifest's name for the canonical posting order (weight desc, tie
 #: key asc, id asc) its segments were frozen in.
@@ -194,19 +201,12 @@ def _sig_key(sig: tuple[int, ...]) -> str:
     return "".join(str(slot) for slot in sig)
 
 
-def _column_bytes(column) -> bytes:
-    """Raw bytes of a column, whether a live array or a restored memoryview."""
-    return column.tobytes()
-
-
 def _columnar_sections(backend: ColumnarBackend) -> dict[str, bytes]:
     """The posting-structure sections of one frozen columnar segment."""
     sections: dict[str, bytes] = {}
-    sections["counts"] = _column_bytes(backend._counts)
-    sections["col:s"] = _column_bytes(backend._s)
-    sections["col:p"] = _column_bytes(backend._p)
-    sections["col:o"] = _column_bytes(backend._o)
-    sections["weights"] = _column_bytes(backend._weights)
+    sections["col:s"] = bytes(backend._s)
+    sections["col:p"] = bytes(backend._p)
+    sections["col:o"] = bytes(backend._o)
     sections["scan"] = bytes(backend._scan_view)
     for sig in SIGNATURES:
         sections[f"perm:{_sig_key(sig)}"] = bytes(backend._perm_views[sig])
@@ -254,16 +254,21 @@ def _extend_json_list(head: memoryview, items: list) -> bytes:
     return b"".join((head[:-1], b", ", tail[1:]))
 
 
-def _encoded_sections(
-    store: TripleStore, metadata: list[tuple[int, float, list]]
-) -> dict[str, bytes]:
-    """The term dictionary and the per-record ``prov`` and ``confidence``
-    sections, encoded in full from ``metadata`` (:func:`record_metadata`)."""
+def _encoded_sections(store: TripleStore, weights: bytes) -> dict[str, bytes]:
+    """Every manifest section of ``store``, encoded in full: the term
+    dictionary, the ``prov``, ``confidence`` and ``counts`` sections from
+    the records (:func:`record_metadata`), and the global sort-weight
+    column ``weights``."""
+    metadata = record_metadata(store)
     return {
         "terms": _json_list([encode_term(term) for term in store.dictionary]),
         "prov": _json_list([prov for _count, _confidence, prov in metadata]),
         "confidence": array(
             WEIGHT_TYPECODE, [confidence for _count, confidence, _prov in metadata]
+        ).tobytes(),
+        "weights": weights,
+        "counts": array(
+            ID_TYPECODE, [count for count, _confidence, _prov in metadata]
         ).tobytes(),
     }
 
@@ -281,16 +286,7 @@ def generation_sections(store: TripleStore, weights: bytes) -> dict[str, bytes]:
     and every section encoded in full.
     """
     if store._frozen_records_changed:
-        metadata = record_metadata(store)
-        # Counts come from the records, not the loaded column: duplicate
-        # evidence for frozen statements bumps record counts that the
-        # column predates.
-        counts = array(ID_TYPECODE, [count for count, _conf, _prov in metadata])
-        return {
-            **_encoded_sections(store, metadata),
-            "weights": weights,
-            "counts": counts.tobytes(),
-        }
+        return _encoded_sections(store, weights)
     parent = store._triples.manifest
     delta = store._delta_records
     decode = store.dictionary.decoder()
@@ -384,7 +380,7 @@ def write_manifest(
 ) -> int:
     """Write the manifest of ``len(segment_sizes)`` segments into
     ``directory``: ``sections`` are ``store``'s term dictionary, record
-    metadata and global weight and count columns, in that order.
+    metadata and global weight column (:func:`_encoded_sections`).
     Segment ``i`` starts at the sum of the sizes before it."""
     segments = []
     start = 0
@@ -445,11 +441,7 @@ def save_snapshot(store: TripleStore, path: str | Path) -> int:
         write_segment(path, store.name, index, backend._segment(index))
         for index in range(backend.segment_count())
     )
-    sections = {
-        **_encoded_sections(store, record_metadata(store)),
-        "weights": _column_bytes(backend._weights),
-        "counts": _column_bytes(backend._counts),
-    }
+    sections = _encoded_sections(store, bytes(backend.frozen_weights))
     return total + write_manifest(path, store, sections, backend.segment_sizes())
 
 
@@ -604,12 +596,7 @@ class _Container:
         col_s = self.ids("col:s")
         col_p = self.ids("col:p")
         col_o = self.ids("col:o")
-        weights = self.doubles("weights")
-        counts = self.ids("counts")
-        if not (
-            len(col_s) == len(col_p) == len(col_o) == len(weights)
-            == len(counts) == length
-        ):
+        if not len(col_s) == len(col_p) == len(col_o) == length:
             raise PersistenceError(
                 f"Header declares {length} triples but the columns "
                 f"disagree: {self.path}"
@@ -634,8 +621,6 @@ class _Container:
             s=col_s,
             p=col_p,
             o=col_o,
-            weights=weights,
-            counts=counts,
             scan_view=scan,
             perm_views=perm_views,
             key_tables=key_tables,
@@ -701,14 +686,16 @@ class _SnapshotRecords(Sequence):
         prov: list | None = None,
     ):
         confidences = manifest.doubles("confidence")
-        if len(confidences) != n:
+        counts = manifest.ids("counts")
+        if not len(confidences) == len(counts) == n:
             raise PersistenceError(
-                f"Header declares {n} triples but the confidence column disagrees"
+                f"Header declares {n} triples but the record columns "
+                f"disagree: {manifest.path}"
             )
         self._dictionary = dictionary
         self._backend = backend
         self._manifest: _Container | None = manifest
-        self._counts = manifest.ids("counts")
+        self._counts = counts
         self._confidences = confidences
         self._prov_raw = manifest.view("prov")
         self._prov = prov
@@ -993,18 +980,16 @@ def _open_generation(
         segments = _segment_table(manifest)
         n = header["triples"]
         weights = manifest.doubles("weights")
-        counts = manifest.ids("counts")
-        if not len(weights) == len(counts) == n:
+        if len(weights) != n:
             raise PersistenceError(
-                f"Header declares {n} triples but the global "
-                f"columns disagree: {manifest_path}"
+                f"Header declares {n} triples but the global weight "
+                f"column disagrees: {manifest_path}"
             )
         if dictionary is None:
             dictionary = _lazy_dictionary(manifest)
         backend = ShardedBackend._restore(
             starts=[start for _file, start, _size in segments],
             weights=weights,
-            counts=counts,
             segment_loaders=[
                 partial(_load_segment, gen_dir / filename, index, size, map_file)
                 for index, (filename, _start, size) in enumerate(segments)

@@ -258,7 +258,7 @@ class TripleStore:
             if existing >= base:
                 # Delta statements re-sort live; frozen ones keep their
                 # frozen sort weight until compaction (documented above).
-                self._delta.update(existing, record.weight, record.count)
+                self._delta.update(existing, record.weight)
             else:
                 self._frozen_records_changed = True
             self._pattern_total_cache.clear()
@@ -271,7 +271,7 @@ class TripleStore:
         record = StoredTriple(triple, count, confidence, [provenance])
         self._delta_records.append(record)
         by_key[key] = triple_id
-        delta.add(triple_id, key, record.weight, record.count)
+        delta.add(triple_id, key, record.weight)
         self._pattern_total_cache.clear()
         return triple_id
 
@@ -302,7 +302,6 @@ class TripleStore:
             raise StorageError("Store already frozen")
         self._backend.freeze(
             [record.weight for record in self._triples],
-            [record.count for record in self._triples],
             sort_key=self.dictionary.sort_key,
         )
         self._frozen = True

@@ -93,18 +93,17 @@ def _backend(layout: str, rows, weights) -> ShardedBackend:
         backend = ShardedBackend()
         for triple_id, row in enumerate(rows):
             backend.insert(triple_id, row)
-        backend.freeze(weights, [1] * len(rows), sort_key=_ids)
+        backend.freeze(weights, sort_key=_ids)
         return backend
     segments = []
     for row, weight in zip(rows, weights):
         segment = ColumnarBackend()
         segment.insert(0, row)
-        segment.freeze([weight], [1], sort_key=_ids)
+        segment.freeze([weight], sort_key=_ids)
         segments.append(segment)
     return ShardedBackend._restore(
         starts=range(len(rows)),
         weights=array("d", weights),
-        counts=array("i", [1] * len(rows)),
         segment_loaders=[lambda segment=segment: segment for segment in segments],
         sort_key=_ids,
     )
@@ -182,7 +181,7 @@ class TestPostingOrder:
         backend = _backend(layout, [(1, 1, 1), (1, 1, 2)], [2.0, 2.0])
         assert list(backend.postings([True, False, False], (1,))) == [0, 1]
 
-    def test_weights_slot_ids_and_counts_match_records(self, relayout):
+    def test_weights_and_slot_ids_match_records(self, relayout):
         store = _sample_store(relayout)
         encode = store.dictionary.id_of
         for tid, record in enumerate(store.records()):
@@ -190,7 +189,6 @@ class TestPostingOrder:
                 encode(term) for term in record.triple.terms()
             )
             assert store.weight(tid) == record.weight
-            assert store.backend.count(tid) == record.count
 
     def test_postings_ids_matches_sorted_ids(self, relayout):
         store = _sample_store(relayout)
@@ -297,33 +295,21 @@ class TestBuildPhaseGuards:
     def test_rejects_insert_after_freeze(self, kind):
         backend = _fresh(kind)
         backend.insert(0, (1, 2, 3))
-        backend.freeze([1.0], [1], sort_key=_ids)
+        backend.freeze([1.0], sort_key=_ids)
         with pytest.raises(StorageError):
             backend.insert(1, (4, 5, 6))
 
     def test_rejects_double_freeze(self, kind):
         backend = _fresh(kind)
-        backend.freeze([], [], sort_key=_ids)
+        backend.freeze([], sort_key=_ids)
         with pytest.raises(StorageError):
-            backend.freeze([], [], sort_key=_ids)
+            backend.freeze([], sort_key=_ids)
 
     def test_weight_arity_checked(self, kind):
         backend = _fresh(kind)
         backend.insert(0, (1, 2, 3))
         with pytest.raises(StorageError):
-            backend.freeze([1.0, 2.0], [1, 1], sort_key=_ids)
-
-    def test_counts_are_required(self, kind):
-        backend = _fresh(kind)
-        backend.insert(0, (1, 2, 3))
-        with pytest.raises(TypeError):
-            backend.freeze([1.0], sort_key=_ids)
-
-    def test_count_arity_checked(self, kind):
-        backend = _fresh(kind)
-        backend.insert(0, (1, 2, 3))
-        with pytest.raises(StorageError):
-            backend.freeze([1.0], [2, 3], sort_key=_ids)
+            backend.freeze([1.0, 2.0], sort_key=_ids)
 
     def test_lookup_requires_freeze(self, kind):
         backend = _fresh(kind)
@@ -334,31 +320,15 @@ class TestBuildPhaseGuards:
     def test_memory_accounting(self, kind):
         backend = _fresh(kind)
         backend.insert(0, (1, 2, 3))
-        backend.freeze([1.0], [1], sort_key=_ids)
+        backend.freeze([1.0], sort_key=_ids)
         assert backend.memory_bytes() > 0
-
-
-class TestCountConformance:
-    """count(): record values, typed errors."""
-
-    def test_counts_from_store_freeze(self, relayout):
-        store = _sample_store(relayout)
-        for tid, record in enumerate(store.records()):
-            assert store.backend.count(tid) == record.count
-
-    def test_unknown_id_raises_storage_error(self, relayout):
-        store = _sample_store(relayout)
-        with pytest.raises(StorageError):
-            store.backend.count(len(store))
-        with pytest.raises(StorageError):
-            store.backend.count(-1)
 
 
 class TestScanSignatureContract:
     def test_columnar_scan_rejects_a_key(self):
         segment = ColumnarBackend()
         segment.insert(0, (1, 2, 3))
-        segment.freeze([2.0], [1], sort_key=_ids)
+        segment.freeze([2.0], sort_key=_ids)
         with pytest.raises(StorageError, match="arity"):
             segment.postings([False, False, False], (1,))
 
@@ -368,13 +338,6 @@ class TestScanSignatureContract:
             backend.postings([False, False, False], (10,))
         with pytest.raises(StorageError, match="arity"):
             backend.slot_values([False, False, False], (10,), 0)
-
-    def test_freeze_accepts_counts_column(self):
-        backend = ShardedBackend()
-        backend.insert(0, (1, 2, 3))
-        backend.freeze([2.0], [2], sort_key=_ids)
-        assert list(backend.postings([True, False, False], (1,))) == [0]
-        assert backend.count(0) == 2
 
 
 def _random_rows(seed: int, n: int = 60) -> tuple[list, list[float]]:
@@ -389,7 +352,7 @@ def _frozen_segment(rows, weights) -> ColumnarBackend:
     segment = ColumnarBackend()
     for tid, row in enumerate(rows):
         segment.insert(tid, row)
-    segment.freeze(weights, [1] * len(rows), sort_key=_ids)
+    segment.freeze(weights, sort_key=_ids)
     return segment
 
 
@@ -498,9 +461,7 @@ class TestMemoryAccounting:
             columns = sum(
                 column.nbytes
                 for column in (
-                    segment._s, segment._p, segment._o,
-                    segment._weights, segment._counts,
-                    backend._weights, backend._counts,
+                    segment._s, segment._p, segment._o, backend._weights,
                 )
             )
             assert tables > 0

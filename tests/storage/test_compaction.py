@@ -21,11 +21,7 @@ from repro.errors import PersistenceError, StorageError, TrinitError
 from repro.scoring.language_model import PatternScorer
 import repro.core.engine as engine_module
 from repro.storage import snapshot as snapshot_module
-from repro.storage.compaction import (
-    compact_store,
-    next_generation_number,
-    write_generation,
-)
+from repro.storage.compaction import compact_store, write_generation
 from repro.storage.dictionary import LazyTermDictionary
 from repro.storage.index import SIGNATURES
 from repro.storage.snapshot import (
@@ -325,15 +321,40 @@ class TestCrashSafety:
         assert len(swapped) == len(live_store)
 
     def test_crash_leftovers_are_skipped_not_reused(
-        self, snapshot_root, live_store
+        self, snapshot_root, live_store, monkeypatch
     ):
-        write_generation(live_store, swap=False)  # orphaned generation-0001
-        assert next_generation_number(snapshot_root, 0) == 2
-        compacted = compact_store(live_store)
+        def contents(directory):
+            return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+        orphans = {}
+        orphan, generation = write_generation(live_store, swap=False)
+        assert generation == 1
+        orphans[orphan] = contents(orphan)
+        # A fold probes for its directory with exclusive mkdirs; it never
+        # lists the root.
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                type(snapshot_root), "iterdir", lambda self: pytest.fail("listed")
+            )
+            compacted = compact_store(live_store)
         assert compacted.backend.generation == 2
         assert (snapshot_root / CURRENT_NAME).read_text().strip() == (
             generation_dirname(2)
         )
+        # An orphan right after the live generation is stepped over too.
+        compacted.add(Triple(Resource("E7"), Resource("type"), Resource("E9")))
+        orphan, generation = write_generation(compacted, swap=False)
+        assert generation == 3
+        orphans[orphan] = contents(orphan)
+        again = compact_store(compacted)
+        assert again.backend.generation == 4
+        for orphan, before in orphans.items():
+            assert contents(orphan) == before
+        reopened = load_snapshot(snapshot_root)
+        assert reopened.backend.generation == 4
+        assert len(reopened) == len(again) == len(live_store) + 1
+        for store in (reopened, again, compacted):
+            store.close()
 
     def test_flat_layout_still_loads_as_generation_zero(self, snapshot_root):
         assert is_snapshot(snapshot_root)

@@ -76,26 +76,26 @@ class TestDeltaSegmentUnit:
 
     def test_ids_must_be_dense_above_base(self):
         delta = DeltaSegment(10, _ids)
-        delta.add(10, (1, 2, 3), 0.5, 1)
+        delta.add(10, (1, 2, 3), 0.5)
         with pytest.raises(StorageError, match="dense"):
-            delta.add(12, (1, 2, 3), 0.5, 1)
-        delta.add(11, (4, 5, 6), 0.9, 1)
+            delta.add(12, (1, 2, 3), 0.5)
+        delta.add(11, (4, 5, 6), 0.9)
         assert len(delta) == 2
         assert delta.slot_ids(11) == (4, 5, 6)
 
     def test_unknown_ids_rejected(self):
         delta = DeltaSegment(5, _ids)
-        delta.add(5, (1, 2, 3), 0.5, 1)
+        delta.add(5, (1, 2, 3), 0.5)
         with pytest.raises(StorageError):
             delta.weight(4)
         with pytest.raises(StorageError):
-            delta.update(6, 0.1, 1)
+            delta.update(6, 0.1)
 
     def test_posting_part_sorted_by_weight_then_gid(self):
         delta = DeltaSegment(0, _ids)
-        delta.add(0, (1, 7, 2), 0.5, 1)
-        delta.add(1, (3, 7, 2), 0.9, 1)
-        delta.add(2, (4, 7, 2), 0.9, 1)  # ties break by id, ascending
+        delta.add(0, (1, 7, 2), 0.5)
+        delta.add(1, (3, 7, 2), 0.9)
+        delta.add(2, (4, 7, 2), 0.9)  # ties break by id, ascending
         part = delta.posting_part([False, True, False], (7,))
         gids = [part.start + local for local in part.postings]
         assert gids == [1, 2, 0]
@@ -103,10 +103,10 @@ class TestDeltaSegmentUnit:
 
     def test_captured_part_immutable_under_growth(self):
         delta = DeltaSegment(0, _ids)
-        delta.add(0, (1, 7, 2), 0.5, 1)
+        delta.add(0, (1, 7, 2), 0.5)
         part = delta.posting_part([False, True, False], (7,))
         before = list(part.postings)
-        delta.add(1, (3, 7, 2), 0.9, 1)
+        delta.add(1, (3, 7, 2), 0.9)
         # The old snapshot is unchanged; a fresh lookup sees the addition.
         assert list(part.postings) == before
         fresh = delta.posting_part([False, True, False], (7,))
@@ -114,10 +114,10 @@ class TestDeltaSegmentUnit:
 
     def test_reweighed_row_moves_in_the_next_lookup(self):
         delta = DeltaSegment(0, _ids)
-        delta.add(0, (1, 7, 2), 0.5, 1)
-        delta.add(1, (3, 7, 2), 0.9, 1)
+        delta.add(0, (1, 7, 2), 0.5)
+        delta.add(1, (3, 7, 2), 0.9)
         version = delta.version
-        delta.update(0, 1.5, 3)  # re-weighed past the other triple
+        delta.update(0, 1.5)  # re-weighed past the other triple
         assert delta.version == version + 1
         part = delta.posting_part([False, True, False], (7,))
         assert [part.start + local for local in part.postings] == [0, 1]
@@ -125,14 +125,14 @@ class TestDeltaSegmentUnit:
     def test_weight_below_follows_adds_and_updates(self):
         delta = DeltaSegment(0, _ids)
         assert delta.weight_below(1.0) is None
-        delta.add(0, (1, 7, 2), 0.5, 1)
-        delta.add(1, (3, 7, 2), 0.9, 1)
-        delta.add(2, (4, 7, 2), 0.5, 1)
+        delta.add(0, (1, 7, 2), 0.5)
+        delta.add(1, (3, 7, 2), 0.9)
+        delta.add(2, (4, 7, 2), 0.5)
         assert delta.weight_below(0.9) == 0.5
         assert delta.weight_below(0.5) is None
-        delta.update(0, 0.7, 2)  # one triple still weighs 0.5
+        delta.update(0, 0.7)  # one triple still weighs 0.5
         assert delta.weight_below(0.7) == 0.5
-        delta.update(2, 0.95, 2)  # none does any more
+        delta.update(2, 0.95)  # none does any more
         assert delta.weight_below(0.7) is None
         assert delta.weight_below(1.0) == 0.95
         assert delta.weight_below(0.95) == 0.9
@@ -140,18 +140,18 @@ class TestDeltaSegmentUnit:
     def test_no_match_returns_none(self):
         delta = DeltaSegment(0, _ids)
         assert delta.posting_part([True, False, False], (9,)) is None
-        delta.add(0, (1, 7, 2), 0.5, 1)
+        delta.add(0, (1, 7, 2), 0.5)
         assert delta.posting_part([True, False, False], (9,)) is None
 
     def test_key_arity_checked(self):
         delta = DeltaSegment(0, _ids)
-        delta.add(0, (1, 7, 2), 0.5, 1)
+        delta.add(0, (1, 7, 2), 0.5)
         with pytest.raises(StorageError, match="arity"):
             delta.posting_part([True, True, False], (1,))
 
     def test_scan_rejects_a_key(self):
         delta = DeltaSegment(0, _ids)
-        delta.add(0, (1, 7, 2), 0.5, 1)
+        delta.add(0, (1, 7, 2), 0.5)
         with pytest.raises(StorageError, match="arity"):
             delta.posting_part([False, False, False], (1,))
         with pytest.raises(StorageError, match="arity"):
@@ -208,12 +208,12 @@ class TestIndexAgainstScan:
         captured = []
         for op, arg, value in ops:
             if op == "add":
-                delta.add(self.BASE + len(rows), arg, value, 1)
+                delta.add(self.BASE + len(rows), arg, value)
                 rows.append(arg)
                 weights.append(value)
             elif op == "update" and rows:
                 local = arg % len(rows)
-                delta.update(self.BASE + local, value, 2)
+                delta.update(self.BASE + local, value)
                 weights[local] = value
             elif op == "capture":
                 sig = signature_of(arg)

@@ -61,7 +61,6 @@ class TestLayout:
                 encode(term) for term in record.triple.terms()
             )
             assert store.backend.weight(tid) == record.weight
-            assert store.backend.count(tid) == record.count
 
 
 @pytest.fixture()

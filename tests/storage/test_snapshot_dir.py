@@ -78,6 +78,34 @@ class TestDirectoryLayout:
         for path in snapshot_dir.iterdir():
             assert path.read_bytes()[: len(MAGIC)] == MAGIC
 
+    def test_segments_hold_their_posting_index_only(self, snapshot_dir):
+        """Each value has one owner: a segment holds posting structure,
+        the manifest the global weight column, the record metadata and
+        the terms — in a flat layout and in a compacted generation."""
+        store = load_snapshot(snapshot_dir)
+        store.add(Triple(Resource("Zed"), Resource("bornIn"), Resource("Ulm")))
+        compacted = compact_store(store)
+        gen_dir = snapshot_dir / generation_dirname(1)
+        posting_sections = {
+            "col:s", "col:p", "col:o", "scan",
+            *("perm:" + "".join(map(str, sig)) for sig in SIGNATURES),
+            *(f"{table}:{slot}" for table in ("keys", "starts") for slot in range(3)),
+        }
+        try:
+            for directory, segments in ((snapshot_dir, 1), (gen_dir, 2)):
+                for index in range(segments):
+                    segment = _Container(directory / segment_filename(index))
+                    assert set(segment.header["sections"]) == posting_sections
+                    segment.discard()
+                manifest = _Container(directory / MANIFEST_NAME)
+                assert list(manifest.header["sections"]) == [
+                    "terms", "prov", "confidence", "weights", "counts"
+                ]
+                manifest.discard()
+        finally:
+            compacted.close()
+            store.close()
+
     def test_is_snapshot_on_directories(self, snapshot_dir, tmp_path):
         assert is_snapshot(snapshot_dir)
         empty = tmp_path / "not_a_snapshot"
@@ -317,6 +345,23 @@ class TestDamage:
             load_snapshot(snapshot_dir)
         assert str(snapshot_dir / MANIFEST_NAME) in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        ("name", "itemsize"), [("weights", 8), ("counts", 4), ("confidence", 8)]
+    )
+    def test_short_statement_column_refused_naming_the_manifest(
+        self, snapshot_dir, name, itemsize
+    ):
+        """The manifest holds the one copy of each per-statement column; a
+        column one statement short is refused when the store opens."""
+        _rewrite_segment_section_entry(
+            snapshot_dir / MANIFEST_NAME,
+            name,
+            lambda offset, length: (offset, length - itemsize),
+        )
+        with pytest.raises(PersistenceError, match="disagree") as excinfo:
+            load_snapshot(snapshot_dir)
+        assert str(snapshot_dir / MANIFEST_NAME) in str(excinfo.value)
+
     def test_non_snapshot_directory_via_load_store(self, tmp_path):
         plain = tmp_path / "plain_dir"
         plain.mkdir()
@@ -525,22 +570,28 @@ class TestFormatVersion:
             assert str(snapshot_dir / MANIFEST_NAME) in message
 
 
-    def test_version_4_directory_refused_naming_the_resave(self, snapshot_dir):
+    @pytest.mark.parametrize("version", [4, 5])
+    def test_earlier_directory_refused_naming_the_resave(self, snapshot_dir, version):
         """Version 4 wrote each signature's key table as (key, start,
         stop) entries that a load decoded into dicts; this build bisects
-        per-slot key tables in place."""
-        _rewrite_manifest_header(snapshot_dir, lambda header: {**header, "version": 4})
+        per-slot key tables in place.  Version 5 segments also carried
+        their own weight and count columns; this build reads weights from
+        the manifest's one column and counts from the records."""
+        _rewrite_manifest_header(
+            snapshot_dir, lambda header: {**header, "version": version}
+        )
         _rewrite_container_header(
-            snapshot_dir / segment_filename(0), lambda header: {**header, "version": 4}
+            snapshot_dir / segment_filename(0),
+            lambda header: {**header, "version": version},
         )
         for load in (load_snapshot, load_store, TriniT.open):
             with pytest.raises(PersistenceError) as excinfo:
                 load(snapshot_dir)
             message = str(excinfo.value)
-            assert "version 4" in message
+            assert f"version {version}" in message
             assert "re-save" in message
             assert str(snapshot_dir / MANIFEST_NAME) in message
-        with pytest.raises(PersistenceError, match="version 4.*re-save"):
+        with pytest.raises(PersistenceError, match=f"version {version}.*re-save"):
             _Container(snapshot_dir / segment_filename(0))
 
 
