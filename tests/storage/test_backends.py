@@ -323,6 +323,40 @@ class TestBuildPhaseGuards:
         backend.freeze([1.0], sort_key=_ids)
         assert backend.memory_bytes() > 0
 
+    def test_freeze_takes_no_counts_column(self, kind):
+        # Counts are owned by the records; a backend keeps no copy.
+        backend = _fresh(kind)
+        backend.insert(0, (1, 2, 3))
+        with pytest.raises(TypeError):
+            backend.freeze([1.0], [1], sort_key=_ids)
+        assert not hasattr(backend, "count")
+
+
+class TestCountConformance:
+    """Counts: the records own them in every layout; typed errors."""
+
+    def test_counts_from_store_freeze(self, relayout):
+        store = _sample_store(relayout)
+        counts = {record.triple: record.count for record in store.records()}
+        assert sorted(counts.values()) == [1, 1, 1, 1, 2, 3]
+        born, aff = Resource("bornIn"), Resource("affiliation")
+        assert counts[
+            Triple(Resource("MarieCurie"), born, Resource("Warsaw"))
+        ] == 3
+        assert counts[
+            Triple(Resource("AlbertEinstein"), aff, Resource("IAS"))
+        ] == 2
+        for tid, record in enumerate(store.records()):
+            assert store.record(tid).count == record.count
+        assert not hasattr(store.backend, "count")
+
+    def test_unknown_id_raises_storage_error(self, relayout):
+        store = _sample_store(relayout)
+        with pytest.raises(StorageError):
+            store.record(len(store))
+        with pytest.raises(StorageError):
+            store.record(-1)
+
 
 class TestScanSignatureContract:
     def test_columnar_scan_rejects_a_key(self):
