@@ -225,8 +225,3 @@ class TriplePattern:
             if term.is_constant
         ]
         return "_".join(parts) if parts else "scan"
-
-
-def pattern_from_terms(s: Term, p: Term, o: Term) -> TriplePattern:
-    """Convenience constructor mirroring :class:`TriplePattern`."""
-    return TriplePattern(s, p, o)

@@ -101,9 +101,6 @@ class OperatorRegistry:
     def names(self) -> list[str]:
         return list(self._operators)
 
-    def enabled_names(self) -> list[str]:
-        return [n for n, reg in self._operators.items() if reg.enabled]
-
     def describe(self) -> list[tuple[str, bool, str]]:
         """(name, enabled, description) for every registered operator."""
         return [

@@ -20,10 +20,14 @@ of the frozen backend.  New statements get dense ids above the frozen id
 space and are immediately visible to every lookup (the backend merges the
 delta's score-sorted postings into its own); duplicate evidence for a
 statement *already frozen* updates the record's count/confidence/
-provenance metadata but leaves the frozen sort weight untouched until the
-delta is folded in by compaction (:mod:`repro.storage.compaction`) — the
-documented eventual-consistency window that keeps frozen posting order
-(and therefore byte-identity with the serial reference) intact.
+provenance metadata but leaves its sort weight — and so its place in the
+frozen posting order — as it was when the statement was frozen.  Only an
+in-memory :meth:`~TripleStore.rebuild` (how a store without a backing
+directory compacts) re-sorts it by its current evidence.  On a
+directory-backed store the frozen sort weight never changes: a generation
+write (:mod:`repro.storage.compaction`) hardlinks the segment that holds
+it, and a reopen or a :func:`~repro.storage.snapshot.save_snapshot` reads
+and writes the backend's frozen weight column.
 """
 
 from __future__ import annotations
@@ -199,8 +203,9 @@ class TripleStore:
         delta segment: brand-new statements get dense ids above the frozen
         id space and become visible to every lookup immediately, while
         duplicate evidence for an already-frozen statement only updates
-        the record's metadata (the frozen sort weight stays fixed until
-        compaction folds the delta in).
+        the record's metadata: its sort weight stays the one it was frozen
+        with until an in-memory :meth:`rebuild`, and for good on a
+        directory-backed store (see the module docstring).
         """
         if not 0.0 < confidence <= 1.0:
             raise StorageError(f"Confidence must be in (0, 1], got {confidence}")
@@ -256,8 +261,8 @@ class TripleStore:
             record.confidence = max(record.confidence, confidence)
             record.add_provenance(provenance)
             if existing >= base:
-                # Delta statements re-sort live; frozen ones keep their
-                # frozen sort weight until compaction (documented above).
+                # Delta statements re-sort live; frozen ones keep the
+                # sort weight they were frozen with (module docstring).
                 self._delta.update(existing, record.weight)
             else:
                 self._frozen_records_changed = True

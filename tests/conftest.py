@@ -14,23 +14,20 @@ from repro.core.triples import Provenance, Triple
 from repro.eval.harness import EvalHarness
 from repro.kg.paper_example import paper_engine, paper_rules, paper_store
 from repro.storage.store import TripleStore
-from repro.util.heap import TieFrontier
 
-from layouts import LAYOUTS, as_layout
+pytest.register_assert_rewrite("harness.differential")
 
-#: A join settles inside an answer-ordered tied run only where that skips
-#: ``TieFrontier.MIN_SKIP`` postings — more than the small worlds of the
-#: property suites hold — so the suites run with the shipped threshold and
-#: with it at 0, the engine without that bound.
-SETTLE_SKIPS = (0, TieFrontier.MIN_SKIP)
+from harness.differential import SETTLE_SKIPS  # noqa: E402
+from layouts import LAYOUTS, as_layout  # noqa: E402
 
 
 def pytest_generate_tests(metafunc):
     """Any test taking a ``layout`` argument runs once per store layout
     production serves (:data:`layouts.LAYOUTS`); the ``relayout`` fixture
     (or, under hypothesis, :func:`layouts.as_layout`) puts a store in it.
-    A ``settle_skip`` argument runs once per :data:`SETTLE_SKIPS`; patch
-    ``TieFrontier.MIN_SKIP`` to it."""
+    A ``settle_skip`` argument runs once per the harness's
+    :data:`~harness.differential.SETTLE_SKIPS`; patch
+    ``TieFrontier.MIN_SKIP`` to it (``run(..., settle_skip=...)``)."""
     if "layout" in metafunc.fixturenames:
         metafunc.parametrize("layout", LAYOUTS)
     if "settle_skip" in metafunc.fixturenames:

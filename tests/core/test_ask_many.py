@@ -12,6 +12,8 @@ from repro.core.parser import parse_query
 from repro.errors import ParseError
 from repro.kg.paper_example import paper_engine
 
+from harness.differential import fingerprint
+
 #: Caller threads running one batch at once in the thread-safety property.
 CALLERS = 4
 
@@ -31,10 +33,6 @@ QUERY_POOL = [
 ]
 
 
-def signature(answer_set):
-    return [(a.binding, a.score) for a in answer_set]
-
-
 class TestAskMany:
     def test_results_in_input_order(self, engine):
         queries = list(QUERY_POOL)
@@ -42,7 +40,7 @@ class TestAskMany:
         assert len(batch) == len(queries)
         for query_text, result in zip(queries, batch):
             assert result.query == parse_query(query_text)
-            assert signature(result) == signature(engine.ask(query_text, 5))
+            assert fingerprint(result) == fingerprint(engine.ask(query_text, 5))
 
     def test_accepts_parsed_queries(self, engine):
         parsed = [parse_query(q) for q in QUERY_POOL[:3]]
@@ -54,8 +52,8 @@ class TestAskMany:
 
     def test_duplicate_queries(self, engine):
         batch = engine.ask_many(["?x type ?y"] * 4, k=3)
-        first = signature(batch[0])
-        assert all(signature(result) == first for result in batch)
+        first = fingerprint(batch[0])
+        assert all(fingerprint(result) == first for result in batch)
 
     def test_every_query_parses_before_any_runs(self, engine, monkeypatch):
         acquired = []
@@ -101,9 +99,9 @@ def test_ask_many_matches_sequential_ask(queries, k):
             ]
     finally:
         sys.setswitchinterval(interval)
-    sequential = [signature(engine.ask(query, k)) for query in queries]
+    sequential = [fingerprint(engine.ask(query, k)) for query in queries]
     for results in concurrent:
-        assert [signature(c) for c in results] == sequential
+        assert [fingerprint(c) for c in results] == sequential
 
 
 _ENGINE_CACHE: list[TriniT] = []

@@ -11,6 +11,7 @@ from repro.kg.paper_example import paper_engine, paper_store
 from repro.relax.operators import OperatorRegistry
 from repro.storage.text_index import TokenMatcher
 
+from harness.differential import fingerprint
 from statistics_reference import assert_reads_equal
 
 
@@ -134,7 +135,7 @@ class TestVariant:
         query = "?x affiliation ?y"
 
         def bindings(facade):
-            return [(a.binding, a.score) for a in facade.ask(query)]
+            return fingerprint(facade.ask(query))
 
         before = bindings(warm)  # the variant's rule index exists now
         engine.add_rule("?x affiliation ?y => ?x bornIn ?y @ 0.5")
@@ -150,10 +151,6 @@ class TestVariant:
     def test_variant_does_not_mutate_original(self, paper_engine_fixture):
         paper_engine_fixture.variant(use_relaxation=False)
         assert paper_engine_fixture.processor.config.use_relaxation
-
-
-def _signature(engine, text):
-    return [(a.binding, a.score) for a in engine.ask(text)]
 
 
 def _state_token(engine):
@@ -177,7 +174,7 @@ class TestIngestPublishes:
         assert len(engine.store) == len(clean.store)
         assert _state_token(engine) == _state_token(clean)
         for text in self.QUERIES:
-            assert _signature(engine, text) == _signature(clean, text)
+            assert fingerprint(engine.ask(text)) == fingerprint(clean.ask(text))
 
     def test_pattern_row_is_refused(self):
         engine = paper_engine()
@@ -189,7 +186,7 @@ class TestIngestPublishes:
     def test_store_fault_midway_publishes_the_absorbed_prefix(self, monkeypatch):
         engine, clean = paper_engine(), paper_engine()
         # Warm matcher, processor and masses: all of them stale afterwards.
-        stale = [_signature(engine, text) for text in self.QUERIES]
+        stale = [fingerprint(engine.ask(text)) for text in self.QUERIES]
         add, calls = engine.store.add, []
 
         def faulty(triple, *args, **kwargs):
@@ -205,8 +202,8 @@ class TestIngestPublishes:
         assert _state_token(engine) == _state_token(clean)
         assert _state_token(engine).endswith("+delta2")
         for text in self.QUERIES:
-            assert _signature(engine, text) == _signature(clean, text)
-        assert [_signature(engine, text) for text in self.QUERIES] != stale
+            assert fingerprint(engine.ask(text)) == fingerprint(clean.ask(text))
+        assert [fingerprint(engine.ask(text)) for text in self.QUERIES] != stale
 
     def test_empty_batch_publishes_nothing(self):
         engine = paper_engine()

@@ -25,6 +25,8 @@ from repro.errors import TrinitError
 from repro.kg.paper_example import paper_store
 from repro.topk.processor import ProcessorConfig
 
+from harness.differential import fingerprint
+
 QUERIES = [
     "?x bornIn ?y",
     "?x type ?y",
@@ -41,10 +43,6 @@ LIVE = [
 
 def _engine(store=None, **kwargs) -> TriniT:
     return TriniT(store or paper_store(), config=EngineConfig(**kwargs))
-
-
-def signature(answer_set):
-    return [(a.binding, a.score) for a in answer_set]
 
 
 def count_submits(engine: TriniT) -> list:
@@ -110,10 +108,10 @@ class TestWhatRunsOnTheWorker:
     def test_queries_survive_worker_shutdown(self):
         # The store is still open: queries never needed the worker.
         engine = _engine(merge_batch=2)
-        reference = signature(engine.ask(QUERIES[0], k=8))
+        reference = fingerprint(engine.ask(QUERIES[0], k=8))
         engine._state.executor.shutdown(wait=True, cancel_futures=True)
-        assert signature(engine.ask(QUERIES[0], k=8)) == reference
-        assert [signature(s) for s in engine.ask_many(QUERIES[:1], k=8)] == [
+        assert fingerprint(engine.ask(QUERIES[0], k=8)) == reference
+        assert [fingerprint(s) for s in engine.ask_many(QUERIES[:1], k=8)] == [
             reference
         ]
 
@@ -138,14 +136,14 @@ class TestExecutorKind:
     def test_ask_many_answers_as_ask_does(self, kind):
         engine = _engine(executor_kind=kind)
         results = engine.ask_many(QUERIES, k=3)
-        assert [signature(r) for r in results] == [
-            signature(engine.ask(text, k=3)) for text in QUERIES
+        assert [fingerprint(r) for r in results] == [
+            fingerprint(engine.ask(text, k=3)) for text in QUERIES
         ]
 
     def test_the_reference_configuration_constructs(self):
         engine = _engine(executor_kind="serial", merge_batch=1, block_size=1)
         assert engine.executor_kind == "serial"
-        assert signature(engine.ask(QUERIES[0], k=5))
+        assert fingerprint(engine.ask(QUERIES[0], k=5))
 
     @pytest.mark.parametrize("kind", ["process", "fibers", ""])
     def test_other_kinds_rejected(self, kind):
@@ -181,7 +179,7 @@ class TestConcurrentStress:
     def test_interleaved_streams_and_ask_many(self, relayout):
         engine = _engine(relayout(paper_store()), merge_batch=3)
         reference = {
-            text: signature(engine.ask(text, k=8)) for text in QUERIES
+            text: fingerprint(engine.ask(text, k=8)) for text in QUERIES
         }
 
         def paginate(text):
@@ -189,10 +187,10 @@ class TestConcurrentStress:
             collected = list(stream.next_k(3))
             collected += stream.next_k(2)
             collected += stream.next_k(3)
-            return text, [(a.binding, a.score) for a in collected]
+            return text, fingerprint(collected)
 
         def batch(_round):
-            return [signature(s) for s in engine.ask_many(QUERIES, k=8)]
+            return [fingerprint(s) for s in engine.ask_many(QUERIES, k=8)]
 
         # Drive pagination and whole-batch calls from competing threads so
         # driver resumption interleaves with batches on other callers.
@@ -209,7 +207,7 @@ class TestConcurrentStress:
 
     def test_streams_resume_exactly_after_contention(self, relayout):
         engine = _engine(relayout(paper_store()), merge_batch=2)
-        eager = signature(engine.ask(QUERIES[0], k=8))
+        eager = fingerprint(engine.ask(QUERIES[0], k=8))
         stream = engine.stream(QUERIES[0])
         first = stream.next_k(4)
         # Batches on other threads contend with the stream's second page.
@@ -220,7 +218,7 @@ class TestConcurrentStress:
             rest = stream.next_k(4)
             for future in batches:
                 future.result()
-        assert [(a.binding, a.score) for a in [*first, *rest]] == eager[:8]
+        assert fingerprint([*first, *rest]) == eager[:8]
 
 
 class TestExhaustive:
@@ -231,6 +229,6 @@ class TestExhaustive:
             executor_kind="serial", merge_batch=1, processor=processor
         )
         for text in QUERIES:
-            assert signature(batched.ask(text, k=10)) == signature(
+            assert fingerprint(batched.ask(text, k=10)) == fingerprint(
                 reference.ask(text, k=10)
             )

@@ -23,6 +23,7 @@ from repro.scoring.language_model import PatternScorer
 from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatcher
 
+from harness.differential import fingerprint
 from statistics_reference import assert_reads_equal
 
 QUERY = "?x 'born in' ?y"
@@ -62,10 +63,6 @@ def _engine():
     return engine
 
 
-def _signature(answers):
-    return [(a.binding, a.score) for a in answers]
-
-
 def _reachable_views(root):
     """Every ``_View`` reachable from ``root`` through ``gc`` referents."""
     seen, stack, views = {id(root)}, [root], []
@@ -85,9 +82,9 @@ def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
 ):
     # The run without the writes.
     quiet = _engine()
-    expected_answer = _signature(quiet.ask(UNPLANNED_QUERY))
+    expected_answer = fingerprint(quiet.ask(UNPLANNED_QUERY))
     quiet_stream = quiet.stream(QUERY)
-    expected_pages = [_signature(quiet_stream.next_k(1)) for _ in range(4)]
+    expected_pages = [fingerprint(quiet_stream.next_k(1)) for _ in range(4)]
     assert expected_pages[0] and expected_pages[1]
 
     engine = _engine()
@@ -100,7 +97,7 @@ def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
     warm_plan = processor.prepared(parse_query(QUERY))
     stream = engine.stream(QUERY)
     assert stream._driver._plan is warm_plan
-    pages = [_signature(stream.next_k(1))]
+    pages = [fingerprint(stream.next_k(1))]
 
     # Reader A: parked inside TokenMatcher.matches, in the first planning
     # of a query on view N.
@@ -115,7 +112,7 @@ def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
     matcher._key_for = parked_key_for
     answers = []
     reader = threading.Thread(
-        target=lambda: answers.append(_signature(engine.ask(UNPLANNED_QUERY)))
+        target=lambda: answers.append(fingerprint(engine.ask(UNPLANNED_QUERY)))
     )
     reader.start()
     assert inside.wait(30)
@@ -141,7 +138,7 @@ def test_reader_and_stream_on_a_superseded_view_see_what_they_started_with(
     reader.join(30)
     assert not reader.is_alive()
     assert answers == [expected_answer]
-    pages += [_signature(stream.next_k(1)) for _ in range(3)]
+    pages += [fingerprint(stream.next_k(1)) for _ in range(3)]
     assert pages == expected_pages
     assert matcher_state(matcher) == matcher_before
 
@@ -163,7 +160,7 @@ def test_an_ask_many_batch_reads_one_view(monkeypatch):
     """An ingest published while a batch's first query is parked reaches
     none of the batch's later queries: they run on the view it started on."""
     engine = _engine()
-    before = _signature(engine.ask(QUERY))
+    before = fingerprint(engine.ask(QUERY))
     parked, resume = threading.Event(), threading.Event()
     emission_model = PatternScorer.emission_model
 
@@ -183,15 +180,15 @@ def test_an_ask_many_batch_reads_one_view(monkeypatch):
     try:
         assert parked.wait(30)
         engine.ingest(BATCHES[0])
-        after = _signature(engine.ask(QUERY))
+        after = fingerprint(engine.ask(QUERY))
         assert len(after) > len(before)  # the new view matches 'was born in'
     finally:
         resume.set()
         batch.join(30)
     assert not batch.is_alive()
     [[_, batched]] = results
-    assert _signature(batched) == before
-    assert _signature(engine.ask_many([QUERY])[0]) == after
+    assert fingerprint(batched) == before
+    assert fingerprint(engine.ask_many([QUERY])[0]) == after
     engine.close()
 
 
@@ -276,7 +273,7 @@ def test_compaction_that_renumbers_terms_falls_back_to_the_sweep():
     assert engine.matcher.is_built
     engine.compact()
     assert not engine.matcher.is_built
-    assert _signature(engine.ask(QUERY)) == _signature(reference.ask(QUERY))
+    assert fingerprint(engine.ask(QUERY)) == fingerprint(reference.ask(QUERY))
     assert engine.suggest(QUERY) == reference.suggest(QUERY)
     engine.close()
     reference.close()

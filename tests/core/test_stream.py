@@ -7,7 +7,9 @@ import pytest
 from repro.core.engine import EngineConfig, TriniT
 from repro.core.results import QueryStats
 from repro.errors import StorageError, TopKError, TrinitError
-from repro.kg.paper_example import paper_engine
+from repro.kg.paper_example import paper_engine, paper_rules, paper_store
+
+from harness.differential import PER_ITEM, TERMSPACE, fingerprint, pages, run, world_of
 
 
 @pytest.fixture(scope="module")
@@ -15,17 +17,10 @@ def engine():
     return paper_engine()
 
 
-def signature(answers):
-    return [(a.binding, a.score) for a in answers]
-
-
 class TestNextK:
-    def test_batches_match_eager_ask(self, engine):
-        query = "?x type ?y"
-        eager = engine.ask(query, 10)
-        stream = engine.stream(query)
-        collected = stream.next_k(1) + stream.next_k(2) + stream.next_k(7)
-        assert signature(collected) == signature(eager.answers)
+    def test_batches_match_eager_ask(self, layout):
+        workload = pages("?x type ?y", [1, 2, 7])
+        run(world_of(paper_store(), paper_rules()), layout, workload, {}, (PER_ITEM, TERMSPACE))
 
     def test_short_batch_then_empty_on_exhaustion(self, engine):
         stream = engine.stream("AlbertEinstein bornIn ?x")
@@ -53,7 +48,7 @@ class TestCollectedAndIteration:
         assert len(partial) == 2 and partial.k == 2
         stream.next_k(8)
         full = stream.collected()
-        assert signature(full.answers) == signature(engine.ask(query, 10).answers)
+        assert fingerprint(full.answers) == fingerprint(engine.ask(query, 10).answers)
         assert full.k == 10
 
     def test_iteration_pulls_lazily_and_replays(self, engine):
@@ -61,9 +56,9 @@ class TestCollectedAndIteration:
         eager = engine.ask(query, 10)
         stream = engine.stream(query)
         first_pass = list(stream)
-        assert signature(first_pass) == signature(eager.answers)
+        assert fingerprint(first_pass) == fingerprint(eager.answers)
         # Re-iteration replays the already-emitted answers identically.
-        assert signature(list(stream)) == signature(first_pass)
+        assert fingerprint(list(stream)) == fingerprint(first_pass)
 
     def test_iterating_a_tied_run_costs_the_pages_not_the_run(self, monkeypatch):
         # A 1,000-way tie arrives in answer order, so a page reads its own
@@ -93,7 +88,7 @@ class TestCollectedAndIteration:
             assert len(computed) == len(set(computed)) == 201
             del computed[:]
             answers = list(itertools.islice(engine.stream("?x p O"), 200))
-        assert signature(answers) == signature(eager.answers)
+        assert fingerprint(answers) == fingerprint(eager.answers)
         assert len(computed) == len(set(computed)) == 201
 
 
@@ -191,7 +186,7 @@ class TestDemoMore:
         session.run("?x 'lectured at' ?y")
         assert len(session.last_answers) == 1
         batch = session.more(1)
-        assert signature(session.last_answers.answers) == signature(
+        assert fingerprint(session.last_answers.answers) == fingerprint(
             eager.answers[: 1 + len(batch)]
         )
 

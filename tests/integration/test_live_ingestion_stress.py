@@ -11,9 +11,13 @@ Invariants under fire:
 * every answer batch is internally sane (scores descending);
 * after the dust settles (threads joined, final compact), the engine
   holds exactly the union of the seeded and ingested statements, and its
-  answers match a fresh-built reference engine rank by rank, scores
+  answers match a fresh-built per-item engine rank by rank, derivations
   included: scores are a function of the statement set, not of the order
   the feeds' statements arrived in (every weight total is an exact sum).
+
+The sequential cases — a stream pinned across ingests and a compaction,
+and the feeds ingested in many interleavings — are cells of the
+differential harness.
 """
 
 import random
@@ -23,7 +27,19 @@ from repro.core.engine import EngineConfig, TriniT
 from repro.core.terms import Resource
 from repro.core.triples import Triple
 from repro.storage.snapshot import save_snapshot
-from repro.storage.store import TripleStore
+
+from harness.differential import (
+    NO_MINING,
+    ORACLE,
+    Ask,
+    Compact,
+    Ingest,
+    Page,
+    fingerprint,
+    pages,
+    run,
+    world,
+)
 
 PREDICATES = ["bornIn", "livesIn", "locatedIn", "type"]
 
@@ -44,28 +60,13 @@ FEEDS = [
 
 QUERIES = ["?x bornIn ?y", "?x ?p ?y", "?x locatedIn ?y", "E1 ?p ?y"]
 
-NO_MINING = dict(mine_arg_overlap=False, mine_chains=False, mine_inversions=False)
-
-
-def _seed_engine(tmp_path):
-    store = TripleStore("stress")
-    for s, p, o, conf in SEED_ROWS:
-        store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
-    store.freeze()
-    path = tmp_path / "stress.snapd"
-    save_snapshot(store, path)
-    store.close()
-    return TriniT.open(
-        path, config=EngineConfig(compaction_threshold=25, **NO_MINING)
-    )
-
-
-def _signature(answers):
-    return [(a.binding, a.score) for a in answers]
+SEED = world(SEED_ROWS)
 
 
 def test_ingest_while_query_stress(tmp_path):
-    engine = _seed_engine(tmp_path)
+    save_snapshot(SEED.store(), tmp_path / "stress.snapd")
+    config = EngineConfig(compaction_threshold=25, **NO_MINING)
+    engine = TriniT.open(tmp_path / "stress.snapd", config=config)
     errors: list[BaseException] = []
     stop = threading.Event()
 
@@ -114,75 +115,27 @@ def test_ingest_while_query_stress(tmp_path):
         # fired at least once (background or the final explicit call).
         assert engine.generation >= 1
 
-        expected = len(SEED_ROWS) - _seed_duplicates() + sum(len(f) for f in FEEDS)
+        expected = len(SEED.records) + sum(len(f) for f in FEEDS)
         assert len(engine.store) == expected
 
-        reference = _reference_engine()
-        try:
+        union = world(SEED_ROWS + [row for feed in FEEDS for row in feed])
+        with TriniT(union.store(), config=EngineConfig(**ORACLE, **NO_MINING)) as reference:
             for text in QUERIES:
-                live = engine.ask(text, k=500)
-                fresh = reference.ask(text, k=500)
-                assert _signature(live) == _signature(fresh)
-        finally:
-            reference.close()
+                assert fingerprint(engine.ask(text, 500)) == fingerprint(reference.ask(text, 500))
     finally:
         stop.set()
         engine.close()
 
 
-def _seed_duplicates():
-    seen = set()
-    duplicates = 0
-    for s, p, o, _conf in SEED_ROWS:
-        if (s, p, o) in seen:
-            duplicates += 1
-        seen.add((s, p, o))
-    return duplicates
-
-
-def _reference_engine():
-    store = TripleStore("stress")
-    for s, p, o, conf in SEED_ROWS:
-        store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
-    for feed in FEEDS:
-        for s, p, o, conf in feed:
-            store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
-    store.freeze()
-    return TriniT(
-        store,
-        config=EngineConfig(executor_kind="serial", merge_batch=1, **NO_MINING),
-    )
-
-
-def test_stream_opened_mid_ingest_completes(tmp_path):
-    """A stream opened between ingests survives the store swap under it."""
-    engine = _seed_engine(tmp_path)
-    try:
-        stream = engine.stream("?x ?p ?y")
-        head = list(stream.next_k(5))
-        assert len(head) == 5
-        for feed in FEEDS:
-            for s, p, o, conf in feed[:15]:
-                engine.ingest(
-                    [Triple(Resource(s), Resource(p), Resource(o))],
-                    confidence=conf,
-                )
-        engine.compact()
-        # The pinned stream keeps answering from its generation, to
-        # exhaustion, with scores still descending across the swap.
-        collected = head
-        while True:
-            batch = list(stream.next_k(50))
-            if not batch:
-                break
-            collected.extend(batch)
-        scores = [a.score for a in collected]
-        assert scores == sorted(scores, reverse=True)
-        # Opened before the first ingest, the stream answers exactly the
-        # seeded statements — the post-swap store never leaks in.
-        assert len(collected) == len(SEED_ROWS) - _seed_duplicates()
-    finally:
-        engine.close()
+def test_stream_opened_mid_ingest_completes():
+    """A stream opened between ingests survives the store swaps under it:
+    pinned on its generation, it answers exactly the seeded statements, to
+    exhaustion, byte for byte."""
+    workload = [Page("?x ?p ?y", 5, "pinned")]
+    workload += [Ingest(feed[:15]) for feed in FEEDS]
+    workload += [Compact(), *pages("?x ?p ?y", [50] * 4, "pinned")]
+    config = dict(NO_MINING, compaction_threshold=25, executor_kind="serial")
+    run(SEED, "snapshot", workload, config)
 
 
 def _interleaving(rng):
@@ -200,16 +153,13 @@ def test_interleavings_give_one_mass_and_one_answer_list():
     collection mass and one ``?x ?p ?y`` answer list, live and compacted —
     the order statements arrive in moves no score by an ulp."""
     masses, answers = set(), set()
+
+    def mass(engine):
+        masses.add(engine.store.total_observations())
+
     for seed in range(30):
-        store = TripleStore("stress")
-        for s, p, o, conf in SEED_ROWS:
-            store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
-        store.freeze()
-        for s, p, o, conf in _interleaving(random.Random(seed)):
-            store.add(Triple(Resource(s), Resource(p), Resource(o)), confidence=conf)
-        for view in (store, store.rebuild()):
-            masses.add(view.total_observations())
-            engine = TriniT(view, config=EngineConfig(executor_kind="serial", **NO_MINING))
-            answers.add(tuple(_signature(engine.ask("?x ?p ?y", k=500))))
+        ops = [Ingest(_interleaving(random.Random(seed))), Ask("?x ?p ?y", 500), mass]
+        trace = run(SEED, "fresh", [*ops, Compact(), *ops[1:]], NO_MINING)
+        answers |= {tuple(trace[1][0]), tuple(trace[4][0])}
     assert len(masses) == 1
     assert len(answers) == 1

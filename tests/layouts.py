@@ -38,7 +38,7 @@ def distinct_keys(backend, bound_slots) -> list[tuple[int, ...]]:
     )
 
 
-def _replay(store: TripleStore, records: list[StoredTriple]) -> None:
+def replay(store: TripleStore, records: list[StoredTriple]) -> None:
     """Add ``records`` with their final evidence, one ``add`` each."""
     for record in records:
         first, *rest = record.provenances
@@ -65,16 +65,16 @@ def generational_copy(store: TripleStore, directory: str | Path) -> TripleStore:
     step = max(1, n // 4)
     cuts = [0] + [max(0, n - k * step) for k in (3, 2, 1)] + [n]
     base = TripleStore(store.name)
-    _replay(base, records[: cuts[1]])
+    replay(base, records[: cuts[1]])
     save_snapshot(base.freeze(), directory)
     current = load_snapshot(directory)
     for lo, hi in zip(cuts[1:3], cuts[2:4]):
-        _replay(current, records[lo:hi])
+        replay(current, records[lo:hi])
         compacted = compact_store(current)
         if compacted is not current:
             current.close()
         current = compacted
-    _replay(current, records[cuts[3] :])
+    replay(current, records[cuts[3] :])
     return current
 
 

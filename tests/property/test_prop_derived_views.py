@@ -18,30 +18,26 @@ match key (``'lectured at'`` / ``'lectures at'``), a term with an empty
 match key (``'the'``), and the same term arriving in several slots.
 
 The query plans a view's processor carries into the next view are held
-to the same standard: after every write, each query answers from them
-exactly as a processor over the new view that plans from scratch.  The
+to the same standard, through the differential harness: after every
+write, each query answers from them exactly as a cold engine over a fresh
+build of the statements.  The
 queries read what a write can change: a resource the store may not know
 yet (``E3``), a predicate that may arrive under a translated rule
 (``worksAt``), a rule condition that may start to hold (``Ulm type E0``)
 and tokens whose slots gain phrases.
 """
 
-import tempfile
-from pathlib import Path
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.engine import EngineConfig, TriniT
 from repro.core.parser import parse_query
 from repro.core.suggestion import QuerySuggester
 from repro.core.terms import Resource, TextToken
 from repro.core.triples import Triple
-from repro.storage.snapshot import save_snapshot
-from repro.storage.store import TripleStore
 from repro.storage.text_index import TokenMatcher
-from repro.topk.processor import TopKProcessor
 
-from layouts import as_layout, generational_copy
+from harness.differential import AddRule, Ask, Compact, Ingest, Oracle, run, world
 from statistics_reference import SweptStatistics, assert_reads_equal
 
 ENTITIES = [
@@ -105,33 +101,33 @@ steps = st.one_of(
 )
 
 
-def _frozen(entries):
-    store = TripleStore()
-    for triple, confidence, count in entries:
-        store.add(triple, confidence=confidence, count=count)
-    return store.freeze()
+def _warm(what, engine):
+    if what in ("matcher", "both"):
+        engine.matcher.matches(PROBES[0], 1)
+    if what in ("statistics", "both"):
+        engine.statistics.predicates()
 
 
-def _apply(engine, step):
-    kind, argument = step
-    if kind == "ingest":
-        # One call per row: each carries its own confidence and count, and
-        # a duplicate of a delta statement moves a weight already summed.
-        for triple, confidence, count in argument:
-            engine.ingest([triple], confidence=confidence, count=count)
-        engine.ingest([triple for triple, _c, _n in argument])
-    elif kind == "rule":
-        engine.add_rule(argument)
-    elif kind == "compact":
-        engine.compact()
-    else:
-        if argument in ("matcher", "both"):
-            engine.matcher.matches(PROBES[0], 1)
-        if argument in ("statistics", "both"):
-            engine.statistics.predicates()
+def _workload(sequence, check):
+    """``sequence`` as harness ops, the ``check`` ops after each step.  An
+    ingest is one call per row — each carries its own confidence and count,
+    and a duplicate of a delta statement moves a weight already summed —
+    then one call for the whole batch."""
+    ops = list(check)
+    for kind, argument in sequence:
+        if kind == "ingest":
+            ops += [Ingest(argument), Ingest([(triple,) for triple, _c, _n in argument])]
+        elif kind == "rule":
+            ops.append(AddRule(argument))
+        elif kind == "compact":
+            ops.append(Compact())
+        else:
+            ops.append(partial(_warm, argument))
+        ops += check
+    return ops
 
 
-def _assert_equals_a_sweep(engine, matcher_state, *, force=False):
+def _assert_equals_a_sweep(engine, *, matcher_state, force=False):
     """What the current view has built equals a fresh matcher over its
     store, and its statistics read what the sweep does; ``force`` builds
     the matcher first if it is still lazy."""
@@ -156,24 +152,8 @@ def _assert_equals_a_sweep(engine, matcher_state, *, force=False):
             assert engine.suggest(text) == suggester.suggest(parse_query(text), None)
 
 
-def _assert_plans_answer_as_cold(engine):
-    """Every planned query answers from the current processor's plans —
-    carried, or planned here to be carried by the next write — exactly as
-    from a processor over the same view that plans from scratch."""
-    view = engine._state.view
-    cold = TopKProcessor(
-        view.store,
-        rules=view.rules,
-        scorer=view.scorer,
-        matcher=view.matcher,
-        config=engine.config.processor,
-    )
-    for text in PLANNED:
-        query = parse_query(text)
-        got, want = engine.ask(query, 5), cold.query(query, 5)
-        assert [(a.binding, a.score, repr(a.derivation)) for a in got] == [
-            (a.binding, a.score, repr(a.derivation)) for a in want
-        ], text
+#: The subject's own configuration, planning every query from scratch.
+COLD = Oracle("cold engine", overrides=())
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,20 +162,14 @@ def _assert_plans_answer_as_cold(engine):
     sequence=st.lists(steps, min_size=1, max_size=10),
     threshold=st.sampled_from([None, 3]),
 )
-def test_carried_plans_answer_as_a_cold_processor(
-    layout, tmp_path_factory, base, sequence, threshold
-):
-    engine = TriniT(
-        as_layout(_frozen(base), layout, tmp_path_factory),
-        config=EngineConfig(executor_kind="serial", compaction_threshold=threshold),
-    )
-    try:
-        _assert_plans_answer_as_cold(engine)
-        for step in sequence:
-            _apply(engine, step)
-            _assert_plans_answer_as_cold(engine)
-    finally:
-        engine.close()
+def test_carried_plans_answer_as_a_cold_processor(layout, base, sequence, threshold):
+    """After every write, each planned query answers from the plans the
+    engine carried — with the matcher and statistics it derived — exactly
+    as a cold engine over a fresh build of the statements, work counters
+    included."""
+    config = dict(executor_kind="serial", compaction_threshold=threshold)
+    asks = [Ask(text, 5) for text in PLANNED]
+    run(world(base), layout, _workload(sequence, asks), config, (COLD,), counters=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,22 +179,10 @@ def test_carried_plans_answer_as_a_cold_processor(
     sequence=st.lists(steps, min_size=1, max_size=10),
     threshold=st.sampled_from([None, 3]),
 )
-def test_derived_views_equal_a_sweep(
-    layout, tmp_path_factory, matcher_state, base, warm,
-    sequence, threshold,
-):
-    engine = TriniT(
-        as_layout(_frozen(base), layout, tmp_path_factory),
-        config=EngineConfig(executor_kind="serial", compaction_threshold=threshold),
-    )
-    try:
-        _apply(engine, ("warm", warm))
-        for step in sequence:
-            _apply(engine, step)
-            _assert_equals_a_sweep(engine, matcher_state)
-        _assert_equals_a_sweep(engine, matcher_state, force=True)
-    finally:
-        engine.close()
+def test_derived_views_equal_a_sweep(layout, matcher_state, base, warm, sequence, threshold):
+    sweep = partial(_assert_equals_a_sweep, matcher_state=matcher_state)
+    workload = [partial(_warm, warm), *_workload(sequence, [sweep]), partial(sweep, force=True)]
+    run(world(base), layout, workload, dict(executor_kind="serial", compaction_threshold=threshold), ())
 
 
 @settings(max_examples=10, deadline=None)
@@ -233,20 +195,7 @@ def test_derived_views_equal_a_sweep_across_snapshot_generations(
 ):
     """The same property where compaction writes a generation and reloads
     it (``write_generation``), instead of rebuilding in memory."""
-    with tempfile.TemporaryDirectory() as scratch:
-        root = Path(scratch) / "xkg.snapd"
-        config = EngineConfig(executor_kind="serial", compaction_threshold=4)
-        if layout == "fresh":
-            save_snapshot(_frozen(base), root)
-            engine = TriniT.open(root, config=config)
-        else:
-            engine = TriniT(generational_copy(_frozen(base), root), config=config)
-        try:
-            _apply(engine, ("warm", "both"))
-            for step in sequence:
-                _apply(engine, step)
-                _assert_equals_a_sweep(engine, matcher_state)
-            engine.compact()
-            _assert_equals_a_sweep(engine, matcher_state, force=True)
-        finally:
-            engine.close()
+    sweep = partial(_assert_equals_a_sweep, matcher_state=matcher_state)
+    workload = [partial(_warm, "both"), *_workload(sequence, [sweep]), Compact(), partial(sweep, force=True)]
+    config = dict(executor_kind="serial", compaction_threshold=4)
+    run(world(base), "snapshot" if layout == "fresh" else layout, workload, config, ())

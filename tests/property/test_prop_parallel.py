@@ -11,7 +11,9 @@ adaptive ``None``) produces bindings, scores and order bit-identical to
 the degenerate serial reference over a fresh build
 (``executor_kind="serial"``, ``merge_batch=1``, ``block_size=1`` —
 item-at-a-time pulls *and* per-item scoring), across eager
-``ask``, random stream splits and ``ask_many`` batches.  The block
+``ask``, random stream splits and ``ask_many`` batches — and so does a
+store that froze part of its statements and ingests the rest live.
+Both are grids over the differential harness (``tests/harness``).  The block
 dimension pins the execution kernels (:mod:`repro.topk.kernels`): block
 decode and batched scoring may only change how many heads are staged per
 step, never a single emitted bit.
@@ -19,14 +21,18 @@ step, never a single emitted bit.
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.engine import EngineConfig, TriniT
-from repro.core.terms import Resource, TextToken, Variable
-from repro.core.triples import Triple
-from repro.storage.store import TripleStore
-
-from layouts import as_layout
-
-X, Y = Variable("x"), Variable("y")
+from harness.differential import (
+    NO_MINING,
+    AddRule,
+    Ask,
+    AskMany,
+    Compact,
+    Ingest,
+    Storage,
+    pages,
+    run,
+    world,
+)
 
 #: Quoted names are TextToken phrases: ``'born in'`` normalises to
 #: ``bornIn``'s surface and ``'lived in'`` shares ``'lives in'``'s match key,
@@ -66,27 +72,6 @@ queries = st.lists(
 )
 
 
-def _predicate(name):
-    return TextToken(name.strip("'")) if name.startswith("'") else Resource(name)
-
-
-def _build(rows, layout=None, tmp_path_factory=None, **config):
-    """An engine over ``rows``; a fresh build unless ``layout`` says
-    otherwise."""
-    store = TripleStore()
-    for s, p, o, conf, count in rows:
-        for _ in range(count):
-            store.add(Triple(Resource(s), _predicate(p), Resource(o)), confidence=conf)
-    store.freeze()
-    if layout is not None:
-        store = as_layout(store, layout, tmp_path_factory)
-    return TriniT(store, config=EngineConfig(**config))
-
-
-def signature(answers):
-    return [(a.binding, a.score) for a in answers]
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     rows=triples,
@@ -96,44 +81,20 @@ def signature(answers):
     block=st.sampled_from([None, 1, 3, 16]),
     split=st.integers(min_value=1, max_value=6),
 )
-def test_batched_byte_identical_to_serial(
-    layout, tmp_path_factory, rows, texts, k, batch, block, split
-):
-    serial = _build(
-        rows,
-        executor_kind="serial",
-        merge_batch=1,
-        block_size=1,
-    )
-    batched = _build(
-        rows,
-        layout,
-        tmp_path_factory,
-        merge_batch=batch,
-        block_size=block,
-    )
-    try:
-        for text in texts:
-            reference = signature(serial.ask(text, k=k))
-            # Eager ask under the batched configuration.
-            assert signature(batched.ask(text, k=k)) == reference
-            # Stream pagination: batches concatenate to the eager prefix.
-            stream = batched.stream(text)
-            collected = list(stream.next_k(min(split, k)))
-            while len(collected) < k:
-                got = stream.next_k(min(split, k - len(collected)))
-                if not got:
-                    break
-                collected.extend(got)
-            assert signature(collected) == reference[: len(collected)]
-        # A batch over one read view.
-        batch_results = batched.ask_many(texts, k=k)
-        assert [signature(r) for r in batch_results] == [
-            signature(serial.ask(text, k=k)) for text in texts
-        ]
-    finally:
-        serial.close()
-        batched.close()
+def test_batched_byte_identical_to_serial(layout, rows, texts, k, batch, block, split):
+    workload = []
+    for text in texts:
+        # Eager ask, then stream pages that concatenate to the eager prefix.
+        workload += [Ask(text, k), *pages(text, [min(split, k - i) for i in range(0, k, split)])]
+    # A batch over one read view.
+    workload.append(AskMany(tuple(texts), k))
+    run(world(rows), layout, workload, {"merge_batch": batch, "block_size": block})
+
+
+#: The examples' defaults: the suffix ingested a row at a time, in order.
+ONE_ROW_BATCHES = dict(
+    k=10, batch=None, block=None, repeats=[], shuffle=None, sizes=[1], compactions=set()
+)
 
 
 @settings(max_examples=20, deadline=None)
@@ -145,6 +106,10 @@ def test_batched_byte_identical_to_serial(
     block=st.sampled_from([None, 1, 3, 16]),
     cut=st.integers(min_value=0, max_value=40),
     rule_target=st.one_of(st.none(), st.sampled_from(PREDICATES)),
+    repeats=st.lists(st.integers(min_value=0, max_value=39), max_size=8),
+    shuffle=st.one_of(st.none(), st.randoms(use_true_random=False)),
+    sizes=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4),
+    compactions=st.sets(st.integers(min_value=0, max_value=8), max_size=3),
 )
 @example(
     # A rule added (and its index warmed) while its original predicate is
@@ -156,11 +121,9 @@ def test_batched_byte_identical_to_serial(
         ("C", "worksFor", "U3", 1.0, 1),
     ],
     texts=["?x affiliation ?y"],
-    k=10,
-    batch=None,
-    block=None,
     cut=3,
     rule_target="affiliation",
+    **ONE_ROW_BATCHES,
 )
 @example(
     # The live engine expands 'born in' (its text index is built: bornIn's
@@ -175,84 +138,66 @@ def test_batched_byte_identical_to_serial(
         ("E0", "'born in'", "E6", 0.4, 1),
     ],
     texts=["?x 'born in' ?y", "?x 'lives in' ?y ; ?y 'type' ?z"],
-    k=10,
-    batch=None,
-    block=None,
     cut=3,
     rule_target="bornIn",
+    **ONE_ROW_BATCHES,
+)
+@example(
+    # A frozen statement gains evidence past a delta statement's weight,
+    # then a compaction: an in-memory one re-sorts it, a generation write
+    # keeps the weight it was frozen with.
+    rows=[
+        ("E0", "bornIn", "E1", 0.5, 1),
+        ("E2", "bornIn", "E3", 1.0, 1),
+        ("E0", "bornIn", "E1", 0.9, 3),
+        ("E4", "bornIn", "E5", 0.7, 1),
+    ],
+    texts=["?x bornIn ?y", "?x ?p ?y"],
+    cut=2,
+    rule_target=None,
+    **dict(ONE_ROW_BATCHES, repeats=[2], sizes=[2], compactions={0}),
 )
 def test_live_ingestion_byte_identical_to_fresh_build(
-    layout, tmp_path_factory, rows, texts, k, batch, block, cut, rule_target
+    layout, rows, texts, k, batch, block, cut, rule_target, repeats, shuffle,
+    sizes, compactions,
 ):
-    """(frozen + delta) == fresh build, and still after compaction.
+    """(frozen + delta) == fresh build, after every batch and every
+    compaction.
 
-    Freeze a prefix of the statements (in the test's layout), live-ingest
-    the rest through ``engine.ingest()``, and compare every answer bit for
-    bit against a serial engine freshly built from the union — then
-    compact (the in-memory rebuild path on a fresh prefix, a generation
-    write on a generational one) and compare again.
-    Rule miners are disabled: they run once at construction, so a
-    prefix-built engine may legitimately mine different rules than a
-    union-built one; the property pins the storage/merge contract.
-    With ``rule_target``, both engines also get one rule rewriting a
-    predicate that only the ingested suffix introduces, and the live
-    engine answers through it once before ingesting.
+    A statement multiset — ``rows`` plus the ``repeats``, in ``shuffle``'d
+    order — is frozen up to ``cut`` (in the test's layout) and the rest
+    live-ingested in batches of ``sizes``, with ``compact()`` after the
+    batches ``compactions`` names and at the end (the in-memory rebuild on
+    a fresh prefix, a generation write on a generational one).  After each,
+    every answer — and after each compaction and before the last, the whole
+    storage — must be the harness's fresh build,
+    which sorts a frozen statement by the evidence it was frozen with:
+    exactly where the documented deviation shows, and nowhere else.  Rule
+    miners are disabled: they run once at construction, so a prefix-built
+    engine may legitimately mine different rules than a union-built one.
+    With ``rule_target``, one rule rewrites a predicate only the ingested
+    suffix introduces, and the live engine answers through it once before
+    ingesting.
     """
-    no_mining = dict(
-        mine_arg_overlap=False, mine_chains=False, mine_inversions=False
-    )
-    cut = min(cut, len(rows))
-    prefix = rows[:cut]
-    frozen_keys = {(s, p, o) for s, p, o, _, _ in prefix}
-    # Duplicate evidence for a *frozen* statement keeps its frozen sort
-    # weight until compaction (documented eventual consistency), so the
-    # byte-identity property quantifies over genuinely new statements.
-    suffix = [row for row in rows[cut:] if (row[0], row[1], row[2]) not in frozen_keys]
-    reference = _build(
-        prefix + suffix,
-        executor_kind="serial",
-        merge_batch=1,
-        block_size=1,
-        **no_mining,
-    )
-    live = _build(
-        prefix,
-        layout,
-        tmp_path_factory,
-        merge_batch=batch,
-        block_size=block,
-        **no_mining,
-    )
-    try:
-        new_predicates = sorted(
-            {p for _, p, _, _, _ in suffix} - {p for _, p, _, _, _ in prefix}
-        )
-        if rule_target is not None and new_predicates:
-            rule = f"?x {new_predicates[0]} ?y => ?x {rule_target} ?y @ 0.8"
-            texts = texts + [f"?x {new_predicates[0]} ?y"]
-            reference.add_rule(rule)
-            live.add_rule(rule)
-            live.ask(texts[-1], k=k)
-        before = live.store.delta_size
-        for s, p, o, conf, count in suffix:
-            for _ in range(count):
-                live.ingest(
-                    [Triple(Resource(s), _predicate(p), Resource(o))],
-                    confidence=conf,
-                )
-        assert live.store.delta_size == before + len(
-            {(s, p, o) for s, p, o, _, _ in suffix}
-        )
-        for text in texts:
-            assert signature(live.ask(text, k=k)) == signature(
-                reference.ask(text, k=k)
-            )
-        live.compact()
-        assert not live.store.has_delta
-        for text in texts:
-            assert signature(live.ask(text, k=k)) == signature(
-                reference.ask(text, k=k)
-            )
-    finally:
-        reference.close()
-        live.close()
+    arrivals = rows + [rows[i % len(rows)] for i in repeats]
+    if shuffle is not None:
+        shuffle.shuffle(arrivals)
+    cut = min(cut, len(arrivals))
+    prefix, suffix = arrivals[:cut], arrivals[cut:]
+    workload = []
+    new_predicates = sorted({p for _, p, *_ in suffix} - {p for _, p, *_ in prefix})
+    if rule_target is not None and new_predicates:
+        texts = texts + [f"?x {new_predicates[0]} ?y"]
+        rule = f"?x {new_predicates[0]} ?y => ?x {rule_target} ?y @ 0.8"
+        workload += [AddRule(rule), Ask(texts[-1], k)]
+    asks = [Ask(text, k) for text in texts]
+    start, batches = 0, 0
+    while start < len(suffix):
+        size = sizes[batches % len(sizes)]
+        workload += [Ingest(suffix[start : start + size]), *asks]
+        if batches in compactions:
+            workload += [Compact(), Storage(), *asks]
+        start, batches = start + size, batches + 1
+    workload += [Storage(), Compact(), Storage(), *asks]
+    config = dict(NO_MINING, merge_batch=batch, block_size=block)
+    run(world(prefix), layout, workload, config)

@@ -26,7 +26,10 @@ reads every run to its end.  The answers, scores and derivation counts
 are the same; the shortcuts are checked, not copied.
 
 Import it as ``from reference_core import ...`` (``tests/`` is on
-``sys.path`` through its ``conftest.py``).
+``sys.path`` through its ``conftest.py``).  The byte-identity suites reach
+it through the differential harness (``tests/harness/differential.py``),
+whose ``TERMSPACE`` oracle drives :func:`reference_query` over a fresh
+build of the statements the engine under test holds.
 """
 
 from __future__ import annotations

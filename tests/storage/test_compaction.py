@@ -36,6 +36,7 @@ from repro.storage.snapshot import (
 )
 from repro.storage.store import TripleStore
 
+from harness.differential import fingerprint
 from layouts import distinct_keys
 
 X, Y = Variable("x"), Variable("y")
@@ -80,10 +81,6 @@ def _fresh_store():
     _add(fresh, LIVE_ROWS)
     fresh.freeze()
     return fresh
-
-
-def _signature(answers):
-    return [(a.binding, a.score) for a in answers]
 
 
 def _triples(rows):
@@ -437,16 +434,14 @@ class TestEngineLifecycle:
                         confidence=conf,
                     )
             before = {
-                text: [(a.binding, a.score) for a in engine.ask(text, k=15)]
+                text: fingerprint(engine.ask(text, k=15))
                 for text in queries
             }
             engine.compact()
             for text in queries:
-                expected = [
-                    (a.binding, a.score) for a in reference.ask(text, k=15)
-                ]
+                expected = fingerprint(reference.ask(text, k=15))
                 assert before[text] == expected
-                after = [(a.binding, a.score) for a in engine.ask(text, k=15)]
+                after = fingerprint(engine.ask(text, k=15))
                 assert after == expected
         reference.close()
 
@@ -478,9 +473,7 @@ class TestEngineLifecycle:
         ) as engine:
             ref_stream = reference.stream("?x ?p ?y")
             stream = engine.stream("?x ?p ?y")
-            assert [(a.binding, a.score) for a in stream.next_k(5)] == [
-                (a.binding, a.score) for a in ref_stream.next_k(5)
-            ]
+            assert fingerprint(stream.next_k(5)) == fingerprint(ref_stream.next_k(5))
             # Ingest + compact retire the store the stream is reading.
             for s, p, o, conf, count in LIVE_ROWS:
                 engine.ingest(
@@ -493,9 +486,7 @@ class TestEngineLifecycle:
             while True:
                 expected = ref_stream.next_k(7)
                 got = stream.next_k(7)
-                assert [(a.binding, a.score) for a in got] == [
-                    (a.binding, a.score) for a in expected
-                ]
+                assert fingerprint(got) == fingerprint(expected)
                 if not expected:
                     break
             # New streams see the compacted store (the ingested E9 facts).
@@ -511,9 +502,9 @@ class TestEngineLifecycle:
         with TriniT.open(snapshot_root, config=config) as engine:
             variant = engine.variant(use_relaxation=False)
             facades = {"parent": engine, "variant": variant}
-            expected = _signature(variant.ask("?x ?p ?y", k=500))
+            expected = fingerprint(variant.ask("?x ?p ?y", k=500))
             stream = variant.stream("?x ?p ?y")
-            emitted = _signature(stream.next_k(5))
+            emitted = fingerprint(stream.next_k(5))
             engine.ingest(_triples(LIVE_ROWS[:3]))
             assert facades[compactor].compact() == 1
             assert variant.store is engine.store
@@ -523,7 +514,7 @@ class TestEngineLifecycle:
             # The stream opened on the variant resumes on the store it
             # started on, byte-identical to the pre-ingest eager answer.
             while batch := stream.next_k(7):
-                emitted.extend(_signature(batch))
+                emitted.extend(fingerprint(batch))
             assert emitted == expected
 
     @pytest.mark.parametrize("closer", ["parent", "variant"])
@@ -666,9 +657,9 @@ class TestEngineLifecycle:
         engine = TriniT.open(snapshot_root, config=EngineConfig(merge_batch=1))
         try:
             engine.ingest(_triples(LIVE_ROWS[:3]))
-            expected = _signature(engine.ask("?x ?p ?y", k=500))
+            expected = fingerprint(engine.ask("?x ?p ?y", k=500))
             stream = engine.stream("?x ?p ?y")
-            emitted = _signature(stream.next_k(5))
+            emitted = fingerprint(stream.next_k(5))
             results = []
             reader = threading.Thread(
                 name="reader-A",
@@ -692,10 +683,10 @@ class TestEngineLifecycle:
             proceed.set()
             reader.join(timeout=30)
             assert not reader.is_alive()
-            assert _signature(results[0]) == expected  # pre-compaction bytes
+            assert fingerprint(results[0]) == expected  # pre-compaction bytes
             assert not old.closed  # the stream still reads it
             while batch := stream.next_k(7):
-                emitted.extend(_signature(batch))
+                emitted.extend(fingerprint(batch))
             assert emitted == expected
             del stream, batch
             gc.collect()

@@ -16,14 +16,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.terms import Resource
-from repro.core.triples import Triple
+from repro.core.terms import Resource, Variable
+from repro.core.triples import Triple, TriplePattern
 from repro.errors import StorageError
 from repro.storage.delta import DeltaSegment
-from repro.storage.index import SIGNATURES, signature_of
-from repro.storage.store import TripleStore
+from repro.storage.index import signature_of
 
-from layouts import distinct_keys
+from harness.differential import Ingest, Storage, observation, run, world
 
 
 def _ids(term_id: int) -> int:
@@ -46,27 +45,6 @@ LIVE_ROWS = [
     ("E6", "type", "E7", 0.5, 1),      # brand-new predicate
     ("E5", "bornIn", "E3", 0.85, 1),   # duplicate of a delta statement
 ]
-
-
-def _add(store, rows):
-    for s, p, o, conf, count in rows:
-        store.add(
-            Triple(Resource(s), Resource(p), Resource(o)),
-            confidence=conf,
-            count=count,
-        )
-
-
-def _postings_by_key(store):
-    """Every posting list of every signature, as id lists."""
-    backend = store.backend
-    out = {}
-    for sig in SIGNATURES:
-        bound = [slot in sig for slot in range(3)]
-        for key in distinct_keys(backend, bound):
-            out[(sig, key)] = list(backend.postings(bound, key))
-    out[("scan",)] = list(backend.postings([False, False, False], ()))
-    return out
 
 
 class TestDeltaSegmentUnit:
@@ -260,43 +238,17 @@ class TestIndexAgainstScan:
 
 
 class TestStoreByteIdentity:
-    """(frozen + delta) lookups == a fresh build over the union, bit for bit."""
+    """(frozen + delta) storage == a fresh build over the union, bit for bit."""
 
-    def _live_and_fresh(self, relayout):
-        """The live store, the fresh one, and how many statements the live
-        ingest added to the delta."""
-        live = TripleStore("live")
-        _add(live, ROWS)
-        live = relayout(live.freeze())
-        before = live.delta_size
-        _add(live, LIVE_ROWS)
-
-        fresh = TripleStore("fresh")
-        _add(fresh, ROWS)
-        _add(fresh, LIVE_ROWS)
-        fresh.freeze()
-        return live, fresh, live.delta_size - before
-
-    def test_posting_lists_identical(self, relayout):
-        live, fresh, ingested = self._live_and_fresh(relayout)
-        assert ingested == 3  # the duplicate folded into its delta twin
-        assert _postings_by_key(live) == _postings_by_key(fresh)
-
-    def test_weights_and_records_identical(self, relayout):
-        live, fresh, _ingested = self._live_and_fresh(relayout)
-        assert len(live) == len(fresh)
-        for tid in range(len(fresh)):
-            assert live.weight(tid) == fresh.weight(tid)
-            assert live.record(tid).triple == fresh.record(tid).triple
-            assert live.record(tid).count == fresh.record(tid).count
-            assert live.record(tid).confidence == fresh.record(tid).confidence
-        assert list(live.weights()) == list(fresh.weights())
+    def test_storage_identical_to_a_fresh_build(self, layout):
+        # Records, sort weights, collection mass and every posting list of
+        # every signature, at every segment count: the harness's Storage op.
+        run(world(ROWS), layout, [Ingest(LIVE_ROWS), Storage()])
 
     def test_lookup_and_cardinality_see_delta(self, relayout):
-        live, _fresh, _ingested = self._live_and_fresh(relayout)
-        from repro.core.terms import Variable
-        from repro.core.triples import TriplePattern
-
+        live = relayout(world(ROWS).store())
+        for triple, confidence, count in map(observation, LIVE_ROWS):
+            live.add(triple, confidence=confidence, count=count)
         record = live.lookup(
             Triple(Resource("E6"), Resource("type"), Resource("E7"))
         )
@@ -305,10 +257,9 @@ class TestStoreByteIdentity:
         assert live.cardinality(pattern) == 3
 
     def test_duplicate_of_frozen_updates_record_not_order(self, relayout):
-        """Documented eventual consistency: frozen sort weights stay fixed."""
-        live = TripleStore("live")
-        _add(live, ROWS)
-        live = relayout(live.freeze())
+        """The documented deviation: a frozen statement keeps the sort
+        weight it was frozen with (see ``repro.storage.store``)."""
+        live = relayout(world(ROWS).store())
         delta_size = live.delta_size
         frozen_weight = live.weight(0)
         tid = live.add(
@@ -320,5 +271,6 @@ class TestStoreByteIdentity:
         assert live.delta_size == delta_size
         assert live.record(0).count == 5
         assert live.record(0).confidence == 0.95
-        # The frozen posting order is untouched until compaction folds it in.
+        # The frozen posting order is untouched; only an in-memory rebuild
+        # re-sorts it, and a directory-backed store never does.
         assert live.weight(0) == frozen_weight

@@ -11,6 +11,8 @@ from repro.storage.persistence import load_store, save_store
 from repro.storage.store import MAX_PROVENANCES, TripleStore
 from repro.topk.processor import TopKProcessor
 
+from harness.differential import fingerprint
+
 
 class TestRoundtrip:
     def test_counts_and_confidence_survive(self, small_store, tmp_path):
@@ -121,9 +123,7 @@ class TestExactFidelity:
         query = parse_query("?x affiliation ?y")
         original = TopKProcessor(store).query(query, 5)
         reloaded = TopKProcessor(loaded).query(query, 5)
-        assert [(a.binding, a.score) for a in reloaded] == [
-            (a.binding, a.score) for a in original
-        ]
+        assert fingerprint(reloaded) == fingerprint(original)
 
     def test_small_store_weights_and_answers_survive(self, small_store, tmp_path):
         from repro.core.parser import parse_query
@@ -136,9 +136,7 @@ class TestExactFidelity:
         query = parse_query("AlbertEinstein ?p ?y")
         original = TopKProcessor(store).query(query, 10)
         reloaded = TopKProcessor(loaded).query(query, 10)
-        assert [(a.binding, a.score) for a in reloaded] == [
-            (a.binding, a.score) for a in original
-        ]
+        assert fingerprint(reloaded) == fingerprint(original)
 
 
 class TestProvenanceCap:

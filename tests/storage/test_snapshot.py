@@ -29,6 +29,7 @@ from repro.storage.snapshot import (
 from repro.storage.store import TripleStore
 from repro.topk.processor import TopKProcessor
 
+from harness.differential import fingerprint
 from layouts import distinct_keys
 
 X, Y, P = Variable("x"), Variable("y"), Variable("p")
@@ -98,9 +99,7 @@ class TestRoundtripFidelity:
             for k in (1, 3, 10):
                 original = TopKProcessor(frozen_small_store).query(query, k)
                 reloaded = TopKProcessor(loaded).query(query, k)
-                assert [(a.binding, a.score) for a in reloaded] == [
-                    (a.binding, a.score) for a in original
-                ]
+                assert fingerprint(reloaded) == fingerprint(original)
 
     def test_exotic_confidence_round_trips_bit_exact(self, tmp_path):
         store = TripleStore("exact")

@@ -33,6 +33,7 @@ from repro.storage.snapshot import (
 from repro.storage.store import TripleStore
 from repro.topk.processor import TopKProcessor
 
+from harness.differential import fingerprint
 from layouts import distinct_keys, generational_copy
 
 X, Y, P = Variable("x"), Variable("y"), Variable("p")
@@ -109,9 +110,7 @@ class TestShardedRoundtrip:
             query = parse_query(text)
             reference = TopKProcessor(sharded_store).query(query, 10)
             answers = TopKProcessor(loaded).query(query, 10)
-            assert [(a.binding, a.score) for a in answers] == [
-                (a.binding, a.score) for a in reference
-            ]
+            assert fingerprint(answers) == fingerprint(reference)
 
     def test_records_survive(self, sharded_store, sharded_snapshot):
         loaded = load_snapshot(sharded_snapshot)

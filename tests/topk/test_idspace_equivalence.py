@@ -1,14 +1,12 @@
 """Id-space execution must be indistinguishable from term-space semantics.
 
-The equivalence harness of the id-space core: for the paper KG and for
-generated worlds, every query must produce *identical* answer sets — same
-projection bindings, same scores, same derivation provenance (triples, rules,
-token expansions), same ``num_derivations`` — across
-
-* execution cores:   the engine vs the term-space reference core
-                     (``tests/reference_core.py``, driving the same plans),
-* store layouts:     fresh vs generational (the ``layout`` axis of conftest),
-* termination:       adaptive vs ``exhaustive=True``.
+For the paper KG and for a generated world, every query must produce
+*identical* answer sets — same projection bindings, same scores, same
+derivation provenance (triples, rules, token expansions), same
+``num_derivations`` — as the term-space reference core
+(``tests/reference_core.py``, driving the same plans): a grid over the
+differential harness, world × store layout (fresh, generational, one
+loaded snapshot segment) × termination (adaptive, ``exhaustive=True``).
 
 Plus unit coverage of the id-space building blocks (slot tables, pattern
 plans, posting cursors).
@@ -16,13 +14,12 @@ plans, posting cursors).
 
 import pytest
 
-from repro.core.engine import TriniT
-from repro.core.parser import parse_query
-from repro.core.terms import Resource, TextToken, Variable
+from repro.core.terms import Resource, Variable
 from repro.core.triples import Triple, TriplePattern
 from repro.kg.paper_example import paper_rules, paper_store
 from repro.scoring.language_model import PatternScorer
 from repro.storage.store import TripleStore
+from repro.topk.processor import ProcessorConfig
 from repro.topk.idspace import (
     UNBOUND,
     IdExecutionContext,
@@ -31,40 +28,11 @@ from repro.topk.idspace import (
     SlotTable,
 )
 
-from reference_core import pop_item, reference_query
+from harness.differential import NO_MINING, TERMSPACE, Ask, run, world_of
+from layouts import LAYOUTS
+from reference_core import pop_item
 
 X, Y = Variable("x"), Variable("y")
-
-
-def fingerprint(answers):
-    """All observable facets of an answer set."""
-    return [
-        (
-            answer.binding,
-            answer.score,
-            answer.num_derivations,
-            tuple(record.triple.n3() for record in answer.derivation.triples_used()),
-            tuple(rule.n3() for rule in answer.derivation.rules_used()),
-            tuple(
-                (tm.token.n3(), tm.similarity)
-                for tm in answer.derivation.token_matches_used()
-            ),
-        )
-        for answer in answers
-    ]
-
-
-def assert_equivalent(engine, queries, ks=(1, 3, 10)):
-    """Drive all four (core × exhaustive) variants over one engine."""
-    for query in queries:
-        for k in ks:
-            for exhaustive in (False, True):
-                variant = engine.variant(exhaustive=exhaustive)
-                reference = fingerprint(
-                    reference_query(variant.processor, query, k)
-                )
-                observed = fingerprint(variant.ask(query, k=k))
-                assert observed == reference, (query, k, exhaustive)
 
 
 # -- unit coverage ------------------------------------------------------------
@@ -188,45 +156,40 @@ PAPER_QUERIES = [
     "MaxPlanck hasAdvisor ?x",
 ]
 
-
-class TestPaperKgEquivalence:
-    def test_paper_queries_identical_across_everything(self, relayout):
-        engine = TriniT(relayout(paper_store()), rules=paper_rules())
-        assert_equivalent(engine, [parse_query(q) for q in PAPER_QUERIES])
+TERMINATION = pytest.mark.parametrize("exhaustive", [False, True], ids=["adaptive", "exhaustive"])
+STORE_LAYOUTS = pytest.mark.parametrize("store_layout", [*LAYOUTS, "snapshot"])
 
 
-class TestGeneratedWorldEquivalence:
-    def test_tiny_harness_queries_identical(self, tiny_harness):
-        queries = [
-            bq.parse() for bq in tiny_harness.benchmark.queries[:10]
-        ]
-        assert_equivalent(tiny_harness.engine, queries, ks=(1, 5))
+@TERMINATION
+def test_paper_queries_identical_across_everything(layout, exhaustive):
+    workload = [Ask(q, k) for q in PAPER_QUERIES for k in (1, 3, 10)]
+    config = {"processor": ProcessorConfig(exhaustive=exhaustive)}
+    run(world_of(paper_store(), paper_rules()), layout, workload, config, (TERMSPACE,))
 
-    def test_join_queries_identical(self, tiny_harness):
-        world = tiny_harness.world
-        queries = [
-            parse_query("?p 'works at' ?u . ?u locatedIn ?c"),
-            parse_query("?p affiliation ?u . ?u locatedIn ?c"),
-            parse_query(f"?x affiliation {world.universities[0].id}"),
-            parse_query("?a 'works at' ?u . ?b 'works at' ?u"),
-        ]
-        assert_equivalent(tiny_harness.engine, queries, ks=(1, 10))
 
-    def test_relaid_out_engine_identical(self, tiny_harness, relayout):
-        """However the store is laid out, the execution core is unchanged."""
-        engine = TriniT(relayout(tiny_harness.xkg_store.rebuild()))
-        queries = [bq.parse() for bq in tiny_harness.benchmark.queries[:6]]
-        assert_equivalent(engine, queries, ks=(3,))
-
-    def test_snapshot_loaded_store_engine_identical(self, tiny_harness, tmp_path):
-        """A mmap-loaded snapshot is observationally the original store."""
-        from repro.storage.snapshot import load_snapshot, save_snapshot
-
-        path = tmp_path / "tiny.snapd"
-        save_snapshot(tiny_harness.xkg_store, path)
-        engine = TriniT(load_snapshot(path))
-        queries = [bq.parse() for bq in tiny_harness.benchmark.queries[:6]]
-        assert_equivalent(engine, queries, ks=(3,))
+@TERMINATION
+@STORE_LAYOUTS
+def test_generated_world_queries_identical(tiny_harness, store_layout, exhaustive):
+    """The tiny evaluation world with its engine's rules: benchmark
+    queries, and joins through token phrases and shared objects; laid out
+    otherwise, the first six benchmark queries."""
+    university = tiny_harness.world.universities[0].id
+    joins = [
+        "?p 'works at' ?u . ?u locatedIn ?c",
+        "?p affiliation ?u . ?u locatedIn ?c",
+        f"?x affiliation {university}",
+        "?a 'works at' ?u . ?b 'works at' ?u",
+    ]
+    queries = [bq.parse() for bq in tiny_harness.benchmark.queries[:10]]
+    workload = [Ask(q, k) for q in queries[:6] for k in (3,)]
+    if store_layout == "fresh":
+        workload = [Ask(q, k) for q in queries for k in (1, 5)]
+        workload += [Ask(q, k) for q in joins for k in (1, 10)]
+    engine = tiny_harness.engine
+    config = dict(vars(engine.config), **NO_MINING)
+    config["processor"] = ProcessorConfig(exhaustive=exhaustive)
+    world = world_of(tiny_harness.xkg_store, engine.rules)
+    run(world, store_layout, workload, config, (TERMSPACE,))
 
 
 class TestSubJoinInvariant:
