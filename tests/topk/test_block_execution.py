@@ -292,14 +292,25 @@ PINNED_WORK = {
 }
 
 
+def _world_reads(name, config, layout, oracles, counters=False):
+    """The trace of the world's stream pages and eager ask, after its writes."""
+    world, writes, query, sizes, extra = WORLDS[name]
+    workload = [*writes, *pages(query, sizes), Ask(query, sum(sizes))]
+    trace = run(world, layout, workload, {**SERIAL, **extra, **CONFIGS[config]}, oracles, counters=counters)
+    return trace[len(writes):]
+
+
 @pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("name", WORLDS)
 def test_run_at_a_time_matches_per_item_oracle(name, config, layout):
-    world, writes, query, sizes, extra = WORLDS[name]
-    workload = [*writes, *pages(query, sizes), Ask(query, sum(sizes))]
     oracles = (PER_ITEM,) if config == "oracle" else (PER_ITEM, PER_ITEM_KERNELS)
-    trace = run(world, layout, workload, {**SERIAL, **extra, **CONFIGS[config]}, oracles, counters=True)
-    seen = [tuple(counters[c] for c in WORK_COUNTERS) for _answers, counters in trace[len(writes):]]
+    _world_reads(name, config, layout, oracles, counters=True)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("name", WORLDS)
+def test_work_counters_are_pinned(name, config, layout):
+    seen = [tuple(counters[c] for c in WORK_COUNTERS) for _page, counters in _world_reads(name, config, layout, ())]
     assert seen == PINNED_WORK[f"{name}/{layout}/{config}"]
 
 
