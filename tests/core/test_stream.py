@@ -20,7 +20,8 @@ def engine():
 class TestNextK:
     def test_batches_match_eager_ask(self, layout):
         workload = pages("?x type ?y", [1, 2, 7])
-        run(world_of(paper_store(), paper_rules()), layout, workload, {}, (PER_ITEM, TERMSPACE))
+        paper = world_of(paper_store(), paper_rules())
+        run(paper, layout, workload, {}, (PER_ITEM, TERMSPACE))
 
     def test_short_batch_then_empty_on_exhaustion(self, engine):
         stream = engine.stream("AlbertEinstein bornIn ?x")

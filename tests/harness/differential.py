@@ -80,14 +80,20 @@ def fingerprint(answers) -> list[tuple]:
     derivation counts and each best derivation whole — evaluated patterns
     (fresh variable names included), stored triples with their evidence as
     it is now, per-pattern scores, rules, token matches and rewriting."""
-    return [(a.binding, a.score, a.num_derivations, _derivation(a.derivation)) for a in answers]
+    return [
+        (a.binding, a.score, a.num_derivations, _derivation(a.derivation))
+        for a in answers
+    ]
 
 
 def _derivation(derivation) -> tuple:
     matches = tuple(
         (
             m.pattern,
-            tuple((r.triple, r.count, r.confidence, tuple(r.provenances)) for r in m.records),
+            tuple(
+                (r.triple, r.count, r.confidence, tuple(r.provenances))
+                for r in m.records
+            ),
             m.score,
             m.rule,
             m.token_matches,
@@ -99,7 +105,11 @@ def _derivation(derivation) -> tuple:
 
 def work(stats, ignored=frozenset({"elapsed_seconds"})) -> dict:
     """``stats``' counters by name, but the ``ignored`` ones."""
-    return {f.name: getattr(stats, f.name) for f in fields(stats) if f.name not in ignored}
+    return {
+        f.name: getattr(stats, f.name)
+        for f in fields(stats)
+        if f.name not in ignored
+    }
 
 
 # -- worlds -----------------------------------------------------------------
@@ -238,6 +248,11 @@ RANDOM_ROWS = st.tuples(
     st.sampled_from([0.5, 0.8, 1.0]),
     st.integers(min_value=1, max_value=4),
 )
+def _rule(premise, conclusion, weight, inverted) -> str:
+    head = f"?y {conclusion} ?x" if inverted else f"?x {conclusion} ?y"
+    return f"?x {premise} ?y => {head} @ {weight}"
+
+
 RANDOM_RULES = st.lists(
     st.tuples(
         st.sampled_from(["p0", "p1", "p2", "p3", "'works at'"]),
@@ -246,7 +261,7 @@ RANDOM_RULES = st.lists(
         st.booleans(),
     )
     .filter(lambda r: r[0] != r[1])
-    .map(lambda r: f"?x {r[0]} ?y => {'?y ' + r[1] + ' ?x' if r[3] else '?x ' + r[1] + ' ?y'} @ {r[2]}"),
+    .map(lambda r: _rule(*r)),
     max_size=4,
 )
 RANDOM_QUERIES = st.sampled_from(
@@ -384,7 +399,11 @@ class _Cell:
                 check(oracle.name, fingerprint(answers), fingerprint(want))
                 if self.counters and not oracle.termspace:
                     ignored = self.ignored(oracle, engine.store)
-                    check(oracle.name, work(answers.stats, ignored), work(want.stats, ignored))
+                    check(
+                        oracle.name,
+                        work(answers.stats, ignored),
+                        work(want.stats, ignored),
+                    )
             return fingerprint(answers), work(answers.stats)
         if isinstance(op, Page):
             return self.page(op, check)
@@ -392,7 +411,10 @@ class _Cell:
             got = [fingerprint(a) for a in engine.ask_many(op.queries, k=op.k)]
             for oracle in self.oracles:
                 reference = self.reference(oracle)
-                want = [fingerprint(self.eager(oracle, reference, q, op.k)) for q in op.queries]
+                want = [
+                    fingerprint(self.eager(oracle, reference, q, op.k))
+                    for q in op.queries
+                ]
                 check(oracle.name, got, want)
             return got
         if isinstance(op, Storage):
@@ -402,10 +424,14 @@ class _Cell:
             fresh.close()
             return got
         if isinstance(op, Ingest):
-            for (confidence, count), run in groupby(op.rows, lambda row: observation(row)[1:]):
+            runs = groupby(op.rows, lambda row: observation(row)[1:])
+            for (confidence, count), run in runs:
                 run = list(run)
                 triples = [observation(row)[0] for row in run]
-                self.write(lambda: engine.ingest(triples, confidence=confidence, count=count), run)
+                self.write(
+                    lambda: engine.ingest(triples, confidence=confidence, count=count),
+                    run,
+                )
         elif isinstance(op, Compact):
             self.write(engine.compact)
         elif isinstance(op, AddRule):
@@ -421,7 +447,8 @@ class _Cell:
             for oracle in self.oracles:
                 reference = self.reference(oracle)
                 streams = self.counters and not oracle.termspace
-                references[oracle] = (reference, reference.stream(op.query) if streams else None)
+                stream = reference.stream(op.query) if streams else None
+                references[oracle] = (reference, stream)
             entry = _Stream(self.engine.stream(op.query), self.engine.store, references)
             self.streams[op.stream or op.query] = entry
         page = fingerprint(entry.stream.next_k(op.n))
@@ -432,7 +459,11 @@ class _Cell:
             else:
                 check(oracle.name, page, fingerprint(stream.next_k(op.n)))
                 ignored = self.ignored(oracle, entry.store)
-                check(oracle.name, work(entry.stream.stats, ignored), work(stream.stats, ignored))
+                check(
+                    oracle.name,
+                    work(entry.stream.stats, ignored),
+                    work(stream.stats, ignored),
+                )
         entry.shown += len(page)
         return page, work(entry.stream.stats)
 
@@ -454,13 +485,16 @@ def run(
     """
     config = dict(config)
     if config.get("compaction_threshold") is not None:
-        assert config.get("executor_kind") == "serial", "a background fold races the model"
+        assert config.get("executor_kind") == "serial", (
+            "a background fold races the model"
+        )
     skip = TieFrontier.MIN_SKIP if settle_skip is None else settle_skip
     with ExitStack() as scope:
         scope.enter_context(patch.object(TieFrontier, "MIN_SKIP", skip))
         directory = None
         if layout != "fresh":
-            directory = Path(scope.enter_context(tempfile.TemporaryDirectory())) / "xkg.snapd"
+            root = scope.enter_context(tempfile.TemporaryDirectory())
+            directory = Path(root) / "xkg.snapd"
         cell = _Cell(world, layout, config, oracles, counters, directory)
         try:
             trace = [cell.step(index, op) for index, op in enumerate(workload)]

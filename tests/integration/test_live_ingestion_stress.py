@@ -119,9 +119,11 @@ def test_ingest_while_query_stress(tmp_path):
         assert len(engine.store) == expected
 
         union = world(SEED_ROWS + [row for feed in FEEDS for row in feed])
-        with TriniT(union.store(), config=EngineConfig(**ORACLE, **NO_MINING)) as reference:
+        config = EngineConfig(**ORACLE, **NO_MINING)
+        with TriniT(union.store(), config=config) as reference:
             for text in QUERIES:
-                assert fingerprint(engine.ask(text, 500)) == fingerprint(reference.ask(text, 500))
+                got, want = engine.ask(text, 500), reference.ask(text, 500)
+                assert fingerprint(got) == fingerprint(want)
     finally:
         stop.set()
         engine.close()

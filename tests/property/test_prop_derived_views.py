@@ -116,7 +116,8 @@ def _workload(sequence, check):
     ops = list(check)
     for kind, argument in sequence:
         if kind == "ingest":
-            ops += [Ingest(argument), Ingest([(triple,) for triple, _c, _n in argument])]
+            ops += [Ingest([row]) for row in argument]
+            ops.append(Ingest([(triple,) for triple, _c, _n in argument]))
         elif kind == "rule":
             ops.append(AddRule(argument))
         elif kind == "compact":
@@ -179,10 +180,17 @@ def test_carried_plans_answer_as_a_cold_processor(layout, base, sequence, thresh
     sequence=st.lists(steps, min_size=1, max_size=10),
     threshold=st.sampled_from([None, 3]),
 )
-def test_derived_views_equal_a_sweep(layout, matcher_state, base, warm, sequence, threshold):
+def test_derived_views_equal_a_sweep(
+    layout, matcher_state, base, warm, sequence, threshold
+):
     sweep = partial(_assert_equals_a_sweep, matcher_state=matcher_state)
-    workload = [partial(_warm, warm), *_workload(sequence, [sweep]), partial(sweep, force=True)]
-    run(world(base), layout, workload, dict(executor_kind="serial", compaction_threshold=threshold), ())
+    workload = [
+        partial(_warm, warm),
+        *_workload(sequence, [sweep]),
+        partial(sweep, force=True),
+    ]
+    config = dict(executor_kind="serial", compaction_threshold=threshold)
+    run(world(base), layout, workload, config, ())
 
 
 @settings(max_examples=10, deadline=None)
@@ -196,6 +204,11 @@ def test_derived_views_equal_a_sweep_across_snapshot_generations(
     """The same property where compaction writes a generation and reloads
     it (``write_generation``), instead of rebuilding in memory."""
     sweep = partial(_assert_equals_a_sweep, matcher_state=matcher_state)
-    workload = [partial(_warm, "both"), *_workload(sequence, [sweep]), Compact(), partial(sweep, force=True)]
+    workload = [
+        partial(_warm, "both"),
+        *_workload(sequence, [sweep]),
+        Compact(),
+        partial(sweep, force=True),
+    ]
     config = dict(executor_kind="serial", compaction_threshold=4)
     run(world(base), "snapshot" if layout == "fresh" else layout, workload, config, ())

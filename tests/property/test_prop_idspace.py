@@ -45,7 +45,10 @@ def test_idspace_equals_termspace_across_layouts(layout, settle_skip, world, que
     # k boundary than exhaustive evaluation: each mode has its own oracle.
     for exhaustive in (False, True):
         config = dict(NO_MINING, processor=ProcessorConfig(exhaustive=exhaustive))
-        run(world, layout, [Ask(query, 5)], config, (TERMSPACE,), settle_skip=settle_skip)
+        run(
+            world, layout, [Ask(query, 5)], config, (TERMSPACE,),
+            settle_skip=settle_skip,
+        )
 
 
 @settings(max_examples=30, deadline=None)
@@ -53,7 +56,9 @@ def test_idspace_equals_termspace_across_layouts(layout, settle_skip, world, que
     world=random_worlds(),
     query=RANDOM_QUERIES,
     sizes=PAGES,
-    batching=st.sampled_from([{}, {"block_size": 2}, {"block_size": 3, "merge_batch": 2}]),
+    batching=st.sampled_from(
+        [{}, {"block_size": 2}, {"block_size": 3, "merge_batch": 2}]
+    ),
 )
 def test_run_at_a_time_equals_per_item_oracle(
     layout, settle_skip, world, query, sizes, batching

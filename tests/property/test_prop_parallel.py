@@ -85,7 +85,8 @@ def test_batched_byte_identical_to_serial(layout, rows, texts, k, batch, block, 
     workload = []
     for text in texts:
         # Eager ask, then stream pages that concatenate to the eager prefix.
-        workload += [Ask(text, k), *pages(text, [min(split, k - i) for i in range(0, k, split)])]
+        sizes = [min(split, k - i) for i in range(0, k, split)]
+        workload += [Ask(text, k), *pages(text, sizes)]
     # A batch over one read view.
     workload.append(AskMany(tuple(texts), k))
     run(world(rows), layout, workload, {"merge_batch": batch, "block_size": block})

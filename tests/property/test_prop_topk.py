@@ -22,7 +22,9 @@ def processor(world, store, **config) -> TopKProcessor:
 
 @settings(max_examples=50, deadline=None)
 @given(world=random_worlds(max_rows=40), query_text=RANDOM_QUERIES)
-def test_adaptive_is_valid_topk_of_exhaustive(layout, tmp_path_factory, world, query_text):
+def test_adaptive_is_valid_topk_of_exhaustive(
+    layout, tmp_path_factory, world, query_text
+):
     """Adaptive termination does less work yet yields a valid top-k.
 
     It may surface another equally-scored answer than exhaustive evaluation

@@ -603,8 +603,8 @@ class TermSpaceDriver(TopKDriver):
     core: same plan, same rewriting order and settlement, term-space
     cursors, join and aggregation."""
 
-    def __init__(self, processor: TopKProcessor, query: Query, **kwargs):
-        super().__init__(processor, query, **kwargs)
+    def __init__(self, processor: TopKProcessor, query: Query):
+        super().__init__(processor, query)
         self._aggregator = AnswerAggregator()
 
     def _build_join(self, rewriting):
@@ -629,14 +629,6 @@ class TermSpaceDriver(TopKDriver):
 
     def ranked_window(self, start: int, stop: int | None = None) -> list[Answer]:
         return self._aggregator.ranked_answers(stop, start)
-
-
-class TermSpaceProcessor(TopKProcessor):
-    """A processor whose drivers — and so ``query`` — run the reference
-    core."""
-
-    def driver(self, query: Query) -> TermSpaceDriver:
-        return TermSpaceDriver(self, query)
 
 
 def reference_query(processor: TopKProcessor, query: Query, k: int) -> AnswerSet:

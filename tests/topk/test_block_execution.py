@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.engine import EngineConfig, TriniT
 from repro.core.results import QueryStats
-from repro.core.terms import Resource, Variable
+from repro.core.terms import Literal, Resource, Variable
 from repro.core.triples import Triple, TriplePattern
 from repro.errors import StorageError
 from repro.scoring.language_model import PatternScorer
@@ -189,15 +189,20 @@ ROUNDING = {
 #: (i) One tied run longer than a block (over several segments in the
 #: generational layout); (iv) ingested statements that tie with it.
 TIE_ACROSS_BLOCKS = world(
-    _tied("A{:02d}", "knows", "B{:02d}", 40) + _tied("H{}", "knows", "B{}", 5, confidence=0.9)
+    _tied("A{:02d}", "knows", "B{:02d}", 40)
+    + _tied("H{}", "knows", "B{}", 5, confidence=0.9)
 )
 DELTA_IN_RUN = Ingest([(f"A{i:02d}x", "knows", f"N{i}", 0.5) for i in range(0, 12, 2)])
 
 #: name -> (world, writes before the stream, query, page sizes, config).
 WORLDS = {
     "tie-across-blocks": (TIE_ACROSS_BLOCKS, [], "?x knows ?y", (3, 10, 40), {}),
-    "threshold-inside-run": (ROUNDING["threshold-inside-run"](), [], JOIN, (3, 3, 10), NO_TOKENS),
-    "optimistic-head": (ROUNDING["optimistic-head"](), [], JOIN, (1, 2, 12), NO_TOKENS),
+    "threshold-inside-run": (
+        ROUNDING["threshold-inside-run"](), [], JOIN, (3, 3, 10), NO_TOKENS,
+    ),
+    "optimistic-head": (
+        ROUNDING["optimistic-head"](), [], JOIN, (1, 2, 12), NO_TOKENS,
+    ),
     # (iii) A relaxation cursor whose head ties with the original's run: the
     # original cursor was opened first, so its whole run comes first —
     # across block boundaries too — and the bindings both lists hold are
@@ -207,14 +212,19 @@ WORLDS = {
               ["?x p ?y => ?x q ?y @ 1.0"]),
         [], "?x p ?y", (3, 5, 12), {},
     ),
-    "delta-inside-run": (TIE_ACROSS_BLOCKS, [DELTA_IN_RUN], "?x knows ?y", (3, 10, 40), {}),
+    "delta-inside-run": (
+        TIE_ACROSS_BLOCKS, [DELTA_IN_RUN], "?x knows ?y", (3, 10, 40), {},
+    ),
     # (iv) …and the same statements after ``compact()`` folded them in.
     "compacted-delta": (
         TIE_ACROSS_BLOCKS, [DELTA_IN_RUN, Compact()], "?x knows ?y", (3, 10, 40), {},
     ),
     # (v) ``?x knows ?x`` filters the block before the run is cut.
     "repeated-variable": (
-        world([(f"A{i:02d}", "knows", f"A{i:02d}" if i % 3 else f"B{i:02d}", 0.5) for i in range(30)]),
+        world([
+            (f"A{i:02d}", "knows", f"A{i:02d}" if i % 3 else f"B{i:02d}", 0.5)
+            for i in range(30)
+        ]),
         [], "?x knows ?x", (2, 7, 30), {},
     ),
 }
@@ -296,7 +306,8 @@ def _world_reads(name, config, layout, oracles, counters=False):
     """The trace of the world's stream pages and eager ask, after its writes."""
     world, writes, query, sizes, extra = WORLDS[name]
     workload = [*writes, *pages(query, sizes), Ask(query, sum(sizes))]
-    trace = run(world, layout, workload, {**SERIAL, **extra, **CONFIGS[config]}, oracles, counters=counters)
+    config = {**SERIAL, **extra, **CONFIGS[config]}
+    trace = run(world, layout, workload, config, oracles, counters=counters)
     return trace[len(writes):]
 
 
@@ -310,7 +321,10 @@ def test_run_at_a_time_matches_per_item_oracle(name, config, layout):
 @pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("name", WORLDS)
 def test_work_counters_are_pinned(name, config, layout):
-    seen = [tuple(counters[c] for c in WORK_COUNTERS) for _page, counters in _world_reads(name, config, layout, ())]
+    seen = [
+        tuple(counters[c] for c in WORK_COUNTERS)
+        for _page, counters in _world_reads(name, config, layout, ())
+    ]
     assert seen == PINNED_WORK[f"{name}/{layout}/{config}"]
 
 
@@ -352,7 +366,8 @@ def test_rounding_worlds_read_the_whole_run(name):
     # whole run before k settles, ask(k)[:j] == ask(j), and the answers do
     # not depend on the order the tied postings were inserted in.
     _world, _writes, query, sizes, extra = WORLDS[name]
-    workload = [*pages(query, sizes), *(Ask(query, k) for k in range(1, sum(sizes) + 1))]
+    asks = [Ask(query, k) for k in range(1, sum(sizes) + 1)]
+    workload = [*pages(query, sizes), *asks]
 
     def observe(reverse):
         trace = run(ROUNDING[name](reverse), "fresh", workload, {**SERIAL, **extra})
@@ -386,13 +401,14 @@ def _reads(world, query, config="default", oracles=(PER_ITEM, TERMSPACE)):
     which reads every tied run to its end: the eager answers and each
     page's counters."""
     workload = [Ask(query, 80), *pages(query, (25, 50))]
-    trace = run(world, "fresh", workload, {**SERIAL, **CONFIGS[config]}, oracles, counters=True)
+    config = {**SERIAL, **CONFIGS[config]}
+    trace = run(world, "fresh", workload, config, oracles, counters=True)
     return trace[0][0], [counters for _answers, counters in trace]
 
 
 @pytest.mark.parametrize("config", RUN_CONFIGS)
 def test_single_pattern_tie_reads_k_postings(config):
-    eager, counters = _reads(world(TIE_ROWS), "?x p ?y", config, (PER_ITEM,))
+    eager, counters = _reads(world(TIE_ROWS), "?x p ?y", config)
     # k postings, not one more: the (k+1)-th posting is what settles rank k.
     assert [c["sorted_accesses"] for c in counters] == [80, 25, 75]
     subjects = [binding[0][1].name for binding, *_rest in eager]
@@ -470,10 +486,15 @@ RELAXED_READS = [
 @pytest.mark.parametrize(
     "name, query, reads",
     RELAXED_READS,
-    ids=[f"{n}-{'select-x' if q.startswith('SELECT') else 'x-p-y'}" for n, q, _ in RELAXED_READS],
+    ids=[
+        f"{n}-{'select-x' if q.startswith('SELECT') else 'x-p-y'}"
+        for n, q, _ in RELAXED_READS
+    ],
 )
 @pytest.mark.parametrize("config", RUN_CONFIGS)
-def test_merge_settles_inside_a_run_only_below_everything_else(config, name, query, reads):
+def test_merge_settles_inside_a_run_only_below_everything_else(
+    config, name, query, reads
+):
     eager, pages = _relaxed_reads(name, query, config)
     assert (eager if isinstance(reads, int) else (eager, pages)) == reads
 
@@ -496,8 +517,38 @@ def test_dropped_variable_keeps_every_derivation():
         ("E2", "p0", "E0", 0.5),
     ]
     query = "SELECT ?x WHERE ?x p0 ?y"
-    [(answers, _counters)] = run(world(rows), "fresh", [Ask(query, 2)], SERIAL, (TERMSPACE,), settle_skip=0)
+    [(answers, _counters)] = run(
+        world(rows), "fresh", [Ask(query, 2)], SERIAL, (TERMSPACE,), settle_skip=0
+    )
     assert [derivations for _binding, _score, derivations, _best in answers] == [2, 1]
+
+
+# -- distinct answers that share a tie key --------------------------------------
+#
+# ``Literal(1)`` and ``Literal("1")`` have one sort key, so two answers can
+# tie in score and in tie key.  They rank by term id, which need not be the
+# order of their postings (triple-id order): a run may stop only once the
+# k-th answer's tie key is strictly below the next posting's.  The reference
+# core ranks such answers in another order (arrival), so the oracle here is
+# the exhaustive engine, which reads every posting and ranks as the engine.
+
+EXHAUSTIVE = Oracle(
+    "exhaustive engine", (("processor", ProcessorConfig(exhaustive=True)),)
+)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_answers_sharing_a_tie_key_keep_the_run_open(config):
+    rows = [
+        ("Z", "q", Literal(1)),  # Literal(1) takes the lower term id
+        ("A", "p", Literal("1"), 0.5),
+        ("A", "p", Literal(1), 0.5),
+        ("B", "p", "C", 0.5),
+    ]
+    asks = [Ask("?x p ?y", k) for k in (1, 2, 3)]
+    workload = [*asks, *pages("?x p ?y", [1, 1, 1])]
+    config = {**SERIAL, **CONFIGS[config]}
+    run(world(rows), "fresh", workload, config, (EXHAUSTIVE,), settle_skip=0)
 
 
 # -- a multi-pattern join settles its top tied band by probes ------------------
@@ -594,6 +645,8 @@ def test_probe_reading_more_than_the_drain_gives_way_to_it():
     rows += [(f"B{j}", "q", f"C{j * 40 + m:03d}", 0.5) for j in range(10) for m in range(40)]
     rows += [(f"C{j * 40:03d}", "r", "D", 0.5) for j in range(10)]
     query = "?a p ?b . ?b q ?c . ?c r ?d"
-    [(_answers, counters)] = run(world(rows), "fresh", [Ask(query, 80)], SERIAL, (TERMSPACE,))
+    [(_answers, counters)] = run(
+        world(rows), "fresh", [Ask(query, 80)], SERIAL, (TERMSPACE,)
+    )
     # Twenty groups sampled (20 ?a, 800 + 20 probed), then the drain.
     assert (counters["sorted_accesses"], counters["random_accesses"]) == (20 + 810, 820)

@@ -36,7 +36,11 @@ BOTH = (PER_ITEM, TERMSPACE)
 
 def splits(query, batches):
     """One stream per split of ``batches``."""
-    return [page for i, sizes in enumerate(batches) for page in pages(query, sizes, f"split{i}")]
+    return [
+        page
+        for i, sizes in enumerate(batches)
+        for page in pages(query, sizes, f"split{i}")
+    ]
 
 
 class TestDriverBasics:
@@ -75,7 +79,8 @@ class TestDriverBasics:
     def test_resume_grows_the_prefix(self, small_store, exhaustive):
         config = {"processor": ProcessorConfig(exhaustive=exhaustive)}
         batches = [[1, 1, 8], [1, 9]]
-        run(world_of(small_store), "fresh", splits("?x 'lectured at' ?y", batches), config, BOTH)
+        workload = splits("?x 'lectured at' ?y", batches)
+        run(world_of(small_store), "fresh", workload, config, BOTH)
 
 
 class TestTiedBoundaries:
@@ -83,15 +88,18 @@ class TestTiedBoundaries:
 
     def test_splits_through_tie_runs(self, layout):
         # Ten subjects at one weight, and two heavier ones, also tied.
-        rows = [(f"E{i}", "p", "T") for i in range(10)] + [(n, "p", "T", 1.0, 3) for n in "AB"]
+        rows = [(f"E{i}", "p", "T") for i in range(10)]
+        rows += [(n, "p", "T", 1.0, 3) for n in "AB"]
         batches = [[1, 11], [3, 9], [5, 5, 2], [2, 2, 2, 2, 2, 2]]
-        run(world(rows), layout, [Ask("?x p T", 12), *splits("?x p T", batches)], NO_MINING, BOTH)
+        workload = [Ask("?x p T", 12), *splits("?x p T", batches)]
+        run(world(rows), layout, workload, NO_MINING, BOTH)
 
     def test_lower_answers_after_a_split_tie_keep_their_rank(self, layout):
         # The first page ends inside the heavy tie {A, B}; the next page adds
         # lower answers whose names sort the other way round than their
         # scores.  They rank after the tie's rest, each at its own score.
-        rows = [(n, "p", "T", 1.0, c) for n, c in (("A", 4), ("B", 4), ("Zed", 3), ("Mid", 2), ("Ann", 1))]
+        counts = (("A", 4), ("B", 4), ("Zed", 3), ("Mid", 2), ("Ann", 1))
+        rows = [(n, "p", "T", 1.0, c) for n, c in counts]
         batches = [[1, 4], [1, 2, 2], [1, 1, 1, 1, 1], [2, 3]]
         workload = [Ask("?x p T", 5), *splits("?x p T", batches)]
         (eager, _counters), *_ = run(world(rows), layout, workload, NO_MINING, BOTH)
@@ -108,8 +116,13 @@ class TestTiedBoundaries:
     sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
     block_size=st.sampled_from([None, 2, 1]),
 )
-def test_stream_batches_equal_eager_topk(layout, settle_skip, world, query, sizes, block_size):
+def test_stream_batches_equal_eager_topk(
+    layout, settle_skip, world, query, sizes, block_size
+):
     # How long the tied head runs are that the id-space join advances by
     # (1: the per-item oracle) must not show in where a split may fall.
     config = dict(NO_MINING, block_size=block_size)
-    run(world, layout, pages(query, sizes), config, (TERMSPACE,), settle_skip=settle_skip)
+    run(
+        world, layout, pages(query, sizes), config, (TERMSPACE,),
+        settle_skip=settle_skip,
+    )

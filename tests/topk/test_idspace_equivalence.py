@@ -156,7 +156,9 @@ PAPER_QUERIES = [
     "MaxPlanck hasAdvisor ?x",
 ]
 
-TERMINATION = pytest.mark.parametrize("exhaustive", [False, True], ids=["adaptive", "exhaustive"])
+TERMINATION = pytest.mark.parametrize(
+    "exhaustive", [False, True], ids=["adaptive", "exhaustive"]
+)
 STORE_LAYOUTS = pytest.mark.parametrize("store_layout", [*LAYOUTS, "snapshot"])
 
 

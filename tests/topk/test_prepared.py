@@ -42,6 +42,7 @@ from harness.differential import (
     Oracle,
     Page,
     fingerprint,
+    pages,
     run,
     work,
     world_of,
@@ -69,7 +70,9 @@ QUERIES = [
     "?x hasAdvisor ?y",
 ]
 
-PAPER = world_of(paper_store(), paper_rules() + [parse_rule(text) for text in WORKS_FOR])
+PAPER = world_of(
+    paper_store(), paper_rules() + [parse_rule(text) for text in WORKS_FOR]
+)
 
 #: The subject's own configuration planning from scratch, and the per-item
 #: reference: every counter but those a differing knob governs must agree.
@@ -112,7 +115,8 @@ def test_a_second_ask_on_one_view_plans_nothing(monkeypatch):
 @pytest.mark.parametrize("text", QUERIES)
 def test_larger_k_and_interleaved_streams_on_a_warm_plan(text):
     schedule = (("first", 1), ("second", 2), ("first", 2), ("second", 1), ("first", 3))
-    workload = [Ask(text, 3), Ask(text, 12), *(Page(text, n, name) for name, n in schedule)]
+    workload = [Ask(text, 3), Ask(text, 12)]
+    workload += [Page(text, n, name) for name, n in schedule]
     run(PAPER, "fresh", workload, {}, ORACLES, counters=True)
     with make_engine() as engine:
         assert engine.stream(text)._driver._plan is engine.stream(text)._driver._plan
@@ -120,7 +124,8 @@ def test_larger_k_and_interleaved_streams_on_a_warm_plan(text):
 
 def test_later_rewritings_only_a_larger_k_reaches():
     workload = [Ask("AlbertEinstein worksFor ?x", k) for k in (1, 3, 1)]
-    (_, small), (_, large), (_, again) = run(PAPER, "fresh", workload, {}, ORACLES, counters=True)
+    trace = run(PAPER, "fresh", workload, {}, ORACLES, counters=True)
+    (_, small), (_, large), (_, again) = trace
     assert large["rewritings_processed"] > small["rewritings_processed"]
     assert again == small
 
@@ -222,7 +227,8 @@ COUNTRY = ("Germany", "type", "country")
 
 def figure4():
     store = TripleStore()
-    store.add_all(paper_kg() + [Triple(Resource("Ulm"), Resource("type"), Resource("city"))])
+    ulm = Triple(Resource("Ulm"), Resource("type"), Resource("city"))
+    store.add_all(paper_kg() + [ulm])
     for triple, provenance, confidence in paper_xkg_extension():
         store.add(triple, provenance, confidence=confidence)
     return world_of(store, paper_rules())
@@ -235,7 +241,8 @@ def test_an_ingest_that_makes_a_rule_condition_hold_reaches_a_prepared_query(lay
         assert top.derivation.rewriting[0].conditions
 
     workload = [Ask("?x bornIn Germany"), Ingest([COUNTRY]), Ask("?x bornIn Germany")]
-    trace = run(figure4(), layout, [*workload, rewritten_by_a_condition], {}, ORACLES, counters=True)
+    workload.append(rewritten_by_a_condition)
+    trace = run(figure4(), layout, workload, {}, ORACLES, counters=True)
     assert trace[0][0] == []
 
 
@@ -246,11 +253,13 @@ def test_a_compaction_replans_on_the_compacted_store():
     engine.ingest([Triple(Resource("AlbertEinstein"), Resource("affiliation"), Resource("ETH"))])
     processor = engine.processor
     plan = processor.prepared(parse_query(text))
-    engine.ask(text)
+    ingested = engine.ask(text)
     engine.compact()
     assert engine.processor is not processor
     assert engine.processor.prepared(parse_query(text)) is not plan
-    assert Resource("ETH") in engine.ask(text).terms_for("x")
+    compacted = engine.ask(text)
+    assert Resource("ETH") in compacted.terms_for("x")
+    assert fingerprint(compacted) == fingerprint(ingested)
     engine.close()
 
 
@@ -302,14 +311,18 @@ WRITES = {
 }
 
 
-@pytest.mark.parametrize("kind, store_layout", [(k, "fresh") for k in WRITES] + [("compaction", "generational")])
+@pytest.mark.parametrize(
+    "kind, store_layout",
+    [(kind, "fresh") for kind in WRITES] + [("compaction", "generational")],
+)
 def test_plans_after_a_write_answer_as_a_fresh_build(kind, store_layout):
     """Every query asked before the write (so each has a plan to carry or
     drop), then again at the default k and at 12: answers and counters as
     a cold engine's over a fresh build of the statements and rules."""
     texts = QUERIES + [text for text, _batch in TOUCHING.values()]
     after = [Ask(text, k) for text in texts for k in (10, 12)]
-    run(PAPER, store_layout, [*after[1::2], *WRITES[kind], *after], {}, ORACLES, counters=True)
+    workload = [*after[1::2], *WRITES[kind], *after]
+    run(PAPER, store_layout, workload, {}, ORACLES, counters=True)
 
 
 def test_a_batch_that_touches_no_read_carries_every_plan(monkeypatch):
@@ -365,33 +378,45 @@ def test_a_condition_that_starts_to_hold_reaches_the_carried_answers(layout):
 
     def misses_the_condition(engine):
         plan = engine.processor.prepared(parse_query(text))
-        assert Triple(*map(Resource, COUNTRY)) in {Triple(*p.terms()) for p in plan.reads.misses}
+        misses = {Triple(*p.terms()) for p in plan.reads.misses}
+        assert Triple(*map(Resource, COUNTRY)) in misses
 
-    workload = [Ask(text), misses_the_condition, Ingest(UNRELATED), Ask(text), Ingest([COUNTRY]), Ask(text)]
+    workload = [
+        Ask(text),
+        misses_the_condition,
+        Ingest(UNRELATED),
+        Ask(text),
+        Ingest([COUNTRY]),
+        Ask(text),
+    ]
     trace = run(figure4(), layout, workload, {}, ORACLES, counters=True)
     # Carried across the unrelated batch, the condition still fails.
     assert [bool(trace[i][0]) for i in (0, 3, 5)] == [False, False, True]
 
 
-def test_a_stream_on_a_superseded_view_extends_a_private_copy():
+def test_a_stream_on_a_superseded_view_extends_a_private_copy(layout):
     """A stream whose plan was sealed for the next view reads past it from
-    a copy of its own; the next view's plan does not move."""
+    a copy of its own: its pages stay those of a stream over the statements
+    it opened on, the sealed plan does not move, and the next view's plan
+    answers as a fresh build does."""
     text = "AlbertEinstein worksFor ?x"
-    quiet = make_engine()
-    quiet_stream = quiet.stream(text)
-    want = [fingerprint(quiet_stream.next_k(1)) for _ in range(4)]
-    engine = make_engine()
-    stream = engine.stream(text)
-    got = [fingerprint(stream.next_k(1))]
-    sealed = stream._driver._plan
-    read = len(sealed._rewritings)
-    engine.ingest(UNRELATED)
+    plans = []
+
+    def keep_the_plan(engine):
+        plan = engine.processor.prepared(parse_query(text))
+        plans.append((plan, len(plan._rewritings)))
+
+    workload = [
+        Page(text, 1, "s"),
+        keep_the_plan,
+        Ingest(UNRELATED),
+        *pages(text, [1, 1, 1], "s"),
+        Ask(text, 12),
+    ]
+    run(PAPER, layout, workload, {}, ORACLES, counters=True)
+    [(sealed, read)] = plans
     assert sealed._sealed
-    got += [fingerprint(stream.next_k(1)) for _ in range(3)]
-    assert got == want
     assert len(sealed._rewritings) == read
-    engine.close()
-    quiet.close()
 
 
 @pytest.mark.parametrize("backing", ["memory", "snapshot"])
